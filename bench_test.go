@@ -14,7 +14,6 @@ package distauction_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -497,13 +496,6 @@ func BenchmarkSessionThroughput(b *testing.B) {
 // every lane.
 func BenchmarkMarketThroughput(b *testing.B) {
 	const rounds = 40
-	// DISTAUCTION_TRACE=1 runs the same workload with span tracing on — the
-	// observability overhead acceptance (traced aggregate rounds/s within 5%
-	// of untraced) is measured by comparing the two invocations.
-	if os.Getenv("DISTAUCTION_TRACE") == "1" {
-		trace.SetEnabled(true)
-		defer trace.Reset()
-	}
 	lat := transport.CommunityNetModel()
 	for _, auctions := range []int{1, 4, 16, 64} {
 		auctions := auctions
@@ -513,7 +505,7 @@ func BenchmarkMarketThroughput(b *testing.B) {
 			var frames, envs int64
 			var latency metrics.HistogramSnapshot
 			for i := 0; i < b.N; i++ {
-				res, err := harness.RunMarketDouble(auctions, rounds,
+				res, err := harness.RunMarket(1, auctions, rounds,
 					harness.WithProviders(3), harness.WithUsers(10), harness.WithK(1),
 					harness.WithSeed(uint64(i+1)), harness.WithLatency(lat),
 					harness.WithBidWindow(10*time.Second),
@@ -571,7 +563,7 @@ func BenchmarkMarketThroughputResilient(b *testing.B) {
 		var latency metrics.HistogramSnapshot
 		for i := 0; i < b.N; i++ {
 			var rn *transport.ResilientNetwork
-			res, err := harness.RunMarketDouble(auctions, rounds,
+			res, err := harness.RunMarket(1, auctions, rounds,
 				harness.WithProviders(3), harness.WithUsers(10), harness.WithK(1),
 				harness.WithSeed(uint64(i+1)), harness.WithLatency(lat),
 				harness.WithBidWindow(10*time.Second),
@@ -632,7 +624,7 @@ func BenchmarkFederationThroughput(b *testing.B) {
 			var totalRounds int
 			var totalTime time.Duration
 			for i := 0; i < b.N; i++ {
-				res, err := harness.RunFederationDouble(shards, auctions, rounds,
+				res, err := harness.RunMarket(shards, auctions, rounds,
 					harness.WithProviders(3), harness.WithUsers(10), harness.WithK(1),
 					harness.WithSeed(uint64(i+1)), harness.WithLatency(lat),
 					harness.WithBidWindow(10*time.Second),
@@ -704,7 +696,7 @@ func steadyStateAllocs(b *testing.B) {
 		gBefore := runtime.NumGoroutine()
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := harness.RunMarketDouble(auctions, rounds,
+		res, err := harness.RunMarket(1, auctions, rounds,
 			harness.WithProviders(3), harness.WithUsers(10), harness.WithK(1),
 			harness.WithSeed(uint64(i+1)),
 			harness.WithBidWindow(10*time.Second),

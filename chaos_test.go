@@ -32,13 +32,9 @@ func TestChaosSoakMarket(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short")
 	}
-	res, err := harness.RunMarketChaos(harness.ChaosConfig{
-		Auctions:  64,
-		Rounds:    4,
-		Seed:      1,
-		Drop:      0.01,
-		KillEvery: 50,
-	})
+	res, err := harness.RunMarketChaos(64, 4,
+		harness.ChaosConfig{Drop: 0.01, KillEvery: 50},
+		harness.WithUsers(4), harness.WithSeed(1), harness.WithTimeout(2*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,9 @@
 //     -cost 1.5 -capacity 10 -rounds 10 -secret communitynet
 //
 // Auctions are comma-separated names, each optionally pinning a wire lane
-// as name:lane (lanes otherwise derive deterministically from the name).
+// as name:lane (lanes otherwise derive deterministically from the name). In
+// hub mode the lane is local to the auction's shard, at most
+// federation.MaxLocalLane.
 package main
 
 import (
@@ -44,13 +46,13 @@ import (
 	"distauction/internal/core"
 	"distauction/internal/federation"
 	"distauction/internal/fixed"
+	"distauction/internal/harness"
 	"distauction/internal/market"
 	"distauction/internal/metrics"
 	"distauction/internal/trace"
 	"distauction/internal/transport"
 	"distauction/internal/transport/faultnet"
 	"distauction/internal/wire"
-	"distauction/internal/workload"
 )
 
 func main() {
@@ -92,22 +94,30 @@ func main() {
 	trace.SetEnabled(*traceOn)
 	trace.SetSlowRound(*slowRound)
 
-	var plan *chaosPlan
-	if *chaos {
-		plan = &chaosPlan{drop: *chaosDrop, kill: *chaosKill}
-	}
 	specs, err := parseAuctions(*auctionsFlag)
-	if err == nil {
-		if plan != nil && !*hubMode {
-			err = fmt.Errorf("-chaos requires -hub (TCP deployments get real faults for free)")
-		} else if *hubMode && *shards > 1 {
-			err = runHubFederated(specs, *shards, *m, *n, *k, *pipeline, *rounds, *seed, *bidWindow, *roundTimeout, *metricsAddr, plan)
-		} else if *hubMode {
-			err = runHub(specs, *m, *n, *k, *pipeline, *rounds, *seed, *bidWindow, *roundTimeout, *metricsAddr, plan)
-		} else {
-			err = runTCP(specs, uint32(*id), *listen, *providersFlag, *usersFlag, *k, *pipeline,
-				*rounds, *cost, *capacity, *bidWindow, *roundTimeout, *secret, *metricsAddr)
+	switch {
+	case err != nil:
+	case *chaos && !*hubMode:
+		err = fmt.Errorf("-chaos requires -hub (TCP deployments get real faults for free)")
+	case *hubMode:
+		lat := transport.CommunityNetModel()
+		opts := []harness.Option{
+			harness.WithProviders(*m), harness.WithUsers(*n), harness.WithK(*k),
+			harness.WithSeed(*seed), harness.WithLatency(lat),
+			harness.WithBidWindow(*bidWindow), harness.WithTimeout(*roundTimeout),
+			harness.WithPipelineDepth(*pipeline),
 		}
+		if *chaos {
+			opts = append(opts, harness.WithNetwork(func(seed int64) transport.Network {
+				return newChaosNet(lat, seed, *chaosDrop, *chaosKill)
+			}))
+		}
+		fmt.Printf("marketd: hub demo — %d auctions over %d shards × %d providers, %d bidders, %d rounds each\n",
+			len(specs), *shards, *m, *n, *rounds)
+		err = hubRun(specs, *shards, *rounds, *metricsAddr, opts...)
+	default:
+		err = runTCP(specs, uint32(*id), *listen, *providersFlag, *usersFlag, *k, *pipeline,
+			*rounds, *cost, *capacity, *bidWindow, *roundTimeout, *secret, *metricsAddr)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "marketd:", err)
@@ -198,325 +208,131 @@ func sessionOpts(k, pipeline int, rounds uint64, bidWindow, roundTimeout time.Du
 	return opts
 }
 
-// chaosPlan is the -chaos flag group: frame drops plus a round-robin
-// connection killer, injected beneath the resilience layer so the demo
-// exercises the heartbeat/ARQ machinery instead of aborting.
-type chaosPlan struct {
-	drop float64
-	kill time.Duration
+// chaosNet is the -chaos network stack: the demo hub under faultnet (frame
+// drops) under the resilience layer, plus a round-robin connection killer
+// over whatever nodes attach — so the demo exercises the heartbeat/ARQ
+// machinery instead of aborting. Close stops the killer and closes the
+// whole stack.
+type chaosNet struct {
+	transport.Network
+	mu      sync.Mutex
+	victims []wire.NodeID
+	done    chan struct{}
+	stop    sync.Once
 }
 
-// wrap stacks faultnet and the resilience layer over the demo hub and
-// starts the killer. The returned network owns the whole stack (its Close
-// closes the hub too); stop halts the killer.
-func (p *chaosPlan) wrap(hub *transport.Hub, seed uint64, victims []wire.NodeID) (transport.Network, func()) {
-	fn := faultnet.Wrap(hub, faultnet.Config{
-		Seed:    int64(seed),
-		Default: faultnet.Profile{Drop: p.drop},
+func newChaosNet(lat transport.LatencyModel, seed int64, drop float64, kill time.Duration) *chaosNet {
+	fn := faultnet.Wrap(transport.NewHub(lat, seed), faultnet.Config{
+		Seed:    seed,
+		Default: faultnet.Profile{Drop: drop},
 	})
-	net := transport.Resilient(fn, transport.ResilientConfig{})
-	stop := func() {}
-	if p.kill > 0 && len(victims) > 0 {
-		done := make(chan struct{})
+	c := &chaosNet{Network: transport.Resilient(fn, transport.ResilientConfig{}), done: make(chan struct{})}
+	if kill > 0 {
 		go func() {
-			tick := time.NewTicker(p.kill)
+			tick := time.NewTicker(kill)
 			defer tick.Stop()
 			for i := 0; ; i++ {
 				select {
-				case <-done:
+				case <-c.done:
 					return
 				case <-tick.C:
-					fn.Kill(victims[i%len(victims)])
+					c.mu.Lock()
+					if len(c.victims) > 0 {
+						fn.Kill(c.victims[i%len(c.victims)])
+					}
+					c.mu.Unlock()
 				}
 			}
 		}()
-		var once sync.Once
-		stop = func() { once.Do(func() { close(done) }) }
 	}
-	fmt.Printf("marketd: chaos on — %.2g%% frame drop, conn-kill every %v\n", p.drop*100, p.kill)
-	return net, stop
+	fmt.Printf("marketd: chaos on — %.2g%% frame drop, conn-kill every %v\n", drop*100, kill)
+	return c
 }
 
-// runHub is the self-contained demo: everything in one process over the
-// in-memory Hub with the community-network latency model.
-func runHub(specs []namedLane, m, n, k, pipeline int, rounds, seed uint64,
-	bidWindow, roundTimeout time.Duration, metricsAddr string, chaos *chaosPlan) error {
+func (c *chaosNet) Attach(id wire.NodeID) (transport.Conn, error) {
+	c.mu.Lock()
+	c.victims = append(c.victims, id)
+	c.mu.Unlock()
+	return c.Network.Attach(id)
+}
+
+func (c *chaosNet) Close() error {
+	c.stop.Do(func() { close(c.done) })
+	return c.Network.Close()
+}
+
+// hubRun is the self-contained demo for any -shards >= 1: the harness's
+// market deployment — the catalog over `shards` disjoint committees of m
+// providers behind one federation, bidders joined through one attachment
+// apiece — in one process over the in-memory Hub with the
+// community-network latency model, driven by the harness's closed loop.
+func hubRun(specs []namedLane, shards int, rounds uint64, metricsAddr string, opts ...harness.Option) error {
 	if rounds == 0 {
 		return fmt.Errorf("hub mode needs -rounds > 0")
 	}
-	hub := transport.NewHub(transport.CommunityNetModel(), int64(seed))
-
-	providerIDs := make([]wire.NodeID, m)
-	for i := range providerIDs {
-		providerIDs[i] = wire.NodeID(i + 1)
+	auctions := make([]federation.AuctionSpec, len(specs))
+	for j, nl := range specs {
+		auctions[j] = federation.AuctionSpec{Name: nl.name, LocalLane: nl.lane} // 0 derives; placement is routed
 	}
-	userIDs := make([]wire.NodeID, n)
-	for i := range userIDs {
-		userIDs[i] = wire.NodeID(1001 + i)
-	}
-	insts := make([]workload.DoubleAuctionInstance, len(specs))
-	for j := range specs {
-		insts[j] = workload.NewDoubleAuction(seed+uint64(j)*104729, n, m)
-	}
-
-	var net transport.Network = hub
-	if chaos != nil {
-		wrapped, stop := chaos.wrap(hub, seed, append(append([]wire.NodeID{}, providerIDs...), userIDs...))
-		defer stop()
-		net = wrapped
-	}
-	defer net.Close()
-
-	// The demo bidders submit every round's bid up front, so the admission
-	// window must span the whole run or the tail rounds degrade to neutral
-	// bids (a paced client would track the outcome stream instead).
-	window := int(min(rounds+uint64(pipeline)+2, 1<<20))
-	markets := make([]*market.Market, m)
-	for i, pid := range providerIDs {
-		conn, err := net.Attach(pid)
-		if err != nil {
-			return err
-		}
-		mk, err := market.Open(conn, providerIDs, market.WithAdmissionWindow(window))
-		if err != nil {
-			return err
-		}
-		defer mk.Close()
-		markets[i] = mk
-		for j, nl := range specs {
-			_, err := mk.OpenAuction(market.AuctionSpec{
-				Name:    nl.name,
-				Lane:    nl.lane,
-				Users:   userIDs,
-				Options: sessionOpts(k, pipeline, rounds, bidWindow, roundTimeout, insts[j].Providers[i]),
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	fmt.Printf("marketd: hub demo — %d auctions × %d providers × %d bidders, %d rounds each\n",
-		len(specs), m, n, rounds)
-	if metricsAddr != "" {
-		stop, err := startExporter(metricsAddr, exporter{market: markets[0].Stats})
-		if err != nil {
-			return err
-		}
-		defer stop()
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, n*len(specs))
-	for i, uid := range userIDs {
-		conn, err := net.Attach(uid)
-		if err != nil {
-			return err
-		}
-		mb, err := market.NewBidder(conn, providerIDs)
-		if err != nil {
-			return err
-		}
-		defer mb.Close()
-		for j, nl := range specs {
-			s, err := mb.JoinLane(nl.name, laneOf(nl),
-				core.WithRoundLimit(rounds),
-				core.WithRoundTimeout(roundTimeout))
-			if err != nil {
-				return err
-			}
-			wg.Add(1)
-			go func(i, j int, name string, s *core.BidderSession) {
-				defer wg.Done()
-				for r := uint64(1); r <= rounds; r++ {
-					if err := s.Submit(r, insts[j].Users[i]); err != nil {
-						errCh <- fmt.Errorf("%s: submit: %w", name, err)
-						return
-					}
-				}
-				seen := uint64(0)
-				for out := range s.Outcomes() {
-					seen++
-					if out.Err != nil {
-						errCh <- fmt.Errorf("%s round %d: %w", name, out.Round, out.Err)
-						return
-					}
-				}
-				if seen != rounds {
-					errCh <- fmt.Errorf("%s: saw %d of %d rounds", name, seen, rounds)
-				}
-			}(i, j, nl.name, s)
-		}
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return err
-	}
-
-	// Wait for the provider-side consumers, then print the market table.
-	want := int64(len(specs)) * int64(rounds)
-	deadline := time.Now().Add(roundTimeout)
-	for markets[0].Stats().Rounds < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	printStats(markets[0].Stats())
-	printFlightDumps()
-	holdForScrape(metricsAddr)
-	return nil
-}
-
-// runHubFederated is the sharded demo: the same catalog partitioned over
-// `shards` disjoint provider committees of m nodes each behind one
-// federated façade, bidders joined through one attachment apiece.
-func runHubFederated(specs []namedLane, shards, m, n, k, pipeline int, rounds, seed uint64,
-	bidWindow, roundTimeout time.Duration, metricsAddr string, chaos *chaosPlan) error {
-	if rounds == 0 {
-		return fmt.Errorf("hub mode needs -rounds > 0")
-	}
-	if shards > federation.MaxShards {
-		return fmt.Errorf("-shards %d exceeds the %d-shard lane band", shards, federation.MaxShards)
-	}
-	hub := transport.NewHub(transport.CommunityNetModel(), int64(seed))
-
-	fedSpecs := make([]federation.ShardSpec, shards)
-	var committeeIDs []wire.NodeID
-	for s := range fedSpecs {
-		committee := make([]wire.NodeID, m)
-		for i := range committee {
-			committee[i] = wire.NodeID(s*m + i + 1)
-		}
-		fedSpecs[s] = federation.ShardSpec{Index: s + 1, Providers: committee}
-		committeeIDs = append(committeeIDs, committee...)
-	}
-	userIDs := make([]wire.NodeID, n)
-	for i := range userIDs {
-		userIDs[i] = wire.NodeID(1001 + i)
-	}
-
-	var net transport.Network = hub
-	if chaos != nil {
-		wrapped, stop := chaos.wrap(hub, seed, append(committeeIDs, userIDs...))
-		defer stop()
-		net = wrapped
-	}
-	defer net.Close()
-
-	window := int(min(rounds+uint64(pipeline)+2, 1<<20))
-	fed, err := federation.Open(net, fedSpecs,
-		federation.WithMarketOptions(market.WithAdmissionWindow(window)))
+	dep, err := harness.OpenMarket(shards, auctions, int(rounds), opts...)
 	if err != nil {
 		return err
 	}
-	defer fed.Close()
-
-	insts := make([]workload.DoubleAuctionInstance, len(specs))
-	for j, nl := range specs {
-		if nl.lane > federation.MaxLocalLane {
-			return fmt.Errorf("auction %q: sharded lanes are local, max %d", nl.name, federation.MaxLocalLane)
-		}
-		inst := workload.NewDoubleAuction(seed+uint64(j)*104729, n, m)
-		insts[j] = inst
-		err := fed.OpenAuction(federation.AuctionSpec{
-			Name:      nl.name,
-			LocalLane: nl.lane, // 0 derives; placement is routed
-			Users:     userIDs,
-			Options: []core.SessionOption{
-				core.WithK(k),
-				core.WithMechanismName("double"),
-				core.WithBidWindow(bidWindow),
-				core.WithRoundTimeout(roundTimeout),
-				core.WithMaxConcurrentRounds(pipeline),
-				core.WithRoundLimit(rounds),
-				core.WithOutcomeBuffer(int(min(rounds, 1024))),
-			},
-			MemberOptions: func(i int, _ wire.NodeID) []core.SessionOption {
-				return []core.SessionOption{core.WithProviderBid(inst.Providers[i])}
-			},
-		})
-		if err != nil {
-			return err
-		}
+	defer dep.Close()
+	ex := exporter{fed: dep.Stats}
+	if shards == 1 {
+		ex = exporter{market: func() market.Snapshot { return marketView(dep.Stats()) }}
 	}
-	fmt.Printf("marketd: federated hub demo — %d auctions over %d shards × %d providers, %d bidders, %d rounds each\n",
-		len(specs), shards, m, n, rounds)
 	if metricsAddr != "" {
-		stop, err := startExporter(metricsAddr, exporter{fed: fed.Stats})
+		stop, err := startExporter(metricsAddr, ex)
 		if err != nil {
 			return err
 		}
 		defer stop()
 	}
 
-	var wg sync.WaitGroup
-	errCh := make(chan error, n*len(specs))
-	for i, uid := range userIDs {
-		conn, err := net.Attach(uid)
-		if err != nil {
-			return err
-		}
-		fb, err := federation.NewBidder(conn, fedSpecs)
-		if err != nil {
-			return err
-		}
-		defer fb.Close()
-		for j, nl := range specs {
-			shard, lane, err := fed.Place(nl.name)
-			if err != nil {
-				return err
-			}
-			_, local := federation.SplitLane(lane)
-			s, err := fb.JoinOn(nl.name, shard, local,
-				core.WithRoundLimit(rounds),
-				core.WithRoundTimeout(roundTimeout))
-			if err != nil {
-				return err
-			}
-			wg.Add(1)
-			go func(i, j int, name string, s *core.BidderSession) {
-				defer wg.Done()
-				for r := uint64(1); r <= rounds; r++ {
-					if err := s.Submit(r, insts[j].Users[i]); err != nil {
-						errCh <- fmt.Errorf("%s: submit: %w", name, err)
-						return
-					}
-				}
-				seen := uint64(0)
-				for out := range s.Outcomes() {
-					seen++
-					if out.Err != nil {
-						errCh <- fmt.Errorf("%s round %d: %w", name, out.Round, out.Err)
-						return
-					}
-				}
-				if seen != rounds {
-					errCh <- fmt.Errorf("%s: saw %d of %d rounds", name, seen, rounds)
-				}
-			}(i, j, nl.name, s)
-		}
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	res, err := dep.Run()
+	if err != nil {
 		return err
 	}
-
-	// Wait for every committee member's consumer, then print the rollup.
-	want := int64(len(specs)) * int64(rounds) * int64(m)
-	deadline := time.Now().Add(roundTimeout)
-	for time.Now().Before(deadline) {
-		var got int64
-		for _, ns := range fed.Stats().PerNode {
-			got += ns.Rounds
-		}
-		if got >= want {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if shards == 1 {
+		printStats(ex.market())
+	} else {
+		printFederationStats(dep.Stats())
 	}
-	printFederationStats(fed.Stats())
 	printFlightDumps()
+	if res.Accepted != res.Rounds {
+		return fmt.Errorf("%d of %d rounds ended ⊥", res.Rounds-res.Accepted, res.Rounds)
+	}
 	holdForScrape(metricsAddr)
 	return nil
+}
+
+// marketView reads a one-shard federation rollup as the single market it is
+// wire-identical to, so -shards 1 keeps the per-auction table and series.
+func marketView(fs federation.Snapshot) market.Snapshot {
+	if len(fs.PerShard) != 1 || len(fs.PerNode) == 0 {
+		return market.Snapshot{}
+	}
+	primary := fs.PerNode[0]
+	return market.Snapshot{
+		Open:          fs.Auctions,
+		Rounds:        fs.Rounds,
+		Accepted:      fs.Accepted,
+		Aborted:       fs.Aborted,
+		RoundsPerSec:  fs.RoundsPerSec,
+		BidsAdmitted:  fs.BidsAdmitted,
+		BidsDropped:   fs.BidsDropped,
+		QueueDepth:    fs.QueueDepth,
+		FramesSent:    primary.FramesSent,
+		EnvelopesSent: primary.EnvelopesSent,
+		PeerHealth:    primary.PeerHealth,
+		Link:          primary.Link,
+		Latency:       fs.Latency,
+		AbortCodes:    fs.AbortCodes,
+		Runtime:       fs.Runtime,
+		Auctions:      fs.PerShard[0].PerAuction,
+	}
 }
 
 // printFederationStats renders the per-shard rollup table.
@@ -557,13 +373,6 @@ func printFederationStats(snap federation.Snapshot) {
 		fmt.Printf("cross-shard settle: %d committed, %d aborted, %d errors\n",
 			snap.SettleCommits, snap.SettleAborts, snap.SettleErrs)
 	}
-}
-
-func laneOf(nl namedLane) uint32 {
-	if nl.lane != 0 {
-		return nl.lane
-	}
-	return market.LaneForName(nl.name)
 }
 
 func printStats(snap market.Snapshot) {

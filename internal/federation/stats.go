@@ -3,6 +3,7 @@ package federation
 import (
 	"sort"
 
+	"distauction/internal/market"
 	"distauction/internal/metrics"
 	"distauction/internal/proto"
 	"distauction/internal/transport"
@@ -42,6 +43,11 @@ type ShardSnapshot struct {
 	// AbortCodes breaks the shard's ⊥ rounds down by typed cause, indexed
 	// by proto.AbortCode.
 	AbortCodes [proto.NumAbortCodes]int64
+
+	// PerAuction is the breakdown the aggregates above were summed from:
+	// the shard's auctions as its first committee member sees them, sorted
+	// by name.
+	PerAuction []market.AuctionSnapshot
 }
 
 // NodeSnapshot is one provider node's transport-level view. Mux counters
@@ -159,10 +165,15 @@ func (f *Market) Stats() Snapshot {
 			Draining:  ref.st.draining,
 		}
 		if ref.primary != nil {
-			for _, as := range ref.primary.market.Stats().Auctions {
+			// The primary's snapshot slice is fresh and ours: filter it in
+			// place rather than copying the (histogram-sized) entries out.
+			auctions := ref.primary.market.Stats().Auctions
+			ss.PerAuction = auctions[:0]
+			for _, as := range auctions {
 				if shard, _ := SplitLane(as.Lane); shard != ss.Shard {
 					continue // the node serves other shards over the same market
 				}
+				ss.PerAuction = append(ss.PerAuction, as)
 				ss.Auctions++
 				ss.Rounds += as.Rounds
 				ss.Accepted += as.Accepted

@@ -1,10 +1,9 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"distauction/internal/auction"
@@ -17,21 +16,14 @@ import (
 	"distauction/internal/transport"
 	"distauction/internal/transport/faultnet"
 	"distauction/internal/wire"
-	"distauction/internal/workload"
 )
 
-// ChaosConfig describes one chaos soak: a full marketplace run over the
-// resilience stack — session traffic over Resilient(faultnet.Wrap(Hub)) —
-// with frame drops and periodic connection kills injected underneath the
-// ARQ layer.
+// ChaosConfig is the fault schedule of one chaos soak: a full marketplace
+// run over the resilience stack — session traffic over
+// Resilient(faultnet.Wrap(Hub)) — with frame drops and periodic connection
+// kills injected underneath the ARQ layer. The market itself is shaped by
+// the usual harness options.
 type ChaosConfig struct {
-	// Auctions and Rounds shape the market exactly as in RunMarketDouble.
-	Auctions int
-	Rounds   int
-	// Providers, Users, K configure the committee (defaults 3, 4, 1).
-	Providers, Users, K int
-	// Seed drives the workload, the hub jitter, and the fault schedule.
-	Seed uint64
 	// Drop is the per-frame drop probability on every link (e.g. 0.01).
 	Drop float64
 	// KillEvery kills one node's connections every KillEvery completed
@@ -39,14 +31,13 @@ type ChaosConfig struct {
 	KillEvery int
 	// Blackout is the dark window a kill opens (default 30ms).
 	Blackout time.Duration
-	// Timeout bounds the whole soak (default 2 min).
-	Timeout time.Duration
 }
 
 // ChaosResult reports what the soak survived. The correctness assertions —
-// cross-provider ledger-journal equality and replay equality against a
-// serial re-settlement of the observed outcomes — run inside RunMarketChaos
-// and fail the run; the counters here are for reporting and for the
+// outcome agreement between bidders and the primary, cross-provider
+// ledger-journal equality and replay equality against a serial
+// re-settlement of the observed outcomes — run inside RunMarketChaos and
+// fail the run; the counters here are for reporting and for the
 // zero-transport-aborts assertion the caller owns.
 type ChaosResult struct {
 	Rounds   int
@@ -60,24 +51,6 @@ type ChaosResult struct {
 	Faults   faultnet.Stats
 	Link     transport.LinkStats
 	Duration time.Duration
-}
-
-func (c *ChaosConfig) defaults() {
-	if c.Providers == 0 {
-		c.Providers = 3
-	}
-	if c.Users == 0 {
-		c.Users = 4
-	}
-	if c.K == 0 {
-		c.K = 1
-	}
-	if c.Blackout == 0 {
-		c.Blackout = 30 * time.Millisecond
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 2 * time.Minute
-	}
 }
 
 // chaosLink is the link config for soaks: fast heartbeats so acks and
@@ -94,52 +67,48 @@ func chaosLink() transport.ResilientConfig {
 	}
 }
 
-// RunMarketChaos runs a full marketplace under injected transport faults
-// and proves the outcome stream unharmed: every provider settles every
-// auction into its own private ledger, and the run fails unless (1) all
-// committee members' journals are identical per auction and (2) the first
-// provider's journal equals a serial replay of the outcomes it observed,
-// re-settled through a fresh gateway.Enforcer. Abort counts are returned,
-// not asserted — the caller decides how many (typically zero) it tolerates.
-func RunMarketChaos(cfg ChaosConfig) (ChaosResult, error) {
-	cfg.defaults()
-	if cfg.Auctions < 1 || cfg.Rounds < 1 {
-		return ChaosResult{}, errors.New("harness: need at least one auction and one round")
+// RunMarketChaos runs a one-shard marketplace of `auctions` double auctions
+// × `rounds` rounds under injected transport faults and proves the outcome
+// stream unharmed: every provider settles every auction into its own
+// private ledger, and the run fails unless (1) all committee members'
+// journals are identical per auction and (2) the first provider's journal
+// equals a serial replay of the outcomes it observed, re-settled through a
+// fresh gateway.Enforcer. Abort counts are returned, not asserted — the
+// caller decides how many (typically zero) it tolerates.
+//
+// federation.AuctionSpec.Enforce fires on the shard primary only, so the
+// per-member ledgers are why this deployment opens its member markets
+// itself; the workload, the bidders, the driver and its oracle are the
+// shared ones.
+func RunMarketChaos(auctions, rounds int, chaos ChaosConfig, opts ...Option) (ChaosResult, error) {
+	if auctions < 1 || rounds < 1 {
+		return ChaosResult{}, errShape
 	}
-
-	hub := transport.NewHub(transport.LatencyModel{}, int64(cfg.Seed))
-	fn := faultnet.Wrap(hub, faultnet.Config{
-		Seed:     int64(cfg.Seed),
-		Default:  faultnet.Profile{Drop: cfg.Drop},
-		Blackout: cfg.Blackout,
-	})
-	net := transport.Resilient(fn, chaosLink())
+	if chaos.Blackout == 0 {
+		chaos.Blackout = 30 * time.Millisecond
+	}
+	cfg := newConfig(opts)
+	var fn *faultnet.Network
+	WithNetwork(func(seed int64) transport.Network {
+		fn = faultnet.Wrap(transport.NewHub(cfg.latency, seed), faultnet.Config{
+			Seed:     seed,
+			Default:  faultnet.Profile{Drop: chaos.Drop},
+			Blackout: chaos.Blackout,
+		})
+		return transport.Resilient(fn, chaosLink())
+	})(&cfg)
+	net := cfg.newNetwork()
 	defer net.Close()
 
-	m, n := cfg.Providers, cfg.Users
-	providerIDs, userIDs := ids(m, n)
+	m := cfg.m
+	providerIDs, userIDs := ids(m, cfg.n)
 	const escrow wire.NodeID = 999
-	victims := append(append([]wire.NodeID{}, providerIDs...), userIDs...)
-
-	pipeline := 2
-	lookahead := pipeline + 1
-	window := cfg.Rounds + lookahead + 2
-	timeout := cfg.Timeout
-
-	names := make([]string, cfg.Auctions)
-	lanes := make([]uint32, cfg.Auctions)
-	insts := make([]workload.DoubleAuctionInstance, cfg.Auctions)
-	for j := range names {
-		names[j] = fmt.Sprintf("chaos-%03d", j)
-		lanes[j] = uint32(j + 1)
-		insts[j] = workload.NewDoubleAuction(cfg.Seed+uint64(j)*104729, n, m)
-	}
 
 	// Every committee member settles every auction into its own private
 	// ledger + gateway set, all identically funded: after the run the
 	// journals must agree entry-for-entry, or resilience lost or reordered
 	// an outcome somewhere.
-	newLedger := func() *ledger.Ledger {
+	newEnforcer := func() *gateway.Enforcer {
 		led := ledger.New()
 		led.Open(escrow)
 		for _, id := range userIDs {
@@ -148,54 +117,40 @@ func RunMarketChaos(cfg ChaosConfig) (ChaosResult, error) {
 				panic(err) // fresh ledger, cannot overflow
 			}
 		}
-		for _, id := range providerIDs {
-			led.Open(id)
-		}
-		return led
-	}
-	ledgers := make([][]*ledger.Ledger, m) // [provider][auction]
-	for i := range ledgers {
-		ledgers[i] = make([]*ledger.Ledger, cfg.Auctions)
-		for j := range ledgers[i] {
-			ledgers[i][j] = newLedger()
-		}
-	}
-	newGateways := func() []*gateway.Gateway {
 		gws := make([]*gateway.Gateway, m)
-		for p := range gws {
-			gws[p] = gateway.New(providerIDs[p], fixed.MustFloat(1e9), nil)
+		for p, id := range providerIDs {
+			led.Open(id)
+			gws[p] = gateway.New(id, fixed.MustFloat(1e9), nil)
 		}
-		return gws
+		return &gateway.Enforcer{Ledger: led, Gateways: gws, Escrow: escrow, TTL: time.Hour}
 	}
 
 	// The kill schedule rides the first provider's outcome stream: every
 	// KillEvery completed rounds, the next victim's connections die.
-	var obsMu sync.Mutex
-	observed := make(map[string][]core.RoundOutcome, cfg.Auctions)
-	completed, nextVictim := 0, 0
+	victims := append(append([]wire.NodeID{}, providerIDs...), userIDs...)
+	var primary observer
+	var completed atomic.Int64
 	onOutcome := func(name string, out core.RoundOutcome) {
-		obsMu.Lock()
-		observed[name] = append(observed[name], out)
-		completed++
-		kill := cfg.KillEvery > 0 && completed%cfg.KillEvery == 0
-		var victim wire.NodeID
-		if kill {
-			victim = victims[nextVictim%len(victims)]
-			nextVictim++
-		}
-		obsMu.Unlock()
-		if kill {
-			fn.Kill(victim)
+		primary.record(name, out)
+		if c := int(completed.Add(1)); chaos.KillEvery > 0 && c%chaos.KillEvery == 0 {
+			fn.Kill(victims[(c/chaos.KillEvery-1)%len(victims)])
 		}
 	}
 
+	lanes := make([]lane, auctions)
+	asks := make([][]auction.ProviderBid, auctions)
+	for j := range lanes {
+		lanes[j] = lane{name: fmt.Sprintf("chaos-%03d", j), shard: 1, local: uint32(j + 1)}
+		asks[j], lanes[j].bids = cfg.doubleBids(j, rounds)
+	}
+	ledgers := make([][]*ledger.Ledger, m) // [provider][auction]
 	markets := make([]*market.Market, m)
 	for i, id := range providerIDs {
 		conn, err := net.Attach(id)
 		if err != nil {
 			return ChaosResult{}, err
 		}
-		mopts := []market.Option{market.WithAdmissionWindow(window), market.WithSweepEvery(0)}
+		mopts := []market.Option{market.WithAdmissionWindow(cfg.admissionWindow(rounds)), market.WithSweepEvery(0)}
 		if i == 0 {
 			mopts = append(mopts, market.WithOnOutcome(onOutcome))
 		}
@@ -205,155 +160,61 @@ func RunMarketChaos(cfg ChaosConfig) (ChaosResult, error) {
 		}
 		defer mk.Close()
 		markets[i] = mk
-		for j, name := range names {
+		ledgers[i] = make([]*ledger.Ledger, auctions)
+		for j, l := range lanes {
+			enf := newEnforcer()
+			ledgers[i][j] = enf.Ledger
 			_, err := mk.OpenAuction(market.AuctionSpec{
-				Name:  name,
-				Lane:  lanes[j],
+				Name:  l.name,
+				Lane:  l.local,
 				Users: userIDs,
-				Options: []core.SessionOption{
-					core.WithK(cfg.K),
-					core.WithMechanismName("double"),
-					core.WithBidWindow(10 * time.Second),
-					core.WithRoundTimeout(timeout),
-					core.WithRoundLimit(uint64(cfg.Rounds)),
-					core.WithMaxConcurrentRounds(pipeline),
-					core.WithProviderBid(insts[j].Providers[i]),
-					core.WithOutcomeBuffer(cfg.Rounds),
-				},
-				Enforce: &market.EnforceTarget{
-					Ledger:   ledgers[i][j],
-					Gateways: newGateways(),
-					Escrow:   escrow,
-					TTL:      time.Hour,
-				},
+				Options: append(cfg.providerOptions(rounds),
+					core.WithMechanismName("double"), core.WithProviderBid(asks[j][i])),
+				Enforce: &market.EnforceTarget{Ledger: enf.Ledger, Gateways: enf.Gateways, Escrow: escrow, TTL: enf.TTL},
 			})
 			if err != nil {
 				return ChaosResult{}, err
 			}
 		}
 	}
-
-	bidders := make([]*market.Bidder, n)
-	sessions := make([][]*core.BidderSession, n)
-	for i, id := range userIDs {
-		conn, err := net.Attach(id)
-		if err != nil {
-			return ChaosResult{}, err
-		}
-		mb, err := market.NewBidder(conn, providerIDs)
-		if err != nil {
-			return ChaosResult{}, err
-		}
-		defer mb.Close()
-		bidders[i] = mb
-		sessions[i] = make([]*core.BidderSession, cfg.Auctions)
-		for j, name := range names {
-			s, err := mb.JoinLane(name, lanes[j],
-				core.WithRoundLimit(uint64(cfg.Rounds)),
-				core.WithOutcomeBuffer(pipeline+1),
-				core.WithRoundTimeout(timeout))
-			if err != nil {
-				return ChaosResult{}, err
-			}
-			sessions[i][j] = s
-		}
+	bidders, err := joinLanes(cfg, net, committees(1, m), lanes, rounds)
+	for _, fb := range bidders {
+		defer fb.Close()
 	}
-
-	roundBids := make([][][]auction.UserBid, cfg.Auctions)
-	for j := range roundBids {
-		roundBids[j] = make([][]auction.UserBid, cfg.Rounds)
-		for r := range roundBids[j] {
-			roundBids[j][r] = workload.NewDoubleAuction(cfg.Seed+uint64(j)*104729+uint64(r)*7919, n, m).Users
-		}
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, n*cfg.Auctions)
-	for i := range bidders {
-		for j := range names {
-			wg.Add(1)
-			go func(i, j int) {
-				defer wg.Done()
-				s := sessions[i][j]
-				slot := i*cfg.Auctions + j
-				for r := 1; r <= min(lookahead, cfg.Rounds); r++ {
-					if err := s.Submit(uint64(r), roundBids[j][r-1][i]); err != nil {
-						errs[slot] = err
-						return
-					}
-				}
-				seen := 0
-				for out := range s.Outcomes() {
-					seen++
-					if next := seen + lookahead; next <= cfg.Rounds {
-						if err := s.Submit(uint64(next), roundBids[j][next-1][i]); err != nil {
-							errs[slot] = err
-							return
-						}
-					}
-					_ = out
-				}
-				if seen != cfg.Rounds {
-					errs[slot] = fmt.Errorf("auction %d: saw %d of %d rounds", j, seen, cfg.Rounds)
-				}
-			}(i, j)
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for slot, err := range errs {
-		if err != nil {
-			return ChaosResult{}, fmt.Errorf("harness: chaos bidder %d: %w", slot/cfg.Auctions, err)
-		}
+	if err != nil {
+		return ChaosResult{}, err
 	}
 
 	// Every committee member must finish consuming (and settling) every
 	// round before the journals are comparable.
-	deadline := time.Now().Add(timeout)
-	for i, mk := range markets {
-		for {
-			snap := mk.Stats()
-			if snap.Rounds >= int64(cfg.Auctions*cfg.Rounds) {
-				break
+	run, err := drive(lanes, rounds, cfg.pipeline+1, func() ([][][]core.RoundOutcome, error) {
+		err := waitConsumed(cfg.timeout, int64(auctions*rounds*m), func() (consumed int64) {
+			for _, mk := range markets {
+				consumed += mk.Stats().Rounds
 			}
-			if time.Now().After(deadline) {
-				return ChaosResult{}, fmt.Errorf("harness: provider %d consumed %d of %d rounds before deadline",
-					i, mk.Stats().Rounds, cfg.Auctions*cfg.Rounds)
-			}
-			time.Sleep(time.Millisecond)
-		}
+			return consumed
+		})
+		return primary.streams(lanes), err
+	})
+	if err != nil {
+		return ChaosResult{}, err
 	}
 
-	// (1) Cross-provider journal equality, per auction.
-	for j, name := range names {
-		ref := ledgers[0][j].Journal()
+	res := ChaosResult{Duration: run.elapsed, Faults: fn.FaultStats(), Link: markets[0].Stats().Link}
+	for j, l := range lanes {
+		// (1) Cross-provider journal equality, per auction.
+		live := ledgers[0][j].Journal()
 		for i := 1; i < m; i++ {
-			if got := ledgers[i][j].Journal(); !reflect.DeepEqual(got, ref) {
+			if got := ledgers[i][j].Journal(); !reflect.DeepEqual(got, live) {
 				return ChaosResult{}, fmt.Errorf("harness: %s: provider %d journal diverges from provider 1 (%d vs %d entries)",
-					name, providerIDs[i], len(got), len(ref))
+					l.name, providerIDs[i], len(got), len(live))
 			}
 		}
-	}
-
-	// (2) Replay equality: re-settle the observed outcome stream serially
-	// through a fresh Enforcer; the journal must reproduce exactly.
-	obsMu.Lock()
-	defer obsMu.Unlock()
-	res := ChaosResult{Duration: elapsed}
-	for j, name := range names {
-		replayLed := newLedger()
-		replayer := &gateway.Enforcer{
-			Ledger:   replayLed,
-			Gateways: newGateways(),
-			Escrow:   escrow,
-			TTL:      time.Hour,
-		}
-		outs := observed[name]
-		if len(outs) != cfg.Rounds {
-			return ChaosResult{}, fmt.Errorf("harness: %s: observed %d of %d outcomes", name, len(outs), cfg.Rounds)
-		}
-		for _, out := range outs {
+		// (2) Replay equality: re-settle the observed outcome stream
+		// serially through a fresh Enforcer; the journal must reproduce
+		// exactly.
+		replayer := newEnforcer()
+		for _, out := range run.providers[j][0] {
 			res.Rounds++
 			if out.Err != nil {
 				res.Aborted++
@@ -362,15 +223,13 @@ func RunMarketChaos(cfg ChaosConfig) (ChaosResult, error) {
 			}
 			res.Accepted++
 			if err := replayer.Enforce(out.Round, out.Outcome, userIDs, providerIDs); err != nil {
-				return ChaosResult{}, fmt.Errorf("harness: %s: replay round %d: %w", name, out.Round, err)
+				return ChaosResult{}, fmt.Errorf("harness: %s: replay round %d: %w", l.name, out.Round, err)
 			}
 		}
-		if got, want := ledgers[0][j].Journal(), replayLed.Journal(); !reflect.DeepEqual(got, want) {
+		if want := replayer.Ledger.Journal(); !reflect.DeepEqual(live, want) {
 			return ChaosResult{}, fmt.Errorf("harness: %s: live journal (%d entries) != serial replay (%d entries)",
-				name, len(got), len(want))
+				l.name, len(live), len(want))
 		}
 	}
-	res.Faults = fn.FaultStats()
-	res.Link = markets[0].Stats().Link
 	return res, nil
 }

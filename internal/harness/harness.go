@@ -9,9 +9,15 @@
 // options and are transport-agnostic: the default network is the in-memory
 // Hub with a latency model standing in for the Guifi.net links (see
 // DESIGN.md for the substitution argument), and WithNetwork swaps in any
-// other transport.Network. The distributed paths run on the session engine;
-// RunSessionDouble measures multi-round pipelined throughput over one
-// deployment.
+// other transport.Network.
+//
+// There are two builders and one driver (DESIGN.md, "Deployments"):
+// runSession deploys one auction's bare sessions (RunDistributedDouble and
+// RunDistributedStandard are its one-round case, RunSessionDouble its
+// pipelined multi-round case), OpenMarket deploys a marketplace of any
+// shard count through the federation, and drive runs the closed loop over
+// either and checks that every participant holds the same outcomes.
+// runCentralized is the paper's trusted-auctioneer baseline.
 package harness
 
 import (
@@ -168,12 +174,52 @@ func ids(m, n int) (providers, users []wire.NodeID) {
 	return providers, users
 }
 
+// providerOptions are the session options every provider session of a
+// deployment shares. The outcome buffer holds the whole run, so ordered
+// emission never blocks on a consumer the driver has not started yet.
+func (c config) providerOptions(rounds int) []core.SessionOption {
+	return []core.SessionOption{
+		core.WithK(c.k),
+		core.WithBidWindow(c.bidWindow),
+		core.WithRoundTimeout(c.timeout),
+		core.WithRoundLimit(uint64(rounds)),
+		core.WithMaxConcurrentRounds(c.pipeline),
+		core.WithOutcomeBuffer(rounds),
+	}
+}
+
+// bidderOptions are the bidder-side counterpart of providerOptions.
+func (c config) bidderOptions(rounds int) []core.SessionOption {
+	return []core.SessionOption{
+		core.WithRoundLimit(uint64(rounds)),
+		core.WithOutcomeBuffer(c.pipeline + 1),
+		core.WithRoundTimeout(c.timeout), // match the run budget, not the 2-min session default
+	}
+}
+
+// doubleBids generates one double auction's workload, deterministic in the
+// seed: the providers' asks and fresh user bids for each of `rounds` rounds
+// ([round][user]). Round 1 comes from the same instance as the asks, so a
+// one-round run is exactly workload.NewDoubleAuction(seed).
+func (c config) doubleBids(auctionIndex, rounds int) (asks []auction.ProviderBid, bids [][]auction.UserBid) {
+	seed := c.seed + uint64(auctionIndex)*104729
+	bids = make([][]auction.UserBid, rounds)
+	for r := range bids {
+		inst := workload.NewDoubleAuction(seed+uint64(r)*7919, c.n, c.m)
+		if r == 0 {
+			asks = inst.Providers
+		}
+		bids[r] = inst.Users
+	}
+	return asks, bids
+}
+
 // RunDistributedDouble times one distributed double-auction round
 // (Figure 4, distributed series).
 func RunDistributedDouble(opts ...Option) (Result, error) {
 	cfg := newConfig(opts)
-	inst := workload.NewDoubleAuction(cfg.seed, cfg.n, cfg.m)
-	return runDistributed(cfg, core.DoubleAuction{}, inst.Users, inst.Providers)
+	asks, bids := cfg.doubleBids(0, 1)
+	return runRound(cfg, core.DoubleAuction{}, asks, bids[0])
 }
 
 // RunDistributedStandard times one distributed standard-auction round
@@ -191,110 +237,20 @@ func RunDistributedStandard(opts ...Option) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runDistributed(cfg, mech, inst.Users, nil)
+	return runRound(cfg, mech, nil, inst.Users)
 }
 
-// runDistributed deploys provider and bidder sessions on a fresh network
-// and times one round through the session engine.
-func runDistributed(cfg config, mech core.Mechanism, userBids []auction.UserBid, provBids []auction.ProviderBid) (Result, error) {
-	net := cfg.newNetwork()
-	defer net.Close()
-	providerIDs, userIDs := ids(cfg.m, cfg.n)
-
-	sessions := make([]*core.Session, cfg.m)
-	for i, id := range providerIDs {
-		conn, err := net.Attach(id)
-		if err != nil {
-			return Result{}, err
-		}
-		sopts := []core.SessionOption{
-			core.WithK(cfg.k),
-			core.WithMechanism(mech),
-			core.WithBidWindow(cfg.bidWindow),
-			core.WithRoundTimeout(cfg.timeout),
-			core.WithRoundLimit(1),
-		}
-		if provBids != nil {
-			sopts = append(sopts, core.WithProviderBid(provBids[i]))
-		}
-		s, err := core.OpenSession(conn, providerIDs, userIDs, sopts...)
-		if err != nil {
-			return Result{}, err
-		}
-		defer s.Close()
-		sessions[i] = s
+// runRound is the rounds = 1 case of the session builder; the paper's
+// experiments have no use for a ⊥ round, so one is an error here.
+func runRound(cfg config, mech core.Mechanism, asks []auction.ProviderBid, bids []auction.UserBid) (Result, error) {
+	res, outs, err := runSession(cfg, mech, asks, [][]auction.UserBid{bids})
+	if err != nil {
+		return Result{}, err
 	}
-	bidders := make([]*core.BidderSession, cfg.n)
-	for i, id := range userIDs {
-		conn, err := net.Attach(id)
-		if err != nil {
-			return Result{}, err
-		}
-		b, err := core.OpenBidderSession(conn, providerIDs,
-			core.WithRoundLimit(1),
-			core.WithRoundTimeout(cfg.timeout), // match the run budget, not the 2-min session default
-		)
-		if err != nil {
-			return Result{}, err
-		}
-		defer b.Close()
-		bidders[i] = b
+	if outs[0].Err != nil {
+		return Result{}, fmt.Errorf("harness: round ended ⊥: %w", outs[0].Err)
 	}
-
-	// The clock starts when the client begins submitting the generated
-	// inputs (paper §6.1). Submissions fan out concurrently — the paper's
-	// experiment instances are independent client nodes, not one serial
-	// submit loop.
-	start := time.Now()
-	var submitWG sync.WaitGroup
-	submitErrs := make([]error, cfg.n)
-	for i, b := range bidders {
-		submitWG.Add(1)
-		go func(i int, b *core.BidderSession) {
-			defer submitWG.Done()
-			submitErrs[i] = b.Submit(1, userBids[i])
-		}(i, b)
-	}
-	submitWG.Wait()
-	for i, err := range submitErrs {
-		if err != nil {
-			return Result{}, fmt.Errorf("harness: submit %d: %w", i, err)
-		}
-	}
-
-	// The clock stops when the client has results from every instance.
-	deadline := time.After(cfg.timeout)
-	outcomes := make([]core.RoundOutcome, cfg.n)
-	for i, b := range bidders {
-		select {
-		case out, ok := <-b.Outcomes():
-			if !ok {
-				return Result{}, fmt.Errorf("harness: bidder %d: outcome stream closed", i)
-			}
-			outcomes[i] = out
-		case <-deadline:
-			return Result{}, fmt.Errorf("harness: bidder %d: timeout", i)
-		}
-	}
-	elapsed := time.Since(start)
-
-	for i, out := range outcomes {
-		if out.Err != nil {
-			return Result{}, fmt.Errorf("harness: bidder %d: %w", i, out.Err)
-		}
-	}
-	for i, s := range sessions {
-		select {
-		case out, ok := <-s.Outcomes():
-			if ok && out.Err != nil {
-				return Result{}, fmt.Errorf("harness: provider %d: %w", i, out.Err)
-			}
-		case <-deadline:
-			return Result{}, fmt.Errorf("harness: provider %d: timeout", i)
-		}
-	}
-	stats := net.Stats()
-	return Result{Duration: elapsed, Outcome: outcomes[0].Outcome, Msgs: stats.MsgsSent, Bytes: stats.BytesSent}, nil
+	return Result{Duration: res.Duration, Outcome: outs[0].Outcome, Msgs: res.Msgs, Bytes: res.Bytes}, nil
 }
 
 // RunSessionDouble measures pipelined multi-round throughput: one
@@ -306,141 +262,78 @@ func RunSessionDouble(rounds int, opts ...Option) (SessionResult, error) {
 	if rounds < 1 {
 		return SessionResult{}, errors.New("harness: need at least one round")
 	}
+	asks, bids := cfg.doubleBids(0, rounds)
+	res, _, err := runSession(cfg, core.DoubleAuction{}, asks, bids)
+	return res, err
+}
+
+// runSession is the bare-session builder: m provider sessions and n bidder
+// sessions of one auction on a fresh network, len(bids) rounds of mech
+// through the closed-loop driver. asks is nil for mechanisms without
+// provider bids; bids is [round][user]. Besides the summary it returns the
+// first provider's outcome stream.
+func runSession(cfg config, mech core.Mechanism, asks []auction.ProviderBid, bids [][]auction.UserBid) (SessionResult, []core.RoundOutcome, error) {
+	rounds := len(bids)
 	net := cfg.newNetwork()
 	defer net.Close()
 	providerIDs, userIDs := ids(cfg.m, cfg.n)
-	inst := workload.NewDoubleAuction(cfg.seed, cfg.n, cfg.m)
 
 	sessions := make([]*core.Session, cfg.m)
 	for i, id := range providerIDs {
 		conn, err := net.Attach(id)
 		if err != nil {
-			return SessionResult{}, err
+			return SessionResult{}, nil, err
 		}
-		s, err := core.OpenSession(conn, providerIDs, userIDs,
-			core.WithK(cfg.k),
-			core.WithMechanismName("double"),
-			core.WithBidWindow(cfg.bidWindow),
-			core.WithRoundTimeout(cfg.timeout),
-			core.WithRoundLimit(uint64(rounds)),
-			core.WithMaxConcurrentRounds(cfg.pipeline),
-			core.WithProviderBid(inst.Providers[i]),
-			core.WithOutcomeBuffer(rounds),
-		)
+		sopts := append(cfg.providerOptions(rounds), core.WithMechanism(mech))
+		if asks != nil {
+			sopts = append(sopts, core.WithProviderBid(asks[i]))
+		}
+		s, err := core.OpenSession(conn, providerIDs, userIDs, sopts...)
 		if err != nil {
-			return SessionResult{}, err
+			return SessionResult{}, nil, err
 		}
 		defer s.Close()
 		sessions[i] = s
 	}
-	bidders := make([]*core.BidderSession, cfg.n)
+	only := lane{name: "session", bidders: make([]*core.BidderSession, cfg.n), bids: bids}
 	for i, id := range userIDs {
 		conn, err := net.Attach(id)
 		if err != nil {
-			return SessionResult{}, err
+			return SessionResult{}, nil, err
 		}
-		b, err := core.OpenBidderSession(conn, providerIDs,
-			core.WithRoundLimit(uint64(rounds)),
-			core.WithOutcomeBuffer(cfg.pipeline+1),
-			core.WithRoundTimeout(cfg.timeout), // match the run budget, not the 2-min session default
-		)
+		b, err := core.OpenBidderSession(conn, providerIDs, cfg.bidderOptions(rounds)...)
 		if err != nil {
-			return SessionResult{}, err
+			return SessionResult{}, nil, err
 		}
 		defer b.Close()
-		bidders[i] = b
+		only.bidders[i] = b
 	}
 
-	// Per-round workloads: fresh bids each round, deterministic in the seed.
-	roundBids := make([][]auction.UserBid, rounds)
-	for r := range roundBids {
-		roundBids[r] = workload.NewDoubleAuction(cfg.seed+uint64(r)*7919, cfg.n, cfg.m).Users
-	}
-
-	lookahead := cfg.pipeline + 1
-	start := time.Now()
-	var wg sync.WaitGroup
-	bidErrs := make([]error, cfg.n)
-	for i, b := range bidders {
-		wg.Add(1)
-		go func(i int, b *core.BidderSession) {
-			defer wg.Done()
-			// Prime the pipeline, then keep `lookahead` rounds of bids in
-			// flight beyond the outcomes received so far.
-			for r := 1; r <= min(lookahead, rounds); r++ {
-				if err := b.Submit(uint64(r), roundBids[r-1][i]); err != nil {
-					bidErrs[i] = err
-					return
-				}
-			}
-			seen := 0
-			for out := range b.Outcomes() {
-				seen++
-				if next := seen + lookahead; next <= rounds {
-					if err := b.Submit(uint64(next), roundBids[next-1][i]); err != nil {
-						bidErrs[i] = err
-						return
-					}
-				}
-				_ = out
-			}
-			if seen != rounds {
-				bidErrs[i] = fmt.Errorf("saw %d of %d rounds", seen, rounds)
-			}
-		}(i, b)
-	}
-
-	accepted := 0
-	provErrs := make([]error, cfg.m)
-	for i, s := range sessions {
-		wg.Add(1)
-		go func(i int, s *core.Session) {
-			defer wg.Done()
-			seen := 0
-			ok := 0
+	// Every provider here is honest, so all m streams join the oracle. They
+	// close at the round limit, which is the wait for the provider side.
+	run, err := drive([]lane{only}, rounds, cfg.pipeline+1, func() ([][][]core.RoundOutcome, error) {
+		streams := make([][]core.RoundOutcome, cfg.m)
+		for i, s := range sessions {
 			for out := range s.Outcomes() {
-				seen++
-				if out.Err == nil {
-					ok++
-				}
+				streams[i] = append(streams[i], out)
 			}
-			if seen != rounds {
-				provErrs[i] = fmt.Errorf("provider saw %d of %d rounds", seen, rounds)
-			}
-			if i == 0 {
-				accepted = ok
-			}
-		}(i, s)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for i, err := range bidErrs {
-		if err != nil {
-			return SessionResult{}, fmt.Errorf("harness: bidder %d: %w", i, err)
 		}
+		return [][][]core.RoundOutcome{streams}, nil
+	})
+	if err != nil {
+		return SessionResult{}, nil, err
 	}
-	for i, err := range provErrs {
-		if err != nil {
-			return SessionResult{}, fmt.Errorf("harness: provider %d: %w", i, err)
-		}
-	}
-
-	var residualMsgs, residualRounds int
-	for _, s := range sessions {
-		m, r := s.Peer().StateSize()
-		residualMsgs += m
-		residualRounds += r
-	}
+	msgs, live := residual(sessions)
 	stats := net.Stats()
 	return SessionResult{
 		Rounds:         rounds,
-		Accepted:       accepted,
-		Duration:       elapsed,
+		Accepted:       run.accepted,
+		Duration:       run.elapsed,
 		Msgs:           stats.MsgsSent,
 		Bytes:          stats.BytesSent,
-		ResidualMsgs:   residualMsgs,
-		ResidualRounds: residualRounds,
-	}, nil
+		ResidualMsgs:   msgs,
+		ResidualRounds: live,
+	}, run.providers[0][0], nil
 }
 
 // RunCentralizedDouble times one trusted-auctioneer double-auction round

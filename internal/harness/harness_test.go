@@ -1,9 +1,15 @@
 package harness
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"distauction/internal/auction"
+	"distauction/internal/core"
+	"distauction/internal/fixed"
 	"distauction/internal/transport"
 )
 
@@ -136,5 +142,114 @@ func TestLatencyShowsUpInMeasurement(t *testing.T) {
 	}
 	if slow.Duration < fast.Duration+20*time.Millisecond {
 		t.Errorf("latency not reflected: fast=%v slow=%v", fast.Duration, slow.Duration)
+	}
+}
+
+// RunDistributedDouble is the rounds = 1 case of the session builder: for
+// the same seed, round 1 of a pipelined session run is the same auction and
+// must clear to the same outcome, whatever runs behind it in the pipeline.
+func TestSessionRoundOneMatchesDistributedDouble(t *testing.T) {
+	opts := []Option{WithProviders(3), WithUsers(6), WithK(1), WithSeed(9), WithBidWindow(time.Second)}
+	single, err := RunDistributedDouble(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := newConfig(opts)
+	for _, rounds := range []int{1, 5} {
+		asks, bids := cfg.doubleBids(0, rounds)
+		res, outs, err := runSession(cfg, core.DoubleAuction{}, asks, bids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Accepted != rounds || len(outs) != rounds {
+			t.Fatalf("rounds=%d: accepted %d, provider stream holds %d", rounds, res.Accepted, len(outs))
+		}
+		if !sameOutcome(outs[0].Outcome, single.Outcome) {
+			t.Errorf("rounds=%d: round 1 differs from RunDistributedDouble's outcome", rounds)
+		}
+	}
+}
+
+// One builder serves every market shape: a 1-auction market is a session
+// behind a mux, a 1-shard federation is a plain market. Every shape must
+// accept every round, drop nothing and reclaim all protocol state.
+func TestRunMarketShapes(t *testing.T) {
+	const rounds = 6
+	for _, shards := range []int{1, 2} {
+		for _, auctions := range []int{1, 4} {
+			t.Run(fmt.Sprintf("shards=%d/auctions=%d", shards, auctions), func(t *testing.T) {
+				res, err := RunMarket(shards, auctions, rounds,
+					WithProviders(3), WithUsers(4), WithK(1), WithSeed(5), WithBidWindow(2*time.Second))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Accepted != auctions*rounds || res.Rounds != auctions*rounds {
+					t.Errorf("rounds=%d accepted=%d, want %d", res.Rounds, res.Accepted, auctions*rounds)
+				}
+				if res.BidsDropped != 0 || res.ParkedDropped != 0 {
+					t.Errorf("dropped %d bids, %d parked envelopes", res.BidsDropped, res.ParkedDropped)
+				}
+				if res.ResidualMsgs != 0 || res.ResidualRounds != 0 {
+					t.Errorf("residual state after run: %d msgs, %d rounds", res.ResidualMsgs, res.ResidualRounds)
+				}
+				if res.Shards != shards || len(res.PerShard) != shards {
+					t.Errorf("shard rollup: Shards=%d, %d entries, want %d", res.Shards, len(res.PerShard), shards)
+				}
+			})
+		}
+	}
+}
+
+// The outcome-agreement oracle on synthetic streams: it accepts agreement
+// (including unanimous ⊥) and names each way of breaking it.
+func TestCheckAgreement(t *testing.T) {
+	outcome := func(units int64) auction.Outcome {
+		return auction.Outcome{
+			Alloc: auction.Allocation{NumUsers: 1, NumProviders: 1, Units: []fixed.Fixed{fixed.Fixed(units)}},
+			Pay:   auction.Payments{ByUser: []fixed.Fixed{1}, ToProvider: []fixed.Fixed{1}},
+		}
+	}
+	bot := errors.New("⊥")
+	// Three rounds: accepted, unanimous ⊥, accepted.
+	stream := func() []core.RoundOutcome {
+		return []core.RoundOutcome{
+			{Round: 1, Outcome: outcome(3)},
+			{Round: 2, Err: bot},
+			{Round: 3, Outcome: outcome(5)},
+		}
+	}
+	if accepted, err := checkAgreement(3, [][]core.RoundOutcome{stream(), stream(), stream()}); err != nil || accepted != 2 {
+		t.Fatalf("agreeing streams: accepted=%d err=%v, want 2, nil", accepted, err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s []core.RoundOutcome) []core.RoundOutcome
+		want    string
+	}{
+		{"differing allocation", func(s []core.RoundOutcome) []core.RoundOutcome {
+			s[2].Outcome = outcome(6)
+			return s
+		}, "different outcome"},
+		{"⊥ vs outcome", func(s []core.RoundOutcome) []core.RoundOutcome {
+			s[1] = core.RoundOutcome{Round: 2, Outcome: outcome(4)}
+			return s
+		}, "round 2"},
+		{"outcome vs ⊥", func(s []core.RoundOutcome) []core.RoundOutcome {
+			s[0].Err = bot
+			return s
+		}, "round 1"},
+		{"missing round", func(s []core.RoundOutcome) []core.RoundOutcome {
+			return s[:2]
+		}, "2 of 3 rounds"},
+		{"skipped round", func(s []core.RoundOutcome) []core.RoundOutcome {
+			s[1].Round = 3
+			return s
+		}, "holds round 3 at position 2"},
+	} {
+		_, err := checkAgreement(3, [][]core.RoundOutcome{stream(), stream(), tc.corrupt(stream())})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }

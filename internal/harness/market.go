@@ -6,16 +6,22 @@ import (
 	"sync"
 	"time"
 
-	"distauction/internal/auction"
 	"distauction/internal/core"
+	"distauction/internal/federation"
 	"distauction/internal/market"
 	"distauction/internal/metrics"
 	"distauction/internal/proto"
-	"distauction/internal/workload"
+	"distauction/internal/transport"
+	"distauction/internal/wire"
 )
 
 // MarketResult summarises one marketplace throughput run.
 type MarketResult struct {
+	// Shards is the number of provider committees the catalog was
+	// partitioned over (each with its own m providers) and PerShard the
+	// federation's shard rollup after the run.
+	Shards   int
+	PerShard []federation.ShardSnapshot
 	// Auctions is the number of concurrent auctions; Rounds counts rounds
 	// emitted across all of them (Accepted the non-⊥ subset).
 	Auctions int
@@ -42,9 +48,10 @@ type MarketResult struct {
 	SuperframesSent int64
 	EnvelopesSent   int64
 	// Latency is the outcome-latency histogram (nanoseconds, bid collection
-	// through outcome delivery) merged across the first provider's auctions
-	// — one market's view, so each round is counted once. AbortCodes breaks
-	// the ⊥ rounds down by typed cause (proto.AbortCode index).
+	// through outcome delivery) merged across each shard's first provider's
+	// auctions — one member's view, so each round is counted once.
+	// AbortCodes breaks the ⊥ rounds down by typed cause (proto.AbortCode
+	// index).
 	Latency    metrics.HistogramSnapshot
 	AbortCodes [proto.NumAbortCodes]int64
 }
@@ -76,198 +83,254 @@ func (r MarketResult) LatencyTable() string {
 	)
 }
 
-// RunMarketDouble measures aggregate marketplace throughput: `auctions`
-// independent double auctions multiplexed over one shared network
-// attachment per node (m provider markets, n bidders joined to every
-// auction), each auction running `rounds` pipelined rounds. Lanes are
-// pinned (1..auctions) so generated names cannot collide.
-//
-// With a non-zero latency model a single auction is latency-bound — its
-// sequential protocol hops leave the host idle — so aggregate rounds/s
-// should grow with the auction count until the CPU saturates. That scaling
-// curve is the marketplace's reason to exist, and BenchmarkMarketThroughput
-// records it.
-func RunMarketDouble(auctions, rounds int, opts ...Option) (MarketResult, error) {
-	cfg := newConfig(opts)
-	if auctions < 1 || rounds < 1 {
-		return MarketResult{}, errors.New("harness: need at least one auction and one round")
+// Market is one open in-process marketplace deployment: shards × m
+// provider markets behind one federation, n users each joined to every
+// auction through one federated bidder attachment, and the double-auction
+// workload they will run. OpenMarket builds it, Run drives it once, Stats
+// reads it live (before, during and after Run), Close tears it down.
+type Market struct {
+	cfg     config
+	rounds  int
+	net     transport.Network
+	fed     *federation.Market
+	bidders []*federation.Bidder
+	lanes   []lane
+	primary observer
+}
+
+// observer collects the outcome stream of each auction's shard primary, by
+// auction name — the provider side of the agreement oracle.
+type observer struct {
+	mu     sync.Mutex
+	byName map[string][]core.RoundOutcome
+}
+
+func (o *observer) record(name string, out core.RoundOutcome) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.byName == nil {
+		o.byName = make(map[string][]core.RoundOutcome)
 	}
-	net := cfg.newNetwork()
-	defer net.Close()
-	providerIDs, userIDs := ids(cfg.m, cfg.n)
+	o.byName[name] = append(o.byName[name], out)
+}
 
-	// A bidder may run ahead of the provider's admission window by its own
-	// lookahead plus however far the market's outcome consumer lags ordered
-	// emission — bounded by the session's outcome buffer (sized to `rounds`
-	// below so emission never blocks). Size the window to cover that whole
-	// skew: the bench asserts zero drops, and on a saturated host the
-	// consumer can lag many rounds while bidders keep receiving results
-	// straight off the wire.
-	lookahead := cfg.pipeline + 1
-	window := rounds + lookahead + 2
-
-	names := make([]string, auctions)
-	lanes := make([]uint32, auctions)
-	insts := make([]workload.DoubleAuctionInstance, auctions)
-	for j := range names {
-		names[j] = fmt.Sprintf("auction-%03d", j)
-		lanes[j] = uint32(j + 1)
-		insts[j] = workload.NewDoubleAuction(cfg.seed+uint64(j)*104729, cfg.n, cfg.m)
+// streams returns what was recorded in the driver's [lane][stream][round]
+// shape, one stream per lane.
+func (o *observer) streams(lanes []lane) [][][]core.RoundOutcome {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := make([][][]core.RoundOutcome, len(lanes))
+	for j, l := range lanes {
+		out[j] = [][]core.RoundOutcome{o.byName[l.name]}
 	}
+	return out
+}
 
-	markets := make([]*market.Market, cfg.m)
-	for i, id := range providerIDs {
-		conn, err := net.Attach(id)
-		if err != nil {
-			return MarketResult{}, err
+// committees lays out the provider fleets: shard s (1-based) is run by
+// nodes (s-1)m+1 … sm, so one shard is exactly the 1..m of ids.
+func committees(shards, m int) []federation.ShardSpec {
+	specs := make([]federation.ShardSpec, shards)
+	for s := range specs {
+		committee := make([]wire.NodeID, m)
+		for i := range committee {
+			committee[i] = wire.NodeID(s*m + i + 1)
 		}
-		mk, err := market.Open(conn, providerIDs, market.WithAdmissionWindow(window), market.WithSweepEvery(0))
-		if err != nil {
-			return MarketResult{}, err
-		}
-		defer mk.Close()
-		markets[i] = mk
-		for j, name := range names {
-			_, err := mk.OpenAuction(market.AuctionSpec{
-				Name:  name,
-				Lane:  lanes[j],
-				Users: userIDs,
-				Options: []core.SessionOption{
-					core.WithK(cfg.k),
-					core.WithMechanismName("double"),
-					core.WithBidWindow(cfg.bidWindow),
-					core.WithRoundTimeout(cfg.timeout),
-					core.WithRoundLimit(uint64(rounds)),
-					core.WithMaxConcurrentRounds(cfg.pipeline),
-					core.WithProviderBid(insts[j].Providers[i]),
-					core.WithOutcomeBuffer(rounds),
-				},
-			})
-			if err != nil {
-				return MarketResult{}, err
-			}
-		}
+		specs[s] = federation.ShardSpec{Index: s + 1, Providers: committee}
 	}
+	return specs
+}
 
-	bidders := make([]*market.Bidder, cfg.n)
-	sessions := make([][]*core.BidderSession, cfg.n) // [user][auction]
+// admissionWindow sizes the providers' admission window for a closed-loop
+// run. A bidder may run ahead of it by its own look-ahead plus however far
+// the market's outcome consumer lags ordered emission — bounded by the
+// session's outcome buffer, which holds the whole run. The window covers
+// that whole skew: runs assert zero drops, and on a saturated host the
+// consumer can lag many rounds while bidders keep receiving results
+// straight off the wire.
+func (c config) admissionWindow(rounds int) int { return rounds + c.pipeline + 3 }
+
+// joinLanes attaches the n users, each through ONE federated bidder
+// attachment, and joins every lane where its auction was placed. The
+// bidders opened so far are returned even on error, for the caller to close.
+func joinLanes(cfg config, net transport.Network, shards []federation.ShardSpec, lanes []lane, rounds int) ([]*federation.Bidder, error) {
+	_, userIDs := ids(cfg.m, cfg.n)
+	for j := range lanes {
+		lanes[j].bidders = make([]*core.BidderSession, cfg.n)
+	}
+	bidders := make([]*federation.Bidder, 0, cfg.n)
 	for i, id := range userIDs {
 		conn, err := net.Attach(id)
 		if err != nil {
-			return MarketResult{}, err
+			return bidders, err
 		}
-		mb, err := market.NewBidder(conn, providerIDs)
+		fb, err := federation.NewBidder(conn, shards)
 		if err != nil {
-			return MarketResult{}, err
+			return bidders, err
 		}
-		defer mb.Close()
-		bidders[i] = mb
-		sessions[i] = make([]*core.BidderSession, auctions)
-		for j, name := range names {
-			s, err := mb.JoinLane(name, lanes[j],
-				core.WithRoundLimit(uint64(rounds)),
-				core.WithOutcomeBuffer(cfg.pipeline+1),
-				core.WithRoundTimeout(cfg.timeout))
+		bidders = append(bidders, fb)
+		for j, l := range lanes {
+			s, err := fb.JoinOn(l.name, l.shard, l.local, cfg.bidderOptions(rounds)...)
 			if err != nil {
-				return MarketResult{}, err
+				return bidders, err
 			}
-			sessions[i][j] = s
+			lanes[j].bidders[i] = s
 		}
 	}
+	return bidders, nil
+}
 
-	// Per-auction per-round workloads, deterministic in the seed.
-	roundBids := make([][][]auction.UserBid, auctions) // [auction][round][user]
-	for j := range roundBids {
-		roundBids[j] = make([][]auction.UserBid, rounds)
-		for r := range roundBids[j] {
-			roundBids[j][r] = workload.NewDoubleAuction(cfg.seed+uint64(j)*104729+uint64(r)*7919, cfg.n, cfg.m).Users
-		}
-	}
+var errShape = errors.New("harness: need at least one shard, one auction and one round")
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.n*auctions)
-	acceptedPerAuction := make([]int, auctions)
-	for i := range bidders {
-		for j := range names {
-			wg.Add(1)
-			go func(i, j int) {
-				defer wg.Done()
-				s := sessions[i][j]
-				slot := i*auctions + j
-				for r := 1; r <= min(lookahead, rounds); r++ {
-					if err := s.Submit(uint64(r), roundBids[j][r-1][i]); err != nil {
-						errs[slot] = err
-						return
-					}
-				}
-				seen, ok := 0, 0
-				for out := range s.Outcomes() {
-					seen++
-					if out.Err == nil {
-						ok++
-					}
-					if next := seen + lookahead; next <= rounds {
-						if err := s.Submit(uint64(next), roundBids[j][next-1][i]); err != nil {
-							errs[slot] = err
-							return
-						}
-					}
-				}
-				if seen != rounds {
-					errs[slot] = fmt.Errorf("auction %d: saw %d of %d rounds", j, seen, rounds)
-					return
-				}
-				if i == 0 {
-					acceptedPerAuction[j] = ok
-				}
-			}(i, j)
-		}
+// OpenMarket is the market builder: `shards` committees of m providers each
+// (disjoint fleets) behind one federation.Open, the given auctions opened
+// on every member of their shard, n bidders joined to all of them. One
+// shard is wire-identical to a plain market (federation.WireLane(1, l) ==
+// l), so there is no separate unsharded builder.
+//
+// Each auction spec supplies the placement only — Name, and optionally
+// Shard and LocalLane (zero routes / derives them, as in the federation);
+// the builder fills in the users, the session options and the per-member
+// asks of a double auction running `rounds` pipelined rounds.
+func OpenMarket(shards int, auctions []federation.AuctionSpec, rounds int, opts ...Option) (*Market, error) {
+	if shards < 1 || len(auctions) < 1 || rounds < 1 {
+		return nil, errShape
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for slot, err := range errs {
+	cfg := newConfig(opts)
+	d := &Market{cfg: cfg, rounds: rounds, net: cfg.newNetwork()}
+	if err := d.open(committees(shards, cfg.m), auctions); err != nil {
+		d.Close()
+		return nil, err
+	}
+	return d, nil
+}
+
+func (d *Market) open(shards []federation.ShardSpec, auctions []federation.AuctionSpec) error {
+	cfg := d.cfg
+	_, userIDs := ids(cfg.m, cfg.n)
+	var err error
+	d.fed, err = federation.Open(d.net, shards,
+		federation.WithMarketOptions(market.WithAdmissionWindow(cfg.admissionWindow(d.rounds)), market.WithSweepEvery(0)),
+		federation.WithOnOutcome(func(name string, _ int, out core.RoundOutcome) { d.primary.record(name, out) }))
+	if err != nil {
+		return err
+	}
+	d.lanes = make([]lane, len(auctions))
+	for j, spec := range auctions {
+		asks, bids := cfg.doubleBids(j, d.rounds)
+		spec.Users = userIDs
+		spec.Options = append(cfg.providerOptions(d.rounds), core.WithMechanismName("double"))
+		spec.MemberOptions = func(i int, _ wire.NodeID) []core.SessionOption {
+			return []core.SessionOption{core.WithProviderBid(asks[i])}
+		}
+		if err := d.fed.OpenAuction(spec); err != nil {
+			return err
+		}
+		shard, wireLane, err := d.fed.Place(spec.Name)
 		if err != nil {
-			return MarketResult{}, fmt.Errorf("harness: bidder %d: %w", slot/auctions, err)
+			return err
 		}
+		_, local := federation.SplitLane(wireLane)
+		d.lanes[j] = lane{name: spec.Name, shard: shard, local: local, bids: bids}
 	}
+	d.bidders, err = joinLanes(cfg, d.net, shards, d.lanes, d.rounds)
+	return err
+}
 
-	res := MarketResult{Auctions: auctions, Duration: elapsed}
-	for _, n := range acceptedPerAuction {
-		res.Accepted += n
+// Stats is the federation's live rollup of the deployment.
+func (d *Market) Stats() federation.Snapshot { return d.fed.Stats() }
+
+// Close tears the deployment down: bidders, then the provider markets, then
+// the network.
+func (d *Market) Close() {
+	for _, fb := range d.bidders {
+		_ = fb.Close()
 	}
-	// Wait for the provider-side outcome streams to finish (bidders hold
-	// results slightly before the markets' consumers count them), then read
-	// the aggregate counters and the residual protocol state.
-	deadline := time.Now().Add(cfg.timeout)
-	for _, mk := range markets {
-		for {
-			snap := mk.Stats()
-			if snap.Rounds >= int64(auctions*rounds) || time.Now().After(deadline) {
-				break
+	if d.fed != nil {
+		_ = d.fed.Close()
+	}
+	_ = d.net.Close()
+}
+
+// Run drives every auction through its rounds once (see drive) and reads
+// the aggregate counters and the residual protocol state.
+//
+// With a non-zero latency model a single auction is latency-bound — its
+// sequential protocol hops leave the host idle — so aggregate rounds/s
+// grows with the auction count until the CPU saturates
+// (BenchmarkMarketThroughput), and the shards axis measures what
+// federating the catalog buys on top (BenchmarkFederationThroughput).
+func (d *Market) Run() (MarketResult, error) {
+	// Each of the m members of an auction's shard counts its rounds.
+	want := int64(len(d.lanes) * d.rounds * d.cfg.m)
+	run, err := drive(d.lanes, d.rounds, d.cfg.pipeline+1, func() ([][][]core.RoundOutcome, error) {
+		err := waitConsumed(d.cfg.timeout, want, func() (consumed int64) {
+			for _, ns := range d.fed.Stats().PerNode {
+				consumed += ns.Rounds
 			}
-			time.Sleep(time.Millisecond)
+			return consumed
+		})
+		return d.primary.streams(d.lanes), err
+	})
+	if err != nil {
+		return MarketResult{}, err
+	}
+	snap := d.fed.Stats()
+	res := MarketResult{
+		Shards:     snap.Shards,
+		PerShard:   snap.PerShard,
+		Auctions:   len(d.lanes),
+		Rounds:     int(snap.Rounds),
+		Accepted:   run.accepted,
+		Duration:   run.elapsed,
+		Latency:    snap.Latency,
+		AbortCodes: snap.AbortCodes,
+	}
+	for _, ns := range snap.PerNode {
+		res.BidsAdmitted += ns.BidsAdmitted
+		res.BidsDropped += ns.BidsDropped
+		res.ParkedDropped += ns.ParkedDropped
+		res.FramesSent += ns.FramesSent
+		res.SuperframesSent += ns.SuperframesSent
+		res.EnvelopesSent += ns.EnvelopesSent
+	}
+	var sessions []*core.Session
+	for _, l := range d.lanes {
+		handles, ok := d.fed.AuctionHandles(l.name)
+		if !ok {
+			return MarketResult{}, fmt.Errorf("harness: auction %q vanished", l.name)
 		}
-		snap := mk.Stats()
-		res.BidsAdmitted += snap.BidsAdmitted
-		res.BidsDropped += snap.BidsDropped
-		res.ParkedDropped += snap.ParkedDropped
-		res.FramesSent += snap.FramesSent
-		res.SuperframesSent += snap.SuperframesSent
-		res.EnvelopesSent += snap.EnvelopesSent
-		for _, name := range names {
-			a, ok := mk.Auction(name)
-			if !ok {
-				return MarketResult{}, fmt.Errorf("harness: auction %q vanished", name)
-			}
-			msgs, rds := a.Session().Peer().StateSize()
-			res.ResidualMsgs += msgs
-			res.ResidualRounds += rds
+		for _, a := range handles {
+			// Every outcome has been consumed, so the only event left on the
+			// stream is its close — which the session performs after
+			// reclaiming the last round's state.
+			<-a.Session().Outcomes()
+			sessions = append(sessions, a.Session())
 		}
 	}
-	first := markets[0].Stats()
-	res.Rounds = int(first.Rounds)
-	res.Latency = first.Latency
-	res.AbortCodes = first.AbortCodes
+	res.ResidualMsgs, res.ResidualRounds = residual(sessions)
 	return res, nil
+}
+
+// RunMarket measures aggregate marketplace throughput: `auctions` double
+// auctions partitioned round-robin over `shards` committees (local lanes
+// pinned 1, 2, … per shard, so generated names cannot collide), each
+// running `rounds` pipelined rounds. It is OpenMarket, one Run and Close.
+func RunMarket(shards, auctions, rounds int, opts ...Option) (MarketResult, error) {
+	if shards < 1 || auctions < 1 {
+		return MarketResult{}, errShape
+	}
+	specs := make([]federation.AuctionSpec, auctions)
+	for j := range specs {
+		specs[j] = federation.AuctionSpec{
+			Name:      fmt.Sprintf("auction-%03d", j),
+			Shard:     j%shards + 1,
+			LocalLane: uint32(j/shards + 1),
+		}
+	}
+	d, err := OpenMarket(shards, specs, rounds, opts...)
+	if err != nil {
+		return MarketResult{}, err
+	}
+	defer d.Close()
+	return d.Run()
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -33,7 +34,8 @@ type TCPNetworkConfig struct {
 	// makes single-process loopback deployments zero-config.
 	Addrs map[wire.NodeID]string
 	// Members is the full participant set, needed to derive pairwise HMAC
-	// keys when Secret is set. Empty means the keys of Addrs.
+	// keys when Secret is set. Empty means the keys of Addrs; with a Secret,
+	// one of the two must name the participants or Attach fails.
 	Members []wire.NodeID
 	// Secret is the shared master secret for HMAC keys. Empty disables
 	// authentication (tests only).
@@ -94,6 +96,12 @@ func (n *TCPNetwork) Attach(id wire.NodeID) (Conn, error) {
 	if _, dup := n.nodes[id]; dup {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("transport: node %d already attached", id)
+	}
+	if len(n.cfg.Secret) > 0 && len(n.cfg.Members) == 0 && len(n.cfg.Addrs) == 0 {
+		// With no participant set the first node would derive no peer keys:
+		// every MAC fails and rounds hang instead of failing.
+		n.mu.Unlock()
+		return nil, errors.New("transport: TCPNetworkConfig.Secret needs Members or Addrs to name the participants")
 	}
 	listen, ok := n.addrs[id]
 	if !ok {

@@ -342,3 +342,20 @@ func TestTCPNetworkConcurrentZeroConfigAttach(t *testing.T) {
 		net.Close()
 	}
 }
+
+// A Secret with no participant set would leave the first attached node
+// without peer keys — every MAC would fail and rounds would hang. Attach
+// must refuse the configuration instead; naming the members fixes it.
+func TestTCPNetworkSecretNeedsParticipants(t *testing.T) {
+	bare := NewTCPNetwork(TCPNetworkConfig{Secret: []byte("s")})
+	defer bare.Close()
+	if conn, err := bare.Attach(1); err == nil {
+		conn.Close()
+		t.Fatal("Attach accepted a Secret with neither Members nor Addrs")
+	}
+	named := NewTCPNetwork(TCPNetworkConfig{Secret: []byte("s"), Members: []wire.NodeID{1, 2}})
+	defer named.Close()
+	if _, err := named.Attach(1); err != nil {
+		t.Fatalf("Attach with Members: %v", err)
+	}
+}

@@ -135,6 +135,36 @@ func TestDeepPipelineBidderEquivocationFallsBack(t *testing.T) {
 	}
 }
 
+// checkStream reads one participant's outcome stream to its end: rounds
+// 1..rounds in order, the poisoned ones ⊥ (botErr) and every other one
+// accepted, then the close. An honest participant must hold ⊥ on a poisoned
+// round; a deviating provider may hold either verdict on its own stream.
+// Waiting for the close matters to the callers' residual-state checks: a
+// session reclaims a round's state just after emitting it, and closes the
+// stream after reclaiming the last.
+func checkStream(who string, outs <-chan distauction.RoundOutcome, rounds uint64, poisoned map[uint64]bool, botErr error, honest bool) error {
+	deadline := time.After(2 * time.Minute)
+	for want := uint64(1); ; want++ {
+		select {
+		case out, ok := <-outs:
+			switch {
+			case !ok && want > rounds:
+				return nil
+			case !ok:
+				return fmt.Errorf("%s: stream closed at round %d", who, want)
+			case out.Round != want || want > rounds:
+				return fmt.Errorf("%s: got round %d, want %d of %d", who, out.Round, want, rounds)
+			case poisoned[out.Round] && honest && !errors.Is(out.Err, botErr):
+				return fmt.Errorf("%s round %d: err = %v, want ⊥", who, out.Round, out.Err)
+			case !poisoned[out.Round] && out.Err != nil:
+				return fmt.Errorf("%s round %d: %v", who, out.Round, out.Err)
+			}
+		case <-deadline:
+			return fmt.Errorf("%s: timed out at round %d", who, want)
+		}
+	}
+}
+
 // TestDeepPipelineProviderEquivocationAborts wraps one provider with a
 // deviation rule that equivocates its consensus reveal toward one peer in
 // two specific rounds of a 4-deep pipeline. Exactly those rounds must end ⊥
@@ -170,42 +200,15 @@ func TestDeepPipelineProviderEquivocationAborts(t *testing.T) {
 		}
 	}
 
-	checkStream := func(who string, outs <-chan distauction.RoundOutcome, botErr error) error {
-		want := uint64(1)
-		deadline := time.After(2 * time.Minute)
-		for want <= rounds {
-			select {
-			case out, ok := <-outs:
-				if !ok {
-					return fmt.Errorf("%s: stream closed at round %d", who, want)
-				}
-				if out.Round != want {
-					return fmt.Errorf("%s: got round %d, want %d", who, out.Round, want)
-				}
-				if poisoned[out.Round] {
-					if !errors.Is(out.Err, botErr) {
-						return fmt.Errorf("%s round %d: err = %v, want ⊥", who, out.Round, out.Err)
-					}
-				} else if out.Err != nil {
-					return fmt.Errorf("%s round %d: %v", who, out.Round, out.Err)
-				}
-				want++
-			case <-deadline:
-				return fmt.Errorf("%s: timed out at round %d", who, want)
-			}
-		}
-		return nil
-	}
-
 	done := make(chan error, len(sessions)+len(bidders))
 	for si, s := range sessions {
 		go func(si int, s *distauction.Session) {
-			done <- checkStream(fmt.Sprintf("provider %d", si), s.Outcomes(), proto.ErrAborted)
+			done <- checkStream(fmt.Sprintf("provider %d", si), s.Outcomes(), rounds, poisoned, proto.ErrAborted, true)
 		}(si, s)
 	}
 	for bi, b := range bidders {
 		go func(bi int, b *distauction.BidderSession) {
-			done <- checkStream(fmt.Sprintf("bidder %d", bi), b.Outcomes(), distauction.ErrOutcomeBot)
+			done <- checkStream(fmt.Sprintf("bidder %d", bi), b.Outcomes(), rounds, poisoned, distauction.ErrOutcomeBot, true)
 		}(bi, b)
 	}
 	for i := 0; i < len(sessions)+len(bidders); i++ {
@@ -224,17 +227,27 @@ func TestDeepPipelineProviderEquivocationAborts(t *testing.T) {
 // through a 4-deep pipeline in which one provider's task-digest broadcasts
 // are corrupted in two specific rounds — the session-level version of a
 // group member returning a mismatched task result mid-graph. Exactly those
-// rounds must end ⊥ at every provider and bidder (the scheduler's withheld
-// publication means the bad rounds abort before any value propagates),
-// every other in-flight round must complete normally, and no protocol
-// state may leak — the scheduler's per-round goroutines unwind cleanly.
+// rounds must end ⊥ at every honest provider and every bidder (the
+// scheduler's withheld publication means the bad rounds abort before any
+// value propagates), every other in-flight round must complete normally,
+// and no protocol state may leak — the scheduler's per-round goroutines
+// unwind cleanly.
+//
+// The deviating provider's own stream is held to less: it corrupts only its
+// outbound digests, receives honest ones, passes its own check and may emit
+// a poisoned round before its peers' abort lands. §3.2 constrains
+// non-deviating providers only, and bidders accept nothing but a unanimous
+// outcome, so either verdict is legitimate there (DESIGN.md, "What a
+// deviating provider's own stream may show"). It must still deliver all
+// rounds in order and reclaim all state.
 func TestDeepPipelineTaskMismatchAborts(t *testing.T) {
 	const rounds = 24
 	poisoned := map[uint64]bool{7: true, 15: true}
 
+	const deviant = 2
 	flip := deviation.FlipPayloadByte()
 	wrap := func(i int, conn distauction.Conn) distauction.Conn {
-		if i != 2 {
+		if i != deviant {
 			return conn
 		}
 		return deviation.Wrap(conn, deviation.Rule{
@@ -258,42 +271,15 @@ func TestDeepPipelineTaskMismatchAborts(t *testing.T) {
 		}
 	}
 
-	checkStream := func(who string, outs <-chan distauction.RoundOutcome, botErr error) error {
-		want := uint64(1)
-		deadline := time.After(2 * time.Minute)
-		for want <= rounds {
-			select {
-			case out, ok := <-outs:
-				if !ok {
-					return fmt.Errorf("%s: stream closed at round %d", who, want)
-				}
-				if out.Round != want {
-					return fmt.Errorf("%s: got round %d, want %d", who, out.Round, want)
-				}
-				if poisoned[out.Round] {
-					if !errors.Is(out.Err, botErr) {
-						return fmt.Errorf("%s round %d: err = %v, want ⊥", who, out.Round, out.Err)
-					}
-				} else if out.Err != nil {
-					return fmt.Errorf("%s round %d: %v", who, out.Round, out.Err)
-				}
-				want++
-			case <-deadline:
-				return fmt.Errorf("%s: timed out at round %d", who, want)
-			}
-		}
-		return nil
-	}
-
 	done := make(chan error, len(sessions)+len(bidders))
 	for si, s := range sessions {
 		go func(si int, s *distauction.Session) {
-			done <- checkStream(fmt.Sprintf("provider %d", si), s.Outcomes(), proto.ErrAborted)
+			done <- checkStream(fmt.Sprintf("provider %d", si), s.Outcomes(), rounds, poisoned, proto.ErrAborted, si != deviant)
 		}(si, s)
 	}
 	for bi, b := range bidders {
 		go func(bi int, b *distauction.BidderSession) {
-			done <- checkStream(fmt.Sprintf("bidder %d", bi), b.Outcomes(), distauction.ErrOutcomeBot)
+			done <- checkStream(fmt.Sprintf("bidder %d", bi), b.Outcomes(), rounds, poisoned, distauction.ErrOutcomeBot, true)
 		}(bi, b)
 	}
 	for i := 0; i < len(sessions)+len(bidders); i++ {
