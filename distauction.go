@@ -33,8 +33,8 @@
 // arrive, advancing round numbers automatically, pipelining round r+1's bid
 // collection with round r's allocation, and reclaiming per-round protocol
 // state as rounds complete. Bidders open a BidderSession and read per-round
-// results from a channel. The manual per-round Provider/Bidder API remains
-// as a compatibility shim over the same engine.
+// results from a channel. A session is the only way to run a round; a
+// single scripted round is a session with WithRoundLimit(1).
 //
 // # Quick start
 //
@@ -121,16 +121,11 @@ type (
 	// MechanismFactory builds a Mechanism from a MechanismSpec.
 	MechanismFactory = core.MechanismFactory
 
-	// Config describes an auction deployment for the manual-round
-	// compatibility API (sessions use functional options instead).
+	// Config describes an auction deployment to NewCentralized, its only
+	// consumer: sessions take a Topology and functional options instead.
 	Config = core.Config
 	// Mechanism is the allocation algorithm A with its task decomposition.
 	Mechanism = core.Mechanism
-	// Provider is the manual-round provider runtime (compatibility shim
-	// over the session engine).
-	Provider = core.Provider
-	// Bidder is the manual-round user-side client.
-	Bidder = core.Bidder
 	// Centralized is the trusted-auctioneer baseline.
 	Centralized = core.Centralized
 
@@ -288,15 +283,10 @@ func ListenTCP(cfg TCPConfig) (*TCPNode, error) { return transport.ListenTCP(cfg
 // same deployment code runs over the Hub or over real sockets.
 func NewTCPNetwork(cfg TCPNetworkConfig) *TCPNetwork { return transport.NewTCPNetwork(cfg) }
 
-// NewProvider starts a manual-round provider runtime over conn; conn's node
-// must be one of cfg.Providers. Prefer Open for new code.
-func NewProvider(conn Conn, cfg Config) (*Provider, error) { return core.NewProvider(conn, cfg) }
-
-// NewBidder starts a manual-round user-side client over conn addressing the
-// given providers. Prefer OpenBidder for new code.
-func NewBidder(conn Conn, providers []NodeID) *Bidder { return core.NewBidder(conn, providers) }
-
-// NewCentralized starts the trusted-auctioneer baseline over conn.
+// NewCentralized starts the trusted-auctioneer baseline over conn: the one
+// node that collects every bid and runs A itself, kept as the reference the
+// distributed rounds are compared against. Its bidders are ordinary
+// BidderSessions addressing the auctioneer as their only provider.
 func NewCentralized(conn Conn, cfg Config) (*Centralized, error) {
 	return core.NewCentralized(conn, cfg)
 }

@@ -1,8 +1,6 @@
 package distauction_test
 
 import (
-	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,38 +13,10 @@ func TestPublicAPIDoubleAuctionRound(t *testing.T) {
 	hub := distauction.NewHub(distauction.LatencyModel{}, 1)
 	defer hub.Close()
 
-	cfg := distauction.Config{
+	top := distauction.Topology{
 		Providers: []distauction.NodeID{1, 2, 3},
 		Users:     []distauction.NodeID{100, 101},
-		K:         1,
-		Mechanism: distauction.NewDoubleAuction(),
-		BidWindow: 500 * time.Millisecond,
 	}
-
-	providers := make([]*distauction.Provider, 0, 3)
-	for _, id := range cfg.Providers {
-		conn, err := hub.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := distauction.NewProvider(conn, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		providers = append(providers, p)
-	}
-	bidders := make([]*distauction.Bidder, 0, 2)
-	for _, id := range cfg.Users {
-		conn, err := hub.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := distauction.NewBidder(conn, cfg.Providers)
-		defer b.Close()
-		bidders = append(bidders, b)
-	}
-
 	userBids := []distauction.UserBid{
 		{Value: distauction.Fx(10), Demand: distauction.Fx(1)},
 		{Value: distauction.Fx(8), Demand: distauction.Fx(1)},
@@ -57,52 +27,71 @@ func TestPublicAPIDoubleAuctionRound(t *testing.T) {
 		{Cost: distauction.Fx(3), Capacity: distauction.Fx(5)},
 	}
 
-	for i, b := range bidders {
+	// One round: every session runs round 1 and its stream ends.
+	sessions := make([]*distauction.Session, 0, 3)
+	for i, id := range top.Providers {
+		conn, err := hub.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := distauction.Open(conn, top,
+			distauction.WithK(1),
+			distauction.WithMechanism(distauction.NewDoubleAuction()),
+			distauction.WithBidWindow(2*time.Second),
+			distauction.WithProviderBid(provBids[i]),
+			distauction.WithRoundLimit(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		sessions = append(sessions, s)
+	}
+	bidders := make([]*distauction.BidderSession, 0, 2)
+	for i, id := range top.Users {
+		conn, err := hub.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := distauction.OpenBidder(conn, top.Providers, distauction.WithRoundLimit(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
 		if err := b.Submit(1, userBids[i]); err != nil {
 			t.Fatal(err)
 		}
+		bidders = append(bidders, b)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	outs := make([]distauction.Outcome, len(providers))
-	errs := make([]error, len(providers))
-	var wg sync.WaitGroup
-	for i, p := range providers {
-		wg.Add(1)
-		go func(i int, p *distauction.Provider) {
-			defer wg.Done()
-			outs[i], errs[i] = p.RunRound(ctx, 1, &provBids[i])
-		}(i, p)
-	}
-
-	// Bidders learn the outcome too.
-	got, err := bidders[0].AwaitOutcome(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("provider %d: %v", i+1, err)
+	outs := make([]distauction.Outcome, len(sessions))
+	for i, s := range sessions {
+		out := <-s.Outcomes()
+		if out.Err != nil {
+			t.Fatalf("provider %d: %v", i+1, out.Err)
 		}
+		outs[i] = out.Outcome
 	}
 	for i := 1; i < len(outs); i++ {
 		if outs[i].Digest() != outs[0].Digest() {
 			t.Fatal("providers disagree")
 		}
 	}
-	if got.Digest() != outs[0].Digest() {
+	// Bidders learn the outcome too.
+	got := <-bidders[0].Outcomes()
+	if got.Err != nil {
+		t.Fatal(got.Err)
+	}
+	if got.Outcome.Digest() != outs[0].Digest() {
 		t.Error("bidder outcome differs from providers'")
 	}
 
 	// Settle through the public ledger/enforcer types.
 	l := distauction.NewLedger()
 	escrow := distauction.NodeID(999)
-	for _, id := range append(append([]distauction.NodeID{escrow}, cfg.Users...), cfg.Providers...) {
+	for _, id := range append(append([]distauction.NodeID{escrow}, top.Users...), top.Providers...) {
 		l.Open(id)
 	}
-	for _, id := range cfg.Users {
+	for _, id := range top.Users {
 		if err := l.Deposit(id, distauction.Fx(100)); err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +102,7 @@ func TestPublicAPIDoubleAuctionRound(t *testing.T) {
 		distauction.NewGateway(3, distauction.Fx(5)),
 	}
 	enf := &distauction.Enforcer{Ledger: l, Gateways: gws, Escrow: escrow, TTL: time.Hour}
-	if err := enf.Enforce(1, outs[0], cfg.Users, cfg.Providers); err != nil {
+	if err := enf.Enforce(1, outs[0], top.Users, top.Providers); err != nil {
 		t.Fatalf("enforce: %v", err)
 	}
 	// The winner (user 100, value 10) pays the marginal price 8.

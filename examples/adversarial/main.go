@@ -20,11 +20,9 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"distauction"
@@ -66,15 +64,12 @@ func runScenario(rules []deviation.Rule, equivocate bool) {
 	hub := transport.NewHub(transport.LatencyModel{}, 1)
 	defer hub.Close()
 
-	cfg := core.Config{
-		Providers: []wire.NodeID{1, 2, 3},
-		Users:     []wire.NodeID{100, 101},
-		K:         1,
-		Mechanism: core.DoubleAuction{},
-		BidWindow: time.Second,
-	}
-	var providers []*core.Provider
-	for _, id := range cfg.Providers {
+	providers := []wire.NodeID{1, 2, 3}
+	users := []wire.NodeID{100, 101}
+	// One scripted round: every session runs round 1 and ends.
+	oneRound := []core.SessionOption{core.WithRoundLimit(1), core.WithRoundTimeout(10 * time.Second)}
+
+	for i, id := range providers {
 		conn, err := hub.Attach(id)
 		if err != nil {
 			log.Fatal(err)
@@ -83,20 +78,26 @@ func runScenario(rules []deviation.Rule, equivocate bool) {
 		if id == 3 && rules != nil {
 			tc = deviation.Wrap(conn, rules...)
 		}
-		p, err := core.NewProvider(tc, cfg)
+		s, err := core.OpenSession(tc, providers, users, append(oneRound,
+			core.WithK(1),
+			core.WithMechanism(core.DoubleAuction{}),
+			core.WithBidWindow(time.Second),
+			core.WithProviderBid(provBids[i]))...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer p.Close()
-		providers = append(providers, p)
+		defer s.Close()
 	}
-	var bidders []*core.Bidder
-	for _, id := range cfg.Users {
+	var bidders []*core.BidderSession
+	for _, id := range users {
 		conn, err := hub.Attach(id)
 		if err != nil {
 			log.Fatal(err)
 		}
-		b := core.NewBidder(conn, cfg.Providers)
+		b, err := core.OpenBidderSession(conn, providers, oneRound...)
+		if err != nil {
+			log.Fatal(err)
+		}
 		defer b.Close()
 		bidders = append(bidders, b)
 	}
@@ -119,19 +120,10 @@ func runScenario(rules []deviation.Rule, equivocate bool) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	provErrs := make([]error, len(providers))
-	for i, p := range providers {
-		wg.Add(1)
-		go func(i int, p *core.Provider) {
-			defer wg.Done()
-			_, provErrs[i] = p.RunRound(ctx, 1, &provBids[i])
-		}(i, p)
-	}
-	outcome, err := bidders[0].AwaitOutcome(ctx, 1)
-	wg.Wait()
+	// The bidder's view is the global outcome: accepted only if every
+	// provider reported the same pair.
+	result := <-bidders[0].Outcomes()
+	outcome, err := result.Outcome, result.Err
 
 	switch {
 	case errors.Is(err, core.ErrOutcomeBot):
@@ -141,7 +133,7 @@ func runScenario(rules []deviation.Rule, equivocate bool) {
 		fmt.Printf("  unexpected: %v\n", err)
 	default:
 		fmt.Println("  outcome accepted unanimously:")
-		for u, id := range cfg.Users {
+		for u, id := range users {
 			fmt.Printf("    user %d: allocated %v, pays %v\n",
 				id, outcome.Alloc.UserTotal(u), outcome.Pay.ByUser[u])
 		}

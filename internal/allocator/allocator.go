@@ -20,6 +20,9 @@
 // disputed input can leave the provider, which is all condition (3)
 // requires; sequencing the digest exchange *before* the first task merely
 // added a round trip.
+//
+// Input validation (§4.2, Property 3) is a step of this block, as in the
+// paper's Figure 3, not a block of its own: see validateInput.
 package allocator
 
 import (
@@ -29,58 +32,7 @@ import (
 
 	"distauction/internal/proto"
 	"distauction/internal/taskgraph"
-	"distauction/internal/validate"
 )
-
-// Run executes the allocator at the local provider: it validates that all
-// providers hold the same input while executing the task graph, whose final
-// task's output is returned. Any deviation or timeout aborts the round (⊥).
-//
-// The input bytes must be the canonical encoding of the agreed bid vector;
-// the graph must be built identically at every provider from that vector.
-func Run(ctx context.Context, peer *proto.Peer, round uint64, input []byte, graph *taskgraph.Graph) ([]byte, error) {
-	return RunWith(ctx, peer, round, input, graph, nil)
-}
-
-// RunWith is Run with an optional pre-warmed coin source (the round engine
-// passes a reservoir whose commit/echo phases already overlapped bid
-// agreement; nil lets the scheduler build its own).
-func RunWith(ctx context.Context, peer *proto.Peer, round uint64, input []byte, graph *taskgraph.Graph, coins taskgraph.CoinSource) ([]byte, error) {
-	// An already-aborted round is handled by ExecuteOpts (which still closes
-	// the coin source) and by validate.Run's own fast-fail — no separate
-	// entry check to keep in sync.
-
-	// Property 3, overlapped: the digest exchange runs while the scheduler
-	// already computes; the gate below withholds every publication until it
-	// confirms.
-	vdone := make(chan struct{})
-	var verr error
-	go func() {
-		defer close(vdone)
-		verr = validate.Run(ctx, peer, round, input)
-	}()
-	gate := func() error {
-		<-vdone
-		return verr
-	}
-
-	out, err := taskgraph.ExecuteOpts(ctx, peer, round, graph, taskgraph.Options{
-		Coins: coins,
-		Gate:  gate,
-	})
-	<-vdone // join the validator on every path
-	if err != nil {
-		return nil, err
-	}
-	if verr != nil {
-		// Normally subsumed by the scheduler's gate; kept as a backstop.
-		return nil, verr
-	}
-	if out == nil {
-		return nil, peer.FailRound(round, fmt.Sprintf("allocator: empty output in round %d", round))
-	}
-	return out, nil
-}
 
 // valGate is the pooled per-round state of the overlapped input validation:
 // a WaitGroup join plus the validator's verdict. Its two closures are built
@@ -94,14 +46,14 @@ type valGate struct {
 	peer  *proto.Peer
 	round uint64
 	input []byte
-	run   func()       // runs validate.Run with the fields above, then Done
+	run   func()       // runs validateInput with the fields above, then Done
 	wait  func() error // the publish gate: joins, then reports the verdict
 }
 
 var gatePool = sync.Pool{New: func() any {
 	vg := &valGate{}
 	vg.run = func() {
-		vg.err = validate.Run(vg.ctx, vg.peer, vg.round, vg.input)
+		vg.err = validateInput(vg.ctx, vg.peer, vg.round, vg.input)
 		vg.wg.Done()
 	}
 	vg.wait = func() error {
@@ -111,12 +63,19 @@ var gatePool = sync.Pool{New: func() any {
 	return vg
 }}
 
-// RunExecutor is the allocator over a persistent taskgraph.Executor: the
-// session's steady-state path, where the graph and its schedule plan were
-// compiled once and env carries the round's agreed bids to the compiled
-// task bodies. Validation overlaps execution exactly as in RunWith, through
-// a pooled gate.
-func RunExecutor(ctx context.Context, peer *proto.Peer, round uint64, input []byte, ex *taskgraph.Executor, env any, coins taskgraph.CoinSource) ([]byte, error) {
+// Run executes the allocator at the local provider: it validates that all
+// providers hold the same input while ex executes the task graph, whose
+// final task's output is returned. Any deviation or timeout aborts the round
+// (⊥).
+//
+// input must be the canonical encoding of the agreed bid vector and env the
+// same vector as the task bodies read it (TaskContext.Env); ex must run an
+// identical graph at every provider. coins is an optional pre-warmed coin
+// source (the session passes a reservoir whose commit/echo phases already
+// overlapped bid agreement; nil lets the executor build its own). An
+// already-aborted round is handled by Executor.Run (which still closes the
+// coin source) and by validateInput's own fast-fail.
+func Run(ctx context.Context, peer *proto.Peer, round uint64, input []byte, ex *taskgraph.Executor, env any, coins taskgraph.CoinSource) ([]byte, error) {
 	vg := gatePool.Get().(*valGate)
 	vg.ctx, vg.peer, vg.round, vg.input = ctx, peer, round, input
 	vg.err = nil

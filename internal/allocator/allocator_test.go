@@ -34,26 +34,34 @@ func newPeers(t *testing.T, n int) []*proto.Peer {
 	return peers
 }
 
-func graphFor(t *testing.T, providers []wire.NodeID, k int, out string) *taskgraph.Graph {
+// executorsFor starts a depth-1 executor at every peer over a one-task graph
+// whose task returns out.
+func executorsFor(t *testing.T, peers []*proto.Peer, k int, out string) []*taskgraph.Executor {
 	t.Helper()
-	g, err := taskgraph.New(providers, k, []taskgraph.Task{
-		{ID: 1, Name: "compute", Group: providers,
-			Run: func(ctx context.Context, tc *taskgraph.TaskContext) ([]byte, error) {
-				return []byte(out), nil
-			}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	execs := make([]*taskgraph.Executor, len(peers))
+	for i, p := range peers {
+		providers := p.Providers()
+		g, err := taskgraph.New(providers, k, []taskgraph.Task{
+			{ID: 1, Name: "compute", Group: providers,
+				Run: func(ctx context.Context, tc *taskgraph.TaskContext) ([]byte, error) {
+					return []byte(out), nil
+				}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		execs[i] = taskgraph.NewExecutor(p, g, 1)
+		t.Cleanup(execs[i].Close)
 	}
-	return g
+	return execs
 }
 
 func TestRunHappyPath(t *testing.T) {
 	peers := newPeers(t, 3)
-	providers := peers[0].Providers()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
+	execs := executorsFor(t, peers, 1, "result")
 	outs := make([][]byte, 3)
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
@@ -61,8 +69,7 @@ func TestRunHappyPath(t *testing.T) {
 		wg.Add(1)
 		go func(i int, p *proto.Peer) {
 			defer wg.Done()
-			g := graphFor(t, providers, 1, "result")
-			outs[i], errs[i] = Run(ctx, p, 1, []byte("agreed-input"), g)
+			outs[i], errs[i] = Run(ctx, p, 1, []byte("agreed-input"), execs[i], nil, nil)
 		}(i, p)
 	}
 	wg.Wait()
@@ -82,10 +89,10 @@ func TestRunHappyPath(t *testing.T) {
 // before any allocation work runs.
 func TestRunDivergentInputsAbort(t *testing.T) {
 	peers := newPeers(t, 3)
-	providers := peers[0].Providers()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
+	execs := executorsFor(t, peers, 1, "result")
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
 	for i, p := range peers {
@@ -96,8 +103,7 @@ func TestRunDivergentInputsAbort(t *testing.T) {
 			if i == 2 {
 				input = []byte("vector-B")
 			}
-			g := graphFor(t, providers, 1, "result")
-			_, errs[i] = Run(ctx, p, 1, input, g)
+			_, errs[i] = Run(ctx, p, 1, input, execs[i], nil, nil)
 		}(i, p)
 	}
 	wg.Wait()
@@ -113,8 +119,8 @@ func TestRunAbortedRoundShortCircuits(t *testing.T) {
 	if err := peers[0].Abort(1, "pre"); err != nil {
 		t.Fatal(err)
 	}
-	g := graphFor(t, peers[0].Providers(), 0, "x")
-	if _, err := Run(context.Background(), peers[0], 1, []byte("in"), g); !errors.Is(err, proto.ErrAborted) {
+	ex := executorsFor(t, peers[:1], 0, "x")[0]
+	if _, err := Run(context.Background(), peers[0], 1, []byte("in"), ex, nil, nil); !errors.Is(err, proto.ErrAborted) {
 		t.Errorf("got %v, want abort", err)
 	}
 }

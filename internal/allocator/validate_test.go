@@ -1,4 +1,4 @@
-package validate
+package allocator
 
 import (
 	"context"
@@ -8,31 +8,10 @@ import (
 	"time"
 
 	"distauction/internal/proto"
-	"distauction/internal/transport"
-	"distauction/internal/wire"
 )
 
-func newPeers(t *testing.T, n int) []*proto.Peer {
-	t.Helper()
-	hub := transport.NewHub(transport.LatencyModel{}, 1)
-	t.Cleanup(func() { hub.Close() })
-	ids := make([]wire.NodeID, n)
-	for i := range ids {
-		ids[i] = wire.NodeID(i + 1)
-	}
-	peers := make([]*proto.Peer, n)
-	for i, id := range ids {
-		conn, err := hub.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = proto.NewPeer(conn, ids)
-		t.Cleanup(func(p *proto.Peer) func() { return func() { p.Close() } }(peers[i]))
-	}
-	return peers
-}
-
-func runAll(t *testing.T, peers []*proto.Peer, round uint64, inputs [][]byte) []error {
+// validateAll runs the input-validation step at every peer concurrently.
+func validateAll(t *testing.T, peers []*proto.Peer, round uint64, inputs [][]byte) []error {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -42,7 +21,7 @@ func runAll(t *testing.T, peers []*proto.Peer, round uint64, inputs [][]byte) []
 		wg.Add(1)
 		go func(i int, p *proto.Peer) {
 			defer wg.Done()
-			errs[i] = Run(ctx, p, round, inputs[i])
+			errs[i] = validateInput(ctx, p, round, inputs[i])
 		}(i, p)
 	}
 	wg.Wait()
@@ -52,7 +31,7 @@ func runAll(t *testing.T, peers []*proto.Peer, round uint64, inputs [][]byte) []
 func TestAllSameInputPasses(t *testing.T) {
 	peers := newPeers(t, 4)
 	in := []byte("the agreed bid vector")
-	errs := runAll(t, peers, 1, [][]byte{in, in, in, in})
+	errs := validateAll(t, peers, 1, [][]byte{in, in, in, in})
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("peer %d: %v", i, err)
@@ -62,7 +41,7 @@ func TestAllSameInputPasses(t *testing.T) {
 
 func TestMismatchAborts(t *testing.T) {
 	peers := newPeers(t, 3)
-	errs := runAll(t, peers, 1, [][]byte{
+	errs := validateAll(t, peers, 1, [][]byte{
 		[]byte("vector-A"), []byte("vector-A"), []byte("vector-B"),
 	})
 	// Property 3(1): the two providers with different inputs both output ⊥.
@@ -76,7 +55,7 @@ func TestMismatchAborts(t *testing.T) {
 
 func TestEmptyInputsAgree(t *testing.T) {
 	peers := newPeers(t, 2)
-	errs := runAll(t, peers, 1, [][]byte{nil, nil})
+	errs := validateAll(t, peers, 1, [][]byte{nil, nil})
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("peer %d: %v", i, err)
@@ -89,7 +68,7 @@ func TestAlreadyAbortedRound(t *testing.T) {
 	if err := peers[0].Abort(3, "pre"); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(context.Background(), peers[0], 3, []byte("x")); !errors.Is(err, proto.ErrAborted) {
+	if err := validateInput(context.Background(), peers[0], 3, []byte("x")); !errors.Is(err, proto.ErrAborted) {
 		t.Errorf("got %v, want abort", err)
 	}
 }
@@ -104,7 +83,7 @@ func TestSilentProviderTimesOut(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = Run(ctx, peers[i], 1, []byte("v"))
+			errs[i] = validateInput(ctx, peers[i], 1, []byte("v"))
 		}(i)
 	}
 	wg.Wait()

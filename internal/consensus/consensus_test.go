@@ -70,7 +70,9 @@ func sameVectors(a, b [][]byte) bool {
 
 func TestAgreementAndValidityUnanimous(t *testing.T) {
 	peers := newPeers(t, 4)
-	input := [][]byte{[]byte("bid-alice"), []byte("bid-bob"), []byte("bid-carol")}
+	// The last slot is a bidder that never submitted: it must stay empty,
+	// which bid decoding then turns into the neutral bid.
+	input := [][]byte{[]byte("bid-alice"), []byte("bid-bob"), []byte("bid-carol"), nil}
 	inputs := make([][][]byte, 4)
 	for i := range inputs {
 		inputs[i] = input

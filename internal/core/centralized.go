@@ -90,10 +90,7 @@ func (c *Centralized) RunRound(ctx context.Context, round uint64) (auction.Outco
 }
 
 func (c *Centralized) deliver(round uint64, ok bool, rawOutcome []byte) {
-	enc := wire.NewEncoder(2 + len(rawOutcome))
-	enc.Bool(ok)
-	enc.Bytes(rawOutcome)
-	payload := enc.Buffer()
+	payload := encodeResult(ok, rawOutcome)
 	tag := wire.Tag{Round: round, Block: wire.BlockResult, Step: 1}
 	for _, u := range c.cfg.Users {
 		_ = c.peer.Send(u, tag, payload)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,17 +10,18 @@ import (
 	"distauction/internal/fixed"
 	"distauction/internal/mechanism/doubleauction"
 	"distauction/internal/mechanism/standardauction"
-	"distauction/internal/proto"
 	"distauction/internal/transport"
 	"distauction/internal/wire"
 )
 
-// cluster is a complete in-memory deployment: providers and user bidders.
+// cluster is a complete in-memory deployment: n open bidder sessions and m
+// attached provider connections, whose sessions runRound opens only after
+// the test has submitted its bids, so no bid can miss the window.
 type cluster struct {
-	cfg       Config
-	hub       *transport.Hub
-	providers []*Provider
-	bidders   []*Bidder
+	providers, users []wire.NodeID
+	conns            []transport.Conn
+	bidders          []*BidderSession
+	opts             []SessionOption
 }
 
 func newCluster(t *testing.T, m, n, k int, mech Mechanism) *cluster {
@@ -29,64 +29,80 @@ func newCluster(t *testing.T, m, n, k int, mech Mechanism) *cluster {
 	hub := transport.NewHub(transport.LatencyModel{}, 1)
 	t.Cleanup(func() { hub.Close() })
 
-	cfg := Config{
-		K:         k,
-		Mechanism: mech,
-		BidWindow: 500 * time.Millisecond,
-	}
+	c := &cluster{opts: []SessionOption{
+		WithK(k),
+		WithMechanism(mech),
+		WithBidWindow(500 * time.Millisecond),
+		WithRoundLimit(1),
+		WithRoundTimeout(30 * time.Second),
+	}}
 	for i := 0; i < m; i++ {
-		cfg.Providers = append(cfg.Providers, wire.NodeID(i+1))
+		c.providers = append(c.providers, wire.NodeID(i+1))
 	}
 	for i := 0; i < n; i++ {
-		cfg.Users = append(cfg.Users, wire.NodeID(100+i))
+		c.users = append(c.users, wire.NodeID(100+i))
 	}
-
-	c := &cluster{cfg: cfg, hub: hub}
-	for _, id := range cfg.Providers {
+	for _, id := range c.providers {
 		conn, err := hub.Attach(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewProvider(conn, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		c.providers = append(c.providers, p)
+		c.conns = append(c.conns, conn)
 	}
-	for _, id := range cfg.Users {
+	for _, id := range c.users {
 		conn, err := hub.Attach(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewBidder(conn, cfg.Providers)
+		b, err := OpenBidderSession(conn, c.providers, WithRoundLimit(1), WithRoundTimeout(30*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Cleanup(func() { b.Close() })
 		c.bidders = append(c.bidders, b)
 	}
 	return c
 }
 
-// runRound drives all providers for one round and returns their outcomes.
-func (c *cluster) runRound(t *testing.T, round uint64, providerBids []auction.ProviderBid) ([]auction.Outcome, []error) {
+// runRound opens a one-round session on every provider connection in
+// c.conns (a test silences a provider by dropping its connection from the
+// slice: it stays attached but never answers) and returns their round-1
+// results. providerBids is nil for single-sided mechanisms.
+func (c *cluster) runRound(t *testing.T, providerBids []auction.ProviderBid, opts ...SessionOption) ([]auction.Outcome, []error) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	outs := make([]auction.Outcome, len(c.providers))
-	errs := make([]error, len(c.providers))
-	var wg sync.WaitGroup
-	for i, p := range c.providers {
-		wg.Add(1)
-		go func(i int, p *Provider) {
-			defer wg.Done()
-			var own *auction.ProviderBid
-			if providerBids != nil {
-				own = &providerBids[i]
-			}
-			outs[i], errs[i] = p.RunRound(ctx, round, own)
-		}(i, p)
+	sessions := make([]*Session, len(c.conns))
+	for i, conn := range c.conns {
+		all := append(append([]SessionOption{}, c.opts...), opts...)
+		if providerBids != nil {
+			all = append(all, WithProviderBid(providerBids[i]))
+		}
+		s, err := OpenSession(conn, c.providers, c.users, all...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		sessions[i] = s
 	}
-	wg.Wait()
+	outs := make([]auction.Outcome, len(sessions))
+	errs := make([]error, len(sessions))
+	for i, s := range sessions {
+		out, ok := <-s.Outcomes()
+		if !ok || out.Round != 1 {
+			t.Fatalf("provider %d: no round-1 result (got %+v)", i, out)
+		}
+		outs[i], errs[i] = out.Outcome, out.Err
+	}
 	return outs, errs
+}
+
+// awaitBidder reads bidder i's round-1 result.
+func (c *cluster) awaitBidder(t *testing.T, i int) (auction.Outcome, error) {
+	t.Helper()
+	out, ok := <-c.bidders[i].Outcomes()
+	if !ok || out.Round != 1 {
+		t.Fatalf("bidder %d: no round-1 result (got %+v)", i, out)
+	}
+	return out.Outcome, out.Err
 }
 
 func ub(v, d float64) auction.UserBid {
@@ -134,19 +150,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestNewProviderRejectsOutsider(t *testing.T) {
-	hub := transport.NewHub(transport.LatencyModel{}, 1)
-	defer hub.Close()
-	conn, err := hub.Attach(99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Providers: []wire.NodeID{1, 2, 3}, K: 1, Mechanism: DoubleAuction{}}
-	if _, err := NewProvider(conn, cfg); err == nil {
-		t.Error("non-provider connection accepted")
-	}
-}
-
 // The headline integration test: a full distributed double auction.
 // All providers must produce identical outcomes, and — because the double
 // auction is deterministic — that outcome must equal the trusted
@@ -157,26 +160,13 @@ func TestDistributedDoubleAuctionRound(t *testing.T) {
 	userBids := []auction.UserBid{ub(10, 1), ub(8, 1), ub(6, 1), ub(4, 1)}
 	provBids := []auction.ProviderBid{pb(1, 1), pb(2, 1), pb(3, 1), pb(4, 1), pb(5, 1)}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// Bidders submit, then await.
-	outcomeCh := make([]chan auction.Outcome, len(c.bidders))
 	for i, b := range c.bidders {
 		if err := b.Submit(1, userBids[i]); err != nil {
 			t.Fatal(err)
 		}
-		outcomeCh[i] = make(chan auction.Outcome, 1)
-		go func(i int, b *Bidder) {
-			out, err := b.AwaitOutcome(ctx, 1)
-			if err != nil {
-				t.Errorf("bidder %d: %v", i, err)
-			}
-			outcomeCh[i] <- out
-		}(i, b)
 	}
 
-	outs, errs := c.runRound(t, 1, provBids)
+	outs, errs := c.runRound(t, provBids)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("provider %d: %v", i, err)
@@ -199,13 +189,12 @@ func TestDistributedDoubleAuctionRound(t *testing.T) {
 
 	// Bidders all saw it too.
 	for i := range c.bidders {
-		select {
-		case got := <-outcomeCh[i]:
-			if got.Digest() != outs[0].Digest() {
-				t.Errorf("bidder %d outcome mismatch", i)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("bidder %d never got the outcome", i)
+		got, err := c.awaitBidder(t, i)
+		if err != nil {
+			t.Fatalf("bidder %d: %v", i, err)
+		}
+		if got.Digest() != outs[0].Digest() {
+			t.Errorf("bidder %d outcome mismatch", i)
 		}
 	}
 }
@@ -223,7 +212,7 @@ func TestDistributedStandardAuctionRound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	outs, errs := c.runRound(t, 1, nil)
+	outs, errs := c.runRound(t, nil)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("provider %d: %v", i, err)
@@ -270,7 +259,7 @@ func TestEquivocatingBidderResolved(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	outs, errs := c.runRound(t, 1, provBids)
+	outs, errs := c.runRound(t, provBids)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("provider %d: %v", i, err)
@@ -303,7 +292,7 @@ func TestGarbageAndMissingBidsNeutralised(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	outs, errs := c.runRound(t, 1, provBids)
+	outs, errs := c.runRound(t, provBids)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("provider %d: %v", i, err)
@@ -317,91 +306,28 @@ func TestGarbageAndMissingBidsNeutralised(t *testing.T) {
 	}
 }
 
-// A provider whose configuration disagrees (here: a different user list,
-// hence a different slot count) forces ⊥ rather than a wrong outcome, and
-// the bidders observe ⊥.
-func TestMisconfiguredProviderForcesBot(t *testing.T) {
+// A provider that never joins the round (its connection is attached, so
+// sends to it succeed, but nobody answers) forces ⊥ rather than a wrong
+// outcome: the others run into their round deadline, and the bidders
+// observe ⊥.
+func TestSilentProviderForcesBot(t *testing.T) {
 	c := newCluster(t, 3, 2, 1, DoubleAuction{})
 	provBids := []auction.ProviderBid{pb(1, 5), pb(1, 5), pb(1, 5)}
-
-	// Rebuild provider 3 with a doctored config (extra ghost user).
-	badCfg := c.cfg
-	badCfg.Users = append(append([]wire.NodeID{}, c.cfg.Users...), 999)
-	c.providers[2].Close()
-	conn, err := c.hub.Attach(50) // fresh conn id for the hub
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = conn
-	// Instead of re-attaching (IDs are fixed), drive the deviant through a
-	// fresh provider object on a new hub-attached conn is impossible — the
-	// original ID is taken. Script the deviation at the protocol level:
-	// provider 3 simply runs with a mismatched slot count via direct
-	// consensus input. The simplest faithful stand-in: provider 3 stays
-	// silent, which the others convert into ⊥ via their deadlines.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
 	for i, b := range c.bidders {
 		if err := b.Submit(1, ub(float64(10-i), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = c.providers[i].RunRound(ctx, 1, &provBids[i])
-		}(i)
-	}
-	botCh := make(chan error, len(c.bidders))
-	for _, b := range c.bidders {
-		go func(b *Bidder) {
-			_, err := b.AwaitOutcome(ctx, 1)
-			botCh <- err
-		}(b)
-	}
-	wg.Wait()
+	c.conns = c.conns[:2] // provider 3 never opens a session
+	_, errs := c.runRound(t, provBids, WithRoundTimeout(time.Second))
 	for i, err := range errs {
 		if err == nil {
 			t.Errorf("provider %d succeeded despite silent peer", i)
 		}
 	}
-	for range c.bidders {
-		if err := <-botCh; !errors.Is(err, ErrOutcomeBot) && err == nil {
-			t.Errorf("bidder observed success despite ⊥: %v", err)
-		}
-	}
-}
-
-func TestMultipleRoundsSequential(t *testing.T) {
-	c := newCluster(t, 3, 2, 1, DoubleAuction{})
-	provBids := []auction.ProviderBid{pb(1, 5), pb(1.2, 5), pb(1.4, 5)}
-	for round := uint64(1); round <= 3; round++ {
-		for i, b := range c.bidders {
-			if err := b.Submit(round, ub(float64(10-i), 1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		outs, errs := c.runRound(t, round, provBids)
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("round %d provider %d: %v", round, i, err)
-			}
-		}
-		for i := 1; i < len(outs); i++ {
-			if outs[i].Digest() != outs[0].Digest() {
-				t.Fatalf("round %d disagreement", round)
-			}
-		}
-		for _, p := range c.providers {
-			p.EndRound(round)
-		}
-		for _, b := range c.bidders {
-			b.EndRound(round)
+	for i := range c.bidders {
+		if _, err := c.awaitBidder(t, i); !errors.Is(err, ErrOutcomeBot) {
+			t.Errorf("bidder %d observed %v, want ⊥", i, err)
 		}
 	}
 }
@@ -441,13 +367,16 @@ func TestCentralizedDoubleAuction(t *testing.T) {
 	}
 	// Users submit to the auctioneer alone.
 	userBids := []auction.UserBid{ub(10, 1), ub(8, 1)}
-	bidders := make([]*Bidder, 2)
+	bidders := make([]*BidderSession, 2)
 	for i, id := range cfg.Users {
 		conn, err := hub.Attach(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bidders[i] = NewBidder(conn, []wire.NodeID{50})
+		bidders[i], err = OpenBidderSession(conn, []wire.NodeID{50}, WithRoundLimit(1), WithRoundTimeout(10*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer bidders[i].Close()
 		if err := bidders[i].Submit(1, userBids[i]); err != nil {
 			t.Fatal(err)
@@ -468,11 +397,11 @@ func TestCentralizedDoubleAuction(t *testing.T) {
 		t.Error("centralized outcome differs from direct solve")
 	}
 	for i, b := range bidders {
-		got, err := b.AwaitOutcome(ctx, 1)
-		if err != nil {
-			t.Fatalf("bidder %d: %v", i, err)
+		got := <-b.Outcomes()
+		if got.Err != nil {
+			t.Fatalf("bidder %d: %v", i, got.Err)
 		}
-		if got.Digest() != out.Digest() {
+		if got.Outcome.Digest() != out.Digest() {
 			t.Errorf("bidder %d outcome mismatch", i)
 		}
 	}
@@ -494,7 +423,7 @@ func TestLateBidderStillConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	outs, errs := c.runRound(t, 1, provBids)
+	outs, errs := c.runRound(t, provBids)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("provider %d: %v", i, err)
@@ -503,95 +432,6 @@ func TestLateBidderStillConsistent(t *testing.T) {
 	for i := 1; i < len(outs); i++ {
 		if outs[i].Digest() != outs[0].Digest() {
 			t.Fatal("providers disagree on a half-submitted bid")
-		}
-	}
-}
-
-// Sanity-check that an aborted round leaves following rounds usable.
-func TestAbortDoesNotPoisonNextRound(t *testing.T) {
-	c := newCluster(t, 3, 1, 1, DoubleAuction{})
-	provBids := []auction.ProviderBid{pb(1, 5), pb(1, 5), pb(1, 5)}
-
-	// Round 1: poison by direct abort.
-	for _, p := range c.providers {
-		if err := p.Peer().Abort(1, "injected"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	_, errs1 := func() ([]auction.Outcome, []error) {
-		outs := make([]auction.Outcome, len(c.providers))
-		errs := make([]error, len(c.providers))
-		var wg sync.WaitGroup
-		for i, p := range c.providers {
-			wg.Add(1)
-			go func(i int, p *Provider) {
-				defer wg.Done()
-				outs[i], errs[i] = p.RunRound(ctx, 1, &provBids[i])
-			}(i, p)
-		}
-		wg.Wait()
-		return outs, errs
-	}()
-	cancel()
-	for i, err := range errs1 {
-		if !errors.Is(err, proto.ErrAborted) {
-			t.Errorf("provider %d: got %v, want abort", i, err)
-		}
-	}
-	for _, p := range c.providers {
-		p.EndRound(1)
-	}
-
-	// Round 2 proceeds normally.
-	if err := c.bidders[0].Submit(2, ub(10, 1)); err != nil {
-		t.Fatal(err)
-	}
-	outs, errs := c.runRound(t, 2, provBids)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("round 2 provider %d: %v", i, err)
-		}
-	}
-	for i := 1; i < len(outs); i++ {
-		if outs[i].Digest() != outs[0].Digest() {
-			t.Fatal("round 2 disagreement")
-		}
-	}
-}
-
-// The static coin plan must match the graphs BuildGraph actually returns —
-// in both the replicated and the decomposed shape, for any bids — or the
-// engine would pre-toss instances nobody draws (wasted, but consistent) or
-// miss instances that then toss un-prefetched (slow).
-func TestStandardAuctionCoinPlanMatchesGraph(t *testing.T) {
-	cfg := GraphConfig{
-		Providers: []wire.NodeID{1, 2, 3, 4, 5, 6, 7, 8},
-		K:         1,
-	}
-	params := standardauction.Params{
-		Capacities: make([]fixed.Fixed, 8),
-		InvEpsilon: 4,
-	}
-	for i := range params.Capacities {
-		params.Capacities[i] = fixed.MustInt(2)
-	}
-	bids := auction.BidVector{Users: []auction.UserBid{ub(10, 1), ub(9, 1), ub(8, 1)}}
-	for _, replicated := range []bool{false, true} {
-		mech := StandardAuction{Params: params, Replicated: replicated}
-		plan := mech.CoinPlan(cfg)
-		g, err := mech.BuildGraph(cfg, bids)
-		if err != nil {
-			t.Fatalf("replicated=%v: %v", replicated, err)
-		}
-		declared := g.CoinInstances()
-		if len(plan) != len(declared) {
-			t.Fatalf("replicated=%v: plan has %d instances, graph declares %d", replicated, len(plan), len(declared))
-		}
-		for i := range plan {
-			if plan[i] != declared[i] {
-				t.Errorf("replicated=%v instance %d: plan %d != declared %d", replicated, i, plan[i], declared[i])
-			}
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"distauction/internal/taskgraph"
 	"distauction/internal/testleak"
 	"distauction/internal/transport"
 	"distauction/internal/wire"
@@ -99,5 +102,45 @@ func TestSessionAbortiveCloseNoGoroutineLeak(t *testing.T) {
 			}
 		}
 		wg.Wait()
+	})
+}
+
+// brokenGraph is a mechanism whose task graph cannot be built.
+type brokenGraph struct{ DoubleAuction }
+
+func (brokenGraph) Name() string { return "broken-graph" }
+
+func (brokenGraph) Graph(GraphConfig) (*taskgraph.Graph, error) {
+	return taskgraph.New(nil, 0, nil) // no tasks: ErrBadGraph
+}
+
+// TestOpenRejectsNonCompilingMechanism: a mechanism whose graph does not
+// build fails Open with an ErrConfig error naming it — not every round
+// later — and Open leaves no goroutine behind and the conn untouched.
+func TestOpenRejectsNonCompilingMechanism(t *testing.T) {
+	providers := []wire.NodeID{1, 2, 3}
+	testleak.Check(t, func() {
+		hub := transport.NewHub(transport.LatencyModel{}, 1)
+		defer hub.Close()
+		conn, err := hub.Attach(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenSession(conn, providers, nil, WithK(1), WithMechanism(brokenGraph{}))
+		if err == nil {
+			s.Close()
+			t.Fatal("Open accepted a mechanism whose graph does not build")
+		}
+		if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), `"broken-graph"`) {
+			t.Errorf("error %q: want ErrConfig naming the mechanism", err)
+		}
+		// The conn still belongs to the caller: a working mechanism opens on it.
+		s, err = OpenSession(conn, providers, nil, WithK(1), WithMechanism(DoubleAuction{}), WithBidWindow(time.Millisecond))
+		if err != nil {
+			t.Fatalf("reopen on the same conn: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
 	})
 }

@@ -1,7 +1,10 @@
-// Package core assembles the distributed auctioneer of §4: it chains the
-// bid-agreement block and the (parallel) allocator block into a provider
-// runtime, provides the bidder client, and implements the centralized
+// Package core assembles the distributed auctioneer of §4. A provider's
+// Session chains the bid-agreement block and the (parallel) allocator
+// block into one round pipeline and runs it round after round; a
+// BidderSession is the user-side client; Centralized is the
 // trusted-auctioneer baseline that the evaluation compares against.
+// Sessions are the only way to run a round: a single scripted round is a
+// session with WithRoundLimit(1).
 package core
 
 import (
@@ -27,24 +30,10 @@ type GraphConfig struct {
 	K int
 }
 
-// CoinPlanner is an optional Mechanism extension declaring the static
-// coin-draw schedule of the mechanism's task graph: the instance numbers
-// (taskgraph.CoinInstance) its tasks will draw, as a pure function of the
-// deployment facts. The round engine uses the plan to pre-toss every
-// instance while bid agreement is still running — commit and echo overlap
-// the agreement; reveals stay gated until it completes — so the coin's
-// three network phases leave the round's critical path entirely.
-//
-// The plan must match the graphs BuildGraph returns (same tasks, same
-// declared draws) for every bid vector; mechanisms whose draw schedule
-// depends on the bids must not implement CoinPlanner.
-type CoinPlanner interface {
-	CoinPlan(cfg GraphConfig) []uint32
-}
-
 // Mechanism abstracts the allocation algorithm A (§3.1): its direct
 // execution (trusted auctioneer baseline) and its task decomposition for
-// the parallel allocator.
+// the parallel allocator. Adding a mechanism is these four methods (plus a
+// RegisterMechanism call to make it selectable by name).
 type Mechanism interface {
 	// Name identifies the mechanism in logs and CLIs.
 	Name() string
@@ -53,29 +42,25 @@ type Mechanism interface {
 	// Solve runs A directly on the agreed bids. seed feeds randomized
 	// mechanisms; deterministic ones ignore it.
 	Solve(bids auction.BidVector, seed uint64) (auction.Outcome, error)
-	// BuildGraph returns the task decomposition of A for the agreed bids.
-	BuildGraph(cfg GraphConfig, bids auction.BidVector) (*taskgraph.Graph, error)
+	// Graph returns the task decomposition of A. The graph is round-generic:
+	// its structure is a pure function of the deployment facts, and its task
+	// bodies read each round's agreed bids from TaskContext.Env (an
+	// *auction.BidVector) instead of closing over them. A session compiles
+	// the graph — and its schedule plan — once at open and runs it every
+	// round on a persistent taskgraph.Executor; an error here fails the open.
+	// Coin draws are declared on the tasks (Task.CoinDraws): the session
+	// pre-tosses exactly the declared instances while bid agreement is still
+	// running, so a task whose draw count depends on the bids must leave
+	// CoinDraws zero and draw on demand.
+	Graph(cfg GraphConfig) (*taskgraph.Graph, error)
 }
 
-// GraphCompiler is an optional Mechanism extension for round-generic task
-// graphs: CompileGraph returns a graph whose task bodies read the agreed
-// bids from TaskContext.Env (an *auction.BidVector) instead of closing
-// over them, so the structure is a pure function of the deployment facts.
-// The round engine compiles such a graph — and its schedule plan — once
-// per session and reuses it every round through a persistent
-// taskgraph.Executor; mechanisms without this extension fall back to
-// BuildGraph per round. The compiled graph must decompose A identically to
-// BuildGraph for every bid vector.
-type GraphCompiler interface {
-	CompileGraph(cfg GraphConfig) (*taskgraph.Graph, error)
-}
-
-// envBids extracts the per-round bid vector a compiled graph's task runs
-// under (TaskContext.Env as set by the round engine).
+// envBids extracts the round's agreed bid vector a task runs under
+// (TaskContext.Env as set by the session).
 func envBids(tc *taskgraph.TaskContext) (auction.BidVector, error) {
 	bids, ok := tc.Env.(*auction.BidVector)
 	if !ok || bids == nil {
-		return auction.BidVector{}, errors.New("core: compiled graph executed without a bid environment")
+		return auction.BidVector{}, errors.New("core: task graph executed without a bid environment")
 	}
 	return *bids, nil
 }
@@ -87,10 +72,7 @@ func envBids(tc *taskgraph.TaskContext) (auction.BidVector, error) {
 // exactly as the paper prescribes).
 type DoubleAuction struct{}
 
-var (
-	_ Mechanism     = DoubleAuction{}
-	_ GraphCompiler = DoubleAuction{}
-)
+var _ Mechanism = DoubleAuction{}
 
 // Name implements Mechanism.
 func (DoubleAuction) Name() string { return "double" }
@@ -103,20 +85,10 @@ func (DoubleAuction) Solve(bids auction.BidVector, _ uint64) (auction.Outcome, e
 	return doubleauction.Solve(bids)
 }
 
-// BuildGraph implements Mechanism with the single replicated task.
-func (m DoubleAuction) BuildGraph(cfg GraphConfig, bids auction.BidVector) (*taskgraph.Graph, error) {
-	return m.graph(cfg, func(*taskgraph.TaskContext) (auction.BidVector, error) { return bids, nil })
-}
-
-// CompileGraph implements GraphCompiler: the same single replicated task,
-// reading each round's bids from the executor environment.
-func (m DoubleAuction) CompileGraph(cfg GraphConfig) (*taskgraph.Graph, error) {
-	return m.graph(cfg, envBids)
-}
-
-func (m DoubleAuction) graph(cfg GraphConfig, src func(*taskgraph.TaskContext) (auction.BidVector, error)) (*taskgraph.Graph, error) {
+// Graph implements Mechanism with the single replicated task.
+func (DoubleAuction) Graph(cfg GraphConfig) (*taskgraph.Graph, error) {
 	run := func(ctx context.Context, tc *taskgraph.TaskContext) ([]byte, error) {
-		bids, err := src(tc)
+		bids, err := envBids(tc)
 		if err != nil {
 			return nil, err
 		}
@@ -147,20 +119,10 @@ type StandardAuction struct {
 	Replicated bool
 }
 
-var (
-	_ Mechanism     = StandardAuction{}
-	_ CoinPlanner   = StandardAuction{}
-	_ GraphCompiler = StandardAuction{}
-)
+var _ Mechanism = StandardAuction{}
 
 // Name implements Mechanism.
 func (StandardAuction) Name() string { return "standard" }
-
-// CoinPlan implements CoinPlanner: both the replicated and the decomposed
-// graph draw exactly once, in task 1, regardless of the bids.
-func (StandardAuction) CoinPlan(GraphConfig) []uint32 {
-	return []uint32{taskgraph.CoinInstance(1, 0)}
-}
 
 // DoubleSided implements Mechanism: only users bid.
 func (StandardAuction) DoubleSided() bool { return false }
@@ -170,25 +132,16 @@ func (m StandardAuction) Solve(bids auction.BidVector, seed uint64) (auction.Out
 	return standardauction.Solve(bids.Users, m.Params, seed)
 }
 
-// BuildGraph implements Mechanism with the three-stage decomposition of
-// Algorithm 1 (or a single replicated task when Replicated is set).
-func (m StandardAuction) BuildGraph(cfg GraphConfig, bids auction.BidVector) (*taskgraph.Graph, error) {
-	return m.graph(cfg, func(*taskgraph.TaskContext) (auction.BidVector, error) { return bids, nil })
-}
-
-// CompileGraph implements GraphCompiler: the identical decomposition with
-// each round's bids read from the executor environment.
-func (m StandardAuction) CompileGraph(cfg GraphConfig) (*taskgraph.Graph, error) {
-	return m.graph(cfg, envBids)
-}
-
-func (m StandardAuction) graph(cfg GraphConfig, src func(*taskgraph.TaskContext) (auction.BidVector, error)) (*taskgraph.Graph, error) {
+// Graph implements Mechanism with the three-stage decomposition of
+// Algorithm 1 (or a single replicated task when Replicated is set). Both
+// shapes draw the coin exactly once, in task 1, whatever the bids.
+func (m StandardAuction) Graph(cfg GraphConfig) (*taskgraph.Graph, error) {
 	params := m.Params
 	if m.Replicated {
 		return taskgraph.New(cfg.Providers, cfg.K, []taskgraph.Task{{
 			ID: 1, Name: "standard-replicated", Group: cfg.Providers, UsesCoin: true, CoinDraws: 1,
 			Run: func(ctx context.Context, tc *taskgraph.TaskContext) ([]byte, error) {
-				bids, err := src(tc)
+				bids, err := envBids(tc)
 				if err != nil {
 					return nil, err
 				}
@@ -214,7 +167,7 @@ func (m StandardAuction) graph(cfg GraphConfig, src func(*taskgraph.TaskContext)
 	tasks = append(tasks, taskgraph.Task{
 		ID: 1, Name: "allocate", Group: cfg.Providers, UsesCoin: true, CoinDraws: 1,
 		Run: func(ctx context.Context, tc *taskgraph.TaskContext) ([]byte, error) {
-			bids, err := src(tc)
+			bids, err := envBids(tc)
 			if err != nil {
 				return nil, err
 			}
@@ -235,7 +188,7 @@ func (m StandardAuction) graph(cfg GraphConfig, src func(*taskgraph.TaskContext)
 		tasks = append(tasks, taskgraph.Task{
 			ID: uint32(2 + gi), Name: fmt.Sprintf("payments-%d", gi), Deps: []uint32{1}, Group: groups[gi],
 			Run: func(ctx context.Context, tc *taskgraph.TaskContext) ([]byte, error) {
-				bids, err := src(tc)
+				bids, err := envBids(tc)
 				if err != nil {
 					return nil, err
 				}
@@ -289,7 +242,7 @@ func (m StandardAuction) graph(cfg GraphConfig, src func(*taskgraph.TaskContext)
 	tasks = append(tasks, taskgraph.Task{
 		ID: uint32(2 + c), Name: "gather", Deps: deps, Group: cfg.Providers,
 		Run: func(ctx context.Context, tc *taskgraph.TaskContext) ([]byte, error) {
-			bids, err := src(tc)
+			bids, err := envBids(tc)
 			if err != nil {
 				return nil, err
 			}

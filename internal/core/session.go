@@ -11,6 +11,7 @@ import (
 
 	"distauction/internal/auction"
 	"distauction/internal/proto"
+	"distauction/internal/taskgraph"
 	"distauction/internal/trace"
 	"distauction/internal/transport"
 	"distauction/internal/wire"
@@ -208,8 +209,26 @@ func (s *sessionSettings) resolve(providers, users []wire.NodeID) (Config, error
 // round has completed. Per-round results stream from Outcomes in round
 // order; a ⊥ round is reported with a non-nil Err and the session moves on.
 type Session struct {
-	eng      *engine
+	cfg      Config
 	settings sessionSettings
+	peer     *proto.Peer
+
+	// exec runs the mechanism's task graph, compiled once at open, on a
+	// persistent worker set: the same round-generic graph runs every round,
+	// with the round's bids passed through the executor environment.
+	// coinPlan is the graph's declared coin draws, pre-tossed every round.
+	exec     *taskgraph.Executor
+	coinPlan []uint32
+
+	// bidTimer is the reusable bid-window timer. Rounds open strictly one at
+	// a time (the scheduler serialises phases 0–1), so a single timer
+	// replaces a per-round context.WithTimeout allocation on the hot path.
+	bidTimer *time.Timer
+
+	// bidsPool recycles the decoded per-round bid vectors handed to the
+	// executor; a vector returns to the pool when its round's allocator run
+	// has fully joined.
+	bidsPool sync.Pool
 
 	ownBid   atomic.Pointer[auction.ProviderBid]
 	outcomes chan RoundOutcome
@@ -222,14 +241,22 @@ type Session struct {
 	emitOnce  sync.Once
 	wg        sync.WaitGroup
 
-	mu       sync.Mutex
-	inFlight map[uint64]bool // rounds started but not yet completed
+	mu        sync.Mutex
+	inFlight  map[uint64]bool // rounds started but not yet completed
+	delivered map[uint64]bool // live rounds whose result already went to bidders
+	ended     uint64          // all rounds <= ended are reclaimed (and were delivered)
+	// slotsFree recycles collectBids' per-round slot slices; a round's slots
+	// are handed from openRound to finishRound and return here when the
+	// round finishes (on every path).
+	slotsFree [][][]byte
 }
 
 // OpenSession validates the options and starts the session engine for a
 // provider node. conn must belong to one of providers; all participants of
 // a deployment must agree on the provider set, user set, k, mechanism and
-// start round.
+// start round. Every configuration error — including a mechanism whose task
+// graph does not build for this deployment — is reported here, matching
+// ErrConfig, before conn is touched or any goroutine starts.
 func OpenSession(conn transport.Conn, providers, users []wire.NodeID, opts ...SessionOption) (*Session, error) {
 	settings := defaultSettings()
 	for _, opt := range opts {
@@ -239,24 +266,31 @@ func OpenSession(conn transport.Conn, providers, users []wire.NodeID, opts ...Se
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(conn, cfg)
-	if err != nil {
-		return nil, err
+	sorted := proto.SortNodes(append([]wire.NodeID(nil), cfg.Providers...))
+	if !proto.ContainsNode(sorted, conn.Self()) {
+		return nil, fmt.Errorf("%w: node %d is not a configured provider", ErrConfig, conn.Self())
 	}
-	// Compile the mechanism's graph and schedule plan once for the whole
-	// session; the executor's depth matches the round pipeline so every
-	// in-flight round has an arena.
-	eng.compile(settings.maxConcurrent)
+	graph, err := cfg.Mechanism.Graph(GraphConfig{Providers: sorted, K: cfg.K})
+	if err != nil {
+		return nil, fmt.Errorf("%w: mechanism %q: task graph: %v", ErrConfig, cfg.Mechanism.Name(), err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
+	peer := proto.NewPeer(conn, sorted)
 	s := &Session{
-		eng:      eng,
+		cfg:      cfg,
 		settings: settings,
-		outcomes: make(chan RoundOutcome, settings.outcomeBuffer),
-		results:  make(chan RoundOutcome, settings.maxConcurrent+1),
-		ctx:      ctx,
-		cancel:   cancel,
-		closing:  make(chan struct{}),
-		inFlight: make(map[uint64]bool),
+		peer:     peer,
+		// The executor's depth matches the round pipeline so every
+		// in-flight round has an arena.
+		exec:      taskgraph.NewExecutor(peer, graph, settings.maxConcurrent),
+		coinPlan:  graph.CoinInstances(),
+		outcomes:  make(chan RoundOutcome, settings.outcomeBuffer),
+		results:   make(chan RoundOutcome, settings.maxConcurrent+1),
+		ctx:       ctx,
+		cancel:    cancel,
+		closing:   make(chan struct{}),
+		inFlight:  make(map[uint64]bool),
+		delivered: make(map[uint64]bool),
 	}
 	if settings.ownBid != nil {
 		s.ownBid.Store(settings.ownBid)
@@ -268,11 +302,11 @@ func OpenSession(conn transport.Conn, providers, users []wire.NodeID, opts ...Se
 }
 
 // Self returns the provider's node ID.
-func (s *Session) Self() wire.NodeID { return s.eng.peer.Self() }
+func (s *Session) Self() wire.NodeID { return s.peer.Self() }
 
 // Peer exposes the protocol peer (audit and deviation tooling script raw
 // messages through it).
-func (s *Session) Peer() *proto.Peer { return s.eng.peer }
+func (s *Session) Peer() *proto.Peer { return s.peer }
 
 // Outcomes streams one RoundOutcome per round, in round order. The channel
 // closes when the round limit is reached or the session is closed. The
@@ -308,16 +342,20 @@ func (s *Session) Close() error {
 		}
 		s.mu.Unlock()
 		for _, r := range rounds {
-			_ = s.eng.peer.Abort(r, "session closed")
-			s.eng.deliverResult(r, false, nil)
+			_ = s.peer.Abort(r, "session closed")
+			s.deliverResult(r, false, nil)
 		}
 		s.wg.Wait()
 		// All round workers have returned, so no executor Run is in flight
-		// and the engine's worker set can drain without blocking.
-		s.eng.close()
+		// and the worker set can drain without blocking; the scheduler has
+		// returned too, so nothing resets the bid timer anymore.
+		s.exec.Close()
+		if s.bidTimer != nil {
+			s.bidTimer.Stop()
+		}
 		s.closeOutcomes()
 	})
-	return s.eng.peer.Close()
+	return s.peer.Close()
 }
 
 func (s *Session) closeOutcomes() {
@@ -360,9 +398,9 @@ func (s *Session) failRound(r uint64, err error) {
 		reason = err.Error()
 	}
 	if !errors.Is(err, proto.ErrAborted) {
-		_ = s.eng.peer.Abort(r, reason)
+		_ = s.peer.Abort(r, reason)
 	}
-	s.eng.deliverResult(r, false, nil)
+	s.deliverResult(r, false, nil)
 }
 
 // roundWork is one collected round handed from the scheduler to a round
@@ -410,11 +448,11 @@ func (s *Session) schedule() {
 
 		began := time.Now()
 		span := trace.Begin()
-		inputs, err := s.eng.openRound(s.ctx, r, s.ownBid.Load())
+		inputs, err := s.openRound(s.ctx, r, s.ownBid.Load())
 		if err != nil {
 			lat := time.Since(began)
 			s.failRound(r, err)
-			trace.RoundDone(r, s.eng.peer.Lane(), s.eng.peer.Self(), lat, true, int32(proto.AbortCodeOf(err)))
+			trace.RoundDone(r, s.peer.Lane(), s.peer.Self(), lat, true, int32(proto.AbortCodeOf(err)))
 			s.report(RoundOutcome{Round: r, Err: err, Latency: lat})
 			<-slots
 			if s.ctx.Err() != nil {
@@ -422,7 +460,7 @@ func (s *Session) schedule() {
 			}
 			continue
 		}
-		trace.Span(span, trace.PhaseBidCollect, r, s.eng.peer.Lane(), s.eng.peer.Self(), trace.NoPeer, 0)
+		trace.Span(span, trace.PhaseBidCollect, r, s.peer.Lane(), s.peer.Self(), trace.NoPeer, 0)
 
 		select {
 		case work <- roundWork{r: r, inputs: inputs, began: began}:
@@ -440,7 +478,7 @@ func (s *Session) schedule() {
 // roundWorker is one of the session's persistent round workers: it runs
 // phases 2–5 of each round handed to it and releases the round's pipeline
 // slot after reporting. A worker holds no per-round state of its own — the
-// engine's executor and pools carry everything — so the set is fixed at
+// session's executor and pools carry everything — so the set is fixed at
 // maxConcurrent for the session's whole life.
 func (s *Session) roundWorker(work <-chan roundWork, slots <-chan struct{}, workers *sync.WaitGroup) {
 	defer workers.Done()
@@ -451,7 +489,7 @@ func (s *Session) roundWorker(work <-chan roundWork, slots <-chan struct{}, work
 		if s.settings.roundTimeout > 0 {
 			rctx, cancel = context.WithTimeout(s.ctx, s.settings.roundTimeout)
 		}
-		out, err := s.eng.finishRound(rctx, rw.r, rw.inputs)
+		out, err := s.finishRound(rctx, rw.r, rw.inputs)
 		if cancel != nil {
 			cancel()
 		}
@@ -459,7 +497,7 @@ func (s *Session) roundWorker(work <-chan roundWork, slots <-chan struct{}, work
 		if err != nil {
 			s.failRound(rw.r, err)
 		}
-		trace.RoundDone(rw.r, s.eng.peer.Lane(), s.eng.peer.Self(), lat, err != nil, int32(proto.AbortCodeOf(err)))
+		trace.RoundDone(rw.r, s.peer.Lane(), s.peer.Self(), lat, err != nil, int32(proto.AbortCodeOf(err)))
 		s.report(RoundOutcome{Round: rw.r, Outcome: out, Err: err, Latency: lat})
 		<-slots
 	}
@@ -501,7 +539,7 @@ func (s *Session) emit() {
 				return
 			}
 			delete(pending, next)
-			s.eng.endRound(next)
+			s.endRound(next)
 			next++
 		}
 	}
@@ -529,7 +567,7 @@ func (s *Session) drain(pending map[uint64]RoundOutcome, next uint64) {
 			return
 		}
 		delete(pending, next)
-		s.eng.endRound(next)
+		s.endRound(next)
 		next++
 	}
 }

@@ -1,15 +1,24 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
 	"distauction/internal/auction"
+	"distauction/internal/proto"
 	"distauction/internal/transport"
 	"distauction/internal/wire"
 )
+
+// ErrOutcomeBot reports that the auction ended in ⊥ (aborted) or that
+// providers disagreed on the result — which the external mechanism treats
+// the same way (§3.2: the outcome is (x, ~p) only if all providers output
+// that pair).
+var ErrOutcomeBot = errors.New("core: outcome is ⊥")
 
 // BidderSession is the user-side counterpart of Session: it submits bids
 // for any round and streams the unanimous per-round outcomes over a channel
@@ -26,7 +35,7 @@ import (
 // order, so an unbounded wait on round r would also withhold every round
 // after it.
 type BidderSession struct {
-	bidder   *Bidder
+	peer     *proto.Peer
 	settings sessionSettings
 	outcomes chan RoundOutcome
 
@@ -51,7 +60,7 @@ func OpenBidderSession(conn transport.Conn, providers []wire.NodeID, opts ...Ses
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &BidderSession{
-		bidder:   NewBidder(conn, providers),
+		peer:     proto.NewPeer(conn, providers),
 		settings: settings,
 		outcomes: make(chan RoundOutcome, settings.outcomeBuffer),
 		ctx:      ctx,
@@ -63,19 +72,38 @@ func OpenBidderSession(conn transport.Conn, providers []wire.NodeID, opts ...Ses
 }
 
 // Self returns the bidder's node ID.
-func (s *BidderSession) Self() wire.NodeID { return s.bidder.Self() }
+func (s *BidderSession) Self() wire.NodeID { return s.peer.Self() }
 
-// Submit sends the same bid to every provider for the given round. Bids for
-// future rounds are accepted immediately — providers buffer them until the
-// round's bid window opens — so a bidder can run ahead of the pipeline.
+// Submit sends the same bid to every provider for the given round (the
+// honest strategy; by Theorem 1 and the truthfulness of A it is
+// utility-maximising to make it the true valuation). Bids for future rounds
+// are accepted immediately — providers buffer them until the round's bid
+// window opens — so a bidder can run ahead of the pipeline.
 func (s *BidderSession) Submit(round uint64, bid auction.UserBid) error {
-	return s.bidder.Submit(round, bid)
+	tag := wire.Tag{Round: round, Block: wire.BlockBidSubmit, Step: 1}
+	raw := bid.Encode()
+	var firstErr error
+	for _, p := range s.peer.Providers() {
+		if err := s.peer.Send(p, tag, raw); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
-// SubmitRaw sends arbitrary per-provider payloads for a round (the
-// deviation surface of §3.2); honest bidders use Submit.
+// SubmitRaw sends an arbitrary per-provider payload for a round — the
+// deviation surface of §3.2 (different bids to different providers,
+// garbage, or nothing). Deviation tests and examples use it; honest bidders
+// use Submit.
 func (s *BidderSession) SubmitRaw(round uint64, payloads map[wire.NodeID][]byte) error {
-	return s.bidder.SubmitRaw(round, payloads)
+	tag := wire.Tag{Round: round, Block: wire.BlockBidSubmit, Step: 1}
+	var firstErr error
+	for p, raw := range payloads {
+		if err := s.peer.Send(p, tag, raw); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // Outcomes streams one RoundOutcome per round in round order, starting at
@@ -89,7 +117,7 @@ func (s *BidderSession) Close() error {
 		s.cancel()
 		s.wg.Wait()
 	})
-	return s.bidder.Close()
+	return s.peer.Close()
 }
 
 // collect awaits each round's unanimous outcome in order, emits it, and
@@ -115,7 +143,7 @@ func (s *BidderSession) collect() {
 		if timer != nil && r != start {
 			timer.Reset(s.settings.roundTimeout)
 		}
-		out, err := s.bidder.AwaitOutcomeTimeout(s.ctx, r, timeoutC)
+		out, err := s.awaitOutcome(r, timeoutC)
 		if s.ctx.Err() != nil {
 			return
 		}
@@ -124,6 +152,57 @@ func (s *BidderSession) collect() {
 		case <-s.ctx.Done():
 			return
 		}
-		s.bidder.EndRound(r)
+		s.peer.EndRound(r)
 	}
+}
+
+// awaitOutcome gathers round's result from every provider, bounded by
+// timeoutC (nil never fires). It returns the outcome only when all
+// providers reported the same non-⊥ pair; otherwise ErrOutcomeBot.
+func (s *BidderSession) awaitOutcome(round uint64, timeoutC <-chan time.Time) (auction.Outcome, error) {
+	tag := wire.Tag{Round: round, Block: wire.BlockResult, Step: 1}
+	var agreed []byte
+	for i, p := range s.peer.Providers() {
+		payload, err := s.peer.ReceiveTimeout(s.ctx, tag, p, timeoutC)
+		if err != nil {
+			return auction.Outcome{}, fmt.Errorf("%w: provider %d unreachable: %v", ErrOutcomeBot, p, err)
+		}
+		// View, not copy: the payload stays buffered in the peer until
+		// EndRound, and raw/agreed are only read within this call.
+		ok, raw, err := decodeResult(payload)
+		if err != nil {
+			return auction.Outcome{}, fmt.Errorf("%w: provider %d sent malformed result", ErrOutcomeBot, p)
+		}
+		if !ok {
+			return auction.Outcome{}, fmt.Errorf("%w: provider %d reported abort", ErrOutcomeBot, p)
+		}
+		if i == 0 {
+			agreed = raw
+		} else if !bytes.Equal(agreed, raw) {
+			return auction.Outcome{}, fmt.Errorf("%w: providers disagree on the outcome", ErrOutcomeBot)
+		}
+	}
+	out, err := auction.DecodeOutcome(agreed)
+	if err != nil {
+		return auction.Outcome{}, fmt.Errorf("%w: undecodable outcome: %v", ErrOutcomeBot, err)
+	}
+	return out, nil
+}
+
+// encodeResult serialises the per-round result a provider (or the
+// centralized auctioneer) reports to every bidder: an accepted flag plus the
+// encoded outcome (empty for ⊥).
+func encodeResult(ok bool, rawOutcome []byte) []byte {
+	enc := wire.NewEncoder(2 + len(rawOutcome))
+	enc.Bool(ok)
+	enc.Bytes(rawOutcome)
+	return enc.Buffer()
+}
+
+// decodeResult parses encodeResult's payload; raw is a view into payload.
+func decodeResult(payload []byte) (ok bool, raw []byte, err error) {
+	d := wire.NewDecoder(payload)
+	ok = d.Bool()
+	raw = d.BytesView()
+	return ok, raw, d.Finish()
 }

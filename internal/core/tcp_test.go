@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -51,25 +49,12 @@ func TestFullProtocolOverTCP(t *testing.T) {
 		}
 	}
 
-	cfg := Config{
-		Providers: providerIDs,
-		Users:     userIDs,
-		K:         1,
-		Mechanism: DoubleAuction{},
-		BidWindow: 3 * time.Second,
-	}
-	providers := make([]*Provider, 0, len(providerIDs))
-	for _, id := range providerIDs {
-		p, err := NewProvider(nodes[id], cfg)
+	bidders := make([]*BidderSession, 0, len(userIDs))
+	for _, id := range userIDs {
+		b, err := OpenBidderSession(nodes[id], providerIDs, WithRoundLimit(1), WithRoundTimeout(30*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { p.Close() })
-		providers = append(providers, p)
-	}
-	bidders := make([]*Bidder, 0, len(userIDs))
-	for _, id := range userIDs {
-		b := NewBidder(nodes[id], providerIDs)
 		t.Cleanup(func() { b.Close() })
 		bidders = append(bidders, b)
 	}
@@ -83,34 +68,40 @@ func TestFullProtocolOverTCP(t *testing.T) {
 		{Cost: fixed.MustFloat(2), Capacity: fixed.MustFloat(10)},
 		{Cost: fixed.MustFloat(3), Capacity: fixed.MustFloat(10)},
 	}
+	sessions := make([]*Session, 0, len(providerIDs))
+	for i, id := range providerIDs {
+		s, err := OpenSession(nodes[id], providerIDs, userIDs,
+			WithK(1),
+			WithMechanism(DoubleAuction{}),
+			WithBidWindow(3*time.Second),
+			WithProviderBid(provBids[i]),
+			WithRoundLimit(1),
+			WithRoundTimeout(30*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		sessions = append(sessions, s)
+	}
 	for i, b := range bidders {
 		if err := b.Submit(1, userBids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	outs := make([]auction.Outcome, len(providers))
-	errs := make([]error, len(providers))
-	var wg sync.WaitGroup
-	for i, p := range providers {
-		wg.Add(1)
-		go func(i int, p *Provider) {
-			defer wg.Done()
-			outs[i], errs[i] = p.RunRound(ctx, 1, &provBids[i])
-		}(i, p)
-	}
-	got, err := bidders[0].AwaitOutcome(ctx, 1)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("bidder outcome: %v", err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("provider %d: %v", i+1, err)
+	outs := make([]auction.Outcome, len(sessions))
+	for i, s := range sessions {
+		out := <-s.Outcomes()
+		if out.Err != nil {
+			t.Fatalf("provider %d: %v", i+1, out.Err)
 		}
+		outs[i] = out.Outcome
 	}
+	bidderOut := <-bidders[0].Outcomes()
+	if bidderOut.Err != nil {
+		t.Fatalf("bidder outcome: %v", bidderOut.Err)
+	}
+	got := bidderOut.Outcome
 	for i := 1; i < len(outs); i++ {
 		if outs[i].Digest() != outs[0].Digest() {
 			t.Fatal("providers disagree over TCP")
@@ -150,7 +141,7 @@ func TestReplicatedStandardAuction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	outs, errs := c.runRound(t, 1, nil)
+	outs, errs := c.runRound(t, nil)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("provider %d: %v", i, err)

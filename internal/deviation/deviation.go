@@ -3,7 +3,7 @@
 //
 // A deviation.Conn wraps a transport.Conn and applies rules to outbound
 // envelopes: drop them (silence), mutate their payloads (lying), or vary
-// them per receiver (equivocation). Driving an honest core.Provider over a
+// them per receiver (equivocation). Driving an honest core.Session over a
 // deviant connection yields exactly the adversary of §3.2-§4: a provider
 // that executed arbitrary protocol deviations while the rest stayed honest.
 //

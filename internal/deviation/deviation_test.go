@@ -7,7 +7,6 @@ package deviation
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,55 +19,106 @@ import (
 	"distauction/internal/wire"
 )
 
-// scenario builds a 3-provider, 2-user double-auction deployment where
-// provider 3's connection is wrapped with the given rules.
+// scenario is a one-round deployment of honest sessions in which one
+// provider's connection is wrapped with deviation rules: bidder sessions are
+// open, provider connections attached, and run opens the provider sessions
+// once the bids are in.
 type scenario struct {
-	cfg       core.Config
-	providers []*core.Provider
-	bidders   []*core.Bidder
-	deviant   *Conn
+	providers, users []wire.NodeID
+	conns            []transport.Conn // per provider; the deviant's is wrapped
+	bidders          []*core.BidderSession
+	deviant          *Conn
+	mech             core.Mechanism
+	provBids         []auction.ProviderBid // nil for single-sided mechanisms
+	bidWindow        time.Duration
 }
 
+// newScenario builds a 3-provider, 2-user double-auction deployment where
+// provider 3's connection is wrapped with the given rules.
 func newScenario(t *testing.T, rules ...Rule) *scenario {
 	t.Helper()
-	hub := transport.NewHub(transport.LatencyModel{}, 1)
-	t.Cleanup(func() { hub.Close() })
-
-	cfg := core.Config{
-		Providers: []wire.NodeID{1, 2, 3},
-		Users:     []wire.NodeID{100, 101},
-		K:         1,
-		Mechanism: core.DoubleAuction{},
-		BidWindow: 400 * time.Millisecond,
+	s := &scenario{
+		providers: []wire.NodeID{1, 2, 3},
+		users:     []wire.NodeID{100, 101},
+		mech:      core.DoubleAuction{},
+		provBids:  testProvBids,
+		bidWindow: 400 * time.Millisecond,
 	}
-	s := &scenario{cfg: cfg}
-	for _, id := range cfg.Providers {
+	s.attach(t, transport.NewHub(transport.LatencyModel{}, 1), 3, rules)
+	return s
+}
+
+// attach connects every participant to hub, wrapping the deviant provider's
+// connection with rules, and opens the bidder sessions.
+func (s *scenario) attach(t *testing.T, hub *transport.Hub, deviant wire.NodeID, rules []Rule) {
+	t.Helper()
+	t.Cleanup(func() { hub.Close() })
+	for _, id := range s.providers {
 		conn, err := hub.Attach(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var tc transport.Conn = conn
-		if id == 3 {
+		if id == deviant {
 			s.deviant = Wrap(conn, rules...)
 			tc = s.deviant
 		}
-		p, err := core.NewProvider(tc, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		s.providers = append(s.providers, p)
+		s.conns = append(s.conns, tc)
 	}
-	for _, id := range cfg.Users {
+	for _, id := range s.users {
 		conn, err := hub.Attach(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := core.NewBidder(conn, cfg.Providers)
+		b, err := core.OpenBidderSession(conn, s.providers, core.WithRoundLimit(1), core.WithRoundTimeout(time.Minute))
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Cleanup(func() { b.Close() })
 		s.bidders = append(s.bidders, b)
 	}
-	return s
+}
+
+// runRound submits bids, opens a one-round session on every provider
+// connection and returns each provider's round-1 result. timeout bounds the
+// round past bid collection: a provider waiting on a silent peer ends in ⊥
+// after it.
+func (s *scenario) runRound(t *testing.T, bids []auction.UserBid, timeout time.Duration) (outs []auction.Outcome, errs []error) {
+	t.Helper()
+	for i, b := range s.bidders {
+		if err := b.Submit(1, bids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sessions := make([]*core.Session, len(s.conns))
+	for i, conn := range s.conns {
+		opts := []core.SessionOption{
+			core.WithK(1),
+			core.WithMechanism(s.mech),
+			core.WithBidWindow(s.bidWindow),
+			core.WithRoundLimit(1),
+			core.WithRoundTimeout(timeout),
+		}
+		if s.provBids != nil {
+			opts = append(opts, core.WithProviderBid(s.provBids[i]))
+		}
+		sess, err := core.OpenSession(conn, s.providers, s.users, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close() })
+		sessions[i] = sess
+	}
+	outs = make([]auction.Outcome, len(sessions))
+	errs = make([]error, len(sessions))
+	for i, sess := range sessions {
+		out, ok := <-sess.Outcomes()
+		if !ok || out.Round != 1 {
+			t.Fatalf("provider %d: no round-1 result (got %+v)", i+1, out)
+		}
+		outs[i], errs[i] = out.Outcome, out.Err
+	}
+	return outs, errs
 }
 
 var (
@@ -93,28 +143,10 @@ func referenceOutcome(t *testing.T) auction.Outcome {
 	return out
 }
 
-// run drives one round and returns the honest providers' results.
-func (s *scenario) run(t *testing.T, timeout time.Duration) (outs []auction.Outcome, errs []error) {
+// run drives one round and returns every provider's result.
+func (s *scenario) run(t *testing.T, timeout time.Duration) ([]auction.Outcome, []error) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	for i, b := range s.bidders {
-		if err := b.Submit(1, testUserBids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	outs = make([]auction.Outcome, len(s.providers))
-	errs = make([]error, len(s.providers))
-	var wg sync.WaitGroup
-	for i, p := range s.providers {
-		wg.Add(1)
-		go func(i int, p *core.Provider) {
-			defer wg.Done()
-			outs[i], errs[i] = p.RunRound(ctx, 1, &testProvBids[i])
-		}(i, p)
-	}
-	wg.Wait()
-	return outs, errs
+	return s.runRound(t, testUserBids, timeout)
 }
 
 // assertSafety checks the core claim of §3.2: no honest provider (1 or 2)
@@ -258,26 +290,15 @@ func TestCorruptedResultReportDetectedByBidder(t *testing.T) {
 		Action:    Mutate,
 		Transform: FlipPayloadByte(),
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	botCh := make(chan error, len(s.bidders))
-	for _, b := range s.bidders {
-		go func(b *core.Bidder) {
-			_, err := b.AwaitOutcome(ctx, 1)
-			botCh <- err
-		}(b)
-	}
-	outs, errs := s.run(t, 30*time.Second)
-	_ = outs
+	_, errs := s.run(t, 30*time.Second)
 	for i := 0; i < 2; i++ {
 		if errs[i] != nil {
 			t.Fatalf("provider %d: %v", i+1, errs[i])
 		}
 	}
-	for range s.bidders {
-		if err := <-botCh; !errors.Is(err, core.ErrOutcomeBot) {
-			t.Errorf("bidder accepted a non-unanimous outcome: %v", err)
+	for i, b := range s.bidders {
+		if out := <-b.Outcomes(); !errors.Is(out.Err, core.ErrOutcomeBot) {
+			t.Errorf("bidder %d accepted a non-unanimous outcome: %v", i, out.Err)
 		}
 	}
 }

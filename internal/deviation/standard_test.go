@@ -3,7 +3,6 @@ package deviation
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,93 +16,38 @@ import (
 	"distauction/internal/wire"
 )
 
-// stdScenario builds a 4-provider standard auction (k=1, two payment
+var stdCaps = []fixed.Fixed{fixed.MustInt(2), fixed.MustInt(2), fixed.MustInt(2), fixed.MustInt(2)}
+
+// newStdScenario builds a 4-provider standard auction (k=1, two payment
 // groups after task 1) with provider 4 behind the given rules.
-type stdScenario struct {
-	cfg       core.Config
-	providers []*core.Provider
-	bidders   []*core.Bidder
-	deviant   *Conn
-}
-
-func newStdScenario(t *testing.T, rules ...Rule) *stdScenario {
+func newStdScenario(t *testing.T, rules ...Rule) *scenario {
 	t.Helper()
-	hub := transport.NewHub(transport.LatencyModel{}, 2)
-	t.Cleanup(func() { hub.Close() })
-
-	caps := []fixed.Fixed{fixed.MustInt(2), fixed.MustInt(2), fixed.MustInt(2), fixed.MustInt(2)}
-	cfg := core.Config{
-		Providers: []wire.NodeID{1, 2, 3, 4},
-		Users:     []wire.NodeID{100, 101, 102},
-		K:         1,
-		Mechanism: core.StandardAuction{Params: standardauction.Params{
-			Capacities: caps, InvEpsilon: 3,
+	s := &scenario{
+		providers: []wire.NodeID{1, 2, 3, 4},
+		users:     []wire.NodeID{100, 101, 102},
+		mech: core.StandardAuction{Params: standardauction.Params{
+			Capacities: stdCaps, InvEpsilon: 3,
 		}},
-		BidWindow: 400 * time.Millisecond,
+		bidWindow: 400 * time.Millisecond,
 	}
-	s := &stdScenario{cfg: cfg}
-	for _, id := range cfg.Providers {
-		conn, err := hub.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tc transport.Conn = conn
-		if id == 4 {
-			s.deviant = Wrap(conn, rules...)
-			tc = s.deviant
-		}
-		p, err := core.NewProvider(tc, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		s.providers = append(s.providers, p)
-	}
-	for _, id := range cfg.Users {
-		conn, err := hub.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := core.NewBidder(conn, cfg.Providers)
-		t.Cleanup(func() { b.Close() })
-		s.bidders = append(s.bidders, b)
-	}
+	s.attach(t, transport.NewHub(transport.LatencyModel{}, 2), 4, rules)
 	return s
 }
 
-func (s *stdScenario) run(t *testing.T, timeout time.Duration) ([]auction.Outcome, []error) {
+func (s *scenario) runStd(t *testing.T, timeout time.Duration) ([]auction.Outcome, []error) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	bids := []auction.UserBid{
+	return s.runRound(t, []auction.UserBid{
 		{Value: fixed.MustFloat(9), Demand: fixed.One},
 		{Value: fixed.MustFloat(8), Demand: fixed.One},
 		{Value: fixed.MustFloat(7), Demand: fixed.One},
-	}
-	for i, b := range s.bidders {
-		if err := b.Submit(1, bids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	outs := make([]auction.Outcome, len(s.providers))
-	errs := make([]error, len(s.providers))
-	var wg sync.WaitGroup
-	for i, p := range s.providers {
-		wg.Add(1)
-		go func(i int, p *core.Provider) {
-			defer wg.Done()
-			outs[i], errs[i] = p.RunRound(ctx, 1, nil)
-		}(i, p)
-	}
-	wg.Wait()
-	return outs, errs
+	}, timeout)
 }
 
 // honest checks the baseline: all four providers agree on a feasible
 // outcome with zero-payment winners (no contention at these capacities).
 func TestStandardAuctionBaseline(t *testing.T) {
 	s := newStdScenario(t)
-	outs, errs := s.run(t, 30*time.Second)
+	outs, errs := s.runStd(t, 30*time.Second)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("provider %d: %v", i+1, err)
@@ -114,8 +58,7 @@ func TestStandardAuctionBaseline(t *testing.T) {
 			t.Fatal("providers disagree")
 		}
 	}
-	caps := s.cfg.Mechanism.(core.StandardAuction).Params.Capacities
-	if err := outs[0].Alloc.CheckFeasible(caps); err != nil {
+	if err := outs[0].Alloc.CheckFeasible(stdCaps); err != nil {
 		t.Errorf("infeasible: %v", err)
 	}
 }
@@ -128,7 +71,7 @@ func TestStandardCorruptedCoinReveal(t *testing.T) {
 		Action:    Mutate,
 		Transform: FlipPayloadByte(),
 	})
-	_, errs := s.run(t, 10*time.Second)
+	_, errs := s.runStd(t, 10*time.Second)
 	for i := 0; i < 3; i++ {
 		if !errors.Is(errs[i], proto.ErrAborted) && !errors.Is(errs[i], context.DeadlineExceeded) {
 			t.Errorf("honest provider %d: got %v, want abort", i+1, errs[i])
@@ -148,14 +91,13 @@ func TestStandardLyingPaymentTransfer(t *testing.T) {
 		Action:    Mutate,
 		Transform: FlipPayloadByte(),
 	})
-	outs, errs := s.run(t, 10*time.Second)
+	outs, errs := s.runStd(t, 10*time.Second)
 	for i := 0; i < 3; i++ {
 		if errs[i] == nil {
 			// If a provider finished despite the lie, its outcome must be
 			// untouched by it — the lie was caught before adoption, or the
 			// provider never consumed a corrupted transfer.
-			caps := s.cfg.Mechanism.(core.StandardAuction).Params.Capacities
-			if err := outs[i].Alloc.CheckFeasible(caps); err != nil {
+			if err := outs[i].Alloc.CheckFeasible(stdCaps); err != nil {
 				t.Errorf("provider %d accepted infeasible outcome: %v", i+1, err)
 			}
 			continue
@@ -181,57 +123,15 @@ func TestStandardLyingPaymentTransfer(t *testing.T) {
 // The protocol is asynchronous by design (§3.3) and must still terminate
 // with a unanimous outcome.
 func TestHeavyReorderingStillAgrees(t *testing.T) {
-	hub := transport.NewHub(transport.LatencyModel{Jitter: 25 * time.Millisecond}, 99)
-	t.Cleanup(func() { hub.Close() })
-
-	cfg := core.Config{
-		Providers: []wire.NodeID{1, 2, 3},
-		Users:     []wire.NodeID{100, 101},
-		K:         1,
-		Mechanism: core.DoubleAuction{},
-		BidWindow: 2 * time.Second,
+	s := &scenario{
+		providers: []wire.NodeID{1, 2, 3},
+		users:     []wire.NodeID{100, 101},
+		mech:      core.DoubleAuction{},
+		provBids:  testProvBids,
+		bidWindow: 2 * time.Second,
 	}
-	var providers []*core.Provider
-	for _, id := range cfg.Providers {
-		conn, err := hub.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := core.NewProvider(conn, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		providers = append(providers, p)
-	}
-	var bidders []*core.Bidder
-	for _, id := range cfg.Users {
-		conn, err := hub.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := core.NewBidder(conn, cfg.Providers)
-		t.Cleanup(func() { b.Close() })
-		bidders = append(bidders, b)
-	}
-	for i, b := range bidders {
-		if err := b.Submit(1, testUserBids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	outs := make([]auction.Outcome, 3)
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	for i, p := range providers {
-		wg.Add(1)
-		go func(i int, p *core.Provider) {
-			defer wg.Done()
-			outs[i], errs[i] = p.RunRound(ctx, 1, &testProvBids[i])
-		}(i, p)
-	}
-	wg.Wait()
+	s.attach(t, transport.NewHub(transport.LatencyModel{Jitter: 25 * time.Millisecond}, 99), 0, nil)
+	outs, errs := s.run(t, 60*time.Second)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("provider %d under reordering: %v", i+1, err)

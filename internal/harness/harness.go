@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"distauction/internal/auction"
@@ -396,13 +395,16 @@ func runCentralized(cfg config, mech core.Mechanism, userBids []auction.UserBid,
 			provConns = append(provConns, conn)
 		}
 	}
-	bidders := make([]*core.Bidder, cfg.n)
+	bidders := make([]*core.BidderSession, cfg.n)
 	for i, id := range userIDs {
 		conn, err := net.Attach(id)
 		if err != nil {
 			return Result{}, err
 		}
-		bidders[i] = core.NewBidder(conn, []wire.NodeID{auctioneerID})
+		bidders[i], err = core.OpenBidderSession(conn, []wire.NodeID{auctioneerID}, cfg.bidderOptions(1)...)
+		if err != nil {
+			return Result{}, err
+		}
 		defer bidders[i].Close()
 	}
 
@@ -428,26 +430,21 @@ func runCentralized(cfg config, mech core.Mechanism, userBids []auction.UserBid,
 		}
 	}
 
-	outcomes := make([]auction.Outcome, cfg.n)
-	bidErrs := make([]error, cfg.n)
-	var wg sync.WaitGroup
+	// Each bidder session collects on its own goroutine; the round is over
+	// when the last stream has produced its one result.
+	outcomes := make([]core.RoundOutcome, cfg.n)
 	for i, b := range bidders {
-		wg.Add(1)
-		go func(i int, b *core.Bidder) {
-			defer wg.Done()
-			outcomes[i], bidErrs[i] = b.AwaitOutcome(ctx, round)
-		}(i, b)
+		outcomes[i] = <-b.Outcomes()
 	}
-	wg.Wait()
 	elapsed := time.Since(start)
 	if err := <-aucErrCh; err != nil {
 		return Result{}, fmt.Errorf("harness: auctioneer: %w", err)
 	}
-	for i, err := range bidErrs {
-		if err != nil {
-			return Result{}, fmt.Errorf("harness: bidder %d: %w", i, err)
+	for i, out := range outcomes {
+		if out.Err != nil {
+			return Result{}, fmt.Errorf("harness: bidder %d: %w", i, out.Err)
 		}
 	}
 	stats := net.Stats()
-	return Result{Duration: elapsed, Outcome: outcomes[0], Msgs: stats.MsgsSent, Bytes: stats.BytesSent}, nil
+	return Result{Duration: elapsed, Outcome: outcomes[0].Outcome, Msgs: stats.MsgsSent, Bytes: stats.BytesSent}, nil
 }

@@ -23,17 +23,25 @@ import (
 // so a steady-state round spawns no goroutines and allocates only what the
 // round's results themselves need.
 //
-// Scheduling model (identical publication semantics to ExecuteOpts): a
-// local task becomes ready when every local dependency has finished its
-// compute phase; ready tasks are fed to long-lived workers through a
-// buffered queue sized so handoff never blocks. A worker drives its task
-// through compute, digest cross-validation, transitive confirmation and
-// publication — speculative compute, withheld publication — exactly as the
-// per-round scheduler did. In-edge transfers are received synchronously and
-// memoized per round (push-mode transports buffer payloads regardless of
-// when Recv runs, so this costs no extra round trips and saves the
-// goroutine-per-edge of the old scheduler). Round aborts cancel in-flight
-// work through proto.OnAbort instead of a parked watchdog goroutine.
+// Scheduling model: the graph runs as a concurrent DAG schedule. A local
+// task becomes ready when every local dependency has finished its compute
+// phase, so tasks with disjoint dependency chains run concurrently at
+// providers that belong to both, and each task's digest cross-validation
+// gather overlaps downstream compute. Ready tasks are fed to long-lived
+// workers through a buffered queue sized so handoff never blocks; a worker
+// drives its task through compute, digest cross-validation, transitive
+// confirmation and publication. In-edge transfers are received
+// synchronously and memoized per round (push-mode transports buffer
+// payloads regardless of when Recv runs, so this costs no extra round
+// trips). Round aborts cancel in-flight work through proto.OnAbort.
+//
+// Speculation never crosses a trust boundary: a provider starts dependents
+// from its own locally computed outputs before their digest gathers
+// confirm, but *publishes* nothing — no outbound datatransfer.Send, no
+// final return — until every digest gather it transitively relied on has
+// confirmed agreement (and the Options.Gate, if any, passed). A mismatch
+// anywhere therefore still yields ⊥ for the round before any bad value can
+// propagate, exactly as under sequential execution.
 //
 // At most depth Run calls proceed concurrently; later calls wait for a
 // slot. Workers number localTasks×depth so a pipelined round never waits
@@ -198,8 +206,9 @@ func (ex *Executor) worker() {
 // Run executes one round of the compiled graph and returns the final
 // task's output. env is handed to every task through TaskContext.Env (the
 // per-round data a compiled, round-generic graph closes over — e.g. the
-// agreed bid vector). Semantics — speculation, publication gating, ⊥
-// propagation — match ExecuteOpts exactly.
+// agreed bid vector). Every provider of the round must run an identical
+// graph. Deviations, mismatched redundant results and timeouts abort the
+// round (⊥).
 func (ex *Executor) Run(ctx context.Context, round uint64, env any, opts Options) ([]byte, error) {
 	coins := opts.Coins
 	if coins != nil {

@@ -85,7 +85,7 @@ func TestQuickRandomGraphAgreement(t *testing.T) {
 			wg.Add(1)
 			go func(i int, p *proto.Peer) {
 				defer wg.Done()
-				outs[i], errs[i] = Execute(ctx, p, seed, g)
+				outs[i], errs[i] = Execute(ctx, p, seed, g, Options{})
 			}(i, p)
 		}
 		wg.Wait()
@@ -305,7 +305,7 @@ func TestRandomGraphMatchesSequentialReference(t *testing.T) {
 			wg.Add(1)
 			go func(i int, p *proto.Peer) {
 				defer wg.Done()
-				outs[i], errs[i] = ExecuteOpts(ctx, p, seed, g, Options{Coins: coins})
+				outs[i], errs[i] = Execute(ctx, p, seed, g, Options{Coins: coins})
 			}(i, p)
 		}
 		wg.Wait()
@@ -350,7 +350,7 @@ func TestRandomGraphRealCoinAgreement(t *testing.T) {
 			wg.Add(1)
 			go func(i int, p *proto.Peer) {
 				defer wg.Done()
-				outs[i], errs[i] = Execute(ctx, p, seed, g)
+				outs[i], errs[i] = Execute(ctx, p, seed, g, Options{})
 			}(i, p)
 		}
 		wg.Wait()

@@ -14,16 +14,16 @@ type CoinSource interface {
 	Prefetch(ctx context.Context, instances ...uint32)
 	// Seed blocks until the instance's toss finishes and returns its seed.
 	Seed(ctx context.Context, instance uint32) (uint64, error)
-	// Close joins every in-flight toss. Execute always closes the source it
-	// was handed before returning, so no toss outlives the round's state.
+	// Close joins every in-flight toss. Executor.Run always closes the source
+	// it was handed before returning, so no toss outlives the round's state.
 	Close()
 }
 
-// Options tunes ExecuteOpts and Executor.Run.
+// Options tunes Executor.Run.
 type Options struct {
-	// Coins supplies the common coin. Nil lets Execute build its own
-	// reservoir; the round engine passes a pre-warmed gated reservoir whose
-	// commit/echo phases already overlapped bid agreement.
+	// Coins supplies the common coin. Nil lets Run build its own reservoir;
+	// the session passes a pre-warmed gated reservoir whose commit/echo
+	// phases already overlapped bid agreement.
 	Coins CoinSource
 	// Gate, when non-nil, is an externally running admission check (the
 	// allocator's input validation) that must succeed before any result is
@@ -32,24 +32,12 @@ type Options struct {
 	Gate func() error
 }
 
-// ExecuteOpts runs the graph once as a concurrent DAG schedule: every task
-// whose dependencies are satisfied starts immediately, so tasks with
-// disjoint dependency chains run concurrently at providers that belong to
-// both, and each task's digest cross-validation gather overlaps downstream
-// compute.
-//
-// Speculation never crosses a trust boundary: a provider starts dependents
-// from its own locally computed outputs before their digest gathers
-// confirm, but *publishes* nothing — no outbound datatransfer.Send, no
-// final return — until every digest gather it transitively relied on has
-// confirmed agreement (and the Options.Gate, if any, passed). A mismatch
-// anywhere therefore still yields ⊥ for the round before any bad value can
-// propagate, exactly as under sequential execution.
-//
-// ExecuteOpts builds a one-shot Executor per call; round engines that run
-// the same graph every round hold a persistent Executor instead, which
-// reuses the compiled plan, the worker set and the pooled round arenas.
-func ExecuteOpts(ctx context.Context, peer *proto.Peer, round uint64, g *Graph, opts Options) ([]byte, error) {
+// Execute runs the graph once at the local provider on a one-shot Executor
+// and returns the final task's output; see Executor for the scheduling
+// model. Every provider of the round must call it with an identical graph.
+// Sessions, which run the same graph every round, hold a persistent
+// Executor instead.
+func Execute(ctx context.Context, peer *proto.Peer, round uint64, g *Graph, opts Options) ([]byte, error) {
 	ex := NewExecutor(peer, g, 1)
 	defer ex.Close()
 	return ex.Run(ctx, round, nil, opts)

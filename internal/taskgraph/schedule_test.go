@@ -86,7 +86,7 @@ func TestMidGraphMismatchAbortsAndUnwinds(t *testing.T) {
 		wg.Add(1)
 		go func(i int, p *proto.Peer, g *Graph) {
 			defer wg.Done()
-			_, errs[i] = Execute(ctx, p, 1, g)
+			_, errs[i] = Execute(ctx, p, 1, g, Options{})
 		}(i, p, g)
 	}
 	wg.Wait()
@@ -176,7 +176,7 @@ func TestConcurrentRoundsAbortIsolation(t *testing.T) {
 			wg.Add(1)
 			go func(r, i int, p *proto.Peer, g *Graph) {
 				defer wg.Done()
-				outs[r][i], errs[r][i] = Execute(ctx, p, uint64(r), g)
+				outs[r][i], errs[r][i] = Execute(ctx, p, uint64(r), g, Options{})
 			}(r, i, p, g)
 		}
 	}

@@ -75,8 +75,7 @@ type TaskContext struct {
 	Inputs map[uint32][]byte
 	// Env is the round environment the executor was invoked with (see
 	// Executor.Run): per-round data — such as the agreed bid vector — for
-	// graphs compiled once and reused across rounds. Nil under plain
-	// Execute/ExecuteOpts.
+	// graphs compiled once and reused across rounds. Nil under Execute.
 	Env any
 
 	coinFn func() (uint64, error)
@@ -264,15 +263,6 @@ func (g *Graph) Tasks() []Task { return g.tasks }
 
 // NumTransfers returns the number of cross-group transfers per execution.
 func (g *Graph) NumTransfers() int { return len(g.edges) }
-
-// Execute runs the graph at the local provider and returns the final task's
-// output. Every provider of the round must call Execute with an identical
-// graph. Deviations, mismatched redundant results, and timeouts abort the
-// round (⊥). It is shorthand for ExecuteOpts with default options; see
-// ExecuteOpts for the scheduling model.
-func Execute(ctx context.Context, peer *proto.Peer, round uint64, g *Graph) ([]byte, error) {
-	return ExecuteOpts(ctx, peer, round, g, Options{})
-}
 
 // Groups partitions providers into ⌊m/(k+1)⌋ disjoint groups of at least
 // k+1 members each (§5.2.2: payments are computed by c groups, each with at

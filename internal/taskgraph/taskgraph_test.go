@@ -61,7 +61,7 @@ func executeAll(t *testing.T, peers []*proto.Peer, round uint64, g *Graph) ([][]
 		wg.Add(1)
 		go func(i int, p *proto.Peer) {
 			defer wg.Done()
-			outs[i], errs[i] = Execute(ctx, p, round, g)
+			outs[i], errs[i] = Execute(ctx, p, round, g, Options{})
 		}(i, p)
 	}
 	wg.Wait()
@@ -255,7 +255,7 @@ func TestDeviantGroupMemberAborts(t *testing.T) {
 		wg.Add(1)
 		go func(i int, p *proto.Peer, g *Graph) {
 			defer wg.Done()
-			_, errs[i] = Execute(ctx, p, 1, g)
+			_, errs[i] = Execute(ctx, p, 1, g, Options{})
 		}(i, p, g)
 	}
 	wg.Wait()
@@ -305,7 +305,7 @@ func TestLyingTransferAborts(t *testing.T) {
 		wg.Add(1)
 		go func(i int, p *proto.Peer) {
 			defer wg.Done()
-			outs[i], errs[i] = Execute(ctx, p, 1, honest)
+			outs[i], errs[i] = Execute(ctx, p, 1, honest, Options{})
 		}(i, p)
 	}
 
