@@ -514,7 +514,7 @@ func BenchmarkMarketThroughput(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Accepted != auctions*rounds {
+				if res.Accepted != int64(auctions*rounds) {
 					b.Fatalf("accepted %d of %d rounds", res.Accepted, auctions*rounds)
 				}
 				if res.BidsDropped != 0 {
@@ -527,7 +527,7 @@ func BenchmarkMarketThroughput(b *testing.B) {
 					b.Fatalf("protocol state grew: %d msgs, %d rounds left",
 						res.ResidualMsgs, res.ResidualRounds)
 				}
-				totalRounds += res.Rounds
+				totalRounds += int(res.Rounds)
 				totalTime += res.Duration
 				frames += res.FramesSent
 				envs += res.EnvelopesSent
@@ -581,14 +581,14 @@ func BenchmarkMarketThroughputResilient(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Accepted != auctions*rounds {
+			if res.Accepted != int64(auctions*rounds) {
 				b.Fatalf("accepted %d of %d rounds", res.Accepted, auctions*rounds)
 			}
 			if res.ResidualMsgs != 0 || res.ResidualRounds != 0 {
 				b.Fatalf("protocol state grew: %d msgs, %d rounds left",
 					res.ResidualMsgs, res.ResidualRounds)
 			}
-			totalRounds += res.Rounds
+			totalRounds += int(res.Rounds)
 			totalTime += res.Duration
 			link = link.Add(rn.LinkStats())
 			latency.Merge(res.Latency)
@@ -633,7 +633,7 @@ func BenchmarkFederationThroughput(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Accepted != auctions*rounds {
+				if res.Accepted != int64(auctions*rounds) {
 					b.Fatalf("accepted %d of %d rounds", res.Accepted, auctions*rounds)
 				}
 				if res.BidsDropped != 0 {
@@ -650,11 +650,11 @@ func BenchmarkFederationThroughput(b *testing.B) {
 					b.Fatalf("shard rollup has %d entries, want %d", len(res.PerShard), shards)
 				}
 				for _, ss := range res.PerShard {
-					if !ss.Healthy || ss.Saturation != 0 {
+					if !ss.Healthy() || ss.Saturation() != 0 {
 						b.Fatalf("shard %d unhealthy: %+v", ss.Shard, ss)
 					}
 				}
-				totalRounds += res.Rounds
+				totalRounds += int(res.Rounds)
 				totalTime += res.Duration
 			}
 			b.ReportMetric(float64(totalRounds)/totalTime.Seconds(), "rounds/s")

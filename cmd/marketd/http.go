@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"time"
 
-	"distauction/internal/federation"
 	"distauction/internal/market"
 	"distauction/internal/metrics"
 	"distauction/internal/proto"
@@ -23,12 +22,11 @@ import (
 	"distauction/internal/transport"
 )
 
-// exporter adapts whichever deployment is running — one market or a
-// federation — to the export handlers. Exactly one source is non-nil.
-type exporter struct {
-	market func() market.Snapshot
-	fed    func() federation.Snapshot
-}
+// statsTree is the one snapshot source of the export plane and the stats
+// table: whatever the running deployment's Stats() returns — one market's
+// tree over TCP, a federation's in hub mode. Renderers see only its scopes,
+// so a series or a row exists iff its scope does.
+type statsTree interface{ Scopes() []market.Scope }
 
 // quantiles reported for every latency summary.
 var exportQuantiles = []struct {
@@ -39,7 +37,7 @@ var exportQuantiles = []struct {
 // startExporter serves /metrics and /debug/trace on addr and returns a
 // shutdown func. The listener binds synchronously so a bad address fails
 // startup instead of surfacing on first scrape.
-func startExporter(addr string, ex exporter) (func(), error) {
+func startExporter(addr string, stats func() statsTree) (func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("metrics listener: %w", err)
@@ -47,7 +45,7 @@ func startExporter(addr string, ex exporter) (func(), error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writeMetrics(w, ex)
+		writeMetrics(w, stats(), metrics.ReadRuntime())
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -63,51 +61,46 @@ func startExporter(addr string, ex exporter) (func(), error) {
 	return func() { _ = srv.Close() }, nil
 }
 
-// writeMetrics renders the Prometheus text exposition.
-func writeMetrics(w io.Writer, ex exporter) {
-	if ex.market != nil {
-		snap := ex.market()
-		writeCounter(w, "distauction_rounds_total", "Rounds completed across all auctions.", snap.Rounds)
-		writeCounter(w, "distauction_rounds_accepted_total", "Non-bottom rounds.", snap.Accepted)
-		writeCounter(w, "distauction_rounds_aborted_total", "Bottom rounds.", snap.Aborted)
-		writeCounter(w, "distauction_bids_admitted_total", "Bids admitted by the gates.", snap.BidsAdmitted)
-		writeCounter(w, "distauction_bids_dropped_total", "Bids dropped at the gates.", snap.BidsDropped)
-		writeCounter(w, "distauction_frames_sent_total", "Outbound frames shipped by the coalescer.", snap.FramesSent)
-		writeCounter(w, "distauction_envelopes_sent_total", "Envelopes those frames carried.", snap.EnvelopesSent)
-		writeLink(w, snap.Link)
-		writePeerHealth(w, snap.PeerHealth)
-		writeAbortCodes(w, "", snap.AbortCodes)
-		fmt.Fprintln(w, "# HELP distauction_outcome_latency_seconds Outcome latency, bid collection through delivery.")
-		fmt.Fprintln(w, "# TYPE distauction_outcome_latency_seconds summary")
-		writeSummary(w, "distauction_outcome_latency_seconds", `auction="_all"`, snap.Latency)
-		for _, as := range snap.Auctions {
-			writeSummary(w, "distauction_outcome_latency_seconds", fmt.Sprintf("auction=%q", as.Name), as.Latency)
-		}
-		writeRuntime(w, snap.Runtime)
+// writeMetrics renders the Prometheus text exposition: the root's totals,
+// then one latency family per kind of child scope the tree has.
+func writeMetrics(w io.Writer, tree statsTree, rt metrics.RuntimeStats) {
+	byKind := make(map[string][]market.Scope)
+	for _, s := range tree.Scopes() {
+		byKind[s.Kind] = append(byKind[s.Kind], s)
 	}
-	if ex.fed != nil {
-		snap := ex.fed()
-		writeCounter(w, "distauction_rounds_total", "Rounds completed across all shards.", snap.Rounds)
-		writeCounter(w, "distauction_rounds_accepted_total", "Non-bottom rounds.", snap.Accepted)
-		writeCounter(w, "distauction_rounds_aborted_total", "Bottom rounds.", snap.Aborted)
-		writeCounter(w, "distauction_bids_admitted_total", "Bids admitted by the gates.", snap.BidsAdmitted)
-		writeCounter(w, "distauction_bids_dropped_total", "Bids dropped at the gates.", snap.BidsDropped)
-		writeCounter(w, "distauction_settle_commits_total", "Cross-shard rounds settled atomically.", snap.SettleCommits)
-		writeCounter(w, "distauction_settle_aborts_total", "Cross-shard rounds aborted and released.", snap.SettleAborts)
-		writeLink(w, snap.Link)
-		writeGauge(w, "distauction_peers_dead", "Peers some attachment currently judges dead.", int64(snap.DeadPeers))
-		writeAbortCodes(w, "", snap.AbortCodes)
-		fmt.Fprintln(w, "# HELP distauction_shard_outcome_latency_seconds Per-shard outcome latency.")
-		fmt.Fprintln(w, "# TYPE distauction_shard_outcome_latency_seconds summary")
-		writeSummary(w, "distauction_shard_outcome_latency_seconds", `shard="_all"`, snap.Latency)
-		for _, ss := range snap.PerShard {
-			writeSummary(w, "distauction_shard_outcome_latency_seconds", fmt.Sprintf(`shard="%d"`, ss.Shard), ss.Latency)
-		}
+	root := byKind[""][0]
+	c, at := root.Counters, root.Attachment
+	writeCounter(w, "distauction_rounds_total", "Rounds completed across all auctions.", c.Rounds)
+	writeCounter(w, "distauction_rounds_accepted_total", "Non-bottom rounds.", c.Accepted)
+	writeCounter(w, "distauction_rounds_aborted_total", "Bottom rounds.", c.Aborted)
+	writeCounter(w, "distauction_bids_admitted_total", "Bids admitted by the gates.", c.BidsAdmitted)
+	writeCounter(w, "distauction_bids_dropped_total", "Bids dropped at the gates.", c.BidsDropped)
+	for _, s := range byKind[market.ScopeSettle] {
+		writeCounter(w, "distauction_settle_commits_total", "Cross-shard rounds settled atomically.", s.Counters.Accepted)
+		writeCounter(w, "distauction_settle_aborts_total", "Cross-shard rounds aborted and released.", s.Counters.Aborted)
+	}
+	writeCounter(w, "distauction_frames_sent_total", "Outbound frames shipped by the coalescer.", at.FramesSent)
+	writeCounter(w, "distauction_envelopes_sent_total", "Envelopes those frames carried.", at.EnvelopesSent)
+	writeCounter(w, "distauction_reconnects_total", "Dead peers that came back alive (reconnect-with-resume).", at.Link.Reconnects)
+	writeCounter(w, "distauction_link_resends_total", "Unacked link frames resent.", at.Link.Resends)
+	writeCounter(w, "distauction_link_dups_dropped_total", "Duplicate link frames absorbed by seq dedup.", at.Link.DupsDropped)
+	writeCounter(w, "distauction_link_overflow_total", "Unacked frames evicted by a full resend buffer.", at.Link.Overflow)
+	writePeerHealth(w, at.PeerHealth)
+	writeGauge(w, "distauction_peers_dead", "Peers some attachment currently judges dead.", int64(at.DeadPeers()))
+	writeAbortCodes(w, c.AbortCodes)
+	writeLatency(w, "distauction_outcome_latency_seconds", "Outcome latency, bid collection through delivery.",
+		market.ScopeAuction, c, byKind[market.ScopeAuction])
+	if shards := byKind[market.ScopeShard]; len(shards) > 0 {
+		writeLatency(w, "distauction_shard_outcome_latency_seconds", "Per-shard outcome latency.", market.ScopeShard, c, shards)
+	}
+	for _, s := range byKind[market.ScopeSettle] {
 		fmt.Fprintln(w, "# HELP distauction_settle_latency_seconds Two-phase settlement latency, barrier release to completion.")
 		fmt.Fprintln(w, "# TYPE distauction_settle_latency_seconds summary")
-		writeSummary(w, "distauction_settle_latency_seconds", "", snap.SettleLatency)
-		writeRuntime(w, snap.Runtime)
+		writeSummary(w, "distauction_settle_latency_seconds", "", s.Counters.Latency)
 	}
+	writeGauge(w, "distauction_goroutines", "Current goroutine count.", int64(rt.Goroutines))
+	writeGauge(w, "distauction_heap_alloc_bytes", "Live heap bytes.", int64(rt.HeapAlloc))
+	writeCounter(w, "distauction_gc_pause_ns_total", "Cumulative stop-the-world pause time.", int64(rt.PauseTotalNs))
 
 	// Phase-duration summaries come from the trace layer and fill in only
 	// while tracing is on; the series still exist (at zero) when it is off,
@@ -134,15 +127,6 @@ func writeGauge(w io.Writer, name, help string, v int64) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 }
 
-// writeLink emits the resilience layer's ARQ counters. All zero when no
-// resilience layer is stacked under the deployment.
-func writeLink(w io.Writer, ls transport.LinkStats) {
-	writeCounter(w, "distauction_reconnects_total", "Dead peers that came back alive (reconnect-with-resume).", ls.Reconnects)
-	writeCounter(w, "distauction_link_resends_total", "Unacked link frames resent.", ls.Resends)
-	writeCounter(w, "distauction_link_dups_dropped_total", "Duplicate link frames absorbed by seq dedup.", ls.DupsDropped)
-	writeCounter(w, "distauction_link_overflow_total", "Unacked frames evicted by a full resend buffer.", ls.Overflow)
-}
-
 // writePeerHealth emits one gauge sample per peer the failure detector
 // tracks, labelled by its current verdict.
 func writePeerHealth(w io.Writer, peers []transport.PeerHealth) {
@@ -154,15 +138,21 @@ func writePeerHealth(w io.Writer, peers []transport.PeerHealth) {
 }
 
 // writeAbortCodes emits the typed ⊥ breakdown as one counter per cause.
-func writeAbortCodes(w io.Writer, labels string, codes [proto.NumAbortCodes]int64) {
+func writeAbortCodes(w io.Writer, codes [proto.NumAbortCodes]int64) {
 	fmt.Fprintln(w, "# HELP distauction_aborts_total Bottom rounds by typed cause.")
 	fmt.Fprintln(w, "# TYPE distauction_aborts_total counter")
 	for c := proto.AbortCode(0); c < proto.NumAbortCodes; c++ {
-		sep := ""
-		if labels != "" {
-			sep = ","
-		}
-		fmt.Fprintf(w, "distauction_aborts_total{%s%scode=%q} %d\n", labels, sep, c.String(), codes[c])
+		fmt.Fprintf(w, "distauction_aborts_total{code=%q} %d\n", c.String(), codes[c])
+	}
+}
+
+// writeLatency emits one latency family over the scopes of one kind: the
+// root as the "_all" series, then one series per scope.
+func writeLatency(w io.Writer, name, help, kind string, all *market.Counters, scopes []market.Scope) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", name, help, name)
+	writeSummary(w, name, kind+`="_all"`, all.Latency)
+	for _, s := range scopes {
+		writeSummary(w, name, fmt.Sprintf("%s=%q", kind, s.Name), s.Counters.Latency)
 	}
 }
 
@@ -184,12 +174,6 @@ func writeSummary(w io.Writer, name, labels string, h metrics.HistogramSnapshot)
 	}
 	fmt.Fprintf(w, "%s_sum%s %g\n", name, suffix, time.Duration(h.Sum).Seconds())
 	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, h.Count)
-}
-
-func writeRuntime(w io.Writer, rt metrics.RuntimeStats) {
-	writeGauge(w, "distauction_goroutines", "Current goroutine count.", int64(rt.Goroutines))
-	writeGauge(w, "distauction_heap_alloc_bytes", "Live heap bytes.", int64(rt.HeapAlloc))
-	writeCounter(w, "distauction_gc_pause_ns_total", "Cumulative stop-the-world pause time.", int64(rt.PauseTotalNs))
 }
 
 // traceView is the /debug/trace response shape.

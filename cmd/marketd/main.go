@@ -279,12 +279,8 @@ func hubRun(specs []namedLane, shards int, rounds uint64, metricsAddr string, op
 		return err
 	}
 	defer dep.Close()
-	ex := exporter{fed: dep.Stats}
-	if shards == 1 {
-		ex = exporter{market: func() market.Snapshot { return marketView(dep.Stats()) }}
-	}
 	if metricsAddr != "" {
-		stop, err := startExporter(metricsAddr, ex)
+		stop, err := startExporter(metricsAddr, func() statsTree { return dep.Stats() })
 		if err != nil {
 			return err
 		}
@@ -295,11 +291,7 @@ func hubRun(specs []namedLane, shards int, rounds uint64, metricsAddr string, op
 	if err != nil {
 		return err
 	}
-	if shards == 1 {
-		printStats(ex.market())
-	} else {
-		printFederationStats(dep.Stats())
-	}
+	printStats(res.Snapshot)
 	printFlightDumps()
 	if res.Accepted != res.Rounds {
 		return fmt.Errorf("%d of %d rounds ended ⊥", res.Rounds-res.Accepted, res.Rounds)
@@ -308,99 +300,35 @@ func hubRun(specs []namedLane, shards int, rounds uint64, metricsAddr string, op
 	return nil
 }
 
-// marketView reads a one-shard federation rollup as the single market it is
-// wire-identical to, so -shards 1 keeps the per-auction table and series.
-func marketView(fs federation.Snapshot) market.Snapshot {
-	if len(fs.PerShard) != 1 || len(fs.PerNode) == 0 {
-		return market.Snapshot{}
-	}
-	primary := fs.PerNode[0]
-	return market.Snapshot{
-		Open:          fs.Auctions,
-		Rounds:        fs.Rounds,
-		Accepted:      fs.Accepted,
-		Aborted:       fs.Aborted,
-		RoundsPerSec:  fs.RoundsPerSec,
-		BidsAdmitted:  fs.BidsAdmitted,
-		BidsDropped:   fs.BidsDropped,
-		QueueDepth:    fs.QueueDepth,
-		FramesSent:    primary.FramesSent,
-		EnvelopesSent: primary.EnvelopesSent,
-		PeerHealth:    primary.PeerHealth,
-		Link:          primary.Link,
-		Latency:       fs.Latency,
-		AbortCodes:    fs.AbortCodes,
-		Runtime:       fs.Runtime,
-		Auctions:      fs.PerShard[0].PerAuction,
-	}
-}
-
-// printFederationStats renders the per-shard rollup table.
-func printFederationStats(snap federation.Snapshot) {
-	rows := make([]metrics.Row, 0, len(snap.PerShard)+1)
-	for _, ss := range snap.PerShard {
+// printStats renders the stats tree as one table: a row per scope, the root
+// last. The attachment columns stay blank for scopes that own no attachment.
+func printStats(tree statsTree) {
+	scopes := tree.Scopes()
+	rows := make([]metrics.Row, 0, len(scopes))
+	for _, s := range append(scopes[1:], scopes[0]) {
+		c := s.Counters
 		health := "ok"
-		if !ss.Healthy {
+		if !c.Healthy() {
 			health = "DEGRADED"
 		}
-		rows = append(rows, metrics.Row{Label: fmt.Sprintf("shard %d", ss.Shard), Cols: []string{
-			fmt.Sprintf("%d", len(ss.Committee)),
-			fmt.Sprintf("%d", ss.Auctions),
-			fmt.Sprintf("%d", ss.Rounds),
-			fmt.Sprintf("%d", ss.Accepted),
-			fmt.Sprintf("%d", ss.Aborted),
-			fmt.Sprintf("%.1f", ss.RoundsPerSec),
-			fmt.Sprintf("%d", ss.BidsDropped),
-			fmt.Sprintf("%.2f", ss.Saturation),
+		cols := []string{
+			fmt.Sprintf("%d", c.Rounds),
+			fmt.Sprintf("%d", c.Accepted),
+			fmt.Sprintf("%d", c.Aborted),
+			fmt.Sprintf("%.1f", c.RoundsPerSec),
+			fmt.Sprintf("%d", c.BidsAdmitted),
+			fmt.Sprintf("%d", c.BidsDropped),
+			fmt.Sprintf("%d", c.QueueDepth),
+			fmt.Sprintf("%.2f", c.Saturation()),
 			health,
-		}})
+		}
+		if at := s.Attachment; at != nil {
+			cols = append(cols, fmt.Sprintf("%d", at.FramesSent), fmt.Sprintf("%.1f", at.BatchOccupancy()), fmt.Sprintf("%d", at.ParkedDropped))
+		}
+		rows = append(rows, metrics.Row{Label: s.Label, Cols: cols})
 	}
-	rows = append(rows, metrics.Row{Label: "TOTAL", Cols: []string{
-		"-",
-		fmt.Sprintf("%d", snap.Auctions),
-		fmt.Sprintf("%d", snap.Rounds),
-		fmt.Sprintf("%d", snap.Accepted),
-		fmt.Sprintf("%d", snap.Aborted),
-		fmt.Sprintf("%.1f", snap.RoundsPerSec),
-		fmt.Sprintf("%d", snap.BidsDropped),
-		"-",
-		"-",
-	}})
 	fmt.Print(metrics.Table(
-		metrics.Row{Label: "shard", Cols: []string{"m", "auctions", "rounds", "ok", "⊥", "r/s", "dropped", "sat", "health"}},
-		rows))
-	if snap.SettleCommits+snap.SettleAborts+snap.SettleErrs > 0 {
-		fmt.Printf("cross-shard settle: %d committed, %d aborted, %d errors\n",
-			snap.SettleCommits, snap.SettleAborts, snap.SettleErrs)
-	}
-}
-
-func printStats(snap market.Snapshot) {
-	rows := make([]metrics.Row, 0, len(snap.Auctions)+1)
-	for _, a := range snap.Auctions {
-		rows = append(rows, metrics.Row{Label: a.Name, Cols: []string{
-			fmt.Sprintf("%d", a.Lane),
-			fmt.Sprintf("%d", a.Rounds),
-			fmt.Sprintf("%d", a.Accepted),
-			fmt.Sprintf("%d", a.Aborted),
-			fmt.Sprintf("%.1f", a.RoundsPerSec),
-			fmt.Sprintf("%d", a.BidsAdmitted),
-			fmt.Sprintf("%d", a.BidsDropped),
-			fmt.Sprintf("%d", a.QueueDepth),
-		}})
-	}
-	rows = append(rows, metrics.Row{Label: "TOTAL", Cols: []string{
-		"-",
-		fmt.Sprintf("%d", snap.Rounds),
-		fmt.Sprintf("%d", snap.Accepted),
-		fmt.Sprintf("%d", snap.Aborted),
-		fmt.Sprintf("%.1f", snap.RoundsPerSec),
-		fmt.Sprintf("%d", snap.BidsAdmitted),
-		fmt.Sprintf("%d", snap.BidsDropped),
-		fmt.Sprintf("%d", snap.QueueDepth),
-	}})
-	fmt.Print(metrics.Table(
-		metrics.Row{Label: "auction", Cols: []string{"lane", "rounds", "ok", "⊥", "r/s", "admitted", "dropped", "queue"}},
+		metrics.Row{Label: "scope", Cols: []string{"rounds", "ok", "⊥", "r/s", "admitted", "dropped", "queue", "sat", "health", "frames", "env/frame", "parked-dropped"}},
 		rows))
 }
 
@@ -460,7 +388,7 @@ func runTCP(specs []namedLane, id uint32, listen, providersFlag, usersFlag strin
 	fmt.Printf("marketd: provider %d serving %d auctions (m=%d, k=%d): %s\n",
 		id, len(specs), len(providerIDs), k, strings.Join(names(specs), ", "))
 	if metricsAddr != "" {
-		stop, err := startExporter(metricsAddr, exporter{market: mk.Stats})
+		stop, err := startExporter(metricsAddr, func() statsTree { return mk.Stats() })
 		if err != nil {
 			return err
 		}
@@ -495,9 +423,6 @@ func runTCP(specs []namedLane, id uint32, listen, providersFlag, usersFlag strin
 // deferred Close in runTCP tears the transport down afterwards.
 func shutdownMarket(mk *market.Market, specs []namedLane, s os.Signal, roundTimeout time.Duration) error {
 	fmt.Printf("marketd: %v: draining %d auction(s)\n", s, len(specs))
-	// Snapshot before draining: DrainAuction removes each auction from the
-	// market, and removed auctions no longer contribute to Stats().
-	snap := mk.Stats()
 	ctx, cancel := context.WithTimeout(context.Background(), roundTimeout)
 	defer cancel()
 	for _, nl := range specs {
@@ -505,7 +430,7 @@ func shutdownMarket(mk *market.Market, specs []namedLane, s os.Signal, roundTime
 			fmt.Printf("marketd: drain %s: %v\n", nl.name, err)
 		}
 	}
-	printStats(snap)
+	printStats(mk.Stats())
 	printFlightDumps()
 	return nil
 }

@@ -181,11 +181,11 @@ func main() {
 	fmt.Println()
 	for _, ss := range snap.PerShard {
 		health := "ok"
-		if !ss.Healthy {
+		if !ss.Healthy() {
 			health = "DEGRADED"
 		}
 		fmt.Printf("shard %d: committee %v, %d auctions, %d rounds (%d accepted), %.1f r/s, saturation %.2f, %s\n",
-			ss.Shard, ss.Committee, ss.Auctions, ss.Rounds, ss.Accepted, ss.RoundsPerSec, ss.Saturation, health)
+			ss.Shard, ss.Committee, len(ss.Auctions), ss.Rounds, ss.Accepted, ss.RoundsPerSec, ss.Saturation(), health)
 	}
 	fmt.Printf("cross-shard settlement: %d rounds committed on both shards, %d aborted and released\n",
 		snap.SettleCommits, snap.SettleAborts)

@@ -30,10 +30,11 @@ type (
 	// ShardRouter maps auction names to shards (pins win, rendezvous
 	// otherwise).
 	ShardRouter = federation.Router
-	// FederationSnapshot is the federation-wide rollup with per-shard and
-	// per-node breakdowns.
+	// FederationSnapshot is the root of the federation's stats tree: the
+	// Add of its shards' Counters and its nodes' Attachments, the
+	// cross-shard settlement counters, and the per-shard and per-node rows.
 	FederationSnapshot = federation.Snapshot
-	// ShardSnapshot aggregates one shard's auctions.
+	// ShardSnapshot is one shard: the Add of its auctions.
 	ShardSnapshot = federation.ShardSnapshot
 )
 

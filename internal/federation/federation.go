@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"distauction/internal/core"
 	"distauction/internal/market"
@@ -132,7 +131,6 @@ type Market struct {
 	cfg     settings
 	router  *Router
 	settler *Settler
-	started time.Time
 
 	// catalog is the name → placement index (copy-on-write: the outcome
 	// dispatch path reads it per outcome without locks).
@@ -164,7 +162,6 @@ func Open(network transport.Network, shards []ShardSpec, opts ...Option) (*Marke
 		cfg:     cfg,
 		router:  router,
 		settler: NewSettler(),
-		started: time.Now(),
 		nodes:   make(map[wire.NodeID]*node),
 		shards:  make(map[int]*shardState),
 	}

@@ -326,14 +326,14 @@ func TestFederationCrossShardCommit(t *testing.T) {
 
 	// Per-shard aggregates: one auction each, all rounds accepted, healthy,
 	// nothing dropped; per-node counters cover all six nodes.
-	if len(snap.PerShard) != 2 || snap.Auctions != 2 {
+	if len(snap.PerShard) != 2 {
 		t.Fatalf("shard rollup: %+v", snap)
 	}
 	for _, ss := range snap.PerShard {
-		if ss.Auctions != 1 || ss.Accepted != int64(rig.rounds) || ss.Aborted != 0 {
+		if len(ss.Auctions) != 1 || ss.Accepted != int64(rig.rounds) || ss.Aborted != 0 {
 			t.Fatalf("shard %d: %+v", ss.Shard, ss)
 		}
-		if !ss.Healthy || ss.Saturation != 0 || ss.BidsDropped != 0 {
+		if !ss.Healthy() || ss.Saturation() != 0 || ss.BidsDropped != 0 {
 			t.Fatalf("shard %d health: %+v", ss.Shard, ss)
 		}
 	}
@@ -547,11 +547,15 @@ func TestFederationCatalogChurn(t *testing.T) {
 			}
 		}(w)
 	}
-	// Shard churn: open and close shard 4 while auctions churn elsewhere.
+	// Shard churn: open and retire shard 4 — hard and gracefully by turns —
+	// while auctions churn elsewhere. DrainShard sets the shard's draining
+	// flag, which Stats must not read unlocked: a drain waits until the
+	// reader has seen shard 4, so its write lands beside a Stats in flight.
+	sawShard4 := make(chan struct{}, 1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 8; i++ {
+		for i := 0; i < 16; i++ {
 			// Fresh nodes each cycle: closing the shard released the
 			// previous nodes' attachments, and hub IDs are single-use.
 			base := wire.NodeID(20 + 3*i)
@@ -564,8 +568,25 @@ func TestFederationCatalogChurn(t *testing.T) {
 			if err := fed.OpenAuction(federation.AuctionSpec{Name: name, Shard: 4, Users: users, Options: opts}); err != nil {
 				t.Errorf("open %q: %v", name, err)
 			}
-			if err := fed.CloseShard(4); err != nil {
-				t.Errorf("close shard 4: %v", err)
+			retire := fed.CloseShard
+			if i%2 == 1 {
+				select {
+				case <-sawShard4: // left over from an earlier cycle
+				default:
+				}
+				select {
+				case <-sawShard4:
+				case <-time.After(testTimeout):
+					t.Errorf("reader never saw shard 4")
+				}
+				retire = func(shard int) error {
+					ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+					defer cancel()
+					return fed.DrainShard(ctx, shard)
+				}
+			}
+			if err := retire(4); err != nil {
+				t.Errorf("retire shard 4: %v", err)
 				return
 			}
 		}
@@ -583,7 +604,14 @@ func TestFederationCatalogChurn(t *testing.T) {
 			default:
 			}
 			_ = fed.Names()
-			_ = fed.Stats()
+			for _, ss := range fed.Stats().PerShard {
+				if ss.Shard == 4 {
+					select {
+					case sawShard4 <- struct{}{}:
+					default:
+					}
+				}
+			}
 			if _, _, err := fed.Place("churn-0-0000"); err != nil &&
 				!errors.Is(err, federation.ErrUnknownShard) {
 				t.Errorf("place: %v", err)
@@ -617,11 +645,16 @@ func TestFederationCatalogChurn(t *testing.T) {
 		t.Fatalf("catalog not empty: %v", got)
 	}
 	snap := fed.Stats()
-	if snap.Auctions != 0 || snap.Shards != 3 {
+	if len(snap.PerShard) != 3 {
 		t.Fatalf("final rollup: %+v", snap)
 	}
+	for _, ss := range snap.PerShard {
+		if len(ss.Auctions) != 0 {
+			t.Fatalf("shard %d still lists auctions: %+v", ss.Shard, ss.Auctions)
+		}
+	}
 	// Shard 4's node was fully released; reopening the shard works.
-	if err := fed.OpenShard(federation.ShardSpec{Index: 4, Providers: []wire.NodeID{50, 51, 52}}); err != nil {
+	if err := fed.OpenShard(federation.ShardSpec{Index: 4, Providers: []wire.NodeID{90, 91, 92}}); err != nil {
 		t.Fatalf("reopen shard 4: %v", err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"distauction/internal/gateway"
 	"distauction/internal/ledger"
 	"distauction/internal/market"
-	"distauction/internal/proto"
 	"distauction/internal/transport"
 	"distauction/internal/transport/faultnet"
 	"distauction/internal/wire"
@@ -40,16 +39,13 @@ type ChaosConfig struct {
 // fail the run; the counters here are for reporting and for the
 // zero-transport-aborts assertion the caller owns.
 type ChaosResult struct {
-	Rounds   int
-	Accepted int
-	Aborted  int
-	// AbortCodes breaks any ⊥ rounds down by cause; a resilience regression
-	// shows up as nonzero disconnect/timeout counts.
-	AbortCodes [proto.NumAbortCodes]int64
-	// Faults is what the injector actually did; Link is what the ARQ layer
-	// did to mask it (summed over the first provider's attachment).
+	// Counters and Attachment are the first provider's market after the
+	// run. AbortCodes breaks any ⊥ rounds down by cause — a resilience
+	// regression shows up as nonzero disconnect/timeout counts — and Link is
+	// what the ARQ layer did to mask what the injector did (Faults).
+	market.Counters
+	market.Attachment
 	Faults   faultnet.Stats
-	Link     transport.LinkStats
 	Duration time.Duration
 }
 
@@ -200,7 +196,8 @@ func RunMarketChaos(auctions, rounds int, chaos ChaosConfig, opts ...Option) (Ch
 		return ChaosResult{}, err
 	}
 
-	res := ChaosResult{Duration: run.elapsed, Faults: fn.FaultStats(), Link: markets[0].Stats().Link}
+	first := markets[0].Stats()
+	res := ChaosResult{Counters: first.Counters, Attachment: first.Attachment, Duration: run.elapsed, Faults: fn.FaultStats()}
 	for j, l := range lanes {
 		// (1) Cross-provider journal equality, per auction.
 		live := ledgers[0][j].Journal()
@@ -215,13 +212,9 @@ func RunMarketChaos(auctions, rounds int, chaos ChaosConfig, opts ...Option) (Ch
 		// exactly.
 		replayer := newEnforcer()
 		for _, out := range run.providers[j][0] {
-			res.Rounds++
 			if out.Err != nil {
-				res.Aborted++
-				res.AbortCodes[proto.AbortCodeOf(out.Err)]++
 				continue
 			}
-			res.Accepted++
 			if err := replayer.Enforce(out.Round, out.Outcome, userIDs, providerIDs); err != nil {
 				return ChaosResult{}, fmt.Errorf("harness: %s: replay round %d: %w", l.name, out.Round, err)
 			}

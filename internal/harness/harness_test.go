@@ -3,13 +3,16 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"distauction/internal/auction"
 	"distauction/internal/core"
+	"distauction/internal/federation"
 	"distauction/internal/fixed"
+	"distauction/internal/market"
 	"distauction/internal/transport"
 )
 
@@ -183,19 +186,61 @@ func TestRunMarketShapes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Accepted != auctions*rounds || res.Rounds != auctions*rounds {
-					t.Errorf("rounds=%d accepted=%d, want %d", res.Rounds, res.Accepted, auctions*rounds)
+				if want := int64(auctions * rounds); res.Accepted != want || res.Rounds != want {
+					t.Errorf("rounds=%d accepted=%d, want %d", res.Rounds, res.Accepted, want)
 				}
-				if res.BidsDropped != 0 || res.ParkedDropped != 0 {
-					t.Errorf("dropped %d bids, %d parked envelopes", res.BidsDropped, res.ParkedDropped)
+				// The root counts the primaries' gates; every member runs its own.
+				for _, ns := range res.PerNode {
+					if ns.BidsDropped != 0 || ns.ParkedDropped != 0 {
+						t.Errorf("node %d dropped %d bids, %d parked envelopes", ns.Node, ns.BidsDropped, ns.ParkedDropped)
+					}
 				}
 				if res.ResidualMsgs != 0 || res.ResidualRounds != 0 {
 					t.Errorf("residual state after run: %d msgs, %d rounds", res.ResidualMsgs, res.ResidualRounds)
 				}
-				if res.Shards != shards || len(res.PerShard) != shards {
-					t.Errorf("shard rollup: Shards=%d, %d entries, want %d", res.Shards, len(res.PerShard), shards)
+				if len(res.PerShard) != shards {
+					t.Errorf("shard rollup: %d entries, want %d", len(res.PerShard), shards)
 				}
+				checkRollUp(t, res.Snapshot)
 			})
+		}
+	}
+}
+
+// checkRollUp holds a federation snapshot to the stats tree's fold rule —
+// every scope is the Add of its children — and, for one shard, to the
+// equivalence DESIGN.md states: a 1-shard federation is an unsharded market,
+// so its root and its shard carry exactly the primary node's Counters.
+func checkRollUp(t *testing.T, snap federation.Snapshot) {
+	t.Helper()
+	var root market.Counters
+	for _, ss := range snap.PerShard {
+		var shard market.Counters
+		for _, as := range ss.Auctions {
+			shard.Add(as.Counters)
+		}
+		if !reflect.DeepEqual(shard, ss.Counters) {
+			t.Errorf("shard %d is not the Add of its auctions", ss.Shard)
+		}
+		root.Add(ss.Counters)
+	}
+	if !reflect.DeepEqual(root, snap.Counters) {
+		t.Errorf("root counters are not the Add of the shards'")
+	}
+	var attachment market.Attachment
+	for _, ns := range snap.PerNode {
+		attachment.Add(ns.Attachment)
+	}
+	if !reflect.DeepEqual(attachment, snap.Attachment) {
+		t.Errorf("root attachment is not the Add of the nodes'")
+	}
+	if len(snap.PerShard) == 1 {
+		primary := snap.PerNode[0]
+		if primary.Node != snap.PerShard[0].Committee[0] {
+			t.Fatalf("first node row is %d, not the primary", primary.Node)
+		}
+		if !reflect.DeepEqual(primary.Counters, snap.Counters) || !reflect.DeepEqual(primary.Counters, snap.PerShard[0].Counters) {
+			t.Errorf("one-shard federation differs from its primary's market:\n primary %+v\n root    %+v", primary.Counters, snap.Counters)
 		}
 	}
 }

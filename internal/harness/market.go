@@ -9,24 +9,18 @@ import (
 	"distauction/internal/core"
 	"distauction/internal/federation"
 	"distauction/internal/market"
-	"distauction/internal/metrics"
-	"distauction/internal/proto"
 	"distauction/internal/transport"
 	"distauction/internal/wire"
 )
 
-// MarketResult summarises one marketplace throughput run.
+// MarketResult summarises one marketplace throughput run: the run's own
+// measurements plus the federation's snapshot after it.
 type MarketResult struct {
-	// Shards is the number of provider committees the catalog was
-	// partitioned over (each with its own m providers) and PerShard the
-	// federation's shard rollup after the run.
-	Shards   int
-	PerShard []federation.ShardSnapshot
-	// Auctions is the number of concurrent auctions; Rounds counts rounds
-	// emitted across all of them (Accepted the non-⊥ subset).
-	Auctions int
-	Rounds   int
-	Accepted int
+	// Snapshot is the stats tree once every provider consumed every round.
+	// Its root Counters count each round once (the shard primaries' view —
+	// Rounds, Accepted, Latency, AbortCodes; PerNode has every member's own
+	// gates); its root Attachment sums the provider muxes.
+	federation.Snapshot
 	// Duration runs from the first bid submission until every bidder holds
 	// every round's result of every auction it joined.
 	Duration time.Duration
@@ -35,52 +29,6 @@ type MarketResult struct {
 	// rounds, or per-round reclamation broke.
 	ResidualMsgs   int
 	ResidualRounds int
-	// BidsAdmitted and BidsDropped aggregate the admission gates across
-	// providers.
-	BidsAdmitted int64
-	BidsDropped  int64
-	// ParkedDropped aggregates mux parking-overflow drops across providers.
-	ParkedDropped int64
-	// FramesSent / SuperframesSent / EnvelopesSent aggregate the provider
-	// muxes' outbound coalescing counters; EnvelopesSent/FramesSent is the
-	// average batch occupancy.
-	FramesSent      int64
-	SuperframesSent int64
-	EnvelopesSent   int64
-	// Latency is the outcome-latency histogram (nanoseconds, bid collection
-	// through outcome delivery) merged across each shard's first provider's
-	// auctions — one member's view, so each round is counted once.
-	// AbortCodes breaks the ⊥ rounds down by typed cause (proto.AbortCode
-	// index).
-	Latency    metrics.HistogramSnapshot
-	AbortCodes [proto.NumAbortCodes]int64
-}
-
-// RoundsPerSec is the aggregate throughput across all auctions.
-func (r MarketResult) RoundsPerSec() float64 {
-	if r.Duration <= 0 {
-		return 0
-	}
-	return float64(r.Rounds) / r.Duration.Seconds()
-}
-
-// LatencyTable renders the run's outcome-latency percentiles as an aligned
-// table (the EXPERIMENTS.md reporting format). Quantiles come from the
-// log-bucket histogram, so each figure is the lower bound of its bucket —
-// conservative within the buckets' 1/16 relative width.
-func (r MarketResult) LatencyTable() string {
-	h := r.Latency
-	row := metrics.Row{Label: "outcome", Cols: []string{
-		fmt.Sprintf("%d", h.Count),
-		h.QuantileDuration(0.50).Round(time.Microsecond).String(),
-		h.QuantileDuration(0.99).Round(time.Microsecond).String(),
-		h.QuantileDuration(0.999).Round(time.Microsecond).String(),
-		time.Duration(h.Max).Round(time.Microsecond).String(),
-	}}
-	return metrics.Table(
-		metrics.Row{Label: "latency", Cols: []string{"count", "p50", "p99", "p999", "max"}},
-		[]metrics.Row{row},
-	)
 }
 
 // Market is one open in-process marketplace deployment: shards × m
@@ -274,25 +222,7 @@ func (d *Market) Run() (MarketResult, error) {
 	if err != nil {
 		return MarketResult{}, err
 	}
-	snap := d.fed.Stats()
-	res := MarketResult{
-		Shards:     snap.Shards,
-		PerShard:   snap.PerShard,
-		Auctions:   len(d.lanes),
-		Rounds:     int(snap.Rounds),
-		Accepted:   run.accepted,
-		Duration:   run.elapsed,
-		Latency:    snap.Latency,
-		AbortCodes: snap.AbortCodes,
-	}
-	for _, ns := range snap.PerNode {
-		res.BidsAdmitted += ns.BidsAdmitted
-		res.BidsDropped += ns.BidsDropped
-		res.ParkedDropped += ns.ParkedDropped
-		res.FramesSent += ns.FramesSent
-		res.SuperframesSent += ns.SuperframesSent
-		res.EnvelopesSent += ns.EnvelopesSent
-	}
+	res := MarketResult{Snapshot: d.fed.Stats(), Duration: run.elapsed}
 	var sessions []*core.Session
 	for _, l := range d.lanes {
 		handles, ok := d.fed.AuctionHandles(l.name)

@@ -165,7 +165,6 @@ type Market struct {
 	mux       *Mux
 	providers []wire.NodeID
 	cfg       settings
-	started   time.Time
 
 	// lanes is the admission hot path's lane → (committee, gate) index
 	// (copy-on-write, read per inbound envelope without locks).
@@ -183,6 +182,9 @@ type Market struct {
 	wg     sync.WaitGroup
 
 	swept metrics.Counter // expired reservations reclaimed by sweep hooks
+	// retired is the Add of every closed auction's final counters (guarded
+	// by mu): Stats starts from it, so market totals survive a close.
+	retired Counters
 }
 
 // laneEntry is one open lane's admission state: the committee whose
@@ -222,7 +224,6 @@ func Open(conn transport.Conn, providers []wire.NodeID, opts ...Option) (*Market
 		mux:       NewMux(conn),
 		providers: append([]wire.NodeID(nil), providers...),
 		cfg:       cfg,
-		started:   time.Now(),
 		byName:    make(map[string]*Auction),
 		byLane:    make(map[uint32]*Auction),
 	}
@@ -450,6 +451,10 @@ func (m *Market) closeAuction(a *Auction) error {
 		delete(m.byName, a.name)
 		delete(m.byLane, a.lane)
 		m.storeLaneLocked(a.lane, nil)
+		// The consumer has exited, so these are the auction's final counters.
+		final := a.snapshot().Counters
+		final.RoundsPerSec, final.QueueDepth = 0, 0 // levels of an open auction, not totals
+		m.retired.Add(final)
 	}
 	m.mu.Unlock()
 	return err
@@ -599,137 +604,4 @@ func (a *Auction) consume() {
 		a.meter.Mark(1)
 		a.rounds.Inc()
 	}
-}
-
-// AuctionSnapshot is one auction's counters at a point in time.
-type AuctionSnapshot struct {
-	Name         string
-	Lane         uint32
-	Rounds       int64   // outcomes emitted
-	Accepted     int64   // non-⊥ outcomes
-	Aborted      int64   // ⊥ outcomes
-	RoundsPerSec float64 // average since the auction opened
-	LastRound    uint64  // highest emitted round
-	BidsAdmitted int64
-	BidsDropped  int64
-	QueueDepth   int // admitted bids not yet resolved by a completed round
-	EnforceErrs  int64
-
-	// Latency is the auction's outcome-latency histogram (nanoseconds);
-	// query p50/p99/p999 via QuantileDuration.
-	Latency metrics.HistogramSnapshot
-	// AbortCodes breaks Aborted down by typed cause, indexed by
-	// proto.AbortCode.
-	AbortCodes [proto.NumAbortCodes]int64
-}
-
-// Snapshot aggregates the whole market plus its per-auction breakdown.
-type Snapshot struct {
-	Open         int // auctions currently open
-	Rounds       int64
-	Accepted     int64
-	Aborted      int64
-	RoundsPerSec float64 // aggregate average since the market opened
-	BidsAdmitted int64
-	BidsDropped  int64
-	QueueDepth   int
-	EnforceErrs  int64
-	Swept        int64 // expired reservations reclaimed by sweep hooks
-
-	// ParkedDropped counts envelopes the mux dropped on parking overflow
-	// (previously a silent loss).
-	ParkedDropped int64
-	// FramesSent / SuperframesSent count outbound frames shipped by the
-	// mux's per-peer coalescer and the superframes (>1 envelope) among
-	// them; EnvelopesSent the envelopes they carried. Zero when the
-	// transport cannot batch.
-	FramesSent      int64
-	SuperframesSent int64
-	EnvelopesSent   int64
-	// BatchOccupancy is the average envelopes per outbound frame — the
-	// amortisation factor superframe batching is buying (1.0 = no win).
-	BatchOccupancy float64
-
-	// Runtime is the process-wide heap/GC/goroutine view at snapshot time.
-	// The steady-state discipline shows up here: flat Goroutines across
-	// rounds, and TotalAlloc growing by the pooled-path budget only.
-	Runtime metrics.RuntimeStats
-
-	// PeerHealth is the attachment's failure-detector table (alive /
-	// suspect / dead per peer) and Link its ARQ counters — resends,
-	// reconnects, dups dropped by seq. Both are zero on transports without
-	// a resilience layer.
-	PeerHealth []transport.PeerHealth
-	Link       transport.LinkStats
-
-	// Latency merges every auction's outcome-latency histogram; AbortCodes
-	// merges their per-cause ⊥ breakdowns (indexed by proto.AbortCode).
-	Latency    metrics.HistogramSnapshot
-	AbortCodes [proto.NumAbortCodes]int64
-
-	Auctions []AuctionSnapshot
-}
-
-// snapshot captures one auction.
-func (a *Auction) snapshot() AuctionSnapshot {
-	as := AuctionSnapshot{
-		Name:         a.name,
-		Lane:         a.lane,
-		Rounds:       a.rounds.Load(),
-		Accepted:     a.accepted.Load(),
-		Aborted:      a.aborted.Load(),
-		RoundsPerSec: a.meter.Rate(),
-		LastRound:    a.lastEmitted.Load(),
-		BidsAdmitted: a.gate.admitted.Load(),
-		BidsDropped:  a.gate.dropped.Load(),
-		QueueDepth:   a.gate.depth(),
-		EnforceErrs:  a.enforceErrs.Load(),
-		Latency:      a.latency.Snapshot(),
-	}
-	for c := range as.AbortCodes {
-		as.AbortCodes[c] = a.abortCodes[c].Load()
-	}
-	return as
-}
-
-// Stats returns the market-wide counters and the per-auction breakdown
-// (auctions sorted by name).
-func (m *Market) Stats() Snapshot {
-	m.mu.Lock()
-	auctions := make([]*Auction, 0, len(m.byName))
-	for _, a := range m.byName {
-		auctions = append(auctions, a)
-	}
-	m.mu.Unlock()
-	sort.Slice(auctions, func(i, j int) bool { return auctions[i].name < auctions[j].name })
-	snap := Snapshot{Open: len(auctions), Swept: m.swept.Load(), Runtime: metrics.ReadRuntime()}
-	mux := m.mux.Stats()
-	snap.ParkedDropped = mux.ParkedDropped
-	snap.FramesSent = mux.Out.Frames
-	snap.SuperframesSent = mux.Out.Superframes
-	snap.EnvelopesSent = mux.Out.Envelopes
-	snap.BatchOccupancy = mux.Out.Occupancy()
-	if peers, link, ok := m.mux.Health(); ok {
-		snap.PeerHealth = peers
-		snap.Link = link
-	}
-	for _, a := range auctions {
-		as := a.snapshot()
-		snap.Auctions = append(snap.Auctions, as)
-		snap.Rounds += as.Rounds
-		snap.Accepted += as.Accepted
-		snap.Aborted += as.Aborted
-		snap.BidsAdmitted += as.BidsAdmitted
-		snap.BidsDropped += as.BidsDropped
-		snap.QueueDepth += as.QueueDepth
-		snap.EnforceErrs += as.EnforceErrs
-		snap.Latency.Merge(as.Latency)
-		for c := range as.AbortCodes {
-			snap.AbortCodes[c] += as.AbortCodes[c]
-		}
-	}
-	if elapsed := time.Since(m.started).Seconds(); elapsed > 0 {
-		snap.RoundsPerSec = float64(snap.Rounds) / elapsed
-	}
-	return snap
 }

@@ -132,47 +132,28 @@ func NewMux(conn transport.Conn) *Mux {
 	return m
 }
 
-// MuxStats is a mux's traffic counters beyond the transport's own.
-type MuxStats struct {
-	// ParkedDropped counts envelopes dropped by parking overflow (lanes that
-	// never opened, or a flood outpacing the bounds).
-	ParkedDropped int64
-	// Out is the outbound coalescing view: frames shipped, superframes among
-	// them, envelopes carried. Zero when the transport cannot batch.
-	Out transport.CoalesceStats
-	// BatchesIn and BatchedEnvsIn count inbound superframes and the
-	// envelopes they carried.
-	BatchesIn     int64
-	BatchedEnvsIn int64
-}
-
-// Stats returns the mux's counters.
-func (m *Mux) Stats() MuxStats {
-	st := MuxStats{
+// Stats returns the attachment's counters: the mux's own, the coalescer's
+// outbound view, and — when the transport tracks it (a
+// transport.ResilientConn does) — the failure detector's table and the link
+// counters.
+func (m *Mux) Stats() Attachment {
+	at := Attachment{
 		ParkedDropped: m.parkedDropped.Load(),
 		BatchesIn:     m.batchesIn.Load(),
 		BatchedEnvsIn: m.batchedEnvsIn.Load(),
 	}
 	if m.co != nil {
-		st.Out = m.co.Stats()
+		out := m.co.Stats()
+		at.FramesSent, at.SuperframesSent, at.EnvelopesSent = out.Frames, out.Superframes, out.Envelopes
 	}
-	return st
+	if hr, ok := m.conn.(transport.HealthReporter); ok {
+		at.PeerHealth, at.Link = hr.PeerHealth(), hr.LinkStats()
+	}
+	return at
 }
 
 // Self returns the underlying node ID (shared by every lane).
 func (m *Mux) Self() wire.NodeID { return m.self }
-
-// Health returns the attachment's failure-detector view when the
-// underlying transport tracks one (a transport.ResilientConn does):
-// per-peer liveness plus link-layer counters. ok is false on transports
-// without health tracking.
-func (m *Mux) Health() (peers []transport.PeerHealth, link transport.LinkStats, ok bool) {
-	hr, isHR := m.conn.(transport.HealthReporter)
-	if !isHR {
-		return nil, transport.LinkStats{}, false
-	}
-	return hr.PeerHealth(), hr.LinkStats(), true
-}
 
 // SetAdmission installs the admission gate consulted for every inbound
 // envelope (nil admits everything). The gate runs on the transport's

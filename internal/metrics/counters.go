@@ -18,19 +18,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is an instantaneous level (queue depth, live lanes), safe for
-// concurrent use. The zero value is ready.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the level.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the level by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Load returns the current level.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // Meter is a Counter with a birth time, so callers can read an average
 // event rate without keeping their own clock. Create with NewMeter.
 type Meter struct {

@@ -27,9 +27,11 @@ type (
 	// MarketBidder is the user-side marketplace client: one attachment,
 	// join auctions by name.
 	MarketBidder = market.Bidder
-	// MarketSnapshot aggregates the whole market's counters.
+	// MarketSnapshot is one market's scope of the stats tree: its round
+	// and admission Counters (the Add of its auctions'), its transport
+	// Attachment's counters, and the per-auction breakdown.
 	MarketSnapshot = market.Snapshot
-	// AuctionSnapshot is one auction's counters.
+	// AuctionSnapshot is one auction's Counters.
 	AuctionSnapshot = market.AuctionSnapshot
 )
 
