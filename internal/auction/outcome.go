@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 
 	"distauction/internal/fixed"
 	"distauction/internal/wire"
@@ -157,17 +158,43 @@ func (o Outcome) Encode() []byte {
 	return enc.Buffer()
 }
 
-// DecodeOutcome parses a canonical outcome and validates its shape.
+// DecodeOutcome parses a canonical outcome and validates its shape. The
+// header fixes what the three vectors must hold — NumUsers×NumProviders
+// units, NumUsers and NumProviders payments — so a header out of range, a
+// units prefix that disagrees with it, or an input too short to carry that
+// many values is rejected before any storage exists; the three vectors are
+// then carved out of one allocation and filled in a single pass. Malformed
+// input is reported as the bare wire error or ErrShape: refusing a hostile
+// message allocates nothing, and both callers name the operation themselves.
 func DecodeOutcome(raw []byte) (Outcome, error) {
 	d := wire.NewDecoder(raw)
-	var o Outcome
-	o.Alloc.NumUsers = int(d.Uvarint())
-	o.Alloc.NumProviders = int(d.Uvarint())
-	o.Alloc.Units = d.FixedSlice()
-	o.Pay.ByUser = d.FixedSlice()
-	o.Pay.ToProvider = d.FixedSlice()
+	nu, np := d.Uvarint(), d.Uvarint()
+	peek := *d // the units prefix, read ahead of the storage it sizes
+	cells := peek.Uvarint()
+	if err := peek.Err(); err != nil {
+		return Outcome{}, err
+	}
+	if nu > math.MaxInt32 || np > math.MaxInt32 || cells != nu*np {
+		return Outcome{}, ErrShape
+	}
+	// Every value and both payment prefixes take at least one byte.
+	if cells+nu+np+2 > uint64(peek.Remaining()) {
+		return Outcome{}, wire.ErrTruncated
+	}
+	vals := make([]fixed.Fixed, cells+nu+np)
+	units, byUser, toProvider := vals[:cells:cells], vals[cells:cells+nu:cells+nu], vals[cells+nu:]
+	full := d.FixedSliceInto(units) == len(units) &&
+		d.FixedSliceInto(byUser) == len(byUser) &&
+		d.FixedSliceInto(toProvider) == len(toProvider)
+	if !full && d.Err() == nil {
+		return Outcome{}, ErrShape
+	}
 	if err := d.Finish(); err != nil {
-		return Outcome{}, fmt.Errorf("decode outcome: %w", err)
+		return Outcome{}, err
+	}
+	o := Outcome{
+		Alloc: Allocation{NumUsers: int(nu), NumProviders: int(np), Units: units},
+		Pay:   Payments{ByUser: byUser, ToProvider: toProvider},
 	}
 	if err := o.Validate(); err != nil {
 		return Outcome{}, err

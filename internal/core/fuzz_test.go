@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -83,6 +85,32 @@ func FuzzBidderResult(f *testing.F) {
 	f.Add(encodeResult(true, []byte("not an outcome")))
 	f.Add(append(encodeResult(true, out.Encode()), 0))
 	f.Add([]byte{2, 0}) // flag byte that is neither 0 nor 1
+	// A wide sparse outcome, the shape the bulk decode kernel is for, and
+	// headers whose counts lie about what follows (users, providers, units
+	// prefix, then the body): beyond int64, beyond int32, a product that
+	// wraps, a units prefix off by one, counts far beyond the input.
+	wide := auction.Outcome{Alloc: auction.NewAllocation(64, 8), Pay: auction.NewPayments(64, 8)}
+	for u := 0; u < 64; u += 3 {
+		wide.Alloc.Set(u, u%8, fixed.One)
+		wide.Pay.ByUser[u] = fixed.MustFloat(1.5)
+		wide.Pay.ToProvider[u%8] += fixed.MustFloat(1.5)
+	}
+	f.Add(encodeResult(true, wide.Encode()))
+	for _, counts := range [][]uint64{
+		{1 << 63, 1, 0, 0, 0},
+		{math.MaxInt32 + 1, 0, 0, 0, 0},
+		{1 << 32, 1 << 32, 0, 0, 0},
+		{1<<63 + 1, 2, 2, 0, 0, 0, 0},
+		{2, 1, 3, 0, 0, 2, 0, 0, 1, 0},
+		{1000, 8, 8000, 0, 0, 0},
+		{math.MaxInt32, 0, 0, math.MaxInt32, 0},
+	} {
+		var crafted []byte
+		for _, c := range counts {
+			crafted = binary.AppendUvarint(crafted, c)
+		}
+		f.Add(encodeResult(true, crafted))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		ok, raw, err := decodeResult(payload)
 		if err != nil {

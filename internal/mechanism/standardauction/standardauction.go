@@ -27,9 +27,10 @@
 package standardauction
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"distauction/internal/auction"
@@ -144,12 +145,8 @@ func SolveAllocation(users []auction.UserBid, params Params, seed uint64) (Assig
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := users[order[a]].Value, users[order[b]].Value
-		if va != vb {
-			return va > vb
-		}
-		return order[a] < order[b]
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(users[b].Value, users[a].Value), cmp.Compare(a, b))
 	})
 	for _, i := range order {
 		best, bestCap := Unassigned, fixed.Fixed(-1)
@@ -198,12 +195,8 @@ func SolveAllocation(users []auction.UserBid, params Params, seed uint64) (Assig
 				evict = append(evict, u)
 			}
 		}
-		sort.Slice(evict, func(a, b int) bool {
-			ta, tb := users[evict[a]].Total(), users[evict[b]].Total()
-			if ta != tb {
-				return ta < tb
-			}
-			return evict[a] < evict[b]
+		slices.SortFunc(evict, func(a, b int) int {
+			return cmp.Or(cmp.Compare(users[a].Total(), users[b].Total()), cmp.Compare(a, b))
 		})
 		var freed, lost fixed.Fixed
 		cut := 0

@@ -135,12 +135,14 @@ func (e *Encoder) String(s string) {
 // Fixed appends a fixed-point value as a zigzag varint of micro-units.
 func (e *Encoder) Fixed(f fixed.Fixed) { e.Varint(int64(f)) }
 
-// FixedSlice appends a length-prefixed slice of fixed-point values.
+// FixedSlice appends a length-prefixed slice of fixed-point values, as one
+// append loop over a local buffer (the encoder's is written back once).
 func (e *Encoder) FixedSlice(fs []fixed.Fixed) {
-	e.Uvarint(uint64(len(fs)))
+	buf := binary.AppendUvarint(e.buf, uint64(len(fs)))
 	for _, f := range fs {
-		e.Fixed(f)
+		buf = binary.AppendVarint(buf, int64(f))
 	}
+	e.buf = buf
 }
 
 // Decoder consumes values from a buffer. Errors are sticky: after the first
@@ -343,13 +345,88 @@ func (d *Decoder) FixedSlice() []fixed.Fixed {
 		return nil
 	}
 	out := make([]fixed.Fixed, n)
-	for i := range out {
-		out[i] = d.Fixed()
-	}
+	d.fixeds(out)
 	if d.err != nil {
 		return nil
 	}
 	return out
+}
+
+// FixedSliceInto consumes a length-prefixed slice of fixed-point values into
+// dst, the caller's storage, and returns how many it held (0 on error). A
+// slice longer than dst is refused as corrupt before any element is read.
+func (d *Decoder) FixedSliceInto(dst []fixed.Fixed) int {
+	n := d.Uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(len(dst)) {
+		d.fail(ErrCorrupt)
+		return 0
+	}
+	d.fixeds(dst[:n])
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// fixeds fills dst with len(dst) zig-zag varints: the bulk kernel behind
+// FixedSlice and FixedSliceInto. A dense outcome is thousands of values per
+// message, most of them the single byte 0x00, so the loop runs over a local
+// buffer and offset, takes a one-byte value without an inner iteration, and
+// settles the offset and the error once per slice instead of once per
+// element. It accepts exactly what binary.Varint accepts (over-long
+// encodings included) with the same error class, and on failure leaves the
+// offset at the element that failed, as the per-element accessors do.
+func (d *Decoder) fixeds(dst []fixed.Fixed) {
+	buf, p := d.buf, d.off
+	var err error
+decode:
+	for i := range dst {
+		if p >= len(buf) {
+			err = ErrTruncated
+			break
+		}
+		ux := uint64(buf[p])
+		p++
+		if ux >= 0x80 {
+			start := p - 1
+			ux &= 0x7f
+			for s := uint(7); ; s += 7 {
+				if p >= len(buf) {
+					p, err = start, ErrTruncated
+					break decode
+				}
+				b := buf[p]
+				p++
+				if b < 0x80 {
+					if s == 63 && b > 1 {
+						p, err = start, ErrCorrupt // more than 64 bits
+						break decode
+					}
+					ux |= uint64(b) << s
+					break
+				}
+				if s == 63 {
+					// A tenth continuation byte: an overflow if an
+					// eleventh byte follows, else a short read.
+					err = ErrTruncated
+					if p < len(buf) {
+						err = ErrCorrupt
+					}
+					p = start
+					break decode
+				}
+				ux |= uint64(b&0x7f) << s
+			}
+		}
+		dst[i] = fixed.Fixed(int64(ux>>1) ^ -int64(ux&1))
+	}
+	d.off = p
+	if err != nil {
+		d.fail(err)
+	}
 }
 
 // SliceLen consumes and validates a slice length against the remaining input,
