@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,8 +19,9 @@ import (
 //   - Every application envelope to a peer carries a per-peer sequence
 //     number in wire.Envelope.LinkSeq (assigned here, outside the signed
 //     bytes — a retransmission never needs re-signing) and is kept in a
-//     bounded unacked buffer until the peer's cumulative ack covers it.
-//     The envelope itself ships unmodified: no re-encode, no payload copy.
+//     bounded resend window — a ring in send order, O(1) per frame — until
+//     the peer's cumulative ack covers it. The envelope itself ships
+//     unmodified: no re-encode, no payload copy.
 //   - Receivers guarantee exactly-once delivery, not ordering: every
 //     frame is released to the protocol the moment it arrives, and a
 //     duplicate (a resend that raced its ack, or a replay after
@@ -34,13 +38,23 @@ import (
 //     TCP-style): every sequenced envelope out carries the newest ack
 //     for the reverse direction, so a steadily bidirectional link ships
 //     zero standalone control frames. Dedicated wire.BlockLink frames
-//     cover the gaps: eager acks every ackEvery delivered frames on
+//     cover the rest: eager acks every ackEvery delivered frames on
 //     one-way floods, and a per-connection ticker that sends heartbeats
 //     (carrying the ack) to peers the data path has left silent, and
 //     resends unacked frames older than the resend timeout. Heartbeats
 //     double as failure detection: a peer not heard from for
 //     SuspectAfter (DeadAfter) intervals is suspect (dead), and a dead
 //     peer heard again counts as a reconnect.
+//   - A gap is repaired when it is seen, not when a timer fires: a data
+//     frame landing above a hole makes the receiver answer at once with
+//     an ack that also names the low edge of what it holds above the
+//     hole. The sender resends exactly the frames of that hole it still
+//     holds (each at most once per smoothed round trip), and for the
+//     seqs it no longer holds it sends a floor: the receiver advances its
+//     contiguous prefix over them. Giving up on a frame moves the
+//     receiver's ack; it never freezes it — and it does not mark the frame
+//     delivered: the receiver remembers what a floor skipped, and a copy
+//     still on the wire is released, once, when it lands.
 //
 // Layering: session → ResilientConn → (faultnet) → Hub/TCPNode. Over TCP
 // the node's own redial replaces the conn; the link layer replays what
@@ -50,9 +64,14 @@ import (
 // Link control kinds, carried in Tag.Step of BlockLink envelopes. (Value 1
 // once marked wrapped data frames; data now rides Envelope.LinkSeq. Do not
 // reuse.)
+//
+// Every kind carries the cumulative ack in Tag.Round. The payload is empty
+// or one uvarint: on an ack or heartbeat the gap hint (the lowest seq the
+// receiver holds above its first hole), on a floor the floor itself.
 const (
-	linkAck       = 2 // Tag.Round = cumulative ack (eager, every ackEvery frames)
-	linkHeartbeat = 3 // Tag.Round = cumulative ack, empty payload
+	linkAck       = 2 // eager: every ackEvery frames, or at once above a hole
+	linkHeartbeat = 3 // from the ticker
+	linkFloor     = 4 // the sender holds nothing at or below the floor any more
 )
 
 // ackEvery is how many delivered data frames trigger an eager ack between
@@ -77,9 +96,12 @@ type ResilientConfig struct {
 	// silence move a peer to suspect / dead. Defaults 4 and 12.
 	SuspectAfter int
 	DeadAfter    int
-	// MaxUnacked bounds the per-peer resend buffer; beyond it the oldest
-	// unacked frame is dropped and counted (a peer that far behind is
-	// already being declared dead). Default 1024.
+	// MaxUnacked bounds the per-peer resend window; beyond it the oldest
+	// unacked frame is dropped and counted, and the floor rule lets the
+	// receiver's ack pass over it. The bound is memory, not liveness: on a
+	// busy link 1024 frames are tens of milliseconds of traffic, far
+	// inside SuspectAfter, so a full window says nothing about the peer's
+	// health. Default 1024.
 	MaxUnacked int
 }
 
@@ -271,14 +293,21 @@ func (n *ResilientNetwork) Close() error {
 
 // linkFrame is one unacked outbound frame awaiting its cumulative ack.
 type linkFrame struct {
-	seq    uint64
 	env    wire.Envelope // the wrapped link envelope, ready to resend
-	sentAt time.Time
+	sentAt time.Time     // last transmission
+	resent bool          // transmitted more than once: no RTT sample (Karn)
 }
 
 // seqRange is an inclusive range of sequence numbers delivered above the
 // contiguous prefix.
 type seqRange struct{ lo, hi uint64 }
+
+// skippedRange is a range the contiguous prefix passed undelivered, on the
+// sender's floor, and when.
+type skippedRange struct {
+	seqRange
+	at time.Time
+}
 
 // linkPeer is the per-peer link state: sender window, receiver dedup
 // and the health verdict.
@@ -286,15 +315,26 @@ type linkPeer struct {
 	id wire.NodeID
 
 	mu sync.Mutex
-	// Sender side.
+	// Sender side. The resend window is a ring in send order holding
+	// exactly the seqs (nextSeq-n, nextSeq]: every assigned seq is
+	// tracked, and slots leave only from the old end (acked or evicted),
+	// so a seq finds its frame by offset. A slot may be empty (LinkSeq
+	// zero): its send was rejected and handed back to the caller (abandon).
+	// An empty slot has nothing to resend and is what a floor is drawn
+	// over; it leaves like any other, when an ack or the bound reaches it.
 	nextSeq uint64 // last assigned sequence number
-	unacked []linkFrame
+	ring    []linkFrame
+	head, n int
+	srtt    time.Duration // smoothed send-to-ack time; zero until sampled
 	// Receiver side.
-	contig       uint64     // all seqs ≤ contig delivered
-	ahead        []seqRange // delivered above contig: sorted, disjoint, non-adjacent
-	recvSinceAck int        // delivered frames since the last ack shipped
-	lastAckSent  uint64     // contig value carried by the last ack/heartbeat out
-	lastDataSent time.Time  // when we last sent this peer a data frame
+	contig       uint64         // every seq ≤ contig is delivered or in skipped
+	skipped      []skippedRange // ≤ contig, floored over undelivered: sorted, disjoint
+	ahead        []seqRange     // delivered above contig: sorted, disjoint, non-adjacent
+	recvSinceAck int            // delivered frames since the last ack shipped
+	gapSeen      bool           // a frame landed above a hole: answer at once
+	lastAckSent  uint64         // contig value carried by the last ack/heartbeat out
+	ackDirtyAt   time.Time      // when contig first moved past lastAckSent
+	lastDataSent time.Time      // when we last sent this peer a data frame
 	// Health.
 	lastHeard time.Time
 	state     HealthState
@@ -393,24 +433,131 @@ func (c *ResilientConn) peer(id wire.NodeID) *linkPeer {
 	return p
 }
 
-// track records a sequenced frame in the peer's unacked buffer. The
+// base is the seq just below the window: seqs (base, nextSeq] are in it.
+func (p *linkPeer) base() uint64 { return p.nextSeq - uint64(p.n) }
+
+// frame returns the i-th oldest slot of the window.
+func (p *linkPeer) frame(i int) *linkFrame {
+	i += p.head
+	if i >= len(p.ring) {
+		i -= len(p.ring)
+	}
+	return &p.ring[i]
+}
+
+// track records a sequenced frame at the young end of the window. The
 // envelope is stored by value — payload by reference, which is safe
 // because payloads are immutable once handed to a transport. Caller holds
-// p.mu and has assigned env.LinkSeq.
+// p.mu and has assigned env.LinkSeq = p.nextSeq.
 func (p *linkPeer) track(c *ResilientConn, env wire.Envelope, now time.Time) {
-	if len(p.unacked) >= c.cfg.MaxUnacked {
-		// Evict the oldest: the peer is either dead (the disconnect verdict
-		// is on its way) or pathologically behind; bounded memory wins.
-		copy(p.unacked, p.unacked[1:])
-		p.unacked = p.unacked[:len(p.unacked)-1]
-		c.overflow.Add(1)
+	if p.n == len(p.ring) {
+		if p.n < c.cfg.MaxUnacked {
+			ring := make([]linkFrame, min(max(2*p.n, 16), c.cfg.MaxUnacked))
+			for i := range p.n {
+				ring[i] = *p.frame(i)
+			}
+			p.ring, p.head = ring, 0
+		} else {
+			// Evict the oldest: bounded memory wins. If the peer still lacks
+			// it, its gap hint will find nothing here and draw a floor.
+			p.release(1)
+			c.overflow.Add(1)
+		}
 	}
-	p.unacked = append(p.unacked, linkFrame{seq: env.LinkSeq, env: env, sentAt: now})
+	*p.frame(p.n) = linkFrame{env: env, sentAt: now}
+	p.n++
+}
+
+// release drops the k oldest frames, clearing their payload references.
+func (p *linkPeer) release(k int) {
+	for i := range k {
+		*p.frame(i) = linkFrame{}
+	}
+	p.head = (p.head + k) % len(p.ring)
+	p.n -= k
+}
+
+// abandon gives up on the k frames from seq first on, which the inner conn
+// refused: their slots stay (the window's seqs stay contiguous), emptied.
+func (p *linkPeer) abandon(first uint64, k int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	base := p.base()
+	for seq := max(first, base+1); seq < first+uint64(k); seq++ {
+		*p.frame(int(seq - base - 1)) = linkFrame{resent: true} // no RTT sample from an empty slot
+	}
+}
+
+// resend stamps a held frame for retransmission and appends it to out; an
+// abandoned slot has nothing to send.
+func (p *linkPeer) resend(f *linkFrame, now time.Time, out []wire.Envelope) []wire.Envelope {
+	if f.env.LinkSeq == 0 {
+		return out
+	}
+	f.env.LinkAck = p.contig // refresh the piggybacked ack
+	f.sentAt, f.resent = now, true
+	return append(out, f.env)
+}
+
+// overdue appends the frames the resend timeout catches: the run of
+// overdue frames at the old end of the window, up to the first one sent or
+// resent within the timeout. What is unacked behind such a frame waits for
+// its ack or its next timeout — the oldest frame is the hole holding the
+// cumulative ack back, and one stubborn loss must cost neither a window of
+// retransmissions nor a walk of the window per tick.
+func (p *linkPeer) overdue(c *ResilientConn, now time.Time, out []wire.Envelope) []wire.Envelope {
+	for i := range p.n {
+		f := p.frame(i)
+		if now.Sub(f.sentAt) < c.cfg.ResendAfter {
+			break
+		}
+		out = p.resend(f, now, out)
+	}
+	return out
+}
+
+// repair answers a gap hint: the peer has everything up to its ack (the
+// caller released that) and seq lo, and lacks what lies between. Held
+// frames of that hole are returned for resending unless (re)sent within
+// the last smoothed round trip: a hint per frame landing above the hole
+// must not become a resend per hint, and a frame merely overtaken on the
+// wire gets to land. The wait is deliberately short — no deviation term, no
+// lower bound: resending a frame that was only late costs one duplicate,
+// waiting on one that was lost until the window evicts it costs the
+// message. The returned floor, when above the ack, tops the part of the
+// hole this side no longer holds.
+func (p *linkPeer) repair(c *ResilientConn, lo uint64, now time.Time) (out []wire.Envelope, floor uint64) {
+	base := p.base()
+	hi := min(lo-1, p.nextSeq) // a hint past nextSeq names nothing we sent
+	wait := c.cfg.ResendAfter  // no sample yet: nothing to tell lost from late
+	if p.srtt != 0 {
+		wait = min(wait, p.srtt)
+	}
+	// Past half a window the hole is next to be evicted, and the estimate
+	// (none before the first ack; stretched by a peer that acks lazily) may
+	// outlast it: a frame never resent goes at once.
+	pressed := 2*p.n > c.cfg.MaxUnacked
+	floor = base // evicted, or released by an ack newer than this hint
+	for seq := base + 1; seq <= hi; seq++ {
+		f := p.frame(int(seq - base - 1))
+		if f.env.LinkSeq == 0 && floor == seq-1 {
+			floor = seq // abandoned, and nothing held beneath it
+		} else if now.Sub(f.sentAt) >= wait || pressed && !f.resent {
+			out = p.resend(f, now, out)
+		}
+	}
+	return out, min(floor, hi)
 }
 
 // Send implements Conn: the envelope is sequenced in place and buffered
 // for resend. Broadcast envelopes (no single peer to sequence against) and
 // link control traffic pass through unsequenced.
+//
+// A send the inner conn rejects (peer not attached yet, conn closed, dial
+// or write given up) is the caller's again: the error is returned and the
+// link layer gives the frame up. Its seq stays consumed — other senders
+// may already hold later ones — and the floor rule carries the receiver
+// over it.
 func (c *ResilientConn) Send(env wire.Envelope) error {
 	if env.To == wire.Broadcast || env.Tag.Block == wire.BlockLink {
 		return c.inner.Send(env)
@@ -420,13 +567,15 @@ func (c *ResilientConn) Send(env wire.Envelope) error {
 	p.mu.Lock()
 	p.nextSeq++
 	env.LinkSeq = p.nextSeq
-	env.LinkAck = p.contig // piggybacked ack for the reverse direction
-	p.lastAckSent = p.contig
-	p.recvSinceAck = 0
+	env.LinkAck = p.shipAckLocked() // piggybacked ack for the reverse direction
 	p.track(c, env, now)
 	p.lastDataSent = now
 	p.mu.Unlock()
-	return c.inner.Send(env)
+	err := c.inner.Send(env)
+	if err != nil {
+		p.abandon(env.LinkSeq, 1)
+	}
+	return err
 }
 
 // SendBatch implements BatchConn: each envelope of the superframe is
@@ -443,17 +592,20 @@ func (c *ResilientConn) SendBatch(envs []wire.Envelope) error {
 	now := time.Now()
 	p := c.peer(envs[0].To)
 	p.mu.Lock()
+	ack := p.shipAckLocked() // piggybacked ack for the reverse direction
 	for i := range envs {
 		p.nextSeq++
 		envs[i].LinkSeq = p.nextSeq
-		envs[i].LinkAck = p.contig // piggybacked ack for the reverse direction
+		envs[i].LinkAck = ack
 		p.track(c, envs[i], now)
 	}
-	p.lastAckSent = p.contig
-	p.recvSinceAck = 0
 	p.lastDataSent = now
 	p.mu.Unlock()
-	return c.sendBatchInner(envs)
+	err := c.sendBatchInner(envs)
+	if err != nil {
+		p.abandon(envs[0].LinkSeq, len(envs))
+	}
+	return err
 }
 
 func (c *ResilientConn) sendBatchInner(envs []wire.Envelope) error {
@@ -483,52 +635,168 @@ func (p *linkPeer) heard(c *ResilientConn, now time.Time) {
 type ackDue struct {
 	to     wire.NodeID
 	contig uint64
+	gapLo  uint64 // lowest seq held above the first hole; zero without one
 	due    bool
 }
 
-// ackDueLocked reports whether enough frames arrived since the last ack to
-// warrant an eager one, and resets the counter. Caller holds p.mu.
+// ackDueLocked reports whether an eager ack is warranted — enough frames
+// arrived since the last one, or one just landed above a hole — and resets
+// the counters. Caller holds p.mu.
 func (c *ResilientConn) ackDueLocked(p *linkPeer) ackDue {
-	if p.recvSinceAck < ackEvery {
+	if !p.gapSeen && p.recvSinceAck < ackEvery {
 		return ackDue{}
 	}
+	p.gapSeen = false
+	return ackDue{to: p.id, contig: p.shipAckLocked(), gapLo: p.gapLo(), due: true}
+}
+
+// shipAckLocked returns the cumulative ack for a frame about to go out and
+// records it as shipped. Caller holds p.mu.
+func (p *linkPeer) shipAckLocked() uint64 {
 	p.recvSinceAck = 0
 	p.lastAckSent = p.contig
-	return ackDue{to: p.id, contig: p.contig, due: true}
+	return p.contig
+}
+
+// gapLo is the gap hint: the low edge of the first ahead range.
+func (p *linkPeer) gapLo() uint64 {
+	if len(p.ahead) == 0 {
+		return 0
+	}
+	return p.ahead[0].lo
 }
 
 func (c *ResilientConn) sendAck(a ackDue) {
-	if !a.due {
+	if a.due {
+		c.sendControl(a.to, linkAck, a.contig, a.gapLo)
+	}
+}
+
+// sendControl ships one link control frame; arg zero means no payload.
+func (c *ResilientConn) sendControl(to wire.NodeID, kind uint8, ack, arg uint64) {
+	env := wire.Envelope{
+		From: c.self,
+		To:   to,
+		Tag:  wire.Tag{Round: ack, Block: wire.BlockLink, Step: kind},
+	}
+	if arg != 0 {
+		env.Payload = binary.AppendUvarint(nil, arg)
+	}
+	_ = c.inner.Send(env)
+}
+
+// resendAll retransmits frames stamped by linkPeer.resend.
+func (c *ResilientConn) resendAll(envs []wire.Envelope) {
+	for i := range envs {
+		c.resends.Add(1)
+		_ = c.inner.Send(envs[i])
+	}
+}
+
+// onControl processes one link control frame: always a cumulative ack,
+// and either a gap hint to repair (we are the sender of the hole) or a
+// floor to advance over (we are its receiver).
+func (c *ResilientConn) onControl(env *wire.Envelope, now time.Time) {
+	ack := env.Tag.Round
+	arg, n := binary.Uvarint(env.Payload)
+	if n <= 0 || n != len(env.Payload) {
+		arg = 0 // empty, truncated or over-long: a plain ack
+	}
+	var resend []wire.Envelope
+	var floor uint64
+	p := c.peer(env.From)
+	p.mu.Lock()
+	p.heard(c, now)
+	p.dropAckedLocked(ack, now)
+	switch {
+	case env.Tag.Step == linkFloor:
+		// A floor only fills the hole it was drawn for: it never reaches
+		// what is already delivered above, and without a hole it is stale.
+		if len(p.ahead) > 0 {
+			if to := min(arg, p.ahead[0].lo-1); to > p.contig {
+				// A frame on the wire longer than it takes to declare its
+				// sender dead is no longer late.
+				p.skip(p.contig+1, to, now, time.Duration(c.cfg.DeadAfter)*c.cfg.HeartbeatEvery)
+				p.advance(to, now)
+			}
+		}
+	case arg > ack+1:
+		resend, floor = p.repair(c, arg, now)
+	}
+	contig := p.contig
+	p.mu.Unlock()
+	if floor > ack {
+		c.sendControl(env.From, linkFloor, contig, floor)
+	}
+	c.resendAll(resend)
+}
+
+// dropAckedLocked releases the window prefix a cumulative ack covers and
+// samples the round trip from the newest frame released, unless it was
+// ever retransmitted. A stale or zero ack is a no-op. Caller holds p.mu.
+func (p *linkPeer) dropAckedLocked(ack uint64, now time.Time) {
+	base := p.base()
+	if ack <= base || p.n == 0 {
 		return
 	}
-	_ = c.inner.Send(wire.Envelope{
-		From: c.self,
-		To:   a.to,
-		Tag:  wire.Tag{Round: a.contig, Block: wire.BlockLink, Step: linkAck},
-	})
-}
-
-// ackLocked applies a cumulative ack: every unacked frame it covers is
-// released. Caller holds p.mu.
-func (c *ResilientConn) ackLocked(p *linkPeer, ack uint64, now time.Time) {
-	p.heard(c, now)
-	dropAckedLocked(p, ack)
-}
-
-// dropAckedLocked releases the unacked prefix a cumulative ack covers. A
-// stale or zero ack is a no-op. Caller holds p.mu.
-func dropAckedLocked(p *linkPeer, ack uint64) {
-	drop := 0
-	for drop < len(p.unacked) && p.unacked[drop].seq <= ack {
-		drop++
-	}
-	if drop > 0 {
-		rest := copy(p.unacked, p.unacked[drop:])
-		for i := rest; i < len(p.unacked); i++ {
-			p.unacked[i] = linkFrame{} // release payload references
+	k := int(min(ack-base, uint64(p.n)))
+	if f := p.frame(k - 1); !f.resent {
+		rtt := max(now.Sub(f.sentAt), 1)
+		if p.srtt == 0 {
+			p.srtt = rtt
+		} else {
+			p.srtt += (rtt - p.srtt) / 8
 		}
-		p.unacked = p.unacked[:rest]
 	}
+	p.release(k)
+}
+
+// advance moves the contiguous prefix to seq and absorbs every ahead range
+// that now touches it. Caller holds p.mu.
+func (p *linkPeer) advance(seq uint64, now time.Time) {
+	if p.contig == p.lastAckSent {
+		p.ackDirtyAt = now
+	}
+	p.contig = seq
+	p.mergeAhead()
+}
+
+// skip records [lo,hi], which contig is about to pass, as floored over
+// undelivered. What was skipped longer ago than keep is forgotten (once it
+// is most of the list: the sweep stays amortised O(1)) — a copy that late
+// is a duplicate. Caller holds p.mu.
+func (p *linkPeer) skip(lo, hi uint64, now time.Time, keep time.Duration) {
+	old := 0
+	for old < len(p.skipped) && now.Sub(p.skipped[old].at) > keep {
+		old++
+	}
+	if old > len(p.skipped)/2 {
+		p.skipped = append(p.skipped[:0], p.skipped[old:]...)
+	}
+	p.skipped = append(p.skipped, skippedRange{seqRange{lo, hi}, now})
+}
+
+// unskip reports whether seq ≤ contig was floored over undelivered, and
+// forgets it: the late original is released once. Caller holds p.mu.
+func (p *linkPeer) unskip(seq uint64) bool {
+	// First range ending at seq or later.
+	i, _ := slices.BinarySearchFunc(p.skipped, seq, func(r skippedRange, s uint64) int { return cmp.Compare(r.hi, s) })
+	if i == len(p.skipped) || p.skipped[i].lo > seq {
+		return false
+	}
+	switch r := &p.skipped[i]; {
+	case r.lo == r.hi:
+		p.skipped = slices.Delete(p.skipped, i, i+1)
+	case seq == r.lo:
+		r.lo++
+	case seq == r.hi:
+		r.hi--
+	default:
+		above := skippedRange{seqRange{seq + 1, r.hi}, r.at}
+		r.hi = seq - 1
+		p.skipped = slices.Insert(p.skipped, i+1, above)
+	}
+	return true
 }
 
 // mergeAhead absorbs into contig every ahead range that now touches the
@@ -580,23 +848,28 @@ func (p *linkPeer) markAhead(lo, hi uint64) bool {
 // out; the caller dispatches after releasing p.mu (held here).
 func (c *ResilientConn) ingestLocked(p *linkPeer, env *wire.Envelope, out []wire.Envelope, now time.Time) []wire.Envelope {
 	p.heard(c, now)
-	dropAckedLocked(p, env.LinkAck) // piggybacked ack for our own sends
+	p.dropAckedLocked(env.LinkAck, now) // piggybacked ack for our own sends
 	seq := env.LinkSeq
 	switch {
 	case seq <= p.contig:
-		c.dups.Add(1) // resend that raced its ack; already delivered
+		if p.unskip(seq) {
+			out = append(out, *env) // given up by the sender, and late, not lost
+			p.recvSinceAck++
+		} else {
+			c.dups.Add(1) // resend that raced its ack; already delivered
+		}
 	case seq == p.contig+1:
 		out = append(out, *env)
-		p.contig = seq
 		p.recvSinceAck++
-		p.mergeAhead()
+		p.advance(seq, now)
 	default:
 		// Above a gap: deliver now anyway (the protocol absorbs
 		// reordering), remember the seq so the resend that repairs the
-		// gap cannot re-deliver it.
+		// gap cannot re-deliver it, and ask for that repair at once.
 		if p.markAhead(seq, seq) {
 			out = append(out, *env)
 			p.recvSinceAck++
+			p.gapSeen = true
 		} else {
 			c.dups.Add(1)
 		}
@@ -607,10 +880,7 @@ func (c *ResilientConn) ingestLocked(p *linkPeer, env *wire.Envelope, out []wire
 // onInner processes one inbound envelope from the wrapped transport.
 func (c *ResilientConn) onInner(env wire.Envelope) {
 	if env.Tag.Block == wire.BlockLink {
-		p := c.peer(env.From)
-		p.mu.Lock()
-		c.ackLocked(p, env.Tag.Round, time.Now())
-		p.mu.Unlock()
+		c.onControl(&env, time.Now())
 		return
 	}
 	if env.LinkSeq == 0 {
@@ -661,18 +931,19 @@ func (c *ResilientConn) onInnerBatch(envs []wire.Envelope) {
 		case first == p.contig+1 && (len(p.ahead) == 0 || p.ahead[0].lo > last):
 			// Extends the contiguous prefix without touching anything
 			// already delivered ahead of it.
-			p.contig = last
-			p.mergeAhead()
+			p.advance(last, now)
 			ok = true
 		case first > p.contig+1:
-			// A reordered batch: deliver it now, remember the range.
+			// A batch above a gap: deliver it now, remember the range, ask
+			// for the repair.
 			ok = p.markAhead(first, last)
+			p.gapSeen = ok
 		}
 		if ok {
 			p.heard(c, now)
 			// Acks are monotone and stamped in send order: the last
 			// envelope's piggybacked ack is the newest.
-			dropAckedLocked(p, envs[len(envs)-1].LinkAck)
+			p.dropAckedLocked(envs[len(envs)-1].LinkAck, now)
 			p.recvSinceAck += len(envs)
 			ack := c.ackDueLocked(p)
 			p.mu.Unlock()
@@ -685,32 +956,34 @@ func (c *ResilientConn) onInnerBatch(envs []wire.Envelope) {
 	out := make([]wire.Envelope, 0, len(envs))
 	now := time.Now()
 	var p *linkPeer
+	// unlock ends one peer's run of frames: its eager ack, if due, ships
+	// outside the lock.
+	unlock := func() {
+		if p != nil {
+			a := c.ackDueLocked(p)
+			p.mu.Unlock()
+			c.sendAck(a)
+			p = nil
+		}
+	}
 	for i := range envs {
 		e := &envs[i]
-		if e.Tag.Block != wire.BlockLink && e.LinkSeq == 0 {
+		switch {
+		case e.Tag.Block == wire.BlockLink:
+			unlock()
+			c.onControl(e, now)
+		case e.LinkSeq == 0:
 			out = append(out, *e)
-			continue
-		}
-		if p == nil || p.id != e.From {
-			if p != nil {
-				a := c.ackDueLocked(p)
-				p.mu.Unlock()
-				c.sendAck(a)
+		default:
+			if p == nil || p.id != e.From {
+				unlock()
+				p = c.peer(e.From)
+				p.mu.Lock()
 			}
-			p = c.peer(e.From)
-			p.mu.Lock()
-		}
-		if e.Tag.Block == wire.BlockLink {
-			c.ackLocked(p, e.Tag.Round, now)
-		} else {
 			out = c.ingestLocked(p, e, out, now)
 		}
 	}
-	if p != nil {
-		a := c.ackDueLocked(p)
-		p.mu.Unlock()
-		c.sendAck(a)
-	}
+	unlock()
 	c.dispatch(out)
 }
 
@@ -812,41 +1085,29 @@ func (c *ResilientConn) tick(now time.Time) {
 				p.state = HealthSuspect
 			}
 		}
-		// Retransmission: everything unacked past the resend timeout.
-		resend = resend[:0]
-		for i := range p.unacked {
-			if now.Sub(p.unacked[i].sentAt) >= c.cfg.ResendAfter {
-				p.unacked[i].env.LinkAck = p.contig // refresh the piggybacked ack
-				resend = append(resend, p.unacked[i].env)
-				p.unacked[i].sentAt = now
-			}
-		}
+		// Retransmission: what the resend timeout, not a gap hint, catches
+		// — tail loss, and repairs that were themselves lost.
+		resend = p.overdue(c, now, resend[:0])
 		// Heartbeat suppression: a peer we sent data to within the interval
-		// already has fresh proof of our liveness, and if the last ack we
-		// shipped still covers everything delivered there is nothing to
-		// piggyback either — the heartbeat would be pure overhead.
-		sendHB := now.Sub(p.lastDataSent) >= c.cfg.HeartbeatEvery || p.contig != p.lastAckSent
-		contig := p.contig
+		// has fresh proof of our liveness, and the ack that data carried is
+		// either current or less than an interval behind with the next data
+		// frame about to carry it — the heartbeat would be pure overhead.
+		// An idle link keeps its heartbeat, and so does an open hole: the
+		// hint rides it, so a repair is asked for again even when nothing
+		// more lands above the hole.
+		idle := now.Sub(p.lastDataSent) >= c.cfg.HeartbeatEvery
+		stale := p.contig != p.lastAckSent && now.Sub(p.ackDirtyAt) >= c.cfg.HeartbeatEvery
+		sendHB := idle || stale || len(p.ahead) > 0
+		var contig, gapLo uint64
 		if sendHB {
-			p.recvSinceAck = 0 // the heartbeat below carries the ack
-			p.lastAckSent = contig
+			contig, gapLo = p.shipAckLocked(), p.gapLo() // the heartbeat below carries the ack
 		}
 		p.mu.Unlock()
-		for i := range resend {
-			c.resends.Add(1)
-			_ = c.inner.Send(resend[i])
+		c.resendAll(resend)
+		if sendHB {
+			c.heartbeats.Add(1)
+			c.sendControl(p.id, linkHeartbeat, contig, gapLo)
 		}
-		if !sendHB {
-			continue
-		}
-		// Heartbeat, carrying the cumulative ack.
-		hb := wire.Envelope{
-			From: c.self,
-			To:   p.id,
-			Tag:  wire.Tag{Round: contig, Block: wire.BlockLink, Step: linkHeartbeat},
-		}
-		c.heartbeats.Add(1)
-		_ = c.inner.Send(hb)
 	}
 }
 
@@ -878,7 +1139,7 @@ func (c *ResilientConn) PeerHealth() []PeerHealth {
 		out = append(out, PeerHealth{Peer: p.id, State: p.state, SinceHeard: now.Sub(p.lastHeard)})
 		p.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
+	slices.SortFunc(out, func(a, b PeerHealth) int { return cmp.Compare(a.Peer, b.Peer) })
 	return out
 }
 

@@ -18,6 +18,11 @@ import (
 // small frames; 64 KiB batches all of them into one syscall.
 const outBufSize = 64 << 10
 
+// inBufSize is the per-connection read buffer: one read(2) picks up every
+// frame the peer's last flush carried instead of two per frame (header,
+// then body). Bodies larger than the buffer are read straight into place.
+const inBufSize = 16 << 10
+
 // TCPConfig configures a TCP transport node.
 type TCPConfig struct {
 	// Self is the local node ID.
@@ -198,8 +203,9 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		<-n.done
 		conn.Close() // unblock the pending read on shutdown
 	}()
+	br := bufio.NewReaderSize(conn, inBufSize)
 	for {
-		frame, err := wire.ReadFrame(conn)
+		frame, err := wire.ReadFrame(br)
 		if err != nil {
 			return
 		}
