@@ -129,7 +129,12 @@ type (
 	// Centralized is the trusted-auctioneer baseline.
 	Centralized = core.Centralized
 
-	// Conn is a node's attachment to a network.
+	// Conn is a node's attachment to a network, and the one shape every
+	// transport layer takes and returns: Self, Send, SendBatch, Close,
+	// SetHandler, SetBatchHandler. Receiving is push-only — there is no
+	// Recv; sessions install the handlers themselves, so callers only ever
+	// obtain a Conn from a Network and hand it to Open / OpenBidder /
+	// OpenMarket.
 	Conn = transport.Conn
 	// Network is a transport that participants attach to; Hub (in-memory)
 	// and TCPNetwork (real TCP) both implement it.

@@ -2,8 +2,8 @@
 // layer for testing the framework's resilience claims.
 //
 // A deviation.Conn wraps a transport.Conn and applies rules to outbound
-// envelopes: drop them (silence), mutate their payloads (lying), or vary
-// them per receiver (equivocation). Driving an honest core.Session over a
+// envelopes, sent alone or inside a batch: drop them (silence), mutate
+// their payloads (lying), or vary them per receiver (equivocation). Driving an honest core.Session over a
 // deviant connection yields exactly the adversary of §3.2-§4: a provider
 // that executed arbitrary protocol deviations while the rest stayed honest.
 //
@@ -13,7 +13,6 @@
 package deviation
 
 import (
-	"context"
 	"sync/atomic"
 
 	"distauction/internal/transport"
@@ -65,14 +64,19 @@ func Wrap(conn transport.Conn, rules ...Rule) *Conn {
 // Self returns the wrapped connection's node ID.
 func (c *Conn) Self() wire.NodeID { return c.inner.Self() }
 
-// Recv passes through to the wrapped connection.
-func (c *Conn) Recv(ctx context.Context) (wire.Envelope, error) { return c.inner.Recv(ctx) }
+// SetHandler passes through to the wrapped connection: a deviant node
+// receives exactly as an honest one does.
+func (c *Conn) SetHandler(h transport.Handler) { c.inner.SetHandler(h) }
+
+// SetBatchHandler passes through to the wrapped connection.
+func (c *Conn) SetBatchHandler(h transport.BatchHandler) { c.inner.SetBatchHandler(h) }
 
 // Close passes through to the wrapped connection.
 func (c *Conn) Close() error { return c.inner.Close() }
 
-// Send applies the first matching rule to env.
-func (c *Conn) Send(env wire.Envelope) error {
+// apply runs the first matching rule over env and reports whether anything
+// is left to send.
+func (c *Conn) apply(env wire.Envelope) (wire.Envelope, bool) {
 	for _, r := range c.rules {
 		if r.Match == nil || !r.Match(env) {
 			continue
@@ -80,7 +84,7 @@ func (c *Conn) Send(env wire.Envelope) error {
 		c.Matched.Add(1)
 		switch r.Action {
 		case Drop:
-			return nil // silently swallowed; the network "lost" nothing — the sender chose not to send
+			return env, false // the network "lost" nothing — the sender chose not to send
 		case Mutate:
 			if r.Transform != nil {
 				env = r.Transform(env)
@@ -89,7 +93,32 @@ func (c *Conn) Send(env wire.Envelope) error {
 		}
 		break
 	}
+	return env, true
+}
+
+// Send applies the first matching rule to env.
+func (c *Conn) Send(env wire.Envelope) error {
+	env, ok := c.apply(env)
+	if !ok {
+		return nil
+	}
 	return c.inner.Send(env)
+}
+
+// SendBatch applies the rules to each envelope of the batch — a dropped one
+// leaves it, a mutated one is rewritten — so a deviant node behind a
+// coalescer deviates exactly as it would sending one envelope at a time.
+func (c *Conn) SendBatch(envs []wire.Envelope) error {
+	out := make([]wire.Envelope, 0, len(envs))
+	for _, env := range envs {
+		if env, ok := c.apply(env); ok {
+			out = append(out, env)
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return c.inner.SendBatch(out)
 }
 
 // MatchBlock matches all envelopes of one building block.

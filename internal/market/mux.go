@@ -24,7 +24,6 @@
 package market
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -69,11 +68,8 @@ type Mux struct {
 	conn transport.Conn
 	self wire.NodeID
 
-	// out is the send path: a transport.Coalescer over conn when the
-	// transport can batch (all lanes' sends then coalesce per destination
-	// peer into superframes), conn itself otherwise.
-	out transport.Conn
-	// co is out's coalescer, nil when the transport cannot batch.
+	// co is the send path: all lanes' sends coalesce per destination peer
+	// into superframes.
 	co *transport.Coalescer
 
 	// lanes is copy-on-write: dispatch (the per-message hot path, possibly
@@ -86,49 +82,33 @@ type Mux struct {
 	parked      map[uint32][]wire.Envelope
 	parkedTotal int
 
-	// parkedDropped counts envelopes dropped because parking overflowed —
-	// the previously silent loss Market.Stats now surfaces.
+	// parkedDropped counts envelopes dropped because parking, or an open
+	// lane's mailbox before its handler was installed, overflowed.
 	parkedDropped metrics.Counter
 	// batchesIn / batchedEnvsIn count inbound superframes and the envelopes
 	// they carried (receive-side occupancy).
 	batchesIn     metrics.Counter
 	batchedEnvsIn metrics.Counter
 
-	closed   atomic.Bool
-	done     chan struct{}
-	loopDone chan struct{}
-	once     sync.Once
+	closed atomic.Bool
+	once   sync.Once
 }
 
-// NewMux wraps conn. On a transport.PushConn inbound envelopes are
-// dispatched to lanes directly in the producing goroutines (lanes then run
-// in parallel); whole superframes are dispatched in ONE call with the lane
-// fan-out inside (transport.PushBatchConn); otherwise a pump goroutine
-// drains Recv. On a transport.BatchConn, sends from all lanes coalesce per
-// destination peer into superframes.
+// NewMux wraps conn. Inbound envelopes are dispatched to lanes directly in
+// the producing goroutines (lanes then run in parallel), whole superframes
+// in ONE call with the lane fan-out inside; sends from all lanes coalesce
+// per destination peer into superframes.
 func NewMux(conn transport.Conn) *Mux {
 	m := &Mux{
-		conn:     conn,
-		self:     conn.Self(),
-		parked:   make(map[uint32][]wire.Envelope),
-		done:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-	}
-	m.out = transport.Coalesce(conn)
-	if co, ok := m.out.(*transport.Coalescer); ok {
-		m.co = co
+		conn:   conn,
+		self:   conn.Self(),
+		co:     transport.NewCoalescer(conn),
+		parked: make(map[uint32][]wire.Envelope),
 	}
 	empty := make(map[uint32]*laneConn)
 	m.lanes.Store(&empty)
-	if pc, ok := conn.(transport.PushConn); ok {
-		close(m.loopDone)
-		pc.SetHandler(m.dispatch)
-		if pbc, ok := conn.(transport.PushBatchConn); ok {
-			pbc.SetBatchHandler(m.dispatchBatch)
-		}
-	} else {
-		go m.pump()
-	}
+	conn.SetHandler(m.dispatch)
+	conn.SetBatchHandler(m.dispatchBatch)
 	return m
 }
 
@@ -142,10 +122,8 @@ func (m *Mux) Stats() Attachment {
 		BatchesIn:     m.batchesIn.Load(),
 		BatchedEnvsIn: m.batchedEnvsIn.Load(),
 	}
-	if m.co != nil {
-		out := m.co.Stats()
-		at.FramesSent, at.SuperframesSent, at.EnvelopesSent = out.Frames, out.Superframes, out.Envelopes
-	}
+	out := m.co.Stats()
+	at.FramesSent, at.SuperframesSent, at.EnvelopesSent = out.Frames, out.Superframes, out.Envelopes
 	if hr, ok := m.conn.(transport.HealthReporter); ok {
 		at.PeerHealth, at.Link = hr.PeerHealth(), hr.LinkStats()
 	}
@@ -183,12 +161,10 @@ func (m *Mux) Lane(lane uint32) (transport.Conn, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("market: lane %d already open", lane)
 	}
-	lc := &laneConn{
-		mux:   m,
-		lane:  lane,
-		inbox: make(chan wire.Envelope, laneInboxSize),
-		done:  make(chan struct{}),
-	}
+	// The lane's mailbox drops when full: one lane nobody has installed a
+	// handler on yet must not head-of-line block the shared attachment.
+	lc := &laneConn{mux: m, lane: lane}
+	lc.box.Init(laneInboxSize, false)
 	next := make(map[uint32]*laneConn, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -205,33 +181,31 @@ func (m *Mux) Lane(lane uint32) (transport.Conn, error) {
 	return lc, nil
 }
 
-// closeLane detaches lane (laneConn.Close calls it). The underlying
-// connection stays open for the other lanes.
-func (m *Mux) closeLane(lane uint32) {
+// closeLane detaches lc (laneConn.Close calls it) unless its lane number
+// has been closed and reopened since. The underlying connection stays open
+// for the other lanes.
+func (m *Mux) closeLane(lc *laneConn) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	old := *m.lanes.Load()
-	if _, ok := old[lane]; !ok {
+	if old[lc.lane] != lc {
 		return
 	}
 	next := make(map[uint32]*laneConn, len(old)-1)
 	for k, v := range old {
-		if k != lane {
+		if k != lc.lane {
 			next[k] = v
 		}
 	}
 	m.lanes.Store(&next)
 }
 
-// Close shuts the mux and the underlying connection; every lane's pending
-// Recv fails with transport.ErrClosed.
+// Close shuts the mux, every lane and the underlying connection.
 func (m *Mux) Close() error {
 	var err error
 	m.once.Do(func() {
 		m.closed.Store(true)
-		close(m.done)
 		err = m.conn.Close()
-		<-m.loopDone
 		m.mu.Lock()
 		lanes := *m.lanes.Load()
 		empty := make(map[uint32]*laneConn)
@@ -240,23 +214,10 @@ func (m *Mux) Close() error {
 		m.parkedTotal = 0
 		m.mu.Unlock()
 		for _, lc := range lanes {
-			lc.markClosed()
+			lc.box.Close()
 		}
 	})
 	return err
-}
-
-// pump is the Recv fallback for non-push transports.
-func (m *Mux) pump() {
-	defer close(m.loopDone)
-	ctx := context.Background()
-	for {
-		env, err := m.conn.Recv(ctx)
-		if err != nil {
-			return
-		}
-		m.dispatch(env)
-	}
 }
 
 // dispatch routes one inbound envelope to its lane: strip the lane from the
@@ -350,21 +311,12 @@ func (m *Mux) park(lane uint32, env wire.Envelope) {
 // the tag; receives get lane-stripped envelopes from the mux. Close
 // detaches the lane only — the shared underlying connection stays up.
 type laneConn struct {
-	mux          *Mux
-	lane         uint32
-	handler      atomic.Pointer[transport.Handler]
-	batchHandler atomic.Pointer[transport.BatchHandler]
-	inbox        chan wire.Envelope
-
-	closeOnce sync.Once
-	done      chan struct{}
+	mux  *Mux
+	lane uint32
+	box  transport.Mailbox
 }
 
-var (
-	_ transport.Conn          = (*laneConn)(nil)
-	_ transport.PushConn      = (*laneConn)(nil)
-	_ transport.PushBatchConn = (*laneConn)(nil)
-)
+var _ transport.Conn = (*laneConn)(nil)
 
 // Self returns the node ID shared by all lanes of the mux.
 func (c *laneConn) Self() wire.NodeID { return c.mux.self }
@@ -385,134 +337,85 @@ func (c *laneConn) PeerDead(id wire.NodeID) bool {
 	return false
 }
 
-// Send stamps the lane into env's tag and transmits it on the shared
-// connection — through the mux's per-peer coalescer when the transport can
-// batch, so concurrent sends from any lanes to the same peer leave as one
-// superframe. A block-local instance wider than wire.InstanceBits cannot be
-// represented next to a lane and is rejected (the caller's round fails
-// loudly instead of silently corrupting another lane's traffic). After
-// Mux.Close every send fails with ErrMuxClosed; a lane closed on its own
-// keeps returning transport.ErrClosed.
-func (c *laneConn) Send(env wire.Envelope) error {
+// stamp checks that the lane may send and shifts it into env's tag. A
+// block-local instance wider than wire.InstanceBits cannot be represented
+// next to a lane and is rejected (the caller's round fails loudly instead
+// of silently corrupting another lane's traffic). After Mux.Close every
+// send fails with ErrMuxClosed; a lane closed on its own keeps returning
+// transport.ErrClosed.
+func (c *laneConn) stamp(env *wire.Envelope) error {
 	if c.mux.closed.Load() {
 		return ErrMuxClosed
 	}
-	select {
-	case <-c.done:
+	if c.box.Closed() {
 		return transport.ErrClosed
-	default:
 	}
 	if env.Tag.Instance > wire.MaxInstance {
 		return fmt.Errorf("market: instance %d overflows lane encoding (max %d)",
 			env.Tag.Instance, wire.MaxInstance)
 	}
 	env.Tag.Instance = wire.JoinLane(c.lane, env.Tag.Instance)
-	err := c.mux.out.Send(env)
+	return nil
+}
+
+// sent names the real cause of a send that raced Mux.Close instead of
+// whatever state the half-torn-down attachment produced.
+func (c *laneConn) sent(err error) error {
 	if err != nil && c.mux.closed.Load() {
-		// The send raced Mux.Close; name the real cause instead of whatever
-		// state the half-torn-down lane table produced.
 		return ErrMuxClosed
 	}
 	return err
 }
 
-// Recv blocks for the lane's next envelope.
-func (c *laneConn) Recv(ctx context.Context) (wire.Envelope, error) {
-	select {
-	case env := <-c.inbox:
-		return env, nil
-	case <-ctx.Done():
-		return wire.Envelope{}, ctx.Err()
-	case <-c.done:
-		select {
-		case env := <-c.inbox:
-			return env, nil
-		default:
-			return wire.Envelope{}, transport.ErrClosed
+// Send stamps the lane into env's tag and transmits it through the mux's
+// per-peer coalescer, so concurrent sends from any lanes to the same peer
+// leave as one superframe.
+func (c *laneConn) Send(env wire.Envelope) error {
+	if err := c.stamp(&env); err != nil {
+		return err
+	}
+	return c.sent(c.mux.co.Send(env))
+}
+
+// SendBatch stamps the lane into a copy of the batch (the caller's slice
+// keeps its block-local instances) and ships it at once as one superframe.
+func (c *laneConn) SendBatch(envs []wire.Envelope) error {
+	out := append([]wire.Envelope(nil), envs...)
+	for i := range out {
+		if err := c.stamp(&out[i]); err != nil {
+			return err
 		}
 	}
+	return c.sent(c.mux.co.SendBatch(out))
 }
 
-// SetHandler switches the lane to push delivery (see transport.PushConn).
-func (c *laneConn) SetHandler(h transport.Handler) {
-	c.handler.Store(&h)
-	c.drainInto(&h)
-}
+// SetHandler implements transport.Conn.
+func (c *laneConn) SetHandler(h transport.Handler) { c.box.SetHandler(h) }
 
-// SetBatchHandler installs a handler receiving whole same-lane runs of a
-// superframe in one call each (see transport.PushBatchConn).
-func (c *laneConn) SetBatchHandler(h transport.BatchHandler) {
-	c.batchHandler.Store(&h)
-}
+// SetBatchHandler implements transport.Conn: h receives whole same-lane
+// runs of a superframe in one call each.
+func (c *laneConn) SetBatchHandler(h transport.BatchHandler) { c.box.SetBatchHandler(h) }
 
-func (c *laneConn) drainInto(h *transport.Handler) {
-	for {
-		select {
-		case env := <-c.inbox:
-			(*h)(env)
-		default:
-			return
-		}
-	}
-}
-
-// deliver hands an inbound envelope to the lane — directly into the handler
-// in push mode, into the inbox otherwise (same handoff discipline as
-// transport.MemConn.push).
+// deliver hands an inbound envelope to the lane. Before the lane's user has
+// installed a handler (sessions do at open) a full mailbox drops — never
+// silently: the drop is counted with the parking drops.
 func (c *laneConn) deliver(env wire.Envelope) {
-	if h := c.handler.Load(); h != nil {
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		(*h)(env)
-		return
-	}
-	select {
-	case <-c.done:
-		return
-	case c.inbox <- env:
-	default:
-		// Inbox full before any handler was installed: drop. Sessions
-		// install their handler at open, so this only guards a pathological
-		// flood in the microseconds between Lane() and OpenSession.
-		return
-	}
-	if h := c.handler.Load(); h != nil {
-		c.drainInto(h)
+	if c.box.Deliver(env) {
+		c.mux.parkedDropped.Inc()
 	}
 }
 
-// deliverBatch hands a same-lane run of an inbound superframe to the lane —
-// one call into the batch handler when installed (proto.Peer's batch
-// ingest), envelope by envelope otherwise.
+// deliverBatch hands a same-lane run of an inbound superframe to the lane.
 func (c *laneConn) deliverBatch(envs []wire.Envelope) {
-	if bh := c.batchHandler.Load(); bh != nil {
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		(*bh)(envs)
-		return
-	}
-	for _, env := range envs {
-		c.deliver(env)
+	if n := c.box.DeliverBatch(envs); n > 0 {
+		c.mux.parkedDropped.Add(int64(n))
 	}
 }
 
 // Close detaches the lane from the mux. Idempotent; the shared underlying
 // connection is not touched (Mux.Close owns it).
 func (c *laneConn) Close() error {
-	c.closeOnce.Do(func() {
-		c.mux.closeLane(c.lane)
-		close(c.done)
-	})
+	c.mux.closeLane(c)
+	c.box.Close()
 	return nil
-}
-
-// markClosed is Mux.Close's teardown path (the lane map is already empty).
-func (c *laneConn) markClosed() {
-	c.closeOnce.Do(func() { close(c.done) })
 }

@@ -3,9 +3,11 @@ package market_test
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"distauction/internal/deviation"
 	"distauction/internal/market"
 	"distauction/internal/transport"
 	"distauction/internal/wire"
@@ -28,11 +30,11 @@ func twoMuxes(t *testing.T) (*market.Mux, *market.Mux) {
 	return ma, mb
 }
 
-func recvOne(t *testing.T, c transport.Conn) wire.Envelope {
+func recvOne(t *testing.T, in *transport.Mailbox) wire.Envelope {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	env, err := c.Recv(ctx)
+	env, err := in.Recv(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +60,14 @@ func TestMuxLaneRoundTripPreservesInstance(t *testing.T) {
 	if err := a1.Send(wire.Envelope{From: 1, To: 2, Tag: tag, Payload: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
-	env := recvOne(t, b1)
+	env := recvOne(t, transport.Pull(b1))
 	if env.Tag != tag || string(env.Payload) != "hi" {
 		t.Fatalf("lane 1 got %+v", env)
 	}
 	// Lane 2 saw nothing.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := b2.Recv(ctx); err == nil {
+	if _, err := transport.Pull(b2).Recv(ctx); err == nil {
 		t.Fatal("lane 2 received lane 1 traffic")
 	}
 }
@@ -99,7 +101,7 @@ func TestMuxParkingDeliversEarlyTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := recvOne(t, b3)
+	env := recvOne(t, transport.Pull(b3))
 	if string(env.Payload) != "early" {
 		t.Fatalf("parked message lost: %+v", env)
 	}
@@ -131,5 +133,112 @@ func TestMuxLaneLifecycle(t *testing.T) {
 	}
 	if _, err := ma.Lane(6); err == nil {
 		t.Fatal("no error opening a lane on a closed mux")
+	}
+}
+
+// TestMuxCountsLaneMailboxDrops floods an open lane nobody has installed a
+// handler on past its mailbox: the overflow is dropped (the shared
+// attachment must not stall) and counted, never silent.
+func TestMuxCountsLaneMailboxDrops(t *testing.T) {
+	ma, mb := twoMuxes(t)
+	a1, err := ma.Lane(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err := mb.Lane(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const room, flood = 256 + 64, 400 // laneInboxSize
+	for i := 0; i < flood; i++ {
+		env := wire.Envelope{From: 1, To: 2, Tag: wire.Tag{Round: uint64(i + 1), Block: wire.BlockTask, Step: 1}}
+		if err := a1.Send(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The zero-latency hub delivered inside Send: the count is settled.
+	if got := mb.Stats().ParkedDropped; got != flood-room {
+		t.Fatalf("ParkedDropped = %d, want %d", got, flood-room)
+	}
+	in := transport.Pull(b1)
+	for i := 0; i < room; i++ {
+		recvOne(t, in)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if env, err := in.Recv(ctx); err == nil {
+		t.Fatalf("envelope beyond the mailbox was delivered: %+v", env)
+	}
+}
+
+// TestDeviantConnUnderMuxStillEquivocates puts a deviation.Wrap-ed conn
+// under a mux, whose coalescer ships its sends as batches: the rules must
+// apply per envelope inside a batch exactly as they do to a lone send — the
+// victim, and only the victim, sees the corrupted payloads, and a dropped
+// envelope leaves the batch.
+func TestDeviantConnUnderMuxStillEquivocates(t *testing.T) {
+	hub := transport.NewHub(transport.LatencyModel{}, 1)
+	t.Cleanup(func() { hub.Close() })
+	const deviant, victim, bystander = 1, 2, 3
+	lanes := map[wire.NodeID]transport.Conn{}
+	for _, id := range []wire.NodeID{deviant, victim, bystander} {
+		conn, err := hub.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == deviant {
+			conn = deviation.Wrap(conn,
+				deviation.Rule{Match: deviation.MatchBlockStep(wire.BlockTask, 9), Action: deviation.Drop},
+				deviation.Rule{Match: deviation.MatchBlock(wire.BlockTask), Action: deviation.Mutate,
+					Transform: deviation.EquivocateTo(victim)})
+		}
+		m := market.NewMux(conn)
+		t.Cleanup(func() { m.Close() })
+		if lanes[id], err = m.Lane(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const honest = "\x01truth"
+	corrupt := string(deviation.FlipPayloadByte()(wire.Envelope{Payload: []byte(honest)}).Payload)
+	env := func(to wire.NodeID, round uint64, step uint8) wire.Envelope {
+		return wire.Envelope{From: deviant, To: to, Tag: wire.Tag{Round: round, Block: wire.BlockTask, Step: step}, Payload: []byte(honest)}
+	}
+
+	const senders, perSender = 8, 20
+	for to, want := range map[wire.NodeID]string{victim: corrupt, bystander: honest} {
+		in := transport.Pull(lanes[to])
+		// One formed batch (step 9 is dropped out of it) ...
+		if err := lanes[deviant].SendBatch([]wire.Envelope{env(to, 1, 1), env(to, 1, 9), env(to, 1, 2)}); err != nil {
+			t.Fatal(err)
+		}
+		// ... and concurrent lone sends, which the coalescer batches as it
+		// pleases.
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for i := 0; i < perSender; i++ {
+					if err := lanes[deviant].Send(env(to, uint64(2+s*perSender+i), 1)); err != nil {
+						t.Error(err)
+					}
+				}
+			}(s)
+		}
+		wg.Wait()
+		for i := 0; i < 2+senders*perSender; i++ {
+			got := recvOne(t, in)
+			if got.Tag.Step == 9 {
+				t.Fatalf("node %d received an envelope the deviant's rules drop: %+v", to, got)
+			}
+			if string(got.Payload) != want {
+				t.Fatalf("node %d got payload %q, want %q", to, got.Payload, want)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		if extra, err := in.Recv(ctx); err == nil {
+			t.Fatalf("node %d received an extra envelope: %+v", to, extra)
+		}
+		cancel()
 	}
 }

@@ -122,7 +122,7 @@ func TestLaneIsolationUnderBatching(t *testing.T) {
 		{From: 1, To: 2, Tag: wire.Tag{Round: 7, Block: wire.BlockControl, Instance: wire.JoinLane(1, 0), Step: proto.StepAbort}, Payload: abortPayload},
 		{From: 1, To: 2, Tag: wire.Tag{Round: 7, Block: wire.BlockTask, Instance: wire.JoinLane(2, 0), Step: 2}, Payload: []byte("beta-2")},
 	}
-	if err := ca.(transport.BatchConn).SendBatch(batch); err != nil {
+	if err := ca.SendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,7 +177,7 @@ func TestMuxBatchedEquivocationStillAborts(t *testing.T) {
 	p := peerOnLane(t, mb, 3, providers)
 
 	tag := wire.Tag{Round: 5, Block: wire.BlockTask, Instance: wire.JoinLane(3, 0), Step: 1}
-	if err := ca.(transport.BatchConn).SendBatch([]wire.Envelope{
+	if err := ca.SendBatch([]wire.Envelope{
 		{From: 1, To: 2, Tag: tag, Payload: []byte("one")},
 		{From: 1, To: 2, Tag: tag, Payload: []byte("two")}, // equivocation
 	}); err != nil {

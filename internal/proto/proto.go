@@ -235,17 +235,15 @@ type Peer struct {
 
 	done      chan struct{}
 	closeOnce sync.Once
-	loopDone  chan struct{}
 }
 
 // NewPeer wraps conn and starts message delivery. providers is the full
 // provider set of the auction (used by broadcast and gather); it is copied
 // and sorted.
 //
-// On a transport.PushConn, inbound messages are dispatched directly in the
-// producing goroutines — senders and per-connection readers route into the
-// striped shards concurrently. Other transports get a routing loop goroutine
-// draining Recv.
+// Inbound messages are dispatched directly in the transport's producing
+// goroutines — senders and per-connection readers route into the striped
+// shards concurrently.
 func NewPeer(conn transport.Conn, providers []wire.NodeID) *Peer {
 	ps := make([]wire.NodeID, len(providers))
 	copy(ps, providers)
@@ -255,7 +253,6 @@ func NewPeer(conn transport.Conn, providers []wire.NodeID) *Peer {
 		self:      conn.Self(),
 		providers: ps,
 		done:      make(chan struct{}),
-		loopDone:  make(chan struct{}),
 	}
 	if lc, ok := conn.(interface{ Lane() uint32 }); ok {
 		p.lane = lc.Lane()
@@ -263,17 +260,10 @@ func NewPeer(conn transport.Conn, providers []wire.NodeID) *Peer {
 	if hr, ok := conn.(interface{ PeerDead(wire.NodeID) bool }); ok {
 		p.health = hr
 	}
-	if pc, ok := conn.(transport.PushConn); ok {
-		close(p.loopDone) // no routing loop to wait for
-		pc.SetHandler(func(env wire.Envelope) { p.handle(env.From, env.Tag, env.Payload) })
-		if pbc, ok := conn.(transport.PushBatchConn); ok {
-			// Superframes arrive as one call per batch; ingest runs of
-			// same-shard messages under a single lock acquisition.
-			pbc.SetBatchHandler(p.handleBatch)
-		}
-	} else {
-		go p.runLoop()
-	}
+	conn.SetHandler(func(env wire.Envelope) { p.handle(env.From, env.Tag, env.Payload) })
+	// Superframes arrive as one call per batch; ingest runs of same-shard
+	// messages under a single lock acquisition.
+	conn.SetBatchHandler(p.handleBatch)
 	return p
 }
 
@@ -300,13 +290,12 @@ func (p *Peer) shardFor(round uint64) *shard {
 	return &p.shards[round&(numShards-1)]
 }
 
-// Close stops the routing loop and releases the underlying connection.
+// Close releases the underlying connection and wakes every waiter.
 func (p *Peer) Close() error {
 	var err error
 	p.closeOnce.Do(func() {
 		close(p.done)
 		err = p.conn.Close()
-		<-p.loopDone
 		p.closed.Store(true)
 		// Wake every waiter; they will observe the closed state.
 		for i := range p.shards {
@@ -326,18 +315,6 @@ func (p *Peer) Close() error {
 		}
 	})
 	return err
-}
-
-func (p *Peer) runLoop() {
-	defer close(p.loopDone)
-	ctx := context.Background()
-	for {
-		env, err := p.conn.Recv(ctx)
-		if err != nil {
-			return // connection closed
-		}
-		p.handle(env.From, env.Tag, env.Payload)
-	}
 }
 
 // handle routes one message. It is also the local delivery path for

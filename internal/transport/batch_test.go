@@ -35,7 +35,7 @@ func TestHubSendBatchDeliversWholeFrame(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var calls [][]wire.Envelope
-	c2.(PushBatchConn).SetBatchHandler(func(envs []wire.Envelope) {
+	c2.SetBatchHandler(func(envs []wire.Envelope) {
 		mu.Lock()
 		calls = append(calls, envs)
 		mu.Unlock()
@@ -45,7 +45,7 @@ func TestHubSendBatchDeliversWholeFrame(t *testing.T) {
 		batchEnv(1, 2, 2, "b"),
 		batchEnv(1, 2, 3, "c"),
 	}
-	if err := c1.(BatchConn).SendBatch(batch); err != nil {
+	if err := c1.SendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -71,11 +71,10 @@ func TestHubSendBatchValidates(t *testing.T) {
 	if _, err := hub.Attach(3); err != nil {
 		t.Fatal(err)
 	}
-	bc := c1.(BatchConn)
-	if err := bc.SendBatch([]wire.Envelope{batchEnv(9, 2, 1, "x")}); err == nil {
+	if err := c1.SendBatch([]wire.Envelope{batchEnv(9, 2, 1, "x")}); err == nil {
 		t.Fatal("forged From accepted")
 	}
-	if err := bc.SendBatch([]wire.Envelope{batchEnv(1, 2, 1, "x"), batchEnv(1, 3, 1, "y")}); err == nil {
+	if err := c1.SendBatch([]wire.Envelope{batchEnv(1, 2, 1, "x"), batchEnv(1, 3, 1, "y")}); err == nil {
 		t.Fatal("mixed destinations accepted")
 	}
 }
@@ -94,13 +93,13 @@ func TestHubChargesLatencyPerFrame(t *testing.T) {
 	c1, _ := hub.Attach(1)
 	c2, _ := hub.Attach(2)
 	arrivals := make(chan time.Time, 64)
-	c2.(PushBatchConn).SetBatchHandler(func(envs []wire.Envelope) {
+	c2.SetBatchHandler(func(envs []wire.Envelope) {
 		now := time.Now()
 		for range envs {
 			arrivals <- now
 		}
 	})
-	c2.(PushConn).SetHandler(func(env wire.Envelope) { arrivals <- time.Now() })
+	c2.SetHandler(func(env wire.Envelope) { arrivals <- time.Now() })
 
 	const k = 16
 	batch := make([]wire.Envelope, k)
@@ -108,7 +107,7 @@ func TestHubChargesLatencyPerFrame(t *testing.T) {
 		batch[i] = batchEnv(1, 2, uint64(i+1), "p")
 	}
 	start := time.Now()
-	if err := c1.(BatchConn).SendBatch(batch); err != nil {
+	if err := c1.SendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	var last time.Time
@@ -141,14 +140,14 @@ func TestCoalescerBatchesConcurrentSends(t *testing.T) {
 		got[string(env.Payload)]++
 		mu.Unlock()
 	}
-	c2.(PushBatchConn).SetBatchHandler(func(envs []wire.Envelope) {
+	c2.SetBatchHandler(func(envs []wire.Envelope) {
 		for _, env := range envs {
 			count(env)
 		}
 	})
-	c2.(PushConn).SetHandler(count)
+	c2.SetHandler(count)
 
-	co := NewCoalescer(c1.(BatchConn))
+	co := NewCoalescer(c1)
 	const n = 200
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -192,13 +191,14 @@ func TestCoalescerSingletonLeavesImmediately(t *testing.T) {
 	defer hub.Close()
 	c1, _ := hub.Attach(1)
 	c2, _ := hub.Attach(2)
-	co := NewCoalescer(c1.(BatchConn))
+	in := Pull(c2)
+	co := NewCoalescer(c1)
 	if err := co.Send(batchEnv(1, 2, 1, "solo")); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	env, err := c2.Recv(ctx)
+	env, err := in.Recv(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +220,12 @@ func TestCoalescerPropagatesSendErrors(t *testing.T) {
 	if _, err := hub.Attach(2); err != nil {
 		t.Fatal(err)
 	}
-	co := NewCoalescer(c1.(BatchConn))
-	if err := co.Close(); err != nil {
+	co := NewCoalescer(c1)
+	if err := c1.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := co.Send(batchEnv(1, 2, 1, "x")); err == nil {
-		t.Fatal("send on closed coalescer succeeded")
+		t.Fatal("send through a coalescer on a closed conn succeeded")
 	}
 }
 
@@ -307,6 +307,7 @@ func TestTCPSuperframeBadMACDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recv.Close()
+	in := Pull(recv)
 	sender.SetPeer(2, recv.Addr())
 	if err := sender.SendBatch([]wire.Envelope{
 		batchEnv(1, 2, 1, "evil"),
@@ -323,7 +324,7 @@ func TestTCPSuperframeBadMACDropped(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if env, err := recv.Recv(ctx); err == nil {
+	if env, err := in.Recv(ctx); err == nil {
 		t.Fatalf("forged envelope delivered: %+v", env)
 	}
 }

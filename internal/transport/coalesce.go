@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,10 +42,11 @@ func (s CoalesceStats) Occupancy() float64 {
 	return float64(s.Envelopes) / float64(s.Frames)
 }
 
-// Coalescer wraps a BatchConn and gathers concurrent same-destination sends
-// into superframes. The flush policy is last-writer-flushes at envelope
-// granularity (the envelope-level analogue of the TCP transport's byte
-// coalescing): a Send appends to the destination peer's open batch, and the
+// Coalescer is a send-side helper over a BatchConn — not a connection
+// itself; the receive half and Close stay with the conn's owner. It gathers
+// concurrent same-destination sends into superframes. The flush policy is
+// last-writer-flushes at envelope granularity (the envelope-level analogue
+// of the TCP transport's byte coalescing): a Send appends to the destination peer's open batch, and the
 // last concurrent appender detaches and ships it. An isolated send thus
 // still leaves in one hop with zero added latency — there is no flush timer
 // — while an m²-burst to a peer costs O(1) frames instead of O(m²).
@@ -101,28 +101,13 @@ type pendingBatch struct {
 	refs  atomic.Int32
 }
 
-var (
-	_ Conn     = (*Coalescer)(nil)
-	_ PushConn = (*Coalescer)(nil)
-)
-
-// NewCoalescer wraps conn. The coalescer owns no goroutines; Close simply
-// closes conn.
+// NewCoalescer returns a coalescer sending on conn. It owns no goroutines
+// and nothing to close; once conn closes, sends fail with conn's error.
 func NewCoalescer(conn BatchConn) *Coalescer {
 	c := &Coalescer{conn: conn}
 	empty := make(map[wire.NodeID]*peerCoalescer)
 	c.peers.Store(&empty)
 	return c
-}
-
-// Coalesce wraps conn in a Coalescer when the transport can batch, and
-// returns conn unchanged otherwise — so callers (sessions, muxes) opt in
-// without caring which transport they run over.
-func Coalesce(conn Conn) Conn {
-	if bc, ok := conn.(BatchConn); ok {
-		return NewCoalescer(bc)
-	}
-	return conn
 }
 
 // Stats returns the coalescer's outbound counters.
@@ -131,31 +116,6 @@ func (c *Coalescer) Stats() CoalesceStats {
 		Frames:      c.frames.Load(),
 		Superframes: c.superframes.Load(),
 		Envelopes:   c.envelopes.Load(),
-	}
-}
-
-// Self returns the underlying node ID.
-func (c *Coalescer) Self() wire.NodeID { return c.conn.Self() }
-
-// Recv delegates to the underlying connection.
-func (c *Coalescer) Recv(ctx context.Context) (wire.Envelope, error) { return c.conn.Recv(ctx) }
-
-// Close closes the underlying connection. In-flight batches fail with the
-// transport's close error.
-func (c *Coalescer) Close() error { return c.conn.Close() }
-
-// SetHandler delegates push delivery to the underlying connection.
-func (c *Coalescer) SetHandler(h Handler) {
-	if pc, ok := c.conn.(PushConn); ok {
-		pc.SetHandler(h)
-	}
-}
-
-// SetBatchHandler delegates batch push delivery to the underlying
-// connection.
-func (c *Coalescer) SetBatchHandler(h BatchHandler) {
-	if pbc, ok := c.conn.(PushBatchConn); ok {
-		pbc.SetBatchHandler(h)
 	}
 }
 
@@ -247,6 +207,17 @@ func (c *Coalescer) Send(env wire.Envelope) error {
 	pc.mu.Unlock()
 	c.ship(pb)
 	return release(pc, pb)
+}
+
+// SendBatch ships a batch the caller already formed, at once, counted like
+// one the coalescer sealed itself.
+func (c *Coalescer) SendBatch(envs []wire.Envelope) error {
+	c.frames.Add(1)
+	c.envelopes.Add(int64(len(envs)))
+	if len(envs) > 1 {
+		c.superframes.Add(1)
+	}
+	return c.conn.SendBatch(envs)
 }
 
 // getBatchLocked pops a recycled batch (or builds the peer's first few) and

@@ -33,14 +33,14 @@ func TestCoalescerBatchRecycleWaves(t *testing.T) {
 		got[string(env.Payload)]++
 		mu.Unlock()
 	}
-	c2.(PushBatchConn).SetBatchHandler(func(envs []wire.Envelope) {
+	c2.SetBatchHandler(func(envs []wire.Envelope) {
 		for _, env := range envs {
 			count(env)
 		}
 	})
-	c2.(PushConn).SetHandler(count)
+	c2.SetHandler(count)
 
-	co := NewCoalescer(c1.(BatchConn))
+	co := NewCoalescer(c1)
 	const (
 		waves   = 25
 		senders = 8

@@ -12,7 +12,6 @@
 package faultnet
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -206,12 +205,7 @@ type faultConn struct {
 	sends int
 }
 
-var (
-	_ transport.Conn          = (*faultConn)(nil)
-	_ transport.PushConn      = (*faultConn)(nil)
-	_ transport.BatchConn     = (*faultConn)(nil)
-	_ transport.PushBatchConn = (*faultConn)(nil)
-)
+var _ transport.Conn = (*faultConn)(nil)
 
 func (c *faultConn) Self() wire.NodeID { return c.self }
 
@@ -322,48 +316,26 @@ func (c *faultConn) SendBatch(envs []wire.Envelope) error {
 		c.net.timers.Add(1)
 		time.AfterFunc(v.delay, func() {
 			defer c.net.timers.Done()
-			_ = c.sendBatchInner(cp)
+			_ = c.inner.SendBatch(cp)
 			if dup {
 				c.net.duplicated.Add(1)
-				_ = c.sendBatchInner(cp)
+				_ = c.inner.SendBatch(cp)
 			}
 		})
 		return nil
 	}
-	if err := c.sendBatchInner(envs); err != nil {
+	if err := c.inner.SendBatch(envs); err != nil {
 		return err
 	}
 	if v.dup {
 		c.net.duplicated.Add(1)
-		return c.sendBatchInner(envs)
+		return c.inner.SendBatch(envs)
 	}
 	return nil
 }
 
-func (c *faultConn) sendBatchInner(envs []wire.Envelope) error {
-	if bc, ok := c.inner.(transport.BatchConn); ok {
-		return bc.SendBatch(envs)
-	}
-	for i := range envs {
-		if err := c.inner.Send(envs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (c *faultConn) SetHandler(h transport.Handler) { c.inner.SetHandler(h) }
 
-func (c *faultConn) Recv(ctx context.Context) (wire.Envelope, error) { return c.inner.Recv(ctx) }
-
-func (c *faultConn) SetHandler(h transport.Handler) {
-	if pc, ok := c.inner.(transport.PushConn); ok {
-		pc.SetHandler(h)
-	}
-}
-
-func (c *faultConn) SetBatchHandler(h transport.BatchHandler) {
-	if pbc, ok := c.inner.(transport.PushBatchConn); ok {
-		pbc.SetBatchHandler(h)
-	}
-}
+func (c *faultConn) SetBatchHandler(h transport.BatchHandler) { c.inner.SetBatchHandler(h) }
 
 func (c *faultConn) Close() error { return c.inner.Close() }

@@ -62,7 +62,7 @@ func TestFaultnetResilientComposition(t *testing.T) {
 	got := make([]int, 0, count)
 	done := make(chan struct{})
 	var once sync.Once
-	c2.(transport.PushConn).SetHandler(func(env wire.Envelope) {
+	c2.SetHandler(func(env wire.Envelope) {
 		var v int
 		fmt.Sscanf(string(env.Payload), "%d", &v)
 		mu.Lock()
@@ -122,7 +122,7 @@ func TestFaultnetPartition(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []int
-	c2.(transport.PushConn).SetHandler(func(env wire.Envelope) {
+	c2.SetHandler(func(env wire.Envelope) {
 		var v int
 		fmt.Sscanf(string(env.Payload), "%d", &v)
 		mu.Lock()
@@ -185,7 +185,7 @@ func TestFaultnetKillBlackout(t *testing.T) {
 	got := make(map[int]int)
 	done := make(chan struct{})
 	var once sync.Once
-	c2.(transport.PushConn).SetHandler(func(env wire.Envelope) {
+	c2.SetHandler(func(env wire.Envelope) {
 		var v int
 		fmt.Sscanf(string(env.Payload), "%d", &v)
 		mu.Lock()

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -91,12 +90,8 @@ func (h *Hub) Attach(id wire.NodeID) (Conn, error) {
 	if _, dup := old[id]; dup {
 		return nil, fmt.Errorf("transport: node %d already attached", id)
 	}
-	c := &MemConn{
-		hub:   h,
-		id:    id,
-		inbox: make(chan wire.Envelope, 4096),
-		done:  make(chan struct{}),
-	}
+	c := &MemConn{hub: h, id: id}
+	c.box.Init(connQueueCap, true)
 	next := make(map[wire.NodeID]*MemConn, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -207,24 +202,14 @@ func (h *Hub) deliverBatch(envs []wire.Envelope) error {
 
 // MemConn is a node's attachment to a Hub.
 type MemConn struct {
-	hub          *Hub
-	id           wire.NodeID
-	inbox        chan wire.Envelope
-	handler      atomic.Pointer[Handler]
-	batchHandler atomic.Pointer[BatchHandler]
-
-	closeOnce sync.Once
-	done      chan struct{}
+	hub *Hub
+	id  wire.NodeID
+	box Mailbox
 
 	stats Stats
 }
 
-var (
-	_ Conn          = (*MemConn)(nil)
-	_ PushConn      = (*MemConn)(nil)
-	_ BatchConn     = (*MemConn)(nil)
-	_ PushBatchConn = (*MemConn)(nil)
-)
+var _ Conn = (*MemConn)(nil)
 
 // Self returns the local node ID.
 func (c *MemConn) Self() wire.NodeID { return c.id }
@@ -234,10 +219,8 @@ func (c *MemConn) Stats() StatsSnapshot { return c.stats.Snapshot() }
 
 // Send queues env for delivery.
 func (c *MemConn) Send(env wire.Envelope) error {
-	select {
-	case <-c.done:
+	if c.box.Closed() {
 		return ErrClosed
-	default:
 	}
 	if env.From != c.id {
 		return fmt.Errorf("transport: sending as %d from conn %d", env.From, c.id)
@@ -250,10 +233,8 @@ func (c *MemConn) Send(env wire.Envelope) error {
 // SendBatch queues a whole superframe — envelopes for ONE destination — for
 // delivery as a single frame: one latency-model event, one push.
 func (c *MemConn) SendBatch(envs []wire.Envelope) error {
-	select {
-	case <-c.done:
+	if c.box.Closed() {
 		return ErrClosed
-	default:
 	}
 	if len(envs) == 0 {
 		return nil
@@ -273,110 +254,33 @@ func (c *MemConn) SendBatch(envs []wire.Envelope) error {
 	return c.hub.deliverBatch(envs)
 }
 
-// Recv blocks for the next envelope, the context, or Close.
-func (c *MemConn) Recv(ctx context.Context) (wire.Envelope, error) {
-	select {
-	case env := <-c.inbox:
-		c.stats.MsgsReceived.Add(1)
-		c.stats.BytesReceived.Add(int64(len(env.Payload)))
-		return env, nil
-	case <-ctx.Done():
-		return wire.Envelope{}, ctx.Err()
-	case <-c.done:
-		// Drain anything that raced with Close so shutdown is not flaky.
-		select {
-		case env := <-c.inbox:
-			return env, nil
-		default:
-			return wire.Envelope{}, ErrClosed
-		}
-	}
-}
-
 // Close detaches the connection. Messages already queued are dropped.
 func (c *MemConn) Close() error {
-	c.closeOnce.Do(func() { close(c.done) })
+	c.box.Close()
 	return nil
 }
 
-// SetHandler switches the connection to push delivery: envelopes go to h in
-// the producing goroutine (sender or delay timer) instead of through Recv.
-// Anything already queued for Recv is drained into h first.
-func (c *MemConn) SetHandler(h Handler) {
-	c.handler.Store(&h)
-	c.drainInto(&h)
-}
+// SetHandler implements Conn: envelopes go to h in the producing goroutine
+// (sender or delay timer).
+func (c *MemConn) SetHandler(h Handler) { c.box.SetHandler(h) }
 
-// SetBatchHandler installs a handler receiving whole inbound superframes in
-// one call each; without one, batches degrade to per-envelope delivery.
-func (c *MemConn) SetBatchHandler(h BatchHandler) {
-	c.batchHandler.Store(&h)
-}
+// SetBatchHandler implements Conn.
+func (c *MemConn) SetBatchHandler(h BatchHandler) { c.box.SetBatchHandler(h) }
 
-// drainInto empties whatever is queued in the inbox into the handler. Safe
-// to call concurrently: each queued envelope is received (and thus
-// dispatched) exactly once.
-func (c *MemConn) drainInto(h *Handler) {
-	for {
-		select {
-		case env := <-c.inbox:
-			c.stats.MsgsReceived.Add(1)
-			c.stats.BytesReceived.Add(int64(len(env.Payload)))
-			(*h)(env)
-		default:
-			return
-		}
-	}
-}
-
-// push delivers an envelope — directly into the handler in push mode, into
-// the inbox otherwise — dropping it if the node closed.
+// push delivers one inbound envelope.
 func (c *MemConn) push(env wire.Envelope) {
-	if h := c.handler.Load(); h != nil {
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		c.stats.MsgsReceived.Add(1)
-		c.stats.BytesReceived.Add(int64(len(env.Payload)))
-		(*h)(env)
-		return
-	}
-	select {
-	case <-c.done:
-	case c.inbox <- env:
-	}
-	// A handler installed between the nil check above and the enqueue would
-	// never look at the inbox again (Recv is abandoned in push mode), so
-	// re-check and drain: either SetHandler's own drain ran after our send
-	// and took the message, or we find the handler here and drain it
-	// ourselves — each queued message is channel-received exactly once.
-	if h := c.handler.Load(); h != nil {
-		c.drainInto(h)
-	}
+	c.stats.MsgsReceived.Add(1)
+	c.stats.BytesReceived.Add(int64(len(env.Payload)))
+	c.box.Deliver(env)
 }
 
-// pushBatch delivers one inbound superframe: one call into the batch
-// handler when installed (the receiver fans out inside), otherwise envelope
-// by envelope through the usual path.
+// pushBatch delivers one inbound superframe.
 func (c *MemConn) pushBatch(envs []wire.Envelope) {
-	if bh := c.batchHandler.Load(); bh != nil {
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		size := 0
-		for i := range envs {
-			size += len(envs[i].Payload)
-		}
-		c.stats.MsgsReceived.Add(int64(len(envs)))
-		c.stats.BytesReceived.Add(int64(size))
-		(*bh)(envs)
-		return
+	size := 0
+	for i := range envs {
+		size += len(envs[i].Payload)
 	}
-	for _, env := range envs {
-		c.push(env)
-	}
+	c.stats.MsgsReceived.Add(int64(len(envs)))
+	c.stats.BytesReceived.Add(int64(size))
+	c.box.DeliverBatch(envs)
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"cmp"
-	"context"
 	"encoding/binary"
 	"slices"
 	"sort"
@@ -340,18 +339,12 @@ type linkPeer struct {
 	state     HealthState
 }
 
-// ResilientConn is one attachment's link layer. It implements the full
-// connection surface (push, batch) regardless of the inner transport,
-// falling back to a Recv pump when the inner conn cannot push.
+// ResilientConn is one attachment's link layer: a Conn over a Conn.
 type ResilientConn struct {
-	inner      Conn
-	innerBatch BatchConn // nil when the inner conn cannot batch
-	cfg        ResilientConfig
-	self       wire.NodeID
-
-	inbox        chan wire.Envelope
-	handler      atomic.Pointer[Handler]
-	batchHandler atomic.Pointer[BatchHandler]
+	inner Conn
+	cfg   ResilientConfig
+	self  wire.NodeID
+	box   Mailbox // restored envelopes, on their way to the layer above
 
 	mu    sync.Mutex
 	peers map[wire.NodeID]*linkPeer
@@ -370,9 +363,6 @@ type ResilientConn struct {
 
 var (
 	_ Conn           = (*ResilientConn)(nil)
-	_ PushConn       = (*ResilientConn)(nil)
-	_ BatchConn      = (*ResilientConn)(nil)
-	_ PushBatchConn  = (*ResilientConn)(nil)
 	_ HealthReporter = (*ResilientConn)(nil)
 )
 
@@ -391,22 +381,12 @@ func newResilientConn(inner Conn, cfg ResilientConfig, ownTicker bool) *Resilien
 		inner: inner,
 		cfg:   cfg,
 		self:  inner.Self(),
-		inbox: make(chan wire.Envelope, 4096),
 		peers: make(map[wire.NodeID]*linkPeer),
 		done:  make(chan struct{}),
 	}
-	if bc, ok := inner.(BatchConn); ok {
-		c.innerBatch = bc
-	}
-	if pc, ok := inner.(PushConn); ok {
-		pc.SetHandler(c.onInner)
-		if pbc, ok := inner.(PushBatchConn); ok {
-			pbc.SetBatchHandler(c.onInnerBatch)
-		}
-	} else {
-		c.wg.Add(1)
-		go c.pump()
-	}
+	c.box.Init(connQueueCap, true)
+	inner.SetHandler(c.onInner)
+	inner.SetBatchHandler(c.onInnerBatch)
 	if ownTicker {
 		c.wg.Add(1)
 		go c.run()
@@ -578,7 +558,7 @@ func (c *ResilientConn) Send(env wire.Envelope) error {
 	return err
 }
 
-// SendBatch implements BatchConn: each envelope of the superframe is
+// SendBatch implements Conn: each envelope of the superframe is
 // sequenced in place (the layer owns the LinkSeq field) and buffered for
 // resend, and the batch ships as one inner superframe — no re-encode, no
 // copy, no allocation.
@@ -587,7 +567,7 @@ func (c *ResilientConn) SendBatch(envs []wire.Envelope) error {
 		return nil
 	}
 	if envs[0].To == wire.Broadcast {
-		return c.sendBatchInner(envs)
+		return c.inner.SendBatch(envs)
 	}
 	now := time.Now()
 	p := c.peer(envs[0].To)
@@ -601,23 +581,11 @@ func (c *ResilientConn) SendBatch(envs []wire.Envelope) error {
 	}
 	p.lastDataSent = now
 	p.mu.Unlock()
-	err := c.sendBatchInner(envs)
+	err := c.inner.SendBatch(envs)
 	if err != nil {
 		p.abandon(envs[0].LinkSeq, len(envs))
 	}
 	return err
-}
-
-func (c *ResilientConn) sendBatchInner(envs []wire.Envelope) error {
-	if c.innerBatch != nil {
-		return c.innerBatch.SendBatch(envs)
-	}
-	for i := range envs {
-		if err := c.inner.Send(envs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // heard marks the peer live and reports a reconnect when it was suspect
@@ -884,7 +852,7 @@ func (c *ResilientConn) onInner(env wire.Envelope) {
 		return
 	}
 	if env.LinkSeq == 0 {
-		c.deliver(env) // an unwrapped peer (or broadcast); pass through
+		c.box.Deliver(env) // an unwrapped peer (or broadcast); pass through
 		return
 	}
 	now := time.Now()
@@ -896,7 +864,7 @@ func (c *ResilientConn) onInner(env wire.Envelope) {
 	p.mu.Unlock()
 	c.sendAck(ack)
 	for i := range out {
-		c.deliver(out[i])
+		c.box.Deliver(out[i])
 	}
 }
 
@@ -948,7 +916,7 @@ func (c *ResilientConn) onInnerBatch(envs []wire.Envelope) {
 			ack := c.ackDueLocked(p)
 			p.mu.Unlock()
 			c.sendAck(ack)
-			c.dispatch(envs)
+			c.box.DeliverBatch(envs)
 			return
 		}
 		p.mu.Unlock() // replayed frames inside; the slow path dedups each
@@ -984,66 +952,8 @@ func (c *ResilientConn) onInnerBatch(envs []wire.Envelope) {
 		}
 	}
 	unlock()
-	c.dispatch(out)
-}
-
-// dispatch releases a batch of restored envelopes to the handler surface.
-func (c *ResilientConn) dispatch(out []wire.Envelope) {
-	if len(out) == 0 {
-		return
-	}
-	if bh := c.batchHandler.Load(); bh != nil {
-		(*bh)(out)
-		return
-	}
-	for i := range out {
-		c.deliver(out[i])
-	}
-}
-
-// deliver hands one restored envelope to the handler or the Recv inbox
-// (same exactly-once discipline as the base transports).
-func (c *ResilientConn) deliver(env wire.Envelope) {
-	if h := c.handler.Load(); h != nil {
-		(*h)(env)
-		return
-	}
-	select {
-	case c.inbox <- env:
-	case <-c.done:
-		return
-	}
-	if h := c.handler.Load(); h != nil {
-		c.drainInto(h)
-	}
-}
-
-func (c *ResilientConn) drainInto(h *Handler) {
-	for {
-		select {
-		case env := <-c.inbox:
-			(*h)(env)
-		default:
-			return
-		}
-	}
-}
-
-// pump is the Recv-mode fallback for inner conns that cannot push.
-func (c *ResilientConn) pump() {
-	defer c.wg.Done()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-c.done
-		cancel()
-	}()
-	for {
-		env, err := c.inner.Recv(ctx)
-		if err != nil {
-			return
-		}
-		c.onInner(env)
+	if len(out) > 0 {
+		c.box.DeliverBatch(out)
 	}
 }
 
@@ -1154,38 +1064,19 @@ func (c *ResilientConn) LinkStats() LinkStats {
 	}
 }
 
-// SetHandler implements PushConn.
-func (c *ResilientConn) SetHandler(h Handler) {
-	c.handler.Store(&h)
-	c.drainInto(&h)
-}
+// SetHandler implements Conn.
+func (c *ResilientConn) SetHandler(h Handler) { c.box.SetHandler(h) }
 
-// SetBatchHandler implements PushBatchConn.
-func (c *ResilientConn) SetBatchHandler(h BatchHandler) {
-	c.batchHandler.Store(&h)
-}
+// SetBatchHandler implements Conn.
+func (c *ResilientConn) SetBatchHandler(h BatchHandler) { c.box.SetBatchHandler(h) }
 
-// Recv implements Conn.
-func (c *ResilientConn) Recv(ctx context.Context) (wire.Envelope, error) {
-	select {
-	case env := <-c.inbox:
-		return env, nil
-	case <-ctx.Done():
-		return wire.Envelope{}, ctx.Err()
-	case <-c.done:
-		select {
-		case env := <-c.inbox:
-			return env, nil
-		default:
-			return wire.Envelope{}, ErrClosed
-		}
-	}
-}
-
-// stop halts the ticker and pump without closing the inner conn (the
+// stop halts the ticker and delivery without closing the inner conn (the
 // network wrapper closes inner once, for all attachments).
 func (c *ResilientConn) stop() {
-	c.closeOnce.Do(func() { close(c.done) })
+	c.closeOnce.Do(func() {
+		close(c.done)
+		c.box.Close()
+	})
 }
 
 // Close implements Conn.

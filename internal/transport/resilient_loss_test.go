@@ -47,9 +47,8 @@ func (ta *tally) forget(i int) {
 }
 
 func (ta *tally) install(conn transport.Conn) {
-	pc := conn.(transport.PushBatchConn)
-	pc.SetHandler(ta.handle)
-	pc.SetBatchHandler(func(envs []wire.Envelope) {
+	conn.SetHandler(ta.handle)
+	conn.SetBatchHandler(func(envs []wire.Envelope) {
 		for i := range envs {
 			ta.handle(envs[i])
 		}

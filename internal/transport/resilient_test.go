@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -59,32 +58,12 @@ func (c *flakyConn) SendBatch(envs []wire.Envelope) error {
 	if !c.allow() {
 		return nil
 	}
-	if bc, ok := c.Conn.(BatchConn); ok {
-		return bc.SendBatch(envs)
-	}
-	for i := range envs {
-		if err := c.Conn.Send(envs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *flakyConn) SetHandler(h Handler) {
-	if pc, ok := c.Conn.(PushConn); ok {
-		pc.SetHandler(h)
-	}
-}
-
-func (c *flakyConn) SetBatchHandler(h BatchHandler) {
-	if pbc, ok := c.Conn.(PushBatchConn); ok {
-		pbc.SetBatchHandler(h)
-	}
+	return c.Conn.SendBatch(envs)
 }
 
 // collect installs a handler that records the integer payloads of
 // inbound envelopes and closes done when want have arrived.
-func collect(t *testing.T, conn PushConn, want int) (got *[]int, done chan struct{}) {
+func collect(t *testing.T, conn Conn, want int) (got *[]int, done chan struct{}) {
 	t.Helper()
 	var mu sync.Mutex
 	seq := make([]int, 0, want)
@@ -251,32 +230,6 @@ func TestResilientTCPKillMidSuperframe(t *testing.T) {
 		t.Fatalf("timed out: got %d/%d envelopes after conn kills", len(*got), count)
 	}
 	assertExactlyOnce(t, *got, count)
-}
-
-// TestResilientRecvMode: the link layer must also serve pull-mode
-// consumers (Recv) — bidder CLIs use it.
-func TestResilientRecvMode(t *testing.T) {
-	hub := NewHub(LatencyModel{}, 1)
-	defer hub.Close()
-	raw1, _ := hub.Attach(1)
-	raw2, _ := hub.Attach(2)
-	c1 := WrapResilient(raw1, fastLink())
-	defer c1.Close()
-	c2 := WrapResilient(raw2, fastLink())
-	defer c2.Close()
-
-	if err := c1.Send(dataEnv(1, 2, 42)); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	env, err := c2.Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(env.Payload) != "42" || env.Tag.Block != wire.BlockTask {
-		t.Fatalf("got %+v", env)
-	}
 }
 
 // assertExactlyOnce fails unless got is a permutation of 0..count-1:

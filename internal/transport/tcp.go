@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -43,11 +42,9 @@ type TCPConfig struct {
 // each envelope carries an HMAC under the pairwise key of (From, To), so no
 // connection handshake is needed and connections are interchangeable.
 type TCPNode struct {
-	cfg          TCPConfig
-	ln           net.Listener
-	inbox        chan wire.Envelope
-	handler      atomic.Pointer[Handler]
-	batchHandler atomic.Pointer[BatchHandler]
+	cfg TCPConfig
+	ln  net.Listener
+	box Mailbox
 
 	mu       sync.Mutex
 	outbound map[wire.NodeID]*tcpOut
@@ -140,11 +137,11 @@ func ListenTCP(cfg TCPConfig) (*TCPNode, error) {
 	n := &TCPNode{
 		cfg:      cfg,
 		ln:       ln,
-		inbox:    make(chan wire.Envelope, 4096),
 		outbound: make(map[wire.NodeID]*tcpOut),
 		inConns:  make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
 	}
+	n.box.Init(connQueueCap, true)
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -231,41 +228,16 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		}
 		n.stats.MsgsReceived.Add(1)
 		n.stats.BytesReceived.Add(int64(len(env.Payload)))
-		if !n.deliverEnvelope(env) {
-			return
-		}
+		// Handlers run here, in the connection's read goroutine, so inbound
+		// traffic from different peers is handled in parallel.
+		n.box.Deliver(env)
 	}
-}
-
-// deliverEnvelope hands one inbound envelope to the handler (push mode: in
-// the calling read goroutine, so inbound traffic from different peers is
-// handled in parallel) or the Recv inbox. It returns false when the node is
-// shutting down.
-func (n *TCPNode) deliverEnvelope(env wire.Envelope) bool {
-	if h := n.handler.Load(); h != nil {
-		(*h)(env)
-		return true
-	}
-	select {
-	case n.inbox <- env:
-	case <-n.done:
-		return false
-	}
-	// A handler installed between the nil check above and the enqueue would
-	// never look at the inbox again; re-check and drain so the message
-	// cannot be stranded (each one is received exactly once, here or in
-	// SetHandler's drain).
-	if h := n.handler.Load(); h != nil {
-		n.drainInto(h)
-	}
-	return true
 }
 
 // ingestSuperframe decodes, authenticates (ONE batch MAC check) and
 // dispatches one inbound superframe. The whole batch is handed to the batch
 // handler in this connection's read goroutine — one dispatch hop per
-// superframe — falling back to per-envelope delivery when no batch handler
-// is installed. A bad batch MAC drops the frame and counts once in Dropped;
+// superframe. A bad batch MAC drops the frame and counts once in Dropped;
 // auth.VerifyBatch already attributed it as finely as the frame allows.
 func (n *TCPNode) ingestSuperframe(frame []byte) {
 	sf, err := wire.DecodeSuperframeView(frame)
@@ -288,49 +260,15 @@ func (n *TCPNode) ingestSuperframe(frame []byte) {
 	}
 	n.stats.MsgsReceived.Add(int64(len(sf.Envs)))
 	n.stats.BytesReceived.Add(int64(size))
-	if bh := n.batchHandler.Load(); bh != nil {
-		(*bh)(sf.Envs)
-		return
-	}
-	for _, env := range sf.Envs {
-		if !n.deliverEnvelope(env) {
-			return
-		}
-	}
+	n.box.DeliverBatch(sf.Envs)
 }
 
-// SetHandler switches the node to push delivery: envelopes are dispatched in
-// the per-connection read goroutines instead of through Recv. Anything
-// already queued for Recv is drained into h first.
-func (n *TCPNode) SetHandler(h Handler) {
-	n.handler.Store(&h)
-	n.drainInto(&h)
-}
+// SetHandler implements Conn: envelopes are dispatched in the
+// per-connection read goroutines.
+func (n *TCPNode) SetHandler(h Handler) { n.box.SetHandler(h) }
 
-// SetBatchHandler installs a handler receiving whole inbound superframes in
-// one call each; without one, batches degrade to per-envelope delivery.
-func (n *TCPNode) SetBatchHandler(h BatchHandler) {
-	n.batchHandler.Store(&h)
-}
-
-// drainInto empties queued envelopes into the handler; safe to call
-// concurrently (channel receives are exactly-once).
-func (n *TCPNode) drainInto(h *Handler) {
-	for {
-		select {
-		case env := <-n.inbox:
-			(*h)(env)
-		default:
-			return
-		}
-	}
-}
-
-var (
-	_ PushConn      = (*TCPNode)(nil)
-	_ BatchConn     = (*TCPNode)(nil)
-	_ PushBatchConn = (*TCPNode)(nil)
-)
+// SetBatchHandler implements Conn.
+func (n *TCPNode) SetBatchHandler(h BatchHandler) { n.box.SetBatchHandler(h) }
 
 // Send signs (when configured) and transmits env to its destination,
 // dialing or reusing a connection. A stale connection is retried once.
@@ -542,28 +480,12 @@ func (n *TCPNode) dropConn(id wire.NodeID, out *tcpOut) {
 	out.conn.Close()
 }
 
-// Recv blocks for the next authenticated envelope.
-func (n *TCPNode) Recv(ctx context.Context) (wire.Envelope, error) {
-	select {
-	case env := <-n.inbox:
-		return env, nil
-	case <-ctx.Done():
-		return wire.Envelope{}, ctx.Err()
-	case <-n.done:
-		select {
-		case env := <-n.inbox:
-			return env, nil
-		default:
-			return wire.Envelope{}, ErrClosed
-		}
-	}
-}
-
 // Close shuts the node down and waits for its goroutines.
 func (n *TCPNode) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
 		close(n.done)
+		n.box.Close() // releases a read loop blocked on a full pre-handler queue
 		err = n.ln.Close()
 		n.mu.Lock()
 		for id, out := range n.outbound {

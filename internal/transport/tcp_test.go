@@ -40,35 +40,9 @@ func startTCPPair(t *testing.T) (*TCPNode, *TCPNode) {
 	return n1, n2
 }
 
-func TestTCPSendRecv(t *testing.T) {
-	n1, n2 := startTCPPair(t)
-	if err := n1.Send(env(1, 2, "over tcp")); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	got, err := n2.Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.From != 1 || string(got.Payload) != "over tcp" {
-		t.Errorf("got %+v", got)
-	}
-	// And the reverse direction (separate connection).
-	if err := n2.Send(env(2, 1, "reply")); err != nil {
-		t.Fatal(err)
-	}
-	got, err = n1.Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.From != 2 || string(got.Payload) != "reply" {
-		t.Errorf("got %+v", got)
-	}
-}
-
 func TestTCPManyMessagesOrdered(t *testing.T) {
 	n1, n2 := startTCPPair(t)
+	in := Pull(n2)
 	const count = 200
 	for i := 0; i < count; i++ {
 		e := env(1, 2, "x")
@@ -80,7 +54,7 @@ func TestTCPManyMessagesOrdered(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < count; i++ {
-		got, err := n2.Recv(ctx)
+		got, err := in.Recv(ctx)
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
@@ -96,6 +70,7 @@ func TestTCPManyMessagesOrdered(t *testing.T) {
 // (the last writer of every burst flushes for all of them).
 func TestTCPConcurrentBurstDelivered(t *testing.T) {
 	n1, n2 := startTCPPair(t)
+	in := Pull(n2)
 	const senders, perSender = 8, 50
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -117,7 +92,7 @@ func TestTCPConcurrentBurstDelivered(t *testing.T) {
 	defer cancel()
 	seen := make(map[uint32]bool, senders*perSender)
 	for i := 0; i < senders*perSender; i++ {
-		got, err := n2.Recv(ctx)
+		got, err := in.Recv(ctx)
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
@@ -128,41 +103,10 @@ func TestTCPConcurrentBurstDelivered(t *testing.T) {
 	}
 }
 
-// TestTCPPushMode switches a node to push delivery: messages must reach the
-// handler (including any queued before the switch) and Recv is bypassed.
-func TestTCPPushMode(t *testing.T) {
-	n1, n2 := startTCPPair(t)
-	if err := n1.Send(env(1, 2, "early")); err != nil {
-		t.Fatal(err)
-	}
-	// Let the early message reach n2's inbox before the switch.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(n2.inbox) == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	got := make(chan wire.Envelope, 16)
-	n2.SetHandler(func(e wire.Envelope) { got <- e })
-	if err := n1.Send(env(1, 2, "pushed")); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{"early": true, "pushed": true}
-	for len(want) > 0 {
-		select {
-		case e := <-got:
-			if !want[string(e.Payload)] {
-				t.Fatalf("unexpected envelope %q", e.Payload)
-			}
-			delete(want, string(e.Payload))
-		case <-time.After(5 * time.Second):
-			t.Fatalf("missing envelopes: %v", want)
-		}
-	}
-}
-
 func TestTCPRejectsForgedMAC(t *testing.T) {
 	// n3 shares no keys with n2: its messages must be dropped.
-	n1, n2 := startTCPPair(t)
-	_ = n1
+	_, n2 := startTCPPair(t)
+	in := Pull(n2)
 	evil, err := ListenTCP(TCPConfig{
 		Self:       1, // claims to be node 1
 		ListenAddr: "127.0.0.1:0",
@@ -178,7 +122,7 @@ func TestTCPRejectsForgedMAC(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	if _, err := n2.Recv(ctx); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := in.Recv(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("forged message was delivered: %v", err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -197,30 +141,6 @@ func TestTCPUnknownPeer(t *testing.T) {
 	}
 }
 
-func TestTCPCloseUnblocksRecv(t *testing.T) {
-	n1, _ := startTCPPair(t)
-	done := make(chan error, 1)
-	go func() {
-		_, err := n1.Recv(context.Background())
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if err := n1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClosed) {
-			t.Errorf("recv after close: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Recv did not unblock on Close")
-	}
-	if err := n1.Close(); err != nil {
-		t.Errorf("second close: %v", err)
-	}
-}
-
 func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	n1, n2 := startTCPPair(t)
 	if err := n1.Send(env(1, 2, "first")); err != nil {
@@ -228,7 +148,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := n2.Recv(ctx); err != nil {
+	if _, err := Pull(n2).Recv(ctx); err != nil {
 		t.Fatal(err)
 	}
 	addr := n2.Addr()
@@ -252,11 +172,8 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	// the *next* write hits the error path and triggers the redial. Keep
 	// sending until one arrives.
 	got := make(chan struct{})
-	go func() {
-		if _, err := n2b.Recv(ctx); err == nil {
-			close(got)
-		}
-	}()
+	var once sync.Once
+	n2b.SetHandler(func(wire.Envelope) { once.Do(func() { close(got) }) })
 	deadline := time.Now().Add(4 * time.Second)
 	for {
 		if err := n1.Send(env(1, 2, "second")); err != nil {
@@ -290,7 +207,7 @@ func TestTCPUnauthenticatedMode(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	got, err := n2.Recv(ctx)
+	got, err := Pull(n2).Recv(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +247,7 @@ func TestTCPNetworkConcurrentZeroConfigAttach(t *testing.T) {
 				t.Fatalf("iter %d: send %d->%d: %v", iter, from.Self(), to.Self(), err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			got, err := to.Recv(ctx)
+			got, err := Pull(to).Recv(ctx)
 			cancel()
 			if err != nil {
 				t.Fatalf("iter %d: recv at %d: %v", iter, to.Self(), err)

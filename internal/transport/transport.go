@@ -12,12 +12,13 @@
 //   - TCPNode: a real TCP transport (length-prefixed frames, HMAC
 //     authenticated) for deployments and loopback/LAN experiments.
 //
-// Both satisfy Conn. Messages are never lost (reliable channels assumption);
-// they may be arbitrarily delayed and reordered.
+// Both hand out the one Conn shape, and so does every layer stacked on them
+// (Resilient, faultnet, the market mux's lanes, deviation.Wrap): each layer
+// takes a Conn and returns a Conn. Messages are never lost (reliable
+// channels assumption); they may be arbitrarily delayed and reordered.
 package transport
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 
@@ -27,49 +28,60 @@ import (
 // ErrClosed reports use of a closed connection.
 var ErrClosed = errors.New("transport: closed")
 
-// Conn is one node's attachment to the network.
-type Conn interface {
+// BatchConn is the send half of a Conn, and all a Coalescer needs of the
+// connection beneath it.
+type BatchConn interface {
 	// Self returns the local node ID.
 	Self() wire.NodeID
 	// Send transmits env to env.To. It returns once the message is durably
 	// queued; delivery is asynchronous.
 	Send(env wire.Envelope) error
-	// Recv blocks for the next inbound envelope.
-	Recv(ctx context.Context) (wire.Envelope, error)
-	// Close releases the connection; pending Recv calls return ErrClosed.
+	// SendBatch ships envelopes for ONE destination peer as a single
+	// superframe: one wire frame, one MAC, one latency-model event. Every
+	// envelope must carry the same To (and the local From); batching is
+	// transport-level only — each envelope inside the superframe is
+	// byte-for-byte what it would be alone. The callee may read the slice,
+	// and a link layer may stamp its own header fields (LinkSeq, LinkAck)
+	// into it, during the call, but nothing retains it after return (a
+	// latency-modelling transport copies before deferring delivery) — the
+	// caller recycles the slice across batches. Payload bytes are not copied
+	// and must stay immutable once sent. Use a Coalescer to gather concurrent
+	// sends into batches; SendBatch itself ships immediately.
+	SendBatch(envs []wire.Envelope) error
+	// Close releases the connection. A delivery that begins after Close
+	// returns reaches no handler; Close does not wait for handler calls
+	// already running on other goroutines.
 	Close() error
 }
 
-// Handler consumes one inbound envelope. Handlers must be safe for
-// concurrent calls: push-mode transports invoke them from whatever goroutine
-// produced the message (a sender, a delay timer, a per-connection read
-// loop), which is exactly what lets receivers on different rounds proceed in
-// parallel instead of funnelling through one Recv loop.
-type Handler func(env wire.Envelope)
-
-// PushConn is implemented by transports that can deliver inbound envelopes
-// by direct dispatch. After SetHandler, envelopes go to the handler and Recv
-// must no longer be used; envelopes already queued for Recv before the
-// switch are drained into the handler by SetHandler itself.
-type PushConn interface {
-	Conn
+// Conn is one node's attachment to the network, and the one shape every
+// transport layer takes and returns. Receiving is push-only: inbound
+// traffic is handed to the installed handlers on whatever goroutine
+// produced it. Envelopes that arrive before SetHandler are queued (bounded)
+// and drained into the handler by SetHandler itself, each exactly once even
+// when SetHandler races the producers.
+type Conn interface {
+	BatchConn
+	// SetHandler installs the consumer of single inbound envelopes.
 	SetHandler(h Handler)
+	// SetBatchHandler installs the consumer of whole inbound superframes.
+	// Without one a superframe is delivered envelope by envelope to the
+	// Handler; a receiver that installs a batch handler installs a Handler
+	// too, for the envelopes that travel outside any superframe.
+	SetBatchHandler(h BatchHandler)
 }
 
-// BatchConn is implemented by transports that can ship a batch of envelopes
-// to ONE destination peer as a single superframe: one wire frame, one MAC,
-// one latency-model event. Every envelope must carry the same To (and the
-// local From); batching is transport-level only — each envelope inside the
-// superframe is byte-for-byte what it would be alone. SendBatch may read
-// the slice during the call but must not retain it after return (a
-// latency-modelling transport copies before deferring delivery) — the
-// caller recycles the slice across batches. Payload bytes are not copied
-// and must stay immutable once sent. Use a Coalescer to gather concurrent
-// sends into batches; SendBatch itself ships immediately.
-type BatchConn interface {
-	Conn
-	SendBatch(envs []wire.Envelope) error
-}
+// PushBatchConn is the old name of Conn. Its last user is bench/probes.go,
+// which a simplicity PR may not edit; delete the alias with the benchmark
+// PR that renames it there.
+type PushBatchConn = Conn
+
+// Handler consumes one inbound envelope. Handlers must be safe for
+// concurrent calls: transports invoke them from whatever goroutine produced
+// the message (a sender, a delay timer, a per-connection read loop), which
+// is exactly what lets receivers on different rounds proceed in parallel
+// instead of funnelling through one receive loop.
+type Handler func(env wire.Envelope)
 
 // BatchHandler consumes one inbound superframe's envelopes in a single
 // call — one dispatch hop per batch, with any fan-out done inside by the
@@ -79,16 +91,6 @@ type BatchConn interface {
 // is the sender's recycled batch); payload bytes stay valid and may be
 // retained as views.
 type BatchHandler func(envs []wire.Envelope)
-
-// PushBatchConn is implemented by push transports that can deliver a whole
-// inbound superframe in one dispatch. After SetBatchHandler, superframes go
-// to the batch handler; envelopes outside any superframe still go to the
-// regular Handler (or Recv). A receiver that installs a batch handler
-// should install a regular handler too.
-type PushBatchConn interface {
-	PushConn
-	SetBatchHandler(h BatchHandler)
-}
 
 // Stats counts traffic through a connection or hub.
 type Stats struct {
