@@ -28,15 +28,22 @@ type Mailbox struct {
 	block   bool
 	done    chan struct{}
 	once    sync.Once
+
+	// overflow holds, oldest first, what producers that must not wait
+	// found no room for in a blocking mailbox's queue (see deliver); while
+	// it is non-empty one goroutine, move, feeds it into the queue.
+	mu       sync.Mutex
+	overflow []wire.Envelope
 }
 
 // Init readies m, once, before its first use: the pre-handler queue holds
 // capacity envelopes, and when it is full and no handler is installed yet,
-// block decides between holding the producer until there is room (a
-// transport: back-pressure onto the link) and dropping the envelope (a
+// block decides between holding the envelope until there is room (a
+// transport: back-pressure onto the link, or, where the producer must not
+// wait, onto the overflow list — see deliver) and dropping it (a
 // multiplexed lane: one unopened lane must not stall the shared
-// attachment). Owners hold a Mailbox by value, so the handler slots sit in
-// the owner's own memory, one load away on the delivery path.
+// attachment). Owners hold a Mailbox by value, so the handler slots
+// sit in the owner's own memory, one load away on the delivery path.
 func (m *Mailbox) Init(capacity int, block bool) {
 	m.queue = make(chan wire.Envelope, capacity)
 	m.block = block
@@ -71,38 +78,57 @@ func (m *Mailbox) Closed() bool {
 
 // Deliver hands env to the handler on the calling goroutine, or queues it
 // while none is installed. It reports true only when a non-blocking
-// mailbox dropped env because its queue was full.
+// mailbox dropped env because its queue was full; a blocking one holds the
+// caller until there is room.
+func (m *Mailbox) Deliver(env wire.Envelope) (overflow bool) { return m.deliver(env, true) }
+
+// deliver is Deliver with the caller choosing whether a blocking mailbox's
+// full queue may hold it (wait) or not: a producer that serves many
+// mailboxes — the Hub's delivery scheduler, another conn's handler — must
+// never park on one, so its envelope joins the mailbox's overflow list
+// instead, which one goroutine per stalled mailbox moves into the queue as
+// room appears.
 //
-// The handler path is kept apart from enqueue's selects on purpose: a
-// delayed Hub delivery runs on a fresh timer goroutine, and with the select
-// state in this frame the call chain into the protocol outgrew that
-// goroutine's initial stack — one stack copy per delivery, ≈ 5 % of
-// fig4-double-n1000's throughput.
-func (m *Mailbox) Deliver(env wire.Envelope) (overflow bool) {
+// The handler path is kept apart from enqueue's selects because handlers
+// still start on fresh goroutines (faultnet's delay timers over a
+// zero-latency Hub, the overflow mover), where the select state in this
+// frame made the call chain into the protocol outgrow the initial stack —
+// one stack copy per delivery, ≈ 5 % of fig4-double-n1000's throughput
+// when every Hub delivery ran that way (PR 20).
+func (m *Mailbox) deliver(env wire.Envelope, wait bool) (overflow bool) {
 	if h := m.handler.Load(); h != nil {
 		if !m.Closed() {
 			(*h)(env)
 		}
 		return false
 	}
-	return m.enqueue(&env)
+	return m.enqueue(&env, wait)
 }
 
-// enqueue queues env for a handler that is not installed yet.
-func (m *Mailbox) enqueue(env *wire.Envelope) (overflow bool) {
-	if m.block {
-		select {
-		case m.queue <- *env:
-		case <-m.done:
+// enqueue queues env for a handler that is not installed yet. When the
+// queue is full, a non-blocking mailbox drops env, and a blocking one holds
+// it until there is room: in this call if wait is set, on the overflow list
+// otherwise.
+func (m *Mailbox) enqueue(env *wire.Envelope, wait bool) (overflow bool) {
+	if !wait && m.block && m.spill(env, false) {
+		return false // behind envelopes already waiting for room
+	}
+	select {
+	case <-m.done:
+		return false
+	case m.queue <- *env:
+	default:
+		if !m.block {
+			return true
+		}
+		if !wait {
+			m.spill(env, true)
 			return false
 		}
-	} else {
 		select {
+		case m.queue <- *env:
 		case <-m.done:
 			return false
-		case m.queue <- *env:
-		default:
-			return true
 		}
 	}
 	// A handler installed between Deliver's nil check and the enqueue will
@@ -116,10 +142,49 @@ func (m *Mailbox) enqueue(env *wire.Envelope) (overflow bool) {
 	return false
 }
 
+// spill appends env to the overflow list — if full, or else only when the
+// list already holds envelopes, which env must not overtake — and reports
+// whether it did. The first envelope on an empty list starts move.
+func (m *Mailbox) spill(env *wire.Envelope, full bool) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !full && len(m.overflow) == 0 {
+		return false
+	}
+	m.overflow = append(m.overflow, *env)
+	if len(m.overflow) == 1 {
+		go m.move()
+	}
+	return true
+}
+
+// move delivers the overflow list oldest first, waiting for room in the
+// queue (or for a handler, or Close) for each, and exits when the list is
+// empty. An envelope leaves the list only once delivered, so the list stays
+// non-empty — and no second mover starts — while one is in flight.
+func (m *Mailbox) move() {
+	m.mu.Lock()
+	for len(m.overflow) > 0 {
+		env := m.overflow[0]
+		m.mu.Unlock()
+		m.Deliver(env)
+		m.mu.Lock()
+		m.overflow[0] = wire.Envelope{}
+		m.overflow = m.overflow[1:]
+	}
+	m.overflow = nil
+	m.mu.Unlock()
+}
+
 // DeliverBatch hands a whole batch to the batch handler in one call, or
 // envelope by envelope through Deliver while none is installed. It returns
 // how many envelopes Deliver dropped.
 func (m *Mailbox) DeliverBatch(envs []wire.Envelope) (overflow int) {
+	return m.deliverBatch(envs, true)
+}
+
+// deliverBatch is DeliverBatch with deliver's wait.
+func (m *Mailbox) deliverBatch(envs []wire.Envelope, wait bool) (overflow int) {
 	if bh := m.batch.Load(); bh != nil {
 		if !m.Closed() {
 			(*bh)(envs)
@@ -127,7 +192,7 @@ func (m *Mailbox) DeliverBatch(envs []wire.Envelope) (overflow int) {
 		return 0
 	}
 	for i := range envs {
-		if m.Deliver(envs[i]) {
+		if m.deliver(envs[i], wait) {
 			overflow++
 		}
 	}
@@ -162,10 +227,12 @@ func (m *Mailbox) Recv(ctx context.Context) (wire.Envelope, error) {
 // Pull points conn's handlers at a fresh mailbox and returns it, for
 // consumers that want to receive by calling Recv — tests, mostly; every
 // protocol layer installs handlers. Batches arrive envelope by envelope.
+// A mailbox nobody reads never holds conn's producer: past connQueueCap
+// envelopes the rest wait on its overflow list for a reader (or Close).
 func Pull(conn Conn) *Mailbox {
 	m := new(Mailbox)
 	m.Init(connQueueCap, true)
-	conn.SetHandler(func(env wire.Envelope) { m.Deliver(env) })
-	conn.SetBatchHandler(func(envs []wire.Envelope) { m.DeliverBatch(envs) })
+	conn.SetHandler(func(env wire.Envelope) { m.deliver(env, false) })
+	conn.SetBatchHandler(func(envs []wire.Envelope) { m.deliverBatch(envs, false) })
 	return m
 }

@@ -46,7 +46,7 @@ func (m LatencyModel) Zero() bool {
 // Hub is an in-process message switch connecting MemConns. The routing
 // table is copy-on-write: deliver reads it with one atomic load, so
 // concurrent senders never contend on a hub-wide lock (the lock only guards
-// attachment, shutdown and the jitter RNG).
+// attachment, shutdown, the jitter RNG and the delivery scheduler's heap).
 type Hub struct {
 	model LatencyModel
 
@@ -58,8 +58,7 @@ type Hub struct {
 
 	stats Stats
 
-	// timers tracks in-flight delayed deliveries so Close can stop them.
-	timers sync.WaitGroup
+	sched scheduler
 }
 
 // NewHub creates a hub with the given latency model. The seed makes jitter
@@ -69,6 +68,7 @@ func NewHub(model LatencyModel, seed int64) *Hub {
 	h := &Hub{
 		model: model,
 		rng:   rand.New(rand.NewSource(seed)),
+		sched: scheduler{epoch: time.Now()},
 	}
 	empty := make(map[wire.NodeID]*MemConn)
 	h.nodes.Store(&empty)
@@ -101,7 +101,11 @@ func (h *Hub) Attach(id wire.NodeID) (Conn, error) {
 	return c, nil
 }
 
-// Close shuts the hub and all attached connections.
+// Close shuts the hub and all attached connections and drops every
+// delivery still waiting out its delay. It returns once the delivery loop
+// has exited — unless the loop is handing out deliveries, in which case a
+// handler call may already be running (it may be the one calling Close) and
+// the loop exits as soon as that call returns, starting no other.
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	if h.closed.Swap(true) {
@@ -113,27 +117,30 @@ func (h *Hub) Close() error {
 	for _, c := range nodes {
 		conns = append(conns, c)
 	}
+	h.sched.pending = nil
+	loop := h.sched.done
+	if loop != nil {
+		h.wakeLoop()
+	}
 	h.mu.Unlock()
 	for _, c := range conns {
 		_ = c.Close()
 	}
-	h.timers.Wait()
+	if loop != nil && !h.sched.dispatching.Load() {
+		<-loop
+	}
 	return nil
 }
 
-// deliver routes env to its destination after the modelled delay.
+// deliver routes env to its destination after the modelled delay: on the
+// sender's goroutine when there is none, through the delivery scheduler
+// otherwise.
 func (h *Hub) deliver(env wire.Envelope) error {
 	size := len(env.Payload)
 	if h.closed.Load() {
 		return ErrClosed
 	}
 	dst, ok := (*h.nodes.Load())[env.To]
-	var delay time.Duration
-	if ok && !h.model.Zero() {
-		h.mu.Lock()
-		delay = h.model.Delay(size, h.rng)
-		h.mu.Unlock()
-	}
 	if !ok {
 		// Unknown destination: the reliable-channels assumption only covers
 		// configured nodes; a message to nobody is a programming error.
@@ -143,16 +150,13 @@ func (h *Hub) deliver(env wire.Envelope) error {
 	h.stats.MsgsSent.Add(1)
 	h.stats.BytesSent.Add(int64(size))
 
-	if delay == 0 {
-		dst.push(env)
-		return nil
+	if !h.model.Zero() {
+		d := delivery{dst: dst, env: env}
+		if queued, err := h.later(&d, size); queued || err != nil {
+			return err
+		}
 	}
-	h.timers.Add(1)
-	timer := time.AfterFunc(delay, func() {
-		defer h.timers.Done()
-		dst.push(env)
-	})
-	_ = timer
+	dst.push(env, true)
 	return nil
 }
 
@@ -174,29 +178,21 @@ func (h *Hub) deliverBatch(envs []wire.Envelope) error {
 	if !ok {
 		return fmt.Errorf("transport: unknown destination %d", to)
 	}
-	var delay time.Duration
-	if !h.model.Zero() {
-		h.mu.Lock()
-		delay = h.model.Delay(size, h.rng)
-		h.mu.Unlock()
-	}
 
 	h.stats.MsgsSent.Add(int64(len(envs)))
 	h.stats.BytesSent.Add(int64(size))
 
-	if delay == 0 {
-		dst.pushBatch(envs)
-		return nil
+	if !h.model.Zero() {
+		// Deferred delivery outlives the SendBatch call, and the contract lets
+		// the caller recycle the slice the moment it returns — so the modelled
+		// hop carries its own copy (the analogue of serialising onto the wire).
+		envs = append([]wire.Envelope(nil), envs...)
+		d := delivery{dst: dst, batch: envs}
+		if queued, err := h.later(&d, size); queued || err != nil {
+			return err
+		}
 	}
-	// Deferred delivery outlives the SendBatch call, and the contract lets
-	// the caller recycle the slice the moment it returns — so the modelled
-	// hop carries its own copy (the analogue of serialising onto the wire).
-	queued := append([]wire.Envelope(nil), envs...)
-	h.timers.Add(1)
-	time.AfterFunc(delay, func() {
-		defer h.timers.Done()
-		dst.pushBatch(queued)
-	})
+	dst.pushBatch(envs, true)
 	return nil
 }
 
@@ -261,26 +257,28 @@ func (c *MemConn) Close() error {
 }
 
 // SetHandler implements Conn: envelopes go to h in the producing goroutine
-// (sender or delay timer).
+// (the sender, or the Hub's delivery scheduler).
 func (c *MemConn) SetHandler(h Handler) { c.box.SetHandler(h) }
 
 // SetBatchHandler implements Conn.
 func (c *MemConn) SetBatchHandler(h BatchHandler) { c.box.SetBatchHandler(h) }
 
-// push delivers one inbound envelope.
-func (c *MemConn) push(env wire.Envelope) {
+// push delivers one inbound envelope. wait says whether a full pre-handler
+// queue may hold the caller: the sender on a zero-latency Hub, yes; the
+// delivery scheduler, which serves every conn on the Hub, no.
+func (c *MemConn) push(env wire.Envelope, wait bool) {
 	c.stats.MsgsReceived.Add(1)
 	c.stats.BytesReceived.Add(int64(len(env.Payload)))
-	c.box.Deliver(env)
+	c.box.deliver(env, wait)
 }
 
-// pushBatch delivers one inbound superframe.
-func (c *MemConn) pushBatch(envs []wire.Envelope) {
+// pushBatch delivers one inbound superframe, with push's wait.
+func (c *MemConn) pushBatch(envs []wire.Envelope, wait bool) {
 	size := 0
 	for i := range envs {
 		size += len(envs[i].Payload)
 	}
 	c.stats.MsgsReceived.Add(int64(len(envs)))
 	c.stats.BytesReceived.Add(int64(size))
-	c.box.DeliverBatch(envs)
+	c.box.deliverBatch(envs, wait)
 }

@@ -845,14 +845,17 @@ func (c *ResilientConn) ingestLocked(p *linkPeer, env *wire.Envelope, out []wire
 	return out
 }
 
-// onInner processes one inbound envelope from the wrapped transport.
+// onInner processes one inbound envelope from the wrapped transport. It
+// runs as the inner conn's handler — on a Hub, the delivery loop every conn
+// shares — so it hands envelopes up without waiting for room in a
+// pre-handler queue (Mailbox.deliver); so does onInnerBatch.
 func (c *ResilientConn) onInner(env wire.Envelope) {
 	if env.Tag.Block == wire.BlockLink {
 		c.onControl(&env, time.Now())
 		return
 	}
 	if env.LinkSeq == 0 {
-		c.box.Deliver(env) // an unwrapped peer (or broadcast); pass through
+		c.box.deliver(env, false) // an unwrapped peer (or broadcast); pass through
 		return
 	}
 	now := time.Now()
@@ -864,7 +867,7 @@ func (c *ResilientConn) onInner(env wire.Envelope) {
 	p.mu.Unlock()
 	c.sendAck(ack)
 	for i := range out {
-		c.box.Deliver(out[i])
+		c.box.deliver(out[i], false)
 	}
 }
 
@@ -916,7 +919,7 @@ func (c *ResilientConn) onInnerBatch(envs []wire.Envelope) {
 			ack := c.ackDueLocked(p)
 			p.mu.Unlock()
 			c.sendAck(ack)
-			c.box.DeliverBatch(envs)
+			c.box.deliverBatch(envs, false)
 			return
 		}
 		p.mu.Unlock() // replayed frames inside; the slow path dedups each
@@ -953,7 +956,7 @@ func (c *ResilientConn) onInnerBatch(envs []wire.Envelope) {
 	}
 	unlock()
 	if len(out) > 0 {
-		c.box.DeliverBatch(out)
+		c.box.deliverBatch(out, false)
 	}
 }
 

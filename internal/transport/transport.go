@@ -7,7 +7,14 @@
 //     paper's Guifi.net testbed: protocol running time is compute plus
 //     rounds×latency plus bytes/bandwidth, and the model exercises exactly
 //     those terms. Delivery order between different senders is not
-//     guaranteed, which matches the asynchronous model of §3.3.
+//     guaranteed, which matches the asynchronous model of §3.3. Delayed
+//     hops wait in one delivery scheduler per Hub — a min-heap and one
+//     goroutine that runs the handlers — which never waits on a
+//     destination: what a full pre-handler queue has no room for waits on
+//     the mailbox's overflow list instead (Mailbox.deliver). Handlers
+//     still start on fresh goroutines under faultnet's delays and on the
+//     overflow mover, which is why the mailbox keeps its handler path
+//     apart from its selects.
 //
 //   - TCPNode: a real TCP transport (length-prefixed frames, HMAC
 //     authenticated) for deployments and loopback/LAN experiments.
@@ -78,9 +85,11 @@ type PushBatchConn = Conn
 
 // Handler consumes one inbound envelope. Handlers must be safe for
 // concurrent calls: transports invoke them from whatever goroutine produced
-// the message (a sender, a delay timer, a per-connection read loop), which
-// is exactly what lets receivers on different rounds proceed in parallel
-// instead of funnelling through one receive loop.
+// the message (a sender, the Hub's delivery scheduler, a per-connection
+// read loop), which is exactly what lets receivers on different rounds
+// proceed in parallel instead of funnelling through one receive loop per
+// conn. A handler must not wait for another delivery on its own Hub: on a
+// Hub with a latency model every handler runs on the one scheduler.
 type Handler func(env wire.Envelope)
 
 // BatchHandler consumes one inbound superframe's envelopes in a single
