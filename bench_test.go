@@ -569,12 +569,7 @@ func BenchmarkMarketThroughputResilient(b *testing.B) {
 				harness.WithBidWindow(10*time.Second),
 				harness.WithPipelineDepth(4),
 				harness.WithNetwork(func(seed int64) transport.Network {
-					// A deep resend buffer: at full 64-auction throughput more
-					// than the default 1024 frames can be in flight to one peer
-					// between lazy acks, and evicting live frames would force
-					// spurious resends.
-					rn = transport.Resilient(transport.NewHub(lat, seed),
-						transport.ResilientConfig{MaxUnacked: 1 << 16})
+					rn = transport.Resilient(transport.NewHub(lat, seed), transport.ResilientConfig{})
 					return rn
 				}),
 			)

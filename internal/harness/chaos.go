@@ -50,16 +50,13 @@ type ChaosResult struct {
 }
 
 // chaosLink is the link config for soaks: fast heartbeats so acks and
-// failure detection keep up with millisecond rounds, and a deep resend
-// buffer so sustained superframe traffic never evicts an unacked frame
-// (an evicted frame that faultnet also dropped would be lost for good).
+// failure detection keep up with millisecond rounds.
 func chaosLink() transport.ResilientConfig {
 	return transport.ResilientConfig{
 		HeartbeatEvery: 5 * time.Millisecond,
 		ResendAfter:    15 * time.Millisecond,
 		SuspectAfter:   8,
 		DeadAfter:      40,
-		MaxUnacked:     1 << 16,
 	}
 }
 

@@ -367,7 +367,9 @@ func (p *Peer) handle(from wire.NodeID, tag wire.Tag, payload []byte) {
 			// and tell everyone so nobody blocks.
 			reason := fmt.Sprintf("equivocation by %d on %v", from, tag)
 			p.markAborted(tag.Round, p.self, reason, AbortEquivocation, from)
-			_ = p.broadcastAbort(tag.Round, reason, AbortEquivocation, from)
+			// Off the delivering goroutine: a handler must not send (see
+			// transport.Handler).
+			go p.broadcastAbort(tag.Round, reason, AbortEquivocation, from)
 		}
 		return
 	}
@@ -488,7 +490,7 @@ func (p *Peer) ingestRun(sh *shard, run []wire.Envelope) {
 	}
 	for _, q := range equivs {
 		p.markAborted(q.round, p.self, q.reason, AbortEquivocation, q.from)
-		_ = p.broadcastAbort(q.round, q.reason, AbortEquivocation, q.from)
+		go p.broadcastAbort(q.round, q.reason, AbortEquivocation, q.from) // as in handle
 	}
 	clear(wakes) // unpin channels and payloads before recycling
 	clear(equivs)

@@ -154,9 +154,6 @@ func (c *Coalescer) peer(id wire.NodeID) *peerCoalescer {
 // pass through an empty run queue — nanoseconds — and still leaves
 // immediately; no flush timer exists anywhere on this path.
 func (c *Coalescer) Send(env wire.Envelope) error {
-	if env.To == wire.Broadcast {
-		return c.conn.Send(env) // not a single destination; nothing to coalesce
-	}
 	pc := c.peer(env.To)
 	pc.queued.Add(1)
 	pc.mu.Lock()

@@ -10,3 +10,6 @@ func (c *ResilientConn) UnackedDepth(peer wire.NodeID) int {
 	defer p.mu.Unlock()
 	return p.n
 }
+
+// LinkFloor is the control kind of a link floor, for tests that count them.
+const LinkFloor = linkFloor

@@ -164,17 +164,14 @@ func (n *Network) Kill(id wire.NodeID) {
 }
 
 // cut reports whether a send from→to is currently severed by a partition
-// or a blackout window. Broadcasts consult the sender's blackout only.
+// or a blackout window at either end.
 func (n *Network) cut(from, to wire.NodeID, now time.Time) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.partitions[[2]wire.NodeID{from, to}]; ok {
 		return true
 	}
-	if now.Before(n.blackoutUntil[from]) {
-		return true
-	}
-	return to != wire.Broadcast && now.Before(n.blackoutUntil[to])
+	return now.Before(n.blackoutUntil[from]) || now.Before(n.blackoutUntil[to])
 }
 
 // Close implements transport.Network.
@@ -208,10 +205,6 @@ type faultConn struct {
 var _ transport.Conn = (*faultConn)(nil)
 
 func (c *faultConn) Self() wire.NodeID { return c.self }
-
-// Inner returns the wrapped connection (tests reach through for
-// transport-specific hooks).
-func (c *faultConn) Inner() transport.Conn { return c.inner }
 
 // verdict is one send's fate, drawn under c.mu.
 type verdict struct {

@@ -20,7 +20,9 @@ import (
 //     bytes — a retransmission never needs re-signing) and is kept in a
 //     bounded resend window — a ring in send order, O(1) per frame — until
 //     the peer's cumulative ack covers it. The envelope itself ships
-//     unmodified: no re-encode, no payload copy.
+//     unmodified: no re-encode, no payload copy. The window is flow
+//     control: a send that finds it full waits for acks to make room, so
+//     no frame is ever given up while it may still be on the wire.
 //   - Receivers guarantee exactly-once delivery, not ordering: every
 //     frame is released to the protocol the moment it arrives, and a
 //     duplicate (a resend that raced its ack, or a replay after
@@ -31,16 +33,16 @@ import (
 //     head-of-line blocking on every jittered frame. Frames delivered
 //     above the contiguous prefix are remembered as merged seq ranges
 //     for dedup until the gap beneath them is repaired. Unsequenced
-//     envelopes (LinkSeq zero: broadcasts, unwrapped peers) pass
-//     through.
+//     envelopes (LinkSeq zero: unwrapped peers) pass through.
 //   - Acks are cumulative and piggyback on data (wire.Envelope.LinkAck,
 //     TCP-style): every sequenced envelope out carries the newest ack
 //     for the reverse direction, so a steadily bidirectional link ships
 //     zero standalone control frames. Dedicated wire.BlockLink frames
-//     cover the rest: eager acks every ackEvery delivered frames on
-//     one-way floods, and a per-connection ticker that sends heartbeats
-//     (carrying the ack) to peers the data path has left silent, and
-//     resends unacked frames older than the resend timeout. Heartbeats
+//     cover the rest: eager acks every quarter window of delivered frames
+//     on one-way floods and whenever a frame opens or closes a hole, and a
+//     ticker that sends heartbeats (carrying the ack) to peers the data
+//     path has left silent, and resends unacked frames older than the
+//     resend timeout. Heartbeats
 //     double as failure detection: a peer not heard from for
 //     SuspectAfter (DeadAfter) intervals is suspect (dead), and a dead
 //     peer heard again counts as a reconnect.
@@ -48,12 +50,12 @@ import (
 //     frame landing above a hole makes the receiver answer at once with
 //     an ack that also names the low edge of what it holds above the
 //     hole. The sender resends exactly the frames of that hole it still
-//     holds (each at most once per smoothed round trip), and for the
-//     seqs it no longer holds it sends a floor: the receiver advances its
-//     contiguous prefix over them. Giving up on a frame moves the
-//     receiver's ack; it never freezes it — and it does not mark the frame
-//     delivered: the receiver remembers what a floor skipped, and a copy
-//     still on the wire is released, once, when it lands.
+//     holds (each at most once per smoothed round trip; a sender blocked
+//     on its full window sends what it never resent at once). The only
+//     seqs a sender no longer holds are abandoned ones — sends the inner
+//     conn rejected, which never reached the wire — and for those it
+//     sends a floor: the receiver advances its contiguous prefix over
+//     them, so a rejected send never freezes the receiver's ack.
 //
 // Layering: session → ResilientConn → (faultnet) → Hub/TCPNode. Over TCP
 // the node's own redial replaces the conn; the link layer replays what
@@ -68,15 +70,10 @@ import (
 // or one uvarint: on an ack or heartbeat the gap hint (the lowest seq the
 // receiver holds above its first hole), on a floor the floor itself.
 const (
-	linkAck       = 2 // eager: every ackEvery frames, or at once above a hole
+	linkAck       = 2 // eager: every quarter window of frames, or at once on a hole
 	linkHeartbeat = 3 // from the ticker
 	linkFloor     = 4 // the sender holds nothing at or below the floor any more
 )
-
-// ackEvery is how many delivered data frames trigger an eager ack between
-// heartbeats. Acks still ride every heartbeat; the eager path keeps the
-// sender's unacked buffer (and the heap it retains) small under load.
-const ackEvery = 256
 
 // ResilientConfig tunes the link layer. The zero value gets defaults
 // suitable for in-process experiments; real WAN deployments raise the
@@ -95,12 +92,13 @@ type ResilientConfig struct {
 	// silence move a peer to suspect / dead. Defaults 4 and 12.
 	SuspectAfter int
 	DeadAfter    int
-	// MaxUnacked bounds the per-peer resend window; beyond it the oldest
-	// unacked frame is dropped and counted, and the floor rule lets the
-	// receiver's ack pass over it. The bound is memory, not liveness: on a
-	// busy link 1024 frames are tens of milliseconds of traffic, far
-	// inside SuspectAfter, so a full window says nothing about the peer's
-	// health. Default 1024.
+	// MaxUnacked bounds the per-peer resend window, and is the link's flow
+	// control: a send that finds the window full waits until acks make
+	// room, or until the peer is declared dead (the envelope is then
+	// dropped and counted in Overflow), or until Close. Receivers ack every
+	// quarter window, so every attachment of a deployment uses the same
+	// value. Default 1024: bench's market16-tcp never filled it even when a
+	// full window evicted (overflow_per_round 0), so no sender waits there.
 	MaxUnacked int
 }
 
@@ -160,7 +158,7 @@ type LinkStats struct {
 	Resends     int64 // unacked frames retransmitted
 	Reconnects  int64 // suspect/dead peers heard from again
 	DupsDropped int64 // duplicate data frames discarded by seq
-	Overflow    int64 // unacked frames evicted by the buffer bound
+	Overflow    int64 // envelopes dropped unsent: the window was full and the peer dead
 	Heartbeats  int64 // heartbeats sent
 }
 
@@ -245,7 +243,7 @@ func (n *ResilientNetwork) Attach(id wire.NodeID) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := newResilientConn(inner, n.cfg, false)
+	c := newResilientConn(inner, n.cfg)
 	n.mu.Lock()
 	n.conns = append(n.conns, c)
 	n.mu.Unlock()
@@ -268,7 +266,10 @@ func (n *ResilientNetwork) LinkStats() LinkStats {
 	return total
 }
 
-// Close implements Network.
+// Close implements Network. Senders waiting on a window are released
+// first, and the inner network closes before the ticker is waited for: a
+// tick may be inside a TCP redial, which only the inner node's close
+// interrupts.
 func (n *ResilientNetwork) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -279,14 +280,11 @@ func (n *ResilientNetwork) Close() error {
 	conns := append([]*ResilientConn(nil), n.conns...)
 	n.mu.Unlock()
 	close(n.done)
-	n.wg.Wait()
 	for _, c := range conns {
 		c.stop()
 	}
 	err := n.inner.Close()
-	for _, c := range conns {
-		c.wg.Wait()
-	}
+	n.wg.Wait()
 	return err
 }
 
@@ -301,13 +299,6 @@ type linkFrame struct {
 // contiguous prefix.
 type seqRange struct{ lo, hi uint64 }
 
-// skippedRange is a range the contiguous prefix passed undelivered, on the
-// sender's floor, and when.
-type skippedRange struct {
-	seqRange
-	at time.Time
-}
-
 // linkPeer is the per-peer link state: sender window, receiver dedup
 // and the health verdict.
 type linkPeer struct {
@@ -316,24 +307,24 @@ type linkPeer struct {
 	mu sync.Mutex
 	// Sender side. The resend window is a ring in send order holding
 	// exactly the seqs (nextSeq-n, nextSeq]: every assigned seq is
-	// tracked, and slots leave only from the old end (acked or evicted),
-	// so a seq finds its frame by offset. A slot may be empty (LinkSeq
-	// zero): its send was rejected and handed back to the caller (abandon).
-	// An empty slot has nothing to resend and is what a floor is drawn
-	// over; it leaves like any other, when an ack or the bound reaches it.
+	// tracked, and slots leave only from the old end, when acked, so a seq
+	// finds its frame by offset. A slot may be empty (LinkSeq zero): its
+	// send was rejected and handed back to the caller (abandon). An empty
+	// slot has nothing to resend and is what a floor is drawn over.
 	nextSeq uint64 // last assigned sequence number
 	ring    []linkFrame
 	head, n int
+	room    sync.Cond     // on mu: the window shrank, the peer died, or the conn closed
 	srtt    time.Duration // smoothed send-to-ack time; zero until sampled
+	hint    uint64        // the last gap hint: the peer held it and lacked the seqs below
 	// Receiver side.
-	contig       uint64         // every seq ≤ contig is delivered or in skipped
-	skipped      []skippedRange // ≤ contig, floored over undelivered: sorted, disjoint
-	ahead        []seqRange     // delivered above contig: sorted, disjoint, non-adjacent
-	recvSinceAck int            // delivered frames since the last ack shipped
-	gapSeen      bool           // a frame landed above a hole: answer at once
-	lastAckSent  uint64         // contig value carried by the last ack/heartbeat out
-	ackDirtyAt   time.Time      // when contig first moved past lastAckSent
-	lastDataSent time.Time      // when we last sent this peer a data frame
+	contig       uint64     // every seq ≤ contig is delivered or abandoned
+	ahead        []seqRange // delivered above contig: sorted, disjoint, non-adjacent
+	recvSinceAck int        // delivered frames since the last ack shipped
+	ackNow       bool       // a frame opened or closed a hole: answer at once
+	lastAckSent  uint64     // contig value carried by the last ack/heartbeat out
+	ackDirtyAt   time.Time  // when contig first moved past lastAckSent
+	lastDataSent time.Time  // when we last sent this peer a data frame
 	// Health.
 	lastHeard time.Time
 	state     HealthState
@@ -344,17 +335,13 @@ type ResilientConn struct {
 	inner Conn
 	cfg   ResilientConfig
 	self  wire.NodeID
-	box   Mailbox // restored envelopes, on their way to the layer above
+	box   Mailbox // restored envelopes, on their way to the layer above; closed by stop
 
 	mu    sync.Mutex
 	peers map[wire.NodeID]*linkPeer
 
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-
-	// Ticker scratch, reused across ticks; touched only by the run
-	// goroutine.
+	// Ticker scratch, reused across ticks; touched only by the network's
+	// ticker goroutine.
 	tickPeers  []*linkPeer
 	tickResend []wire.Envelope
 
@@ -366,40 +353,24 @@ var (
 	_ HealthReporter = (*ResilientConn)(nil)
 )
 
-// WrapResilient layers the link protocol over one connection. Both ends
-// of every link must be wrapped.
-func WrapResilient(inner Conn, cfg ResilientConfig) *ResilientConn {
-	return newResilientConn(inner, cfg, true)
-}
-
-// newResilientConn builds the link layer over one connection. ownTicker
-// starts a per-conn ticker goroutine; ResilientNetwork passes false and
-// drives all of its conns from one shared ticker instead.
-func newResilientConn(inner Conn, cfg ResilientConfig, ownTicker bool) *ResilientConn {
+// newResilientConn builds the link layer over one connection; its
+// network's shared ticker drives it.
+func newResilientConn(inner Conn, cfg ResilientConfig) *ResilientConn {
 	cfg = cfg.withDefaults()
 	c := &ResilientConn{
 		inner: inner,
 		cfg:   cfg,
 		self:  inner.Self(),
 		peers: make(map[wire.NodeID]*linkPeer),
-		done:  make(chan struct{}),
 	}
 	c.box.Init(connQueueCap, true)
 	inner.SetHandler(c.onInner)
 	inner.SetBatchHandler(c.onInnerBatch)
-	if ownTicker {
-		c.wg.Add(1)
-		go c.run()
-	}
 	return c
 }
 
 // Self implements Conn.
 func (c *ResilientConn) Self() wire.NodeID { return c.self }
-
-// Inner returns the wrapped connection (tests reach through for
-// transport-specific hooks like TCPNode.KillConns).
-func (c *ResilientConn) Inner() Conn { return c.inner }
 
 // peer returns (creating if needed) the link state for id.
 func (c *ResilientConn) peer(id wire.NodeID) *linkPeer {
@@ -408,9 +379,20 @@ func (c *ResilientConn) peer(id wire.NodeID) *linkPeer {
 	p, ok := c.peers[id]
 	if !ok {
 		p = &linkPeer{id: id, lastHeard: time.Now()}
+		p.room.L = &p.mu
 		c.peers[id] = p
 	}
 	return p
+}
+
+// peerList appends every peer's link state to dst.
+func (c *ResilientConn) peerList(dst []*linkPeer) []*linkPeer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range c.peers {
+		dst = append(dst, p)
+	}
+	return dst
 }
 
 // base is the seq just below the window: seqs (base, nextSeq] are in it.
@@ -431,18 +413,17 @@ func (p *linkPeer) frame(i int) *linkFrame {
 // p.mu and has assigned env.LinkSeq = p.nextSeq.
 func (p *linkPeer) track(c *ResilientConn, env wire.Envelope, now time.Time) {
 	if p.n == len(p.ring) {
+		// Doubling, up to the bound; only a batch larger than the whole
+		// window, admitted into an empty one, grows the ring past it.
+		size := max(2*p.n, 16)
 		if p.n < c.cfg.MaxUnacked {
-			ring := make([]linkFrame, min(max(2*p.n, 16), c.cfg.MaxUnacked))
-			for i := range p.n {
-				ring[i] = *p.frame(i)
-			}
-			p.ring, p.head = ring, 0
-		} else {
-			// Evict the oldest: bounded memory wins. If the peer still lacks
-			// it, its gap hint will find nothing here and draw a floor.
-			p.release(1)
-			c.overflow.Add(1)
+			size = min(size, c.cfg.MaxUnacked)
 		}
+		ring := make([]linkFrame, size)
+		for i := range p.n {
+			ring[i] = *p.frame(i)
+		}
+		p.ring, p.head = ring, 0
 	}
 	*p.frame(p.n) = linkFrame{env: env, sentAt: now}
 	p.n++
@@ -503,35 +484,65 @@ func (p *linkPeer) overdue(c *ResilientConn, now time.Time, out []wire.Envelope)
 // must not become a resend per hint, and a frame merely overtaken on the
 // wire gets to land. The wait is deliberately short — no deviation term, no
 // lower bound: resending a frame that was only late costs one duplicate,
-// waiting on one that was lost until the window evicts it costs the
-// message. The returned floor, when above the ack, tops the part of the
-// hole this side no longer holds.
-func (p *linkPeer) repair(c *ResilientConn, lo uint64, now time.Time) (out []wire.Envelope, floor uint64) {
+// waiting on one that was lost holds the window, and with it the sender.
+// A blocked sender (roomLocked) resends at once what of the hole was never
+// resent, and nothing else: it may run again before any of that lands.
+// The returned floor, when above the ack, tops the abandoned slots at the
+// bottom of the hole.
+func (p *linkPeer) repair(c *ResilientConn, lo uint64, now time.Time, blocked bool) (out []wire.Envelope, floor uint64) {
+	p.hint = lo
 	base := p.base()
 	hi := min(lo-1, p.nextSeq) // a hint past nextSeq names nothing we sent
 	wait := c.cfg.ResendAfter  // no sample yet: nothing to tell lost from late
 	if p.srtt != 0 {
 		wait = min(wait, p.srtt)
 	}
-	// Past half a window the hole is next to be evicted, and the estimate
-	// (none before the first ack; stretched by a peer that acks lazily) may
-	// outlast it: a frame never resent goes at once.
-	pressed := 2*p.n > c.cfg.MaxUnacked
-	floor = base // evicted, or released by an ack newer than this hint
+	floor = base // released by an ack newer than this hint
 	for seq := base + 1; seq <= hi; seq++ {
 		f := p.frame(int(seq - base - 1))
 		if f.env.LinkSeq == 0 && floor == seq-1 {
 			floor = seq // abandoned, and nothing held beneath it
-		} else if now.Sub(f.sentAt) >= wait || pressed && !f.resent {
+		} else if blocked && !f.resent || !blocked && now.Sub(f.sentAt) >= wait {
 			out = p.resend(f, now, out)
 		}
 	}
 	return out, min(floor, hi)
 }
 
+// roomLocked waits until p's window has room for k more frames — for a
+// batch larger than the whole window, until it is empty — and reports
+// whether they may be sequenced. A wait ends without room when the conn
+// closes (ErrClosed) or the peer is declared dead: the envelopes are then
+// dropped unsequenced — no seq, so no hole for the receiver to wait on —
+// counted in Overflow, and the send reports success, as a send into a
+// crashed peer's socket would. Caller holds p.mu.
+func (c *ResilientConn) roomLocked(p *linkPeer, k int) (bool, error) {
+	for p.n > 0 && p.n+k > c.cfg.MaxUnacked {
+		if c.box.Closed() {
+			return false, ErrClosed
+		}
+		if p.state == HealthDead {
+			c.overflow.Add(int64(k))
+			return false, nil
+		}
+		// A blocked sender sends nothing more to land above a hole, so the
+		// last hint is the only one before the heartbeat: repair it now.
+		if p.hint > p.base()+1 {
+			if out, _ := p.repair(c, p.hint, time.Now(), true); len(out) > 0 {
+				p.mu.Unlock()
+				c.resendAll(out)
+				p.mu.Lock()
+				continue
+			}
+		}
+		p.room.Wait()
+	}
+	return true, nil
+}
+
 // Send implements Conn: the envelope is sequenced in place and buffered
-// for resend. Broadcast envelopes (no single peer to sequence against) and
-// link control traffic pass through unsequenced.
+// for resend, once the peer's window has room for it (roomLocked). Link
+// control traffic passes through unsequenced.
 //
 // A send the inner conn rejects (peer not attached yet, conn closed, dial
 // or write given up) is the caller's again: the error is returned and the
@@ -539,12 +550,16 @@ func (p *linkPeer) repair(c *ResilientConn, lo uint64, now time.Time) (out []wir
 // may already hold later ones — and the floor rule carries the receiver
 // over it.
 func (c *ResilientConn) Send(env wire.Envelope) error {
-	if env.To == wire.Broadcast || env.Tag.Block == wire.BlockLink {
+	if env.Tag.Block == wire.BlockLink {
 		return c.inner.Send(env)
 	}
-	now := time.Now()
 	p := c.peer(env.To)
 	p.mu.Lock()
+	if ok, err := c.roomLocked(p, 1); !ok {
+		p.mu.Unlock()
+		return err
+	}
+	now := time.Now()
 	p.nextSeq++
 	env.LinkSeq = p.nextSeq
 	env.LinkAck = p.shipAckLocked() // piggybacked ack for the reverse direction
@@ -561,17 +576,20 @@ func (c *ResilientConn) Send(env wire.Envelope) error {
 // SendBatch implements Conn: each envelope of the superframe is
 // sequenced in place (the layer owns the LinkSeq field) and buffered for
 // resend, and the batch ships as one inner superframe — no re-encode, no
-// copy, no allocation.
+// copy, no allocation. The batch waits for room for all of its envelopes;
+// one larger than MaxUnacked waits for an empty window and then fills it
+// past the bound.
 func (c *ResilientConn) SendBatch(envs []wire.Envelope) error {
 	if len(envs) == 0 {
 		return nil
 	}
-	if envs[0].To == wire.Broadcast {
-		return c.inner.SendBatch(envs)
-	}
-	now := time.Now()
 	p := c.peer(envs[0].To)
 	p.mu.Lock()
+	if ok, err := c.roomLocked(p, len(envs)); !ok {
+		p.mu.Unlock()
+		return err
+	}
+	now := time.Now()
 	ack := p.shipAckLocked() // piggybacked ack for the reverse direction
 	for i := range envs {
 		p.nextSeq++
@@ -607,14 +625,15 @@ type ackDue struct {
 	due    bool
 }
 
-// ackDueLocked reports whether an eager ack is warranted — enough frames
-// arrived since the last one, or one just landed above a hole — and resets
-// the counters. Caller holds p.mu.
+// ackDueLocked reports whether an eager ack is warranted — a quarter
+// window of frames arrived since the last one (so a sender with the same
+// window never waits on a heartbeat for room), or one just opened or
+// filled a hole — and resets the counters. Caller holds p.mu.
 func (c *ResilientConn) ackDueLocked(p *linkPeer) ackDue {
-	if !p.gapSeen && p.recvSinceAck < ackEvery {
+	if !p.ackNow && p.recvSinceAck < max(c.cfg.MaxUnacked/4, 1) {
 		return ackDue{}
 	}
-	p.gapSeen = false
+	p.ackNow = false
 	return ackDue{to: p.id, contig: p.shipAckLocked(), gapLo: p.gapLo(), due: true}
 }
 
@@ -624,6 +643,13 @@ func (p *linkPeer) shipAckLocked() uint64 {
 	p.recvSinceAck = 0
 	p.lastAckSent = p.contig
 	return p.contig
+}
+
+// closesHole reports whether seq, landing at contig+1, fills the first
+// hole to its top: acking each frame of a hole resent frame by frame would
+// repeat the hint for the rest, still on its way. Caller holds p.mu.
+func (p *linkPeer) closesHole(seq uint64) bool {
+	return len(p.ahead) > 0 && p.ahead[0].lo == seq+1
 }
 
 // gapLo is the gap hint: the low edge of the first ahead range.
@@ -682,14 +708,11 @@ func (c *ResilientConn) onControl(env *wire.Envelope, now time.Time) {
 		// what is already delivered above, and without a hole it is stale.
 		if len(p.ahead) > 0 {
 			if to := min(arg, p.ahead[0].lo-1); to > p.contig {
-				// A frame on the wire longer than it takes to declare its
-				// sender dead is no longer late.
-				p.skip(p.contig+1, to, now, time.Duration(c.cfg.DeadAfter)*c.cfg.HeartbeatEvery)
 				p.advance(to, now)
 			}
 		}
 	case arg > ack+1:
-		resend, floor = p.repair(c, arg, now)
+		resend, floor = p.repair(c, arg, now, false)
 	}
 	contig := p.contig
 	p.mu.Unlock()
@@ -717,6 +740,7 @@ func (p *linkPeer) dropAckedLocked(ack uint64, now time.Time) {
 		}
 	}
 	p.release(k)
+	p.room.Broadcast()
 }
 
 // advance moves the contiguous prefix to seq and absorbs every ahead range
@@ -727,44 +751,6 @@ func (p *linkPeer) advance(seq uint64, now time.Time) {
 	}
 	p.contig = seq
 	p.mergeAhead()
-}
-
-// skip records [lo,hi], which contig is about to pass, as floored over
-// undelivered. What was skipped longer ago than keep is forgotten (once it
-// is most of the list: the sweep stays amortised O(1)) — a copy that late
-// is a duplicate. Caller holds p.mu.
-func (p *linkPeer) skip(lo, hi uint64, now time.Time, keep time.Duration) {
-	old := 0
-	for old < len(p.skipped) && now.Sub(p.skipped[old].at) > keep {
-		old++
-	}
-	if old > len(p.skipped)/2 {
-		p.skipped = append(p.skipped[:0], p.skipped[old:]...)
-	}
-	p.skipped = append(p.skipped, skippedRange{seqRange{lo, hi}, now})
-}
-
-// unskip reports whether seq ≤ contig was floored over undelivered, and
-// forgets it: the late original is released once. Caller holds p.mu.
-func (p *linkPeer) unskip(seq uint64) bool {
-	// First range ending at seq or later.
-	i, _ := slices.BinarySearchFunc(p.skipped, seq, func(r skippedRange, s uint64) int { return cmp.Compare(r.hi, s) })
-	if i == len(p.skipped) || p.skipped[i].lo > seq {
-		return false
-	}
-	switch r := &p.skipped[i]; {
-	case r.lo == r.hi:
-		p.skipped = slices.Delete(p.skipped, i, i+1)
-	case seq == r.lo:
-		r.lo++
-	case seq == r.hi:
-		r.hi--
-	default:
-		above := skippedRange{seqRange{seq + 1, r.hi}, r.at}
-		r.hi = seq - 1
-		p.skipped = slices.Insert(p.skipped, i+1, above)
-	}
-	return true
 }
 
 // mergeAhead absorbs into contig every ahead range that now touches the
@@ -820,15 +806,11 @@ func (c *ResilientConn) ingestLocked(p *linkPeer, env *wire.Envelope, out []wire
 	seq := env.LinkSeq
 	switch {
 	case seq <= p.contig:
-		if p.unskip(seq) {
-			out = append(out, *env) // given up by the sender, and late, not lost
-			p.recvSinceAck++
-		} else {
-			c.dups.Add(1) // resend that raced its ack; already delivered
-		}
+		c.dups.Add(1) // resend that raced its ack; already delivered
 	case seq == p.contig+1:
 		out = append(out, *env)
 		p.recvSinceAck++
+		p.ackNow = p.ackNow || p.closesHole(seq) // the sender may be waiting on it
 		p.advance(seq, now)
 	default:
 		// Above a gap: deliver now anyway (the protocol absorbs
@@ -837,7 +819,7 @@ func (c *ResilientConn) ingestLocked(p *linkPeer, env *wire.Envelope, out []wire
 		if p.markAhead(seq, seq) {
 			out = append(out, *env)
 			p.recvSinceAck++
-			p.gapSeen = true
+			p.ackNow = true
 		} else {
 			c.dups.Add(1)
 		}
@@ -855,7 +837,7 @@ func (c *ResilientConn) onInner(env wire.Envelope) {
 		return
 	}
 	if env.LinkSeq == 0 {
-		c.box.deliver(env, false) // an unwrapped peer (or broadcast); pass through
+		c.box.deliver(env, false) // an unwrapped peer; pass through
 		return
 	}
 	now := time.Now()
@@ -902,13 +884,14 @@ func (c *ResilientConn) onInnerBatch(envs []wire.Envelope) {
 		case first == p.contig+1 && (len(p.ahead) == 0 || p.ahead[0].lo > last):
 			// Extends the contiguous prefix without touching anything
 			// already delivered ahead of it.
+			p.ackNow = p.ackNow || p.closesHole(last)
 			p.advance(last, now)
 			ok = true
 		case first > p.contig+1:
 			// A batch above a gap: deliver it now, remember the range, ask
 			// for the repair.
 			ok = p.markAhead(first, last)
-			p.gapSeen = ok
+			p.ackNow = p.ackNow || ok
 		}
 		if ok {
 			p.heard(c, now)
@@ -960,30 +943,11 @@ func (c *ResilientConn) onInnerBatch(envs []wire.Envelope) {
 	}
 }
 
-// run is the link ticker: heartbeats out (carrying cumulative acks),
-// resend timeouts, health transitions.
-func (c *ResilientConn) run() {
-	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.HeartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case now := <-t.C:
-			c.tick(now)
-		}
-	}
-}
-
+// tick is one beat of the link ticker: heartbeats out (carrying cumulative
+// acks), resend timeouts, health transitions.
 func (c *ResilientConn) tick(now time.Time) {
-	c.mu.Lock()
-	peers := c.tickPeers[:0]
-	for _, p := range c.peers {
-		peers = append(peers, p)
-	}
+	peers := c.peerList(c.tickPeers[:0])
 	c.tickPeers = peers
-	c.mu.Unlock()
 	resend := c.tickResend
 	defer func() { c.tickResend = resend[:0] }()
 	for _, p := range peers {
@@ -992,7 +956,10 @@ func (c *ResilientConn) tick(now time.Time) {
 		silence := now.Sub(p.lastHeard)
 		switch {
 		case silence > time.Duration(c.cfg.DeadAfter)*c.cfg.HeartbeatEvery:
-			p.state = HealthDead
+			if p.state != HealthDead {
+				p.state = HealthDead
+				p.room.Broadcast() // senders waiting on its window give up
+			}
 		case silence > time.Duration(c.cfg.SuspectAfter)*c.cfg.HeartbeatEvery:
 			if p.state == HealthAlive {
 				p.state = HealthSuspect
@@ -1040,12 +1007,7 @@ func (c *ResilientConn) PeerDead(id wire.NodeID) bool {
 // PeerHealth implements HealthReporter.
 func (c *ResilientConn) PeerHealth() []PeerHealth {
 	now := time.Now()
-	c.mu.Lock()
-	peers := make([]*linkPeer, 0, len(c.peers))
-	for _, p := range c.peers {
-		peers = append(peers, p)
-	}
-	c.mu.Unlock()
+	peers := c.peerList(nil)
 	out := make([]PeerHealth, 0, len(peers))
 	for _, p := range peers {
 		p.mu.Lock()
@@ -1073,19 +1035,20 @@ func (c *ResilientConn) SetHandler(h Handler) { c.box.SetHandler(h) }
 // SetBatchHandler implements Conn.
 func (c *ResilientConn) SetBatchHandler(h BatchHandler) { c.box.SetBatchHandler(h) }
 
-// stop halts the ticker and delivery without closing the inner conn (the
-// network wrapper closes inner once, for all attachments).
+// stop halts delivery and releases senders waiting on a window, without
+// closing the inner conn (the network wrapper closes inner once, for all
+// attachments). Idempotent.
 func (c *ResilientConn) stop() {
-	c.closeOnce.Do(func() {
-		close(c.done)
-		c.box.Close()
-	})
+	c.box.Close()
+	for _, p := range c.peerList(nil) {
+		p.mu.Lock() // a waiter checks the box under mu: no wakeup falls between
+		p.room.Broadcast()
+		p.mu.Unlock()
+	}
 }
 
 // Close implements Conn.
 func (c *ResilientConn) Close() error {
 	c.stop()
-	err := c.inner.Close()
-	c.wg.Wait()
-	return err
+	return c.inner.Close()
 }

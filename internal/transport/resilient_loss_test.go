@@ -2,11 +2,13 @@ package transport_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"distauction/internal/testleak"
 	"distauction/internal/transport"
 	"distauction/internal/transport/faultnet"
 	"distauction/internal/wire"
@@ -79,15 +81,7 @@ func numbered(from, to wire.NodeID, i int) wire.Envelope {
 }
 
 // flood sends messages [0,count) from→to, every third stretch as a
-// superframe of eight, and reports the deepest window it saw. The link layer
-// has no backpressure of its own (the protocol above it is a closed loop),
-// so the sender supplies a little: with its default window half full it
-// pauses, for at most 2 ms per 64 frames. Without that the outcome hangs on
-// the scheduler: while one flooder runs alone its acks come every ackEvery
-// frames, the RTT estimate grows to a quarter of a window or more, and a
-// frame whose first resend is lost too waits out the rest of it. Even fully
-// stalled this is 32 000 frames/s — a window every 32 ms, far inside
-// ResendAfter — and a link whose ack is pinned still overflows 16 ms later.
+// superframe of eight, and reports the deepest window it saw.
 func flood(t *testing.T, conn transport.Conn, from, to wire.NodeID, count int) (maxDepth int) {
 	rc := conn.(*transport.ResilientConn)
 	batch := make([]wire.Envelope, 0, 8)
@@ -109,14 +103,7 @@ func flood(t *testing.T, conn transport.Conn, from, to wire.NodeID, count int) (
 			}
 			i++
 		}
-		if i%64 == 0 {
-			depth := rc.UnackedDepth(to)
-			maxDepth = max(maxDepth, depth)
-			for tries := 0; depth >= 512 && tries < 20; tries++ {
-				time.Sleep(100 * time.Microsecond)
-				depth = rc.UnackedDepth(to)
-			}
-		}
+		maxDepth = max(maxDepth, rc.UnackedDepth(to))
 	}
 	return maxDepth
 }
@@ -137,10 +124,9 @@ func awaitDepth(t *testing.T, conn transport.Conn, peer wire.NodeID) {
 // TestResilientGapRepairUnderWindowPressure: 1 % seeded frame loss both
 // ways on a link whose window (1024 frames) turns over many times inside
 // one resend timeout (200 ms). A hole must be repaired when it is seen —
-// waiting for the timer would let the window evict the frame first and pin
-// the cumulative ack behind a hole nobody can fill. Exactly-once delivery,
-// no eviction, at most 1.5 resends per dropped frame, and a window that
-// never fills.
+// waiting for the timer would hold the window, and with it the sender, for
+// the whole timeout. Exactly-once delivery, nothing dropped at the window
+// and at most 1.5 resends per dropped frame.
 func TestResilientGapRepairUnderWindowPressure(t *testing.T) {
 	const count = 40000
 	hub := transport.NewHub(transport.LatencyModel{}, 1)
@@ -188,9 +174,6 @@ func TestResilientGapRepairUnderWindowPressure(t *testing.T) {
 	}
 	if float64(ls.Resends) > 1.5*float64(dropped) {
 		t.Errorf("Resends = %d for %d dropped frames, want ≤ 1.5 per drop", ls.Resends, dropped)
-	}
-	if d := max(depth[0], depth[1]); d >= 1024 {
-		t.Errorf("window reached its bound (%d frames)", d)
 	}
 }
 
@@ -288,12 +271,10 @@ func TestResilientRejectedSendLeavesNoGhost(t *testing.T) {
 }
 
 // TestResilientLateFrameOutlivesWindow: a link that loses nothing but holds
-// 5 % of its frames back for 2–6 ms, under a one-way flood that turns a
-// 128-frame window over many times in that. A late frame pins the
-// cumulative ack, the window fills and evicts it, and the receiver's gap
-// hint draws a floor over a frame that is still on the wire. Giving a frame
-// up must not mark it delivered: when the original lands it is released,
-// once.
+// 5 % of its frames back for 2–6 ms, under a one-way flood that would turn
+// a 128-frame window over many times in that. A late frame pins the
+// cumulative ack and the window fills: the sender must wait for it, not
+// give it up, and every message arrives exactly once.
 func TestResilientLateFrameOutlivesWindow(t *testing.T) {
 	const count = 60000
 	hub := transport.NewHub(transport.LatencyModel{}, 1)
@@ -312,7 +293,7 @@ func TestResilientLateFrameOutlivesWindow(t *testing.T) {
 	}
 	at2 := newTally(count)
 	at2.install(c2)
-	flood(t, c1, 1, 2, count)
+	depth := flood(t, c1, 1, 2, count)
 	select {
 	case <-at2.done:
 	case <-time.After(60 * time.Second):
@@ -326,7 +307,230 @@ func TestResilientLateFrameOutlivesWindow(t *testing.T) {
 	if fs.Dropped != 0 {
 		t.Fatalf("faultnet dropped %d frames on a delay-only profile", fs.Dropped)
 	}
-	if ls.Overflow == 0 {
-		t.Fatal("the window never overflowed: the test proved nothing")
+	if ls.Overflow != 0 {
+		t.Errorf("Overflow = %d on a link whose peer never died, want 0", ls.Overflow)
 	}
+	if depth < 128 {
+		t.Fatalf("deepest window %d: the flood never reached the bound, the test proved nothing", depth)
+	}
+}
+
+// floorNet counts the link floors its attachments send.
+type floorNet struct {
+	transport.Network
+	floors atomic.Int64
+}
+
+func (n *floorNet) Attach(id wire.NodeID) (transport.Conn, error) {
+	c, err := n.Network.Attach(id)
+	if err != nil {
+		return nil, err
+	}
+	return floorConn{c, &n.floors}, nil
+}
+
+type floorConn struct {
+	transport.Conn
+	floors *atomic.Int64
+}
+
+func (c floorConn) Send(env wire.Envelope) error {
+	if env.Tag.Block == wire.BlockLink && env.Tag.Step == transport.LinkFloor {
+		c.floors.Add(1)
+	}
+	return c.Conn.Send(env)
+}
+
+// flowPair is a Resilient(faultnet(Hub)) link from node 1 to node 2, with a
+// tally at node 2 awaiting count messages.
+type flowPair struct {
+	fnet   *faultnet.Network
+	floors *floorNet
+	rnet   *transport.ResilientNetwork
+	c1     *transport.ResilientConn
+	at2    *tally
+}
+
+func openFlowPair(t *testing.T, cfg transport.ResilientConfig, count int) *flowPair {
+	t.Helper()
+	fp := &flowPair{fnet: faultnet.Wrap(transport.NewHub(transport.LatencyModel{}, 1), faultnet.Config{})}
+	fp.floors = &floorNet{Network: fp.fnet}
+	fp.rnet = transport.Resilient(fp.floors, cfg)
+	t.Cleanup(func() { fp.rnet.Close() })
+	c1, err := fp.rnet.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := fp.rnet.Attach(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp.c1 = c1.(*transport.ResilientConn)
+	fp.at2 = newTally(count)
+	fp.at2.install(c2)
+	return fp
+}
+
+// await waits for every message node 2 still awaits, then checks each
+// arrived exactly once.
+func (fp *flowPair) await(t *testing.T) {
+	t.Helper()
+	select {
+	case <-fp.at2.done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("timed out with %d messages undelivered; link stats %+v", fp.at2.left.Load(), fp.rnet.LinkStats())
+	}
+	fp.at2.assertExactlyOnce(t, "1→2")
+}
+
+// waitFor polls cond for up to ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestResilientWindowIsFlowControl: a full window holds its sender until
+// acks make room, and gives nothing up while the peer may still be alive.
+// The wait ends one of three ways — acks, the peer declared dead, or Close —
+// and only the second drops an envelope, unsequenced, so the receiver is
+// left no hole to be floored over.
+func TestResilientWindowIsFlowControl(t *testing.T) {
+	const window = 64
+
+	t.Run("acks cut: the sender waits", func(t *testing.T) {
+		const count = 3 * window
+		fp := openFlowPair(t, transport.ResilientConfig{MaxUnacked: window}, count)
+		fp.fnet.SetPartition(2, 1, true)
+		var sent atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < count; i++ {
+				if err := fp.c1.Send(numbered(1, 2, i)); err != nil {
+					t.Error(err)
+					return
+				}
+				sent.Add(1)
+			}
+		}()
+		waitFor(t, "a full window", func() bool { return fp.c1.UnackedDepth(2) >= window || sent.Load() == count })
+		time.Sleep(50 * time.Millisecond) // room for a sender that does not wait to run on
+		if n, d := sent.Load(), fp.c1.UnackedDepth(2); n != window || d != window {
+			t.Fatalf("with acks cut, %d sends returned and %d frames are unacked; want both %d", n, d, window)
+		}
+		if ov := fp.rnet.LinkStats().Overflow; ov != 0 {
+			t.Fatalf("Overflow = %d with a live peer, want 0", ov)
+		}
+		fp.fnet.SetPartition(2, 1, false)
+		<-done
+		fp.await(t)
+	})
+
+	t.Run("peer declared dead: the wait ends, the envelope is dropped unsequenced", func(t *testing.T) {
+		const count = 2 * window
+		cfg := transport.ResilientConfig{HeartbeatEvery: 20 * time.Millisecond, DeadAfter: 10, MaxUnacked: window}
+		fp := openFlowPair(t, cfg, count)
+		dropped := window + 1 // the send that waits on the isolated peer
+		fp.at2.forget(dropped)
+		if err := fp.c1.Send(numbered(1, 2, 0)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "message 0 and its ack", func() bool { return fp.at2.got.Load() == 1 && fp.c1.UnackedDepth(2) == 0 })
+
+		cut := time.Now()
+		fp.fnet.SetPartition(1, 2, true)
+		fp.fnet.SetPartition(2, 1, true)
+		for i := 1; i <= window; i++ {
+			if err := fp.c1.Send(numbered(1, 2, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fp.c1.Send(numbered(1, 2, dropped)); err != nil {
+			t.Fatalf("send to a dead peer: %v, want nil", err)
+		}
+		// The verdict lands on the first tick past DeadAfter intervals of
+		// silence, and the peer was last heard at most a tick before the
+		// cut; 100 ms more is scheduling allowance on a loaded host.
+		bound := time.Duration(cfg.DeadAfter+1)*cfg.HeartbeatEvery + cfg.HeartbeatEvery + 100*time.Millisecond
+		if took := time.Since(cut); took > bound {
+			t.Errorf("the send waited %v on an isolated peer, want ≤ %v", took, bound)
+		}
+		if !fp.c1.PeerDead(2) {
+			t.Fatal("the send returned before the peer was declared dead")
+		}
+		if ov := fp.rnet.LinkStats().Overflow; ov != 1 {
+			t.Fatalf("Overflow = %d, want 1 (the envelope the dead peer's window had no room for)", ov)
+		}
+
+		fp.fnet.SetPartition(1, 2, false)
+		fp.fnet.SetPartition(2, 1, false)
+		// Until node 2 is heard again a full window still drops at once.
+		waitFor(t, "node 2 heard again", func() bool { return !fp.c1.PeerDead(2) })
+		for i := dropped + 1; i < count; i++ {
+			if err := fp.c1.Send(numbered(1, 2, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fp.await(t)
+		if n := fp.floors.floors.Load(); n != 0 {
+			t.Fatalf("%d floors sent: a dropped envelope must leave no hole", n)
+		}
+	})
+
+	t.Run("Close releases a waiting sender", func(t *testing.T) {
+		testleak.Check(t, func() {
+			fp := openFlowPair(t, transport.ResilientConfig{MaxUnacked: window}, window+1)
+			fp.fnet.SetPartition(2, 1, true)
+			for i := 0; i < window; i++ {
+				if err := fp.c1.Send(numbered(1, 2, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			errc := make(chan error, 1)
+			go func() { errc <- fp.c1.Send(numbered(1, 2, window)) }()
+			select {
+			case err := <-errc:
+				t.Fatalf("send into a full window returned %v without waiting", err)
+			case <-time.After(20 * time.Millisecond):
+			}
+			start := time.Now()
+			fp.rnet.Close()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, transport.ErrClosed) {
+					t.Fatalf("released send returned %v, want ErrClosed", err)
+				}
+				if took := time.Since(start); took > 100*time.Millisecond {
+					t.Fatalf("Close released the waiting send after %v, want ≤ 100ms", took)
+				}
+			case <-time.After(100 * time.Millisecond):
+				t.Fatal("Close did not release a send waiting on a full window within 100ms")
+			}
+		})
+	})
+
+	t.Run("a batch larger than the window waits for it to empty", func(t *testing.T) {
+		const count = 3 * window
+		fp := openFlowPair(t, transport.ResilientConfig{MaxUnacked: window}, count)
+		if err := fp.c1.Send(numbered(1, 2, 0)); err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]wire.Envelope, 0, count-1)
+		for i := 1; i < count; i++ {
+			batch = append(batch, numbered(1, 2, i))
+		}
+		if err := fp.c1.SendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		fp.await(t)
+		if ov := fp.rnet.LinkStats().Overflow; ov != 0 {
+			t.Fatalf("Overflow = %d, want 0", ov)
+		}
+	})
 }

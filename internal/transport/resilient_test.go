@@ -61,6 +61,45 @@ func (c *flakyConn) SendBatch(envs []wire.Envelope) error {
 	return c.Conn.SendBatch(envs)
 }
 
+// connNet is a Network over conns built beforehand: Attach hands out the
+// one registered for an ID, so a test can slide a flakyConn (or a bare
+// TCPNode) under Resilient, the path every deployment attaches through.
+type connNet map[wire.NodeID]Conn
+
+func (n connNet) Attach(id wire.NodeID) (Conn, error) {
+	c, ok := n[id]
+	if !ok {
+		return nil, fmt.Errorf("connNet: no conn for node %d", id)
+	}
+	return c, nil
+}
+
+func (n connNet) Stats() StatsSnapshot { return StatsSnapshot{} }
+
+func (n connNet) Close() error {
+	for _, c := range n {
+		c.Close()
+	}
+	return nil
+}
+
+// attachPair layers the link protocol over two prepared conns and returns
+// both ends; the network closes with the test.
+func attachPair(t *testing.T, a, b Conn, cfg ResilientConfig) (*ResilientConn, *ResilientConn) {
+	t.Helper()
+	rnet := Resilient(connNet{a.Self(): a, b.Self(): b}, cfg)
+	t.Cleanup(func() { rnet.Close() })
+	ca, err := rnet.Attach(a.Self())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := rnet.Attach(b.Self())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ca.(*ResilientConn), cb.(*ResilientConn)
+}
+
 // collect installs a handler that records the integer payloads of
 // inbound envelopes and closes done when want have arrived.
 func collect(t *testing.T, conn Conn, want int) (got *[]int, done chan struct{}) {
@@ -110,10 +149,7 @@ func TestResilientLossyLinkExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky := &flakyConn{Conn: raw1, dropMod: 7}
-	c1 := WrapResilient(flaky, fastLink())
-	defer c1.Close()
-	c2 := WrapResilient(raw2, fastLink())
-	defer c2.Close()
+	c1, c2 := attachPair(t, flaky, raw2, fastLink())
 
 	const count = 400
 	got, done := collect(t, c2, count)
@@ -149,11 +185,8 @@ func TestResilientHealthStateMachine(t *testing.T) {
 	defer hub.Close()
 	raw1, _ := hub.Attach(1)
 	raw2, _ := hub.Attach(2)
-	c1 := WrapResilient(raw1, fastLink())
-	defer c1.Close()
 	flaky := &flakyConn{Conn: raw2}
-	c2 := WrapResilient(flaky, fastLink())
-	defer c2.Close()
+	c1, c2 := attachPair(t, raw1, flaky, fastLink())
 
 	_, done := collect(t, c2, 1)
 	if err := c1.Send(dataEnv(1, 2, 0)); err != nil {
@@ -194,11 +227,7 @@ func TestResilientHealthStateMachine(t *testing.T) {
 // that the surviving set of envelopes equals the fault-free one.
 func TestResilientTCPKillMidSuperframe(t *testing.T) {
 	n1, n2 := startTCPPair(t)
-	cfg := fastLink()
-	c1 := WrapResilient(n1, cfg)
-	defer c1.Close()
-	c2 := WrapResilient(n2, cfg)
-	defer c2.Close()
+	c1, c2 := attachPair(t, n1, n2, fastLink())
 
 	const (
 		count     = 600

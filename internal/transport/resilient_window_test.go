@@ -11,22 +11,13 @@ import (
 )
 
 // refWindow is the resend buffer as it was before the ring: a slice of
-// seqs in send order, shifted down on every eviction and every ack. It
-// stays here as the reference the ring is checked against.
+// seqs in send order, shifted down on every ack. It stays here as the
+// reference the ring is checked against.
 type refWindow struct {
-	max      int
-	unacked  []uint64
-	overflow int
+	unacked []uint64
 }
 
-func (r *refWindow) track(seq uint64) {
-	if len(r.unacked) >= r.max {
-		copy(r.unacked, r.unacked[1:])
-		r.unacked = r.unacked[:len(r.unacked)-1]
-		r.overflow++
-	}
-	r.unacked = append(r.unacked, seq)
-}
+func (r *refWindow) track(seq uint64) { r.unacked = append(r.unacked, seq) }
 
 func (r *refWindow) ack(ack uint64) {
 	drop := 0
@@ -37,10 +28,10 @@ func (r *refWindow) ack(ack uint64) {
 }
 
 // TestResilientWindowMatchesReference drives the ring and the old slice
-// through the same random track / cumulative-ack / resend-scan sequences
-// (eviction is what track does at the bound): same frames retained in the
-// same order, same overflow count, and no payload reference left in a
-// slot the window released. The timer scan is the one place the ring
+// through the same random track / cumulative-ack / resend-scan sequences,
+// with send bursts that stop at the bound as a waiting sender does: same
+// frames retained in the same order, nothing evicted, and no payload
+// reference left in a slot the window released. The timer scan is the one place the ring
 // differs on purpose — it stops at the first frame inside the timeout —
 // so it is checked against the ring's own state: exactly the overdue run
 // at the old end, each frame restamped.
@@ -50,13 +41,13 @@ func TestResilientWindowMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(size)))
 		c := &ResilientConn{cfg: ResilientConfig{MaxUnacked: size}.withDefaults()}
 		p := &linkPeer{id: 2}
-		ref := &refWindow{max: size}
+		ref := &refWindow{}
 		now := time.Unix(1000, 0)
 		for op := 0; op < ops; op++ {
 			now = now.Add(time.Duration(rng.Intn(int(c.cfg.ResendAfter / 4))))
 			switch k := rng.Intn(10); {
-			case k < 6: // a burst of sends; long ones run into the bound
-				for n := 1 + rng.Intn(1+size/3); n > 0; n-- {
+			case k < 6: // a burst of sends; long ones stop at the bound
+				for n := 1 + rng.Intn(1+size/3); n > 0 && p.n < size; n-- {
 					p.nextSeq++
 					env := wire.Envelope{To: 2, LinkSeq: p.nextSeq, Payload: []byte{byte(p.nextSeq)}}
 					p.track(c, env, now)
@@ -87,9 +78,9 @@ func TestResilientWindowMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if p.n != len(ref.unacked) || int(c.overflow.Load()) != ref.overflow {
-				t.Fatalf("size %d op %d: %d frames / %d evictions, reference %d / %d",
-					size, op, p.n, c.overflow.Load(), len(ref.unacked), ref.overflow)
+			if p.n != len(ref.unacked) || c.overflow.Load() != 0 {
+				t.Fatalf("size %d op %d: %d frames / %d evictions, reference %d / 0",
+					size, op, p.n, c.overflow.Load(), len(ref.unacked))
 			}
 			for i, want := range ref.unacked {
 				if f := p.frame(i); f.env.LinkSeq != want || f.env.Payload == nil {
@@ -105,71 +96,6 @@ func TestResilientWindowMatchesReference(t *testing.T) {
 		if len(p.ring) > size {
 			t.Fatalf("size %d: ring grew to %d slots", size, len(p.ring))
 		}
-	}
-}
-
-// TestResilientSkippedMatchesSet drives the receiver's record of floored-
-// over seqs against a plain set: floors of random width over a rising
-// prefix, late originals and duplicates in random order. A skipped seq is
-// released exactly once, anything else never, and the ranges stay sorted
-// and disjoint; entries older than keep are forgotten only from the old
-// end, and the model forgets with them.
-func TestResilientSkippedMatchesSet(t *testing.T) {
-	const keep = time.Second
-	rng := rand.New(rand.NewSource(19))
-	p := &linkPeer{}
-	set := map[uint64]bool{}
-	now := time.Unix(1000, 0)
-	swept := 0 // stale ranges seen waiting for the sweep: it must have run
-	for op := 0; op < 40000; op++ {
-		now = now.Add(time.Duration(rng.Intn(int(keep / 20))))
-		if rng.Intn(3) == 0 { // a floor, usually after some delivered seqs
-			lo := p.contig + 1 + uint64(rng.Intn(3))
-			hi := lo + uint64(rng.Intn(4))
-			p.skip(lo, hi, now, keep)
-			p.contig = hi
-			for seq := lo; seq <= hi; seq++ {
-				set[seq] = true
-			}
-			stale := 0
-			for _, r := range p.skipped {
-				if now.Sub(r.at) > keep {
-					stale++
-				}
-			}
-			if stale > len(p.skipped)/2 {
-				t.Fatalf("op %d: %d of %d ranges older than keep survived a floor", op, stale, len(p.skipped))
-			}
-			swept += stale
-			for seq := range set {
-				if seq < p.skipped[0].lo {
-					delete(set, seq) // forgotten with its range
-				}
-			}
-		} else if p.contig > 0 { // a late original, or a duplicate
-			seq := 1 + uint64(rng.Int63n(int64(p.contig)))
-			if rng.Intn(2) == 0 && len(p.skipped) > 0 {
-				r := p.skipped[rng.Intn(len(p.skipped))]
-				seq = r.lo + uint64(rng.Int63n(int64(r.hi-r.lo+1)))
-			}
-			if got := p.unskip(seq); got != set[seq] {
-				t.Fatalf("op %d: unskip(%d) = %v, set says %v", op, seq, got, set[seq])
-			}
-			delete(set, seq)
-		}
-		held, prev := 0, uint64(0)
-		for i, r := range p.skipped {
-			if r.lo <= prev || r.hi < r.lo || r.hi > p.contig || (i > 0 && r.at.Before(p.skipped[i-1].at)) {
-				t.Fatalf("op %d: ranges %v out of order or above the prefix %d", op, p.skipped, p.contig)
-			}
-			held, prev = held+int(r.hi-r.lo+1), r.hi
-		}
-		if held != len(set) {
-			t.Fatalf("op %d: %d seqs in %d ranges, set holds %d", op, held, len(p.skipped), len(set))
-		}
-	}
-	if swept == 0 || len(p.skipped) > 100 {
-		t.Fatalf("expiry never exercised: %d stale ranges seen, %d held at the end", swept, len(p.skipped))
 	}
 }
 
@@ -189,10 +115,10 @@ func control(from, to wire.NodeID, kind uint8, ack uint64, payload []byte) wire.
 // payloads, hints below the ack, floors past anything sent or behind what
 // is delivered — to both ends of a wrapped pair with traffic, loss and
 // timer ticks in between. Whatever arrives, the link never panics, never
-// moves a contiguous prefix backwards, never delivers a data frame twice
-// (a frame a forged floor skipped and a later resend delivers included),
+// moves a contiguous prefix backwards, never delivers a data frame twice,
 // and never releases a frame that neither a received ack value nor the
-// peer's actual progress covers.
+// peer's actual progress covers. A send that would wait on a full window
+// is skipped: nothing else in the script could make room.
 //
 // The script is a byte string of ops: 0 send n frames 1→2, 1 the same
 // 2→1, 2 toggle loss on node 1's sends, 3/4 inject a control frame into
@@ -239,8 +165,8 @@ func FuzzLinkControl(f *testing.F) {
 		const maxUnacked = 16 // small enough for a script to run into it
 		cfg := ResilientConfig{MaxUnacked: maxUnacked}
 		conns := map[wire.NodeID]*ResilientConn{
-			1: newResilientConn(lossy, cfg, false),
-			2: newResilientConn(raw2, cfg, false),
+			1: newResilientConn(lossy, cfg),
+			2: newResilientConn(raw2, cfg),
 		}
 		defer conns[1].Close()
 		defer conns[2].Close()
@@ -267,18 +193,9 @@ func FuzzLinkControl(f *testing.F) {
 					t.Fatalf("op %d: node %d's prefix of node %d went back %d → %d", op, other[id], id, contig[id], rcv.contig)
 				}
 				contig[id] = rcv.contig
-				prev := uint64(0)
-				for _, r := range rcv.skipped {
-					if r.lo <= prev || r.hi < r.lo || r.hi > rcv.contig {
-						t.Fatalf("op %d: node %d skipped %v, prefix %d", op, other[id], rcv.skipped, rcv.contig)
-					}
-					prev = r.hi
-				}
 				// Released without cover: the window's base is past every ack
-				// value this node was shown, past what the peer really has, and
-				// past what the bound alone would have evicted.
-				evicted := max(snd.nextSeq, maxUnacked) - maxUnacked
-				if base := snd.nextSeq - uint64(snd.n); base > max(forged[id], rcv.contig, evicted) {
+				// value this node was shown and past what the peer really has.
+				if base := snd.nextSeq - uint64(snd.n); base > max(forged[id], rcv.contig) {
 					t.Fatalf("op %d: node %d released up to seq %d; acks shown ≤ %d, peer's prefix %d",
 						op, id, base, forged[id], rcv.contig)
 				}
@@ -296,7 +213,10 @@ func FuzzLinkControl(f *testing.F) {
 				if len(script) > 0 {
 					n, script = 1+int(script[0]%8), script[1:]
 				}
-				for ; n > 0; n-- {
+				for snd := conns[from].peer(other[from]); n > 0; n-- {
+					if snd.n >= maxUnacked && snd.state != HealthDead {
+						break
+					}
 					msg[from]++
 					env := dataEnv(from, other[from], int(msg[from]))
 					if msg[from]%3 == 0 {

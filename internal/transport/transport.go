@@ -89,7 +89,9 @@ type PushBatchConn = Conn
 // read loop), which is exactly what lets receivers on different rounds
 // proceed in parallel instead of funnelling through one receive loop per
 // conn. A handler must not wait for another delivery on its own Hub: on a
-// Hub with a latency model every handler runs on the one scheduler.
+// Hub with a latency model every handler runs on the one scheduler. Nor may
+// it make a sequenced send over Resilient, which waits for acks when the
+// peer's window is full: over TCP those arrive on the read loop it blocks.
 type Handler func(env wire.Envelope)
 
 // BatchHandler consumes one inbound superframe's envelopes in a single
