@@ -13,7 +13,11 @@
 // local search: random candidate users are swapped into random providers,
 // evicting cheaper user sets when that strictly improves welfare. All
 // randomness comes from a prng.SplitMix64 seeded by the common coin, so
-// every provider replays the identical allocation.
+// every provider replays the identical allocation. Each provider's users
+// are kept in a list ordered by total value, so one search iteration costs
+// O(1) when the drawn user is already served and otherwise a walk of the
+// evicted prefix plus an insertion into a list of about n/m users — never
+// a pass over all n.
 //
 // Payments (Task 2) are VCG: user i pays the externality it imposes,
 // W(N∖{i}) − (W(N) − vᵢdᵢ), which requires a fresh solve without i — the
@@ -31,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"distauction/internal/auction"
@@ -129,22 +134,56 @@ func SolveAllocation(users []auction.UserBid, params Params, seed uint64) (Assig
 		time.Sleep(params.ModelDelay)
 	}
 	if params.Exact {
-		a, _ := solveExact(users, params.Capacities)
+		a, _ := solveExact(users, params.Capacities, -1)
 		return a, nil
 	}
+	assign := make(Assignment, len(users))
+	sc := scratchPool.Get().(*scratch)
+	copy(assign, sc.solve(users, params, seed, -1))
+	scratchPool.Put(sc)
+	return assign, nil
+}
+
+// scratch is the approximate solver's working set — the assignment being
+// built, remaining capacities, the eligible order, every user's Total() and
+// each provider's member list — recycled across solves. Only indices and
+// fixed-point values live here, never caller data, so a recycled scratch
+// carries nothing between solves.
+type scratch struct {
+	assign  Assignment
+	remCap  []fixed.Fixed
+	order   []int
+	totals  []fixed.Fixed
+	members [][]int
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
+
+// solve runs the greedy seed and the local search with user skip (or -1
+// for none) excluded, exactly as if skip had bid neutral, and returns the
+// assignment. The result lives in sc and is overwritten by the next solve.
+func (sc *scratch) solve(users []auction.UserBid, params Params, seed uint64, skip int) Assignment {
 	n, m := len(users), len(params.Capacities)
-	assign := make(Assignment, n)
-	remCap := append([]fixed.Fixed(nil), params.Capacities...)
+	sc.assign = slices.Grow(sc.assign[:0], n)[:n]
+	sc.totals = slices.Grow(sc.totals[:0], n)[:n]
+	sc.remCap = append(sc.remCap[:0], params.Capacities...)
+	sc.members = slices.Grow(sc.members[:0], m)[:m]
+	for j := range sc.members {
+		sc.members[j] = sc.members[j][:0]
+	}
+	assign, remCap, totals := sc.assign, sc.remCap, sc.totals
 
 	// Greedy seed: users by per-unit value descending (ties by index),
 	// placed into the provider with the most remaining capacity.
-	order := make([]int, 0, n)
+	order := sc.order[:0]
 	for i, b := range users {
 		assign[i] = Unassigned
-		if eligible(b) {
+		if i != skip && eligible(b) {
 			order = append(order, i)
+			totals[i] = b.Total()
 		}
 	}
+	sc.order = order
 	slices.SortFunc(order, func(a, b int) int {
 		return cmp.Or(cmp.Compare(users[b].Value, users[a].Value), cmp.Compare(a, b))
 	})
@@ -156,12 +195,8 @@ func SolveAllocation(users []auction.UserBid, params Params, seed uint64) (Assig
 			}
 		}
 		if best != Unassigned {
-			assign[i] = best
-			remCap[best] -= users[i].Demand
+			sc.place(i, best, users[i].Demand)
 		}
-	}
-	if len(order) == 0 {
-		return assign, nil
 	}
 
 	// Randomized local search: the effort mirrors the paper's (1/ε)² factor
@@ -169,13 +204,9 @@ func SolveAllocation(users []auction.UserBid, params Params, seed uint64) (Assig
 	// re-solves grows superlinearly, reproducing Figure 5's shape).
 	iters := params.IterFactor * len(order) * params.InvEpsilon * params.InvEpsilon
 	rng := prng.New(seed)
-	evict := make([]int, 0, 16)
 	for it := 0; it < iters; it++ {
 		i := order[rng.Intn(len(order))]
 		j := rng.Intn(m)
-		if assign[i] == j {
-			continue
-		}
 		if assign[i] != Unassigned {
 			// Moving an assigned user does not change welfare by itself;
 			// the improving move is swapping an unassigned user in.
@@ -183,41 +214,47 @@ func SolveAllocation(users []auction.UserBid, params Params, seed uint64) (Assig
 		}
 		need := users[i].Demand - remCap[j]
 		if need <= 0 {
-			assign[i] = j
-			remCap[j] -= users[i].Demand
+			sc.place(i, j, users[i].Demand)
 			continue
 		}
-		// Find the cheapest set of users at j whose eviction frees enough
-		// capacity, scanning in ascending total-value order.
-		evict = evict[:0]
-		for u := range assign {
-			if assign[u] == j {
-				evict = append(evict, u)
-			}
-		}
-		slices.SortFunc(evict, func(a, b int) int {
-			return cmp.Or(cmp.Compare(users[a].Total(), users[b].Total()), cmp.Compare(a, b))
-		})
+		// The cheapest set of users at j whose eviction frees enough
+		// capacity is a prefix of j's member list, which is kept in
+		// ascending total-value order.
+		members := sc.members[j]
 		var freed, lost fixed.Fixed
 		cut := 0
-		for _, u := range evict {
+		for _, u := range members {
 			if freed >= need {
 				break
 			}
 			freed = freed.SatAdd(users[u].Demand)
-			lost = lost.SatAdd(users[u].Total())
+			lost = lost.SatAdd(totals[u])
 			cut++
 		}
-		if freed < need || lost >= users[i].Total() {
+		if freed < need || lost >= totals[i] {
 			continue // infeasible or not improving
 		}
-		for _, u := range evict[:cut] {
+		for _, u := range members[:cut] {
 			assign[u] = Unassigned
 		}
-		remCap[j] = remCap[j] + freed - users[i].Demand
-		assign[i] = j
+		sc.members[j] = members[:copy(members, members[cut:])]
+		remCap[j] += freed
+		sc.place(i, j, users[i].Demand)
 	}
-	return assign, nil
+	return assign
+}
+
+// place assigns user i, of the given demand, to provider j and inserts it
+// into j's member list, which stays in (total, index) ascending order: the
+// order the eviction walk takes users in.
+func (sc *scratch) place(i, j int, demand fixed.Fixed) {
+	sc.assign[i] = j
+	sc.remCap[j] -= demand
+	members, totals := sc.members[j], sc.totals
+	at, _ := slices.BinarySearchFunc(members, i, func(a, b int) int {
+		return cmp.Or(cmp.Compare(totals[a], totals[b]), cmp.Compare(a, b))
+	})
+	sc.members[j] = slices.Insert(members, at, i)
 }
 
 // paymentSeed derives the deterministic seed for the counterfactual solve
@@ -230,11 +267,15 @@ func paymentSeed(seed uint64, i int) uint64 {
 // Payment computes user i's VCG payment given the chosen assignment
 // (Task 2 of Algorithm 1). Payments are clamped to [0, vᵢdᵢ]: the
 // approximation can otherwise leave a VCG payment slightly outside the
-// individually-rational range.
+// individually-rational range. The assignment must cover every user
+// (auction.ErrShape otherwise).
 func Payment(users []auction.UserBid, params Params, seed uint64, assign Assignment, i int) (fixed.Fixed, error) {
 	params = params.withDefaults()
 	if i < 0 || i >= len(users) {
 		return 0, fmt.Errorf("standardauction: payment for unknown user %d", i)
+	}
+	if len(assign) != len(users) {
+		return 0, auction.ErrShape
 	}
 	// The compute model charges one counterfactual solve per user — the
 	// paper's algorithm prices every user, and its groups split exactly n/c
@@ -242,22 +283,27 @@ func Payment(users []auction.UserBid, params Params, seed uint64, assign Assignm
 	// charged once per payment regardless of early exits.
 	if params.ModelDelay > 0 {
 		time.Sleep(params.ModelDelay)
-		params.ModelDelay = 0
 	}
 	if assign[i] == Unassigned {
 		return 0, nil
 	}
-	othersWelfare := Welfare(users, assign).SatSub(users[i].Total())
-
-	without := make([]auction.UserBid, len(users))
-	copy(without, users)
-	without[i] = auction.NeutralUserBid()
-	counterfactual, err := SolveAllocation(without, params, paymentSeed(seed, i))
-	if err != nil {
+	if err := params.Validate(); err != nil {
 		return 0, err
 	}
-	pay := Welfare(without, counterfactual).SatSub(othersWelfare)
-	return fixed.Clamp(pay, 0, users[i].Total()), nil
+	othersWelfare := Welfare(users, assign).SatSub(users[i].Total())
+
+	// The counterfactual solve excludes user i by index: a neutral bid in
+	// its place would be ineligible, so the solve is the same.
+	var without fixed.Fixed
+	if params.Exact {
+		a, _ := solveExact(users, params.Capacities, i)
+		without = Welfare(users, a)
+	} else {
+		sc := scratchPool.Get().(*scratch)
+		without = Welfare(users, sc.solve(users, params, paymentSeed(seed, i), i))
+		scratchPool.Put(sc)
+	}
+	return fixed.Clamp(without.SatSub(othersWelfare), 0, users[i].Total()), nil
 }
 
 // BuildOutcome expands an assignment and per-user payments into the
@@ -309,8 +355,9 @@ func Solve(users []auction.UserBid, params Params, seed uint64) (auction.Outcome
 	return BuildOutcome(users, params, assign, pays)
 }
 
-// solveExact exhaustively maximises welfare. Exponential; tests only.
-func solveExact(users []auction.UserBid, caps []fixed.Fixed) (Assignment, fixed.Fixed) {
+// solveExact exhaustively maximises welfare with user skip (or -1 for none)
+// excluded. Exponential; tests only.
+func solveExact(users []auction.UserBid, caps []fixed.Fixed, skip int) (Assignment, fixed.Fixed) {
 	n, m := len(users), len(caps)
 	assign := make(Assignment, n)
 	best := make(Assignment, n)
@@ -330,7 +377,7 @@ func solveExact(users []auction.UserBid, caps []fixed.Fixed) (Assignment, fixed.
 			}
 			return
 		}
-		if !eligible(users[i]) {
+		if i == skip || !eligible(users[i]) {
 			assign[i] = Unassigned
 			rec(i + 1)
 			return

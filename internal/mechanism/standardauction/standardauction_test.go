@@ -1,6 +1,7 @@
 package standardauction
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -138,7 +139,7 @@ func TestApproximationRatioOnSmallInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, opt := solveExact(users, params.Capacities)
+		_, opt := solveExact(users, params.Capacities, -1)
 		got := Welfare(users, assign)
 		if opt == 0 {
 			continue
@@ -283,29 +284,99 @@ func TestExactSolverKnownOptimum(t *testing.T) {
 	// Greedy takes v=5,d=2 then cannot fit d=2 again; optimum is the pair
 	// (4.9, 1.5) + (4.8, 1.5) with welfare 7.35+7.2 > 10.
 	users := []auction.UserBid{u(5, 2), u(4.9, 1.5), u(4.8, 1.5)}
-	_, opt := solveExact(users, caps(3))
+	_, opt := solveExact(users, caps(3), -1)
 	want := users[1].Total().SatAdd(users[2].Total())
 	if opt != want {
 		t.Errorf("exact optimum %v, want %v", opt, want)
 	}
 }
 
-func BenchmarkSolveAllocation(b *testing.B) {
-	users, params := randomInstance(9, 100, 8, 0.25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveAllocation(users, params, uint64(i)); err != nil {
-			b.Fatal(err)
+func TestPaymentRejectsMisSizedAssignment(t *testing.T) {
+	users, params := randomInstance(4, 6, 2, 0.5)
+	assign, err := SolveAllocation(users, params, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		assign Assignment
+		ok     bool
+	}{
+		{"short", assign[:len(users)-1], false},
+		{"long", append(assign.Clone(), 0), false},
+		{"exact", assign, true},
+	} {
+		for i := range users {
+			_, err := Payment(users, params, 3, c.assign, i)
+			if c.ok && err != nil {
+				t.Errorf("%s: user %d: %v", c.name, i, err)
+			}
+			if !c.ok && !errors.Is(err, auction.ErrShape) {
+				t.Errorf("%s: user %d: err %v, want auction.ErrShape", c.name, i, err)
+			}
 		}
 	}
 }
 
-func BenchmarkFullSolve(b *testing.B) {
-	users, params := randomInstance(9, 40, 8, 0.25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(users, params, uint64(i)); err != nil {
-			b.Fatal(err)
+// TestSolveAllocationAllocations pins the allocation discipline at the
+// shape of the Fig. 5 workload and its solver probe (n = 60 users, m = 8
+// providers holding about an eighth of the demand, 1/ε = 5): the solver's
+// working set is pooled, so SolveAllocation allocates only the assignment
+// it returns and Payment nothing.
+func TestSolveAllocationAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under -race")
+	}
+	users, params := randomInstance(9, 60, 8, 0.125)
+	assign, err := SolveAllocation(users, params, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = SolveAllocation(users, params, 7) }); allocs != 1 {
+		t.Errorf("SolveAllocation made %v allocations, want 1", allocs)
+	}
+	for i, j := range assign {
+		if j == Unassigned {
+			continue
 		}
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = Payment(users, params, 7, assign, i) }); allocs != 0 {
+			t.Errorf("Payment for user %d made %v allocations, want 0", i, allocs)
+		}
+	}
+}
+
+func BenchmarkSolveAllocation(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		n       int
+		capFrac float64
+	}{{"n=100", 100, 0.25}, {"fig5", 60, 0.125}} {
+		b.Run(c.name, func(b *testing.B) {
+			users, params := randomInstance(9, c.n, 8, c.capFrac)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SolveAllocation(users, params, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkFullSolve(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		n       int
+		capFrac float64
+	}{{"n=40", 40, 0.25}, {"fig5", 60, 0.125}} {
+		b.Run(c.name, func(b *testing.B) {
+			users, params := randomInstance(9, c.n, 8, c.capFrac)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Solve(users, params, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
