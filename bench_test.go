@@ -245,7 +245,7 @@ func BenchmarkPeerRoutingContention(b *testing.B) {
 								b.Error(err)
 								return
 							}
-							if _, err := p.GatherProviders(ctx, tag); err != nil {
+							if _, err := p.GatherAppend(ctx, tag, p.Providers(), nil); err != nil {
 								b.Error(err)
 							}
 						}(p, round)

@@ -8,6 +8,7 @@ package distauction_test
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,6 +191,82 @@ func TestCrashCommitteePeerAbortsDisconnect(t *testing.T) {
 		}
 		if ae.Culprit != 3 {
 			t.Errorf("provider %d round 2: culprit %d, want the crashed peer 3", i+1, ae.Culprit)
+		}
+	}
+}
+
+// crashAtConn partitions its provider from everyone at the first send that
+// match selects, before that send leaves: a crash at a chosen protocol step.
+type crashAtConn struct {
+	transport.Conn
+	match   func(wire.Envelope) bool
+	crash   func()
+	crashed atomic.Bool
+}
+
+func (c *crashAtConn) Send(env wire.Envelope) error {
+	if c.match(env) && c.crashed.CompareAndSwap(false, true) {
+		c.crash()
+	}
+	return c.Conn.Send(env)
+}
+
+// TestCrashAfterAgreementAttributesCulprit: a committee member that crashes
+// after bid agreement — at its first input-validation send of round 2 — must
+// still be reported as `disconnect` with itself as culprit. Validation, the
+// task-digest check and the transfer gathers all end in the same unanimity
+// check, which keeps a gather's typed cause.
+func TestCrashAfterAgreementAttributesCulprit(t *testing.T) {
+	everyone := []wire.NodeID{1, 2, 3, 100, 101}
+	var fn atomic.Pointer[faultnet.Network]
+	wrap := func(i int, conn transport.Conn) transport.Conn {
+		if i != 2 {
+			return conn
+		}
+		return &crashAtConn{
+			Conn:  conn,
+			match: func(env wire.Envelope) bool { return env.Tag.Round == 2 && env.Tag.Block == wire.BlockValidate },
+			crash: func() { isolate(fn.Load(), 3, everyone) },
+		}
+	}
+	sessions, bidders, net := resilientDeployment(t, 2, wrap)
+	fn.Store(net)
+
+	for _, b := range bidders {
+		if err := b.Submit(1, auction.UserBid{Value: fixed.MustFloat(9), Demand: fixed.MustFloat(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Round 1 settles everywhere before round 2 starts: with both rounds in
+	// flight, a survivor's round 1 would abort too.
+	for i, s := range sessions {
+		if out := nextOutcome(t, "provider", s.Outcomes()); out.Round != 1 || out.Err != nil {
+			t.Fatalf("provider %d round 1: %+v", i+1, out)
+		}
+	}
+	for i, b := range bidders {
+		if out := nextOutcome(t, "bidder", b.Outcomes()); out.Round != 1 || out.Err != nil {
+			t.Fatalf("bidder %d round 1: %+v", i, out)
+		}
+	}
+
+	for _, b := range bidders {
+		if err := b.Submit(2, auction.UserBid{Value: fixed.MustFloat(9), Demand: fixed.MustFloat(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, s := range sessions[:2] { // the survivors
+		out := nextOutcome(t, "provider", s.Outcomes())
+		if out.Round != 2 || out.Err == nil {
+			t.Fatalf("provider %d round 2: want ⊥, got %+v", i+1, out)
+		}
+		var ae *proto.AbortError
+		if !errors.As(out.Err, &ae) {
+			t.Fatalf("provider %d round 2: %v is not an AbortError", i+1, out.Err)
+		}
+		if ae.Code != proto.AbortDisconnect || ae.Culprit != 3 {
+			t.Errorf("provider %d round 2: abort %v culprit %d, want disconnect culprit 3 (reason: %s)",
+				i+1, ae.Code, ae.Culprit, ae.Reason)
 		}
 	}
 }

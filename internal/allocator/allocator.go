@@ -35,10 +35,10 @@ import (
 )
 
 // valGate is the pooled per-round state of the overlapped input validation:
-// a WaitGroup join plus the validator's verdict. Its two closures are built
-// once and recycled with it, so a steady-state round pays one pool hit for
-// the whole validation plumbing instead of a channel, two closures and
-// their captures.
+// a WaitGroup join plus the validator's verdict and gather scratch. Its two
+// closures are built once and recycled with it, so a steady-state round pays
+// one pool hit for the whole validation plumbing instead of a channel, two
+// closures and their captures.
 type valGate struct {
 	wg    sync.WaitGroup
 	err   error
@@ -46,6 +46,7 @@ type valGate struct {
 	peer  *proto.Peer
 	round uint64
 	input []byte
+	buf   [][]byte     // digest-gather scratch; views cleared before pooling
 	run   func()       // runs validateInput with the fields above, then Done
 	wait  func() error // the publish gate: joins, then reports the verdict
 }
@@ -53,7 +54,7 @@ type valGate struct {
 var gatePool = sync.Pool{New: func() any {
 	vg := &valGate{}
 	vg.run = func() {
-		vg.err = validateInput(vg.ctx, vg.peer, vg.round, vg.input)
+		vg.buf, vg.err = validateInput(vg.ctx, vg.peer, vg.round, vg.input, vg.buf)
 		vg.wg.Done()
 	}
 	vg.wait = func() error {
@@ -89,6 +90,7 @@ func Run(ctx context.Context, peer *proto.Peer, round uint64, input []byte, ex *
 	vg.wg.Wait() // join the validator on every path
 	verr := vg.err
 	vg.ctx, vg.peer, vg.input = nil, nil, nil
+	clear(vg.buf)
 	gatePool.Put(vg)
 	if err != nil {
 		return nil, err

@@ -1,10 +1,8 @@
 package allocator
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
-	"fmt"
 
 	"distauction/internal/proto"
 	"distauction/internal/wire"
@@ -14,39 +12,30 @@ const stepDigest uint8 = 1
 
 // validateInput is the input-validation step (§4.2 of the paper, Property
 // 3): it returns nil when every provider holds the same input, and aborts
-// the round (⊥) otherwise.
+// the round (⊥) otherwise. buf is the caller's recycled gather scratch,
+// returned for reuse.
 //
 // Each provider broadcasts a digest of its allocator input (the agreed bid
 // vector); if any two providers entered the allocator with different
-// vectors, their digests differ and both output ⊥. This is what makes
-// deviating at the bid agreement pointless: a provider that outputs a
-// different vector there is caught here before any value derived from it
-// is published (condition (3) of Property 2).
+// vectors, their digests differ and the unanimity check fails. The local
+// digest is one of those gathered, so unanimity means every provider holds
+// this provider's input. This is what makes deviating at the bid agreement
+// pointless: a provider that outputs a different vector there is caught
+// here before any value derived from it is published (condition (3) of
+// Property 2).
 //
 // The paper's suggested implementation broadcasts the vectors themselves;
 // broadcasting a SHA-256 digest detects exactly the same mismatches at
 // constant message size.
-func validateInput(ctx context.Context, peer *proto.Peer, round uint64, input []byte) error {
+func validateInput(ctx context.Context, peer *proto.Peer, round uint64, input []byte, buf [][]byte) ([][]byte, error) {
 	if err := peer.AbortErr(round); err != nil {
-		return err
+		return buf, err
 	}
 	digest := sha256.Sum256(input)
 	tag := wire.Tag{Round: round, Block: wire.BlockValidate, Instance: 0, Step: stepDigest}
 	if err := peer.BroadcastProviders(tag, digest[:]); err != nil {
-		return peer.FailRound(round, fmt.Sprintf("validate: broadcast: %v", err))
+		return buf, peer.FailCause(round, "validate: broadcast", err)
 	}
-	providers := peer.Providers()
-	digests, err := peer.GatherOrdered(ctx, tag, providers)
-	if err != nil {
-		if abortErr := peer.AbortErr(round); abortErr != nil {
-			return abortErr
-		}
-		return peer.FailRound(round, fmt.Sprintf("validate: gather: %v", err))
-	}
-	for i, d := range digests {
-		if !bytes.Equal(d, digest[:]) {
-			return peer.FailRound(round, fmt.Sprintf("validate: input mismatch with provider %d", providers[i]))
-		}
-	}
-	return nil
+	_, buf, err := peer.Unanimous(ctx, tag, peer.Providers(), buf)
+	return buf, err
 }

@@ -21,7 +21,7 @@ func validateAll(t *testing.T, peers []*proto.Peer, round uint64, inputs [][]byt
 		wg.Add(1)
 		go func(i int, p *proto.Peer) {
 			defer wg.Done()
-			errs[i] = validateInput(ctx, p, round, inputs[i])
+			_, errs[i] = validateInput(ctx, p, round, inputs[i], nil)
 		}(i, p)
 	}
 	wg.Wait()
@@ -68,7 +68,7 @@ func TestAlreadyAbortedRound(t *testing.T) {
 	if err := peers[0].Abort(3, "pre"); err != nil {
 		t.Fatal(err)
 	}
-	if err := validateInput(context.Background(), peers[0], 3, []byte("x")); !errors.Is(err, proto.ErrAborted) {
+	if _, err := validateInput(context.Background(), peers[0], 3, []byte("x"), nil); !errors.Is(err, proto.ErrAborted) {
 		t.Errorf("got %v, want abort", err)
 	}
 }
@@ -83,7 +83,7 @@ func TestSilentProviderTimesOut(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = validateInput(ctx, peers[i], 1, []byte("v"))
+			_, errs[i] = validateInput(ctx, peers[i], 1, []byte("v"), nil)
 		}(i)
 	}
 	wg.Wait()

@@ -8,14 +8,19 @@
 // equivocation evidence (auth.Evidence), maintains per-node strike counts,
 // and recommends exclusion once a node exceeds a strike budget.
 //
-// Attribution is deliberately conservative: an abort is charged to a node
-// only when the abort reason names it as the *subject* (equivocation
-// evidence, mis-opened commitment, conflicting transfer values). Timeouts
-// and generic failures are recorded as unattributed — asynchrony alone must
-// never cost an honest node its membership.
+// Attribution is a field, not prose: an abort is charged to
+// proto.AbortError.Culprit, and only when the code says the culprit deviated
+// (AbortEquivocation: two payloads under one tag; AbortProtocol: its own
+// message failed its commitment or shape) and the runtime named one. A
+// mismatch between providers' views (an echo, a validation digest, a
+// transfer) names nobody, since it shows that someone lied but not who; a
+// crash (AbortDisconnect), a timeout and every other failure are recorded as
+// unattributed — asynchrony alone must never cost an honest node its
+// membership.
 package audit
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -84,10 +89,8 @@ func (l *Log) RecordOutcome(round uint64) {
 	})
 }
 
-// RecordAbort ingests a ⊥ round. If the abort error is a proto.AbortError
-// whose reason names a subject ("… by N" is NOT enough — N is the reporter;
-// attribution requires the reason to identify the deviant, as the runtime's
-// equivocation and verification messages do), the named node is charged.
+// RecordAbort ingests a ⊥ round. The culprit of an equivocation or
+// protocol abort is charged; anything else is unattributed.
 func (l *Log) RecordAbort(round uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -96,22 +99,18 @@ func (l *Log) RecordAbort(round uint64, err error) {
 	}
 	l.rounds[round] = true
 
-	reason := "unknown"
-	if ae, ok := err.(*proto.AbortError); ok {
-		reason = ae.Reason
+	rec := Record{Round: round, Verdict: VerdictUnattributed, Reason: "unknown", At: l.clock()}
+	var ae *proto.AbortError
+	if errors.As(err, &ae) {
+		rec.Reason = ae.Reason
+		if (ae.Code == proto.AbortEquivocation || ae.Code == proto.AbortProtocol) && ae.Culprit != wire.Broadcast {
+			rec.Node, rec.Verdict = ae.Culprit, VerdictAccused
+			l.strikes[ae.Culprit]++
+		}
 	} else if err != nil {
-		reason = err.Error()
+		rec.Reason = err.Error()
 	}
-	if node, ok := attributedNode(reason); ok {
-		l.strikes[node]++
-		l.records = append(l.records, Record{
-			Round: round, Node: node, Verdict: VerdictAccused, Reason: reason, At: l.clock(),
-		})
-		return
-	}
-	l.records = append(l.records, Record{
-		Round: round, Verdict: VerdictUnattributed, Reason: reason, At: l.clock(),
-	})
+	l.records = append(l.records, rec)
 }
 
 // RecordEvidence ingests transferable equivocation evidence verified
@@ -160,37 +159,4 @@ func (l *Log) Exclusions(budget int) []wire.NodeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// attributedNode extracts the deviant named by a runtime abort reason. The
-// runtime's attributing messages all follow "… by <id> …" or
-// "… provider <id> …" patterns; anything else stays unattributed.
-func attributedNode(reason string) (wire.NodeID, bool) {
-	for _, marker := range []string{"equivocation by ", "provider "} {
-		idx := index(reason, marker)
-		if idx < 0 {
-			continue
-		}
-		rest := reason[idx+len(marker):]
-		var id uint64
-		var consumed int
-		for consumed < len(rest) && rest[consumed] >= '0' && rest[consumed] <= '9' {
-			id = id*10 + uint64(rest[consumed]-'0')
-			consumed++
-		}
-		if consumed == 0 || id == 0 || id > 1<<32-1 {
-			continue
-		}
-		return wire.NodeID(id), true
-	}
-	return 0, false
-}
-
-func index(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }

@@ -1,16 +1,19 @@
 // Package coin implements the common coin building block (§4.2 of the
 // paper, Property 4), after the commit-reveal scheme of Abraham, Dolev and
-// Halpern (DISC 2013).
+// Halpern (DISC 2013), and owns that scheme for every block that needs it.
 //
-// Every provider commits to a random 64-bit share, providers cross-check
-// that everyone saw the same commitment set (echo), and only then reveal.
-// The coin value is the sum of all shares mod 2^64: uniform as long as at
-// least one provider outside the coalition draws its share at random, and
-// fixed before any reveal, so a coalition of fewer than all providers cannot
-// bias it — it can only force ⊥ by refusing to reveal or by mis-opening,
-// which is exactly the resilience the paper requires (a coalition may only
-// increase the probability of ⊥, never shift the distribution over non-⊥
-// outcomes).
+// Exchange is the one commit → echo → reveal exchange: every provider
+// commits to a random 64-bit share (followed by a payload the caller
+// chooses), providers cross-check that everyone saw the same commitment set
+// (echo), and only then reveal. The coin value is the sum of all shares mod
+// 2^64: uniform as long as at least one provider outside the coalition draws
+// its share at random, and fixed before any reveal, so a coalition of fewer
+// than all providers cannot bias it — it can only force ⊥ by refusing to
+// reveal or by mis-opening, which is exactly the resilience the paper
+// requires (a coalition may only increase the probability of ⊥, never shift
+// the distribution over non-⊥ outcomes). Toss is the exchange with no
+// payload; bid agreement's leader election (package consensus) is the same
+// exchange carrying each provider's proposal digest.
 //
 // The paper samples the coin in [0,1] and transforms it to an arbitrary
 // distribution Π. Here the coin yields a 64-bit seed; callers build a
@@ -19,19 +22,21 @@
 package coin
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync"
+	"time"
 
 	"distauction/internal/commit"
 	"distauction/internal/proto"
+	"distauction/internal/trace"
 	"distauction/internal/wire"
 )
 
-// Protocol steps within a coin instance.
+// Protocol steps of an exchange.
 const (
 	stepCommit uint8 = 1
 	stepEcho   uint8 = 2
@@ -41,138 +46,163 @@ const (
 // shareSize is the committed share size in bytes (a uint64).
 const shareSize = 8
 
-func domain(round uint64, instance uint32) string {
-	return fmt.Sprintf("coin/%d/%d", round, instance)
+// domain separates commitments per block, round and instance, so an opening
+// made for one exchange never verifies in another.
+func domain(tag wire.Tag) string {
+	return fmt.Sprintf("%v/%d/%d", tag.Block, tag.Round, tag.Instance)
 }
 
 // Toss runs one common-coin instance among all providers of peer and
 // returns the agreed 64-bit seed. On any deviation or timeout it aborts the
 // round (⊥) and returns an error matching proto.ErrAborted.
 func Toss(ctx context.Context, peer *proto.Peer, round uint64, instance uint32) (uint64, error) {
-	return toss(ctx, peer, round, instance, nil)
+	seed, _, err := Exchange(ctx, peer, wire.Tag{Round: round, Block: wire.BlockCoin, Instance: instance}, nil, nil, nil, nil)
+	return seed, err
 }
 
-// toss is Toss with a reveal gate: when release is non-nil, the local reveal
-// is withheld until release closes (or ctx expires). The commit and echo
-// phases hide every share, so they may run arbitrarily early; it is the
-// reveal that fixes when the seed becomes knowable, and the Reservoir uses
-// the gate to keep that moment after bid agreement while still overlapping
-// the first two phases with it.
-func toss(ctx context.Context, peer *proto.Peer, round uint64, instance uint32, release <-chan struct{}) (uint64, error) {
+// scratch is one exchange's working set, recycled across calls: the gather
+// buffer (views into the round's messages, cleared before pooling), the
+// parsed commitments, the committed value and salt, and the echo preimage.
+type scratch struct {
+	gather  [][]byte
+	commits []commit.Commitment
+	value   []byte
+	salt    [commit.SaltSize]byte
+	set     []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// Exchange runs one commit → echo → reveal exchange among all providers of
+// peer under tag's round, block and instance (tag.Step is ignored). Each
+// provider commits to a fresh random share followed by payload — every
+// provider's payload must have the same length — and the exchange returns
+// the seed (the sum of all shares) and appends to opened, in provider order,
+// every provider's revealed share‖payload: views into the round's messages,
+// valid until the round ends.
+//
+// The commitment set is echoed through proto.Peer.Unanimous before anyone
+// reveals, so a provider that equivocates its commitment across receivers
+// forces ⊥ while every value is still hidden. beforeReveal, when non-nil,
+// runs once between the echo and the reveal: from that point every value is
+// committed and the set known consistent, so a reveal can only open its
+// commitment or abort. It may block — the coin reservoir holds its reveal
+// there — and the exchange aborts instead of revealing if ctx expired
+// meanwhile. spans, when non-nil, names the trace phases of the commit,
+// echo and reveal steps (bid agreement's); an exchange without it records
+// none.
+//
+// A provider whose own commitment or opening is malformed or does not
+// verify aborts the round as proto.AbortProtocol with that provider as
+// culprit; an echo mismatch aborts with no culprit; a failed gather keeps its
+// typed cause.
+func Exchange(ctx context.Context, peer *proto.Peer, tag wire.Tag, payload []byte,
+	beforeReveal func(), spans []trace.Phase, opened [][]byte) (uint64, [][]byte, error) {
+
+	round := tag.Round
 	if err := peer.AbortErr(round); err != nil {
-		return 0, err
+		return 0, opened, err
 	}
 	providers := peer.Providers()
-	dom := domain(round, instance)
+	dom := domain(tag)
+	x := scratchPool.Get().(*scratch)
+	defer x.put()
 
-	// Draw and commit the local share.
-	var share [shareSize]byte
-	if _, err := rand.Read(share[:]); err != nil {
-		return 0, peer.FailRound(round, fmt.Sprintf("coin: entropy: %v", err))
-	}
-	com, op, err := commit.New(dom, peer.Self(), share[:])
-	if err != nil {
-		return 0, peer.FailRound(round, fmt.Sprintf("coin: commit: %v", err))
-	}
+	x.value = append(append(x.value[:0], make([]byte, shareSize)...), payload...)
+	_, _ = rand.Read(x.value[:shareSize]) // never fails since Go 1.24
+	_, _ = rand.Read(x.salt[:])
+	// The opening's salt and value alias the scratch; both are consumed —
+	// hashed, then copied by EncodeOpening — before this call returns.
+	com, op := commit.NewWithSalt(dom, peer.Self(), x.salt[:], x.value)
 
-	commitTag := wire.Tag{Round: round, Block: wire.BlockCoin, Instance: instance, Step: stepCommit}
-	if err := peer.BroadcastProviders(commitTag, com[:]); err != nil {
-		return 0, peer.FailRound(round, fmt.Sprintf("coin: broadcast commit: %v", err))
+	// Commit.
+	span := trace.Begin()
+	tag.Step = stepCommit
+	if err := peer.BroadcastProviders(tag, com[:]); err != nil {
+		return 0, opened, fail(peer, tag, err)
 	}
-	commitPayloads, err := peer.GatherProviders(ctx, commitTag)
-	if err != nil {
-		return 0, failUnlessAborted(peer, round, "coin: gather commits", err)
+	var err error
+	if x.gather, err = peer.GatherAppend(ctx, tag, providers, x.gather[:0]); err != nil {
+		return 0, opened, fail(peer, tag, err)
 	}
-	commits := make(map[wire.NodeID]commit.Commitment, len(commitPayloads))
-	for id, payload := range commitPayloads {
-		if len(payload) != commit.Size {
-			return 0, peer.FailRound(round, fmt.Sprintf("coin: provider %d sent malformed commitment", id))
+	endSpan(span, spans, 0, peer, tag)
+	x.commits, x.set = x.commits[:0], x.set[:0]
+	for i, c := range x.gather {
+		if len(c) != commit.Size {
+			return 0, opened, blame(peer, tag, providers[i], "sent a malformed commitment")
 		}
-		var c commit.Commitment
-		copy(c[:], payload)
-		commits[id] = c
+		x.commits = append(x.commits, commit.Commitment(c))
+		x.set = append(binary.BigEndian.AppendUint32(x.set, uint32(providers[i])), c...)
 	}
 
-	// Echo the commitment set before anyone reveals: if a provider
-	// equivocated its commitment across receivers, providers observe
-	// different sets, the digests differ, and the round aborts with every
-	// share still hidden — so the abort decision cannot depend on the coin
-	// value.
-	echo := commitSetDigest(providers, commits)
-	echoTag := wire.Tag{Round: round, Block: wire.BlockCoin, Instance: instance, Step: stepEcho}
-	if err := peer.BroadcastProviders(echoTag, echo[:]); err != nil {
-		return 0, peer.FailRound(round, fmt.Sprintf("coin: broadcast echo: %v", err))
+	// Echo the (provider, commitment) set, in provider order.
+	span = trace.Begin()
+	echo := sha256.Sum256(x.set)
+	tag.Step = stepEcho
+	if err := peer.BroadcastProviders(tag, echo[:]); err != nil {
+		return 0, opened, fail(peer, tag, err)
 	}
-	echoes, err := peer.GatherProviders(ctx, echoTag)
-	if err != nil {
-		return 0, failUnlessAborted(peer, round, "coin: gather echoes", err)
+	if _, x.gather, err = peer.Unanimous(ctx, tag, providers, x.gather); err != nil {
+		return 0, opened, err
 	}
-	for id, payload := range echoes {
-		if !bytes.Equal(payload, echo[:]) {
-			return 0, peer.FailRound(round, fmt.Sprintf("coin: commitment set mismatch with provider %d", id))
-		}
-	}
-
-	// Reveal and verify. A gated toss holds the reveal here: all shares are
-	// committed and echo-checked, so the seed is already fixed, but nobody
-	// can compute it until the gate opens.
-	if release != nil {
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return 0, failUnlessAborted(peer, round, "coin: cancelled before reveal", ctx.Err())
+	endSpan(span, spans, 1, peer, tag)
+	if beforeReveal != nil {
+		beforeReveal()
+		if err := ctx.Err(); err != nil {
+			return 0, opened, peer.FailCause(round, "before reveal", err)
 		}
 	}
-	revealTag := wire.Tag{Round: round, Block: wire.BlockCoin, Instance: instance, Step: stepReveal}
-	if err := peer.BroadcastProviders(revealTag, commit.EncodeOpening(op)); err != nil {
-		return 0, peer.FailRound(round, fmt.Sprintf("coin: broadcast reveal: %v", err))
-	}
-	reveals, err := peer.GatherProviders(ctx, revealTag)
-	if err != nil {
-		return 0, failUnlessAborted(peer, round, "coin: gather reveals", err)
-	}
 
+	// Reveal, and verify every opening against its echoed commitment.
+	span = trace.Begin()
+	tag.Step = stepReveal
+	if err := peer.BroadcastProviders(tag, commit.EncodeOpening(op)); err != nil {
+		return 0, opened, fail(peer, tag, err)
+	}
+	if x.gather, err = peer.GatherAppend(ctx, tag, providers, x.gather[:0]); err != nil {
+		return 0, opened, fail(peer, tag, err)
+	}
 	var seed uint64
-	for _, id := range providers {
-		opening, err := commit.DecodeOpening(reveals[id])
-		if err != nil {
-			return 0, peer.FailRound(round, fmt.Sprintf("coin: provider %d sent malformed opening", id))
+	for i, id := range providers {
+		o, err := commit.DecodeOpeningView(x.gather[i])
+		switch {
+		case err != nil:
+			return 0, opened, blame(peer, tag, id, "sent a malformed opening")
+		case commit.Verify(dom, id, x.commits[i], o) != nil:
+			return 0, opened, blame(peer, tag, id, "mis-opened its commitment")
+		case len(o.Value) != len(x.value):
+			return 0, opened, blame(peer, tag, id, "opened %d bytes, want %d", len(o.Value), len(x.value))
 		}
-		if err := commit.Verify(dom, id, commits[id], opening); err != nil {
-			return 0, peer.FailRound(round, fmt.Sprintf("coin: provider %d mis-opened its commitment", id))
-		}
-		if len(opening.Value) != shareSize {
-			return 0, peer.FailRound(round, fmt.Sprintf("coin: provider %d share has %d bytes", id, len(opening.Value)))
-		}
-		seed += binary.BigEndian.Uint64(opening.Value)
+		seed += binary.BigEndian.Uint64(o.Value)
+		opened = append(opened, o.Value)
 	}
-	return seed, nil
+	endSpan(span, spans, 2, peer, tag)
+	return seed, opened, nil
 }
 
-// failUnlessAborted converts err into a round abort unless the round is
-// already aborted (in which case the existing abort error is returned).
-func failUnlessAborted(peer *proto.Peer, round uint64, op string, err error) error {
-	if abortErr := peer.AbortErr(round); abortErr != nil {
-		return abortErr
-	}
-	// FailCause keeps the error's typed classification: a dead peer's
-	// receive timeout aborts as disconnect with the crashed peer attributed
-	// as culprit, not as an anonymous timeout.
-	return peer.FailCause(round, op, err)
+func (x *scratch) put() {
+	clear(x.gather) // unpin the round's payload views
+	x.gather = x.gather[:0]
+	scratchPool.Put(x)
 }
 
-// commitSetDigest hashes the full (provider, commitment) set in provider
-// order.
-func commitSetDigest(providers []wire.NodeID, commits map[wire.NodeID]commit.Commitment) [sha256.Size]byte {
-	h := sha256.New()
-	var idBuf [4]byte
-	for _, id := range providers {
-		binary.BigEndian.PutUint32(idBuf[:], uint32(id))
-		h.Write(idBuf[:])
-		c := commits[id]
-		h.Write(c[:])
+// endSpan closes step i's span when the caller asked for spans.
+func endSpan(start time.Time, spans []trace.Phase, i int, peer *proto.Peer, tag wire.Tag) {
+	if spans != nil {
+		trace.Span(start, spans[i], tag.Round, peer.Lane(), peer.Self(), trace.NoPeer, int32(tag.Instance))
 	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+}
+
+// fail aborts the exchange's round at tag's step with the typed cause err
+// (the formatting stays out of Exchange's frame, which sits under every
+// delivery its sends trigger).
+func fail(peer *proto.Peer, tag wire.Tag, err error) error {
+	return peer.FailCause(tag.Round, tag.String(), err)
+}
+
+// blame is fail for provider id's own message failing its commitment or its
+// shape — the one failure an exchange can pin on a single provider.
+func blame(peer *proto.Peer, tag wire.Tag, id wire.NodeID, format string, args ...any) error {
+	reason := fmt.Sprintf("provider %d ", id) + fmt.Sprintf(format, args...)
+	return fail(peer, tag, &proto.AbortError{Code: proto.AbortProtocol, Culprit: id, Reason: reason})
 }

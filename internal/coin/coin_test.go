@@ -3,6 +3,7 @@ package coin
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -10,12 +11,15 @@ import (
 	"time"
 
 	"distauction/internal/commit"
+	"distauction/internal/deviation"
 	"distauction/internal/proto"
 	"distauction/internal/transport"
 	"distauction/internal/wire"
 )
 
-func newPeers(t *testing.T, n int) []*proto.Peer {
+// newPeers attaches n providers (IDs 1..n) to a fresh hub; provider n's
+// connection runs the given deviation rules, if any.
+func newPeers(t *testing.T, n int, rules ...deviation.Rule) []*proto.Peer {
 	t.Helper()
 	hub := transport.NewHub(transport.LatencyModel{}, 1)
 	t.Cleanup(func() { hub.Close() })
@@ -29,10 +33,26 @@ func newPeers(t *testing.T, n int) []*proto.Peer {
 		if err != nil {
 			t.Fatal(err)
 		}
-		peers[i] = proto.NewPeer(conn, ids)
+		var c transport.Conn = conn
+		if i == n-1 && len(rules) > 0 {
+			c = deviation.Wrap(conn, rules...)
+		}
+		peers[i] = proto.NewPeer(c, ids)
 		t.Cleanup(func(p *proto.Peer) func() { return func() { p.Close() } }(peers[i]))
 	}
 	return peers
+}
+
+// assertCulprit checks that err is a protocol abort pinned on culprit.
+func assertCulprit(t *testing.T, who string, err error, culprit wire.NodeID) {
+	t.Helper()
+	var ae *proto.AbortError
+	if !errors.As(err, &ae) {
+		t.Fatalf("%s: got %v, want abort", who, err)
+	}
+	if ae.Code != proto.AbortProtocol || ae.Culprit != culprit {
+		t.Errorf("%s: abort %v culprit %d, want protocol culprit %d (reason %q)", who, ae.Code, ae.Culprit, culprit, ae.Reason)
+	}
 }
 
 // tossAll runs Toss concurrently at every peer and returns per-peer results.
@@ -111,112 +131,43 @@ func TestSeedsLookUniform(t *testing.T) {
 	}
 }
 
-// deviantReveal commits to one share but opens a different one.
+// Provider 3 commits to one share but opens a different one under the same
+// salt: its own opening fails its own commitment, so it alone is blamed.
 func TestTamperedRevealAborts(t *testing.T) {
-	peers := newPeers(t, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	const round, instance = 1, 0
-
-	// Peers 0 and 1 run the honest protocol.
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
+	peers := newPeers(t, 3, deviation.Rule{
+		Match:  deviation.MatchBlockStep(wire.BlockCoin, stepReveal),
+		Action: deviation.Mutate,
+		Transform: func(env wire.Envelope) wire.Envelope {
+			op, err := commit.DecodeOpeningView(env.Payload)
+			if err != nil {
+				return env
+			}
+			lie := append([]byte(nil), op.Value...)
+			lie[0] ^= 0xFF
+			env.Payload = commit.EncodeOpening(commit.Opening{Salt: op.Salt, Value: lie})
+			return env
+		},
+	})
+	_, errs := tossAll(t, peers, 1, 0)
 	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = Toss(ctx, peers[i], round, instance)
-		}(i)
-	}
-
-	// Peer 2 deviates: commits to shareA, reveals shareB.
-	devi := peers[2]
-	dom := domain(round, instance)
-	shareA := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	shareB := []byte{8, 7, 6, 5, 4, 3, 2, 1}
-	com, opA, err := commit.New(dom, devi.Self(), shareA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitTag := wire.Tag{Round: round, Block: wire.BlockCoin, Instance: instance, Step: stepCommit}
-	if err := devi.BroadcastProviders(commitTag, com[:]); err != nil {
-		t.Fatal(err)
-	}
-	// Participate honestly in the echo phase.
-	commitPayloads, err := devi.GatherProviders(ctx, commitTag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commits := make(map[wire.NodeID]commit.Commitment)
-	for id, p := range commitPayloads {
-		var c commit.Commitment
-		copy(c[:], p)
-		commits[id] = c
-	}
-	echo := commitSetDigest(devi.Providers(), commits)
-	echoTag := wire.Tag{Round: round, Block: wire.BlockCoin, Instance: instance, Step: stepEcho}
-	if err := devi.BroadcastProviders(echoTag, echo[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := devi.GatherProviders(ctx, echoTag); err != nil {
-		t.Fatal(err)
-	}
-	// Reveal the wrong share (keep opA's salt so only the value lies).
-	lie := commit.Opening{Salt: opA.Salt, Value: shareB}
-	revealTag := wire.Tag{Round: round, Block: wire.BlockCoin, Instance: instance, Step: stepReveal}
-	if err := devi.BroadcastProviders(revealTag, commit.EncodeOpening(lie)); err != nil {
-		t.Fatal(err)
-	}
-
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, proto.ErrAborted) {
-			t.Errorf("honest peer %d: got %v, want abort", i, err)
-		}
+		assertCulprit(t, fmt.Sprintf("honest peer %d", i+1), errs[i], 3)
 	}
 }
 
 // A provider that equivocates its commitment across receivers must be caught
 // by the echo phase, i.e. the round aborts with all shares still hidden.
+// Provider 3 flips its commitment toward provider 1 only and otherwise runs
+// the protocol: each provider saw a consistent set of its own, so the echo
+// mismatch shows a lie but not whose, and nobody is blamed.
 func TestEquivocatedCommitAborts(t *testing.T) {
-	peers := newPeers(t, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	const round, instance = 1, 0
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
+	peers := newPeers(t, 3, deviation.Rule{
+		Match:     deviation.And(deviation.MatchBlockStep(wire.BlockCoin, stepCommit), deviation.MatchReceiver(1)),
+		Action:    deviation.Mutate,
+		Transform: deviation.FlipPayloadByte(),
+	})
+	_, errs := tossAll(t, peers, 1, 0)
 	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = Toss(ctx, peers[i], round, instance)
-		}(i)
-	}
-
-	devi := peers[2]
-	dom := domain(round, instance)
-	comA, _, err := commit.New(dom, devi.Self(), []byte{1, 1, 1, 1, 1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comB, _, err := commit.New(dom, devi.Self(), []byte{2, 2, 2, 2, 2, 2, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitTag := wire.Tag{Round: round, Block: wire.BlockCoin, Instance: instance, Step: stepCommit}
-	if err := devi.Send(1, commitTag, comA[:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := devi.Send(2, commitTag, comB[:]); err != nil {
-		t.Fatal(err)
-	}
-	// The deviant does not need to continue: honest echoes will disagree.
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, proto.ErrAborted) {
-			t.Errorf("honest peer %d: got %v, want abort", i, err)
-		}
+		assertCulprit(t, fmt.Sprintf("honest peer %d", i+1), errs[i], wire.Broadcast)
 	}
 }
 
@@ -267,9 +218,7 @@ func TestMalformedCommitAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if !errors.Is(honestErr, proto.ErrAborted) {
-		t.Errorf("got %v, want abort", honestErr)
-	}
+	assertCulprit(t, "honest peer", honestErr, 2)
 }
 
 func TestTossOnAbortedRound(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"distauction/internal/proto"
+	"distauction/internal/wire"
 )
 
 // Reservoir pre-tosses common-coin instances for one round so the 3-phase
@@ -84,7 +85,16 @@ func (r *Reservoir) start(ctx context.Context, instance uint32) *pendingToss {
 	go func() {
 		defer r.wg.Done()
 		defer close(t.done)
-		t.seed, t.err = toss(ctx, r.peer, r.round, instance, r.release)
+		// The reveal gate: all shares are committed and echo-checked, so the
+		// seed is already fixed, but nobody can compute it until it opens.
+		gate := func() {
+			select {
+			case <-r.release:
+			case <-ctx.Done():
+			}
+		}
+		tag := wire.Tag{Round: r.round, Block: wire.BlockCoin, Instance: instance}
+		t.seed, _, t.err = Exchange(ctx, r.peer, tag, nil, gate, nil, nil)
 	}()
 	return t
 }

@@ -1,6 +1,7 @@
-// Package commit implements the hash commitment scheme used by the common
-// coin and the rational consensus protocol (§4.2 of the paper, after
-// Abraham, Dolev and Halpern).
+// Package commit implements the hash commitment scheme of the commit → echo
+// → reveal exchange (coin.Exchange), which both the common coin and the
+// rational consensus protocol run (§4.2 of the paper, after Abraham, Dolev
+// and Halpern).
 //
 // A commitment binds the committer to a value before other parties reveal
 // theirs. The scheme is SHA-256 over (domain ‖ committer ‖ salt ‖ value),
@@ -9,7 +10,6 @@
 package commit
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
 	"errors"
@@ -36,19 +36,10 @@ type Opening struct {
 	Value []byte
 }
 
-// New commits node id to value within the given domain-separation tag.
-// It draws the salt from crypto/rand.
-func New(domain string, id wire.NodeID, value []byte) (Commitment, Opening, error) {
-	salt := make([]byte, SaltSize)
-	if _, err := rand.Read(salt); err != nil {
-		return Commitment{}, Opening{}, fmt.Errorf("commit: salt: %w", err)
-	}
-	op := Opening{Salt: salt, Value: value}
-	return digest(domain, id, op), op, nil
-}
-
-// NewWithSalt commits with a caller-supplied salt. Tests and deviation
-// injectors use it to construct deliberately malformed commitments.
+// NewWithSalt commits node id to value within the given domain-separation
+// tag. The caller draws salt (SaltSize random bytes: the commitment hides
+// the value only as well as the salt is unpredictable); tests and deviation
+// injectors pass fixed ones.
 func NewWithSalt(domain string, id wire.NodeID, salt, value []byte) (Commitment, Opening) {
 	op := Opening{Salt: salt, Value: value}
 	return digest(domain, id, op), op
@@ -82,21 +73,8 @@ func EncodeOpening(op Opening) []byte {
 	return enc.Buffer()
 }
 
-// DecodeOpening parses an opening. Salt and Value are copied out of b.
-func DecodeOpening(b []byte) (Opening, error) {
-	d := wire.NewDecoder(b)
-	var op Opening
-	op.Salt = d.Bytes()
-	op.Value = d.Bytes()
-	if err := d.Finish(); err != nil {
-		return Opening{}, fmt.Errorf("decode opening: %w", err)
-	}
-	return op, nil
-}
-
 // DecodeOpeningView parses an opening whose Salt and Value alias b (zero
-// copy). For transient use — Verify plus an immediate value decode — while b
-// is alive; callers that retain the opening must use DecodeOpening.
+// copy): they are valid while b is, and a caller that outlives b copies them.
 func DecodeOpeningView(b []byte) (Opening, error) {
 	d := wire.NewDecoder(b)
 	var op Opening

@@ -8,21 +8,17 @@ import (
 	"distauction/internal/wire"
 )
 
+var testSalt = []byte("0123456789abcdef")
+
 func TestCommitVerify(t *testing.T) {
-	c, op, err := New("coin", 3, []byte("value"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, op := NewWithSalt("coin", 3, testSalt, []byte("value"))
 	if err := Verify("coin", 3, c, op); err != nil {
 		t.Errorf("honest opening rejected: %v", err)
 	}
 }
 
 func TestCommitBinding(t *testing.T) {
-	c, op, err := New("coin", 3, []byte("value"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, op := NewWithSalt("coin", 3, testSalt, []byte("value"))
 	lie := op
 	lie.Value = []byte("other")
 	if err := Verify("coin", 3, c, lie); err == nil {
@@ -47,23 +43,17 @@ func TestCommitDomainSeparation(t *testing.T) {
 }
 
 func TestCommitsDiffer(t *testing.T) {
-	c1, _, err := New("d", 1, []byte("v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, _, err := New("d", 1, []byte("v"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1, _ := NewWithSalt("d", 1, []byte("salt-1"), []byte("v"))
+	c2, _ := NewWithSalt("d", 1, []byte("salt-2"), []byte("v"))
 	if c1 == c2 {
-		t.Error("fresh salts must yield distinct commitments (hiding)")
+		t.Error("distinct salts must yield distinct commitments (hiding)")
 	}
 }
 
 func TestOpeningRoundTrip(t *testing.T) {
 	f := func(salt, value []byte) bool {
 		op := Opening{Salt: salt, Value: value}
-		got, err := DecodeOpening(EncodeOpening(op))
+		got, err := DecodeOpeningView(EncodeOpening(op))
 		if err != nil {
 			return false
 		}
@@ -76,7 +66,7 @@ func TestOpeningRoundTrip(t *testing.T) {
 
 func TestDecodeOpeningGarbage(t *testing.T) {
 	f := func(raw []byte) bool {
-		_, _ = DecodeOpening(raw) // must not panic
+		_, _ = DecodeOpeningView(raw) // must not panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -87,10 +77,7 @@ func TestDecodeOpeningGarbage(t *testing.T) {
 // Property: commitments verify for arbitrary values and committers.
 func TestQuickCommitRoundTrip(t *testing.T) {
 	f := func(id uint32, value []byte) bool {
-		c, op, err := New("q", wire.NodeID(id), value)
-		if err != nil {
-			return false
-		}
+		c, op := NewWithSalt("q", wire.NodeID(id), testSalt, value)
 		return Verify("q", wire.NodeID(id), c, op) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -19,113 +19,70 @@
 //     m > 2k a coalition can neither dictate a disputed slot nor learn
 //     anything useful before committing — it can only force ⊥.
 //
-// The leader election is the ADH13 scheme: every provider commits to a
-// random 64-bit share alongside its proposal; the sum of shares seeds a
-// deterministic PRNG that picks an independent leader per slot.
+// The leader election is a common coin that also carries the proposal
+// digest: one coin.Exchange in which every provider commits to its random
+// 64-bit share followed by the SHA-256 digest of its proposal vector. The
+// sum of shares seeds a deterministic PRNG that picks an independent leader
+// per slot. This package adds only what is particular to agreement: the
+// digest fast path and the vector fallback.
 //
 // # Digest fast path
 //
-// Providers do not commit to the proposal vector itself but to its SHA-256
-// digest (plus the leader-election share). The commit → echo → reveal
-// exchange therefore moves O(m²) fixed-size messages regardless of the
-// vector size. After the reveal every provider holds every peer's digest:
-// when all digests match its own — the common case, since honest providers
-// enter bid agreement with identical bid vectors — the vectors are
-// byte-identical by collision resistance, every slot is unanimous, and the
-// local input IS the decided output; no vector ever crosses the network.
-// Only when digests disagree do providers fall back to a full vector
-// exchange (one extra step), verified slot-for-slot against the committed
-// digests before the per-slot leaders decide. See DESIGN.md for the
-// equivalence argument.
+// Because providers commit to the digest and not the vector, the exchange
+// moves O(m²) fixed-size messages regardless of the vector size. After the
+// reveal every provider holds every peer's digest: when all digests match
+// its own — the common case, since honest providers enter bid agreement with
+// identical bid vectors — the vectors are byte-identical by collision
+// resistance, every slot is unanimous, and the local input IS the decided
+// output; no vector ever crosses the network. Only when digests disagree do
+// providers fall back to a full vector exchange (one extra step), verified
+// slot-for-slot against the committed digests before the per-slot leaders
+// decide. See DESIGN.md for the equivalence argument.
 package consensus
 
 import (
-	"bytes"
 	"context"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
-	"distauction/internal/commit"
+	"distauction/internal/coin"
 	"distauction/internal/prng"
 	"distauction/internal/proto"
 	"distauction/internal/trace"
 	"distauction/internal/wire"
 )
 
-// Protocol steps within a consensus instance.
-const (
-	stepCommit uint8 = 1
-	stepEcho   uint8 = 2
-	stepReveal uint8 = 3
-	// stepVector is the digest-mismatch fallback: the full proposal vectors
-	// are exchanged and checked against the committed digests. The step is
-	// absent from honest unanimous rounds.
-	stepVector uint8 = 4
-)
+// stepVector is the digest-mismatch fallback: the full proposal vectors are
+// exchanged and checked against the committed digests. The step is absent
+// from honest unanimous rounds; steps 1–3 are the leader election's
+// (coin.Exchange).
+const stepVector uint8 = 4
+
+// shareSize is the length of the leader-election share that opens every
+// revealed value; the proposal digest follows it.
+const shareSize = 8
 
 // MaxSlots bounds the proposal vector length (defence against hostile
 // allocations; real auctions have at most a few thousand bidders).
 const MaxSlots = 1 << 20
 
-func domain(round uint64, instance uint32) string {
-	return fmt.Sprintf("consensus/%d/%d", round, instance)
-}
+// agreeSpans are the trace phases of the exchange's commit, echo and reveal
+// steps when it runs as bid agreement.
+var agreeSpans = []trace.Phase{trace.PhaseAgreeCommit, trace.PhaseAgreeEcho, trace.PhaseAgreeReveal}
 
-// proposal is a provider's full input: the leader-election share plus the
-// per-slot vector. Its encoding crosses the network only on the fallback
-// path; the commitment covers digestProposal instead.
+// openedPool recycles the buffer of per-provider openings across calls. The
+// openings are views into the round's buffered payloads and are cleared
+// before pooling.
+var openedPool = sync.Pool{New: func() any { return new([][]byte) }}
+
+// proposal is a provider's full input on the fallback path: the
+// leader-election share plus the per-slot vector.
 type proposal struct {
 	share  uint64
 	values [][]byte
-}
-
-// digestProposal is the committed value of the fast path: the share plus the
-// SHA-256 digest of the encoded proposal vector. Fixed 40-byte encoding.
-type digestProposal struct {
-	share  uint64
-	digest [sha256.Size]byte
-}
-
-const digestProposalSize = 8 + sha256.Size
-
-// scratch is one Propose call's working set — gather buffer, parsed
-// commitments and digests, salt and commit-value bytes — recycled across
-// calls. The gather buffer holds views into the round's buffered payloads
-// and is cleared before pooling; everything else is pointer-free.
-type scratch struct {
-	gather  [][]byte
-	commits []commit.Commitment
-	digests []digestProposal
-	salt    [commit.SaltSize]byte
-	dp      [digestProposalSize]byte
-}
-
-var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
-
-func putScratch(sc *scratch) {
-	clear(sc.gather) // unpin the round's payload views
-	sc.gather = sc.gather[:0]
-	scratchPool.Put(sc)
-}
-
-func encodeDigestProposal(p digestProposal) []byte {
-	out := make([]byte, digestProposalSize)
-	binary.BigEndian.PutUint64(out, p.share)
-	copy(out[8:], p.digest[:])
-	return out
-}
-
-func decodeDigestProposal(b []byte) (digestProposal, error) {
-	if len(b) != digestProposalSize {
-		return digestProposal{}, fmt.Errorf("digest proposal: %d bytes, want %d", len(b), digestProposalSize)
-	}
-	var p digestProposal
-	p.share = binary.BigEndian.Uint64(b)
-	copy(p.digest[:], b[8:])
-	return p, nil
 }
 
 // vectorDigest hashes a proposal vector: slot count, then each slot
@@ -206,174 +163,79 @@ func Propose(ctx context.Context, peer *proto.Peer, round uint64, instance uint3
 }
 
 // ProposeObserved is Propose with a binding observer: onBound, when
-// non-nil, is called exactly once if and when the echo phase verifies —
-// the moment every provider's proposal digest and leader share are
-// committed and the commitment set is known consistent. From that point the
-// consensus outcome is a fixed (if not yet known) function of the committed
-// values: a reveal can only open its commitment or abort the round, never
-// steer the decision. Callers use the hook to release work that must not
-// influence the agreement but may safely overlap its reveal phase — the
-// round engine opens the common coin's reveal gate here, taking the coin's
-// last network phase off the round's critical path.
+// non-nil, is the exchange's before-reveal hook — called exactly once if and
+// when the echo verifies, the moment every provider's proposal digest and
+// leader share are committed and the commitment set is known consistent.
+// From that point the consensus outcome is a fixed (if not yet known)
+// function of the committed values: a reveal can only open its commitment or
+// abort the round, never steer the decision. Callers use the hook to release
+// work that must not influence the agreement but may safely overlap its
+// reveal phase — the round engine opens the common coin's reveal gate here,
+// taking the coin's last network phase off the round's critical path.
 func ProposeObserved(ctx context.Context, peer *proto.Peer, round uint64, instance uint32, inputs [][]byte, onBound func()) ([][]byte, error) {
-	if err := peer.AbortErr(round); err != nil {
-		return nil, err
-	}
 	if len(inputs) > MaxSlots {
 		return nil, fmt.Errorf("consensus: %d slots exceeds limit", len(inputs))
 	}
-	providers := peer.Providers()
-	dom := domain(round, instance)
-	sc := scratchPool.Get().(*scratch)
-	defer putScratch(sc)
-
-	if _, err := rand.Read(sc.salt[:]); err != nil {
-		return nil, peer.FailRound(round, fmt.Sprintf("consensus: entropy: %v", err))
-	}
-	var shareBytes [8]byte
-	if _, err := rand.Read(shareBytes[:]); err != nil {
-		return nil, peer.FailRound(round, fmt.Sprintf("consensus: entropy: %v", err))
-	}
-	local := digestProposal{share: binary.BigEndian.Uint64(shareBytes[:]), digest: vectorDigest(inputs)}
-	binary.BigEndian.PutUint64(sc.dp[:], local.share)
-	copy(sc.dp[8:], local.digest[:])
-	// The opening's salt and value alias the scratch; both are consumed —
-	// hashed, then copied by EncodeOpening — before this call returns.
-	com, op := commit.NewWithSalt(dom, peer.Self(), sc.salt[:], sc.dp[:])
-
-	// Phase 1: commit.
-	span := trace.Begin()
-	commitTag := wire.Tag{Round: round, Block: wire.BlockBidAgree, Instance: instance, Step: stepCommit}
-	if err := peer.BroadcastProviders(commitTag, com[:]); err != nil {
-		return nil, peer.FailRound(round, fmt.Sprintf("consensus: broadcast commit: %v", err))
-	}
-	commitPayloads, err := peer.GatherAppend(ctx, commitTag, providers, sc.gather[:0])
-	sc.gather = commitPayloads
+	digest := vectorDigest(inputs)
+	tag := wire.Tag{Round: round, Block: wire.BlockBidAgree, Instance: instance}
+	buf := openedPool.Get().(*[][]byte)
+	defer func() {
+		clear(*buf) // unpin the round's payload views
+		*buf = (*buf)[:0]
+		openedPool.Put(buf)
+	}()
+	seed, opened, err := coin.Exchange(ctx, peer, tag, digest[:], onBound, agreeSpans, (*buf)[:0])
+	*buf = opened
 	if err != nil {
-		return nil, failUnlessAborted(peer, round, "consensus: gather commits", err)
+		return nil, err
 	}
-	trace.Span(span, trace.PhaseAgreeCommit, round, peer.Lane(), peer.Self(), trace.NoPeer, int32(instance))
-	if cap(sc.commits) < len(providers) {
-		sc.commits = make([]commit.Commitment, len(providers))
-	}
-	commits := sc.commits[:len(providers)]
-	for i, payload := range commitPayloads {
-		if len(payload) != commit.Size {
-			return nil, peer.FailRound(round, fmt.Sprintf("consensus: provider %d sent malformed commitment", providers[i]))
-		}
-		copy(commits[i][:], payload)
-	}
-
-	// Phase 2: echo the commitment set so equivocated commitments abort the
-	// round while all proposals are still hidden.
-	span = trace.Begin()
-	echo := commitSetDigestOrdered(providers, commits)
-	echoTag := wire.Tag{Round: round, Block: wire.BlockBidAgree, Instance: instance, Step: stepEcho}
-	if err := peer.BroadcastProviders(echoTag, echo[:]); err != nil {
-		return nil, peer.FailRound(round, fmt.Sprintf("consensus: broadcast echo: %v", err))
-	}
-	echoes, err := peer.GatherAppend(ctx, echoTag, providers, sc.gather[:0])
-	sc.gather = echoes
-	if err != nil {
-		return nil, failUnlessAborted(peer, round, "consensus: gather echoes", err)
-	}
-	for i, payload := range echoes {
-		if !bytes.Equal(payload, echo[:]) {
-			return nil, peer.FailRound(round, fmt.Sprintf("consensus: commitment set mismatch with provider %d", providers[i]))
-		}
-	}
-	trace.Span(span, trace.PhaseAgreeEcho, round, peer.Lane(), peer.Self(), trace.NoPeer, int32(instance))
-	if onBound != nil {
-		onBound()
-	}
-
-	// Phase 3: reveal shares and vector digests. The commitments are now
-	// immutable everywhere (echo), so opening them fixes the leader seed and
-	// binds every provider to one vector before any vector is sent.
-	span = trace.Begin()
-	revealTag := wire.Tag{Round: round, Block: wire.BlockBidAgree, Instance: instance, Step: stepReveal}
-	if err := peer.BroadcastProviders(revealTag, commit.EncodeOpening(op)); err != nil {
-		return nil, peer.FailRound(round, fmt.Sprintf("consensus: broadcast reveal: %v", err))
-	}
-	reveals, err := peer.GatherAppend(ctx, revealTag, providers, sc.gather[:0])
-	sc.gather = reveals
-	if err != nil {
-		return nil, failUnlessAborted(peer, round, "consensus: gather reveals", err)
-	}
-
-	if cap(sc.digests) < len(providers) {
-		sc.digests = make([]digestProposal, len(providers))
-	}
-	digests := sc.digests[:len(providers)]
-	var seed uint64
-	unanimous := true
-	for i, id := range providers {
-		// View decode: the opening is verified and its 40-byte value parsed
-		// into digests right here; nothing aliases the payload afterwards.
-		opening, err := commit.DecodeOpeningView(reveals[i])
-		if err != nil {
-			return nil, peer.FailRound(round, fmt.Sprintf("consensus: provider %d sent malformed opening", id))
-		}
-		if err := commit.Verify(dom, id, commits[i], opening); err != nil {
-			return nil, peer.FailRound(round, fmt.Sprintf("consensus: provider %d mis-opened its commitment", id))
-		}
-		dp, err := decodeDigestProposal(opening.Value)
-		if err != nil {
-			return nil, peer.FailRound(round, fmt.Sprintf("consensus: provider %d: %v", id, err))
-		}
-		digests[i] = dp
-		seed += dp.share
-		if dp.digest != local.digest {
-			unanimous = false
-		}
-	}
-	trace.Span(span, trace.PhaseAgreeReveal, round, peer.Lane(), peer.Self(), trace.NoPeer, int32(instance))
 
 	// Fast path: every digest equals the local one, so by collision
 	// resistance every provider proposed this exact vector — every slot is
 	// unanimous and the leader draw cannot change the outcome. All providers
 	// see the same digest set (the commitments they open were cross-checked
-	// in the echo), so they take or skip this branch together.
-	if unanimous {
-		return inputs, nil
+	// in the echo), so they take or skip the fallback together.
+	for _, o := range opened {
+		if [sha256.Size]byte(o[shareSize:]) != digest {
+			return fallback(ctx, peer, tag, inputs, opened, seed)
+		}
 	}
+	return inputs, nil
+}
 
-	// Fallback: digests disagree — at least one slot is disputed (or a
-	// provider deviated). Exchange the full vectors, bind each to its
-	// committed digest, and let the per-slot leaders decide.
-	span = trace.Begin()
-	vectorTag := wire.Tag{Round: round, Block: wire.BlockBidAgree, Instance: instance, Step: stepVector}
-	full := encodeProposal(proposal{share: local.share, values: inputs})
-	if err := peer.BroadcastProviders(vectorTag, full); err != nil {
-		return nil, peer.FailRound(round, fmt.Sprintf("consensus: broadcast vector: %v", err))
+// fallback is the digest-mismatch path: at least one slot is disputed (or a
+// provider deviated). Providers exchange their full vectors, bind each to
+// its committed share and digest in opened, and let the per-slot leaders
+// drawn from seed decide.
+func fallback(ctx context.Context, peer *proto.Peer, tag wire.Tag, inputs, opened [][]byte, seed uint64) ([][]byte, error) {
+	span := trace.Begin()
+	providers := peer.Providers()
+	tag.Step = stepVector
+	own := binary.BigEndian.Uint64(opened[slices.Index(providers, peer.Self())])
+	if err := peer.BroadcastProviders(tag, encodeProposal(proposal{share: own, values: inputs})); err != nil {
+		return nil, peer.FailCause(tag.Round, tag.String(), err)
 	}
-	vectors, err := peer.GatherAppend(ctx, vectorTag, providers, sc.gather[:0])
-	sc.gather = vectors
+	vectors, err := peer.GatherAppend(ctx, tag, providers, nil)
 	if err != nil {
-		return nil, failUnlessAborted(peer, round, "consensus: gather vectors", err)
+		return nil, peer.FailCause(tag.Round, tag.String(), err)
 	}
-
 	proposals := make([]proposal, len(providers))
 	for i, id := range providers {
 		prop, err := decodeProposal(vectors[i])
-		if err != nil {
-			return nil, peer.FailRound(round, fmt.Sprintf("consensus: provider %d: %v", id, err))
-		}
-		if prop.share != digests[i].share {
-			return nil, peer.FailRound(round, fmt.Sprintf(
-				"consensus: provider %d revealed share %d but sent vector for share %d", id, digests[i].share, prop.share))
-		}
-		if vectorDigest(prop.values) != digests[i].digest {
-			return nil, peer.FailRound(round, fmt.Sprintf(
-				"consensus: provider %d sent a vector that does not open its committed digest", id))
-		}
-		if len(prop.values) != len(inputs) {
-			return nil, peer.FailRound(round, fmt.Sprintf(
-				"consensus: provider %d proposed %d slots, expected %d", id, len(prop.values), len(inputs)))
+		share := binary.BigEndian.Uint64(opened[i])
+		switch {
+		case err != nil:
+			return nil, blame(peer, tag, id, "%v", err)
+		case prop.share != share:
+			return nil, blame(peer, tag, id, "revealed share %d but sent vector for share %d", share, prop.share)
+		case vectorDigest(prop.values) != [sha256.Size]byte(opened[i][shareSize:]):
+			return nil, blame(peer, tag, id, "sent a vector that does not open its committed digest")
+		case len(prop.values) != len(inputs):
+			return nil, blame(peer, tag, id, "proposed %d slots, expected %d", len(prop.values), len(inputs))
 		}
 		proposals[i] = prop
 	}
-	trace.Span(span, trace.PhaseAgreeVector, round, peer.Lane(), peer.Self(), trace.NoPeer, int32(instance))
+	trace.Span(span, trace.PhaseAgreeVector, tag.Round, peer.Lane(), peer.Self(), trace.NoPeer, int32(tag.Instance))
 
 	// Decide every slot by its leader.
 	base := prng.New(seed)
@@ -385,37 +247,9 @@ func ProposeObserved(ctx context.Context, peer *proto.Peer, round uint64, instan
 	return out, nil
 }
 
-func failUnlessAborted(peer *proto.Peer, round uint64, op string, err error) error {
-	if abortErr := peer.AbortErr(round); abortErr != nil {
-		return abortErr
-	}
-	// FailCause keeps the error's typed classification: a dead peer's
-	// receive timeout aborts as disconnect with the crashed peer attributed
-	// as culprit, not as an anonymous timeout.
-	return peer.FailCause(round, op, err)
-}
-
-// commitSetDigestOrdered hashes the (id, commitment) pairs with commits
-// aligned to providers' order.
-func commitSetDigestOrdered(providers []wire.NodeID, commits []commit.Commitment) [sha256.Size]byte {
-	h := sha256.New()
-	var idBuf [4]byte
-	for i, id := range providers {
-		binary.BigEndian.PutUint32(idBuf[:], uint32(id))
-		h.Write(idBuf[:])
-		h.Write(commits[i][:])
-	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// commitSetDigest is the map-keyed form of commitSetDigestOrdered (deviation
-// scripts and tests hold commitments keyed by node).
-func commitSetDigest(providers []wire.NodeID, commits map[wire.NodeID]commit.Commitment) [sha256.Size]byte {
-	ordered := make([]commit.Commitment, len(providers))
-	for i, id := range providers {
-		ordered[i] = commits[id]
-	}
-	return commitSetDigestOrdered(providers, ordered)
+// blame aborts the round at tag's step as provider id's own vector failing
+// its committed share, digest or shape: a protocol abort with id as culprit.
+func blame(peer *proto.Peer, tag wire.Tag, id wire.NodeID, format string, args ...any) error {
+	reason := fmt.Sprintf("provider %d ", id) + fmt.Sprintf(format, args...)
+	return peer.FailCause(tag.Round, tag.String(), &proto.AbortError{Code: proto.AbortProtocol, Culprit: id, Reason: reason})
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +16,9 @@ import (
 	"distauction/internal/wire"
 )
 
-func newPeers(t *testing.T, n int) []*proto.Peer {
+// newPeers attaches n providers (IDs 1..n) to a fresh hub; provider n's
+// connection runs the given deviation rules, if any.
+func newPeers(t *testing.T, n int, rules ...deviation.Rule) []*proto.Peer {
 	t.Helper()
 	hub := transport.NewHub(transport.LatencyModel{}, 1)
 	t.Cleanup(func() { hub.Close() })
@@ -31,10 +32,26 @@ func newPeers(t *testing.T, n int) []*proto.Peer {
 		if err != nil {
 			t.Fatal(err)
 		}
-		peers[i] = proto.NewPeer(conn, ids)
+		var c transport.Conn = conn
+		if i == n-1 && len(rules) > 0 {
+			c = deviation.Wrap(conn, rules...)
+		}
+		peers[i] = proto.NewPeer(c, ids)
 		t.Cleanup(func(p *proto.Peer) func() { return func() { p.Close() } }(peers[i]))
 	}
 	return peers
+}
+
+// assertCulprit checks that err is a protocol abort pinned on culprit.
+func assertCulprit(t *testing.T, who string, err error, culprit wire.NodeID) {
+	t.Helper()
+	var ae *proto.AbortError
+	if !errors.As(err, &ae) {
+		t.Fatalf("%s: got %v, want abort", who, err)
+	}
+	if ae.Code != proto.AbortProtocol || ae.Culprit != culprit {
+		t.Errorf("%s: abort %v culprit %d, want protocol culprit %d (reason %q)", who, ae.Code, ae.Culprit, culprit, ae.Reason)
+	}
 }
 
 // proposeAll runs Propose at every peer with the given per-peer inputs.
@@ -159,7 +176,9 @@ func TestDisputedSlotLeaderVaries(t *testing.T) {
 }
 
 func TestSlotCountMismatchAborts(t *testing.T) {
-	peers := newPeers(t, 3)
+	// Provider 3 withholds its own abort: by its slot count the others are
+	// the odd ones out, and its abort would race the honest verdict.
+	peers := newPeers(t, 3, deviation.Rule{Match: deviation.MatchBlock(wire.BlockControl), Action: deviation.Drop})
 	inputs := [][][]byte{
 		{[]byte("x"), []byte("y")},
 		{[]byte("x"), []byte("y")},
@@ -167,70 +186,31 @@ func TestSlotCountMismatchAborts(t *testing.T) {
 	}
 	_, errs := proposeAll(t, peers, 1, inputs)
 	for i := 0; i < 2; i++ {
-		if !errors.Is(errs[i], proto.ErrAborted) {
-			t.Errorf("honest peer %d: got %v, want abort", i, errs[i])
-		}
+		assertCulprit(t, fmt.Sprintf("honest peer %d", i+1), errs[i], 3)
 	}
 }
 
+// Provider 3 commits to its proposal digest but opens a different one under
+// the same salt: its own opening fails its own commitment.
 func TestTamperedRevealAborts(t *testing.T) {
-	peers := newPeers(t, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	const round = 1
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
+	peers := newPeers(t, 3, deviation.Rule{
+		Match:  deviation.MatchBlockStep(wire.BlockBidAgree, 3),
+		Action: deviation.Mutate,
+		Transform: func(env wire.Envelope) wire.Envelope {
+			op, err := commit.DecodeOpeningView(env.Payload)
+			if err != nil {
+				return env
+			}
+			lie := append([]byte(nil), op.Value...)
+			lie[len(lie)-1] ^= 0xFF
+			env.Payload = commit.EncodeOpening(commit.Opening{Salt: op.Salt, Value: lie})
+			return env
+		},
+	})
+	in := [][]byte{[]byte("v")}
+	_, errs := proposeAll(t, peers, 1, [][][]byte{in, in, in})
 	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = Propose(ctx, peers[i], round, 0, [][]byte{[]byte("v")})
-		}(i)
-	}
-
-	// Deviant commits to one proposal, reveals another.
-	devi := peers[2]
-	dom := domain(round, 0)
-	honest := encodeProposal(proposal{share: 7, values: [][]byte{[]byte("v")}})
-	lie := encodeProposal(proposal{share: 7, values: [][]byte{[]byte("w")}})
-	com, op, err := commit.New(dom, devi.Self(), honest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitTag := wire.Tag{Round: round, Block: wire.BlockBidAgree, Instance: 0, Step: stepCommit}
-	if err := devi.BroadcastProviders(commitTag, com[:]); err != nil {
-		t.Fatal(err)
-	}
-	commitPayloads, err := devi.GatherProviders(ctx, commitTag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commits := make(map[wire.NodeID]commit.Commitment)
-	for id, p := range commitPayloads {
-		var c commit.Commitment
-		copy(c[:], p)
-		commits[id] = c
-	}
-	echo := commitSetDigest(devi.Providers(), commits)
-	echoTag := wire.Tag{Round: round, Block: wire.BlockBidAgree, Instance: 0, Step: stepEcho}
-	if err := devi.BroadcastProviders(echoTag, echo[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := devi.GatherProviders(ctx, echoTag); err != nil {
-		t.Fatal(err)
-	}
-	revealTag := wire.Tag{Round: round, Block: wire.BlockBidAgree, Instance: 0, Step: stepReveal}
-	bad := commit.Opening{Salt: op.Salt, Value: lie}
-	if err := devi.BroadcastProviders(revealTag, commit.EncodeOpening(bad)); err != nil {
-		t.Fatal(err)
-	}
-
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, proto.ErrAborted) {
-			t.Errorf("honest peer %d: got %v, want abort", i, err)
-		}
+		assertCulprit(t, fmt.Sprintf("honest peer %d", i+1), errs[i], 3)
 	}
 }
 
@@ -330,43 +310,18 @@ func canceledCtx() context.Context {
 // corrupted vector cannot open the committed digest, so honest providers
 // must abort with the deviant attributed.
 func TestFallbackVectorCorruptionAborts(t *testing.T) {
-	hub := transport.NewHub(transport.LatencyModel{}, 1)
-	t.Cleanup(func() { hub.Close() })
-	ids := []wire.NodeID{1, 2, 3}
-	peers := make([]*proto.Peer, len(ids))
-	for i, id := range ids {
-		conn, err := hub.Attach(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var c transport.Conn = conn
-		if id == 3 {
-			c = deviation.Wrap(conn, deviation.Rule{
-				Match:     deviation.MatchBlockStep(wire.BlockBidAgree, stepVector),
-				Action:    deviation.Mutate,
-				Transform: deviation.FlipPayloadByte(),
-			})
-		}
-		peers[i] = proto.NewPeer(c, ids)
-		t.Cleanup(func(p *proto.Peer) func() { return func() { p.Close() } }(peers[i]))
-	}
+	peers := newPeers(t, 3, deviation.Rule{
+		Match:     deviation.MatchBlockStep(wire.BlockBidAgree, stepVector),
+		Action:    deviation.Mutate,
+		Transform: deviation.FlipPayloadByte(),
+	})
 
 	inputs := [][][]byte{
 		{[]byte("x")}, {[]byte("x")}, {[]byte("z")}, // dispute forces the fallback
 	}
 	_, errs := proposeAll(t, peers, 1, inputs)
 	for i := 0; i < 2; i++ {
-		if !errors.Is(errs[i], proto.ErrAborted) {
-			t.Errorf("honest peer %d: got %v, want abort", i, errs[i])
-		}
-	}
-	// The corrupted vector names provider 3 in the abort reason (audit
-	// attribution).
-	var ae *proto.AbortError
-	if errors.As(errs[0], &ae) {
-		if !strings.Contains(ae.Reason, "provider 3") {
-			t.Errorf("abort reason %q does not attribute provider 3", ae.Reason)
-		}
+		assertCulprit(t, fmt.Sprintf("honest peer %d", i+1), errs[i], 3)
 	}
 }
 

@@ -10,7 +10,6 @@
 package datatransfer
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -31,79 +30,24 @@ func Send(peer *proto.Peer, round uint64, instance uint32, receiving []wire.Node
 	tag := wire.Tag{Round: round, Block: wire.BlockTransfer, Instance: instance, Step: stepValue}
 	for _, o := range receiving {
 		if err := peer.Send(o, tag, input); err != nil {
-			return peer.FailRound(round, fmt.Sprintf("transfer %d: send to %d: %v", instance, o, err))
+			return peer.FailCause(round, fmt.Sprintf("transfer %d: send to %d", instance, o), err)
 		}
 	}
 	return nil
 }
 
-// Recv is the receiver half of a transfer: a member of O gathers the value
-// from every member of S and requires unanimity; any conflict aborts the
-// round (⊥).
-func Recv(ctx context.Context, peer *proto.Peer, round uint64, instance uint32, sending []wire.NodeID) ([]byte, error) {
-	v, _, err := RecvInto(ctx, peer, round, instance, sending, nil)
-	return v, err
-}
-
-// RecvInto is Recv gathering into buf: callers on the per-round hot path
-// hand in a recycled scratch slice so the gather allocates nothing. It
-// returns the agreed value and the (possibly grown) scratch for reuse; the
-// scratch's payload views must be dropped before the round's protocol state
-// is reclaimed.
+// RecvInto is the receiver half of a transfer: a member of O gathers the
+// value from every member of S into buf and requires unanimity; any conflict
+// aborts the round (⊥). Callers on the per-round hot path hand in a recycled
+// scratch slice so the gather allocates nothing. It returns the agreed value
+// and the (possibly grown) scratch for reuse; the scratch's payload views
+// must be dropped before the round's protocol state is reclaimed.
 func RecvInto(ctx context.Context, peer *proto.Peer, round uint64, instance uint32, sending []wire.NodeID, buf [][]byte) ([]byte, [][]byte, error) {
-	if err := peer.AbortErr(round); err != nil {
-		return nil, buf, err
-	}
 	tag := wire.Tag{Round: round, Block: wire.BlockTransfer, Instance: instance, Step: stepValue}
-	values, err := peer.GatherAppend(ctx, tag, sending, buf[:0])
-	if err != nil {
-		if abortErr := peer.AbortErr(round); abortErr != nil {
-			return nil, values, abortErr
-		}
-		return nil, values, peer.FailRound(round, fmt.Sprintf("transfer %d: gather: %v", instance, err))
-	}
-	var agreed []byte
-	for i, v := range values {
-		if i == 0 {
-			agreed = v
-			continue
-		}
-		if !bytes.Equal(agreed, v) {
-			return nil, values, peer.FailRound(round, fmt.Sprintf("transfer %d: conflicting values from senders", instance))
-		}
-	}
-	return agreed, values, nil
+	return peer.Unanimous(ctx, tag, sending, buf)
 }
 
-// Pending is an in-flight receive started by RecvAsync.
-type Pending struct {
-	done  chan struct{}
-	value []byte
-	err   error
-}
-
-// RecvAsync starts Recv in its own goroutine so a task's in-edges can all
-// be gathered concurrently — c cross-group inputs cost one round trip
-// instead of c. The returned Pending must be joined before the round's
-// protocol state is reclaimed; Recv's abort and context handling guarantee
-// the join cannot hang past the round.
-func RecvAsync(ctx context.Context, peer *proto.Peer, round uint64, instance uint32, sending []wire.NodeID) *Pending {
-	p := &Pending{done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		p.value, p.err = Recv(ctx, peer, round, instance, sending)
-	}()
-	return p
-}
-
-// Join waits for the receive to finish and returns its result. It may be
-// called any number of times, from any goroutine.
-func (p *Pending) Join() ([]byte, error) {
-	<-p.done
-	return p.value, p.err
-}
-
-// Run executes one transfer synchronously (Send then Recv according to the
+// Run executes one transfer synchronously (Send then RecvInto according to the
 // local provider's membership). instance must be unique per transfer within
 // the round (the task-graph engine numbers transfers by edge).
 //
@@ -131,5 +75,6 @@ func Run(ctx context.Context, peer *proto.Peer, round uint64, instance uint32,
 			return input, nil
 		}
 	}
-	return Recv(ctx, peer, round, instance, sending)
+	v, _, err := RecvInto(ctx, peer, round, instance, sending, nil)
+	return v, err
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"distauction/internal/auction"
+	"distauction/internal/audit"
 	"distauction/internal/core"
 	"distauction/internal/fixed"
 	"distauction/internal/mechanism/doubleauction"
@@ -210,6 +211,37 @@ func TestCorruptedConsensusRevealForcesBot(t *testing.T) {
 	outs, errs := s.run(t, 10*time.Second)
 	if got := assertSafety(t, outs, errs, referenceOutcome(t)); got != 2 {
 		t.Errorf("corrupted reveal should force ⊥ at both honest providers, got %d", got)
+	}
+	if s.deviant.Matched.Load() == 0 {
+		t.Error("rule never fired; test is vacuous")
+	}
+}
+
+// TestEquivocatedCommitmentAccusesNobody: provider 3 flips its
+// bid-agreement commitment toward provider 1 only. The echo step catches it
+// — providers 1 and 2 hold different commitment sets — but a mismatch
+// between views shows that someone lied, never who: provider 1's set is the
+// odd one out although provider 1 is honest. Both honest providers output ⊥
+// and neither's audit log charges anyone; charging the provider whose echo
+// differed would let a deviant frame an honest peer.
+func TestEquivocatedCommitmentAccusesNobody(t *testing.T) {
+	s := newScenario(t, Rule{
+		Match:     And(MatchBlockStep(wire.BlockBidAgree, 1), MatchReceiver(1)),
+		Action:    Mutate,
+		Transform: FlipPayloadByte(),
+	})
+	outs, errs := s.run(t, 10*time.Second)
+	if got := assertSafety(t, outs, errs, referenceOutcome(t)); got != 2 {
+		t.Fatalf("an equivocated commitment should force ⊥ at both honest providers, got %d", got)
+	}
+	for i := 0; i < 2; i++ {
+		log := audit.New(nil)
+		log.RecordAbort(1, errs[i])
+		for _, id := range s.providers {
+			if n := log.Strikes(id); n != 0 {
+				t.Errorf("provider %d's audit log charges provider %d (%d strikes) for %v", i+1, id, n, errs[i])
+			}
+		}
 	}
 	if s.deviant.Matched.Load() == 0 {
 		t.Error("rule never fired; test is vacuous")

@@ -164,7 +164,8 @@ func TestAuditLoopRecommendsExclusion(t *testing.T) {
 			log.RecordAbort(round, errs[0])
 		}
 	}
-	// Both aborts name provider 3 (it mis-opened its commitment).
+	// Both aborts carry provider 3 as culprit: its own reveal failed to
+	// open its own commitment.
 	if got := log.Strikes(3); got != 2 {
 		t.Fatalf("strikes(3) = %d, want 2 (records: %+v)", got, log.Records())
 	}

@@ -26,7 +26,7 @@
 //
 // Concurrency contract (audited for the concurrent task scheduler): every
 // method of Peer is safe for concurrent use. Any number of goroutines may
-// Receive/Gather on the same round concurrently — including on the same
+// Receive/GatherAppend on the same round concurrently — including on the same
 // (tag, sender) key, where every waiter observes the one buffered payload —
 // and sends, gathers and abort signalling may interleave freely. The only
 // ordering requirements are the caller's own: EndRound must not run while
@@ -596,15 +596,24 @@ func (p *Peer) AbortWith(round uint64, reason string, code AbortCode, culprit wi
 }
 
 // FailRound declares ⊥ for round with the given reason and returns the
-// round's abort error (which may carry an earlier reason if the round was
-// already aborted). Building blocks call it on any local failure so that no
-// peer is left blocking.
+// round's abort error. If the round already aborted, that abort stands: it is
+// returned and nothing is sent. Building blocks call it on any local failure
+// so that no peer is left blocking.
 func (p *Peer) FailRound(round uint64, reason string) error {
-	_ = p.Abort(round, reason)
+	return p.fail(round, reason, ClassifyReason(reason), wire.Broadcast)
+}
+
+// fail is the one failure path: the round's existing abort if it has one,
+// else a fresh abort latched, broadcast and returned.
+func (p *Peer) fail(round uint64, reason string, code AbortCode, culprit wire.NodeID) error {
 	if err := p.AbortErr(round); err != nil {
 		return err
 	}
-	return &AbortError{Round: round, From: p.self, Reason: reason, Code: ClassifyReason(reason), Culprit: wire.Broadcast}
+	_ = p.AbortWith(round, reason, code, culprit)
+	if err := p.AbortErr(round); err != nil {
+		return err
+	}
+	return &AbortError{Round: round, From: p.self, Reason: reason, Code: code, Culprit: culprit}
 }
 
 // timeoutError is the receive-timeout verdict for a silent peer: a plain
@@ -618,28 +627,22 @@ func (p *Peer) timeoutError(from wire.NodeID) error {
 	return context.DeadlineExceeded
 }
 
-// FailCause is FailRound for failures carried by a typed error: the abort
-// code comes from the error's classification (a DisconnectError aborts as
-// disconnect with the dead peer attributed as culprit) instead of being
-// re-derived from prose, and op prefixes the reason for the trace.
+// FailCause is FailRound for failures carried by a typed error: the code and
+// culprit come from err instead of being re-derived from prose, and op
+// prefixes the reason. An *AbortError cause carries its own code, culprit
+// and reason (a block's verdict on one provider's message); a
+// DisconnectError aborts as disconnect with the dead peer as culprit;
+// anything else is classified by AbortCodeOf with no culprit.
 func (p *Peer) FailCause(round uint64, op string, err error) error {
+	code, culprit, reason := AbortCodeOf(err), wire.Broadcast, err.Error()
 	var ae *AbortError
-	if errors.As(err, &ae) {
-		// Already an abort (a sub-block failed the round): nothing to add.
-		return ae
-	}
-	code := AbortCodeOf(err)
-	culprit := wire.Broadcast
 	var de *DisconnectError
-	if errors.As(err, &de) {
+	if errors.As(err, &ae) {
+		culprit, reason = ae.Culprit, ae.Reason
+	} else if errors.As(err, &de) {
 		culprit = de.Peer
 	}
-	reason := op + ": " + err.Error()
-	_ = p.AbortWith(round, reason, code, culprit)
-	if aerr := p.AbortErr(round); aerr != nil {
-		return aerr
-	}
-	return &AbortError{Round: round, From: p.self, Reason: reason, Code: code, Culprit: culprit}
+	return p.fail(round, op+": "+reason, code, culprit)
 }
 
 // AbortChan returns a channel that closes when round aborts (⊥). For a
@@ -858,48 +861,12 @@ func (p *Peer) dropWaiter(round uint64, key msgKey, n *waiterNode) {
 	}
 }
 
-// GatherProviders receives the message with the given tag from every
-// provider (including self) and returns them keyed by sender.
-func (p *Peer) GatherProviders(ctx context.Context, tag wire.Tag) (map[wire.NodeID][]byte, error) {
-	return p.Gather(ctx, tag, p.providers)
-}
-
-// Gather receives the message with the given tag from every node in set.
-func (p *Peer) Gather(ctx context.Context, tag wire.Tag, set []wire.NodeID) (map[wire.NodeID][]byte, error) {
-	out := make(map[wire.NodeID][]byte, len(set))
-	for _, id := range set {
-		payload, err := p.Receive(ctx, tag, id)
-		if err != nil {
-			return nil, err
-		}
-		out[id] = payload
-	}
-	return out, nil
-}
-
-// GatherOrdered receives the message with the given tag from every node in
-// set, returning payloads aligned with set's order. It is the
-// allocation-light variant of Gather for hot paths that iterate the set by
-// index anyway (one slice instead of a map).
-func (p *Peer) GatherOrdered(ctx context.Context, tag wire.Tag, set []wire.NodeID) ([][]byte, error) {
-	out := make([][]byte, len(set))
-	for i, id := range set {
-		payload, err := p.Receive(ctx, tag, id)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = payload
-	}
-	return out, nil
-}
-
-// GatherAppend is GatherOrdered appending into buf: the payloads for set, in
-// set's order, are appended and the extended slice returned (also on error,
-// so the caller keeps its scratch). Hot paths with a pooled per-round
-// scratch reuse its backing array across rounds instead of allocating a
-// fresh result slice per gather; the appended payloads are views into the
-// round's buffered messages and must be dropped (or copied) before the
-// scratch is recycled.
+// GatherAppend receives the message with the given tag from every node in
+// set and appends the payloads to buf in set's order, returning the extended
+// slice (also on error, so the caller keeps its scratch). Hot paths with a
+// pooled per-round scratch reuse its backing array across rounds; the
+// appended payloads are views into the round's buffered messages and must be
+// dropped (or copied) before the scratch is recycled.
 func (p *Peer) GatherAppend(ctx context.Context, tag wire.Tag, set []wire.NodeID, buf [][]byte) ([][]byte, error) {
 	for _, id := range set {
 		payload, err := p.Receive(ctx, tag, id)
@@ -910,3 +877,36 @@ func (p *Peer) GatherAppend(ctx context.Context, tag wire.Tag, set []wire.NodeID
 	}
 	return buf, nil
 }
+
+// Unanimous is the ending every §4 building block shares: gather one message
+// from each node in set, then either all copies are equal or the round is ⊥.
+// It gathers tag's message from set, in set's order, into buf (reusing its
+// backing array) and returns the common payload together with the gathered
+// slice for the caller to recycle. On failure it returns the round's abort:
+//
+//   - the existing one, if the round already aborted;
+//   - for a gather error, one typed by FailCause (a dead peer is a
+//     disconnect with that peer as culprit);
+//   - for differing payloads, AbortProtocol with no culprit: a mismatch
+//     between views shows that someone lied, never who.
+//
+// The success path formats nothing, and allocates nothing once buf has room
+// for set.
+func (p *Peer) Unanimous(ctx context.Context, tag wire.Tag, set []wire.NodeID, buf [][]byte) ([]byte, [][]byte, error) {
+	buf, err := p.GatherAppend(ctx, tag, set, buf[:0])
+	var value []byte
+	for i := 0; err == nil && i < len(buf); i++ {
+		if i > 0 && !bytes.Equal(buf[i], value) {
+			err = errDisagree
+		}
+		value = buf[i]
+	}
+	if err != nil {
+		return nil, buf, p.FailCause(tag.Round, tag.String(), err)
+	}
+	return value, buf, nil
+}
+
+// errDisagree is Unanimous's verdict on differing copies, as a typed cause
+// for FailCause: a protocol deviation by nobody in particular.
+var errDisagree = &AbortError{Code: AbortProtocol, Culprit: wire.Broadcast, Reason: "senders disagree"}

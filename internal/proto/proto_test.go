@@ -206,7 +206,7 @@ func TestAbortIsIdempotentAndLocal(t *testing.T) {
 	}
 }
 
-func TestGatherProviders(t *testing.T) {
+func TestGatherAppendInSetOrder(t *testing.T) {
 	peers := newCluster(t, 3)
 	ctx := testCtx(t)
 	tg := tag(1, wire.BlockValidate, 0, 1)
@@ -216,19 +216,121 @@ func TestGatherProviders(t *testing.T) {
 		}
 	}
 	for _, p := range peers {
-		got, err := p.GatherProviders(ctx, tg)
+		got, err := p.GatherAppend(ctx, tg, p.Providers(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != 3 {
 			t.Fatalf("gathered %d, want 3", len(got))
 		}
-		for id, payload := range got {
-			if len(payload) != 1 || payload[0] != byte(id) {
-				t.Errorf("payload from %d = %v", id, payload)
+		for i, payload := range got {
+			if id := p.Providers()[i]; len(payload) != 1 || payload[0] != byte(id) {
+				t.Errorf("payload %d (from %d) = %v", i, id, payload)
 			}
 		}
 	}
+}
+
+// deadConn reports one peer dead, as the link layer's failure detector does
+// once the peer misses its heartbeats.
+type deadConn struct {
+	transport.Conn
+	dead wire.NodeID
+}
+
+func (c deadConn) PeerDead(id wire.NodeID) bool { return id == c.dead }
+
+// TestUnanimous covers the one unanimity-or-⊥ check: its value on
+// agreement, and the abort and culprit of each way it fails.
+func TestUnanimous(t *testing.T) {
+	set := []wire.NodeID{1, 2, 3}
+	tg := tag(1, wire.BlockValidate, 0, 1)
+	cases := []struct {
+		name    string
+		sent    []string // per member of set; "" stays silent
+		aborted string   // the round's earlier abort reason, if any
+		want    string
+		code    AbortCode
+		culprit wire.NodeID
+	}{
+		{name: "all equal", sent: []string{"v", "v", "v"}, want: "v"},
+		{name: "one differs", sent: []string{"v", "v", "w"}, code: AbortProtocol, culprit: wire.Broadcast},
+		{name: "dead member silent", sent: []string{"v", "v", ""}, code: AbortDisconnect, culprit: 3},
+		{name: "already aborted", sent: []string{"v", "v", "v"}, aborted: "earlier verdict",
+			code: AbortUnknown, culprit: wire.Broadcast},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hub := transport.NewHub(transport.LatencyModel{}, 1)
+			t.Cleanup(func() { hub.Close() })
+			peers := make([]*Peer, len(set))
+			for i, id := range set {
+				conn, err := hub.Attach(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var c transport.Conn = conn
+				if id == 1 {
+					c = deadConn{Conn: conn, dead: 3}
+				}
+				peers[i] = NewPeer(c, set)
+				t.Cleanup(func(p *Peer) func() { return func() { p.Close() } }(peers[i]))
+			}
+			if tc.aborted != "" {
+				if err := peers[0].Abort(1, tc.aborted); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, v := range tc.sent {
+				if v != "" {
+					if err := peers[i].Send(1, tg, []byte(v)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			got, gathered, err := peers[0].Unanimous(ctx, tg, set, nil)
+			if tc.want != "" {
+				if err != nil || string(got) != tc.want || len(gathered) != len(set) {
+					t.Fatalf("got %q (%d gathered), %v; want %q", got, len(gathered), err, tc.want)
+				}
+				return
+			}
+			var ae *AbortError
+			if !errors.As(err, &ae) {
+				t.Fatalf("got %q, %v; want an abort", got, err)
+			}
+			if ae.Code != tc.code || ae.Culprit != tc.culprit {
+				t.Errorf("abort %v culprit %d, want %v culprit %d (reason %q)", ae.Code, ae.Culprit, tc.code, tc.culprit, ae.Reason)
+			}
+			if tc.aborted != "" && ae.Reason != tc.aborted {
+				t.Errorf("reason %q: the round's earlier abort must stand", ae.Reason)
+			}
+			if latched := peers[0].AbortErr(1); latched != error(ae) {
+				t.Errorf("returned %v, but the round latched %v", ae, latched)
+			}
+		})
+	}
+	t.Run("warm buffer allocates nothing", func(t *testing.T) {
+		peers := newCluster(t, 3)
+		ctx := testCtx(t)
+		for _, p := range peers {
+			if err := p.BroadcastProviders(tg, []byte("same")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([][]byte, 0, len(set))
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if _, buf, err = peers[0].Unanimous(ctx, tg, set, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Unanimous allocated %.1f times per call with a warm buffer", allocs)
+		}
+	})
 }
 
 func TestReceiveContextCancel(t *testing.T) {

@@ -56,13 +56,13 @@ func TestConcurrentRoundsStress(t *testing.T) {
 							errCh <- err
 							return
 						}
-						got, err := p.GatherProviders(ctx, tag)
+						got, err := p.GatherAppend(ctx, tag, p.Providers(), nil)
 						if err != nil {
 							errCh <- err
 							return
 						}
-						for from, v := range got {
-							want := fmt.Sprintf("r%d-i%d-from%d", r, inst, from)
+						for i, v := range got {
+							want := fmt.Sprintf("r%d-i%d-from%d", r, inst, p.Providers()[i])
 							if string(v) != want {
 								errCh <- fmt.Errorf("cross-talk: got %q want %q", v, want)
 								return
@@ -120,13 +120,13 @@ func TestConcurrentGathersSameRound(t *testing.T) {
 					errCh <- err
 					return
 				}
-				got, err := p.GatherProviders(ctx, tag)
+				got, err := p.GatherAppend(ctx, tag, p.Providers(), nil)
 				if err != nil {
 					errCh <- err
 					return
 				}
-				for from, v := range got {
-					if want := fmt.Sprintf("i%d-from%d", w, from); string(v) != want {
+				for i, v := range got {
+					if want := fmt.Sprintf("i%d-from%d", w, p.Providers()[i]); string(v) != want {
 						errCh <- fmt.Errorf("cross-talk: got %q want %q", v, want)
 						return
 					}

@@ -1,7 +1,6 @@
 package taskgraph
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -409,33 +408,21 @@ func (er *execRound) runTask(ti int) {
 	er.computePhaseDone(ti) // dependents start speculatively from here
 
 	// Cross-validate the redundant computation within the group: every
-	// member broadcasts a digest of its result; any mismatch means some
-	// member deviated (or the task is nondeterministic) and the round
-	// aborts. Publishing a digest commits nothing — the value itself stays
-	// local until the gathers below confirm.
+	// member broadcasts a digest of its result, this provider's own among
+	// them; any mismatch means some member deviated (or the task is
+	// nondeterministic) and the round aborts. Publishing a digest commits
+	// nothing — the value itself stays local until the gathers below confirm.
 	digest := sha256.Sum256(out)
 	tag := wire.Tag{Round: er.round, Block: wire.BlockTask, Instance: t.ID, Step: stepTaskDigest}
 	for _, member := range t.Group {
 		if err := ex.peer.Send(member, tag, digest[:]); err != nil {
-			fail(ex.peer.FailRound(er.round, fmt.Sprintf("taskgraph: task %d digest send: %v", t.ID, err)))
+			fail(ex.peer.FailCause(er.round, fmt.Sprintf("taskgraph: task %d digest send", t.ID), err))
 			return
 		}
 	}
-	st.gatherBuf, err = ex.peer.GatherAppend(ctx, tag, t.Group, st.gatherBuf[:0])
-	if err != nil {
-		if abortErr := ex.peer.AbortErr(er.round); abortErr != nil {
-			fail(abortErr)
-			return
-		}
-		fail(ex.peer.FailRound(er.round, fmt.Sprintf("taskgraph: task %d digest gather: %v", t.ID, err)))
+	if _, st.gatherBuf, err = ex.peer.Unanimous(ctx, tag, t.Group, st.gatherBuf); err != nil {
+		fail(err)
 		return
-	}
-	for i, d := range st.gatherBuf {
-		if !bytes.Equal(d, digest[:]) {
-			fail(ex.peer.FailRound(er.round, fmt.Sprintf(
-				"taskgraph: task %d result mismatch with provider %d", t.ID, t.Group[i])))
-			return
-		}
 	}
 
 	// Commit point: everything this result transitively relies on must be

@@ -320,7 +320,7 @@ func TestLyingTransferAborts(t *testing.T) {
 			_ = devi.Send(member, digestTag, h)
 		}
 		// Wait for the group digest (as Execute would).
-		_, _ = devi.Gather(ctx, digestTag, g1)
+		_, _ = devi.GatherAppend(ctx, digestTag, g1, nil)
 		// Transfer edge 0 carries task 1's result to task 2's group (all):
 		// send the lie.
 		transferTag := wire.Tag{Round: 1, Block: wire.BlockTransfer, Instance: 0, Step: 1}
