@@ -18,12 +18,11 @@ import (
 	"distauction/internal/harness"
 	"distauction/internal/proto"
 	"distauction/internal/transport"
-	"distauction/internal/transport/faultnet"
 	"distauction/internal/wire"
 )
 
 // TestChaosSoakMarket is the chaos soak of the CI plan: a 64-auction
-// market over Resilient(faultnet.Wrap(Hub)) with 1% frame drops and a
+// market over Resilient(Hub) with 1% frame drops and a
 // connection kill every 50 completed rounds. The resilience layer must
 // fully mask the faults: zero aborted rounds (in particular zero
 // transport-attributed ones), identical settlement journals on every
@@ -57,14 +56,13 @@ func TestChaosSoakMarket(t *testing.T) {
 }
 
 // resilientDeployment opens a 3-provider / 2-user session deployment over
-// the full resilience stack and returns the fault injector for the test to
+// the full resilience stack and returns the Hub beneath it for the test to
 // schedule partitions. wrap, when non-nil, decorates provider conns above
 // the resilience layer (deviation injection).
-func resilientDeployment(t *testing.T, rounds uint64, wrap func(i int, conn transport.Conn) transport.Conn) ([]*core.Session, []*core.BidderSession, *faultnet.Network) {
+func resilientDeployment(t *testing.T, rounds uint64, wrap func(i int, conn transport.Conn) transport.Conn) ([]*core.Session, []*core.BidderSession, *transport.Hub) {
 	t.Helper()
 	hub := transport.NewHub(transport.LatencyModel{}, 1)
-	fn := faultnet.Wrap(hub, faultnet.Config{Seed: 1})
-	net := transport.Resilient(fn, transport.ResilientConfig{
+	net := transport.Resilient(hub, transport.ResilientConfig{
 		HeartbeatEvery: 10 * time.Millisecond,
 		ResendAfter:    20 * time.Millisecond,
 		SuspectAfter:   4,
@@ -118,18 +116,18 @@ func resilientDeployment(t *testing.T, rounds uint64, wrap func(i int, conn tran
 		t.Cleanup(func() { b.Close() })
 		bidders = append(bidders, b)
 	}
-	return sessions, bidders, fn
+	return sessions, bidders, hub
 }
 
 // isolate cuts every link to and from id, both directions — the node is
 // gone as far as the rest of the deployment can tell.
-func isolate(fn *faultnet.Network, id wire.NodeID, all []wire.NodeID) {
+func isolate(hub *transport.Hub, id wire.NodeID, all []wire.NodeID) {
 	for _, other := range all {
 		if other == id {
 			continue
 		}
-		fn.SetPartition(id, other, true)
-		fn.SetPartition(other, id, true)
+		hub.SetPartition(id, other, true)
+		hub.SetPartition(other, id, true)
 	}
 }
 
@@ -152,7 +150,7 @@ func nextOutcome(t *testing.T, who string, outs <-chan core.RoundOutcome) core.R
 // `disconnect` and the dead peer as culprit — crash fault, not deviance.
 func TestCrashCommitteePeerAbortsDisconnect(t *testing.T) {
 	everyone := []wire.NodeID{1, 2, 3, 100, 101}
-	sessions, bidders, fn := resilientDeployment(t, 2, nil)
+	sessions, bidders, hub := resilientDeployment(t, 2, nil)
 
 	for _, b := range bidders {
 		if err := b.Submit(1, auction.UserBid{Value: fixed.MustFloat(9), Demand: fixed.MustFloat(1)}); err != nil {
@@ -171,7 +169,7 @@ func TestCrashCommitteePeerAbortsDisconnect(t *testing.T) {
 		}
 	}
 
-	isolate(fn, 3, everyone) // provider 3 crashes
+	isolate(hub, 3, everyone) // provider 3 crashes
 	for _, b := range bidders {
 		if err := b.Submit(2, auction.UserBid{Value: fixed.MustFloat(9), Demand: fixed.MustFloat(1)}); err != nil {
 			t.Fatal(err)
@@ -218,7 +216,7 @@ func (c *crashAtConn) Send(env wire.Envelope) error {
 // check, which keeps a gather's typed cause.
 func TestCrashAfterAgreementAttributesCulprit(t *testing.T) {
 	everyone := []wire.NodeID{1, 2, 3, 100, 101}
-	var fn atomic.Pointer[faultnet.Network]
+	var hub atomic.Pointer[transport.Hub]
 	wrap := func(i int, conn transport.Conn) transport.Conn {
 		if i != 2 {
 			return conn
@@ -226,11 +224,11 @@ func TestCrashAfterAgreementAttributesCulprit(t *testing.T) {
 		return &crashAtConn{
 			Conn:  conn,
 			match: func(env wire.Envelope) bool { return env.Tag.Round == 2 && env.Tag.Block == wire.BlockValidate },
-			crash: func() { isolate(fn.Load(), 3, everyone) },
+			crash: func() { isolate(hub.Load(), 3, everyone) },
 		}
 	}
-	sessions, bidders, net := resilientDeployment(t, 2, wrap)
-	fn.Store(net)
+	sessions, bidders, h := resilientDeployment(t, 2, wrap)
+	hub.Store(h)
 
 	for _, b := range bidders {
 		if err := b.Submit(1, auction.UserBid{Value: fixed.MustFloat(9), Demand: fixed.MustFloat(1)}); err != nil {
@@ -276,7 +274,7 @@ func TestCrashAfterAgreementAttributesCulprit(t *testing.T) {
 // round completes for everyone still connected.
 func TestCrashBidderDegradesToNeutralBid(t *testing.T) {
 	everyone := []wire.NodeID{1, 2, 3, 100, 101}
-	sessions, bidders, fn := resilientDeployment(t, 2, nil)
+	sessions, bidders, hub := resilientDeployment(t, 2, nil)
 
 	for _, b := range bidders {
 		if err := b.Submit(1, auction.UserBid{Value: fixed.MustFloat(9), Demand: fixed.MustFloat(1)}); err != nil {
@@ -292,7 +290,7 @@ func TestCrashBidderDegradesToNeutralBid(t *testing.T) {
 		t.Fatalf("bidder 0 round 1: %+v", out)
 	}
 
-	isolate(fn, 101, everyone) // bidder 101 crashes
+	isolate(hub, 101, everyone) // bidder 101 crashes
 	if err := bidders[0].Submit(2, auction.UserBid{Value: fixed.MustFloat(9), Demand: fixed.MustFloat(1)}); err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,6 @@ import (
 	"distauction/internal/metrics"
 	"distauction/internal/trace"
 	"distauction/internal/transport"
-	"distauction/internal/transport/faultnet"
 	"distauction/internal/wire"
 )
 
@@ -208,9 +207,9 @@ func sessionOpts(k, pipeline int, rounds uint64, bidWindow, roundTimeout time.Du
 	return opts
 }
 
-// chaosNet is the -chaos network stack: the demo hub under faultnet (frame
-// drops) under the resilience layer, plus a round-robin connection killer
-// over whatever nodes attach — so the demo exercises the heartbeat/ARQ
+// chaosNet is the -chaos network stack: the resilience layer over the demo
+// hub with frame drops injected, plus a round-robin connection killer over
+// whatever nodes attach — so the demo exercises the heartbeat/ARQ
 // machinery instead of aborting. Close stops the killer and closes the
 // whole stack.
 type chaosNet struct {
@@ -222,11 +221,9 @@ type chaosNet struct {
 }
 
 func newChaosNet(lat transport.LatencyModel, seed int64, drop float64, kill time.Duration) *chaosNet {
-	fn := faultnet.Wrap(transport.NewHub(lat, seed), faultnet.Config{
-		Seed:    seed,
-		Default: faultnet.Profile{Drop: drop},
-	})
-	c := &chaosNet{Network: transport.Resilient(fn, transport.ResilientConfig{}), done: make(chan struct{})}
+	hub := transport.NewHub(lat, seed)
+	hub.SetFaults(transport.Faults{Drop: drop})
+	c := &chaosNet{Network: transport.Resilient(hub, transport.ResilientConfig{}), done: make(chan struct{})}
 	if kill > 0 {
 		go func() {
 			tick := time.NewTicker(kill)
@@ -238,7 +235,7 @@ func newChaosNet(lat transport.LatencyModel, seed int64, drop float64, kill time
 				case <-tick.C:
 					c.mu.Lock()
 					if len(c.victims) > 0 {
-						fn.Kill(c.victims[i%len(c.victims)])
+						hub.Kill(c.victims[i%len(c.victims)])
 					}
 					c.mu.Unlock()
 				}

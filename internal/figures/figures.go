@@ -70,44 +70,51 @@ func Fig4Ns(quick bool) []int {
 	return []int{100, 200, 400, 600, 800, 1000}
 }
 
+// fig4Series are Figure 4's curves, in Fig4Point's column order: the
+// trusted auctioneer with m = 8, then the distributed simulation at
+// k = 1, 2, 3.
+var fig4Series = []struct {
+	m, k int
+	cent bool
+}{{8, 0, true}, {3, 1, false}, {5, 2, false}, {8, 3, false}}
+
+// fig4Run deploys repetition r of series s at n users.
+func fig4Run(opts Options, s, n, r int) (harness.Result, error) {
+	o := []harness.Option{
+		harness.WithProviders(fig4Series[s].m), harness.WithUsers(n), harness.WithK(fig4Series[s].k),
+		harness.WithLatency(opts.Latency),
+		harness.WithSeed(opts.BaseSeed + uint64(r)*7919),
+	}
+	if fig4Series[s].cent {
+		return harness.RunCentralizedDouble(o...)
+	}
+	return harness.RunDistributedDouble(o...)
+}
+
 // Fig4 regenerates Figure 4 (double auction running time vs n).
 func Fig4(opts Options) ([]Fig4Point, error) {
 	opts = opts.withDefaults()
-	points := make([]Fig4Point, 0)
-	for _, n := range Fig4Ns(opts.Quick) {
-		var pt Fig4Point
-		pt.N = n
-		series := []struct {
-			dst  *time.Duration
-			m, k int
-			cent bool
-		}{
-			{&pt.Centralized, 8, 0, true},
-			{&pt.K1, 3, 1, false},
-			{&pt.K2, 5, 2, false},
-			{&pt.K3, 8, 3, false},
-		}
-		for _, s := range series {
+	ns := Fig4Ns(opts.Quick)
+	// The first deployment in a process pays its warm-up (heap growth,
+	// fresh goroutine stacks): several milliseconds that would land on the
+	// first point's centralized column, unmeasured here.
+	if _, err := fig4Run(opts, 0, ns[0], 0); err != nil {
+		return nil, fmt.Errorf("fig4 warm-up: %w", err)
+	}
+	points := make([]Fig4Point, 0, len(ns))
+	for _, n := range ns {
+		pt := Fig4Point{N: n}
+		cols := []*time.Duration{&pt.Centralized, &pt.K1, &pt.K2, &pt.K3}
+		for s := range fig4Series {
 			var stats metrics.DurationStats
 			for r := 0; r < opts.Rounds; r++ {
-				o := []harness.Option{
-					harness.WithProviders(s.m), harness.WithUsers(n), harness.WithK(s.k),
-					harness.WithLatency(opts.Latency),
-					harness.WithSeed(opts.BaseSeed + uint64(r)*7919),
-				}
-				var res harness.Result
-				var err error
-				if s.cent {
-					res, err = harness.RunCentralizedDouble(o...)
-				} else {
-					res, err = harness.RunDistributedDouble(o...)
-				}
+				res, err := fig4Run(opts, s, n, r)
 				if err != nil {
-					return nil, fmt.Errorf("fig4 n=%d m=%d k=%d: %w", n, s.m, s.k, err)
+					return nil, fmt.Errorf("fig4 n=%d m=%d k=%d: %w", n, fig4Series[s].m, fig4Series[s].k, err)
 				}
 				stats.Add(res.Duration)
 			}
-			*s.dst = stats.Mean()
+			*cols[s] = stats.Mean()
 		}
 		points = append(points, pt)
 	}
@@ -141,47 +148,52 @@ func Fig5ModelDelay(n int) time.Duration {
 	return time.Duration(n*n) * time.Microsecond
 }
 
+// fig5Series are Figure 5's curves, in Fig5Point's column order: the
+// centralized serial auctioneer, then k = 3 (p = 2) and k = 1 (p = 4).
+var fig5Series = []struct {
+	k    int
+	cent bool
+}{{0, true}, {3, false}, {1, false}}
+
+// fig5Run deploys repetition r of series s at n users.
+func fig5Run(opts Options, s, n, r int) (harness.Result, error) {
+	o := []harness.Option{
+		harness.WithProviders(8), harness.WithUsers(n), harness.WithK(fig5Series[s].k),
+		harness.WithLatency(opts.Latency),
+		harness.WithSeed(opts.BaseSeed + uint64(r)*7919),
+		harness.WithInvEpsilon(5),
+		harness.WithIterFactor(1),
+		harness.WithModelDelay(Fig5ModelDelay(n)),
+		harness.WithTimeout(10 * time.Minute),
+	}
+	if fig5Series[s].cent {
+		return harness.RunCentralizedStandard(o...)
+	}
+	return harness.RunDistributedStandard(o...)
+}
+
 // Fig5 regenerates Figure 5 (standard auction running time vs n).
 func Fig5(opts Options) ([]Fig5Point, error) {
 	opts = opts.withDefaults()
-	points := make([]Fig5Point, 0)
-	for _, n := range Fig5Ns(opts.Quick) {
-		var pt Fig5Point
-		pt.N = n
-		series := []struct {
-			dst  *time.Duration
-			k    int
-			cent bool
-		}{
-			{&pt.P1, 0, true},
-			{&pt.P2, 3, false},
-			{&pt.P4, 1, false},
-		}
-		for _, s := range series {
+	ns := Fig5Ns(opts.Quick)
+	// One unmeasured deployment takes the process warm-up, as in Fig4.
+	if _, err := fig5Run(opts, 0, ns[0], 0); err != nil {
+		return nil, fmt.Errorf("fig5 warm-up: %w", err)
+	}
+	points := make([]Fig5Point, 0, len(ns))
+	for _, n := range ns {
+		pt := Fig5Point{N: n}
+		cols := []*time.Duration{&pt.P1, &pt.P2, &pt.P4}
+		for s := range fig5Series {
 			var stats metrics.DurationStats
 			for r := 0; r < opts.Rounds; r++ {
-				o := []harness.Option{
-					harness.WithProviders(8), harness.WithUsers(n), harness.WithK(s.k),
-					harness.WithLatency(opts.Latency),
-					harness.WithSeed(opts.BaseSeed + uint64(r)*7919),
-					harness.WithInvEpsilon(5),
-					harness.WithIterFactor(1),
-					harness.WithModelDelay(Fig5ModelDelay(n)),
-					harness.WithTimeout(10 * time.Minute),
-				}
-				var res harness.Result
-				var err error
-				if s.cent {
-					res, err = harness.RunCentralizedStandard(o...)
-				} else {
-					res, err = harness.RunDistributedStandard(o...)
-				}
+				res, err := fig5Run(opts, s, n, r)
 				if err != nil {
-					return nil, fmt.Errorf("fig5 n=%d k=%d: %w", n, s.k, err)
+					return nil, fmt.Errorf("fig5 n=%d k=%d: %w", n, fig5Series[s].k, err)
 				}
 				stats.Add(res.Duration)
 			}
-			*s.dst = stats.Mean()
+			*cols[s] = stats.Mean()
 		}
 		points = append(points, pt)
 	}

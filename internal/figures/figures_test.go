@@ -14,8 +14,8 @@ func TestFig4Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure generation")
 	}
-	pts, err := Fig4(Options{Rounds: 1, Quick: true,
-		Latency: transport.LatencyModel{Base: 200 * time.Microsecond}})
+	opts := Options{Rounds: 1, Quick: true, Latency: transport.LatencyModel{Base: 200 * time.Microsecond}}
+	pts, err := Fig4(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,13 +26,23 @@ func TestFig4Quick(t *testing.T) {
 		if p.Centralized <= 0 || p.K1 <= 0 || p.K2 <= 0 || p.K3 <= 0 {
 			t.Errorf("n=%d has non-positive durations: %+v", p.N, p)
 		}
-		// Shape: the distributed simulation costs more than the trusted
-		// auctioneer (coordination overhead, Figure 4's headline).
-		if p.K3 < p.Centralized {
-			t.Errorf("n=%d: k=3 (%v) faster than centralized (%v) — overhead missing",
-				p.N, p.K3, p.Centralized)
-		}
 	}
+	// Shape: the distributed simulation costs more than the trusted
+	// auctioneer (coordination overhead, Figure 4's headline). Asserted on
+	// messages, not on milliseconds a loaded host can reorder: at n=50 the
+	// trusted auctioneer sends ≈ 100, k=3 over eight providers ≈ 1100.
+	msgs := make([]int64, len(fig4Series))
+	for s := range fig4Series {
+		res, err := fig4Run(opts.withDefaults(), s, 50, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs[s] = res.Msgs
+	}
+	if cent, k3 := msgs[0], msgs[3]; k3 <= 2*cent {
+		t.Errorf("n=50: k=3 sent %d messages, centralized %d — coordination overhead missing", k3, cent)
+	}
+	t.Logf("messages at n=50 (centralized, k=1, k=2, k=3): %v", msgs)
 	var sb strings.Builder
 	if err := WriteFig4(&sb, pts); err != nil {
 		t.Fatal(err)

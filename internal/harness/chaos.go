@@ -13,23 +13,21 @@ import (
 	"distauction/internal/ledger"
 	"distauction/internal/market"
 	"distauction/internal/transport"
-	"distauction/internal/transport/faultnet"
 	"distauction/internal/wire"
 )
 
 // ChaosConfig is the fault schedule of one chaos soak: a full marketplace
-// run over the resilience stack — session traffic over
-// Resilient(faultnet.Wrap(Hub)) — with frame drops and periodic connection
-// kills injected underneath the ARQ layer. The market itself is shaped by
-// the usual harness options.
+// run over the resilience stack — session traffic over Resilient(Hub) —
+// with frame drops and periodic connection kills injected by the Hub,
+// underneath the ARQ layer. The market itself is shaped by the usual
+// harness options.
 type ChaosConfig struct {
 	// Drop is the per-frame drop probability on every link (e.g. 0.01).
 	Drop float64
-	// KillEvery kills one node's connections every KillEvery completed
-	// rounds, rotating the victim across all nodes (0 = no kills).
+	// KillEvery kills one node's connections (Hub.Kill: a 30 ms blackout)
+	// every KillEvery completed rounds, rotating the victim across all
+	// nodes (0 = no kills).
 	KillEvery int
-	// Blackout is the dark window a kill opens (default 30ms).
-	Blackout time.Duration
 }
 
 // ChaosResult reports what the soak survived. The correctness assertions —
@@ -45,7 +43,7 @@ type ChaosResult struct {
 	// what the ARQ layer did to mask what the injector did (Faults).
 	market.Counters
 	market.Attachment
-	Faults   faultnet.Stats
+	Faults   transport.FaultStats
 	Duration time.Duration
 }
 
@@ -77,20 +75,10 @@ func RunMarketChaos(auctions, rounds int, chaos ChaosConfig, opts ...Option) (Ch
 	if auctions < 1 || rounds < 1 {
 		return ChaosResult{}, errShape
 	}
-	if chaos.Blackout == 0 {
-		chaos.Blackout = 30 * time.Millisecond
-	}
 	cfg := newConfig(opts)
-	var fn *faultnet.Network
-	WithNetwork(func(seed int64) transport.Network {
-		fn = faultnet.Wrap(transport.NewHub(cfg.latency, seed), faultnet.Config{
-			Seed:     seed,
-			Default:  faultnet.Profile{Drop: chaos.Drop},
-			Blackout: chaos.Blackout,
-		})
-		return transport.Resilient(fn, chaosLink())
-	})(&cfg)
-	net := cfg.newNetwork()
+	hub := transport.NewHub(cfg.latency, int64(cfg.seed))
+	hub.SetFaults(transport.Faults{Drop: chaos.Drop})
+	net := transport.Resilient(hub, chaosLink())
 	defer net.Close()
 
 	m := cfg.m
@@ -126,7 +114,7 @@ func RunMarketChaos(auctions, rounds int, chaos ChaosConfig, opts ...Option) (Ch
 	onOutcome := func(name string, out core.RoundOutcome) {
 		primary.record(name, out)
 		if c := int(completed.Add(1)); chaos.KillEvery > 0 && c%chaos.KillEvery == 0 {
-			fn.Kill(victims[(c/chaos.KillEvery-1)%len(victims)])
+			hub.Kill(victims[(c/chaos.KillEvery-1)%len(victims)])
 		}
 	}
 
@@ -194,7 +182,7 @@ func RunMarketChaos(auctions, rounds int, chaos ChaosConfig, opts ...Option) (Ch
 	}
 
 	first := markets[0].Stats()
-	res := ChaosResult{Counters: first.Counters, Attachment: first.Attachment, Duration: run.elapsed, Faults: fn.FaultStats()}
+	res := ChaosResult{Counters: first.Counters, Attachment: first.Attachment, Duration: run.elapsed, Faults: hub.FaultStats()}
 	for j, l := range lanes {
 		// (1) Cross-provider journal equality, per auction.
 		live := ledgers[0][j].Journal()

@@ -9,7 +9,6 @@ import (
 	"distauction/internal/deviation"
 	"distauction/internal/market"
 	"distauction/internal/transport"
-	"distauction/internal/transport/faultnet"
 	"distauction/internal/wire"
 )
 
@@ -31,8 +30,12 @@ var connPairs = []struct {
 	{"Resilient(Hub)", func(t *testing.T) (a, b transport.Conn) {
 		return attachPair(t, transport.Resilient(transport.NewHub(transport.LatencyModel{}, 1), transport.ResilientConfig{}))
 	}},
-	{"faultnet", func(t *testing.T) (a, b transport.Conn) {
-		return attachPair(t, faultnet.Wrap(transport.NewHub(transport.LatencyModel{}, 1), faultnet.Config{}))
+	{"Hub(Faults)", func(t *testing.T) (a, b transport.Conn) {
+		// Delay only: a fault-delayed hop rides the delivery scheduler, which
+		// must keep the contract; drops and dups are Resilient's to hide.
+		hub := transport.NewHub(transport.LatencyModel{}, 1)
+		hub.SetFaults(transport.Faults{DelayProb: 0.5, DelayMin: time.Millisecond, DelayMax: 3 * time.Millisecond})
+		return attachPair(t, hub)
 	}},
 	{"Mux lane", func(t *testing.T) (a, b transport.Conn) {
 		ca, cb := attachPair(t, transport.NewHub(transport.LatencyModel{}, 1))

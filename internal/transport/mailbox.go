@@ -87,14 +87,9 @@ func (m *Mailbox) Deliver(env wire.Envelope) (overflow bool) { return m.deliver(
 // mailboxes — the Hub's delivery scheduler, another conn's handler — must
 // never park on one, so its envelope joins the mailbox's overflow list
 // instead, which one goroutine per stalled mailbox moves into the queue as
-// room appears.
-//
-// The handler path is kept apart from enqueue's selects because handlers
-// still start on fresh goroutines (faultnet's delay timers over a
-// zero-latency Hub, the overflow mover), where the select state in this
-// frame made the call chain into the protocol outgrow the initial stack —
-// one stack copy per delivery, ≈ 5 % of fig4-double-n1000's throughput
-// when every Hub delivery ran that way (PR 20).
+// room appears. Without a handler, env is queued; when the queue is full, a
+// non-blocking mailbox drops env, and a blocking one holds it until there
+// is room: in this call if wait is set, on the overflow list otherwise.
 func (m *Mailbox) deliver(env wire.Envelope, wait bool) (overflow bool) {
 	if h := m.handler.Load(); h != nil {
 		if !m.Closed() {
@@ -102,31 +97,23 @@ func (m *Mailbox) deliver(env wire.Envelope, wait bool) (overflow bool) {
 		}
 		return false
 	}
-	return m.enqueue(&env, wait)
-}
-
-// enqueue queues env for a handler that is not installed yet. When the
-// queue is full, a non-blocking mailbox drops env, and a blocking one holds
-// it until there is room: in this call if wait is set, on the overflow list
-// otherwise.
-func (m *Mailbox) enqueue(env *wire.Envelope, wait bool) (overflow bool) {
-	if !wait && m.block && m.spill(env, false) {
+	if !wait && m.block && m.spill(&env, false) {
 		return false // behind envelopes already waiting for room
 	}
 	select {
 	case <-m.done:
 		return false
-	case m.queue <- *env:
+	case m.queue <- env:
 	default:
 		if !m.block {
 			return true
 		}
 		if !wait {
-			m.spill(env, true)
+			m.spill(&env, true)
 			return false
 		}
 		select {
-		case m.queue <- *env:
+		case m.queue <- env:
 		case <-m.done:
 			return false
 		}

@@ -44,14 +44,19 @@ func (m LatencyModel) Zero() bool {
 }
 
 // Hub is an in-process message switch connecting MemConns. The routing
-// table is copy-on-write: deliver reads it with one atomic load, so
+// table is copy-on-write: route reads it with one atomic load, so
 // concurrent senders never contend on a hub-wide lock (the lock only guards
 // attachment, shutdown, the jitter RNG and the delivery scheduler's heap).
 type Hub struct {
 	model LatencyModel
+	seed  int64
 
 	nodes  atomic.Pointer[map[wire.NodeID]*MemConn]
 	closed atomic.Bool
+
+	// faults is nil until a fault, partition or kill is first set: a Hub
+	// without one pays this load per hop and nothing else.
+	faults atomic.Pointer[faultModel]
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -62,11 +67,13 @@ type Hub struct {
 }
 
 // NewHub creates a hub with the given latency model. The seed makes jitter
-// reproducible; runs remain nondeterministic at the goroutine-scheduling
-// level, which is intended (the protocol must tolerate any fair schedule).
+// and injected faults reproducible; runs remain nondeterministic at the
+// goroutine-scheduling level, which is intended (the protocol must tolerate
+// any fair schedule).
 func NewHub(model LatencyModel, seed int64) *Hub {
 	h := &Hub{
 		model: model,
+		seed:  seed,
 		rng:   rand.New(rand.NewSource(seed)),
 		sched: scheduler{epoch: time.Now()},
 	}
@@ -132,67 +139,60 @@ func (h *Hub) Close() error {
 	return nil
 }
 
-// deliver routes env to its destination after the modelled delay: on the
-// sender's goroutine when there is none, through the delivery scheduler
-// otherwise.
-func (h *Hub) deliver(env wire.Envelope) error {
-	size := len(env.Payload)
+// route carries one hop from→to — env, or the superframe batch when that
+// is non-nil — of n envelopes and size payload bytes. A superframe is one
+// hop: the latency model charges it once (base + jitter once,
+// serialisation on the total bytes), the fault model judges it whole, and
+// it arrives in one push — the amortisation a real link gets from writing
+// one frame. The fault model's verdict comes first, when one is installed:
+// a dropped hop is gone, a duplicate is a second hop, and a fault delay
+// adds to the modelled one. A hop with no delay arrives on the sender's
+// goroutine, any other through the delivery scheduler.
+func (h *Hub) route(env *wire.Envelope, batch []wire.Envelope, from, to wire.NodeID, n, size int) error {
 	if h.closed.Load() {
 		return ErrClosed
-	}
-	dst, ok := (*h.nodes.Load())[env.To]
-	if !ok {
-		// Unknown destination: the reliable-channels assumption only covers
-		// configured nodes; a message to nobody is a programming error.
-		return fmt.Errorf("transport: unknown destination %d", env.To)
-	}
-
-	h.stats.MsgsSent.Add(1)
-	h.stats.BytesSent.Add(int64(size))
-
-	if !h.model.Zero() {
-		d := delivery{dst: dst, env: env}
-		if queued, err := h.later(&d, size); queued || err != nil {
-			return err
-		}
-	}
-	dst.push(env, true)
-	return nil
-}
-
-// deliverBatch routes one superframe to its destination after ONE modelled
-// delay: the latency model is charged per frame (base + jitter once,
-// serialisation on the batch's total bytes), not per envelope, and the
-// whole batch arrives in one push — exactly the amortisation a real link
-// gets from writing one frame.
-func (h *Hub) deliverBatch(envs []wire.Envelope) error {
-	if h.closed.Load() {
-		return ErrClosed
-	}
-	to := envs[0].To
-	size := 0
-	for i := range envs {
-		size += len(envs[i].Payload)
 	}
 	dst, ok := (*h.nodes.Load())[to]
 	if !ok {
+		// Unknown destination: the reliable-channels assumption only covers
+		// configured nodes; a message to nobody is a programming error.
 		return fmt.Errorf("transport: unknown destination %d", to)
 	}
-
-	h.stats.MsgsSent.Add(int64(len(envs)))
-	h.stats.BytesSent.Add(int64(size))
-
-	if !h.model.Zero() {
-		// Deferred delivery outlives the SendBatch call, and the contract lets
-		// the caller recycle the slice the moment it returns — so the modelled
-		// hop carries its own copy (the analogue of serialising onto the wire).
-		envs = append([]wire.Envelope(nil), envs...)
-		d := delivery{dst: dst, batch: envs}
-		if queued, err := h.later(&d, size); queued || err != nil {
-			return err
+	copies, extra := 1, time.Duration(0)
+	if f := h.faults.Load(); f != nil {
+		copies, extra = f.judge(from, to, n)
+	}
+	deferred := extra > 0 || !h.model.Zero()
+	for ; copies > 0; copies-- {
+		h.stats.MsgsSent.Add(int64(n))
+		h.stats.BytesSent.Add(int64(size))
+		hop := batch
+		if batch != nil && (deferred || copies > 1) {
+			// A deferred hop outlives SendBatch, whose caller recycles the
+			// slice the moment it returns, and a duplicate must not see what
+			// the first copy's batch handler did to it: each carries its own
+			// copy (the analogue of serialising onto the wire).
+			hop = append([]wire.Envelope(nil), batch...)
+		}
+		if deferred {
+			d := delivery{dst: dst, batch: hop}
+			if hop == nil {
+				d.env = *env
+			}
+			queued, err := h.later(&d, size, extra)
+			if err != nil {
+				return err
+			}
+			if queued {
+				continue
+			}
+		}
+		if hop != nil {
+			dst.pushBatch(hop, true)
+		} else {
+			dst.push(*env, true)
 		}
 	}
-	dst.pushBatch(envs, true)
 	return nil
 }
 
@@ -223,7 +223,7 @@ func (c *MemConn) Send(env wire.Envelope) error {
 	}
 	c.stats.MsgsSent.Add(1)
 	c.stats.BytesSent.Add(int64(len(env.Payload)))
-	return c.hub.deliver(env)
+	return c.hub.route(&env, nil, c.id, env.To, 1, len(env.Payload))
 }
 
 // SendBatch queues a whole superframe — envelopes for ONE destination — for
@@ -247,7 +247,7 @@ func (c *MemConn) SendBatch(envs []wire.Envelope) error {
 	}
 	c.stats.MsgsSent.Add(int64(len(envs)))
 	c.stats.BytesSent.Add(int64(size))
-	return c.hub.deliverBatch(envs)
+	return c.hub.route(nil, envs, c.id, envs[0].To, len(envs), size)
 }
 
 // Close detaches the connection. Messages already queued are dropped.

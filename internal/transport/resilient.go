@@ -57,10 +57,10 @@ import (
 //     sends a floor: the receiver advances its contiguous prefix over
 //     them, so a rejected send never freezes the receiver's ack.
 //
-// Layering: session → ResilientConn → (faultnet) → Hub/TCPNode. Over TCP
-// the node's own redial replaces the conn; the link layer replays what
-// the dead conn lost. Over the in-memory Hub the same protocol masks
-// injected drops and blackout windows.
+// Layering: session → ResilientConn → Hub/TCPNode. Over TCP the node's
+// own redial replaces the conn; the link layer replays what the dead conn
+// lost. Over the in-memory Hub the same protocol masks the drops,
+// duplicates, delays and blackouts the Hub's fault model injects.
 
 // Link control kinds, carried in Tag.Step of BlockLink envelopes. (Value 1
 // once marked wrapped data frames; data now rides Envelope.LinkSeq. Do not

@@ -10,7 +10,6 @@ import (
 
 	"distauction/internal/testleak"
 	"distauction/internal/transport"
-	"distauction/internal/transport/faultnet"
 	"distauction/internal/wire"
 )
 
@@ -129,9 +128,9 @@ func awaitDepth(t *testing.T, conn transport.Conn, peer wire.NodeID) {
 // and at most 1.5 resends per dropped frame.
 func TestResilientGapRepairUnderWindowPressure(t *testing.T) {
 	const count = 40000
-	hub := transport.NewHub(transport.LatencyModel{}, 1)
-	fnet := faultnet.Wrap(hub, faultnet.Config{Seed: 19, Default: faultnet.Profile{Drop: 0.01}})
-	rnet := transport.Resilient(fnet, transport.ResilientConfig{})
+	hub := transport.NewHub(transport.LatencyModel{}, 19)
+	hub.SetFaults(transport.Faults{Drop: 0.01})
+	rnet := transport.Resilient(hub, transport.ResilientConfig{})
 	defer rnet.Close()
 	c1, err := rnet.Attach(1)
 	if err != nil {
@@ -164,7 +163,7 @@ func TestResilientGapRepairUnderWindowPressure(t *testing.T) {
 	awaitDepth(t, c1, 2)
 	awaitDepth(t, c2, 1)
 
-	ls, dropped := rnet.LinkStats(), fnet.FaultStats().Dropped
+	ls, dropped := rnet.LinkStats(), hub.FaultStats().Dropped
 	t.Logf("dropped %d, link stats %+v, deepest window %v", dropped, ls, depth)
 	if dropped < count/100 {
 		t.Fatalf("only %d frames dropped: the test proved nothing", dropped)
@@ -277,11 +276,9 @@ func TestResilientRejectedSendLeavesNoGhost(t *testing.T) {
 // give it up, and every message arrives exactly once.
 func TestResilientLateFrameOutlivesWindow(t *testing.T) {
 	const count = 60000
-	hub := transport.NewHub(transport.LatencyModel{}, 1)
-	fnet := faultnet.Wrap(hub, faultnet.Config{Seed: 23, Default: faultnet.Profile{
-		DelayProb: 0.05, DelayMin: 2 * time.Millisecond, DelayMax: 6 * time.Millisecond,
-	}})
-	rnet := transport.Resilient(fnet, transport.ResilientConfig{MaxUnacked: 128})
+	hub := transport.NewHub(transport.LatencyModel{}, 23)
+	hub.SetFaults(transport.Faults{DelayProb: 0.05, DelayMin: 2 * time.Millisecond, DelayMax: 6 * time.Millisecond})
+	rnet := transport.Resilient(hub, transport.ResilientConfig{MaxUnacked: 128})
 	defer rnet.Close()
 	c1, err := rnet.Attach(1)
 	if err != nil {
@@ -302,10 +299,10 @@ func TestResilientLateFrameOutlivesWindow(t *testing.T) {
 	}
 	at2.assertExactlyOnce(t, "1→2")
 	awaitDepth(t, c1, 2)
-	ls, fs := rnet.LinkStats(), fnet.FaultStats()
+	ls, fs := rnet.LinkStats(), hub.FaultStats()
 	t.Logf("delayed %d, link stats %+v", fs.Delayed, ls)
 	if fs.Dropped != 0 {
-		t.Fatalf("faultnet dropped %d frames on a delay-only profile", fs.Dropped)
+		t.Fatalf("the Hub dropped %d frames on a delay-only profile", fs.Dropped)
 	}
 	if ls.Overflow != 0 {
 		t.Errorf("Overflow = %d on a link whose peer never died, want 0", ls.Overflow)
@@ -341,10 +338,10 @@ func (c floorConn) Send(env wire.Envelope) error {
 	return c.Conn.Send(env)
 }
 
-// flowPair is a Resilient(faultnet(Hub)) link from node 1 to node 2, with a
-// tally at node 2 awaiting count messages.
+// flowPair is a Resilient(Hub) link from node 1 to node 2, with a tally at
+// node 2 awaiting count messages.
 type flowPair struct {
-	fnet   *faultnet.Network
+	hub    *transport.Hub
 	floors *floorNet
 	rnet   *transport.ResilientNetwork
 	c1     *transport.ResilientConn
@@ -353,8 +350,8 @@ type flowPair struct {
 
 func openFlowPair(t *testing.T, cfg transport.ResilientConfig, count int) *flowPair {
 	t.Helper()
-	fp := &flowPair{fnet: faultnet.Wrap(transport.NewHub(transport.LatencyModel{}, 1), faultnet.Config{})}
-	fp.floors = &floorNet{Network: fp.fnet}
+	fp := &flowPair{hub: transport.NewHub(transport.LatencyModel{}, 1)}
+	fp.floors = &floorNet{Network: fp.hub}
 	fp.rnet = transport.Resilient(fp.floors, cfg)
 	t.Cleanup(func() { fp.rnet.Close() })
 	c1, err := fp.rnet.Attach(1)
@@ -406,7 +403,7 @@ func TestResilientWindowIsFlowControl(t *testing.T) {
 	t.Run("acks cut: the sender waits", func(t *testing.T) {
 		const count = 3 * window
 		fp := openFlowPair(t, transport.ResilientConfig{MaxUnacked: window}, count)
-		fp.fnet.SetPartition(2, 1, true)
+		fp.hub.SetPartition(2, 1, true)
 		var sent atomic.Int64
 		done := make(chan struct{})
 		go func() {
@@ -427,7 +424,7 @@ func TestResilientWindowIsFlowControl(t *testing.T) {
 		if ov := fp.rnet.LinkStats().Overflow; ov != 0 {
 			t.Fatalf("Overflow = %d with a live peer, want 0", ov)
 		}
-		fp.fnet.SetPartition(2, 1, false)
+		fp.hub.SetPartition(2, 1, false)
 		<-done
 		fp.await(t)
 	})
@@ -444,8 +441,8 @@ func TestResilientWindowIsFlowControl(t *testing.T) {
 		waitFor(t, "message 0 and its ack", func() bool { return fp.at2.got.Load() == 1 && fp.c1.UnackedDepth(2) == 0 })
 
 		cut := time.Now()
-		fp.fnet.SetPartition(1, 2, true)
-		fp.fnet.SetPartition(2, 1, true)
+		fp.hub.SetPartition(1, 2, true)
+		fp.hub.SetPartition(2, 1, true)
 		for i := 1; i <= window; i++ {
 			if err := fp.c1.Send(numbered(1, 2, i)); err != nil {
 				t.Fatal(err)
@@ -468,8 +465,8 @@ func TestResilientWindowIsFlowControl(t *testing.T) {
 			t.Fatalf("Overflow = %d, want 1 (the envelope the dead peer's window had no room for)", ov)
 		}
 
-		fp.fnet.SetPartition(1, 2, false)
-		fp.fnet.SetPartition(2, 1, false)
+		fp.hub.SetPartition(1, 2, false)
+		fp.hub.SetPartition(2, 1, false)
 		// Until node 2 is heard again a full window still drops at once.
 		waitFor(t, "node 2 heard again", func() bool { return !fp.c1.PeerDead(2) })
 		for i := dropped + 1; i < count; i++ {
@@ -486,7 +483,7 @@ func TestResilientWindowIsFlowControl(t *testing.T) {
 	t.Run("Close releases a waiting sender", func(t *testing.T) {
 		testleak.Check(t, func() {
 			fp := openFlowPair(t, transport.ResilientConfig{MaxUnacked: window}, window+1)
-			fp.fnet.SetPartition(2, 1, true)
+			fp.hub.SetPartition(2, 1, true)
 			for i := 0; i < window; i++ {
 				if err := fp.c1.Send(numbered(1, 2, i)); err != nil {
 					t.Fatal(err)

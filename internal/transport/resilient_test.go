@@ -20,9 +20,9 @@ func fastLink() ResilientConfig {
 	}
 }
 
-// flakyConn wraps a Conn and drops or mutes sends on command. It is the
-// minimal in-package fault injector (the full one lives in faultnet,
-// which cannot be imported here without a cycle).
+// flakyConn wraps a Conn and drops or mutes sends on command: a fault
+// injector for any Conn, where the Hub's fault model (Hub.SetFaults) only
+// covers the Hub's own hops.
 type flakyConn struct {
 	Conn
 	mu      sync.Mutex

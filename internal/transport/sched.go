@@ -21,9 +21,10 @@ func (d *delivery) before(o *delivery) bool {
 	return d.due < o.due || (d.due == o.due && d.seq < o.seq)
 }
 
-// scheduler is a Hub's delivery scheduler: every delayed hop on the Hub
-// waits in one min-heap, and one goroutine — started by the first delayed
-// hop — sleeps on one reusable timer until the head is due, then hands out
+// scheduler is a Hub's delivery scheduler: every delayed hop on the Hub,
+// whether the latency model or the fault model delayed it, waits in one
+// min-heap, and one goroutine — started by the first delayed hop — sleeps
+// on one reusable timer until the head is due, then hands out
 // everything due in (due, seq) order: one timer and one goroutine per Hub,
 // where a timer and a goroutine per envelope cost fig4-double-n1000 a fifth
 // of its throughput (ROADMAP finding (iii)). Everything but dispatching is
@@ -94,10 +95,11 @@ func (s *scheduler) pop() delivery {
 	return top
 }
 
-// later queues d behind one modelled delay for a hop of size bytes. It
-// reports false — leaving the hop to the caller, inline — when the draw is
-// zero (a jitter-only model can draw one).
-func (h *Hub) later(d *delivery, size int) (bool, error) {
+// later queues d behind one delay for a hop of size bytes: the latency
+// model's draw plus the fault model's extra. It reports false — leaving the
+// hop to the caller, inline — when the sum is zero (a jitter-only model can
+// draw one).
+func (h *Hub) later(d *delivery, size int, extra time.Duration) (bool, error) {
 	s := &h.sched
 	now := s.now()
 	h.mu.Lock()
@@ -105,7 +107,10 @@ func (h *Hub) later(d *delivery, size int) (bool, error) {
 	if h.closed.Load() {
 		return false, ErrClosed
 	}
-	delay := h.model.Delay(size, h.rng)
+	delay := extra
+	if !h.model.Zero() {
+		delay += h.model.Delay(size, h.rng)
+	}
 	if delay == 0 {
 		return false, nil
 	}

@@ -7,22 +7,23 @@
 //     paper's Guifi.net testbed: protocol running time is compute plus
 //     rounds×latency plus bytes/bandwidth, and the model exercises exactly
 //     those terms. Delivery order between different senders is not
-//     guaranteed, which matches the asynchronous model of §3.3. Delayed
-//     hops wait in one delivery scheduler per Hub — a min-heap and one
-//     goroutine that runs the handlers — which never waits on a
-//     destination: what a full pre-handler queue has no room for waits on
-//     the mailbox's overflow list instead (Mailbox.deliver). Handlers
-//     still start on fresh goroutines under faultnet's delays and on the
-//     overflow mover, which is why the mailbox keeps its handler path
-//     apart from its selects.
+//     guaranteed, which matches the asynchronous model of §3.3. A Hub can
+//     also inject faults (SetFaults, SetPartition, Kill): drops,
+//     duplicates, extra delay, partitions and blackouts, for the link
+//     layer to mask. Every delayed hop, whatever delayed it, waits in one
+//     delivery scheduler per Hub — a min-heap and one goroutine that runs
+//     the handlers — which never waits on a destination: what a full
+//     pre-handler queue has no room for waits on the mailbox's overflow
+//     list instead (Mailbox.deliver).
 //
 //   - TCPNode: a real TCP transport (length-prefixed frames, HMAC
 //     authenticated) for deployments and loopback/LAN experiments.
 //
 // Both hand out the one Conn shape, and so does every layer stacked on them
-// (Resilient, faultnet, the market mux's lanes, deviation.Wrap): each layer
-// takes a Conn and returns a Conn. Messages are never lost (reliable
-// channels assumption); they may be arbitrarily delayed and reordered.
+// (Resilient, the market mux's lanes, deviation.Wrap): each layer takes a
+// Conn and returns a Conn. Messages are never lost (reliable channels
+// assumption) unless a Hub is told to lose them, which Resilient repairs;
+// they may be arbitrarily delayed and reordered.
 package transport
 
 import (
