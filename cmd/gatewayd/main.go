@@ -17,7 +17,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +28,6 @@ import (
 	"distauction/internal/cliutil"
 	"distauction/internal/core"
 	"distauction/internal/fixed"
-	"distauction/internal/proto"
 	"distauction/internal/wire"
 )
 
@@ -159,10 +157,8 @@ func run(id uint32, listen, providersFlag, usersFlag, userAddrsFlag string, k in
 			fmt.Printf("round %d: outcome accepted — %d users, paid=%v received=%v\n",
 				out.Round, out.Outcome.Alloc.NumUsers,
 				out.Outcome.Pay.TotalPaid(), out.Outcome.Pay.TotalReceived())
-		} else if errors.Is(out.Err, proto.ErrAborted) {
-			fmt.Printf("round %d: ⊥ (aborted): %v\n", out.Round, out.Err)
 		} else {
-			fmt.Printf("round %d: failed: %v\n", out.Round, out.Err)
+			fmt.Printf("round %d: ⊥ (aborted): %v\n", out.Round, out.Err)
 		}
 	}
 	return nil

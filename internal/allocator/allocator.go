@@ -27,11 +27,11 @@ package allocator
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"distauction/internal/proto"
 	"distauction/internal/taskgraph"
+	"distauction/internal/wire"
 )
 
 // valGate is the pooled per-round state of the overlapped input validation:
@@ -100,7 +100,10 @@ func Run(ctx context.Context, peer *proto.Peer, round uint64, input []byte, ex *
 		return nil, verr
 	}
 	if out == nil {
-		return nil, peer.FailRound(round, fmt.Sprintf("allocator: empty output in round %d", round))
+		return nil, peer.Fail(round, "allocator", errEmptyOutput)
 	}
 	return out, nil
 }
+
+// errEmptyOutput is the cause of a graph run that returned no outcome.
+var errEmptyOutput = &proto.AbortError{Code: proto.AbortProtocol, Culprit: wire.Broadcast, Reason: "empty output"}

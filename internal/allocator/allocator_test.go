@@ -116,9 +116,7 @@ func TestRunDivergentInputsAbort(t *testing.T) {
 
 func TestRunAbortedRoundShortCircuits(t *testing.T) {
 	peers := newPeers(t, 2)
-	if err := peers[0].Abort(1, "pre"); err != nil {
-		t.Fatal(err)
-	}
+	peers[0].Fail(1, "test", errors.New("pre"))
 	ex := executorsFor(t, peers[:1], 0, "x")[0]
 	if _, err := Run(context.Background(), peers[0], 1, []byte("in"), ex, nil, nil); !errors.Is(err, proto.ErrAborted) {
 		t.Errorf("got %v, want abort", err)

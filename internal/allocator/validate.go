@@ -34,7 +34,7 @@ func validateInput(ctx context.Context, peer *proto.Peer, round uint64, input []
 	digest := sha256.Sum256(input)
 	tag := wire.Tag{Round: round, Block: wire.BlockValidate, Instance: 0, Step: stepDigest}
 	if err := peer.BroadcastProviders(tag, digest[:]); err != nil {
-		return buf, peer.FailCause(round, "validate: broadcast", err)
+		return buf, peer.Fail(round, "validate: broadcast", err)
 	}
 	_, buf, err := peer.Unanimous(ctx, tag, peer.Providers(), buf)
 	return buf, err

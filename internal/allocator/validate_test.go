@@ -65,9 +65,7 @@ func TestEmptyInputsAgree(t *testing.T) {
 
 func TestAlreadyAbortedRound(t *testing.T) {
 	peers := newPeers(t, 2)
-	if err := peers[0].Abort(3, "pre"); err != nil {
-		t.Fatal(err)
-	}
+	peers[0].Fail(3, "test", errors.New("pre"))
 	if _, err := validateInput(context.Background(), peers[0], 3, []byte("x"), nil); !errors.Is(err, proto.ErrAborted) {
 		t.Errorf("got %v, want abort", err)
 	}

@@ -9,14 +9,19 @@
 // and recommends exclusion once a node exceeds a strike budget.
 //
 // Attribution is a field, not prose: an abort is charged to
-// proto.AbortError.Culprit, and only when the code says the culprit deviated
-// (AbortEquivocation: two payloads under one tag; AbortProtocol: its own
-// message failed its commitment or shape) and the runtime named one. A
-// mismatch between providers' views (an echo, a validation digest, a
+// proto.AbortError.Culprit, and only when proto.AbortError.Code says the
+// culprit deviated (AbortEquivocation: two payloads under one tag;
+// AbortProtocol: its own message failed its commitment or shape) and the
+// runtime named one. Both fields were decided once, where the round's ⊥
+// latched (proto.Peer.Fail types them from the failure's error; the router
+// marks equivocation), and a provider's ⊥ core.RoundOutcome.Err is that
+// latched abort — so the log reads the same verdict as the market
+// counters, the flight recorder and every peer, and never parses a reason.
+// A mismatch between providers' views (an echo, a validation digest, a
 // transfer) names nobody, since it shows that someone lied but not who; a
-// crash (AbortDisconnect), a timeout and every other failure are recorded as
-// unattributed — asynchrony alone must never cost an honest node its
-// membership.
+// crash (AbortDisconnect), a timeout, a shutdown and every other failure
+// are recorded as unattributed — asynchrony alone must never cost an
+// honest node its membership.
 package audit
 
 import (

@@ -149,7 +149,7 @@ func Exchange(ctx context.Context, peer *proto.Peer, tag wire.Tag, payload []byt
 	if beforeReveal != nil {
 		beforeReveal()
 		if err := ctx.Err(); err != nil {
-			return 0, opened, peer.FailCause(round, "before reveal", err)
+			return 0, opened, peer.Fail(round, "before reveal", err)
 		}
 	}
 
@@ -197,7 +197,7 @@ func endSpan(start time.Time, spans []trace.Phase, i int, peer *proto.Peer, tag 
 // (the formatting stays out of Exchange's frame, which sits under every
 // delivery its sends trigger).
 func fail(peer *proto.Peer, tag wire.Tag, err error) error {
-	return peer.FailCause(tag.Round, tag.String(), err)
+	return peer.Fail(tag.Round, tag.String(), err)
 }
 
 // blame is fail for provider id's own message failing its commitment or its

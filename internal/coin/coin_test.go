@@ -223,9 +223,7 @@ func TestMalformedCommitAborts(t *testing.T) {
 
 func TestTossOnAbortedRound(t *testing.T) {
 	peers := newPeers(t, 2)
-	if err := peers[0].Abort(5, "pre-aborted"); err != nil {
-		t.Fatal(err)
-	}
+	peers[0].Fail(5, "test", errors.New("pre-aborted"))
 	ctx := context.Background()
 	if _, err := Toss(ctx, peers[0], 5, 0); !errors.Is(err, proto.ErrAborted) {
 		t.Errorf("got %v, want abort", err)
@@ -374,9 +372,7 @@ func TestReservoirAbortUnwindsGatedToss(t *testing.T) {
 	}
 	time.Sleep(100 * time.Millisecond) // let commit/echo complete
 
-	if err := peers[0].Abort(1, "test abort"); err != nil {
-		t.Fatal(err)
-	}
+	peers[0].Fail(1, "test", errors.New("test abort"))
 	var wg sync.WaitGroup
 	errs := make([]error, len(peers))
 	for i, r := range rs {

@@ -213,11 +213,11 @@ func fallback(ctx context.Context, peer *proto.Peer, tag wire.Tag, inputs, opene
 	tag.Step = stepVector
 	own := binary.BigEndian.Uint64(opened[slices.Index(providers, peer.Self())])
 	if err := peer.BroadcastProviders(tag, encodeProposal(proposal{share: own, values: inputs})); err != nil {
-		return nil, peer.FailCause(tag.Round, tag.String(), err)
+		return nil, peer.Fail(tag.Round, tag.String(), err)
 	}
 	vectors, err := peer.GatherAppend(ctx, tag, providers, nil)
 	if err != nil {
-		return nil, peer.FailCause(tag.Round, tag.String(), err)
+		return nil, peer.Fail(tag.Round, tag.String(), err)
 	}
 	proposals := make([]proposal, len(providers))
 	for i, id := range providers {
@@ -251,5 +251,5 @@ func fallback(ctx context.Context, peer *proto.Peer, tag wire.Tag, inputs, opene
 // its committed share, digest or shape: a protocol abort with id as culprit.
 func blame(peer *proto.Peer, tag wire.Tag, id wire.NodeID, format string, args ...any) error {
 	reason := fmt.Sprintf("provider %d ", id) + fmt.Sprintf(format, args...)
-	return peer.FailCause(tag.Round, tag.String(), &proto.AbortError{Code: proto.AbortProtocol, Culprit: id, Reason: reason})
+	return peer.Fail(tag.Round, tag.String(), &proto.AbortError{Code: proto.AbortProtocol, Culprit: id, Reason: reason})
 }

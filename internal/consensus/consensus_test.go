@@ -237,9 +237,7 @@ func TestSilentProviderTimesOutToAbort(t *testing.T) {
 
 func TestProposeOnAbortedRound(t *testing.T) {
 	peers := newPeers(t, 2)
-	if err := peers[0].Abort(9, "pre"); err != nil {
-		t.Fatal(err)
-	}
+	peers[0].Fail(9, "test", errors.New("pre"))
 	if _, err := Propose(context.Background(), peers[0], 9, 0, nil); !errors.Is(err, proto.ErrAborted) {
 		t.Errorf("got %v, want abort", err)
 	}

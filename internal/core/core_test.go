@@ -10,6 +10,7 @@ import (
 	"distauction/internal/fixed"
 	"distauction/internal/mechanism/doubleauction"
 	"distauction/internal/mechanism/standardauction"
+	"distauction/internal/proto"
 	"distauction/internal/transport"
 	"distauction/internal/wire"
 )
@@ -433,5 +434,70 @@ func TestLateBidderStillConsistent(t *testing.T) {
 		if outs[i].Digest() != outs[0].Digest() {
 			t.Fatal("providers disagree on a half-submitted bid")
 		}
+	}
+}
+
+// A session closed during bid collection reports one abort code
+// everywhere: its RoundOutcome.Err is the round's latched abort, and a
+// second provider receives the same code.
+func TestCloseDuringBidCollectionCodesAgree(t *testing.T) {
+	providers := []wire.NodeID{1, 2}
+	hub := transport.NewHub(transport.LatencyModel{}, 1)
+	t.Cleanup(func() { hub.Close() })
+	conn1, err := hub.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn2, err := hub.Attach(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := proto.NewPeer(conn2, providers)
+	t.Cleanup(func() { other.Close() })
+	s, err := OpenSession(conn1, providers, []wire.NodeID{100},
+		WithMechanismName("double"), WithBidWindow(time.Minute), WithRoundLimit(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	// Provider 1's own bid reaching provider 2 means round 1 is collecting
+	// bids (user 100 never submits, so collection outlasts the test).
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := other.Receive(ctx, wire.Tag{Round: 1, Block: wire.BlockBidSubmit, Step: 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Read the latch before the session reclaims the round.
+	latched := make(chan error, 1)
+	s.Peer().OnAbort(1, func() { latched <- s.Peer().AbortErr(1) })
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	out, ok := <-s.Outcomes()
+	if !ok || out.Round != 1 {
+		t.Fatalf("no round-1 outcome (got %+v)", out)
+	}
+	var own, received *proto.AbortError
+	select {
+	case err := <-latched:
+		if !errors.As(err, &own) {
+			t.Fatalf("latched %v, want an abort", err)
+		}
+	case <-ctx.Done():
+		t.Fatal("round 1 never latched an abort")
+	}
+	for !errors.As(other.AbortErr(1), &received) {
+		if ctx.Err() != nil {
+			t.Fatal("provider 2 never received the abort")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if out.Err != error(own) {
+		t.Errorf("RoundOutcome.Err %v is not the latched abort %v", out.Err, own)
+	}
+	if code := proto.AbortCodeOf(out.Err); code != own.Code || code != received.Code || code != proto.AbortClosed {
+		t.Errorf("codes: outcome %v, latched %v, received %v; want closed everywhere", code, own.Code, received.Code)
 	}
 }

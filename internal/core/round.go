@@ -118,7 +118,7 @@ func (s *Session) broadcastOwnBid(ctx context.Context, round uint64, ownBid *auc
 			if bo != nil {
 				bo.Stop()
 			}
-			return s.peer.FailRound(round, fmt.Sprintf("broadcast own bid: %v", err))
+			return s.peer.Fail(round, "broadcast own bid", err)
 		}
 		if bo == nil {
 			bo = transport.NewBackoff(5*time.Millisecond, 100*time.Millisecond,
@@ -334,7 +334,8 @@ func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte
 	}
 	outcome, err := auction.DecodeOutcome(rawOutcome)
 	if err != nil {
-		return s.deliverAbort(round, s.peer.FailRound(round, fmt.Sprintf("decode outcome: %v", err)))
+		return s.deliverAbort(round, s.peer.Fail(round, "decode outcome",
+			&proto.AbortError{Code: proto.AbortProtocol, Culprit: wire.Broadcast, Reason: err.Error()}))
 	}
 
 	// Phase 5: report to bidders.

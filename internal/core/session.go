@@ -24,7 +24,10 @@ import (
 type RoundOutcome struct {
 	Round   uint64
 	Outcome auction.Outcome
-	Err     error
+	// Err is nil for an accepted outcome, else the round's latched
+	// *proto.AbortError (errors.Is(Err, proto.ErrAborted)): the one abort,
+	// code and culprit every counter, trace and peer of this provider reads.
+	Err error
 	// Latency is the round's wall-clock time on this provider, bid
 	// collection through outcome delivery (0 for rounds failed before
 	// collection started). Markets feed it into their latency histograms.
@@ -342,8 +345,7 @@ func (s *Session) Close() error {
 		}
 		s.mu.Unlock()
 		for _, r := range rounds {
-			_ = s.peer.Abort(r, "session closed")
-			s.deliverResult(r, false, nil)
+			s.failRound(r, errSessionClosed)
 		}
 		s.wg.Wait()
 		// All round workers have returned, so no executor Run is in flight
@@ -389,19 +391,18 @@ func (s *Session) report(out RoundOutcome) {
 	s.results <- out
 }
 
-// failRound guarantees that round r ends in ⊥ everywhere: the abort is
-// broadcast to peer providers (idempotent) and the ⊥ result is delivered to
-// bidders (duplicate identical deliveries are absorbed by the receivers).
-func (s *Session) failRound(r uint64, err error) {
-	reason := "session: round failed"
-	if err != nil {
-		reason = err.Error()
-	}
-	if !errors.Is(err, proto.ErrAborted) {
-		_ = s.peer.Abort(r, reason)
-	}
+// failRound guarantees that round r ends in ⊥ everywhere and returns the
+// round's abort: cause declares it unless the round already aborted (a
+// fresh abort is broadcast to peer providers), and the ⊥ result is
+// delivered to bidders (at most once per round).
+func (s *Session) failRound(r uint64, cause error) error {
+	err := s.peer.Fail(r, "core", cause)
 	s.deliverResult(r, false, nil)
+	return err
 }
+
+// errSessionClosed is the cause of the rounds Close finds in flight.
+var errSessionClosed = fmt.Errorf("session closed (%w)", context.Canceled)
 
 // roundWork is one collected round handed from the scheduler to a round
 // worker: phases 0–1 are done, phases 2–5 remain.
@@ -451,7 +452,7 @@ func (s *Session) schedule() {
 		inputs, err := s.openRound(s.ctx, r, s.ownBid.Load())
 		if err != nil {
 			lat := time.Since(began)
-			s.failRound(r, err)
+			err = s.failRound(r, err)
 			trace.RoundDone(r, s.peer.Lane(), s.peer.Self(), lat, true, int32(proto.AbortCodeOf(err)))
 			s.report(RoundOutcome{Round: r, Err: err, Latency: lat})
 			<-slots
@@ -466,9 +467,9 @@ func (s *Session) schedule() {
 		case work <- roundWork{r: r, inputs: inputs, began: began}:
 		case <-s.closing:
 			// The round made trackRound before close(closing), so Close's
-			// in-flight snapshot aborts it loudly; report it here so the
-			// results stream still accounts for every tracked round.
-			s.report(RoundOutcome{Round: r, Err: fmt.Errorf("%w: session closed", proto.ErrAborted)})
+			// in-flight snapshot aborts it too, with the same cause; report
+			// it here so the results stream accounts for every tracked round.
+			s.report(RoundOutcome{Round: r, Err: s.failRound(r, errSessionClosed)})
 			<-slots
 			return
 		}
@@ -495,7 +496,7 @@ func (s *Session) roundWorker(work <-chan roundWork, slots <-chan struct{}, work
 		}
 		lat := time.Since(rw.began)
 		if err != nil {
-			s.failRound(rw.r, err)
+			err = s.failRound(rw.r, err)
 		}
 		trace.RoundDone(rw.r, s.peer.Lane(), s.peer.Self(), lat, err != nil, int32(proto.AbortCodeOf(err)))
 		s.report(RoundOutcome{Round: rw.r, Outcome: out, Err: err, Latency: lat})

@@ -30,7 +30,7 @@ func Send(peer *proto.Peer, round uint64, instance uint32, receiving []wire.Node
 	tag := wire.Tag{Round: round, Block: wire.BlockTransfer, Instance: instance, Step: stepValue}
 	for _, o := range receiving {
 		if err := peer.Send(o, tag, input); err != nil {
-			return peer.FailCause(round, fmt.Sprintf("transfer %d: send to %d", instance, o), err)
+			return peer.Fail(round, fmt.Sprintf("transfer %d: send to %d", instance, o), err)
 		}
 	}
 	return nil

@@ -249,9 +249,7 @@ func TestInstancesDoNotInterfere(t *testing.T) {
 
 func TestAbortedRoundShortCircuits(t *testing.T) {
 	peers := newPeers(t, 2)
-	if err := peers[0].Abort(2, "pre"); err != nil {
-		t.Fatal(err)
-	}
+	peers[0].Fail(2, "test", errors.New("pre"))
 	if _, err := Run(context.Background(), peers[0], 2, 0, ids(1), ids(2), []byte("x")); !errors.Is(err, proto.ErrAborted) {
 		t.Errorf("got %v, want abort", err)
 	}

@@ -371,9 +371,7 @@ func TestLaneIsolationAbort(t *testing.T) {
 	if !ok {
 		t.Fatal("alpha not open")
 	}
-	if err := a.Session().Peer().Abort(3, "isolation test"); err != nil {
-		t.Fatal(err)
-	}
+	a.Session().Peer().Fail(3, "test", errors.New("isolation test"))
 
 	var wg sync.WaitGroup
 	var alphaOuts, betaOuts []core.RoundOutcome
@@ -474,9 +472,7 @@ func TestConcurrentEnforcementSharedLedger(t *testing.T) {
 
 	// ⊥ interleaved between accepted rounds: alpha round 2 aborts.
 	a, _ := d.markets[0].Auction("alpha")
-	if err := a.Session().Peer().Abort(2, "enforcement test"); err != nil {
-		t.Fatal(err)
-	}
+	a.Session().Peer().Fail(2, "test", errors.New("enforcement test"))
 
 	var wg sync.WaitGroup
 	wg.Add(2)

@@ -2,6 +2,7 @@ package market_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -27,9 +28,7 @@ func TestStatsRollUpAndRetire(t *testing.T) {
 	d.openAuction("alpha", alphaUsers, rounds, alphaInst, nil)
 	d.openAuction("beta", betaUsers, rounds, betaInst, nil)
 	a, _ := d.markets[0].Auction("alpha")
-	if err := a.Session().Peer().Abort(3, "roll-up test"); err != nil {
-		t.Fatal(err)
-	}
+	a.Session().Peer().Fail(3, "test", errors.New("roll-up test"))
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); d.runBidders("alpha", alphaUsers, rounds, alphaInst) }()

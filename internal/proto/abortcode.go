@@ -3,19 +3,21 @@ package proto
 import (
 	"context"
 	"errors"
-	"strings"
+
+	"distauction/internal/transport"
 )
 
 // AbortCode classifies why a round went to ⊥. The marketplace's counters,
-// the trace flight recorder and the Prometheus export all key on these
-// codes — one taxonomy for every layer, instead of each surface grepping
-// reason strings its own way. Codes travel on the abort control message
-// next to the human-readable reason, so remote peers count the same kind
-// the aborter decided, not a re-classification.
+// the trace flight recorder, the Prometheus export and audit all key on
+// these codes — one taxonomy for every layer. A code is decided once, where
+// ⊥ latches: Peer.Fail types it from its cause, the router marks
+// equivocation. It then travels on the abort control message next to the
+// human-readable reason, so remote peers count the kind the aborter
+// decided; nothing re-reads the reason.
 type AbortCode uint8
 
 const (
-	// AbortUnknown is an abort whose cause could not be classified.
+	// AbortUnknown is an abort whose cause has no type the taxonomy knows.
 	AbortUnknown AbortCode = iota
 	// AbortTimeout is a deadline expiry: a peer stayed silent past the
 	// receive timeout (the paper's fair-schedule escape hatch).
@@ -23,17 +25,13 @@ const (
 	// AbortEquivocation is two different payloads from one sender under
 	// one tag — the ⊥-inducing deviation of §3.2.
 	AbortEquivocation
-	// AbortMAC is an authentication failure: a frame or superframe whose
-	// MAC did not verify.
-	AbortMAC
-	// AbortSettlement is a federation 2PC abort: a cross-shard settle
-	// round that prepared on some shards and had to release.
-	AbortSettlement
-	// AbortClosed is a shutdown abort: the peer or session closed while
-	// the round was in flight.
+	// AbortClosed is a shutdown abort: the peer, session or transport
+	// closed (or the round's context was cancelled) while the round was in
+	// flight.
 	AbortClosed
 	// AbortProtocol is a malformed or mis-sequenced message: decode
-	// failures, mis-opened commitments, vector mismatches.
+	// failures, mis-opened commitments, vector mismatches, broken graph
+	// invariants.
 	AbortProtocol
 	// AbortDisconnect is a crashed peer: the transport's failure detector
 	// declared it dead (heartbeat silence past the dead threshold) before
@@ -46,7 +44,7 @@ const (
 )
 
 var abortCodeNames = [NumAbortCodes]string{
-	"unknown", "timeout", "equivocation", "mac", "settlement", "closed", "protocol", "disconnect",
+	"unknown", "timeout", "equivocation", "closed", "protocol", "disconnect",
 }
 
 // String returns the code's stable metric label.
@@ -57,52 +55,22 @@ func (c AbortCode) String() string {
 	return "unknown"
 }
 
-// ClassifyReason maps a human-readable abort reason onto a code. Callers
-// that know the cause pass an explicit code instead; this is the fallback
-// for reasons produced by layers that predate the taxonomy (and for
-// remote aborts from peers running without the code field).
-func ClassifyReason(reason string) AbortCode {
-	r := strings.ToLower(reason)
-	switch {
-	case strings.Contains(r, "equivocation"):
-		return AbortEquivocation
-	case strings.Contains(r, "disconnect"):
-		// Before the timeout case: a disconnect reason mentions missed
-		// heartbeats, and detection fires on the same timeout path.
-		return AbortDisconnect
-	case strings.Contains(r, "deadline"), strings.Contains(r, "timeout"), strings.Contains(r, "timed out"):
-		return AbortTimeout
-	case strings.Contains(r, "mac"), strings.Contains(r, "auth"):
-		return AbortMAC
-	case strings.Contains(r, "settle"):
-		return AbortSettlement
-	case strings.Contains(r, "closed"), strings.Contains(r, "closing"), strings.Contains(r, "shutdown"):
-		return AbortClosed
-	case strings.Contains(r, "malformed"), strings.Contains(r, "mis-opened"),
-		strings.Contains(r, "decode"), strings.Contains(r, "mismatch"),
-		strings.Contains(r, "invalid"):
-		return AbortProtocol
-	}
-	return AbortUnknown
-}
-
-// AbortCodeOf extracts the abort code from any error shape the pipeline
-// produces: a typed *AbortError carries its code; bare deadline/cancel
-// errors classify as timeout/closed; anything else is unknown.
+// AbortCodeOf types a failure by the error's type alone; no text is read.
+// An *AbortError carries its code; a *DisconnectError is a disconnect; a
+// deadline is a timeout; a cancelled context, a closed peer, session or
+// transport and a retired round are closed; anything else is unknown — a
+// site that knows more wraps its verdict in an *AbortError.
 func AbortCodeOf(err error) AbortCode {
 	if err == nil {
 		return AbortUnknown
 	}
 	var ae *AbortError
 	if errors.As(err, &ae) {
-		if ae.Code != AbortUnknown {
-			return ae.Code
-		}
-		return ClassifyReason(ae.Reason)
+		return ae.Code
 	}
-	// Before the DeadlineExceeded branch: a DisconnectError Is-matches the
-	// deadline sentinel (so timeout-tolerant callers degrade gracefully)
-	// but classifies as a crash, not a timeout.
+	// Before the deadline case: a DisconnectError Is-matches the deadline
+	// sentinel (so timeout-tolerant callers degrade gracefully) but is a
+	// crash, not a timeout.
 	var de *DisconnectError
 	if errors.As(err, &de) {
 		return AbortDisconnect
@@ -110,8 +78,9 @@ func AbortCodeOf(err error) AbortCode {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return AbortTimeout
-	case errors.Is(err, context.Canceled), errors.Is(err, ErrPeerClosed), errors.Is(err, ErrRoundEnded):
+	case errors.Is(err, context.Canceled), errors.Is(err, ErrPeerClosed),
+		errors.Is(err, ErrRoundEnded), errors.Is(err, transport.ErrClosed):
 		return AbortClosed
 	}
-	return ClassifyReason(err.Error())
+	return AbortUnknown
 }

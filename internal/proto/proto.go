@@ -39,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,13 +80,12 @@ func (e *AbortError) Is(target error) bool { return target == ErrAborted }
 // opposed to the plain timeout of a slow-but-alive peer. It Is-matches
 // context.DeadlineExceeded so that every timeout-tolerant path (a dead
 // bidder degrades to a neutral bid exactly like a silent one) keeps
-// working, while AbortCodeOf classifies it as AbortDisconnect.
+// working, while AbortCodeOf types it as AbortDisconnect.
 type DisconnectError struct {
 	Peer wire.NodeID
 }
 
-// Error implements error. The text deliberately avoids the timeout
-// vocabulary so reason-string classification lands on disconnect.
+// Error implements error.
 func (e *DisconnectError) Error() string {
 	return fmt.Sprintf("proto: peer %d disconnected (missed heartbeats)", e.Peer)
 }
@@ -132,8 +130,8 @@ func keyOf(tag wire.Tag, from wire.NodeID) msgKey {
 //
 // abortCh is lazily created: the delivery path never touches it, so a round
 // whose receives are all satisfied from the buffer (the common push-mode
-// case) never allocates it. Blocking receives and AbortChan materialise it
-// on demand; markAborted closes it only if it exists.
+// case) never allocates it. Blocking receives materialise it on demand;
+// latch closes it only if it exists.
 type roundState struct {
 	buffered map[msgKey][]byte
 	waiters  map[msgKey]*waiterNode
@@ -230,8 +228,6 @@ type Peer struct {
 	// link). A node is pooled only when no sender can reach it: its one
 	// value was consumed, or dropWaiter unlinked it under the shard lock.
 	waiterPool sync.Pool
-	// ingestPool recycles ingestRun's deferred-reaction scratch.
-	ingestPool sync.Pool
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -260,7 +256,7 @@ func NewPeer(conn transport.Conn, providers []wire.NodeID) *Peer {
 	if hr, ok := conn.(interface{ PeerDead(wire.NodeID) bool }); ok {
 		p.health = hr
 	}
-	conn.SetHandler(func(env wire.Envelope) { p.handle(env.From, env.Tag, env.Payload) })
+	conn.SetHandler(p.handle)
 	// Superframes arrive as one call per batch; ingest runs of same-shard
 	// messages under a single lock acquisition.
 	conn.SetBatchHandler(p.handleBatch)
@@ -278,12 +274,6 @@ func (p *Peer) Lane() uint32 { return p.lane }
 // Providers returns the provider set, sorted ascending. The slice is shared;
 // callers must not modify it.
 func (p *Peer) Providers() []wire.NodeID { return p.providers }
-
-// IsProvider reports whether id is in the provider set.
-func (p *Peer) IsProvider(id wire.NodeID) bool {
-	i := sort.Search(len(p.providers), func(i int) bool { return p.providers[i] >= id })
-	return i < len(p.providers) && p.providers[i] == id
-}
 
 // shardFor returns the stripe that owns round.
 func (p *Peer) shardFor(round uint64) *shard {
@@ -319,71 +309,40 @@ func (p *Peer) Close() error {
 
 // handle routes one message. It is also the local delivery path for
 // self-addressed sends.
-func (p *Peer) handle(from wire.NodeID, tag wire.Tag, payload []byte) {
-	if tag.Block == wire.BlockControl && tag.Step == StepAbort {
-		reason := "unspecified"
-		code := AbortUnknown
-		culprit := wire.Broadcast
-		d := wire.NewDecoder(payload)
-		if s := d.String(); d.Err() == nil {
-			reason = s
-			// The code and culprit fields were appended to the abort payload
-			// after the reason; tolerate their absence (older peers).
-			if d.Remaining() > 0 {
-				if c := AbortCode(d.Uint8()); d.Err() == nil && c < NumAbortCodes {
-					code = c
-				}
-			}
-			if d.Remaining() > 0 {
-				if id := d.Uint32(); d.Err() == nil {
-					culprit = wire.NodeID(id)
-				}
-			}
-		}
-		p.markAborted(tag.Round, from, reason, code, culprit)
+func (p *Peer) handle(env wire.Envelope) {
+	if env.Tag.Block == wire.BlockControl && env.Tag.Step == StepAbort {
+		p.receiveAbort(env)
 		return
 	}
+	one := [1]wire.Envelope{env}
+	p.ingestRun(p.shardFor(env.Tag.Round), one[:])
+}
 
-	if p.closed.Load() || tag.Round < p.minRound.Load() {
-		return
-	}
-	sh := p.shardFor(tag.Round)
-	sh.mu.Lock()
-	// Re-check under the shard lock: EndRound bumps minRound before sweeping
-	// the shards, so a message that passes here is either removed by the
-	// sweep (which serialises behind this lock) or belongs to a live round.
-	if p.closed.Load() || tag.Round < p.minRound.Load() {
-		sh.mu.Unlock()
-		return
-	}
-	rs := sh.roundLocked(tag.Round)
-	key := keyOf(tag, from)
-	if prev, ok := rs.buffered[key]; ok {
-		equiv := !bytes.Equal(prev, payload)
-		sh.mu.Unlock()
-		if equiv {
-			// Same sender, same tag, different payload: equivocation.
-			// This is the ⊥-inducing deviation of §3.2; poison the round
-			// and tell everyone so nobody blocks.
-			reason := fmt.Sprintf("equivocation by %d on %v", from, tag)
-			p.markAborted(tag.Round, p.self, reason, AbortEquivocation, from)
-			// Off the delivering goroutine: a handler must not send (see
-			// transport.Handler).
-			go p.broadcastAbort(tag.Round, reason, AbortEquivocation, from)
+// receiveAbort latches a provider's abort control message: reason, code,
+// culprit. A truncated or garbled payload still aborts the round — ⊥ is
+// never refused — with whichever fields decoded.
+func (p *Peer) receiveAbort(env wire.Envelope) {
+	ae := &AbortError{Round: env.Tag.Round, From: env.From, Reason: "unspecified", Culprit: wire.Broadcast}
+	d := wire.NewDecoder(env.Payload)
+	if s := d.String(); d.Err() == nil {
+		ae.Reason = s
+		if c := AbortCode(d.Uint8()); d.Err() == nil && c < NumAbortCodes {
+			ae.Code = c
 		}
-		return
+		if id := d.Uint32(); d.Err() == nil {
+			ae.Culprit = wire.NodeID(id)
+		}
 	}
-	rs.buffered[key] = payload
-	ws := rs.waiters[key]
-	if ws != nil {
-		delete(rs.waiters, key)
-	}
-	sh.mu.Unlock()
-	for n := ws; n != nil; {
-		next := n.next  // the receiver may recycle n the moment the send lands
-		n.ch <- payload // buffered channel of size 1; never blocks
-		n = next
-	}
+	p.latch(ae)
+}
+
+// encodeAbort is the abort control payload receiveAbort decodes.
+func encodeAbort(ae *AbortError) []byte {
+	enc := wire.NewEncoder(len(ae.Reason) + 9)
+	enc.String(ae.Reason)
+	enc.Uint8(uint8(ae.Code))
+	enc.Uint32(uint32(ae.Culprit))
+	return enc.Buffer()
 }
 
 // handleBatch ingests one superframe's envelopes in the producing
@@ -404,7 +363,7 @@ func (p *Peer) handleBatch(envs []wire.Envelope) {
 	for i < len(envs) {
 		e := &envs[i]
 		if e.Tag.Block == wire.BlockControl {
-			p.handle(e.From, e.Tag, e.Payload)
+			p.handle(*e)
 			i++
 			continue
 		}
@@ -426,32 +385,31 @@ type batchWake struct {
 
 // batchEquiv defers an equivocation reaction out of the shard lock.
 type batchEquiv struct {
-	round  uint64
-	from   wire.NodeID
-	reason string
+	tag  wire.Tag
+	from wire.NodeID
 }
 
-// ingestScratch is the deferred-reaction scratch of one ingestRun call,
-// recycled through Peer.ingestPool so steady-state superframe ingest
-// allocates no wake slices. Payload references are cleared before pooling.
-type ingestScratch struct {
-	wakes  []batchWake
-	equivs []batchEquiv
-}
-
-// ingestRun buffers a run of same-shard messages under one lock hold,
-// performing exactly the per-message work of handle; wakeups and
-// equivocation reactions run after the lock drops (handle's own ordering).
+// ingestRun is the one data path: it buffers a run of same-shard messages
+// (a single one for handle) under one lock hold, and wakes their waiters
+// and reacts to equivocations after the lock drops. The deferred reactions
+// collect on the stack, so a run allocates nothing unless it wakes more
+// than len(wakeBuf) waiters; 16 covers a superframe of the market
+// workloads (13 envelopes per frame on average). A message that arrives
+// alone pays for the shared path with a 0.5 KiB clear: ≈ 50 ns over a
+// dedicated one-message path, on a 2-vCPU host (EXPERIMENTS.md, "One
+// way to declare ⊥").
 func (p *Peer) ingestRun(sh *shard, run []wire.Envelope) {
 	if p.closed.Load() {
 		return
 	}
-	sc, _ := p.ingestPool.Get().(*ingestScratch)
-	if sc == nil {
-		sc = &ingestScratch{}
-	}
-	wakes, equivs := sc.wakes, sc.equivs
+	var wakeBuf [16]batchWake
+	var equivBuf [1]batchEquiv
+	wakes, equivs := wakeBuf[:0], equivBuf[:0]
 	sh.mu.Lock()
+	// Re-check under the shard lock: Close and EndRound publish their state
+	// before sweeping the shards, so a message that passes here is either
+	// removed by the sweep (which serialises behind this lock) or belongs
+	// to a live round.
 	if p.closed.Load() {
 		sh.mu.Unlock()
 		return
@@ -466,11 +424,7 @@ func (p *Peer) ingestRun(sh *shard, run []wire.Envelope) {
 		key := keyOf(e.Tag, e.From)
 		if prev, ok := rs.buffered[key]; ok {
 			if !bytes.Equal(prev, e.Payload) {
-				equivs = append(equivs, batchEquiv{
-					round:  e.Tag.Round,
-					from:   e.From,
-					reason: fmt.Sprintf("equivocation by %d on %v", e.From, e.Tag),
-				})
+				equivs = append(equivs, batchEquiv{tag: e.Tag, from: e.From})
 			}
 			continue
 		}
@@ -489,31 +443,35 @@ func (p *Peer) ingestRun(sh *shard, run []wire.Envelope) {
 		w.ch <- w.payload // buffered channel of size 1; never blocks
 	}
 	for _, q := range equivs {
-		p.markAborted(q.round, p.self, q.reason, AbortEquivocation, q.from)
-		go p.broadcastAbort(q.round, q.reason, AbortEquivocation, q.from) // as in handle
+		// Same sender, same tag, different payload: equivocation, the
+		// ⊥-inducing deviation of §3.2. Poison the round and tell everyone
+		// so nobody blocks — off the delivering goroutine, since a handler
+		// must not send (see transport.Handler).
+		ae := &AbortError{Round: q.tag.Round, From: p.self, Code: AbortEquivocation, Culprit: q.from,
+			Reason: fmt.Sprintf("equivocation by %d on %v", q.from, q.tag)}
+		if _, fresh := p.latch(ae); fresh {
+			go p.broadcastAbort(ae)
+		}
 	}
-	clear(wakes) // unpin channels and payloads before recycling
-	clear(equivs)
-	sc.wakes, sc.equivs = wakes[:0], equivs[:0]
-	p.ingestPool.Put(sc)
 }
 
-func (p *Peer) markAborted(round uint64, from wire.NodeID, reason string, code AbortCode, culprit wire.NodeID) {
-	if code == AbortUnknown {
-		code = ClassifyReason(reason)
-	}
-	sh := p.shardFor(round)
+// latch makes ae its round's abort unless the round already has one, and
+// returns the round's abort. fresh reports that ae is it — or that the
+// round is retired and keeps no latch — so the caller broadcasts ae; a
+// received abort needs no broadcast, its sender made one.
+func (p *Peer) latch(ae *AbortError) (_ *AbortError, fresh bool) {
+	sh := p.shardFor(ae.Round)
 	sh.mu.Lock()
-	if round < p.minRound.Load() {
+	if ae.Round < p.minRound.Load() {
 		sh.mu.Unlock()
-		return
+		return ae, true
 	}
-	rs := sh.roundLocked(round)
-	if rs.abortErr != nil {
+	rs := sh.roundLocked(ae.Round)
+	if prev := rs.abortErr; prev != nil {
 		sh.mu.Unlock()
-		return // already aborted
+		return prev, false
 	}
-	rs.abortErr = &AbortError{Round: round, From: from, Reason: reason, Code: code, Culprit: culprit}
+	rs.abortErr = ae
 	if rs.abortCh != nil {
 		close(rs.abortCh)
 	}
@@ -527,10 +485,11 @@ func (p *Peer) markAborted(round uint64, from wire.NodeID, reason string, code A
 	sh.mu.Unlock()
 	// The abort event carries the attribution the flight recorder dumps:
 	// which peer, which code — recorded once, by the node that latched ⊥.
-	trace.Emit(trace.PhaseAbort, round, p.lane, p.self, culprit, int32(code))
+	trace.Emit(trace.PhaseAbort, ae.Round, p.lane, p.self, ae.Culprit, int32(ae.Code))
 	for _, fn := range fns {
 		fn()
 	}
+	return ae, true
 }
 
 // OnAbort registers fn to run when round aborts (⊥). fn runs at most once,
@@ -560,120 +519,54 @@ func (p *Peer) OnAbort(round uint64, fn func()) {
 	sh.mu.Unlock()
 }
 
-func (p *Peer) broadcastAbort(round uint64, reason string, code AbortCode, culprit wire.NodeID) error {
-	enc := wire.NewEncoder(len(reason) + 9)
-	enc.String(reason)
-	enc.Uint8(uint8(code))
-	enc.Uint32(uint32(culprit))
-	payload := enc.Buffer()
-	tag := wire.Tag{Round: round, Block: wire.BlockControl, Step: StepAbort}
-	var firstErr error
+// broadcastAbort sends ae to every other provider. A send error is
+// dropped: the round is ⊥ here either way, and a provider the abort cannot
+// reach ends the round by its own timeout.
+func (p *Peer) broadcastAbort(ae *AbortError) {
+	payload := encodeAbort(ae)
+	tag := wire.Tag{Round: ae.Round, Block: wire.BlockControl, Step: StepAbort}
 	for _, id := range p.providers {
-		if id == p.self {
-			continue
-		}
-		env := wire.Envelope{From: p.self, To: id, Tag: tag, Payload: payload}
-		if err := p.conn.Send(env); err != nil && firstErr == nil {
-			firstErr = err
+		if id != p.self {
+			_ = p.conn.Send(wire.Envelope{From: p.self, To: id, Tag: tag, Payload: payload})
 		}
 	}
-	return firstErr
 }
 
-// Abort declares ⊥ for round: it poisons the local round state and notifies
-// all other providers. It is idempotent. The cause is classified from the
-// reason string; callers that know the typed cause use AbortWith.
-func (p *Peer) Abort(round uint64, reason string) error {
-	return p.AbortWith(round, reason, ClassifyReason(reason), wire.Broadcast)
-}
-
-// AbortWith is Abort with an explicit typed cause and (where known) the
-// deviant peer, both of which travel on the abort control message so every
-// provider counts the same cause.
-func (p *Peer) AbortWith(round uint64, reason string, code AbortCode, culprit wire.NodeID) error {
-	p.markAborted(round, p.self, reason, code, culprit)
-	return p.broadcastAbort(round, reason, code, culprit)
-}
-
-// FailRound declares ⊥ for round with the given reason and returns the
-// round's abort error. If the round already aborted, that abort stands: it is
-// returned and nothing is sent. Building blocks call it on any local failure
-// so that no peer is left blocking.
-func (p *Peer) FailRound(round uint64, reason string) error {
-	return p.fail(round, reason, ClassifyReason(reason), wire.Broadcast)
-}
-
-// fail is the one failure path: the round's existing abort if it has one,
-// else a fresh abort latched, broadcast and returned.
-func (p *Peer) fail(round uint64, reason string, code AbortCode, culprit wire.NodeID) error {
-	if err := p.AbortErr(round); err != nil {
-		return err
+// Fail is the one way a peer declares ⊥ for round. It returns the round's
+// abort: if the round already aborted, that abort stands and nothing is
+// sent; otherwise a fresh abort latches and is broadcast once, so no
+// provider is left blocking. The fresh abort's code and culprit come from
+// cause's type alone (AbortCodeOf): an *AbortError keeps its own code,
+// culprit and reason (a site's verdict on one provider's message); a
+// *DisconnectError names the dead peer; anything else has no culprit. op
+// prefixes the reason.
+func (p *Peer) Fail(round uint64, op string, cause error) error {
+	reason, culprit := cause.Error(), wire.Broadcast
+	var verdict *AbortError
+	var de *DisconnectError
+	if errors.As(cause, &verdict) {
+		reason, culprit = verdict.Reason, verdict.Culprit
+	} else if errors.As(cause, &de) {
+		culprit = de.Peer
 	}
-	_ = p.AbortWith(round, reason, code, culprit)
-	if err := p.AbortErr(round); err != nil {
-		return err
+	ae := &AbortError{Round: round, From: p.self, Reason: op + ": " + reason, Code: AbortCodeOf(cause), Culprit: culprit}
+	latched, fresh := p.latch(ae)
+	if fresh {
+		p.broadcastAbort(ae)
 	}
-	return &AbortError{Round: round, From: p.self, Reason: reason, Code: code, Culprit: culprit}
+	return latched
 }
 
 // timeoutError is the receive-timeout verdict for a silent peer: a plain
 // deadline for a peer presumed alive, a DisconnectError when the failure
 // detector has already declared it dead — the crash-vs-slow distinction
-// every downstream classifier keys on.
+// AbortCodeOf types.
 func (p *Peer) timeoutError(from wire.NodeID) error {
 	if p.health != nil && from != p.self && p.health.PeerDead(from) {
 		return &DisconnectError{Peer: from}
 	}
 	return context.DeadlineExceeded
 }
-
-// FailCause is FailRound for failures carried by a typed error: the code and
-// culprit come from err instead of being re-derived from prose, and op
-// prefixes the reason. An *AbortError cause carries its own code, culprit
-// and reason (a block's verdict on one provider's message); a
-// DisconnectError aborts as disconnect with the dead peer as culprit;
-// anything else is classified by AbortCodeOf with no culprit.
-func (p *Peer) FailCause(round uint64, op string, err error) error {
-	code, culprit, reason := AbortCodeOf(err), wire.Broadcast, err.Error()
-	var ae *AbortError
-	var de *DisconnectError
-	if errors.As(err, &ae) {
-		culprit, reason = ae.Culprit, ae.Reason
-	} else if errors.As(err, &de) {
-		culprit = de.Peer
-	}
-	return p.fail(round, op+": "+reason, code, culprit)
-}
-
-// AbortChan returns a channel that closes when round aborts (⊥). For a
-// round already retired by EndRound it returns an already-closed channel —
-// a retired round can never complete, so "treat it as dead" is the only
-// useful answer. Schedulers select on it to cancel in-flight speculative
-// work the moment the round dies.
-func (p *Peer) AbortChan(round uint64) <-chan struct{} {
-	sh := p.shardFor(round)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if round < p.minRound.Load() || p.closed.Load() {
-		return closedChan
-	}
-	rs := sh.roundLocked(round)
-	if rs.abortCh == nil {
-		rs.abortCh = make(chan struct{})
-		if rs.abortErr != nil {
-			close(rs.abortCh)
-		}
-	}
-	return rs.abortCh
-}
-
-// closedChan is the shared already-closed channel AbortChan hands out for
-// retired rounds.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // AbortErr returns the abort error for round, or nil.
 func (p *Peer) AbortErr(round uint64) error {
@@ -730,11 +623,11 @@ func (p *Peer) EndRound(round uint64) {
 // Send transmits payload under tag to a single node. Sends to self are
 // delivered locally without touching the transport.
 func (p *Peer) Send(to wire.NodeID, tag wire.Tag, payload []byte) error {
+	env := wire.Envelope{From: p.self, To: to, Tag: tag, Payload: payload}
 	if to == p.self {
-		p.handle(p.self, tag, payload)
+		p.handle(env)
 		return nil
 	}
-	env := wire.Envelope{From: p.self, To: to, Tag: tag, Payload: payload}
 	return p.conn.Send(env)
 }
 
@@ -885,7 +778,7 @@ func (p *Peer) GatherAppend(ctx context.Context, tag wire.Tag, set []wire.NodeID
 // slice for the caller to recycle. On failure it returns the round's abort:
 //
 //   - the existing one, if the round already aborted;
-//   - for a gather error, one typed by FailCause (a dead peer is a
+//   - for a gather error, one typed by Fail (a dead peer is a
 //     disconnect with that peer as culprit);
 //   - for differing payloads, AbortProtocol with no culprit: a mismatch
 //     between views shows that someone lied, never who.
@@ -902,11 +795,11 @@ func (p *Peer) Unanimous(ctx context.Context, tag wire.Tag, set []wire.NodeID, b
 		value = buf[i]
 	}
 	if err != nil {
-		return nil, buf, p.FailCause(tag.Round, tag.String(), err)
+		return nil, buf, p.Fail(tag.Round, tag.String(), err)
 	}
 	return value, buf, nil
 }
 
 // errDisagree is Unanimous's verdict on differing copies, as a typed cause
-// for FailCause: a protocol deviation by nobody in particular.
+// for Fail: a protocol deviation by nobody in particular.
 var errDisagree = &AbortError{Code: AbortProtocol, Culprit: wire.Broadcast, Reason: "senders disagree"}

@@ -3,6 +3,7 @@ package proto
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,9 +176,7 @@ func TestAbortWakesBlockedReceivers(t *testing.T) {
 		errCh <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if err := peers[0].Abort(3, "test abort"); err != nil {
-		t.Fatal(err)
-	}
+	peers[0].Fail(3, "test", errors.New("test abort"))
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, ErrAborted) {
@@ -192,16 +191,40 @@ func TestAbortWakesBlockedReceivers(t *testing.T) {
 	}
 }
 
+// sendCounter counts the envelopes a peer hands its transport.
+type sendCounter struct {
+	transport.Conn
+	n atomic.Int32
+}
+
+func (c *sendCounter) Send(env wire.Envelope) error {
+	c.n.Add(1)
+	return c.Conn.Send(env)
+}
+
+// A round's first abort stands: a second Fail returns it and sends nothing.
 func TestAbortIsIdempotentAndLocal(t *testing.T) {
-	peers := newCluster(t, 2)
-	if err := peers[0].Abort(1, "first"); err != nil {
+	hub := transport.NewHub(transport.LatencyModel{}, 1)
+	t.Cleanup(func() { hub.Close() })
+	conn, err := hub.Attach(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := peers[0].Abort(1, "second"); err != nil {
-		t.Fatal(err)
+	sent := &sendCounter{Conn: conn}
+	p := NewPeer(sent, []wire.NodeID{1, 2})
+	t.Cleanup(func() { p.Close() })
+	first := p.Fail(1, "test", errors.New("first"))
+	if n := sent.n.Load(); n != 1 {
+		t.Fatalf("first Fail sent %d aborts, want 1", n)
+	}
+	if second := p.Fail(1, "test", errors.New("second")); second != first {
+		t.Errorf("second Fail returned %v, want the first abort %v", second, first)
+	}
+	if n := sent.n.Load(); n != 1 {
+		t.Errorf("second Fail sent %d more aborts, want none", n-1)
 	}
 	var ae *AbortError
-	if err := peers[0].AbortErr(1); !errors.As(err, &ae) || ae.Reason != "first" {
+	if err := p.AbortErr(1); !errors.As(err, &ae) || ae.Reason != "test: first" {
 		t.Errorf("first abort reason must win: %v", err)
 	}
 }
@@ -277,9 +300,7 @@ func TestUnanimous(t *testing.T) {
 				t.Cleanup(func(p *Peer) func() { return func() { p.Close() } }(peers[i]))
 			}
 			if tc.aborted != "" {
-				if err := peers[0].Abort(1, tc.aborted); err != nil {
-					t.Fatal(err)
-				}
+				peers[0].Fail(1, "test", errors.New(tc.aborted))
 			}
 			for i, v := range tc.sent {
 				if v != "" {
@@ -304,7 +325,7 @@ func TestUnanimous(t *testing.T) {
 			if ae.Code != tc.code || ae.Culprit != tc.culprit {
 				t.Errorf("abort %v culprit %d, want %v culprit %d (reason %q)", ae.Code, ae.Culprit, tc.code, tc.culprit, ae.Reason)
 			}
-			if tc.aborted != "" && ae.Reason != tc.aborted {
+			if tc.aborted != "" && ae.Reason != "test: "+tc.aborted {
 				t.Errorf("reason %q: the round's earlier abort must stand", ae.Reason)
 			}
 			if latched := peers[0].AbortErr(1); latched != error(ae) {
@@ -426,9 +447,7 @@ func TestRecycledRoundStateIsClean(t *testing.T) {
 	const stride = 8 // numShards
 	for i := 0; i < 5; i++ {
 		r := uint64(1 + i*stride)
-		if err := peers[1].Abort(r, "poison"); err != nil {
-			t.Fatal(err)
-		}
+		peers[1].Fail(r, "test", errors.New("poison"))
 		if err := peers[1].AbortErr(r); err == nil {
 			t.Fatalf("round %d not aborted", r)
 		}
@@ -468,16 +487,6 @@ func TestCloseUnblocksReceive(t *testing.T) {
 	// Receive on a closed peer fails immediately.
 	if _, err := peers[1].Receive(context.Background(), tag(1, wire.BlockTask, 0, 2), 1); !errors.Is(err, ErrPeerClosed) {
 		t.Errorf("got %v", err)
-	}
-}
-
-func TestIsProvider(t *testing.T) {
-	peers := newCluster(t, 3)
-	if !peers[0].IsProvider(2) {
-		t.Error("2 should be a provider")
-	}
-	if peers[0].IsProvider(99) {
-		t.Error("99 should not be a provider")
 	}
 }
 

@@ -166,32 +166,3 @@ func TestConcurrentGathersSameRound(t *testing.T) {
 		p.EndRound(1)
 	}
 }
-
-// AbortChan must close on abort, stay open for live rounds, and come back
-// already closed for retired rounds (a receive there can never complete).
-func TestAbortChan(t *testing.T) {
-	peers := newCluster(t, 2)
-	ch := peers[0].AbortChan(1)
-	select {
-	case <-ch:
-		t.Fatal("live round's abort chan is closed")
-	default:
-	}
-	if err := peers[0].Abort(1, "test"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ch:
-	case <-time.After(time.Second):
-		t.Fatal("abort chan did not close on abort")
-	}
-	peers[0].EndRound(1)
-	select {
-	case <-peers[0].AbortChan(1):
-	default:
-		t.Fatal("retired round's abort chan must be closed")
-	}
-	if msgs, rounds := peers[0].StateSize(); msgs != 0 || rounds != 0 {
-		t.Fatalf("AbortChan on a retired round left state: %d msgs, %d rounds", msgs, rounds)
-	}
-}

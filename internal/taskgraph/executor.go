@@ -265,7 +265,7 @@ func (ex *Executor) Run(ctx context.Context, round uint64, env any, opts Options
 		if !final.ok {
 			// Unreachable: the final task runs at all providers and a clean
 			// validErr was ruled out above.
-			err = ex.peer.FailRound(round, "taskgraph: final result missing")
+			err = ex.peer.Fail(round, "taskgraph: final result missing", errInvariant)
 		} else {
 			out = final.result
 		}
@@ -400,8 +400,7 @@ func (er *execRound) runTask(ti int) {
 	}
 	out, err := t.Run(ctx, &st.tc)
 	if err != nil {
-		fail(ex.peer.FailRound(er.round, fmt.Sprintf(
-			"taskgraph: task %d (%s) failed: %v", t.ID, t.Name, err)))
+		fail(ex.peer.Fail(er.round, fmt.Sprintf("taskgraph: task %d (%s) failed", t.ID, t.Name), err))
 		return
 	}
 	st.result = out
@@ -416,7 +415,7 @@ func (er *execRound) runTask(ti int) {
 	tag := wire.Tag{Round: er.round, Block: wire.BlockTask, Instance: t.ID, Step: stepTaskDigest}
 	for _, member := range t.Group {
 		if err := ex.peer.Send(member, tag, digest[:]); err != nil {
-			fail(ex.peer.FailCause(er.round, fmt.Sprintf("taskgraph: task %d digest send", t.ID), err))
+			fail(ex.peer.Fail(er.round, fmt.Sprintf("taskgraph: task %d digest send", t.ID), err))
 			return
 		}
 	}
@@ -461,8 +460,8 @@ func (er *execRound) collectInputs(ti int) (map[uint32][]byte, error) {
 	for _, d := range t.Deps {
 		di, ok := ex.g.byID[d]
 		if !ok {
-			return nil, ex.peer.FailRound(er.round, fmt.Sprintf(
-				"taskgraph: task %d (%s) missing input %d", t.ID, t.Name, d))
+			return nil, ex.peer.Fail(er.round, fmt.Sprintf(
+				"taskgraph: task %d (%s) missing input %d", t.ID, t.Name, d), errInvariant)
 		}
 		if ex.localTask[di] {
 			src := &er.states[di]
@@ -476,8 +475,8 @@ func (er *execRound) collectInputs(ti int) (map[uint32][]byte, error) {
 		if e == nil {
 			// Unreachable: a non-local dependency in a different group
 			// always has an edge.
-			return nil, ex.peer.FailRound(er.round, fmt.Sprintf(
-				"taskgraph: task %d input %d has no transfer edge", t.ID, d))
+			return nil, ex.peer.Fail(er.round, fmt.Sprintf(
+				"taskgraph: task %d input %d has no transfer edge", t.ID, d), errInvariant)
 		}
 		v, err := er.recvEdge(e)
 		if err != nil {
@@ -514,8 +513,8 @@ func (er *execRound) awaitUpstream(ti int) error {
 		di, ok := ex.g.byID[d]
 		if !ok {
 			// Unreachable: collectInputs already resolved every dependency.
-			return ex.peer.FailRound(er.round, fmt.Sprintf(
-				"taskgraph: task %d dependency %d vanished", t.ID, d))
+			return ex.peer.Fail(er.round, fmt.Sprintf(
+				"taskgraph: task %d dependency %d vanished", t.ID, d), errInvariant)
 		}
 		if !ex.localTask[di] {
 			continue
@@ -570,11 +569,13 @@ func (ex *Executor) inEdgeFrom(ti, di int) *edge {
 }
 
 // failCtx converts a context expiry while waiting for dependency d into the
-// round's abort error (preferring an abort that raced in).
+// round's abort, typed by the context's error: a timeout, or closed for a
+// cancelled round (an abort that raced in stands).
 func (er *execRound) failCtx(t *Task, d uint32) error {
-	if abortErr := er.ex.peer.AbortErr(er.round); abortErr != nil {
-		return abortErr
-	}
-	return er.ex.peer.FailRound(er.round, fmt.Sprintf(
-		"taskgraph: task %d (%s) waiting for input %d: %v", t.ID, t.Name, d, er.ctx.Err()))
+	return er.ex.peer.Fail(er.round, fmt.Sprintf(
+		"taskgraph: task %d (%s) waiting for input %d", t.ID, t.Name, d), er.ctx.Err())
 }
+
+// errInvariant is the cause of the executor's unreachable failures: a
+// graph or schedule invariant broke, a protocol fault with no culprit.
+var errInvariant = &proto.AbortError{Code: proto.AbortProtocol, Culprit: wire.Broadcast, Reason: "schedule invariant broken"}

@@ -43,16 +43,29 @@ func TestMidGraphMismatchAbortsAndUnwinds(t *testing.T) {
 	g1, g2 := all[:2], all[2:]
 
 	slowStarted := make(chan struct{}, m)
+	// The first slow start releases left, so the lying result — and the
+	// abort it causes — always comes while a slow task is in flight.
+	slowRunning := make(chan struct{})
+	var slowOnce sync.Once
 	mkGraph := func(left string) *Graph {
 		g, err := New(all, 1, []Task{
 			{ID: 1, Name: "root", Group: all, Run: constTask("base")},
-			{ID: 2, Name: "left", Deps: []uint32{1}, Group: g1, Run: constTask(left)},
+			{ID: 2, Name: "left", Deps: []uint32{1}, Group: g1,
+				Run: func(ctx context.Context, tc *TaskContext) ([]byte, error) {
+					select {
+					case <-slowRunning:
+						return []byte(left), nil
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					}
+				}},
 			{ID: 3, Name: "slow", Deps: []uint32{1}, Group: g2,
 				Run: func(ctx context.Context, tc *TaskContext) ([]byte, error) {
 					// An in-flight task body: in the poisoned round the
 					// scheduler's abort watchdog cancels it long before the
 					// timer; in honest rounds it just takes a while.
 					slowStarted <- struct{}{}
+					slowOnce.Do(func() { close(slowRunning) })
 					select {
 					case <-ctx.Done():
 						return nil, ctx.Err()
@@ -200,4 +213,74 @@ func TestConcurrentRoundsAbortIsolation(t *testing.T) {
 		}
 	}
 	settleGoroutines(t, before)
+}
+
+// A round cancelled while a task waits on an input aborts as closed at
+// every provider: the waiting site types its abort by the context's error,
+// and every peer latches the code the first aborter decided.
+func TestCancelledInputWaitAbortsClosed(t *testing.T) {
+	const m = 3
+	peers := newPeers(t, m)
+	all := providerIDs(m)
+	g, err := New(all, 1, []Task{
+		{ID: 1, Name: "root", Group: all, Run: constTask("base")},
+		{ID: 2, Name: "waiter", Deps: []uint32{1}, Group: all, Run: constTask("dep")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The publish gate holds the root's validation open, so task 2 computes
+	// speculatively and then waits for its input's confirmation.
+	gated := make(chan struct{}, 2*m)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	gate := func() error {
+		gated <- struct{}{}
+		<-release
+		return nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make([]error, m)
+	var wg sync.WaitGroup
+	defer func() { open(); wg.Wait() }()
+	for i, p := range peers {
+		wg.Add(1)
+		go func(i int, p *proto.Peer) {
+			defer wg.Done()
+			_, errs[i] = Execute(ctx, p, 1, g, Options{Gate: gate})
+		}(i, p)
+	}
+	for range peers {
+		select {
+		case <-gated:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the root never reached the publish gate")
+		}
+	}
+	// Give every task 2 time to reach its input wait, so the cancel lands
+	// there rather than in a gather; the assertion holds either way.
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	deadline := time.Now().Add(10 * time.Second)
+	for i, p := range peers {
+		for p.AbortErr(1) == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("provider %d: the cancelled round never aborted", i+1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	open()
+	wg.Wait()
+	for i, p := range peers {
+		var ae *proto.AbortError
+		if !errors.As(p.AbortErr(1), &ae) || ae.Code != proto.AbortClosed {
+			t.Errorf("provider %d: abort %v, want code closed", i+1, p.AbortErr(1))
+		}
+		if !errors.Is(errs[i], proto.ErrAborted) {
+			t.Errorf("provider %d: Execute returned %v, want ⊥", i+1, errs[i])
+		}
+	}
 }

@@ -76,9 +76,7 @@ func TestSessionPipelinedRounds(t *testing.T) {
 
 	// Poison one future round at one provider before any bids are in: the
 	// abort must cost exactly that round (⊥) and nothing else.
-	if err := sessions[0].Peer().Abort(poisoned, "injected deviation"); err != nil {
-		t.Fatal(err)
-	}
+	sessions[0].Peer().Fail(poisoned, "test", errors.New("injected deviation"))
 
 	// Bidders run ahead of the pipeline: all bids submitted up front.
 	for bi, b := range bidders {

@@ -83,9 +83,8 @@ func TestTraceAbortAttribution(t *testing.T) {
 	if !ok {
 		t.Fatal("auction missing on market 1")
 	}
-	if err := a.Session().Peer().AbortWith(poisoned, "injected equivocation", proto.AbortEquivocation, culprit); err != nil {
-		t.Fatal(err)
-	}
+	a.Session().Peer().Fail(poisoned, "test",
+		&proto.AbortError{Code: proto.AbortEquivocation, Culprit: culprit, Reason: "injected equivocation"})
 
 	for _, id := range users {
 		conn, err := hub.Attach(id)
