@@ -2,9 +2,10 @@
 // the paper, Property 5).
 //
 // A set S of providers holds a value v (the result of a task they all
-// computed); a set O of providers needs it. Every member of S sends v to
-// every member of O; a receiver that observes two different values outputs
-// ⊥. With |S| > k at least one sender is outside any coalition, so a
+// computed); a set O of providers needs it — the consumers that did not
+// compute v, since a consumer in S already holds the copy its group agreed
+// on. Every member of S sends v to every member of O; a receiver that
+// observes two different values outputs ⊥. With |S| > k at least one sender is outside any coalition, so a
 // coalition cannot make an honest receiver adopt v′ ∉ {v, ⊥} — it can only
 // force ⊥, which solution preference makes unprofitable.
 package datatransfer

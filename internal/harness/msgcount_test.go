@@ -1,0 +1,115 @@
+package harness
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"distauction/internal/transport"
+	"distauction/internal/wire"
+)
+
+// roundCounter is a Hub that counts, per round tag, the envelopes its
+// connections hand to the network.
+type roundCounter struct {
+	*transport.Hub
+	mu   sync.Mutex
+	sent map[uint64]int
+}
+
+func newRoundCounter(seed int64) *roundCounter {
+	return &roundCounter{Hub: transport.NewHub(transport.LatencyModel{}, seed), sent: map[uint64]int{}}
+}
+
+func (n *roundCounter) Attach(id wire.NodeID) (transport.Conn, error) {
+	c, err := n.Hub.Attach(id)
+	return countingConn{c, n}, err
+}
+
+func (n *roundCounter) count(envs []wire.Envelope) {
+	n.mu.Lock()
+	for _, env := range envs {
+		n.sent[env.Tag.Round]++
+	}
+	n.mu.Unlock()
+}
+
+type countingConn struct {
+	transport.Conn
+	n *roundCounter
+}
+
+func (c countingConn) Send(env wire.Envelope) error {
+	err := c.Conn.Send(env)
+	if err == nil {
+		c.n.count([]wire.Envelope{env})
+	}
+	return err
+}
+
+func (c countingConn) SendBatch(envs []wire.Envelope) error {
+	err := c.Conn.SendBatch(envs)
+	if err == nil {
+		c.n.count(envs)
+	}
+	return err
+}
+
+// TestRoundMessageCounts pins the network messages of one round at m=8,
+// k=1, n=60 — the fig5-standard-n60 deployment — and of a steady-state
+// double-auction round at the same size. A self-addressed send never
+// reaches the network and is not counted.
+func TestRoundMessageCounts(t *testing.T) {
+	const m, n = 8, 60
+	opts := func(net *roundCounter) []Option {
+		return []Option{WithProviders(m), WithUsers(n), WithK(1), WithSeed(1), WithBidWindow(5 * time.Second),
+			WithNetwork(func(int64) transport.Network { return net })}
+	}
+
+	std := newRoundCounter(1)
+	res, err := RunDistributedStandard(opts(std)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The standard auction is one-sided, so providers broadcast no asks.
+	// Its graph is allocation at all 8, four payment groups of 2, and a
+	// gather at all 8 (p = m/(k+1) = 4).
+	const (
+		bids        = n * m           // 480: every bidder to every provider
+		results     = m * n           // 480: every provider to every bidder
+		agreement   = 3 * m * (m - 1) // 168: bid agreement's commit, echo, reveal
+		coin        = 3 * m * (m - 1) // 168: the allocation's coin toss: commit, echo, reveal
+		validate    = m * (m - 1)     //  56: allocator input validation
+		digests     = 2*m*(m-1) + 4*2 // 120: allocation and gather at all 8, each payment group's pair
+		transfers   = 4 * 2 * (m - 2) //  48: each payment share from its 2 computers to the 6 others
+		stdPerRound = bids + results + agreement + coin + validate + digests + transfers
+	)
+	// Before the transfer plan, each payment share also went to its own
+	// group's other member (+8), and the allocation went from all 8
+	// providers to each payment group's 2 members (+56): 1584.
+	if stdPerRound != 1520 {
+		t.Fatalf("arithmetic: %d", stdPerRound)
+	}
+	if got := std.sent[1]; got != stdPerRound || res.Msgs != stdPerRound {
+		t.Errorf("standard round sent %d (hub %d) messages, want %d", got, res.Msgs, stdPerRound)
+	}
+
+	// The double auction is a one-task graph: no transfer before or after
+	// it, so the plan leaves its traffic as it was. Round 1 is left out:
+	// a provider whose peers have not attached yet retries its ask.
+	dbl := newRoundCounter(1)
+	if _, err := RunSessionDouble(3, opts(dbl)...); err != nil {
+		t.Fatal(err)
+	}
+	const dblPerRound = n*m + // 480 bids
+		m*(m-1) + // 56 provider asks
+		3*m*(m-1) + // 168 bid agreement
+		m*(m-1) + // 56 input validation
+		m*(m-1) + // 56 digests of the one task
+		m*n // 480 results
+	for r := uint64(2); r <= 3; r++ {
+		if got := dbl.sent[r]; got != dblPerRound {
+			t.Errorf("double round %d sent %d messages, want %d", r, got, dblPerRound)
+		}
+	}
+}

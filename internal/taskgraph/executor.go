@@ -29,10 +29,12 @@ import (
 // gather overlaps downstream compute. Ready tasks are fed to long-lived
 // workers through a buffered queue sized so handoff never blocks; a worker
 // drives its task through compute, digest cross-validation, transitive
-// confirmation and publication. In-edge transfers are received
-// synchronously and memoized per round (push-mode transports buffer
-// payloads regardless of when Recv runs, so this costs no extra round
-// trips). Round aborts cancel in-flight work through proto.OnAbort.
+// confirmation and publication. A dependency the provider computed itself
+// is read from its own copy; only a dependency it did not compute arrives
+// as a transfer, received synchronously before the task computes
+// (push-mode transports buffer payloads regardless of when the receive
+// runs, so this costs no extra round trips). Round aborts cancel in-flight
+// work through proto.OnAbort.
 //
 // Speculation never crosses a trust boundary: a provider starts dependents
 // from its own locally computed outputs before their digest gathers
@@ -74,10 +76,10 @@ type workItem struct {
 	ti int
 }
 
-// execRound is the pooled per-round arena: every task's lifecycle state and
-// every edge's memoized receive. It is owned by exactly one Run call at a
-// time; putRound drops all payload references before recycling so a pooled
-// round pins nothing from the round it served.
+// execRound is the pooled per-round arena: every task's lifecycle state.
+// It is owned by exactly one Run call at a time; putRound drops all payload
+// references before recycling so a pooled round pins nothing from the
+// round it served.
 type execRound struct {
 	ex    *Executor
 	round uint64
@@ -87,7 +89,6 @@ type execRound struct {
 	gate  func() error
 
 	states  []execTask
-	edges   []edgeMemo
 	pending sync.WaitGroup
 }
 
@@ -112,17 +113,7 @@ type execTask struct {
 	validErr  error
 	ok        bool
 
-	gatherBuf [][]byte // digest-gather scratch
-}
-
-// edgeMemo is one consumed in-edge's memoized receive. Each edge is
-// consumed by exactly one task, and all of that task's receives run in its
-// single worker, so the memo needs no synchronization.
-type edgeMemo struct {
-	value   []byte
-	err     error
-	done    bool
-	scratch [][]byte
+	gatherBuf [][]byte // transfer and digest-gather scratch
 }
 
 // NewExecutor compiles the schedule plan for g at peer's local provider and
@@ -290,7 +281,6 @@ func (ex *Executor) getRound() *execRound {
 	er = &execRound{
 		ex:     ex,
 		states: make([]execTask, len(ex.g.tasks)),
-		edges:  make([]edgeMemo, len(ex.g.edges)),
 	}
 	for ti := range er.states {
 		st := &er.states[ti]
@@ -319,12 +309,6 @@ func (ex *Executor) putRound(er *execRound) {
 		}
 		clear(st.gatherBuf)
 		st.gatherBuf = st.gatherBuf[:0]
-	}
-	for i := range er.edges {
-		m := &er.edges[i]
-		m.value, m.err, m.done = nil, nil, false
-		clear(m.scratch)
-		m.scratch = m.scratch[:0]
 	}
 	er.ctx, er.env, er.coins, er.gate = nil, nil, nil, nil
 	ex.mu.Lock()
@@ -433,8 +417,7 @@ func (er *execRound) runTask(ti int) {
 	}
 
 	for _, e := range ex.g.outEdges[ti] {
-		dst := &ex.g.tasks[e.to]
-		if err := datatransfer.Send(ex.peer, er.round, e.instance, dst.Group, out); err != nil {
+		if err := datatransfer.Send(ex.peer, er.round, e.instance, e.receivers, out); err != nil {
 			fail(err)
 			return
 		}
@@ -447,8 +430,9 @@ func (er *execRound) runTask(ti int) {
 
 // collectInputs assembles the task's inputs, keyed by task ID, into the
 // recycled per-task map. Local dependencies have finished their compute
-// phase by construction (the ready queue admitted this task); cross-group
-// edges are received synchronously and memoized.
+// phase by construction (the ready queue admitted this task) and are read
+// from the provider's own copy; every other dependency is an in-edge this
+// provider receives, synchronously and unanimity-checked.
 func (er *execRound) collectInputs(ti int) (map[uint32][]byte, error) {
 	ex := er.ex
 	t := &ex.g.tasks[ti]
@@ -473,12 +457,18 @@ func (er *execRound) collectInputs(ti int) (map[uint32][]byte, error) {
 		}
 		e := ex.inEdgeFrom(ti, di)
 		if e == nil {
-			// Unreachable: a non-local dependency in a different group
-			// always has an edge.
+			// Unreachable: a consumer outside the producer's group is
+			// always one of the edge's receivers.
 			return nil, ex.peer.Fail(er.round, fmt.Sprintf(
 				"taskgraph: task %d input %d has no transfer edge", t.ID, d), errInvariant)
 		}
-		v, err := er.recvEdge(e)
+		// Push-mode transports buffer the payload whether or not anyone is
+		// receiving yet, so the synchronous gather waits only for genuinely
+		// missing messages. The value is a payload view, so the scratch is
+		// free for the next gather.
+		v, buf, err := datatransfer.RecvInto(
+			er.ctx, ex.peer, er.round, e.instance, ex.g.tasks[di].Group, st.gatherBuf)
+		st.gatherBuf = buf
 		if err != nil {
 			return nil, err
 		}
@@ -487,25 +477,11 @@ func (er *execRound) collectInputs(ti int) (map[uint32][]byte, error) {
 	return inputs, nil
 }
 
-// recvEdge performs (or replays) the memoized receive of one consumed
-// in-edge. Push-mode transports buffer the payload whether or not anyone is
-// receiving yet, so the synchronous gather waits only for genuinely missing
-// messages — the concurrency the per-edge goroutines used to provide.
-func (er *execRound) recvEdge(e *edge) ([]byte, error) {
-	m := &er.edges[e.instance]
-	if !m.done {
-		m.value, m.scratch, m.err = datatransfer.RecvInto(
-			er.ctx, er.ex.peer, er.round, e.instance, er.ex.g.tasks[e.from].Group, m.scratch[:0])
-		m.done = true
-	}
-	return m.value, m.err
-}
-
 // awaitUpstream blocks until everything the task's result transitively
-// relies on is confirmed: validation of every locally supplied dependency,
-// the receive unanimity check of every consumed in-edge (which for
-// speculatively used local values also proves the local copy matched the
-// senders'), and the external publish gate.
+// relies on is confirmed: validation of every locally supplied dependency
+// (its digest gather proved the provider's own copy equal to its group's)
+// and the external publish gate. Every received dependency already passed
+// its unanimity check in collectInputs.
 func (er *execRound) awaitUpstream(ti int) error {
 	ex := er.ex
 	t := &ex.g.tasks[ti]
@@ -527,11 +503,6 @@ func (er *execRound) awaitUpstream(ti int) error {
 		}
 		if src.validErr != nil {
 			return src.validErr
-		}
-	}
-	for i := range ex.g.inEdges[ti] {
-		if _, err := er.recvEdge(&ex.g.inEdges[ti][i]); err != nil {
-			return err
 		}
 	}
 	if er.gate != nil {

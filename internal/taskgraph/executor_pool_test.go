@@ -50,7 +50,7 @@ func runExecutors(t *testing.T, exs []*Executor, round uint64, env string) ([][]
 // TestExecutorArenaRecycling drives a persistent executor through many
 // sequential rounds on the same compiled graph, with a distinct per-round
 // env threaded through a diamond of tasks (including subgroup tasks, so
-// edge memos and transfer scratch recycle too). Every round's output must
+// transfer scratch recycles too). Every round's output must
 // be exactly the value derived from THAT round's env — any cross-round
 // bleed through the pooled round arenas is a hard failure. Run under -race
 // this also checks the arena handoff discipline between the scheduler and

@@ -5,7 +5,10 @@
 // assigned to a group of at least k+1 providers, so no coalition of size ≤ k
 // controls any task; group members execute the task redundantly and
 // cross-validate their results by digest. When a task's result is needed by
-// a task with a different group, it crosses via the data-transfer block.
+// a task with a different group, it crosses via the data-transfer block —
+// to the consumer-group members that did not compute it, and only to them:
+// a member of both groups reads its own copy, which the producer's digest
+// gather has already proven equal to every other member's.
 // Tasks that draw randomness obtain it from the common coin; such tasks must
 // be assigned to the full provider set, because the coin involves everyone.
 // The final task depends (transitively) on every other task, runs at all
@@ -123,7 +126,7 @@ type Task struct {
 // Graph is a validated task decomposition.
 type Graph struct {
 	tasks    []Task
-	edges    []edge   // transfer schedule, ordered deterministically
+	edges    []edge   // transfer plan, ordered deterministically
 	inEdges  [][]edge // per task: edges delivering its inputs
 	outEdges [][]edge // per task: edges publishing its result
 
@@ -132,10 +135,13 @@ type Graph struct {
 	byID          map[uint32]int // task ID → index into tasks
 }
 
-// edge is a cross-group data dependency (from → to).
+// edge is a data dependency (from → to) that some consumer did not
+// compute: the producer's group sends the value to receivers, the members
+// of the consumer's group outside the producer's.
 type edge struct {
-	from, to int // indexes into tasks
-	instance uint32
+	from, to  int // indexes into tasks
+	instance  uint32
+	receivers []wire.NodeID
 }
 
 // New assembles and validates a graph for the given provider set and
@@ -221,7 +227,7 @@ func New(providers []wire.NodeID, k int, tasks []Task) (*Graph, error) {
 			ErrBadGraph, len(reach), len(sorted))
 	}
 
-	// Enumerate cross-group edges in deterministic order; the edge index is
+	// Compile the transfer plan in deterministic order; the edge index is
 	// the data-transfer instance number at every provider.
 	g := &Graph{
 		tasks:    sorted,
@@ -235,10 +241,16 @@ func New(providers []wire.NodeID, k int, tasks []Task) (*Graph, error) {
 		slices.Sort(deps)
 		for _, d := range deps {
 			from := index[d]
-			if proto.EqualNodes(sorted[from].Group, t.Group) {
-				continue // same group already holds the value
+			var receivers []wire.NodeID
+			for _, c := range t.Group {
+				if !proto.ContainsNode(sorted[from].Group, c) {
+					receivers = append(receivers, c)
+				}
 			}
-			e := edge{from: from, to: i, instance: uint32(len(g.edges))}
+			if len(receivers) == 0 {
+				continue // every consumer computed the value itself
+			}
+			e := edge{from: from, to: i, instance: uint32(len(g.edges)), receivers: receivers}
 			g.edges = append(g.edges, e)
 			g.inEdges[i] = append(g.inEdges[i], e)
 			g.outEdges[from] = append(g.outEdges[from], e)
@@ -261,7 +273,8 @@ func (g *Graph) CoinInstances() []uint32 { return g.coinInstances }
 // Tasks returns the tasks in execution (ID) order.
 func (g *Graph) Tasks() []Task { return g.tasks }
 
-// NumTransfers returns the number of cross-group transfers per execution.
+// NumTransfers returns the number of transfers per execution: the
+// dependencies with at least one consumer outside the producer's group.
 func (g *Graph) NumTransfers() int { return len(g.edges) }
 
 // Groups partitions providers into ⌊m/(k+1)⌋ disjoint groups of at least

@@ -163,9 +163,11 @@ func TestDiamondWithDisjointGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.NumTransfers(); got != 4 {
-		// edges: 1→2 (groups differ), 1→3, 2→4, 3→4.
-		t.Errorf("transfers = %d, want 4", got)
+	if got := g.NumTransfers(); got != 2 {
+		// edges: 2→4 and 3→4. Task 1 runs at every provider, so every
+		// member of g1 and g2 computed its value: 1→2 and 1→3 have no
+		// receivers and are not built.
+		t.Errorf("transfers = %d, want 2", got)
 	}
 	outs, errs := executeAll(t, peers, 1, g)
 	for i, err := range errs {
@@ -291,7 +293,6 @@ func TestLyingTransferAborts(t *testing.T) {
 		_ = lieInTransfer
 		return g
 	}
-	_ = g2
 
 	honest := mk(false)
 
@@ -321,10 +322,10 @@ func TestLyingTransferAborts(t *testing.T) {
 		}
 		// Wait for the group digest (as Execute would).
 		_, _ = devi.GatherAppend(ctx, digestTag, g1, nil)
-		// Transfer edge 0 carries task 1's result to task 2's group (all):
-		// send the lie.
+		// Transfer edge 0 carries task 1's result to the members of task
+		// 2's group that did not compute it (g2): send them the lie.
 		transferTag := wire.Tag{Round: 1, Block: wire.BlockTransfer, Instance: 0, Step: 1}
-		for _, o := range all {
+		for _, o := range g2 {
 			_ = devi.Send(o, transferTag, []byte("LIE"))
 		}
 	}()

@@ -274,11 +274,19 @@ func TestResilientRejectedSendLeavesNoGhost(t *testing.T) {
 // a 128-frame window over many times in that. A late frame pins the
 // cumulative ack and the window fills: the sender must wait for it, not
 // give it up, and every message arrives exactly once.
+//
+// The window fills by construction, not by flood speed: the flood starts
+// while the Hub holds every hop, acks included, for 80 ms, so no ack can
+// reach the sender before 160 ms — 128 frames' worth of sends is far less
+// than that even under the race detector. Once the sender is seen at the
+// bound, the 5 % profile replaces the hold. 160 ms stays under the 200 ms
+// resend timeout and far under the 600 ms dead-peer verdict.
 func TestResilientLateFrameOutlivesWindow(t *testing.T) {
-	const count = 60000
+	const count, window = 60000, 128
+	const hold = 80 * time.Millisecond
 	hub := transport.NewHub(transport.LatencyModel{}, 23)
-	hub.SetFaults(transport.Faults{DelayProb: 0.05, DelayMin: 2 * time.Millisecond, DelayMax: 6 * time.Millisecond})
-	rnet := transport.Resilient(hub, transport.ResilientConfig{MaxUnacked: 128})
+	hub.SetFaults(transport.Faults{DelayProb: 1, DelayMin: hold, DelayMax: hold})
+	rnet := transport.Resilient(hub, transport.ResilientConfig{MaxUnacked: window})
 	defer rnet.Close()
 	c1, err := rnet.Attach(1)
 	if err != nil {
@@ -290,13 +298,20 @@ func TestResilientLateFrameOutlivesWindow(t *testing.T) {
 	}
 	at2 := newTally(count)
 	at2.install(c2)
-	depth := flood(t, c1, 1, 2, count)
+	var depth int
+	flooded := make(chan struct{})
+	go func() { defer close(flooded); depth = flood(t, c1, 1, 2, count) }()
+	waitFor(t, "the held first window to fill", func() bool {
+		return c1.(*transport.ResilientConn).UnackedDepth(2) >= window
+	})
+	hub.SetFaults(transport.Faults{DelayProb: 0.05, DelayMin: 2 * time.Millisecond, DelayMax: 6 * time.Millisecond})
 	select {
 	case <-at2.done:
 	case <-time.After(60 * time.Second):
 		t.Fatalf("timed out with %d of %d messages undelivered on a link that drops nothing; link stats %+v",
 			at2.left.Load(), count, rnet.LinkStats())
 	}
+	<-flooded
 	at2.assertExactlyOnce(t, "1→2")
 	awaitDepth(t, c1, 2)
 	ls, fs := rnet.LinkStats(), hub.FaultStats()
@@ -307,7 +322,7 @@ func TestResilientLateFrameOutlivesWindow(t *testing.T) {
 	if ls.Overflow != 0 {
 		t.Errorf("Overflow = %d on a link whose peer never died, want 0", ls.Overflow)
 	}
-	if depth < 128 {
+	if depth < window {
 		t.Fatalf("deepest window %d: the flood never reached the bound, the test proved nothing", depth)
 	}
 }
