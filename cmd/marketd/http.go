@@ -81,6 +81,7 @@ func writeMetrics(w io.Writer, tree statsTree, rt metrics.RuntimeStats) {
 	}
 	writeCounter(w, "distauction_frames_sent_total", "Outbound frames shipped by the coalescer.", at.FramesSent)
 	writeCounter(w, "distauction_envelopes_sent_total", "Envelopes those frames carried.", at.EnvelopesSent)
+	writeCounter(w, "distauction_envelopes_lost_total", "Queued envelopes whose frame failed to ship.", at.EnvelopesLost)
 	writeCounter(w, "distauction_reconnects_total", "Dead peers that came back alive (reconnect-with-resume).", at.Link.Reconnects)
 	writeCounter(w, "distauction_link_resends_total", "Unacked link frames resent.", at.Link.Resends)
 	writeCounter(w, "distauction_link_dups_dropped_total", "Duplicate link frames absorbed by seq dedup.", at.Link.DupsDropped)

@@ -29,7 +29,7 @@ var fixedRuntime = metrics.RuntimeStats{Goroutines: 42, HeapAlloc: 1 << 20, Paus
 // fixedAttachment is one node's attachment in the synthetic trees.
 func fixedAttachment() market.Attachment {
 	return market.Attachment{
-		ParkedDropped: 1, FramesSent: 40, SuperframesSent: 10, EnvelopesSent: 90,
+		ParkedDropped: 1, FramesSent: 40, SuperframesSent: 10, EnvelopesSent: 90, EnvelopesLost: 2,
 		PeerHealth: []transport.PeerHealth{{Peer: 2, State: transport.HealthAlive}, {Peer: 3, State: transport.HealthDead}},
 		Link:       transport.LinkStats{Resends: 3, Reconnects: 1, DupsDropped: 2, Heartbeats: 7},
 	}
@@ -138,9 +138,12 @@ func beyondParent(t *testing.T, got, parent string) string {
 }
 
 // A market tree (TCP mode) keeps every series of the parent's market branch
-// and gains exactly the one family every tree now has.
+// and gains exactly the two families every tree now has.
 func TestMetricsMarketTreeKeepsParentSeries(t *testing.T) {
-	const gained = "# HELP distauction_peers_dead Peers some attachment currently judges dead.\n" +
+	const gained = "# HELP distauction_envelopes_lost_total Queued envelopes whose frame failed to ship.\n" +
+		"# TYPE distauction_envelopes_lost_total counter\n" +
+		"distauction_envelopes_lost_total 2\n" +
+		"# HELP distauction_peers_dead Peers some attachment currently judges dead.\n" +
 		"# TYPE distauction_peers_dead gauge\n" +
 		"distauction_peers_dead 1\n"
 	if extra := beyondParent(t, render(marketTree()), parentGolden(t, "market_parent.golden")); extra != gained {

@@ -762,3 +762,76 @@ func TestMarketCloseIsClean(t *testing.T) {
 		t.Fatalf("want ErrMarketClosed, got %v", err)
 	}
 }
+
+// TestMarketRoundOneSurvivesLateAttach: provider 3 attaches only after
+// providers 1 and 2 have opened the auction and sent round 1's ask toward
+// it. A destination stays synchronous until it accepts a frame, so those
+// sends failed with the Hub's own error and the attach-time retry re-sent
+// them; a coalescer that had queued them instead would have lost them,
+// and provider 3 would sit out the 10 s bid window waiting for the asks.
+func TestMarketRoundOneSurvivesLateAttach(t *testing.T) {
+	const n, rounds = 2, 2
+	const bidWindow = 10 * time.Second
+	users := userRange(1001, n)
+	inst := workload.NewDoubleAuction(1, n, 3)
+	hub := transport.NewHub(transport.LatencyModel{}, 1)
+	t.Cleanup(func() { hub.Close() })
+	d := &testDeployment{t: t, hub: hub, providers: []wire.NodeID{1, 2, 3}}
+	open := func(i int) {
+		conn, err := hub.Attach(d.providers[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		mk, err := market.Open(conn, d.providers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mk.Close() })
+		d.markets = append(d.markets, mk)
+		_, err = mk.OpenAuction(market.AuctionSpec{
+			Name:  "late",
+			Users: users,
+			Options: []core.SessionOption{
+				core.WithK(1),
+				core.WithMechanismName("double"),
+				core.WithBidWindow(bidWindow),
+				core.WithRoundTimeout(testTimeout),
+				core.WithRoundLimit(rounds),
+				core.WithOutcomeBuffer(rounds),
+				core.WithProviderBid(inst.Providers[i]),
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	open(0)
+	open(1)
+	// Each broadcast of an ask sends to provider 2 and then to provider 3:
+	// a second frame means provider 3 has been asked at least once.
+	deadline := time.Now().Add(testTimeout)
+	for _, mk := range d.markets {
+		for mk.Stats().FramesSent < 2 {
+			if time.Now().After(deadline) {
+				t.Fatalf("provider never sent its ask: %+v", mk.Stats().Attachment)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	open(2)
+	start := time.Now()
+	outs := d.runBidders("late", users, rounds, inst)
+	if elapsed := time.Since(start); elapsed >= bidWindow/2 {
+		t.Fatalf("rounds took %v: a provider waited out the bid window for a lost ask", elapsed)
+	}
+	for r, out := range outs {
+		if out.Err != nil {
+			t.Fatalf("round %d: %v", r+1, out.Err)
+		}
+	}
+	for _, mk := range d.markets {
+		if lost := mk.Stats().EnvelopesLost; lost != 0 {
+			t.Fatalf("%d envelopes lost", lost)
+		}
+	}
+}

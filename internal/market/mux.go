@@ -123,7 +123,7 @@ func (m *Mux) Stats() Attachment {
 		BatchedEnvsIn: m.batchedEnvsIn.Load(),
 	}
 	out := m.co.Stats()
-	at.FramesSent, at.SuperframesSent, at.EnvelopesSent = out.Frames, out.Superframes, out.Envelopes
+	at.FramesSent, at.SuperframesSent, at.EnvelopesSent, at.EnvelopesLost = out.Frames, out.Superframes, out.Envelopes, out.Lost
 	if hr, ok := m.conn.(transport.HealthReporter); ok {
 		at.PeerHealth, at.Link = hr.PeerHealth(), hr.LinkStats()
 	}
@@ -200,11 +200,15 @@ func (m *Mux) closeLane(lc *laneConn) {
 	m.lanes.Store(&next)
 }
 
-// Close shuts the mux, every lane and the underlying connection.
+// Close shuts the mux, every lane and the underlying connection. Lane
+// sends fail with ErrMuxClosed from here on; what they queued before ships
+// ahead of the connection's close, except behind a ship the connection is
+// holding (transport.Coalescer.Flush).
 func (m *Mux) Close() error {
 	var err error
 	m.once.Do(func() {
 		m.closed.Store(true)
+		m.co.Flush()
 		err = m.conn.Close()
 		m.mu.Lock()
 		lanes := *m.lanes.Load()

@@ -2,8 +2,10 @@ package market_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,7 +158,9 @@ func TestMuxCountsLaneMailboxDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The zero-latency hub delivered inside Send: the count is settled.
+	// Sends return once queued; the zero-latency hub delivers inside the
+	// coalescer's ships, so once they are done the count is settled.
+	ma.DrainSends()
 	if got := mb.Stats().ParkedDropped; got != flood-room {
 		t.Fatalf("ParkedDropped = %d, want %d", got, flood-room)
 	}
@@ -240,5 +244,136 @@ func TestDeviantConnUnderMuxStillEquivocates(t *testing.T) {
 			t.Fatalf("node %d received an extra envelope: %+v", to, extra)
 		}
 		cancel()
+	}
+}
+
+// heldConn holds every send while held is set, until the conn closes —
+// the way a Resilient conn holds a sender waiting for window room — and
+// then fails it.
+type heldConn struct {
+	transport.Conn
+	held    atomic.Bool
+	holding atomic.Int32 // ships held right now
+	closed  chan struct{}
+	once    sync.Once
+}
+
+func (c *heldConn) wait() error {
+	if c.held.Load() {
+		c.holding.Add(1)
+		<-c.closed
+		return transport.ErrClosed
+	}
+	return nil
+}
+
+func (c *heldConn) Send(env wire.Envelope) error {
+	if err := c.wait(); err != nil {
+		return err
+	}
+	return c.Conn.Send(env)
+}
+
+func (c *heldConn) SendBatch(envs []wire.Envelope) error {
+	if err := c.wait(); err != nil {
+		return err
+	}
+	return c.Conn.SendBatch(envs)
+}
+
+func (c *heldConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestMuxCloseDoesNotWaitOnHeldShip: Close never waits on a flush whose
+// ship the conn is holding. Closing the conn releases that ship, and every
+// envelope in it or queued behind it is counted lost, not dropped
+// silently; lane sends after Close fail with ErrMuxClosed.
+func TestMuxCloseDoesNotWaitOnHeldShip(t *testing.T) {
+	hub := transport.NewHub(transport.LatencyModel{}, 1)
+	t.Cleanup(func() { hub.Close() })
+	ca, err := hub.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hub.Attach(2); err != nil {
+		t.Fatal(err)
+	}
+	hc := &heldConn{Conn: ca, closed: make(chan struct{})}
+	m := market.NewMux(hc)
+	lane, err := m.Lane(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := wire.Envelope{From: 1, To: 2, Tag: wire.Tag{Round: 1, Block: wire.BlockTask, Step: 1}}
+	if err := lane.Send(env); err != nil { // synchronous: the destination is new
+		t.Fatal(err)
+	}
+	hc.held.Store(true)
+	if err := lane.Send(env); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); hc.holding.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the flush never reached the conn")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	const behind = 19
+	for i := 0; i < behind; i++ {
+		if err := lane.Send(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- m.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Mux.Close waited on a held ship")
+	}
+	m.DrainSends()
+	if st := m.Stats(); st.EnvelopesLost != 1+behind {
+		t.Fatalf("EnvelopesLost = %d, want the held one and the %d behind it (%+v)", st.EnvelopesLost, behind, st)
+	}
+	if err := lane.Send(env); !errors.Is(err, market.ErrMuxClosed) {
+		t.Fatalf("send after Close: %v, want ErrMuxClosed", err)
+	}
+}
+
+// TestMuxCloseShipsQueuedSends: sends return once queued, and Close ships
+// what they queued before it closes the conn. Each envelope is delivered
+// or, if it was behind a ship still in flight at Close, counted lost —
+// never neither.
+func TestMuxCloseShipsQueuedSends(t *testing.T) {
+	ma, mb := twoMuxes(t)
+	a1, err := ma.Lane(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err := mb.Lane(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered atomic.Int64
+	b1.SetHandler(func(wire.Envelope) { delivered.Add(1) })
+	b1.SetBatchHandler(func(envs []wire.Envelope) { delivered.Add(int64(len(envs))) })
+	const n = 200
+	for i := 0; i < n; i++ {
+		env := wire.Envelope{From: 1, To: 2, Tag: wire.Tag{Round: uint64(i + 1), Block: wire.BlockTask, Step: 1}}
+		if err := a1.Send(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ma.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ma.DrainSends()
+	if got, lost := delivered.Load(), ma.Stats().EnvelopesLost; got+lost != n {
+		t.Fatalf("%d delivered + %d lost, want %d", got, lost, n)
 	}
 }

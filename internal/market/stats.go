@@ -84,6 +84,9 @@ type Attachment struct {
 	FramesSent      int64
 	SuperframesSent int64
 	EnvelopesSent   int64
+	// EnvelopesLost counts queued envelopes whose frame failed to ship
+	// after their senders had returned (transport.CoalesceStats.Lost).
+	EnvelopesLost int64
 	// BatchesIn and BatchedEnvsIn count inbound superframes and the
 	// envelopes they carried.
 	BatchesIn     int64
@@ -104,6 +107,7 @@ func (a *Attachment) Add(o Attachment) {
 	a.FramesSent += o.FramesSent
 	a.SuperframesSent += o.SuperframesSent
 	a.EnvelopesSent += o.EnvelopesSent
+	a.EnvelopesLost += o.EnvelopesLost
 	a.BatchesIn += o.BatchesIn
 	a.BatchedEnvsIn += o.BatchedEnvsIn
 	a.Link = a.Link.Add(o.Link)

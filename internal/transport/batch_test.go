@@ -164,6 +164,7 @@ func TestCoalescerBatchesConcurrentSends(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	co.Drain() // sends return once queued; the flushes deliver
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != n {

@@ -10,8 +10,8 @@ import (
 )
 
 // maxCoalesce bounds the envelopes per shipped superframe. Batches normally
-// stay far smaller (they only grow while senders are concurrently queued);
-// the cap keeps a pathological burst's frame bounded well under
+// stay far smaller (they only grow while a burst outpaces its flush); the
+// cap keeps a pathological burst's frame bounded well under
 // wire.MaxSuperframeEnvs.
 const maxCoalesce = 128
 
@@ -30,6 +30,9 @@ type CoalesceStats struct {
 	Superframes int64
 	// Envelopes is the total envelopes shipped.
 	Envelopes int64
+	// Lost is the envelopes of queued batches whose ship failed: their
+	// senders had already returned, so no caller saw the error.
+	Lost int64
 }
 
 // Occupancy returns the average envelopes per shipped frame (0 before any
@@ -43,19 +46,22 @@ func (s CoalesceStats) Occupancy() float64 {
 }
 
 // Coalescer is a send-side helper over a BatchConn — not a connection
-// itself; the receive half and Close stay with the conn's owner. It gathers
-// concurrent same-destination sends into superframes. The flush policy is
-// last-writer-flushes at envelope granularity (the envelope-level analogue
-// of the TCP transport's byte coalescing): a Send appends to the destination peer's open batch, and the
-// last concurrent appender detaches and ships it. An isolated send thus
-// still leaves in one hop with zero added latency — there is no flush timer
-// — while an m²-burst to a peer costs O(1) frames instead of O(m²).
+// itself; the receive half stays with the conn's owner. It gathers a
+// burst of sends to one destination peer into superframes. A destination
+// is synchronous until it accepts a frame, and again after any of its
+// ships fails: a send ships inline and returns the conn's own error (an
+// attach-time retry depends on that). Once it is asynchronous, a send
+// appends to the destination's open batch and returns, and the first
+// appender to an idle destination starts its flush: one goroutine that
+// yields once, ships open batches until none is left, and exits. There is
+// no flush timer; an m²-burst to a peer costs O(1) frames instead of
+// O(m²), for one yield and one wake per burst.
 //
-// Ships happen outside the per-peer lock, so a transport that delivers
-// synchronously (the zero-latency Hub) can invoke receive handlers — which
-// may themselves send — without lock cycles. Batches to one peer may
-// therefore ship out of order, which the asynchronous model already
-// requires every receiver to tolerate.
+// One ship to a destination is in flight at a time, so its batches leave
+// in queue order. A batch at either cap is shipped inline by the appender
+// that reaches it, which waits its turn: a conn that holds a ship for
+// flow control (a full Resilient window) holds that destination's
+// senders, and per-destination memory stays bounded.
 type Coalescer struct {
 	conn BatchConn
 
@@ -68,41 +74,26 @@ type Coalescer struct {
 	frames      atomic.Int64
 	superframes atomic.Int64
 	envelopes   atomic.Int64
+	lost        atomic.Int64
 }
 
-// peerCoalescer is one destination's open batch. queued counts senders
-// committed to appending (incremented before taking mu), so the appender
-// that brings it back to zero knows no concurrent companion follows and
-// ships the batch. free recycles retired batches — their envelope slices
-// and join state — so a steady-state burst allocates nothing per frame.
+// peerCoalescer is one destination's send state, all of it under mu. open
+// is the queued batch; spare is the last shipped batch's slice, cleared,
+// so a steady burst allocates no batches (one ship in flight needs two).
 type peerCoalescer struct {
-	queued atomic.Int64
-	mu     sync.Mutex
-	open   *pendingBatch
-	free   []*pendingBatch
+	mu       sync.Mutex
+	turn     sync.Cond // on mu: shipping or flushing went false
+	open     []wire.Envelope
+	spare    []wire.Envelope
+	bytes    int  // open's payload bytes, bounded by maxCoalesceBytes
+	async    bool // accepted a frame and no ship since failed: sends queue
+	flushing bool // a flush goroutine owns the queue
+	shipping bool // a batch is between leaving open and its ship's return
 }
 
-// maxFreeBatches caps a destination's recycled-batch list; batches beyond
-// it fall to the GC (batches only pile up when the cap detached several in
-// one burst, which steady traffic never does).
-const maxFreeBatches = 4
-
-// pendingBatch accumulates envelopes until shipped; wg reaches zero once
-// the ship's outcome is in err, so every appender observes the fate of the
-// frame that carried its envelope. refs counts appenders still to read
-// err; the last one recycles the batch into its peer's free list, which is
-// also why wg is reusable — a new cycle's Add happens only after every
-// Wait of the previous cycle returned.
-type pendingBatch struct {
-	envs  []wire.Envelope
-	bytes int // accumulated payload bytes, bounded by maxCoalesceBytes
-	wg    sync.WaitGroup
-	err   error
-	refs  atomic.Int32
-}
-
-// NewCoalescer returns a coalescer sending on conn. It owns no goroutines
-// and nothing to close; once conn closes, sends fail with conn's error.
+// NewCoalescer returns a coalescer sending on conn. Its only goroutines
+// are flushes, each of which exits once its destination's queue is empty;
+// Flush ships what is queued before the owner closes conn.
 func NewCoalescer(conn BatchConn) *Coalescer {
 	c := &Coalescer{conn: conn}
 	empty := make(map[wire.NodeID]*peerCoalescer)
@@ -116,6 +107,7 @@ func (c *Coalescer) Stats() CoalesceStats {
 		Frames:      c.frames.Load(),
 		Superframes: c.superframes.Load(),
 		Envelopes:   c.envelopes.Load(),
+		Lost:        c.lost.Load(),
 	}
 }
 
@@ -131,6 +123,7 @@ func (c *Coalescer) peer(id wire.NodeID) *peerCoalescer {
 		return pc
 	}
 	pc := &peerCoalescer{}
+	pc.turn.L = &pc.mu
 	next := make(map[wire.NodeID]*peerCoalescer, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -140,70 +133,106 @@ func (c *Coalescer) peer(id wire.NodeID) *peerCoalescer {
 	return pc
 }
 
-// Send appends env to the destination peer's open batch; the last
-// concurrent appender ships the batch and every appender returns the
-// outcome of the frame that carried its envelope.
-//
-// Before sealing, the would-be shipper yields the processor once. Sends of
-// a peer-burst are usually *runnable* together rather than *running*
-// together — one inbound frame wakes many session goroutines that each send
-// within microseconds — and on a small host they run back to back, so
-// without the yield each would find the batch empty of companions and ship
-// alone. The yield lets every already-runnable sender append first, then
-// ships one superframe for the lot. An isolated send pays one scheduler
-// pass through an empty run queue — nanoseconds — and still leaves
-// immediately; no flush timer exists anywhere on this path.
+// Send queues env for its destination and returns, or — while the
+// destination is synchronous — ships it inline and returns the conn's
+// error. A synchronous send waits its turn like any ship, so it never
+// overtakes envelopes queued before it.
 func (c *Coalescer) Send(env wire.Envelope) error {
 	pc := c.peer(env.To)
-	pc.queued.Add(1)
 	pc.mu.Lock()
-	// A batch at either cap — envelope count or payload bytes — is detached
-	// and shipped immediately; the appender that detached it starts a fresh
-	// batch for its own envelope.
-	var full *pendingBatch
-	if pc.open != nil &&
-		(len(pc.open.envs) >= maxCoalesce || pc.open.bytes+len(env.Payload) > maxCoalesceBytes) {
-		full = pc.open
-		pc.open = nil
+	for {
+		fits := len(pc.open) == 0 ||
+			len(pc.open) < maxCoalesce && pc.bytes+len(env.Payload) <= maxCoalesceBytes
+		switch {
+		case pc.shipping && (!pc.async || !fits), !pc.async && pc.flushing:
+			pc.turn.Wait()
+			continue
+		case !pc.async: // open is empty: queued envelopes always have a flush
+			pc.open = append(pc.open, env)
+			err := c.shipLocked(pc, false)
+			pc.mu.Unlock()
+			return err
+		case !fits:
+			c.shipLocked(pc, true) // at a cap, and it is this sender's turn
+			continue
+		}
+		break
 	}
-	pb := pc.open
-	if pb == nil {
-		pb = pc.getBatchLocked()
-		pc.open = pb
-	}
-	pb.envs = append(pb.envs, env)
-	pb.bytes += len(env.Payload)
-	pb.refs.Add(1)
-	pending := pc.queued.Add(-1) > 0
+	pc.open = append(pc.open, env)
+	pc.bytes += len(env.Payload)
+	start := !pc.flushing
+	pc.flushing = true
 	pc.mu.Unlock()
-	if full != nil {
-		// The detacher's own envelope is in the fresh batch, not full: it
-		// ships full for its appenders and never touches it after Done.
-		c.ship(full)
+	if start {
+		go c.flush(pc)
 	}
-	if pending {
-		// A committed successor (queued was > 0) will take the lock and
-		// either ship pb or wait behind yet another successor; induction
-		// bottoms out at a successor that finds no further company, and the
-		// cap bounds how long a batch can keep growing.
-		pb.wg.Wait()
-		return release(pc, pb)
-	}
+	return nil
+}
+
+// flush is one destination's burst: it yields once, so the burst's other
+// runnable senders append before its first ship, then ships queued
+// batches in queue order until none is left. The yield is what makes a
+// burst one frame: without it another processor starts the flush within
+// microseconds, and a market64-closed round ships 12.8 frames instead of
+// 2.66, for the same rounds/s (the yield won 7 of 20 pairs there;
+// EXPERIMENTS.md, "Senders stop waiting").
+func (c *Coalescer) flush(pc *peerCoalescer) {
 	runtime.Gosched()
 	pc.mu.Lock()
-	if pc.open != pb || pc.queued.Load() > 0 {
-		// Someone who appended during the yield already sealed the batch (or
-		// detached it at the cap), or new senders are committed to appending
-		// and the seal is theirs: either way the batch's ship covers our
-		// envelope.
-		pc.mu.Unlock()
-		pb.wg.Wait()
-		return release(pc, pb)
+	for len(pc.open) > 0 {
+		if pc.shipping {
+			pc.turn.Wait()
+			continue
+		}
+		c.shipLocked(pc, true)
 	}
-	pc.open = nil
+	pc.flushing = false
+	pc.turn.Broadcast()
 	pc.mu.Unlock()
-	c.ship(pb)
-	return release(pc, pb)
+}
+
+// shipLocked ships the open batch and returns the conn's error; pc.mu is
+// held on entry and on return, but not during the ship. The destination is
+// asynchronous from a ship that succeeds until one that fails, and a failed
+// batch of queued envelopes, whose senders have returned, is counted lost.
+func (c *Coalescer) shipLocked(pc *peerCoalescer, queued bool) error {
+	batch := pc.open
+	pc.open, pc.spare, pc.bytes, pc.shipping = pc.spare, nil, 0, true
+	pc.mu.Unlock()
+	err := c.ship(batch)
+	pc.mu.Lock()
+	if err != nil && queued {
+		c.lost.Add(int64(len(batch)))
+	}
+	clear(batch) // unpin the shipped payloads
+	pc.spare, pc.shipping, pc.async = batch[:0], false, err == nil
+	pc.turn.Broadcast()
+	return err
+}
+
+// Flush ships, on the caller's goroutine, every queued batch whose
+// destination has no ship in flight, and returns without waiting for the
+// ships that are: one held for window room is released by closing the
+// conn, and what is queued behind it is then counted lost.
+func (c *Coalescer) Flush() {
+	for _, pc := range *c.peers.Load() {
+		pc.mu.Lock()
+		if len(pc.open) > 0 && !pc.shipping {
+			c.shipLocked(pc, true)
+		}
+		pc.mu.Unlock()
+	}
+}
+
+// Drain waits until no destination has a batch queued or in flight.
+func (c *Coalescer) Drain() {
+	for _, pc := range *c.peers.Load() {
+		pc.mu.Lock()
+		for pc.flushing || pc.shipping {
+			pc.turn.Wait()
+		}
+		pc.mu.Unlock()
+	}
 }
 
 // SendBatch ships a batch the caller already formed, at once, counted like
@@ -217,59 +246,23 @@ func (c *Coalescer) SendBatch(envs []wire.Envelope) error {
 	return c.conn.SendBatch(envs)
 }
 
-// getBatchLocked pops a recycled batch (or builds the peer's first few) and
-// arms its join; the caller holds pc.mu.
-func (pc *peerCoalescer) getBatchLocked() *pendingBatch {
-	var pb *pendingBatch
-	if n := len(pc.free); n > 0 {
-		pb = pc.free[n-1]
-		pc.free[n-1] = nil
-		pc.free = pc.free[:n-1]
-	} else {
-		pb = &pendingBatch{}
-	}
-	pb.wg.Add(1)
-	return pb
-}
-
-// release reports the batch's fate to one appender; the last appender to
-// leave recycles the batch. The error is read before the decrement — after
-// it, the batch may already be rearmed for another cycle.
-func release(pc *peerCoalescer, pb *pendingBatch) error {
-	err := pb.err
-	if pb.refs.Add(-1) == 0 {
-		clear(pb.envs) // unpin the shipped payloads
-		pb.envs = pb.envs[:0]
-		pb.bytes = 0
-		pb.err = nil
-		pc.mu.Lock()
-		if len(pc.free) < maxFreeBatches {
-			pc.free = append(pc.free, pb)
-		}
-		pc.mu.Unlock()
-	}
-	return err
-}
-
-// ship transmits one sealed batch and releases its joiners: a singleton as
-// a plain envelope (the per-envelope MAC fallback), anything larger as one
-// superframe. SendBatch must not retain the slice past return (the
-// BatchConn contract), so the batch — slice included — recycles once every
-// appender released it.
-func (c *Coalescer) ship(pb *pendingBatch) {
+// ship transmits one batch: a singleton as a plain envelope (the
+// per-envelope MAC fallback), anything larger as one superframe.
+// SendBatch must not retain the slice past return (the BatchConn
+// contract), so the caller recycles it.
+func (c *Coalescer) ship(envs []wire.Envelope) (err error) {
 	span := trace.Begin()
-	envs := pb.envs
 	c.frames.Add(1)
 	c.envelopes.Add(int64(len(envs)))
 	if len(envs) == 1 {
-		pb.err = c.conn.Send(envs[0])
+		err = c.conn.Send(envs[0])
 	} else {
 		c.superframes.Add(1)
-		pb.err = c.conn.SendBatch(envs)
+		err = c.conn.SendBatch(envs)
 	}
-	// The span covers seal-to-transmit for the whole batch; Code carries
-	// the envelope count (the coalescing win this frame realised).
+	// The span covers the ship of the whole batch; Code carries the
+	// envelope count (the coalescing win this frame realised).
 	trace.Span(span, trace.PhaseCoalesceShip, envs[0].Tag.Round, 0,
 		c.conn.Self(), envs[0].To, int32(len(envs)))
-	pb.wg.Done()
+	return err
 }

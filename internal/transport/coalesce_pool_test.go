@@ -9,12 +9,12 @@ import (
 )
 
 // TestCoalescerBatchRecycleWaves drives the coalescer in waves of
-// concurrent sends with quiescence between waves, so pendingBatch objects
-// return to the per-peer free list and get reused across waves. A recycled
-// batch must come back clean: a stale envelope slot, a stale error, or a
-// WaitGroup that reuses before the previous wave's waiters returned would
-// show up as a lost, duplicated or corrupted payload — and under -race as
-// a reported race on the recycled object.
+// concurrent sends with quiescence between waves, so each destination's
+// two batch slices (open and spare) are swapped and reused across waves.
+// A recycled slice must come back clean: a stale envelope slot, or a slice
+// reused while its ship is still reading it, would show up as a lost,
+// duplicated or corrupted payload — and under -race as a reported race on
+// the recycled slice.
 func TestCoalescerBatchRecycleWaves(t *testing.T) {
 	hub := NewHub(LatencyModel{}, 1)
 	defer hub.Close()
@@ -58,10 +58,11 @@ func TestCoalescerBatchRecycleWaves(t *testing.T) {
 				}
 			}(w, s)
 		}
-		// Joining the wave before starting the next guarantees every batch
-		// was released (all waiters returned), so the next wave hits the
-		// free list, not fresh allocations.
+		// Joining the wave and its flush before starting the next
+		// guarantees every batch shipped, so the next wave appends to the
+		// recycled slices, not fresh allocations.
 		wg.Wait()
+		co.Drain()
 	}
 	mu.Lock()
 	defer mu.Unlock()
