@@ -210,10 +210,11 @@ func (c *crashAtConn) Send(env wire.Envelope) error {
 }
 
 // TestCrashAfterAgreementAttributesCulprit: a committee member that crashes
-// after bid agreement — at its first input-validation send of round 2 — must
-// still be reported as `disconnect` with itself as culprit. Validation, the
-// task-digest check and the transfer gathers all end in the same unanimity
-// check, which keeps a gather's typed cause.
+// after bid agreement — at its first task-digest send of round 2, the first
+// message after agreement's digest path — must still be reported as
+// `disconnect` with itself as culprit. Validation, the task-digest check and
+// the transfer gathers all end in the same unanimity check, which keeps a
+// gather's typed cause.
 func TestCrashAfterAgreementAttributesCulprit(t *testing.T) {
 	everyone := []wire.NodeID{1, 2, 3, 100, 101}
 	var hub atomic.Pointer[transport.Hub]
@@ -223,7 +224,7 @@ func TestCrashAfterAgreementAttributesCulprit(t *testing.T) {
 		}
 		return &crashAtConn{
 			Conn:  conn,
-			match: func(env wire.Envelope) bool { return env.Tag.Round == 2 && env.Tag.Block == wire.BlockValidate },
+			match: func(env wire.Envelope) bool { return env.Tag.Round == 2 && env.Tag.Block == wire.BlockTask },
 			crash: func() { isolate(hub.Load(), 3, everyone) },
 		}
 	}
@@ -336,7 +337,8 @@ func TestDeviantStillClassifiedEquivocation(t *testing.T) {
 			return conn
 		}
 		return &equivocatorConn{Conn: conn, match: func(env wire.Envelope) bool {
-			return env.Tag.Round == 2 && env.Tag.Block == wire.BlockBidAgree && env.Tag.Step == 3
+			// Round 2's bid-agreement digest, the first message after the bids.
+			return env.Tag.Round == 2 && env.Tag.Block == wire.BlockBidAgree && env.Tag.Step == 5
 		}}
 	}
 	sessions, bidders, _ := resilientDeployment(t, 2, wrap)

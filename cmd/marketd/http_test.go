@@ -138,14 +138,21 @@ func beyondParent(t *testing.T, got, parent string) string {
 }
 
 // A market tree (TCP mode) keeps every series of the parent's market branch
-// and gains exactly the two families every tree now has.
+// and gains exactly the two families every tree now has, plus the series of
+// the trace phase appended since (agree-digest, bid agreement's digest
+// gather).
 func TestMetricsMarketTreeKeepsParentSeries(t *testing.T) {
 	const gained = "# HELP distauction_envelopes_lost_total Queued envelopes whose frame failed to ship.\n" +
 		"# TYPE distauction_envelopes_lost_total counter\n" +
 		"distauction_envelopes_lost_total 2\n" +
 		"# HELP distauction_peers_dead Peers some attachment currently judges dead.\n" +
 		"# TYPE distauction_peers_dead gauge\n" +
-		"distauction_peers_dead 1\n"
+		"distauction_peers_dead 1\n" +
+		"distauction_phase_duration_seconds{phase=\"agree-digest\",quantile=\"0.5\"} 0\n" +
+		"distauction_phase_duration_seconds{phase=\"agree-digest\",quantile=\"0.99\"} 0\n" +
+		"distauction_phase_duration_seconds{phase=\"agree-digest\",quantile=\"0.999\"} 0\n" +
+		"distauction_phase_duration_seconds_sum{phase=\"agree-digest\"} 0\n" +
+		"distauction_phase_duration_seconds_count{phase=\"agree-digest\"} 0\n"
 	if extra := beyondParent(t, render(marketTree()), parentGolden(t, "market_parent.golden")); extra != gained {
 		t.Fatalf("lines beyond the parent's:\n%s\nwant exactly:\n%s", extra, gained)
 	}

@@ -12,14 +12,18 @@
 //  3. input validation — providers entering with different vectors output ⊥;
 //  4. k-resiliency for solution preference.
 //
-// Input validation runs *concurrently* with the task graph: the scheduler
-// computes speculatively from the local input but publishes nothing — no
-// cross-group transfer, no final return — until validation confirms every
-// provider entered with the same vector (the scheduler's publish gate). A
-// mismatch therefore still yields ⊥ before any value derived from a
-// disputed input can leave the provider, which is all condition (3)
-// requires; sequencing the digest exchange *before* the first task merely
-// added a round trip.
+// Input validation runs only when bid agreement took its fallback. On the
+// digest path every provider already sent every other the digest of the
+// vector it holds, and all m were equal: that gather is Property 3 for the
+// round, so repeating it would compare the same m digests of the same bytes
+// a second time. After the fallback the providers each hold the leaders'
+// decision, which nothing has compared yet, and validation runs
+// *concurrently* with the task graph: the scheduler computes speculatively
+// from the local input but publishes nothing — no cross-group transfer, no
+// final return — until validation confirms every provider entered with the
+// same vector (the scheduler's publish gate). A mismatch therefore still
+// yields ⊥ before any value derived from a disputed input can leave the
+// provider, which is all condition (3) requires.
 //
 // Input validation (§4.2, Property 3) is a step of this block, as in the
 // paper's Figure 3, not a block of its own: see validateInput.
@@ -64,19 +68,25 @@ var gatePool = sync.Pool{New: func() any {
 	return vg
 }}
 
-// Run executes the allocator at the local provider: it validates that all
-// providers hold the same input while ex executes the task graph, whose
-// final task's output is returned. Any deviation or timeout aborts the round
-// (⊥).
+// Run executes the allocator at the local provider: it runs the task graph
+// on ex and returns the final task's output, and when input is non-nil it
+// validates that all providers hold input while the graph runs. Any
+// deviation or timeout aborts the round (⊥).
 //
-// input must be the canonical encoding of the agreed bid vector and env the
-// same vector as the task bodies read it (TaskContext.Env); ex must run an
-// identical graph at every provider. coins is an optional pre-warmed coin
-// source (the session passes a reservoir whose commit/echo phases already
-// overlapped bid agreement; nil lets the executor build its own). An
-// already-aborted round is handled by Executor.Run (which still closes the
-// coin source) and by validateInput's own fast-fail.
+// input is the canonical encoding of the agreed bid vector, or nil when bid
+// agreement's digest path already established that every provider holds
+// the same vector; env is the same vector as the task bodies read it
+// (TaskContext.Env); ex must run an identical graph at every provider.
+// coins is an optional pre-warmed coin source (the session passes a
+// reservoir whose commit/echo phases already overlapped bid agreement; nil
+// lets the executor build its own). An already-aborted round is handled by
+// Executor.Run (which still closes the coin source) and by validateInput's
+// own fast-fail.
 func Run(ctx context.Context, peer *proto.Peer, round uint64, input []byte, ex *taskgraph.Executor, env any, coins taskgraph.CoinSource) ([]byte, error) {
+	if input == nil {
+		out, err := ex.Run(ctx, round, env, taskgraph.Options{Coins: coins})
+		return finish(peer, round, out, err)
+	}
 	vg := gatePool.Get().(*valGate)
 	vg.ctx, vg.peer, vg.round, vg.input = ctx, peer, round, input
 	vg.err = nil
@@ -92,12 +102,18 @@ func Run(ctx context.Context, peer *proto.Peer, round uint64, input []byte, ex *
 	vg.ctx, vg.peer, vg.input = nil, nil, nil
 	clear(vg.buf)
 	gatePool.Put(vg)
-	if err != nil {
-		return nil, err
-	}
-	if verr != nil {
+	if err == nil && verr != nil {
 		// Normally subsumed by the scheduler's gate; kept as a backstop.
 		return nil, verr
+	}
+	return finish(peer, round, out, err)
+}
+
+// finish is Run's verdict on the graph's result: its error, or ⊥ for a run
+// that returned no outcome.
+func finish(peer *proto.Peer, round uint64, out []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
 	}
 	if out == nil {
 		return nil, peer.Fail(round, "allocator", errEmptyOutput)

@@ -12,8 +12,8 @@
 // reveal or by mis-opening, which is exactly the resilience the paper
 // requires (a coalition may only increase the probability of ⊥, never shift
 // the distribution over non-⊥ outcomes). Toss is the exchange with no
-// payload; bid agreement's leader election (package consensus) is the same
-// exchange carrying each provider's proposal digest.
+// payload; bid agreement's fallback leader election (package consensus) is
+// the same exchange carrying each provider's proposal digest.
 //
 // The paper samples the coin in [0,1] and transforms it to an arbitrary
 // distribution Π. Here the coin yields a 64-bit seed; callers build a

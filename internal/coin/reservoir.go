@@ -15,12 +15,13 @@ import (
 // A gated reservoir additionally withholds every reveal until Release is
 // called: the commit and echo phases hide the shares, so they can run while
 // bid agreement is still in progress, but no provider can learn a seed
-// before the local agreement is *bound* (every provider's proposal
-// committed and echo-verified — the round engine releases at exactly that
-// point). By the time any party holds all shares of an instance, the
-// agreement outcome is a fixed function of already-committed values at
-// every honest provider — a coalition that sees the seed can still only
-// force ⊥ (by refusing or mis-opening), exactly the power it already had.
+// before the local agreement is *bound* (all m proposal digests held and
+// equal, or on agreement's fallback every proposal committed and
+// echo-verified — the round engine releases at exactly that point). By the
+// time any party holds all shares of an instance, the agreement outcome is
+// a fixed function of values already sent at every honest provider — a
+// coalition that sees the seed can still only force ⊥ (by refusing or
+// mis-opening), exactly the power it already had.
 //
 // All methods are safe for concurrent use. Each instance is tossed at most
 // once per reservoir regardless of how many callers request it — re-tossing

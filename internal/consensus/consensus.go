@@ -6,10 +6,9 @@
 // stream, multiplexing instances by tagging messages with the bidder
 // identifier and bit position. This implementation batches that whole
 // ensemble into one *vector* consensus: each provider proposes the full
-// vector of per-bidder values in a single commit, and a jointly-elected
-// random leader decides each slot. The message complexity drops from
-// O(bits·m²) to O(m²) per auction round while preserving the construction's
-// two properties:
+// vector of per-bidder values, and a jointly-elected random leader decides
+// each disputed slot. The message complexity drops from O(bits·m²) to O(m²)
+// per auction round while preserving the construction's two properties:
 //
 //  1. If all providers follow the protocol, they output a common vector in
 //     which every slot equals some provider's proposal for that slot; if all
@@ -19,28 +18,36 @@
 //     m > 2k a coalition can neither dictate a disputed slot nor learn
 //     anything useful before committing — it can only force ⊥.
 //
-// The leader election is a common coin that also carries the proposal
-// digest: one coin.Exchange in which every provider commits to its random
-// 64-bit share followed by the SHA-256 digest of its proposal vector. The
-// sum of shares seeds a deterministic PRNG that picks an independent leader
-// per slot. This package adds only what is particular to agreement: the
-// digest fast path and the vector fallback.
+// # Digest first
 //
-// # Digest fast path
-//
-// Because providers commit to the digest and not the vector, the exchange
-// moves O(m²) fixed-size messages regardless of the vector size. After the
-// reveal every provider holds every peer's digest: when all digests match
-// its own — the common case, since honest providers enter bid agreement with
-// identical bid vectors — the vectors are byte-identical by collision
+// Honest providers enter bid agreement with identical vectors, so the block
+// tests that first: every provider broadcasts the SHA-256 digest of its
+// proposal vector and gathers all m (one hop, m(m−1) fixed-size messages).
+// When all m equal its own, the vectors are byte-identical by collision
 // resistance, every slot is unanimous, and the local input IS the decided
-// output; no vector ever crosses the network. Only when digests disagree do
-// providers fall back to a full vector exchange (one extra step), verified
-// slot-for-slot against the committed digests before the per-slot leaders
-// decide. See DESIGN.md for the equivalence argument.
+// output; no vector and no leader share ever crosses the network. The
+// gather is a plain one, not a unanimity check: a mismatch sends the
+// provider to the fallback, not to ⊥.
+//
+// # Fallback
+//
+// Otherwise the provider runs the leader election: one coin.Exchange in
+// which every provider commits to its random 64-bit share followed by the
+// digest it broadcast — a committed digest other than the broadcast one is
+// a protocol abort charged to its sender — then the full vectors are
+// exchanged (one extra step), verified slot-for-slot against the committed
+// digests, and the per-slot leaders drawn from the sum of shares decide.
+//
+// Different providers may take different branches only if some provider
+// sent different digests to different peers. A provider that took the
+// digest path therefore forbids the fallback's commit for the round
+// (proto.Peer.Forbid): the first one to reach it latches an unattributed
+// protocol ⊥ at once. See DESIGN.md, "Digest-first bid agreement", for the
+// safety argument, the rushing provider included.
 package consensus
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -55,11 +62,16 @@ import (
 	"distauction/internal/wire"
 )
 
-// stepVector is the digest-mismatch fallback: the full proposal vectors are
-// exchanged and checked against the committed digests. The step is absent
-// from honest unanimous rounds; steps 1–3 are the leader election's
-// (coin.Exchange).
-const stepVector uint8 = 4
+// Protocol steps of bid agreement. Steps 1–3 are the fallback's leader
+// election (coin.Exchange; stepCommit is its commit); stepVector is the
+// fallback's full-vector exchange; stepDigest is the digest gather every
+// round starts with. An honest round with identical inputs sends only
+// stepDigest.
+const (
+	stepCommit uint8 = 1
+	stepVector uint8 = 4
+	stepDigest uint8 = 5
+)
 
 // shareSize is the length of the leader-election share that opens every
 // revealed value; the proposal digest follows it.
@@ -70,13 +82,19 @@ const shareSize = 8
 const MaxSlots = 1 << 20
 
 // agreeSpans are the trace phases of the exchange's commit, echo and reveal
-// steps when it runs as bid agreement.
+// steps when it runs as bid agreement's fallback.
 var agreeSpans = []trace.Phase{trace.PhaseAgreeCommit, trace.PhaseAgreeEcho, trace.PhaseAgreeReveal}
 
-// openedPool recycles the buffer of per-provider openings across calls. The
-// openings are views into the round's buffered payloads and are cleared
+// digestPool recycles the buffer of gathered digests across calls. The
+// digests are views into the round's buffered payloads and are cleared
 // before pooling.
-var openedPool = sync.Pool{New: func() any { return new([][]byte) }}
+var digestPool = sync.Pool{New: func() any { return new([][]byte) }}
+
+// errSplitView is the verdict of a provider that took the digest path on a
+// fallback commit for the same round: some provider showed different
+// digests to different peers, and a mismatch between views never says who.
+var errSplitView = &proto.AbortError{Code: proto.AbortProtocol, Culprit: wire.Broadcast,
+	Reason: "a provider is on the fallback after all digests agreed here"}
 
 // proposal is a provider's full input on the fallback path: the
 // leader-election share plus the per-slot vector.
@@ -159,57 +177,96 @@ func decodeProposal(b []byte) (proposal, error) {
 // decided vectors as immutable). On any deviation or timeout the round is
 // aborted (⊥).
 func Propose(ctx context.Context, peer *proto.Peer, round uint64, instance uint32, inputs [][]byte) ([][]byte, error) {
-	return ProposeObserved(ctx, peer, round, instance, inputs, nil)
+	out, _, err := ProposeObserved(ctx, peer, round, instance, inputs, nil)
+	return out, err
 }
 
-// ProposeObserved is Propose with a binding observer: onBound, when
-// non-nil, is the exchange's before-reveal hook — called exactly once if and
-// when the echo verifies, the moment every provider's proposal digest and
-// leader share are committed and the commitment set is known consistent.
-// From that point the consensus outcome is a fixed (if not yet known)
-// function of the committed values: a reveal can only open its commitment or
-// abort the round, never steer the decision. Callers use the hook to release
-// work that must not influence the agreement but may safely overlap its
-// reveal phase — the round engine opens the common coin's reveal gate here,
-// taking the coin's last network phase off the round's critical path.
-func ProposeObserved(ctx context.Context, peer *proto.Peer, round uint64, instance uint32, inputs [][]byte, onBound func()) ([][]byte, error) {
+// ProposeObserved is Propose with a binding observer and the branch taken.
+// onBound, when non-nil, runs exactly once if and when the agreement is
+// bound at this provider: on the digest path when all m digests are held
+// and equal, on the fallback at the exchange's before-reveal hook, when
+// every provider's share and digest are committed and the commitment set
+// is known consistent. From that point the decided vector is a fixed (if
+// not yet known) function of values already sent: a later message can only
+// open a commitment or abort the round, never steer the decision. The
+// round engine opens the common coin's reveal gate there.
+//
+// unanimous reports that the digest path decided: every provider sent this
+// provider a digest equal to its own. That gather is input validation's
+// (Property 3) for the round — m digests of the same bytes, one from each
+// provider — so the caller need not repeat it; after the fallback it must.
+func ProposeObserved(ctx context.Context, peer *proto.Peer, round uint64, instance uint32, inputs [][]byte, onBound func()) (out [][]byte, unanimous bool, err error) {
 	if len(inputs) > MaxSlots {
-		return nil, fmt.Errorf("consensus: %d slots exceeds limit", len(inputs))
+		return nil, false, fmt.Errorf("consensus: %d slots exceeds limit", len(inputs))
+	}
+	if err := peer.AbortErr(round); err != nil {
+		return nil, false, err
 	}
 	digest := vectorDigest(inputs)
-	tag := wire.Tag{Round: round, Block: wire.BlockBidAgree, Instance: instance}
-	buf := openedPool.Get().(*[][]byte)
+	providers := peer.Providers()
+	tag := wire.Tag{Round: round, Block: wire.BlockBidAgree, Instance: instance, Step: stepDigest}
+	buf := digestPool.Get().(*[][]byte)
 	defer func() {
 		clear(*buf) // unpin the round's payload views
 		*buf = (*buf)[:0]
-		openedPool.Put(buf)
+		digestPool.Put(buf)
 	}()
-	seed, opened, err := coin.Exchange(ctx, peer, tag, digest[:], onBound, agreeSpans, (*buf)[:0])
-	*buf = opened
+
+	span := trace.Begin()
+	if err := peer.BroadcastProviders(tag, digest[:]); err != nil {
+		return nil, false, peer.Fail(round, tag.String(), err)
+	}
+	digests, err := peer.GatherAppend(ctx, tag, providers, (*buf)[:0])
+	*buf = digests
 	if err != nil {
-		return nil, err
+		return nil, false, peer.Fail(round, tag.String(), err)
+	}
+	unanimous = true
+	for i, d := range digests {
+		if len(d) != sha256.Size {
+			return nil, false, blame(peer, tag, providers[i], "sent a malformed digest")
+		}
+		unanimous = unanimous && [sha256.Size]byte(d) == digest
+	}
+	trace.Span(span, trace.PhaseAgreeDigest, round, peer.Lane(), peer.Self(), trace.NoPeer, int32(instance))
+	if !unanimous {
+		out, err := fallback(ctx, peer, tag, inputs, digest, digests, onBound)
+		return out, false, err
 	}
 
-	// Fast path: every digest equals the local one, so by collision
-	// resistance every provider proposed this exact vector — every slot is
-	// unanimous and the leader draw cannot change the outcome. All providers
-	// see the same digest set (the commitments they open were cross-checked
-	// in the echo), so they take or skip the fallback together.
-	for _, o := range opened {
-		if [sha256.Size]byte(o[shareSize:]) != digest {
-			return fallback(ctx, peer, tag, inputs, opened, seed)
-		}
+	// Every provider's digest equals the local one, so by collision
+	// resistance every provider holds this exact vector: every slot is
+	// unanimous and no leader draw could change the outcome. A provider
+	// that saw a different digest from someone is on the fallback, which
+	// must now end in ⊥ here the moment its commit lands.
+	tag.Step = stepCommit
+	if err := peer.Forbid(tag, errSplitView); err != nil {
+		return nil, false, err
 	}
-	return inputs, nil
+	if onBound != nil {
+		onBound()
+	}
+	return inputs, true, nil
 }
 
 // fallback is the digest-mismatch path: at least one slot is disputed (or a
-// provider deviated). Providers exchange their full vectors, bind each to
-// its committed share and digest in opened, and let the per-slot leaders
-// drawn from seed decide.
-func fallback(ctx context.Context, peer *proto.Peer, tag wire.Tag, inputs, opened [][]byte, seed uint64) ([][]byte, error) {
-	span := trace.Begin()
+// provider deviated). Providers run the leader election over share‖digest,
+// holding each to the digest it broadcast (digests, in provider order),
+// then exchange their full vectors, bind each to its committed share and
+// digest, and let the per-slot leaders drawn from the seed decide.
+func fallback(ctx context.Context, peer *proto.Peer, tag wire.Tag, inputs [][]byte, digest [sha256.Size]byte, digests [][]byte, onBound func()) ([][]byte, error) {
 	providers := peer.Providers()
+	seed, opened, err := coin.Exchange(ctx, peer, tag, digest[:], onBound, agreeSpans, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i, o := range opened {
+		if !bytes.Equal(o[shareSize:], digests[i]) {
+			return nil, blame(peer, tag, providers[i], "committed a digest other than the one it broadcast")
+		}
+	}
+
+	span := trace.Begin()
 	tag.Step = stepVector
 	own := binary.BigEndian.Uint64(opened[slices.Index(providers, peer.Self())])
 	if err := peer.BroadcastProviders(tag, encodeProposal(proposal{share: own, values: inputs})); err != nil {
@@ -247,8 +304,9 @@ func fallback(ctx context.Context, peer *proto.Peer, tag wire.Tag, inputs, opene
 	return out, nil
 }
 
-// blame aborts the round at tag's step as provider id's own vector failing
-// its committed share, digest or shape: a protocol abort with id as culprit.
+// blame aborts the round at tag's step as provider id's own message failing
+// its shape, the digest it broadcast, or its committed share or digest: a
+// protocol abort with id as culprit.
 func blame(peer *proto.Peer, tag wire.Tag, id wire.NodeID, format string, args ...any) error {
 	reason := fmt.Sprintf("provider %d ", id) + fmt.Sprintf(format, args...)
 	return peer.Fail(tag.Round, tag.String(), &proto.AbortError{Code: proto.AbortProtocol, Culprit: id, Reason: reason})

@@ -20,6 +20,15 @@ import (
 // connection runs the given deviation rules, if any.
 func newPeers(t *testing.T, n int, rules ...deviation.Rule) []*proto.Peer {
 	t.Helper()
+	peers, _ := newDeviantPeers(t, n, rules...)
+	return peers
+}
+
+// newDeviantPeers is newPeers that also returns provider n's deviation
+// wrapper (nil without rules), whose Matched counter shows a rule fired.
+func newDeviantPeers(t *testing.T, n int, rules ...deviation.Rule) ([]*proto.Peer, *deviation.Conn) {
+	t.Helper()
+	var deviant *deviation.Conn
 	hub := transport.NewHub(transport.LatencyModel{}, 1)
 	t.Cleanup(func() { hub.Close() })
 	ids := make([]wire.NodeID, n)
@@ -34,12 +43,13 @@ func newPeers(t *testing.T, n int, rules ...deviation.Rule) []*proto.Peer {
 		}
 		var c transport.Conn = conn
 		if i == n-1 && len(rules) > 0 {
-			c = deviation.Wrap(conn, rules...)
+			deviant = deviation.Wrap(conn, rules...)
+			c = deviant
 		}
 		peers[i] = proto.NewPeer(c, ids)
 		t.Cleanup(func(p *proto.Peer) func() { return func() { p.Close() } }(peers[i]))
 	}
-	return peers
+	return peers, deviant
 }
 
 // assertCulprit checks that err is a protocol abort pinned on culprit.
@@ -191,9 +201,10 @@ func TestSlotCountMismatchAborts(t *testing.T) {
 }
 
 // Provider 3 commits to its proposal digest but opens a different one under
-// the same salt: its own opening fails its own commitment.
+// the same salt: its own opening fails its own commitment. Its input differs
+// from the others', so the round takes the fallback, where reveals exist.
 func TestTamperedRevealAborts(t *testing.T) {
-	peers := newPeers(t, 3, deviation.Rule{
+	peers, deviant := newDeviantPeers(t, 3, deviation.Rule{
 		Match:  deviation.MatchBlockStep(wire.BlockBidAgree, 3),
 		Action: deviation.Mutate,
 		Transform: func(env wire.Envelope) wire.Envelope {
@@ -208,9 +219,12 @@ func TestTamperedRevealAborts(t *testing.T) {
 		},
 	})
 	in := [][]byte{[]byte("v")}
-	_, errs := proposeAll(t, peers, 1, [][][]byte{in, in, in})
+	_, errs := proposeAll(t, peers, 1, [][][]byte{in, in, {[]byte("w")}})
 	for i := 0; i < 2; i++ {
 		assertCulprit(t, fmt.Sprintf("honest peer %d", i+1), errs[i], 3)
+	}
+	if fired := deviant.Matched.Load(); fired == 0 {
+		t.Error("rule never fired; test is vacuous")
 	}
 }
 
@@ -244,8 +258,9 @@ func TestProposeOnAbortedRound(t *testing.T) {
 }
 
 // TestDigestFastPathSkipsVectorStep asserts the fast path's defining
-// property at the wire level: with unanimous inputs no stepVector message is
-// ever sent, while disputed inputs trigger exactly one fallback exchange.
+// property at the wire level: with unanimous inputs no commit and no
+// stepVector message is ever sent, while disputed inputs trigger exactly
+// one fallback exchange.
 func TestDigestFastPathSkipsVectorStep(t *testing.T) {
 	peers := newPeers(t, 3)
 	ids := []wire.NodeID{1, 2, 3}
@@ -264,10 +279,12 @@ func TestDigestFastPathSkipsVectorStep(t *testing.T) {
 		}
 	}
 	for i, p := range peers {
-		if _, err := p.Receive(canceledCtx(), wire.Tag{
-			Round: 1, Block: wire.BlockBidAgree, Instance: 0, Step: stepVector,
-		}, ids[(i+1)%len(ids)]); err == nil {
-			t.Fatalf("peer %d buffered a stepVector message on the fast path", i)
+		for _, step := range []uint8{stepCommit, stepVector} {
+			if _, err := p.Receive(canceledCtx(), wire.Tag{
+				Round: 1, Block: wire.BlockBidAgree, Instance: 0, Step: step,
+			}, ids[(i+1)%len(ids)]); err == nil {
+				t.Fatalf("peer %d buffered a step-%d message on the fast path", i, step)
+			}
 		}
 	}
 
@@ -433,5 +450,155 @@ func TestQuickAgreementProperty(t *testing.T) {
 		for _, p := range peers {
 			p.EndRound(round)
 		}
+	}
+}
+
+// assertAbort checks that err is an abort with the given code and culprit.
+func assertAbort(t *testing.T, who string, err error, code proto.AbortCode, culprit wire.NodeID) {
+	t.Helper()
+	var ae *proto.AbortError
+	if !errors.As(err, &ae) {
+		t.Fatalf("%s: got %v, want abort", who, err)
+	}
+	if ae.Code != code || ae.Culprit != culprit {
+		t.Errorf("%s: abort %v culprit %d, want %v culprit %d (reason %q)", who, ae.Code, ae.Culprit, code, culprit, ae.Reason)
+	}
+}
+
+// TestSplitViewAbortsAtOnce: provider 3 sends provider 1 a digest other
+// than the one it sends provider 2. Provider 1 sees a mismatch and takes
+// the fallback; providers 2 and 3 see m equal digests and take the digest
+// path. Provider 1's fallback commit then lands at providers that decided,
+// which latch ⊥ at ingest: every provider's round is ⊥ long before the
+// gathers' 10 s deadline, the honest ones' with an unattributed protocol
+// abort. (In a session the decided providers' task graphs cannot finish
+// meanwhile: their final digest gather waits on provider 1.)
+func TestSplitViewAbortsAtOnce(t *testing.T) {
+	peers, deviant := newDeviantPeers(t, 3, deviation.Rule{
+		Match:     deviation.MatchBlockStep(wire.BlockBidAgree, stepDigest),
+		Action:    deviation.Mutate,
+		Transform: deviation.EquivocateTo(1),
+	})
+	in := [][]byte{[]byte("v")}
+	start := time.Now()
+	_, errs := proposeAll(t, peers, 1, [][][]byte{in, in, in})
+	if errs[0] == nil {
+		t.Fatal("peer 1 saw a different digest from peer 3 but decided")
+	}
+	// A receive nothing will satisfy ends when the round aborts.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	never := wire.Tag{Round: 1, Block: wire.BlockTask, Step: 1}
+	for i := 1; i < 3; i++ {
+		if _, err := peers[i].Receive(ctx, never, 1); !errors.Is(err, proto.ErrAborted) {
+			t.Fatalf("peer %d: %v, want ⊥", i+1, err)
+		}
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Errorf("split view ended after %v, want ⊥ everywhere in < 1s", took)
+	}
+	for i := 0; i < 2; i++ {
+		assertAbort(t, fmt.Sprintf("honest peer %d", i+1), peers[i].AbortErr(1), proto.AbortProtocol, wire.Broadcast)
+	}
+	if deviant.Matched.Load() == 0 {
+		t.Error("rule never fired; test is vacuous")
+	}
+}
+
+// TestForbiddenCommitAlreadyBuffered: a fallback commit that reaches a
+// provider while its own digest gather is still open is only buffered; the
+// provider's digest path then finds it and ends ⊥ at once.
+func TestForbiddenCommitAlreadyBuffered(t *testing.T) {
+	peers := newPeers(t, 2)
+	commitTag := wire.Tag{Round: 1, Block: wire.BlockBidAgree, Step: stepCommit}
+	if err := peers[1].Send(1, commitTag, make([]byte, commit.Size)); err != nil {
+		t.Fatal(err)
+	}
+	if err := peers[0].AbortErr(1); err != nil {
+		t.Fatalf("a commit before the digest gather closed aborted the round: %v", err)
+	}
+	in := [][]byte{[]byte("v")}
+	_, errs := proposeAll(t, peers, 1, [][][]byte{in, in})
+	assertAbort(t, "peer 1", errs[0], proto.AbortProtocol, wire.Broadcast)
+}
+
+// TestCommitOffBroadcastDigestAborts: provider 3 broadcasts a digest other
+// than its vector's (to everyone alike), then commits to its vector's true
+// digest on the fallback, which provider 1's different input forces. The
+// commitment does not match what it broadcast: a protocol abort charged to
+// provider 3.
+func TestCommitOffBroadcastDigestAborts(t *testing.T) {
+	peers, deviant := newDeviantPeers(t, 3, deviation.Rule{
+		Match:     deviation.MatchBlockStep(wire.BlockBidAgree, stepDigest),
+		Action:    deviation.Mutate,
+		Transform: deviation.FlipPayloadByte(),
+	})
+	in := [][]byte{[]byte("v")}
+	_, errs := proposeAll(t, peers, 1, [][][]byte{{[]byte("w")}, in, in})
+	for i := 0; i < 2; i++ {
+		assertCulprit(t, fmt.Sprintf("honest peer %d", i+1), errs[i], 3)
+	}
+	if deviant.Matched.Load() == 0 {
+		t.Error("rule never fired; test is vacuous")
+	}
+}
+
+// TestMalformedDigestAborts: provider 3's digest is one byte short. It is
+// its own message failing its shape: a protocol abort charged to it.
+func TestMalformedDigestAborts(t *testing.T) {
+	peers, deviant := newDeviantPeers(t, 3, deviation.Rule{
+		Match:  deviation.MatchBlockStep(wire.BlockBidAgree, stepDigest),
+		Action: deviation.Mutate,
+		Transform: func(env wire.Envelope) wire.Envelope {
+			env.Payload = env.Payload[:len(env.Payload)-1]
+			return env
+		},
+	})
+	in := [][]byte{[]byte("v")}
+	_, errs := proposeAll(t, peers, 1, [][][]byte{in, in, in})
+	for i := 0; i < 2; i++ {
+		assertCulprit(t, fmt.Sprintf("honest peer %d", i+1), errs[i], 3)
+	}
+	if deviant.Matched.Load() == 0 {
+		t.Error("rule never fired; test is vacuous")
+	}
+}
+
+// TestBindingObservedOncePerPath: the binding observer (the round engine's
+// coin gate) runs exactly once at every provider on both branches — at the
+// digest gather on the digest path, at the exchange's hook on the
+// fallback — and the branch is reported.
+func TestBindingObservedOncePerPath(t *testing.T) {
+	peers := newPeers(t, 3)
+	same := [][]byte{[]byte("v")}
+	for _, c := range []struct {
+		name      string
+		round     uint64
+		inputs    [][][]byte
+		unanimous bool
+	}{
+		{"digest path", 1, [][][]byte{same, same, same}, true},
+		{"fallback", 2, [][][]byte{same, same, {[]byte("w")}}, false},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		var wg sync.WaitGroup
+		for i, p := range peers {
+			wg.Add(1)
+			go func(i int, p *proto.Peer) {
+				defer wg.Done()
+				calls := 0
+				_, unanimous, err := ProposeObserved(ctx, p, c.round, 0, c.inputs[i], func() { calls++ })
+				switch {
+				case err != nil:
+					t.Errorf("%s, peer %d: %v", c.name, i+1, err)
+				case calls != 1:
+					t.Errorf("%s, peer %d: binding observed %d times, want 1", c.name, i+1, calls)
+				case unanimous != c.unanimous:
+					t.Errorf("%s, peer %d: unanimous = %v, want %v", c.name, i+1, unanimous, c.unanimous)
+				}
+			}(i, p)
+		}
+		wg.Wait()
+		cancel()
 	}
 }

@@ -302,11 +302,11 @@ func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte
 	// as raw bytes and become neutral bids in phase 3, the paper's b*ᵢ
 	// substitution.
 	//
-	// The coin's reveal gate opens the moment the agreement is *bound*
-	// (proposals and leader shares all committed and echo-verified): from
-	// there reveals can only open commitments or abort, so the coin's last
-	// phase overlaps agreement's instead of following it.
-	agreed, err := consensus.ProposeObserved(ctx, s.peer, round, 0, inputs, onBound)
+	// The coin's reveal gate opens the moment the agreement is *bound*: all
+	// m digests held and equal on the digest path, every proposal and leader
+	// share committed and echo-verified on the fallback. From there a reveal
+	// can only open a commitment or abort, never steer the decided vector.
+	agreed, unanimous, err := consensus.ProposeObserved(ctx, s.peer, round, 0, inputs, onBound)
 	if err != nil {
 		return s.deliverAbort(round, err)
 	}
@@ -326,9 +326,14 @@ func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte
 		}
 	}
 
-	// Phase 4: the allocator (Property 2) — input validation, then the
-	// task-graph simulation of A on the session's executor.
-	rawOutcome, err := allocator.Run(ctx, s.peer, round, bids.Encode(), s.exec, bids, coinSrc)
+	// Phase 4: the allocator (Property 2) — the task-graph simulation of A
+	// on the session's executor, and input validation unless the agreement's
+	// digest path already compared every provider's vector.
+	var input []byte
+	if !unanimous {
+		input = bids.Encode()
+	}
+	rawOutcome, err := allocator.Run(ctx, s.peer, round, input, s.exec, bids, coinSrc)
 	if err != nil {
 		return s.deliverAbort(round, err)
 	}

@@ -32,6 +32,25 @@ type scenario struct {
 	mech             core.Mechanism
 	provBids         []auction.ProviderBid // nil for single-sided mechanisms
 	bidWindow        time.Duration
+	// fallback makes bidder 0 send provider 1 its bid respelled, so bid
+	// agreement takes its fallback yet decides the same bids.
+	fallback bool
+}
+
+// respell returns a user bid's encoding with one redundant byte in its
+// first varint: every decoder reads the same bid from it, but bid agreement
+// sees another byte string. A bidder that sends it to one provider only
+// equivocates in bytes and not in value, so the providers enter agreement
+// with different vectors — its fallback runs — and still agree on the
+// reference outcome whichever slot leader is drawn.
+func respell(raw []byte) []byte {
+	i := 0
+	for raw[i]&0x80 != 0 {
+		i++
+	}
+	out := append([]byte(nil), raw[:i]...)
+	out = append(out, raw[i]|0x80, 0)
+	return append(out, raw[i+1:]...)
 }
 
 // newScenario builds a 3-provider, 2-user double-auction deployment where
@@ -87,7 +106,19 @@ func (s *scenario) attach(t *testing.T, hub *transport.Hub, deviant wire.NodeID,
 func (s *scenario) runRound(t *testing.T, bids []auction.UserBid, timeout time.Duration) (outs []auction.Outcome, errs []error) {
 	t.Helper()
 	for i, b := range s.bidders {
-		if err := b.Submit(1, bids[i]); err != nil {
+		var err error
+		if i == 0 && s.fallback {
+			raw := bids[i].Encode()
+			payloads := map[wire.NodeID][]byte{}
+			for _, id := range s.providers {
+				payloads[id] = raw
+			}
+			payloads[1] = respell(raw)
+			err = b.SubmitRaw(1, payloads)
+		} else {
+			err = b.Submit(1, bids[i])
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,13 +232,15 @@ func TestSilentProviderForcesBot(t *testing.T) {
 }
 
 func TestCorruptedConsensusRevealForcesBot(t *testing.T) {
-	// Provider 3 corrupts its bid-agreement reveal (step 3): it can no
-	// longer open its commitment, so the round must abort.
+	// Provider 3 corrupts its bid-agreement reveal (step 3) on a round an
+	// equivocating bidder sends to the fallback: it can no longer open its
+	// commitment, so the round must abort.
 	s := newScenario(t, Rule{
 		Match:     MatchBlockStep(wire.BlockBidAgree, 3),
 		Action:    Mutate,
 		Transform: FlipPayloadByte(),
 	})
+	s.fallback = true
 	outs, errs := s.run(t, 10*time.Second)
 	if got := assertSafety(t, outs, errs, referenceOutcome(t)); got != 2 {
 		t.Errorf("corrupted reveal should force ⊥ at both honest providers, got %d", got)
@@ -217,8 +250,9 @@ func TestCorruptedConsensusRevealForcesBot(t *testing.T) {
 	}
 }
 
-// TestEquivocatedCommitmentAccusesNobody: provider 3 flips its
-// bid-agreement commitment toward provider 1 only. The echo step catches it
+// TestEquivocatedCommitmentAccusesNobody: on a round an equivocating bidder
+// sends to bid agreement's fallback, provider 3 flips its fallback
+// commitment toward provider 1 only. The echo step catches it
 // — providers 1 and 2 hold different commitment sets — but a mismatch
 // between views shows that someone lied, never who: provider 1's set is the
 // odd one out although provider 1 is honest. Both honest providers output ⊥
@@ -230,6 +264,7 @@ func TestEquivocatedCommitmentAccusesNobody(t *testing.T) {
 		Action:    Mutate,
 		Transform: FlipPayloadByte(),
 	})
+	s.fallback = true
 	outs, errs := s.run(t, 10*time.Second)
 	if got := assertSafety(t, outs, errs, referenceOutcome(t)); got != 2 {
 		t.Fatalf("an equivocated commitment should force ⊥ at both honest providers, got %d", got)
@@ -269,17 +304,23 @@ func TestEquivocatedTaskDigestForcesBot(t *testing.T) {
 
 func TestEquivocatedValidationForcesBot(t *testing.T) {
 	// Provider 3 sends a different input-validation digest to provider 2.
+	// Validation runs after bid agreement's fallback only; an equivocating
+	// bidder sends the round there.
 	s := newScenario(t, Rule{
 		Match:     MatchBlock(wire.BlockValidate),
 		Action:    Mutate,
 		Transform: EquivocateTo(2),
 	})
+	s.fallback = true
 	outs, errs := s.run(t, 10*time.Second)
 	if assertSafety(t, outs, errs, referenceOutcome(t)) == 0 {
 		t.Error("validation equivocation should force ⊥ at least at its victim")
 	}
 	if errs[1] == nil {
 		t.Error("provider 2 (the victim of the lie) must output ⊥")
+	}
+	if s.deviant.Matched.Load() == 0 {
+		t.Error("rule never fired; test is vacuous")
 	}
 }
 
@@ -356,5 +397,67 @@ func TestPassRuleCountsWithoutChanging(t *testing.T) {
 	// have fired; the rule machinery itself was exercised by Send.
 	if s.deviant.Matched.Load() != 0 {
 		t.Error("coin matcher fired in a coinless mechanism")
+	}
+}
+
+// TestSplitDigestViewEndsInBotAtOnce: provider 3 sends provider 1 a
+// bid-agreement digest other than the one it sends provider 2. Provider 1
+// takes the fallback, providers 2 and 3 the digest path, and provider 1's
+// fallback commit ends the round at the others the moment it lands —
+// their task graphs cannot finish meanwhile, since the final digest gather
+// waits on provider 1. Every provider and every bidder holds ⊥ in well
+// under a second, against a 30 s round timeout; the honest providers' ⊥ is
+// an unattributed protocol abort, since a split view never shows who lied.
+func TestSplitDigestViewEndsInBotAtOnce(t *testing.T) {
+	s := newScenario(t, Rule{
+		Match:     MatchBlockStep(wire.BlockBidAgree, 5), // the digest every round starts with
+		Action:    Mutate,
+		Transform: EquivocateTo(1),
+	})
+	start := time.Now()
+	_, errs := s.run(t, 30*time.Second)
+	for i := 0; i < 2; i++ {
+		var ae *proto.AbortError
+		if !errors.As(errs[i], &ae) || ae.Code != proto.AbortProtocol || ae.Culprit != wire.Broadcast {
+			t.Errorf("honest provider %d: got %v, want an unattributed protocol abort", i+1, errs[i])
+		}
+	}
+	if !errors.Is(errs[2], proto.ErrAborted) {
+		t.Errorf("deviant provider: got %v, want ⊥", errs[2])
+	}
+	for i, b := range s.bidders {
+		if out := <-b.Outcomes(); !errors.Is(out.Err, core.ErrOutcomeBot) {
+			t.Errorf("bidder %d: got %v, want ⊥", i, out.Err)
+		}
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Errorf("split view ended after %v, want < 1s", took)
+	}
+	if s.deviant.Matched.Load() == 0 {
+		t.Error("rule never fired; test is vacuous")
+	}
+}
+
+// TestCommitOffBroadcastDigestBlamesSender: provider 3 broadcasts a
+// flipped bid-agreement digest to everyone alike, on a round an
+// equivocating bidder sends to the fallback. Its fallback commitment
+// carries its vector's true digest, not the one it broadcast: both honest
+// providers charge it a protocol abort.
+func TestCommitOffBroadcastDigestBlamesSender(t *testing.T) {
+	s := newScenario(t, Rule{
+		Match:     MatchBlockStep(wire.BlockBidAgree, 5),
+		Action:    Mutate,
+		Transform: FlipPayloadByte(),
+	})
+	s.fallback = true
+	_, errs := s.run(t, 10*time.Second)
+	for i := 0; i < 2; i++ {
+		var ae *proto.AbortError
+		if !errors.As(errs[i], &ae) || ae.Code != proto.AbortProtocol || ae.Culprit != 3 {
+			t.Errorf("honest provider %d: got %v, want a protocol abort charged to provider 3", i+1, errs[i])
+		}
+	}
+	if s.deviant.Matched.Load() == 0 {
+		t.Error("rule never fired; test is vacuous")
 	}
 }

@@ -63,6 +63,38 @@ func TestStandardAuctionBaseline(t *testing.T) {
 	}
 }
 
+// TestStandardRoundBothPaths: a standard round completes through bid
+// agreement's digest path and, with an equivocating bidder, through its
+// fallback. Its allocation draws the common coin, whose reveal waits for the
+// agreement's binding point, so a path that never opened the gate would
+// hang to the 30 s round timeout. A Pass rule on provider 4 counts the
+// fallback commits it sends: none on the digest path.
+func TestStandardRoundBothPaths(t *testing.T) {
+	for _, fallback := range []bool{false, true} {
+		s := newStdScenario(t, Rule{Match: MatchBlockStep(wire.BlockBidAgree, 1), Action: Pass})
+		s.fallback = fallback
+		start := time.Now()
+		outs, errs := s.runStd(t, 30*time.Second)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("fallback=%v, provider %d: %v", fallback, i+1, err)
+			}
+			if outs[i].Digest() != outs[0].Digest() {
+				t.Fatalf("fallback=%v: providers disagree", fallback)
+			}
+		}
+		if err := outs[0].Alloc.CheckFeasible(stdCaps); err != nil {
+			t.Errorf("fallback=%v: infeasible: %v", fallback, err)
+		}
+		if took := time.Since(start); took > 10*time.Second {
+			t.Errorf("fallback=%v: round took %v", fallback, took)
+		}
+		if commits := s.deviant.Matched.Load(); (commits > 0) != fallback {
+			t.Errorf("fallback=%v: provider 4 sent %d fallback commits", fallback, commits)
+		}
+	}
+}
+
 // A corrupted coin reveal (provider 4 cannot open its commitment) aborts
 // the round before any allocation happens.
 func TestStandardCorruptedCoinReveal(t *testing.T) {
@@ -156,7 +188,11 @@ func TestAuditLoopRecommendsExclusion(t *testing.T) {
 			Action:    Mutate,
 			Transform: FlipPayloadByte(),
 		})
+		s.fallback = true // reveals exist on bid agreement's fallback only
 		_, errs := s.run(t, 10*time.Second)
+		if s.deviant.Matched.Load() == 0 {
+			t.Fatalf("round %d: rule never fired; test is vacuous", round)
+		}
 		// Feed the first honest provider's view into the audit log.
 		if errs[0] == nil {
 			log.RecordOutcome(round)

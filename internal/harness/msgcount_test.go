@@ -56,18 +56,21 @@ func (c countingConn) SendBatch(envs []wire.Envelope) error {
 }
 
 // TestRoundMessageCounts pins the network messages of one round at m=8,
-// k=1, n=60 — the fig5-standard-n60 deployment — and of a steady-state
-// double-auction round at the same size. A self-addressed send never
-// reaches the network and is not counted.
+// k=1, n=60 — the fig5-standard-n60 deployment — of a steady-state
+// double-auction round at the same size, and of one at m=3, n=10, the
+// shape of each market64 lane. A self-addressed send never reaches the
+// network and is not counted. Every round here is honest, so bid agreement
+// ends on its digest path: one digest from every provider to every other,
+// no commit, echo, reveal or input validation.
 func TestRoundMessageCounts(t *testing.T) {
 	const m, n = 8, 60
-	opts := func(net *roundCounter) []Option {
+	opts := func(net *roundCounter, m, n int) []Option {
 		return []Option{WithProviders(m), WithUsers(n), WithK(1), WithSeed(1), WithBidWindow(5 * time.Second),
 			WithNetwork(func(int64) transport.Network { return net })}
 	}
 
 	std := newRoundCounter(1)
-	res, err := RunDistributedStandard(opts(std)...)
+	res, err := RunDistributedStandard(opts(std, m, n)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,17 +80,18 @@ func TestRoundMessageCounts(t *testing.T) {
 	const (
 		bids        = n * m           // 480: every bidder to every provider
 		results     = m * n           // 480: every provider to every bidder
-		agreement   = 3 * m * (m - 1) // 168: bid agreement's commit, echo, reveal
+		agreement   = m * (m - 1)     //  56: bid agreement's digests
 		coin        = 3 * m * (m - 1) // 168: the allocation's coin toss: commit, echo, reveal
-		validate    = m * (m - 1)     //  56: allocator input validation
 		digests     = 2*m*(m-1) + 4*2 // 120: allocation and gather at all 8, each payment group's pair
 		transfers   = 4 * 2 * (m - 2) //  48: each payment share from its 2 computers to the 6 others
-		stdPerRound = bids + results + agreement + coin + validate + digests + transfers
+		stdPerRound = bids + results + agreement + coin + digests + transfers
 	)
+	// Before agreement tested digests first, it ran commit, echo and
+	// reveal (3·56) and then input validation (56) on every round: 1520.
 	// Before the transfer plan, each payment share also went to its own
 	// group's other member (+8), and the allocation went from all 8
 	// providers to each payment group's 2 members (+56): 1584.
-	if stdPerRound != 1520 {
+	if stdPerRound != 1352 {
 		t.Fatalf("arithmetic: %d", stdPerRound)
 	}
 	if got := std.sent[1]; got != stdPerRound || res.Msgs != stdPerRound {
@@ -95,21 +99,33 @@ func TestRoundMessageCounts(t *testing.T) {
 	}
 
 	// The double auction is a one-task graph: no transfer before or after
-	// it, so the plan leaves its traffic as it was. Round 1 is left out:
-	// a provider whose peers have not attached yet retries its ask.
-	dbl := newRoundCounter(1)
-	if _, err := RunSessionDouble(3, opts(dbl)...); err != nil {
-		t.Fatal(err)
+	// it. Round 1 is left out: a provider whose peers have not attached yet
+	// retries its ask.
+	dblPerRound := func(m, n int) int {
+		return n*m + // bids
+			m*(m-1) + // provider asks
+			m*(m-1) + // bid agreement's digests
+			m*(m-1) + // digests of the one task
+			m*n // results
 	}
-	const dblPerRound = n*m + // 480 bids
-		m*(m-1) + // 56 provider asks
-		3*m*(m-1) + // 168 bid agreement
-		m*(m-1) + // 56 input validation
-		m*(m-1) + // 56 digests of the one task
-		m*n // 480 results
-	for r := uint64(2); r <= 3; r++ {
-		if got := dbl.sent[r]; got != dblPerRound {
-			t.Errorf("double round %d sent %d messages, want %d", r, got, dblPerRound)
+	// Before agreement tested digests first, each round also sent
+	// 4·m(m−1) for agreement's commit, echo and reveal and for input
+	// validation: 1296 and 96.
+	for _, c := range []struct{ m, n, want int }{
+		{8, 60, 1128}, // 480 + 56 + 56 + 56 + 480
+		{3, 10, 78},   // 30 + 6 + 6 + 6 + 30: a market64 lane
+	} {
+		if got := dblPerRound(c.m, c.n); got != c.want {
+			t.Fatalf("arithmetic m=%d n=%d: %d", c.m, c.n, got)
+		}
+		dbl := newRoundCounter(1)
+		if _, err := RunSessionDouble(3, opts(dbl, c.m, c.n)...); err != nil {
+			t.Fatal(err)
+		}
+		for r := uint64(2); r <= 3; r++ {
+			if got := dbl.sent[r]; got != c.want {
+				t.Errorf("double m=%d n=%d round %d sent %d messages, want %d", c.m, c.n, r, got, c.want)
+			}
 		}
 	}
 }

@@ -138,6 +138,17 @@ type roundState struct {
 	abortCh  chan struct{} // nil until first subscriber
 	abortErr *AbortError   // set before abortCh closes
 	abortFns []func()      // OnAbort callbacks; run once outside the lock
+	// forbid is the round's Forbid registration (its from is zero), live
+	// while forbidCause is non-nil; ingest checks every message against it.
+	forbid      msgKey
+	forbidCause *AbortError
+}
+
+// forbids reports whether the round's Forbid registration covers a message
+// under key, whoever sent it.
+func (rs *roundState) forbids(key msgKey) bool {
+	key.from = 0
+	return rs.forbidCause != nil && key == rs.forbid
 }
 
 // waiterNode is one blocked receive: its rendezvous channel plus an
@@ -207,6 +218,7 @@ func (s *shard) retireLocked(round uint64, rs *roundState) {
 	rs.abortErr = nil
 	clear(rs.abortFns)
 	rs.abortFns = rs.abortFns[:0]
+	rs.forbidCause = nil
 	s.free = append(s.free, rs)
 }
 
@@ -383,10 +395,12 @@ type batchWake struct {
 	payload []byte
 }
 
-// batchEquiv defers an equivocation reaction out of the shard lock.
+// batchEquiv defers an equivocation reaction, or with a cause a Forbid
+// trip, out of the shard lock.
 type batchEquiv struct {
-	tag  wire.Tag
-	from wire.NodeID
+	tag   wire.Tag
+	from  wire.NodeID
+	cause *AbortError
 }
 
 // ingestRun is the one data path: it buffers a run of same-shard messages
@@ -429,6 +443,9 @@ func (p *Peer) ingestRun(sh *shard, run []wire.Envelope) {
 			continue
 		}
 		rs.buffered[key] = e.Payload
+		if rs.forbids(key) && ContainsNode(p.providers, e.From) {
+			equivs = append(equivs, batchEquiv{tag: e.Tag, from: e.From, cause: rs.forbidCause})
+		}
 		if ws := rs.waiters[key]; ws != nil {
 			delete(rs.waiters, key)
 			for n := ws; n != nil; n = n.next {
@@ -444,11 +461,15 @@ func (p *Peer) ingestRun(sh *shard, run []wire.Envelope) {
 	}
 	for _, q := range equivs {
 		// Same sender, same tag, different payload: equivocation, the
-		// ⊥-inducing deviation of §3.2. Poison the round and tell everyone
-		// so nobody blocks — off the delivering goroutine, since a handler
-		// must not send (see transport.Handler).
+		// ⊥-inducing deviation of §3.2 — or a message Forbid ruled out.
+		// Poison the round and tell everyone so nobody blocks — off the
+		// delivering goroutine, since a handler must not send (see
+		// transport.Handler).
 		ae := &AbortError{Round: q.tag.Round, From: p.self, Code: AbortEquivocation, Culprit: q.from,
 			Reason: fmt.Sprintf("equivocation by %d on %v", q.from, q.tag)}
+		if q.cause != nil {
+			ae = forbiddenAbort(p.self, q.tag, q.from, q.cause)
+		}
 		if _, fresh := p.latch(ae); fresh {
 			go p.broadcastAbort(ae)
 		}
@@ -517,6 +538,54 @@ func (p *Peer) OnAbort(round uint64, fn func()) {
 	}
 	rs.abortFns = append(rs.abortFns, fn)
 	sh.mu.Unlock()
+}
+
+// Forbid rules out, for the rest of tag.Round, every provider message
+// under tag's block, instance and step: one that is already buffered, or
+// that arrives before the round ends, latches the round's abort with
+// cause's code, culprit and reason and broadcasts it. The check runs where
+// messages are ingested, so it fires the moment such a message lands, with
+// no receive waiting for it. A round holds one registration; a second
+// call replaces the first. Forbid returns the round's abort when the round
+// already has one or a forbidden message is already buffered, and nil
+// otherwise.
+func (p *Peer) Forbid(tag wire.Tag, cause *AbortError) error {
+	sh := p.shardFor(tag.Round)
+	sh.mu.Lock()
+	if p.closed.Load() {
+		sh.mu.Unlock()
+		return ErrPeerClosed
+	}
+	if tag.Round < p.minRound.Load() {
+		sh.mu.Unlock()
+		return ErrRoundEnded
+	}
+	rs := sh.roundLocked(tag.Round)
+	if rs.abortErr != nil {
+		err := rs.abortErr
+		sh.mu.Unlock()
+		return err
+	}
+	for _, id := range p.providers {
+		if _, ok := rs.buffered[keyOf(tag, id)]; ok {
+			sh.mu.Unlock()
+			ae, fresh := p.latch(forbiddenAbort(p.self, tag, id, cause))
+			if fresh {
+				p.broadcastAbort(ae)
+			}
+			return ae
+		}
+	}
+	rs.forbid, rs.forbidCause = keyOf(tag, 0), cause
+	sh.mu.Unlock()
+	return nil
+}
+
+// forbiddenAbort is the abort a message under a Forbid registration
+// latches: the registration's verdict, naming the tag and the sender.
+func forbiddenAbort(self wire.NodeID, tag wire.Tag, from wire.NodeID, cause *AbortError) *AbortError {
+	return &AbortError{Round: tag.Round, From: self, Code: cause.Code, Culprit: cause.Culprit,
+		Reason: fmt.Sprintf("%v from %d: %s", tag, from, cause.Reason)}
 }
 
 // broadcastAbort sends ae to every other provider. A send error is

@@ -516,3 +516,62 @@ func TestAbortErrorFormatting(t *testing.T) {
 		t.Error("abort error formatting/matching broken")
 	}
 }
+
+// TestForbid: a provider's message under a forbidden step latches the
+// registration's verdict the moment it is ingested, and tells the other
+// providers; one already buffered latches at registration; another step,
+// another instance, or a sender outside the provider set does not.
+func TestForbid(t *testing.T) {
+	hub := transport.NewHub(transport.LatencyModel{}, 1)
+	t.Cleanup(func() { hub.Close() })
+	var peers []*Peer
+	for _, id := range []wire.NodeID{1, 2, 3, 100} {
+		conn, err := hub.Attach(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPeer(conn, []wire.NodeID{1, 2, 3})
+		t.Cleanup(func() { p.Close() })
+		peers = append(peers, p)
+	}
+	cause := &AbortError{Code: AbortProtocol, Culprit: wire.Broadcast, Reason: "forbidden"}
+	forbidden := tag(1, wire.BlockBidAgree, 0, 1)
+
+	if err := peers[0].Forbid(forbidden, cause); err != nil {
+		t.Fatalf("forbid on a clean round: %v", err)
+	}
+	for _, harmless := range []struct {
+		from int
+		tag  wire.Tag
+	}{
+		{1, tag(1, wire.BlockBidAgree, 0, 2)}, // another step
+		{1, tag(1, wire.BlockBidAgree, 1, 1)}, // another instance
+		{3, forbidden},                        // not a provider
+	} {
+		if err := peers[harmless.from].Send(1, harmless.tag, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := peers[0].AbortErr(1); err != nil {
+		t.Fatalf("a message outside the registration latched %v", err)
+	}
+	if err := peers[2].Send(1, forbidden, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	var ae *AbortError
+	if !errors.As(peers[0].AbortErr(1), &ae) || ae.Code != AbortProtocol || ae.Culprit != wire.Broadcast {
+		t.Fatalf("forbidden message latched %v, want the registration's protocol verdict", peers[0].AbortErr(1))
+	}
+	// A receive nothing will satisfy ends when the round aborts.
+	if _, err := peers[1].Receive(testCtx(t), tag(1, wire.BlockTask, 0, 1), 3); !errors.As(err, &ae) || ae.Code != AbortProtocol {
+		t.Errorf("provider 2: %v, want the broadcast protocol verdict", err)
+	}
+
+	// Already buffered: the registration itself latches and returns it.
+	if err := peers[2].Send(2, tag(2, wire.BlockBidAgree, 0, 1), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := peers[1].Forbid(tag(2, wire.BlockBidAgree, 0, 1), cause); !errors.As(err, &ae) || ae.Code != AbortProtocol {
+		t.Errorf("forbid over a buffered message returned %v, want the protocol verdict", err)
+	}
+}

@@ -32,9 +32,10 @@ const (
 	PhaseRound Phase = iota
 	// PhaseBidCollect is phase 0-1: broadcast own bid, gather the rest.
 	PhaseBidCollect
-	// PhaseAgreeCommit..PhaseAgreeVector are the bid-agreement gathers:
-	// commitment exchange, echo, reveal (digest fast path), and the
-	// stepVector full-vector fallback.
+	// PhaseAgreeCommit..PhaseAgreeVector are the gathers of bid
+	// agreement's fallback: commitment exchange, echo, reveal, and the
+	// stepVector full-vector exchange. An honest round records none of
+	// them; its one agreement gather is PhaseAgreeDigest.
 	PhaseAgreeCommit
 	PhaseAgreeEcho
 	PhaseAgreeReveal
@@ -55,6 +56,10 @@ const (
 	// PhaseAbort marks a round going to ⊥ (instantaneous; Peer is the
 	// culprit when attribution is known, Code the proto abort code).
 	PhaseAbort
+	// PhaseAgreeDigest is bid agreement's digest gather, the whole
+	// agreement on its digest path. It comes last so the earlier phases keep
+	// their codes.
+	PhaseAgreeDigest
 
 	// NumPhases bounds per-phase arrays.
 	NumPhases
@@ -65,7 +70,7 @@ var phaseNames = [NumPhases]string{
 	"agree-commit", "agree-echo", "agree-reveal", "agree-vector",
 	"task", "coalesce-ship", "admission-drop",
 	"settle-reserve", "settle-commit", "settle-release",
-	"abort",
+	"abort", "agree-digest",
 }
 
 // String returns the phase's stable wire/metric name.

@@ -166,9 +166,10 @@ func checkStream(who string, outs <-chan distauction.RoundOutcome, rounds uint64
 }
 
 // TestDeepPipelineProviderEquivocationAborts wraps one provider with a
-// deviation rule that equivocates its consensus reveal toward one peer in
-// two specific rounds of a 4-deep pipeline. Exactly those rounds must end ⊥
-// at every participant (abort propagation), every other round must be
+// deviation rule that equivocates its bid-agreement digest toward one peer
+// in two specific rounds of a 4-deep pipeline: that peer takes agreement's
+// fallback while the others decide, a split view. Exactly those rounds must
+// end ⊥ at every participant (abort propagation), every other round must be
 // accepted, and no state may leak — deviations cost their round, never the
 // session.
 func TestDeepPipelineProviderEquivocationAborts(t *testing.T) {
@@ -181,7 +182,7 @@ func TestDeepPipelineProviderEquivocationAborts(t *testing.T) {
 		}
 		return deviation.Wrap(conn, deviation.Rule{
 			Match: deviation.And(
-				deviation.MatchBlockStep(wire.BlockBidAgree, 3), // consensus reveal
+				deviation.MatchBlockStep(wire.BlockBidAgree, 5), // bid-agreement digest
 				func(env wire.Envelope) bool { return poisoned[env.Tag.Round] },
 			),
 			Action:    deviation.Mutate,
