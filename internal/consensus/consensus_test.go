@@ -55,12 +55,18 @@ func newDeviantPeers(t *testing.T, n int, rules ...deviation.Rule) ([]*proto.Pee
 // assertCulprit checks that err is a protocol abort pinned on culprit.
 func assertCulprit(t *testing.T, who string, err error, culprit wire.NodeID) {
 	t.Helper()
+	assertAbort(t, who, err, proto.AbortProtocol, culprit)
+}
+
+// assertAbort checks that err is an abort with the given code and culprit.
+func assertAbort(t *testing.T, who string, err error, code proto.AbortCode, culprit wire.NodeID) {
+	t.Helper()
 	var ae *proto.AbortError
 	if !errors.As(err, &ae) {
 		t.Fatalf("%s: got %v, want abort", who, err)
 	}
-	if ae.Code != proto.AbortProtocol || ae.Culprit != culprit {
-		t.Errorf("%s: abort %v culprit %d, want protocol culprit %d (reason %q)", who, ae.Code, ae.Culprit, culprit, ae.Reason)
+	if ae.Code != code || ae.Culprit != culprit {
+		t.Errorf("%s: abort %v culprit %d, want %v culprit %d (reason %q)", who, ae.Code, ae.Culprit, code, culprit, ae.Reason)
 	}
 }
 
@@ -450,18 +456,6 @@ func TestQuickAgreementProperty(t *testing.T) {
 		for _, p := range peers {
 			p.EndRound(round)
 		}
-	}
-}
-
-// assertAbort checks that err is an abort with the given code and culprit.
-func assertAbort(t *testing.T, who string, err error, code proto.AbortCode, culprit wire.NodeID) {
-	t.Helper()
-	var ae *proto.AbortError
-	if !errors.As(err, &ae) {
-		t.Fatalf("%s: got %v, want abort", who, err)
-	}
-	if ae.Code != code || ae.Culprit != culprit {
-		t.Errorf("%s: abort %v culprit %d, want %v culprit %d (reason %q)", who, ae.Code, ae.Culprit, code, culprit, ae.Reason)
 	}
 }
 
