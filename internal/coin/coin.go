@@ -87,10 +87,10 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // runs once between the echo and the reveal: from that point every value is
 // committed and the set known consistent, so a reveal can only open its
 // commitment or abort. It may block — the coin reservoir holds its reveal
-// there — and the exchange aborts instead of revealing if ctx expired
-// meanwhile. spans, when non-nil, names the trace phases of the commit,
-// echo and reveal steps (bid agreement's); an exchange without it records
-// none.
+// there — and the exchange aborts instead of revealing if ctx expired or
+// the round aborted meanwhile. spans, when non-nil, names the trace phases
+// of the commit, echo and reveal steps (bid agreement's); an exchange
+// without it records none.
 //
 // A provider whose own commitment or opening is malformed or does not
 // verify aborts the round as proto.AbortProtocol with that provider as
@@ -98,6 +98,16 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // typed cause.
 func Exchange(ctx context.Context, peer *proto.Peer, tag wire.Tag, payload []byte,
 	beforeReveal func(), spans []trace.Phase, opened [][]byte) (uint64, [][]byte, error) {
+	return exchange(ctx, peer, tag, payload, beforeReveal, spans, opened, time.Time{})
+}
+
+// exchange is Exchange whose commit, when it is the round's first message
+// to the providers, retries a provider that has not attached yet until
+// attachBy (proto.Peer.BroadcastFirst; the zero time sends once). Later
+// steps need no retry: they go out only once every provider's commit has
+// arrived, so every provider has attached.
+func exchange(ctx context.Context, peer *proto.Peer, tag wire.Tag, payload []byte,
+	beforeReveal func(), spans []trace.Phase, opened [][]byte, attachBy time.Time) (uint64, [][]byte, error) {
 
 	round := tag.Round
 	if err := peer.AbortErr(round); err != nil {
@@ -118,7 +128,7 @@ func Exchange(ctx context.Context, peer *proto.Peer, tag wire.Tag, payload []byt
 	// Commit.
 	span := trace.Begin()
 	tag.Step = stepCommit
-	if err := peer.BroadcastProviders(tag, com[:]); err != nil {
+	if err := peer.BroadcastFirst(ctx, tag, com[:], attachBy); err != nil {
 		return 0, opened, fail(peer, tag, err)
 	}
 	var err error
@@ -150,6 +160,9 @@ func Exchange(ctx context.Context, peer *proto.Peer, tag wire.Tag, payload []byt
 		beforeReveal()
 		if err := ctx.Err(); err != nil {
 			return 0, opened, peer.Fail(round, "before reveal", err)
+		}
+		if err := peer.AbortErr(round); err != nil {
+			return 0, opened, err
 		}
 	}
 

@@ -234,7 +234,7 @@ func TestTossOnAbortedRound(t *testing.T) {
 func reservoirAll(peers []*proto.Peer, round uint64, gated bool) []*Reservoir {
 	rs := make([]*Reservoir, len(peers))
 	for i, p := range peers {
-		rs[i] = NewReservoir(p, round, gated)
+		rs[i] = NewReservoir(p, round, gated, time.Time{})
 	}
 	return rs
 }

@@ -3,6 +3,7 @@ package coin
 import (
 	"context"
 	"sync"
+	"time"
 
 	"distauction/internal/proto"
 	"distauction/internal/wire"
@@ -13,23 +14,25 @@ import (
 // serializing inside task execution.
 //
 // A gated reservoir additionally withholds every reveal until Release is
-// called: the commit and echo phases hide the shares, so they can run while
-// bid agreement is still in progress, but no provider can learn a seed
-// before the local agreement is *bound* (all m proposal digests held and
-// equal, or on agreement's fallback every proposal committed and
-// echo-verified — the round engine releases at exactly that point). By the
-// time any party holds all shares of an instance, the agreement outcome is
-// a fixed function of values already sent at every honest provider — a
-// coalition that sees the seed can still only force ⊥ (by refusing or
-// mis-opening), exactly the power it already had.
+// called: the commit and echo phases hide the shares, so they can run
+// before the bids are even collected — the round engine starts its
+// reservoir when the round opens — but no provider can learn a seed before
+// the local agreement is *bound* (all m proposal digests held and equal, or
+// on agreement's fallback every proposal committed and echo-verified — the
+// round engine releases at exactly that point). By the time any party holds
+// all shares of an instance, the agreement outcome is a fixed function of
+// values already sent at every honest provider — a coalition that sees the
+// seed can still only force ⊥ (by refusing or mis-opening), exactly the
+// power it already had.
 //
 // All methods are safe for concurrent use. Each instance is tossed at most
 // once per reservoir regardless of how many callers request it — re-tossing
 // an instance would re-draw a fresh random share under the same tag, which
 // receivers would flag as equivocation.
 type Reservoir struct {
-	peer  *proto.Peer
-	round uint64
+	peer     *proto.Peer
+	round    uint64
+	attachBy time.Time
 
 	release     chan struct{}
 	releaseOnce sync.Once
@@ -49,12 +52,16 @@ type pendingToss struct {
 
 // NewReservoir creates a reservoir for round. When gated is true, reveals
 // are withheld until Release; otherwise tosses run all three phases as soon
-// as they are started.
-func NewReservoir(peer *proto.Peer, round uint64, gated bool) *Reservoir {
+// as they are started. A toss's commit retries a provider that has not
+// attached yet until attachBy (proto.Peer.BroadcastFirst): a reservoir
+// started when its round opens sends the round's first message to the
+// providers. The zero time sends it once.
+func NewReservoir(peer *proto.Peer, round uint64, gated bool, attachBy time.Time) *Reservoir {
 	r := &Reservoir{
-		peer:    peer,
-		round:   round,
-		release: make(chan struct{}),
+		peer:     peer,
+		round:    round,
+		attachBy: attachBy,
+		release:  make(chan struct{}),
 	}
 	if !gated {
 		close(r.release)
@@ -95,7 +102,7 @@ func (r *Reservoir) start(ctx context.Context, instance uint32) *pendingToss {
 			}
 		}
 		tag := wire.Tag{Round: r.round, Block: wire.BlockCoin, Instance: instance}
-		t.seed, _, t.err = Exchange(ctx, r.peer, tag, nil, gate, nil, nil)
+		t.seed, _, t.err = exchange(ctx, r.peer, tag, nil, gate, nil, nil, r.attachBy)
 	}()
 	return t
 }
@@ -127,8 +134,10 @@ func (r *Reservoir) Release() {
 // Close releases the reveal gate and joins every in-flight toss. It must be
 // called before the round's protocol state is reclaimed (EndRound): a toss
 // still gathering on a retired round would otherwise race the reclamation.
-// Closing twice is harmless; tosses on an aborted round unwind promptly via
-// the round's abort signal.
+// On a gated reservoir it must also come after the round is bound (Release)
+// or its abort has latched, never before: a toss past the gate reveals
+// unless its round is ⊥ or its ctx has ended. Closing twice is harmless;
+// tosses on an aborted round unwind promptly via the round's abort signal.
 func (r *Reservoir) Close() {
 	r.Release()
 	r.wg.Wait()

@@ -12,7 +12,6 @@ import (
 	"distauction/internal/consensus"
 	"distauction/internal/proto"
 	"distauction/internal/taskgraph"
-	"distauction/internal/transport"
 	"distauction/internal/wire"
 )
 
@@ -86,13 +85,11 @@ func (c Config) slotCount() int {
 
 // broadcastOwnBid performs phase 0 of a round: a provider that bids in a
 // double-sided mechanism broadcasts its own bid like any bidder. nil means
-// the neutral bid; single-sided mechanisms skip the phase entirely.
-//
-// Peers of a deployment open their sessions concurrently, and no transport
-// can route to a node that has not attached yet — so a failed send is
-// retried within the bid window (identical re-sends are absorbed by the
-// receivers) before the round is declared dead.
-func (s *Session) broadcastOwnBid(ctx context.Context, round uint64, ownBid *auction.ProviderBid) error {
+// the neutral bid; single-sided mechanisms skip the phase entirely. It is
+// the round's first message to the providers, so a send to a provider that
+// has not attached yet is retried within the bid window
+// (proto.Peer.BroadcastFirst) before the round is declared dead.
+func (s *Session) broadcastOwnBid(ctx context.Context, round uint64, ownBid *auction.ProviderBid, attachBy time.Time) error {
 	if !s.cfg.Mechanism.DoubleSided() {
 		return nil
 	}
@@ -101,42 +98,48 @@ func (s *Session) broadcastOwnBid(ctx context.Context, round uint64, ownBid *auc
 		bid = *ownBid
 	}
 	tag := wire.Tag{Round: round, Block: wire.BlockBidSubmit, Step: 1}
-	deadline := time.Now().Add(s.cfg.BidWindow)
-	// Capped jittered exponential backoff, one reusable timer, created only
-	// when the first attempt fails — a fleet of providers retrying into the
-	// same late attacher must not hammer it in lockstep.
-	var bo *transport.Backoff
-	for {
-		err := s.peer.BroadcastProviders(tag, bid.Encode())
-		if err == nil {
-			if bo != nil {
-				bo.Stop()
-			}
-			return nil
-		}
-		if ctx.Err() != nil || time.Now().After(deadline) {
-			if bo != nil {
-				bo.Stop()
-			}
-			return s.peer.Fail(round, "broadcast own bid", err)
-		}
-		if bo == nil {
-			bo = transport.NewBackoff(5*time.Millisecond, 100*time.Millisecond,
-				int64(round)^time.Now().UnixNano())
-		}
-		// A cancelled wait falls through to one final attempt; the ctx check
-		// above then reports the failure.
-		_ = bo.Wait(ctx.Done())
+	if err := s.peer.BroadcastFirst(ctx, tag, bid.Encode(), attachBy); err != nil {
+		return s.peer.Fail(round, "broadcast own bid", err)
 	}
+	return nil
 }
 
 // openRound runs phases 0–1 of a round: own-bid broadcast, then bid
-// collection over the bid window.
-func (s *Session) openRound(ctx context.Context, round uint64, ownBid *auction.ProviderBid) ([][]byte, error) {
-	if err := s.broadcastOwnBid(ctx, round, ownBid); err != nil {
-		return nil, err
+// collection over the bid window. It starts the round's coin first (when
+// the mechanism's graph declares draws), so every toss's commit and echo
+// run during bid collection: they hide every share, and the reservoir's
+// reveal gate opens only at agreement's binding point, in finishRound. The
+// returned reservoir belongs to the round; on an error openRound has
+// latched the round's abort and closed it already.
+func (s *Session) openRound(ctx context.Context, round uint64, ownBid *auction.ProviderBid) ([][]byte, *coin.Reservoir, error) {
+	attachBy := time.Now().Add(s.cfg.BidWindow)
+	var coins *coin.Reservoir
+	if len(s.coinPlan) > 0 {
+		coins = coin.NewReservoir(s.peer, round, true, attachBy)
+		coins.Prefetch(ctx, s.coinPlan...)
 	}
-	return s.collectBids(ctx, round)
+	err := s.broadcastOwnBid(ctx, round, ownBid, attachBy)
+	var inputs [][]byte
+	if err == nil {
+		inputs, err = s.collectBids(ctx, round)
+	}
+	if err != nil {
+		return nil, nil, s.abortOpen(round, err, coins)
+	}
+	return inputs, coins, nil
+}
+
+// abortOpen ends a round that never reached a worker: it latches the
+// round's abort (delivering ⊥ to bidders) and only then closes the round's
+// reservoir. The order is the safety of the gated coin: Close opens the
+// reveal gate, and a toss that passes it on an aborted round aborts
+// instead of revealing.
+func (s *Session) abortOpen(round uint64, cause error, coins *coin.Reservoir) error {
+	err := s.failRound(round, cause)
+	if coins != nil {
+		coins.Close()
+	}
+	return err
 }
 
 // expiredC is a closed timer channel: ReceiveTimeout with it returns any
@@ -272,23 +275,20 @@ func (s *Session) putBids(bv *auction.BidVector) { s.bidsPool.Put(bv) }
 
 // finishRound runs phases 2–5 on the collected inputs: bid agreement, the
 // allocator (validate + task graph), and outcome delivery to bidders
-// (Figure 1). It owns inputs from here on: the slice returns to the slot
-// pool when the round finishes, on every path.
-func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte) (auction.Outcome, error) {
+// (Figure 1). It owns inputs and coins, the round's reservoir from
+// openRound (nil when the graph declares no draws), from here on: the
+// slice returns to the slot pool and the reservoir is closed when the round
+// finishes, on every path — an abort path latches the round's abort first
+// (deliverAbort), so Close's opening of the reveal gate can never let a
+// reveal out before the binding point.
+func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte, coins *coin.Reservoir) (auction.Outcome, error) {
 	cfg := s.cfg
 	defer s.putSlots(inputs)
 
-	// Coin prefetch: start the commit/echo phases of every draw the graph
-	// declares now so they overlap bid agreement; the reveals stay gated
-	// until agreement is bound, so no provider can know a seed while the
-	// agreed vector is still undecided.
 	var coinSrc taskgraph.CoinSource
 	var onBound func()
-	if len(s.coinPlan) > 0 {
-		coins := coin.NewReservoir(s.peer, round, true)
-		coins.Prefetch(ctx, s.coinPlan...)
-		// Close joins every toss before the round can be reclaimed; on
-		// abort paths it also opens the gate so blocked tosses unwind.
+	if coins != nil {
+		// Close joins every toss before the round can be reclaimed.
 		defer coins.Close()
 		coinSrc, onBound = coins, coins.Release
 	}
@@ -348,10 +348,10 @@ func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte
 	return outcome, nil
 }
 
-// deliverAbort reports ⊥ to all bidders and returns the abort error.
+// deliverAbort latches the round's abort, reports ⊥ to all bidders and
+// returns the abort.
 func (s *Session) deliverAbort(round uint64, err error) (auction.Outcome, error) {
-	s.deliverResult(round, false, nil)
-	return auction.Outcome{}, err
+	return auction.Outcome{}, s.failRound(round, err)
 }
 
 // deliverResult sends the round result (ok + outcome, or ⊥) to every user,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"distauction/internal/auction"
+	"distauction/internal/coin"
 	"distauction/internal/proto"
 	"distauction/internal/taskgraph"
 	"distauction/internal/trace"
@@ -409,7 +410,8 @@ var errSessionClosed = fmt.Errorf("session closed (%w)", context.Canceled)
 type roundWork struct {
 	r      uint64
 	inputs [][]byte
-	began  time.Time // when phase 0 started; stamps the round's latency
+	coins  *coin.Reservoir // the round's coin, tossing since the round opened; nil without draws
+	began  time.Time       // when phase 0 started; stamps the round's latency
 }
 
 // schedule is the round scheduler: it serialises phase 0–1 (own-bid
@@ -449,10 +451,9 @@ func (s *Session) schedule() {
 
 		began := time.Now()
 		span := trace.Begin()
-		inputs, err := s.openRound(s.ctx, r, s.ownBid.Load())
+		inputs, coins, err := s.openRound(s.ctx, r, s.ownBid.Load())
 		if err != nil {
 			lat := time.Since(began)
-			err = s.failRound(r, err)
 			trace.RoundDone(r, s.peer.Lane(), s.peer.Self(), lat, true, int32(proto.AbortCodeOf(err)))
 			s.report(RoundOutcome{Round: r, Err: err, Latency: lat})
 			<-slots
@@ -464,12 +465,12 @@ func (s *Session) schedule() {
 		trace.Span(span, trace.PhaseBidCollect, r, s.peer.Lane(), s.peer.Self(), trace.NoPeer, 0)
 
 		select {
-		case work <- roundWork{r: r, inputs: inputs, began: began}:
+		case work <- roundWork{r: r, inputs: inputs, coins: coins, began: began}:
 		case <-s.closing:
 			// The round made trackRound before close(closing), so Close's
 			// in-flight snapshot aborts it too, with the same cause; report
 			// it here so the results stream accounts for every tracked round.
-			s.report(RoundOutcome{Round: r, Err: s.failRound(r, errSessionClosed)})
+			s.report(RoundOutcome{Round: r, Err: s.abortOpen(r, errSessionClosed, coins)})
 			<-slots
 			return
 		}
@@ -490,7 +491,7 @@ func (s *Session) roundWorker(work <-chan roundWork, slots <-chan struct{}, work
 		if s.settings.roundTimeout > 0 {
 			rctx, cancel = context.WithTimeout(s.ctx, s.settings.roundTimeout)
 		}
-		out, err := s.finishRound(rctx, rw.r, rw.inputs)
+		out, err := s.finishRound(rctx, rw.r, rw.inputs, rw.coins)
 		if cancel != nil {
 			cancel()
 		}

@@ -225,18 +225,26 @@ func RunDistributedDouble(opts ...Option) (Result, error) {
 // (Figure 5, distributed series). The parallelism is p = ⌊m/(k+1)⌋.
 func RunDistributedStandard(opts ...Option) (Result, error) {
 	cfg := newConfig(opts)
-	inst := workload.NewStandardAuction(cfg.seed, cfg.n, cfg.m)
-	mech, err := core.NewMechanism("standard", core.MechanismSpec{
-		Capacities: inst.Capacities,
-		InvEpsilon: cfg.invEps,
-		IterFactor: cfg.iterFactor,
-		ModelDelay: cfg.modelDelay,
-		Replicated: cfg.replicated,
-	})
+	mech, bids, err := cfg.standardAuction()
 	if err != nil {
 		return Result{}, err
 	}
-	return runRound(cfg, mech, nil, inst.Users)
+	return runRound(cfg, mech, nil, bids)
+}
+
+// standardAuction generates one standard auction's workload, deterministic
+// in the seed: the mechanism over the providers' capacities, and the user
+// bids.
+func (c config) standardAuction() (core.Mechanism, []auction.UserBid, error) {
+	inst := workload.NewStandardAuction(c.seed, c.n, c.m)
+	mech, err := core.NewMechanism("standard", core.MechanismSpec{
+		Capacities: inst.Capacities,
+		InvEpsilon: c.invEps,
+		IterFactor: c.iterFactor,
+		ModelDelay: c.modelDelay,
+		Replicated: c.replicated,
+	})
+	return mech, inst.Users, err
 }
 
 // runRound is the rounds = 1 case of the session builder; the paper's

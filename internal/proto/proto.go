@@ -712,6 +712,51 @@ func (p *Peer) BroadcastProviders(tag wire.Tag, payload []byte) error {
 	return firstErr
 }
 
+// BroadcastFirst is BroadcastProviders for a round's first message to the
+// providers, which can be sent before every provider of the deployment has
+// attached: peers open their sessions concurrently, and no transport routes
+// to a node that has not attached yet. A send that fails is retried, to the
+// providers it failed for only, with capped jittered backoff starting at
+// 200 µs, until it succeeds or until, first, deadline passes, ctx ends or
+// tag's round aborts; BroadcastFirst then returns the last send error. A
+// zero deadline sends once. Receivers absorb identical re-sends.
+func (p *Peer) BroadcastFirst(ctx context.Context, tag wire.Tag, payload []byte, deadline time.Time) error {
+	var failed []wire.NodeID // nil until a send fails: the common path allocates nothing
+	var err error
+	for _, id := range p.providers {
+		if e := p.Send(id, tag, payload); e != nil {
+			failed, err = append(failed, id), e
+		}
+	}
+	if failed == nil || !time.Now().Before(deadline) {
+		return err
+	}
+	// The wait ends early when ctx ends or the round aborts (OnAbort runs
+	// cancel at once if it already has).
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	p.OnAbort(tag.Round, cancel)
+	// A fleet of providers retrying into the same late attacher must not
+	// hammer it in lockstep: the jitter seed differs per node and round.
+	// The first wait is short, because round 1 pays it.
+	bo := transport.NewBackoff(200*time.Microsecond, 100*time.Millisecond,
+		int64(tag.Round)^int64(p.self)<<32^time.Now().UnixNano())
+	defer bo.Stop()
+	for len(failed) > 0 && time.Now().Before(deadline) && bo.Wait(wctx.Done()) {
+		retry := failed
+		failed = failed[:0]
+		for _, id := range retry {
+			if e := p.Send(id, tag, payload); e != nil {
+				failed, err = append(failed, id), e
+			}
+		}
+	}
+	if len(failed) == 0 {
+		return nil
+	}
+	return err
+}
+
 // Receive blocks until a message with the given tag from the given sender
 // arrives, the round aborts, the context expires, or the peer closes.
 func (p *Peer) Receive(ctx context.Context, tag wire.Tag, from wire.NodeID) ([]byte, error) {

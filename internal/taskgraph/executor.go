@@ -7,6 +7,7 @@ import (
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"distauction/internal/coin"
 	"distauction/internal/datatransfer"
@@ -211,7 +212,7 @@ func (ex *Executor) Run(ctx context.Context, round uint64, env any, opts Options
 		return nil, err
 	}
 	if coins == nil && ex.g.needsCoin {
-		coins = coin.NewReservoir(ex.peer, round, false)
+		coins = coin.NewReservoir(ex.peer, round, false, time.Time{})
 		defer coins.Close()
 	}
 	if coins != nil {

@@ -2,16 +2,20 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 )
 
-// The two decoders a stream transport's read loop feeds first, with bytes
-// nobody has authenticated yet. Each target asserts: no panic; the zero-copy
-// decode and the copying decode agree; every view lies inside the input and
-// cannot grow over its neighbours; decode → encode → decode is a fixed
-// point.
+// The decoders a stream transport's read loop feeds first, with bytes
+// nobody has authenticated yet. The two envelope targets assert: no panic;
+// the zero-copy decode and the copying decode agree; every view lies inside
+// the input and cannot grow over its neighbours; decode → encode → decode
+// is a fixed point. FuzzReadFrame holds the length prefix in front of them
+// to an allocation bound.
 
 // inside reports whether view aliases buf without room to grow past its
 // own end.
@@ -132,4 +136,73 @@ func FuzzDecodeSuperframeView(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(checkSuperframe)
+}
+
+// heapBytes returns what fn allocates on the heap: the least over three
+// calls, because the process's other goroutines (a fuzzing engine's own)
+// can allocate during any one of them.
+func heapBytes(fn func()) uint64 {
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// FuzzReadFrame feeds ReadFrame a stream. No prefix may make it allocate
+// more than 2·len(stream) + 64 KiB (a 4-byte prefix claiming MaxFrameLen
+// once pinned 32 MiB), and a frame it returns is written back to exactly the
+// bytes it was read from.
+func FuzzReadFrame(f *testing.F) {
+	var hdr [4]byte
+	for _, n := range []uint32{0, 5, frameChunk, frameChunk + 1, MaxFrameLen, MaxFrameLen + 1, ^uint32(0)} {
+		binary.BigEndian.PutUint32(hdr[:], n)
+		f.Add(bytes.Clone(hdr[:]))
+	}
+	for _, n := range []int{0, 5, frameChunk, frameChunk + 7} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, bytes.Repeat([]byte{0xa5}, n)); err != nil {
+			f.Fatal(err)
+		}
+		full := buf.Bytes()
+		f.Add(full)
+		f.Add(full[:len(full)/2])
+		f.Add(append(bytes.Clone(full), full...))
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		r := bytes.NewReader(stream)
+		var frame []byte
+		var err error
+		read := func() {
+			r.Reset(stream)
+			frame, err = ReadFrame(r)
+		}
+		if got, limit := heapBytes(read), 2*uint64(len(stream))+frameChunk; got > limit {
+			t.Fatalf("%d-byte stream: ReadFrame allocated %d bytes, limit %d", len(stream), got, limit)
+		}
+		if err != nil {
+			if frame != nil {
+				t.Fatal("frame returned alongside an error")
+			}
+			if len(stream) == 0 && err != io.EOF {
+				t.Fatalf("empty stream: %v, want io.EOF", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteFrame(&out, frame); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), stream[:4+len(frame)]) {
+			t.Fatalf("a %d-byte frame wrote back differently from how it was read", len(frame))
+		}
+		again, err := ReadFrame(&out)
+		if err != nil || !bytes.Equal(again, frame) {
+			t.Fatalf("write → read moved the frame: err %v", err)
+		}
+	})
 }
