@@ -3,10 +3,10 @@ package auction
 import (
 	"bytes"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"distauction/internal/fixed"
+	"distauction/internal/testalloc"
 )
 
 // The bid decoders read bytes straight from the least trusted parties: a
@@ -18,21 +18,6 @@ import (
 
 // errAllowance covers the error a failed decode formats.
 const errAllowance = 512
-
-// heapBytes returns what fn allocates on the heap: the least over three
-// calls, because the process's other goroutines (a fuzzing engine's own)
-// can allocate during any one of them.
-func heapBytes(fn func()) uint64 {
-	least := ^uint64(0)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		fn()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
-}
 
 // bidSeeds is encoder output plus truncation, an extra byte and an
 // overlong varint.
@@ -54,7 +39,7 @@ func FuzzDecodeUserBid(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var b UserBid
 		var err error
-		if got := heapBytes(func() { b, err = DecodeUserBid(raw) }); got > errAllowance {
+		if got := testalloc.HeapBytes(func() { b, err = DecodeUserBid(raw) }); got > errAllowance {
 			t.Fatalf("%d-byte input: decode allocated %d bytes", len(raw), got)
 		}
 		if err != nil {
@@ -77,7 +62,7 @@ func FuzzDecodeProviderBid(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var b ProviderBid
 		var err error
-		if got := heapBytes(func() { b, err = DecodeProviderBid(raw) }); got > errAllowance {
+		if got := testalloc.HeapBytes(func() { b, err = DecodeProviderBid(raw) }); got > errAllowance {
 			t.Fatalf("%d-byte input: decode allocated %d bytes", len(raw), got)
 		}
 		if err != nil {
@@ -106,7 +91,7 @@ func FuzzDecodeBidVector(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var v BidVector
 		var err error
-		got := heapBytes(func() { v, err = DecodeBidVector(raw) })
+		got := testalloc.HeapBytes(func() { v, err = DecodeBidVector(raw) })
 		if limit := 8*uint64(len(raw)) + errAllowance; got > limit {
 			t.Fatalf("%d-byte input: decode allocated %d bytes, limit %d", len(raw), got, limit)
 		}

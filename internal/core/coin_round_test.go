@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"distauction/internal/fixed"
 	"distauction/internal/mechanism/standardauction"
 	"distauction/internal/proto"
+	"distauction/internal/taskgraph"
 	"distauction/internal/testleak"
 	"distauction/internal/transport"
 	"distauction/internal/wire"
@@ -20,10 +22,11 @@ import (
 
 // The standard auction's coin starts when its round opens: the commit and
 // echo run during bid collection, the reveal waits for bid agreement's
-// binding point. These tests pin the three things that move with it: a
+// binding point. These tests pin the four things that move with it: a
 // provider that attaches late still gets round 1's commits, a round closed
-// in bid collection joins its tosses and reveals nothing, and no reveal
-// leaves a provider before it holds every agreement digest.
+// in bid collection joins its tosses and reveals nothing, no reveal leaves
+// a provider before it holds every agreement digest, and a toss that can
+// never finish holds its round only until the round timeout.
 
 // Protocol steps read off the tap (the constants are the coin's and the
 // consensus package's own).
@@ -73,21 +76,29 @@ func first(events []tapEvent, ok func(tapEvent) bool) int {
 	return -1
 }
 
+// tapConn logs a provider's traffic. An envelope withhold returns true for
+// is logged as sent but never leaves.
 type tapConn struct {
 	transport.Conn
-	log *tapLog
+	log      *tapLog
+	withhold func(wire.Envelope) bool
 }
 
 func (c tapConn) Send(env wire.Envelope) error {
 	c.log.add(true, c.Self(), env)
+	if c.withhold != nil && c.withhold(env) {
+		return nil
+	}
 	return c.Conn.Send(env)
 }
 
 func (c tapConn) SendBatch(envs []wire.Envelope) error {
 	for _, env := range envs {
-		c.log.add(true, c.Self(), env)
+		if err := c.Send(env); err != nil {
+			return err
+		}
 	}
-	return c.Conn.SendBatch(envs)
+	return nil
 }
 
 func (c tapConn) SetHandler(h transport.Handler) {
@@ -117,6 +128,8 @@ type coinRig struct {
 	sessions         []*Session
 	bidders          []*BidderSession
 	opts             []SessionOption
+	// withhold, when set, filters what provider from sends.
+	withhold func(from wire.NodeID, env wire.Envelope) bool
 }
 
 func newCoinRig(t *testing.T, m, n, rounds int) *coinRig {
@@ -160,7 +173,12 @@ func (r *coinRig) open(i int) {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	s, err := OpenSession(tapConn{conn, r.log}, r.providers, r.users, r.opts...)
+	tap := tapConn{Conn: conn, log: r.log}
+	if r.withhold != nil {
+		from := r.providers[i]
+		tap.withhold = func(env wire.Envelope) bool { return r.withhold(from, env) }
+	}
+	s, err := OpenSession(tap, r.providers, r.users, r.opts...)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -354,6 +372,58 @@ func TestCoinRevealWaitsForAgreementDigests(t *testing.T) {
 				if digests != m-1 {
 					t.Errorf("round %d: provider %d received %d agreement digests, want %d", round, id, digests, m-1)
 				}
+			}
+		}
+	})
+}
+
+// spareDraw is the replicated standard auction with one more declared coin
+// draw than its task consumes: every provider tosses the spare, nobody
+// waits for its seed.
+type spareDraw struct{ StandardAuction }
+
+func (m spareDraw) Graph(cfg GraphConfig) (*taskgraph.Graph, error) {
+	m.Replicated = true
+	g, err := m.StandardAuction.Graph(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tasks := slices.Clone(g.Tasks())
+	tasks[0].CoinDraws++
+	return taskgraph.New(cfg.Providers, cfg.K, tasks)
+}
+
+// A provider that withholds its reveal of the spare draw from one peer
+// leaves that peer's toss gathering for good, while its graph completes.
+// The toss runs under the round's context, so the round timeout ends it:
+// the peer's round ends (⊥ or accepted) within the timeout instead of
+// holding its worker, and the session's Close, until the session closes.
+func TestUnfinishableTossEndsWithRoundTimeout(t *testing.T) {
+	testleak.Check(t, func() {
+		const timeout = 500 * time.Millisecond
+		r := newCoinRig(t, 3, 2, 1)
+		defer r.close()
+		mech := spareDraw{StandardAuction{Params: standardauction.Params{
+			Capacities: []fixed.Fixed{fixed.MustInt(2), fixed.MustInt(2), fixed.MustInt(2)}, InvEpsilon: 4}}}
+		r.opts = append(r.opts, WithMechanism(mech), WithRoundTimeout(timeout))
+		spare := taskgraph.CoinInstance(1, 1)
+		r.withhold = func(from wire.NodeID, env wire.Envelope) bool {
+			return from == 1 && env.To == 3 && env.Tag.Block == wire.BlockCoin &&
+				env.Tag.Instance == spare && env.Tag.Step == coinReveal
+		}
+		start := time.Now()
+		for i := range r.providers {
+			r.open(i)
+		}
+		r.submit(1)
+		for i, s := range r.sessions {
+			select {
+			case out := <-s.Outcomes():
+				if out.Round != 1 {
+					t.Fatalf("provider %d: %+v, want round 1", i+1, out)
+				}
+			case <-time.After(timeout + 5*time.Second):
+				t.Fatalf("provider %d: round 1 still open %v after it started, round timeout %v", i+1, time.Since(start), timeout)
 			}
 		}
 	})

@@ -49,9 +49,9 @@ type Mechanism interface {
 	// the graph — and its schedule plan — once at open and runs it every
 	// round on a persistent taskgraph.Executor; an error here fails the open.
 	// Coin draws are declared on the tasks (Task.CoinDraws): the session
-	// pre-tosses exactly the declared instances while bid agreement is still
-	// running, so a task whose draw count depends on the bids must leave
-	// CoinDraws zero and draw on demand.
+	// pre-tosses exactly the declared instances from the moment the round
+	// opens, before its bids are collected, so a task whose draw count
+	// depends on the bids must leave CoinDraws zero and draw on demand.
 	Graph(cfg GraphConfig) (*taskgraph.Graph, error)
 }
 

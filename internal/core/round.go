@@ -104,19 +104,40 @@ func (s *Session) broadcastOwnBid(ctx context.Context, round uint64, ownBid *auc
 	return nil
 }
 
+// roundCoin is a round's coin, started by openRound and closed when the
+// round ends: the gated reservoir tossing the graph's declared draws (nil
+// when it declares none), and the cancel of the context its tosses run
+// under.
+type roundCoin struct {
+	res    *coin.Reservoir
+	cancel context.CancelFunc
+}
+
+// close joins the round's tosses and releases their context. It opens the
+// reveal gate (Reservoir.Close), so the round must be bound or its abort
+// latched first.
+func (c roundCoin) close() {
+	if c.res != nil {
+		c.res.Close()
+		c.cancel()
+	}
+}
+
 // openRound runs phases 0–1 of a round: own-bid broadcast, then bid
 // collection over the bid window. It starts the round's coin first (when
 // the mechanism's graph declares draws), so every toss's commit and echo
 // run during bid collection: they hide every share, and the reservoir's
 // reveal gate opens only at agreement's binding point, in finishRound. The
-// returned reservoir belongs to the round; on an error openRound has
-// latched the round's abort and closed it already.
-func (s *Session) openRound(ctx context.Context, round uint64, ownBid *auction.ProviderBid) ([][]byte, *coin.Reservoir, error) {
+// returned coin belongs to the round; on an error openRound has latched
+// the round's abort and closed it already.
+func (s *Session) openRound(ctx context.Context, round uint64, ownBid *auction.ProviderBid) ([][]byte, roundCoin, error) {
 	attachBy := time.Now().Add(s.cfg.BidWindow)
-	var coins *coin.Reservoir
+	var coins roundCoin
 	if len(s.coinPlan) > 0 {
-		coins = coin.NewReservoir(s.peer, round, true, attachBy)
-		coins.Prefetch(ctx, s.coinPlan...)
+		var coinCtx context.Context
+		coinCtx, coins.cancel = context.WithCancel(ctx)
+		coins.res = coin.NewReservoir(s.peer, round, true, attachBy)
+		coins.res.Prefetch(coinCtx, s.coinPlan...)
 	}
 	err := s.broadcastOwnBid(ctx, round, ownBid, attachBy)
 	var inputs [][]byte
@@ -124,21 +145,19 @@ func (s *Session) openRound(ctx context.Context, round uint64, ownBid *auction.P
 		inputs, err = s.collectBids(ctx, round)
 	}
 	if err != nil {
-		return nil, nil, s.abortOpen(round, err, coins)
+		return nil, roundCoin{}, s.abortOpen(round, err, coins)
 	}
 	return inputs, coins, nil
 }
 
 // abortOpen ends a round that never reached a worker: it latches the
 // round's abort (delivering ⊥ to bidders) and only then closes the round's
-// reservoir. The order is the safety of the gated coin: Close opens the
-// reveal gate, and a toss that passes it on an aborted round aborts
-// instead of revealing.
-func (s *Session) abortOpen(round uint64, cause error, coins *coin.Reservoir) error {
+// coin. The order is the safety of the gated coin: Close opens the reveal
+// gate, and a toss that passes it on an aborted round aborts instead of
+// revealing.
+func (s *Session) abortOpen(round uint64, cause error, coins roundCoin) error {
 	err := s.failRound(round, cause)
-	if coins != nil {
-		coins.Close()
-	}
+	coins.close()
 	return err
 }
 
@@ -275,22 +294,27 @@ func (s *Session) putBids(bv *auction.BidVector) { s.bidsPool.Put(bv) }
 
 // finishRound runs phases 2–5 on the collected inputs: bid agreement, the
 // allocator (validate + task graph), and outcome delivery to bidders
-// (Figure 1). It owns inputs and coins, the round's reservoir from
-// openRound (nil when the graph declares no draws), from here on: the
-// slice returns to the slot pool and the reservoir is closed when the round
-// finishes, on every path — an abort path latches the round's abort first
-// (deliverAbort), so Close's opening of the reveal gate can never let a
-// reveal out before the binding point.
-func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte, coins *coin.Reservoir) (auction.Outcome, error) {
+// (Figure 1). It owns inputs and coins, the round's coin from openRound,
+// from here on: the slice returns to the slot pool and the coin is closed
+// when the round finishes, on every path — an abort path latches the
+// round's abort first (deliverAbort), so Close's opening of the reveal gate
+// can never let a reveal out before the binding point.
+func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte, coins roundCoin) (auction.Outcome, error) {
 	cfg := s.cfg
 	defer s.putSlots(inputs)
 
 	var coinSrc taskgraph.CoinSource
 	var onBound func()
-	if coins != nil {
-		// Close joins every toss before the round can be reclaimed.
-		defer coins.Close()
-		coinSrc, onBound = coins, coins.Release
+	if coins.res != nil {
+		// The round's context ends its tosses too, so a toss that can never
+		// finish (a reveal withheld for a draw no task consumes) holds the
+		// round's Close only until the round timeout. Ending a toss's
+		// context never lets a reveal out: the toss aborts the round
+		// instead. Deferred in this order, the round's coin is closed —
+		// every toss joined — before the timeout's hook is removed.
+		defer context.AfterFunc(ctx, coins.cancel)()
+		defer coins.close()
+		coinSrc, onBound = coins.res, coins.res.Release
 	}
 
 	// Phase 2: bid agreement (§4.1, Property 1) — one batched vector

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"distauction/internal/auction"
-	"distauction/internal/coin"
 	"distauction/internal/proto"
 	"distauction/internal/taskgraph"
 	"distauction/internal/trace"
@@ -410,8 +409,8 @@ var errSessionClosed = fmt.Errorf("session closed (%w)", context.Canceled)
 type roundWork struct {
 	r      uint64
 	inputs [][]byte
-	coins  *coin.Reservoir // the round's coin, tossing since the round opened; nil without draws
-	began  time.Time       // when phase 0 started; stamps the round's latency
+	coins  roundCoin // the round's coin, tossing since the round opened
+	began  time.Time // when phase 0 started; stamps the round's latency
 }
 
 // schedule is the round scheduler: it serialises phase 0–1 (own-bid

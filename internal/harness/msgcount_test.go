@@ -80,7 +80,8 @@ func TestRoundMessageCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := runSession(cfg, mech, nil, [][]auction.UserBid{userBids, userBids, userBids}); err != nil {
+	res, _, err := runSession(cfg, mech, nil, [][]auction.UserBid{userBids, userBids, userBids})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The standard auction is one-sided, so providers broadcast no asks.
@@ -107,6 +108,10 @@ func TestRoundMessageCounts(t *testing.T) {
 		if got := std.sent[r]; got != stdPerRound {
 			t.Errorf("standard round %d sent %d messages, want %d", r, got, stdPerRound)
 		}
+	}
+	// The Hub's own counter agrees: its total less what round 1 sent.
+	if got := res.Msgs - int64(std.sent[1]); got != 2*stdPerRound {
+		t.Errorf("hub counted %d messages in rounds 2–3, want %d", got, 2*stdPerRound)
 	}
 
 	// The double auction is a one-task graph: no transfer before or after

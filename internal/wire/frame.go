@@ -44,10 +44,12 @@ func WriteFrameTo(w io.Writer, payload []byte) error {
 	return nil
 }
 
-// frameChunk bounds what ReadFrame allocates for a frame body before the
-// body arrives. The length prefix comes before anything a receiver can
-// authenticate, so a prefix alone must not pin MaxFrameLen bytes.
-const frameChunk = 64 << 10
+// frameChunk bounds what ReadFrame allocates for a frame body before any of
+// it arrives: the length prefix comes before anything a receiver can
+// authenticate, so a prefix alone must not pin MaxFrameLen bytes. It is the
+// transport coalescer's cap on a superframe's payload bytes, so a coalesced
+// frame below that cap is read into one exact allocation.
+const frameChunk = 128 << 10
 
 // errBodyEnded is ReadFrame's error for a stream that ends inside a frame
 // body, made once: a truncated frame costs its reader nothing beyond the
@@ -58,78 +60,37 @@ var errBodyEnded = fmt.Errorf("read frame body: %w", io.ErrUnexpectedEOF)
 // the stream ends cleanly before a frame starts, and an error wrapping
 // io.ErrUnexpectedEOF when it ends mid-frame.
 //
-// A body of at most frameChunk bytes is read into one exact allocation. A
-// longer one is read frameChunk at a time and joined once complete, so the
-// memory a sender pins grows only with the bytes it actually sends: at most
-// 2n + frameChunk for a frame of n bytes.
+// The body is read into a buffer of at most frameChunk bytes that doubles,
+// up to the prefix's length, only once it is full. A body of at most
+// frameChunk bytes is one exact allocation, and what a sender makes the
+// reader allocate grows only with the bytes it sends: at most frameChunk,
+// or four times the body bytes received.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	prefix, err := readPrefix(r)
-	if err != nil {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("read frame header: %w", err)
 	}
-	if prefix > MaxFrameLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, prefix)
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > MaxFrameLen {
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	n := int(prefix)
-	if n <= frameChunk {
-		payload := make([]byte, n)
-		if err := readBody(r, payload); err != nil {
-			return nil, err
+	payload := make([]byte, min(int(n), frameChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, payload[got:])
+		got += k
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			return nil, errBodyEnded
+		case err != nil:
+			return nil, fmt.Errorf("read frame body: %w", err)
+		case got == int(n):
+			return payload, nil
 		}
-		return payload, nil
+		grown := make([]byte, min(int(n), 2*len(payload)))
+		copy(grown, payload)
+		payload = grown
 	}
-	var chunks [][]byte
-	for got := 0; got < n; {
-		chunk := make([]byte, min(frameChunk, n-got))
-		if err := readBody(r, chunk); err != nil {
-			return nil, err
-		}
-		chunks = append(chunks, chunk)
-		got += len(chunk)
-	}
-	payload := make([]byte, 0, n)
-	for _, chunk := range chunks {
-		payload = append(payload, chunk...)
-	}
-	return payload, nil
-}
-
-// readPrefix reads a frame's 4-byte length prefix: io.EOF if r ends before
-// it, io.ErrUnexpectedEOF inside it. A byte reader (the TCP read loop's
-// bufio.Reader) is read a byte at a time, which allocates nothing; any
-// other reader reads into an array that escapes to the heap.
-func readPrefix(r io.Reader) (uint32, error) {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		var hdr [4]byte
-		_, err := io.ReadFull(r, hdr[:])
-		return binary.BigEndian.Uint32(hdr[:]), err
-	}
-	var n uint32
-	for i := 0; i < 4; i++ {
-		b, err := br.ReadByte()
-		if err == io.EOF && i > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil {
-			return 0, err
-		}
-		n = n<<8 | uint32(b)
-	}
-	return n, nil
-}
-
-// readBody fills buf from r, which is inside a frame body.
-func readBody(r io.Reader, buf []byte) error {
-	_, err := io.ReadFull(r, buf)
-	switch err {
-	case nil:
-		return nil
-	case io.EOF, io.ErrUnexpectedEOF:
-		return errBodyEnded
-	}
-	return fmt.Errorf("read frame body: %w", err)
 }

@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"io"
 	"reflect"
-	"runtime"
 	"testing"
 	"unsafe"
+
+	"distauction/internal/testalloc"
 )
 
 // The decoders a stream transport's read loop feeds first, with bytes
@@ -138,32 +139,17 @@ func FuzzDecodeSuperframeView(f *testing.F) {
 	f.Fuzz(checkSuperframe)
 }
 
-// heapBytes returns what fn allocates on the heap: the least over three
-// calls, because the process's other goroutines (a fuzzing engine's own)
-// can allocate during any one of them.
-func heapBytes(fn func()) uint64 {
-	least := ^uint64(0)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		fn()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
-}
-
 // FuzzReadFrame feeds ReadFrame a stream. No prefix may make it allocate
-// more than 2·len(stream) + 64 KiB (a 4-byte prefix claiming MaxFrameLen
-// once pinned 32 MiB), and a frame it returns is written back to exactly the
-// bytes it was read from.
+// more than 4·len(stream) + frameChunk (a 4-byte prefix claiming
+// MaxFrameLen once pinned 32 MiB), and a frame it returns is written back to
+// exactly the bytes it was read from.
 func FuzzReadFrame(f *testing.F) {
 	var hdr [4]byte
 	for _, n := range []uint32{0, 5, frameChunk, frameChunk + 1, MaxFrameLen, MaxFrameLen + 1, ^uint32(0)} {
 		binary.BigEndian.PutUint32(hdr[:], n)
 		f.Add(bytes.Clone(hdr[:]))
 	}
-	for _, n := range []int{0, 5, frameChunk, frameChunk + 7} {
+	for _, n := range []int{0, 5, frameChunk, frameChunk + 7, 2*frameChunk + 3} {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, bytes.Repeat([]byte{0xa5}, n)); err != nil {
 			f.Fatal(err)
@@ -181,7 +167,7 @@ func FuzzReadFrame(f *testing.F) {
 			r.Reset(stream)
 			frame, err = ReadFrame(r)
 		}
-		if got, limit := heapBytes(read), 2*uint64(len(stream))+frameChunk; got > limit {
+		if got, limit := testalloc.HeapBytes(read), 4*uint64(len(stream))+frameChunk; got > limit {
 			t.Fatalf("%d-byte stream: ReadFrame allocated %d bytes, limit %d", len(stream), got, limit)
 		}
 		if err != nil {
