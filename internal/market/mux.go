@@ -161,10 +161,10 @@ func (m *Mux) Lane(lane uint32) (transport.Conn, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("market: lane %d already open", lane)
 	}
-	// The lane's mailbox drops when full: one lane nobody has installed a
-	// handler on yet must not head-of-line block the shared attachment.
+	// The lane's mailbox drops past laneInboxSize: what is sent to a lane
+	// nobody has installed a handler on yet must not grow without bound.
 	lc := &laneConn{mux: m, lane: lane}
-	lc.box.Init(laneInboxSize, false)
+	lc.box.Init(laneInboxSize, laneInboxSize)
 	next := make(map[uint32]*laneConn, len(old)+1)
 	for k, v := range old {
 		next[k] = v

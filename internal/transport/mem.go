@@ -98,7 +98,7 @@ func (h *Hub) Attach(id wire.NodeID) (Conn, error) {
 		return nil, fmt.Errorf("transport: node %d already attached", id)
 	}
 	c := &MemConn{hub: h, id: id}
-	c.box.Init(connQueueCap, true)
+	c.box.Init(connQueueCap, 0)
 	next := make(map[wire.NodeID]*MemConn, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -187,11 +187,7 @@ func (h *Hub) route(env *wire.Envelope, batch []wire.Envelope, from, to wire.Nod
 				continue
 			}
 		}
-		if hop != nil {
-			dst.pushBatch(hop, true)
-		} else {
-			dst.push(*env, true)
-		}
+		dst.push(env, hop)
 	}
 	return nil
 }
@@ -263,22 +259,20 @@ func (c *MemConn) SetHandler(h Handler) { c.box.SetHandler(h) }
 // SetBatchHandler implements Conn.
 func (c *MemConn) SetBatchHandler(h BatchHandler) { c.box.SetBatchHandler(h) }
 
-// push delivers one inbound envelope. wait says whether a full pre-handler
-// queue may hold the caller: the sender on a zero-latency Hub, yes; the
-// delivery scheduler, which serves every conn on the Hub, no.
-func (c *MemConn) push(env wire.Envelope, wait bool) {
-	c.stats.MsgsReceived.Add(1)
-	c.stats.BytesReceived.Add(int64(len(env.Payload)))
-	c.box.deliver(env, wait)
-}
-
-// pushBatch delivers one inbound superframe, with push's wait.
-func (c *MemConn) pushBatch(envs []wire.Envelope, wait bool) {
-	size := 0
-	for i := range envs {
-		size += len(envs[i].Payload)
+// push delivers one inbound hop: env, or the superframe batch when that is
+// non-nil.
+func (c *MemConn) push(env *wire.Envelope, batch []wire.Envelope) {
+	if batch == nil {
+		c.stats.MsgsReceived.Add(1)
+		c.stats.BytesReceived.Add(int64(len(env.Payload)))
+		c.box.Deliver(*env)
+		return
 	}
-	c.stats.MsgsReceived.Add(int64(len(envs)))
+	size := 0
+	for i := range batch {
+		size += len(batch[i].Payload)
+	}
+	c.stats.MsgsReceived.Add(int64(len(batch)))
 	c.stats.BytesReceived.Add(int64(size))
-	c.box.deliverBatch(envs, wait)
+	c.box.DeliverBatch(batch)
 }

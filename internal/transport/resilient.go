@@ -363,7 +363,7 @@ func newResilientConn(inner Conn, cfg ResilientConfig) *ResilientConn {
 		self:  inner.Self(),
 		peers: make(map[wire.NodeID]*linkPeer),
 	}
-	c.box.Init(connQueueCap, true)
+	c.box.Init(connQueueCap, 0)
 	inner.SetHandler(c.onInner)
 	inner.SetBatchHandler(c.onInnerBatch)
 	return c
@@ -540,9 +540,9 @@ func (c *ResilientConn) roomLocked(p *linkPeer, k int) (bool, error) {
 	return true, nil
 }
 
-// Send implements Conn: the envelope is sequenced in place and buffered
-// for resend, once the peer's window has room for it (roomLocked). Link
-// control traffic passes through unsequenced.
+// Send implements Conn: the envelope is sequenced and buffered for resend
+// (sequence) and ships as a plain frame. Link control traffic passes
+// through unsequenced.
 //
 // A send the inner conn rejects (peer not attached yet, conn closed, dial
 // or write given up) is the caller's again: the error is returned and the
@@ -553,41 +553,43 @@ func (c *ResilientConn) Send(env wire.Envelope) error {
 	if env.Tag.Block == wire.BlockLink {
 		return c.inner.Send(env)
 	}
-	p := c.peer(env.To)
-	p.mu.Lock()
-	if ok, err := c.roomLocked(p, 1); !ok {
-		p.mu.Unlock()
-		return err
-	}
-	now := time.Now()
-	p.nextSeq++
-	env.LinkSeq = p.nextSeq
-	env.LinkAck = p.shipAckLocked() // piggybacked ack for the reverse direction
-	p.track(c, env, now)
-	p.lastDataSent = now
-	p.mu.Unlock()
-	err := c.inner.Send(env)
-	if err != nil {
-		p.abandon(env.LinkSeq, 1)
+	one := [1]wire.Envelope{env}
+	p, err := c.sequence(one[:])
+	if p != nil {
+		if err = c.inner.Send(one[0]); err != nil {
+			p.abandon(one[0].LinkSeq, 1)
+		}
 	}
 	return err
 }
 
-// SendBatch implements Conn: each envelope of the superframe is
-// sequenced in place (the layer owns the LinkSeq field) and buffered for
-// resend, and the batch ships as one inner superframe — no re-encode, no
-// copy, no allocation. The batch waits for room for all of its envelopes;
-// one larger than MaxUnacked waits for an empty window and then fills it
-// past the bound.
+// SendBatch implements Conn: the superframe is sequenced and buffered like
+// Send's envelope, and ships as one inner superframe — no re-encode, no
+// copy, no allocation.
 func (c *ResilientConn) SendBatch(envs []wire.Envelope) error {
 	if len(envs) == 0 {
 		return nil
 	}
+	p, err := c.sequence(envs)
+	if p != nil {
+		if err = c.inner.SendBatch(envs); err != nil {
+			p.abandon(envs[0].LinkSeq, len(envs))
+		}
+	}
+	return err
+}
+
+// sequence stamps envs — data for one peer — in place (the layer owns the
+// LinkSeq field) and buffers them for resend, once the peer's window has
+// room for all of them; a batch larger than MaxUnacked waits for an empty
+// window and then fills it past the bound. It returns the peer to ship to,
+// or nil and roomLocked's verdict when nothing is to be shipped.
+func (c *ResilientConn) sequence(envs []wire.Envelope) (*linkPeer, error) {
 	p := c.peer(envs[0].To)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if ok, err := c.roomLocked(p, len(envs)); !ok {
-		p.mu.Unlock()
-		return err
+		return nil, err
 	}
 	now := time.Now()
 	ack := p.shipAckLocked() // piggybacked ack for the reverse direction
@@ -598,12 +600,7 @@ func (c *ResilientConn) SendBatch(envs []wire.Envelope) error {
 		p.track(c, envs[i], now)
 	}
 	p.lastDataSent = now
-	p.mu.Unlock()
-	err := c.inner.SendBatch(envs)
-	if err != nil {
-		p.abandon(envs[0].LinkSeq, len(envs))
-	}
-	return err
+	return p, nil
 }
 
 // heard marks the peer live and reports a reconnect when it was suspect
@@ -616,25 +613,19 @@ func (p *linkPeer) heard(c *ResilientConn, now time.Time) {
 	}
 }
 
-// ackDue is a deferred eager ack: computed under the peer lock, shipped
-// after release.
-type ackDue struct {
-	to     wire.NodeID
-	contig uint64
-	gapLo  uint64 // lowest seq held above the first hole; zero without one
-	due    bool
-}
-
-// ackDueLocked reports whether an eager ack is warranted — a quarter
-// window of frames arrived since the last one (so a sender with the same
-// window never waits on a heartbeat for room), or one just opened or
-// filled a hole — and resets the counters. Caller holds p.mu.
-func (c *ResilientConn) ackDueLocked(p *linkPeer) ackDue {
+// unlockAck releases p.mu and ships the eager ack, if one is warranted: a
+// quarter window of frames arrived since the last ack (so a sender with the
+// same window never waits on a heartbeat for room), or one just opened or
+// filled a hole.
+func (c *ResilientConn) unlockAck(p *linkPeer) {
 	if !p.ackNow && p.recvSinceAck < max(c.cfg.MaxUnacked/4, 1) {
-		return ackDue{}
+		p.mu.Unlock()
+		return
 	}
 	p.ackNow = false
-	return ackDue{to: p.id, contig: p.shipAckLocked(), gapLo: p.gapLo(), due: true}
+	contig, gapLo := p.shipAckLocked(), p.gapLo()
+	p.mu.Unlock()
+	c.sendControl(p.id, linkAck, contig, gapLo)
 }
 
 // shipAckLocked returns the cumulative ack for a frame about to go out and
@@ -658,12 +649,6 @@ func (p *linkPeer) gapLo() uint64 {
 		return 0
 	}
 	return p.ahead[0].lo
-}
-
-func (c *ResilientConn) sendAck(a ackDue) {
-	if a.due {
-		c.sendControl(a.to, linkAck, a.contig, a.gapLo)
-	}
 }
 
 // sendControl ships one link control frame; arg zero means no payload.
@@ -827,29 +812,13 @@ func (c *ResilientConn) ingestLocked(p *linkPeer, env *wire.Envelope, out []wire
 	return out
 }
 
-// onInner processes one inbound envelope from the wrapped transport. It
-// runs as the inner conn's handler — on a Hub, the delivery loop every conn
-// shares — so it hands envelopes up without waiting for room in a
-// pre-handler queue (Mailbox.deliver); so does onInnerBatch.
+// onInner processes one inbound envelope from the wrapped transport: the
+// shared ingest on a one-element batch, the fresh envelope handed up
+// single.
 func (c *ResilientConn) onInner(env wire.Envelope) {
-	if env.Tag.Block == wire.BlockLink {
-		c.onControl(&env, time.Now())
-		return
-	}
-	if env.LinkSeq == 0 {
-		c.box.deliver(env, false) // an unwrapped peer; pass through
-		return
-	}
-	now := time.Now()
-	p := c.peer(env.From)
-	var out []wire.Envelope
-	p.mu.Lock()
-	out = c.ingestLocked(p, &env, out, now)
-	ack := c.ackDueLocked(p)
-	p.mu.Unlock()
-	c.sendAck(ack)
-	for i := range out {
-		c.box.deliver(out[i], false)
+	one := [1]wire.Envelope{env}
+	if out := c.ingest(one[:]); len(out) > 0 {
+		c.box.Deliver(out[0])
 	}
 }
 
@@ -899,24 +868,29 @@ func (c *ResilientConn) onInnerBatch(envs []wire.Envelope) {
 			// envelope's piggybacked ack is the newest.
 			p.dropAckedLocked(envs[len(envs)-1].LinkAck, now)
 			p.recvSinceAck += len(envs)
-			ack := c.ackDueLocked(p)
-			p.mu.Unlock()
-			c.sendAck(ack)
-			c.box.deliverBatch(envs, false)
+			c.unlockAck(p)
+			c.box.DeliverBatch(envs)
 			return
 		}
 		p.mu.Unlock() // replayed frames inside; the slow path dedups each
 	}
-	out := make([]wire.Envelope, 0, len(envs))
+	if out := c.ingest(envs); len(out) > 0 {
+		c.box.DeliverBatch(out)
+	}
+}
+
+// ingest runs the receive side envelope by envelope: control frames are
+// processed, data frames deduplicated by seq, and what is fresh — with
+// unsequenced envelopes, which pass through — is compacted to the front of
+// envs, whose prefix is returned for the caller to hand up.
+func (c *ResilientConn) ingest(envs []wire.Envelope) []wire.Envelope {
+	out := envs[:0]
 	now := time.Now()
 	var p *linkPeer
-	// unlock ends one peer's run of frames: its eager ack, if due, ships
-	// outside the lock.
+	// unlock ends one peer's run of frames.
 	unlock := func() {
 		if p != nil {
-			a := c.ackDueLocked(p)
-			p.mu.Unlock()
-			c.sendAck(a)
+			c.unlockAck(p)
 			p = nil
 		}
 	}
@@ -938,9 +912,7 @@ func (c *ResilientConn) onInnerBatch(envs []wire.Envelope) {
 		}
 	}
 	unlock()
-	if len(out) > 0 {
-		c.box.deliverBatch(out, false)
-	}
+	return out
 }
 
 // tick is one beat of the link ticker: heartbeats out (carrying cumulative

@@ -144,9 +144,8 @@ func (h *Hub) wakeLoop() {
 
 // run is the delivery loop. It pops every due hop under h.mu and hands them
 // out with the lock released, so handlers may send (and schedule) freely.
-// It never waits on a destination: push and pushBatch run the handler or
-// queue for it without waiting, and what a full pre-handler queue has no
-// room for waits on the mailbox's overflow list (Mailbox.deliver).
+// It never waits on a destination: push runs the handler, or
+// queue for one not installed yet, and no mailbox holds its producer.
 func (h *Hub) run() {
 	s := &h.sched
 	defer close(s.done)
@@ -182,11 +181,7 @@ func (h *Hub) run() {
 			if h.closed.Load() {
 				break
 			}
-			if d := &due[i]; d.batch != nil {
-				d.dst.pushBatch(d.batch, false)
-			} else {
-				d.dst.push(d.env, false)
-			}
+			due[i].dst.push(&due[i].env, due[i].batch)
 		}
 		s.dispatching.Store(false)
 		clear(due)

@@ -141,7 +141,7 @@ func ListenTCP(cfg TCPConfig) (*TCPNode, error) {
 		inConns:  make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
 	}
-	n.box.Init(connQueueCap, true)
+	n.box.Init(connQueueCap, 0)
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -485,7 +485,7 @@ func (n *TCPNode) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
 		close(n.done)
-		n.box.Close() // releases a read loop blocked on a full pre-handler queue
+		n.box.Close() // no delivery that begins from here reaches a handler
 		err = n.ln.Close()
 		n.mu.Lock()
 		for id, out := range n.outbound {

@@ -12,9 +12,8 @@
 //     duplicates, extra delay, partitions and blackouts, for the link
 //     layer to mask. Every delayed hop, whatever delayed it, waits in one
 //     delivery scheduler per Hub — a min-heap and one goroutine that runs
-//     the handlers — which never waits on a destination: what a full
-//     pre-handler queue has no room for waits on the mailbox's overflow
-//     list instead (Mailbox.deliver).
+//     the handlers — which never waits on a destination: no mailbox holds
+//     its producer (Mailbox.Deliver).
 //
 //   - TCPNode: a real TCP transport (length-prefixed frames, HMAC
 //     authenticated) for deployments and loopback/LAN experiments.
@@ -65,9 +64,9 @@ type BatchConn interface {
 // Conn is one node's attachment to the network, and the one shape every
 // transport layer takes and returns. Receiving is push-only: inbound
 // traffic is handed to the installed handlers on whatever goroutine
-// produced it. Envelopes that arrive before SetHandler are queued (bounded)
-// and drained into the handler by SetHandler itself, each exactly once even
-// when SetHandler races the producers.
+// produced it. Envelopes that arrive before SetHandler are queued (a market
+// lane bounds its queue) and drained into the handler by SetHandler itself,
+// each exactly once even when SetHandler races the producers.
 type Conn interface {
 	BatchConn
 	// SetHandler installs the consumer of single inbound envelopes.
