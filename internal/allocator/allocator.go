@@ -77,11 +77,11 @@ var gatePool = sync.Pool{New: func() any {
 // agreement's digest path already established that every provider holds
 // the same vector; env is the same vector as the task bodies read it
 // (TaskContext.Env); ex must run an identical graph at every provider.
-// coins is an optional pre-warmed coin source (the session passes a
-// reservoir whose commit/echo phases already overlapped bid agreement; nil
-// lets the executor build its own). An already-aborted round is handled by
-// Executor.Run (which still closes the coin source) and by validateInput's
-// own fast-fail.
+// coins is the round's coin source, which the caller builds, prefetches
+// and closes (the session passes the round's gated reservoir, whose
+// commit/echo phases already overlapped bid collection); it may be nil only
+// for a graph that draws no coin. An already-aborted round is handled by
+// Executor.Run and by validateInput's own fast-fail.
 func Run(ctx context.Context, peer *proto.Peer, round uint64, input []byte, ex *taskgraph.Executor, env any, coins taskgraph.CoinSource) ([]byte, error) {
 	if input == nil {
 		out, err := ex.Run(ctx, round, env, taskgraph.Options{Coins: coins})

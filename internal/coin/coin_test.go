@@ -234,7 +234,10 @@ func TestTossOnAbortedRound(t *testing.T) {
 func reservoirAll(peers []*proto.Peer, round uint64, gated bool) []*Reservoir {
 	rs := make([]*Reservoir, len(peers))
 	for i, p := range peers {
-		rs[i] = NewReservoir(p, round, gated, time.Time{})
+		rs[i] = NewReservoir(p, round, time.Time{})
+		if !gated {
+			rs[i].Release()
+		}
 	}
 	return rs
 }

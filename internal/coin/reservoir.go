@@ -13,7 +13,7 @@ import (
 // commit-echo-reveal exchange overlaps other protocol work instead of
 // serializing inside task execution.
 //
-// A gated reservoir additionally withholds every reveal until Release is
+// A reservoir additionally withholds every reveal until Release is
 // called: the commit and echo phases hide the shares, so they can run
 // before the bids are even collected — the round engine starts its
 // reservoir when the round opens — but no provider can learn a seed before
@@ -50,23 +50,19 @@ type pendingToss struct {
 	err  error
 }
 
-// NewReservoir creates a reservoir for round. When gated is true, reveals
-// are withheld until Release; otherwise tosses run all three phases as soon
-// as they are started. A toss's commit retries a provider that has not
+// NewReservoir creates a reservoir for round. Its reveals are withheld
+// until Release; a caller with no binding point to wait for releases it at
+// once. A toss's commit retries a provider that has not
 // attached yet until attachBy (proto.Peer.BroadcastFirst): a reservoir
 // started when its round opens sends the round's first message to the
 // providers. The zero time sends it once.
-func NewReservoir(peer *proto.Peer, round uint64, gated bool, attachBy time.Time) *Reservoir {
-	r := &Reservoir{
+func NewReservoir(peer *proto.Peer, round uint64, attachBy time.Time) *Reservoir {
+	return &Reservoir{
 		peer:     peer,
 		round:    round,
 		attachBy: attachBy,
 		release:  make(chan struct{}),
 	}
-	if !gated {
-		close(r.release)
-	}
-	return r
 }
 
 // Prefetch starts background tosses for the given instances. Instances
@@ -119,16 +115,9 @@ func (r *Reservoir) Seed(ctx context.Context, instance uint32) (uint64, error) {
 	}
 }
 
-// Release opens the reveal gate. It is idempotent; on an ungated reservoir
-// it is a no-op.
+// Release opens the reveal gate. It is idempotent.
 func (r *Reservoir) Release() {
-	r.releaseOnce.Do(func() {
-		select {
-		case <-r.release:
-		default:
-			close(r.release)
-		}
-	})
+	r.releaseOnce.Do(func() { close(r.release) })
 }
 
 // Close releases the reveal gate and joins every in-flight toss. It must be

@@ -26,7 +26,8 @@ import (
 // provider that attaches late still gets round 1's commits, a round closed
 // in bid collection joins its tosses and reveals nothing, no reveal leaves
 // a provider before it holds every agreement digest, and a toss that can
-// never finish holds its round only until the round timeout.
+// never finish holds its round only until the round timeout. A mechanism
+// that draws only on demand goes through the same gated reservoir.
 
 // Protocol steps read off the tap (the constants are the coin's and the
 // consensus package's own).
@@ -247,6 +248,40 @@ func (r *coinRig) outcomes(rounds int) {
 	}
 }
 
+// revealsAfterDigests checks rounds 1..rounds: every provider sent a coin
+// reveal, and none before it held every other provider's agreement digest
+// for that round.
+func (r *coinRig) revealsAfterDigests(rounds uint64) {
+	r.t.Helper()
+	events := r.log.snapshot()
+	for round := uint64(1); round <= rounds; round++ {
+		for _, id := range r.providers {
+			reveal := first(events, func(e tapEvent) bool { return e.sent && e.at == id && inRound(e, round, wire.BlockCoin, coinReveal) })
+			if reveal < 0 {
+				r.t.Fatalf("round %d: provider %d never revealed", round, id)
+			}
+			digests := 0
+			for i, e := range events {
+				if !e.sent && e.at == id && inRound(e, round, wire.BlockBidAgree, agreeDigests) {
+					digests++
+					if i > reveal {
+						r.t.Errorf("round %d: provider %d revealed (event %d) before %d's agreement digest arrived (event %d)",
+							round, id, reveal, e.env.From, i)
+					}
+				}
+			}
+			if digests != len(r.providers)-1 {
+				r.t.Errorf("round %d: provider %d received %d agreement digests, want %d", round, id, digests, len(r.providers)-1)
+			}
+		}
+	}
+}
+
+// inRound reports whether e carries step of block in round.
+func inRound(e tapEvent, round uint64, block wire.BlockID, step uint8) bool {
+	return e.env.Tag.Round == round && e.env.Tag.Block == block && e.env.Tag.Step == step
+}
+
 func (r *coinRig) close() {
 	for _, s := range r.sessions {
 		s.Close()
@@ -334,46 +369,7 @@ func TestCoinRevealWaitsForAgreementDigests(t *testing.T) {
 		}
 		r.outcomes(rounds)
 
-		events := r.log.snapshot()
-		for round := uint64(1); round <= rounds; round++ {
-			inRound := func(block wire.BlockID, step uint8) func(tapEvent) bool {
-				return func(e tapEvent) bool {
-					return e.env.Tag.Round == round && e.env.Tag.Block == block && e.env.Tag.Step == step
-				}
-			}
-			isBid, isReveal := inRound(wire.BlockBidSubmit, 1), inRound(wire.BlockCoin, coinReveal)
-			firstBid := first(events, func(e tapEvent) bool { return !e.sent && isBid(e) })
-			if firstBid < 0 {
-				t.Fatalf("round %d: no bid seen", round)
-			}
-			for _, id := range r.providers {
-				for _, step := range []uint8{1, coinEcho} {
-					sent := first(events, func(e tapEvent) bool {
-						return e.sent && e.at == id && inRound(wire.BlockCoin, step)(e)
-					})
-					if sent < 0 || sent > firstBid {
-						t.Errorf("round %d: provider %d's coin step %d at event %d, first bid at %d", round, id, step, sent, firstBid)
-					}
-				}
-				reveal := first(events, func(e tapEvent) bool { return e.sent && e.at == id && isReveal(e) })
-				if reveal < 0 {
-					t.Fatalf("round %d: provider %d never revealed", round, id)
-				}
-				digests := 0
-				for i, e := range events {
-					if !e.sent && e.at == id && inRound(wire.BlockBidAgree, agreeDigests)(e) {
-						digests++
-						if i > reveal {
-							t.Errorf("round %d: provider %d revealed (event %d) before %d's agreement digest arrived (event %d)",
-								round, id, reveal, e.env.From, i)
-						}
-					}
-				}
-				if digests != m-1 {
-					t.Errorf("round %d: provider %d received %d agreement digests, want %d", round, id, digests, m-1)
-				}
-			}
-		}
+		r.revealsAfterDigests(rounds)
 	})
 }
 
@@ -426,5 +422,46 @@ func TestUnfinishableTossEndsWithRoundTimeout(t *testing.T) {
 				t.Fatalf("provider %d: round 1 still open %v after it started, round timeout %v", i+1, time.Since(start), timeout)
 			}
 		}
+	})
+}
+
+// onDemandDraw is the standard auction with its draw left undeclared: the
+// allocation task draws the coin on demand (UsesCoin, CoinDraws zero).
+type onDemandDraw struct{ StandardAuction }
+
+func (m onDemandDraw) Graph(cfg GraphConfig) (*taskgraph.Graph, error) {
+	g, err := m.StandardAuction.Graph(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tasks := slices.Clone(g.Tasks())
+	tasks[0].CoinDraws = 0
+	if !tasks[0].UsesCoin {
+		return nil, errors.New("the standard auction's first task no longer draws the coin")
+	}
+	return taskgraph.New(cfg.Providers, cfg.K, tasks)
+}
+
+// A mechanism that only draws on demand gets the round's one gated
+// reservoir too: its rounds agree with no ⊥, and no provider reveals its
+// share before it holds every agreement digest.
+func TestOnDemandCoinWaitsForAgreementDigests(t *testing.T) {
+	testleak.Check(t, func() {
+		const m, rounds = 4, 2
+		r := newCoinRig(t, m, 3, rounds)
+		defer r.close()
+		caps := make([]fixed.Fixed, m)
+		for i := range caps {
+			caps[i] = fixed.MustInt(2)
+		}
+		r.opts = append(r.opts, WithMechanism(onDemandDraw{StandardAuction{Params: standardauction.Params{Capacities: caps, InvEpsilon: 4}}}))
+		for i := range r.providers {
+			r.open(i)
+		}
+		for round := uint64(1); round <= rounds; round++ {
+			r.submit(round)
+		}
+		r.outcomes(rounds)
+		r.revealsAfterDigests(rounds)
 	})
 }

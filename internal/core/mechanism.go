@@ -51,7 +51,8 @@ type Mechanism interface {
 	// Coin draws are declared on the tasks (Task.CoinDraws): the session
 	// pre-tosses exactly the declared instances from the moment the round
 	// opens, before its bids are collected, so a task whose draw count
-	// depends on the bids must leave CoinDraws zero and draw on demand.
+	// depends on the bids must leave CoinDraws zero and draw on demand
+	// (UsesCoin). Both kinds go through the round's one gated reservoir.
 	Graph(cfg GraphConfig) (*taskgraph.Graph, error)
 }
 

@@ -105,9 +105,9 @@ func (s *Session) broadcastOwnBid(ctx context.Context, round uint64, ownBid *auc
 }
 
 // roundCoin is a round's coin, started by openRound and closed when the
-// round ends: the gated reservoir tossing the graph's declared draws (nil
-// when it declares none), and the cancel of the context its tosses run
-// under.
+// round ends: the gated reservoir every coin draw of the round's graph goes
+// through, declared or on demand (nil when the graph draws no coin), and
+// the cancel of the context its tosses run under.
 type roundCoin struct {
 	res    *coin.Reservoir
 	cancel context.CancelFunc
@@ -125,18 +125,19 @@ func (c roundCoin) close() {
 
 // openRound runs phases 0–1 of a round: own-bid broadcast, then bid
 // collection over the bid window. It starts the round's coin first (when
-// the mechanism's graph declares draws), so every toss's commit and echo
-// run during bid collection: they hide every share, and the reservoir's
-// reveal gate opens only at agreement's binding point, in finishRound. The
+// the mechanism's graph uses the coin at all), so every declared toss's
+// commit and echo run during bid collection: they hide every share, and
+// the reservoir's reveal gate opens only at agreement's binding point, in
+// finishRound; an on-demand draw starts its toss from the task. The
 // returned coin belongs to the round; on an error openRound has latched
 // the round's abort and closed it already.
 func (s *Session) openRound(ctx context.Context, round uint64, ownBid *auction.ProviderBid) ([][]byte, roundCoin, error) {
 	attachBy := time.Now().Add(s.cfg.BidWindow)
 	var coins roundCoin
-	if len(s.coinPlan) > 0 {
+	if s.usesCoin {
 		var coinCtx context.Context
 		coinCtx, coins.cancel = context.WithCancel(ctx)
-		coins.res = coin.NewReservoir(s.peer, round, true, attachBy)
+		coins.res = coin.NewReservoir(s.peer, round, attachBy)
 		coins.res.Prefetch(coinCtx, s.coinPlan...)
 	}
 	err := s.broadcastOwnBid(ctx, round, ownBid, attachBy)

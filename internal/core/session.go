@@ -219,8 +219,11 @@ type Session struct {
 	// exec runs the mechanism's task graph, compiled once at open, on a
 	// persistent worker set: the same round-generic graph runs every round,
 	// with the round's bids passed through the executor environment.
-	// coinPlan is the graph's declared coin draws, pre-tossed every round.
+	// usesCoin says the graph draws the coin at all, declared or on demand:
+	// each round then starts its own reservoir, which pre-tosses coinPlan,
+	// the graph's declared draws.
 	exec     *taskgraph.Executor
+	usesCoin bool
 	coinPlan []uint32
 
 	// bidTimer is the reusable bid-window timer. Rounds open strictly one at
@@ -286,6 +289,7 @@ func OpenSession(conn transport.Conn, providers, users []wire.NodeID, opts ...Se
 		// The executor's depth matches the round pipeline so every
 		// in-flight round has an arena.
 		exec:      taskgraph.NewExecutor(peer, graph, settings.maxConcurrent),
+		usesCoin:  graph.UsesCoin(),
 		coinPlan:  graph.CoinInstances(),
 		outcomes:  make(chan RoundOutcome, settings.outcomeBuffer),
 		results:   make(chan RoundOutcome, settings.maxConcurrent+1),

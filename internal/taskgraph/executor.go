@@ -7,9 +7,7 @@ import (
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"distauction/internal/coin"
 	"distauction/internal/datatransfer"
 	"distauction/internal/proto"
 	"distauction/internal/trace"
@@ -201,22 +199,8 @@ func (ex *Executor) worker() {
 // graph. Deviations, mismatched redundant results and timeouts abort the
 // round (⊥).
 func (ex *Executor) Run(ctx context.Context, round uint64, env any, opts Options) ([]byte, error) {
-	coins := opts.Coins
-	if coins != nil {
-		// Joining the coin source before returning — on every path,
-		// including the abort fast-exit below — keeps every toss inside the
-		// round's lifetime (the caller may EndRound right after).
-		defer coins.Close()
-	}
 	if err := ex.peer.AbortErr(round); err != nil {
 		return nil, err
-	}
-	if coins == nil && ex.g.needsCoin {
-		coins = coin.NewReservoir(ex.peer, round, false, time.Time{})
-		defer coins.Close()
-	}
-	if coins != nil {
-		coins.Prefetch(ctx, ex.g.coinInstances...)
 	}
 
 	ex.slots <- struct{}{}
@@ -230,7 +214,7 @@ func (ex *Executor) Run(ctx context.Context, round uint64, env any, opts Options
 	ex.peer.OnAbort(round, cancel)
 
 	er := ex.getRound()
-	er.reset(round, rctx, env, coins, opts.Gate)
+	er.reset(round, rctx, env, opts.Coins, opts.Gate)
 	er.pending.Add(ex.numLocal)
 	for _, ti := range ex.roots {
 		ex.work <- workItem{er, ti}

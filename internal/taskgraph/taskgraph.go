@@ -270,6 +270,9 @@ func New(providers []wire.NodeID, k int, tasks []Task) (*Graph, error) {
 // modify it.
 func (g *Graph) CoinInstances() []uint32 { return g.coinInstances }
 
+// UsesCoin reports whether any task draws the coin, declared or on demand.
+func (g *Graph) UsesCoin() bool { return g.needsCoin }
+
 // Tasks returns the tasks in execution (ID) order.
 func (g *Graph) Tasks() []Task { return g.tasks }
 
