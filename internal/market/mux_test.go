@@ -377,3 +377,63 @@ func TestMuxCloseShipsQueuedSends(t *testing.T) {
 		t.Fatalf("%d delivered + %d lost, want %d", got, lost, n)
 	}
 }
+
+// TestMuxCloseOverHeldWindow: Mux.Close flushes its coalescer before it
+// closes the conn, and over Resilient a ship Flush starts itself waits in
+// the link layer for window room. With the peer's acks cut off that wait
+// ends when the failure detector declares the peer dead, so Close returns
+// within DeadAfter heartbeat intervals plus two ticks. Every envelope sent
+// is delivered, counted in the link layer's Overflow (the peer was
+// declared dead first, and the ship returned nil), or counted in
+// EnvelopesLost (the conn closed first) — exactly one of the three.
+func TestMuxCloseOverHeldWindow(t *testing.T) {
+	cfg := transport.ResilientConfig{HeartbeatEvery: 50 * time.Millisecond, SuspectAfter: 2, DeadAfter: 4, MaxUnacked: 4}
+	bound := time.Duration(cfg.DeadAfter+2) * cfg.HeartbeatEvery
+	hub := transport.NewHub(transport.LatencyModel{}, 1)
+	rn := transport.Resilient(hub, cfg)
+	t.Cleanup(func() { rn.Close() })
+	ca, err := rn.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := rn.Attach(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub.SetPartition(2, 1, true) // no ack, no heartbeat: node 1's window never drains
+	ma, mb := market.NewMux(ca), market.NewMux(cb)
+	t.Cleanup(func() { mb.Close() })
+	a1, err := ma.Lane(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err := mb.Lane(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered atomic.Int64
+	b1.SetHandler(func(wire.Envelope) { delivered.Add(1) })
+	b1.SetBatchHandler(func(envs []wire.Envelope) { delivered.Add(int64(len(envs))) })
+
+	const n = 40
+	for i := 0; i < n; i++ {
+		env := wire.Envelope{From: 1, To: 2, Tag: wire.Tag{Round: uint64(i + 1), Block: wire.BlockTask, Step: 1}}
+		if err := a1.Send(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	if err := ma.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > bound {
+		t.Errorf("Mux.Close took %v over a held window, bound %v", d, bound)
+	}
+	ma.DrainSends()
+	overflow := ca.(transport.HealthReporter).LinkStats().Overflow
+	lost := ma.Stats().EnvelopesLost
+	t.Logf("%d delivered, %d overflow, %d lost", delivered.Load(), overflow, lost)
+	if got := delivered.Load(); got+overflow+lost != n {
+		t.Fatalf("%d delivered + %d overflow + %d lost, want %d", got, overflow, lost, n)
+	}
+}

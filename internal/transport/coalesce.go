@@ -211,9 +211,14 @@ func (c *Coalescer) shipLocked(pc *peerCoalescer, queued bool) error {
 }
 
 // Flush ships, on the caller's goroutine, every queued batch whose
-// destination has no ship in flight, and returns without waiting for the
-// ships that are: one held for window room is released by closing the
-// conn, and what is queued behind it is then counted lost.
+// destination has no ship in flight. It does not wait for the ships that
+// are: one held for window room is released by closing the conn, and what
+// is queued behind it is then counted lost. A ship Flush starts itself
+// obeys the conn's flow control like any other: over Resilient it waits
+// for window room, which — since the conn is still open — only acks or the
+// failure detector's dead verdict end (the batch is then dropped and
+// counted in LinkStats.Overflow), so Flush can take DeadAfter heartbeat
+// intervals.
 func (c *Coalescer) Flush() {
 	for _, pc := range *c.peers.Load() {
 		pc.mu.Lock()
