@@ -144,8 +144,8 @@ func (h *Hub) wakeLoop() {
 
 // run is the delivery loop. It pops every due hop under h.mu and hands them
 // out with the lock released, so handlers may send (and schedule) freely.
-// It never waits on a destination: push runs the handler, or
-// queue for one not installed yet, and no mailbox holds its producer.
+// It never waits on a destination: push runs the handler, or queues the
+// hop for one not installed yet, and no mailbox holds its producer.
 func (h *Hub) run() {
 	s := &h.sched
 	defer close(s.done)
