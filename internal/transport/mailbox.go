@@ -50,7 +50,10 @@ func (m *Mailbox) Init(capacity, limit int) {
 }
 
 // SetHandler installs h for single envelopes and hands it, before it
-// returns, whatever queued up before it.
+// returns, whatever queued up before it. The queued envelopes reach h under
+// m.mu, which is what makes the handoff exactly-once (see park); h must not
+// install a handler on this mailbox. Deliveries that find h installed run
+// it without the lock, alongside the drain.
 func (m *Mailbox) SetHandler(h Handler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
