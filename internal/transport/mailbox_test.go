@@ -43,7 +43,7 @@ func TestNoProducerWaitsOnHandlerlessConn(t *testing.T) {
 			}
 
 			sent := make(chan error, 1)
-			var slowest atomic.Int64
+			var slowest time.Duration // read only once sent has reported
 			go func() {
 				for i := range total {
 					start := time.Now()
@@ -56,9 +56,7 @@ func TestNoProducerWaitsOnHandlerlessConn(t *testing.T) {
 						sent <- err
 						return
 					}
-					if d := time.Since(start); d > time.Duration(slowest.Load()) {
-						slowest.Store(int64(d))
-					}
+					slowest = max(slowest, time.Since(start))
 				}
 				sent <- nil
 			}()
@@ -70,8 +68,8 @@ func TestNoProducerWaitsOnHandlerlessConn(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatalf("%d sends to a handler-less conn not done after 10s", total)
 			}
-			if d := time.Duration(slowest.Load()); d > sendBound {
-				t.Errorf("slowest send took %v, bound %v", d, sendBound)
+			if slowest > sendBound {
+				t.Errorf("slowest send took %v, bound %v", slowest, sendBound)
 			}
 			received := func() int64 { return b.(interface{ Stats() StatsSnapshot }).Stats().MsgsReceived }
 			deadline := time.Now().Add(10 * time.Second)
