@@ -12,21 +12,21 @@
 //  3. input validation — providers entering with different vectors output ⊥;
 //  4. k-resiliency for solution preference.
 //
-// Input validation runs only when bid agreement took its fallback. On the
-// digest path every provider already sent every other the digest of the
-// vector it holds, and all m were equal: that gather is Property 3 for the
-// round, so repeating it would compare the same m digests of the same bytes
-// a second time. After the fallback the providers each hold the leaders'
-// decision, which nothing has compared yet, and validation runs
-// *concurrently* with the task graph: the scheduler computes speculatively
-// from the local input but publishes nothing — no cross-group transfer, no
-// final return — until validation confirms every provider entered with the
-// same vector (the scheduler's publish gate). A mismatch therefore still
-// yields ⊥ before any value derived from a disputed input can leave the
-// provider, which is all condition (3) requires.
-//
 // Input validation (§4.2, Property 3) is a step of this block, as in the
-// paper's Figure 3, not a block of its own: see validateInput.
+// paper's Figure 3, not a block of its own (see validateInput), and it runs
+// only when bid agreement took its fallback. On the digest path every
+// provider already sent every other the digest of the vector it holds, and
+// all m were equal: that gather is Property 3 for the round, so repeating
+// it would compare the same m digests of the same bytes a second time. No
+// honest round therefore validates. After the fallback the providers each
+// hold the leaders' decision, which nothing has compared yet, and
+// validation runs *concurrently* with the task graph, on a goroutine of its
+// own: the scheduler computes speculatively from the local input but
+// publishes nothing — no cross-group transfer, no final return — until
+// validation confirms every provider entered with the same vector (the
+// scheduler's publish gate). A mismatch therefore still yields ⊥ before any
+// value derived from a disputed input can leave the provider, which is all
+// condition (3) requires.
 package allocator
 
 import (
@@ -37,36 +37,6 @@ import (
 	"distauction/internal/taskgraph"
 	"distauction/internal/wire"
 )
-
-// valGate is the pooled per-round state of the overlapped input validation:
-// a WaitGroup join plus the validator's verdict and gather scratch. Its two
-// closures are built once and recycled with it, so a steady-state round pays
-// one pool hit for the whole validation plumbing instead of a channel, two
-// closures and their captures.
-type valGate struct {
-	wg    sync.WaitGroup
-	err   error
-	ctx   context.Context
-	peer  *proto.Peer
-	round uint64
-	input []byte
-	buf   [][]byte     // digest-gather scratch; views cleared before pooling
-	run   func()       // runs validateInput with the fields above, then Done
-	wait  func() error // the publish gate: joins, then reports the verdict
-}
-
-var gatePool = sync.Pool{New: func() any {
-	vg := &valGate{}
-	vg.run = func() {
-		vg.buf, vg.err = validateInput(vg.ctx, vg.peer, vg.round, vg.input, vg.buf)
-		vg.wg.Done()
-	}
-	vg.wait = func() error {
-		vg.wg.Wait()
-		return vg.err
-	}
-	return vg
-}}
 
 // Run executes the allocator at the local provider: it runs the task graph
 // on ex and returns the final task's output, and when input is non-nil it
@@ -87,21 +57,16 @@ func Run(ctx context.Context, peer *proto.Peer, round uint64, input []byte, ex *
 		out, err := ex.Run(ctx, round, env, taskgraph.Options{Coins: coins})
 		return finish(peer, round, out, err)
 	}
-	vg := gatePool.Get().(*valGate)
-	vg.ctx, vg.peer, vg.round, vg.input = ctx, peer, round, input
-	vg.err = nil
-	vg.wg.Add(1)
-	go vg.run()
-
-	out, err := ex.Run(ctx, round, env, taskgraph.Options{
-		Coins: coins,
-		Gate:  vg.wait,
-	})
-	vg.wg.Wait() // join the validator on every path
-	verr := vg.err
-	vg.ctx, vg.peer, vg.input = nil, nil, nil
-	clear(vg.buf)
-	gatePool.Put(vg)
+	var wg sync.WaitGroup
+	var verr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		verr = validateInput(ctx, peer, round, input)
+	}()
+	gate := func() error { wg.Wait(); return verr }
+	out, err := ex.Run(ctx, round, env, taskgraph.Options{Coins: coins, Gate: gate})
+	wg.Wait() // join the validator on every path
 	if err == nil && verr != nil {
 		// Normally subsumed by the scheduler's gate; kept as a backstop.
 		return nil, verr

@@ -12,8 +12,7 @@ const stepDigest uint8 = 1
 
 // validateInput is the input-validation step (§4.2 of the paper, Property
 // 3): it returns nil when every provider holds the same input, and aborts
-// the round (⊥) otherwise. buf is the caller's recycled gather scratch,
-// returned for reuse.
+// the round (⊥) otherwise.
 //
 // Each provider broadcasts a digest of its allocator input (the agreed bid
 // vector); if any two providers entered the allocator with different
@@ -27,15 +26,15 @@ const stepDigest uint8 = 1
 // The paper's suggested implementation broadcasts the vectors themselves;
 // broadcasting a SHA-256 digest detects exactly the same mismatches at
 // constant message size.
-func validateInput(ctx context.Context, peer *proto.Peer, round uint64, input []byte, buf [][]byte) ([][]byte, error) {
+func validateInput(ctx context.Context, peer *proto.Peer, round uint64, input []byte) error {
 	if err := peer.AbortErr(round); err != nil {
-		return buf, err
+		return err
 	}
 	digest := sha256.Sum256(input)
 	tag := wire.Tag{Round: round, Block: wire.BlockValidate, Instance: 0, Step: stepDigest}
 	if err := peer.BroadcastProviders(tag, digest[:]); err != nil {
-		return buf, peer.Fail(round, "validate: broadcast", err)
+		return peer.Fail(round, "validate: broadcast", err)
 	}
-	_, buf, err := peer.Unanimous(ctx, tag, peer.Providers(), buf)
-	return buf, err
+	_, _, err := peer.Unanimous(ctx, tag, peer.Providers(), nil)
+	return err
 }

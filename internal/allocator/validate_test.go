@@ -21,7 +21,7 @@ func validateAll(t *testing.T, peers []*proto.Peer, round uint64, inputs [][]byt
 		wg.Add(1)
 		go func(i int, p *proto.Peer) {
 			defer wg.Done()
-			_, errs[i] = validateInput(ctx, p, round, inputs[i], nil)
+			errs[i] = validateInput(ctx, p, round, inputs[i])
 		}(i, p)
 	}
 	wg.Wait()
@@ -66,7 +66,7 @@ func TestEmptyInputsAgree(t *testing.T) {
 func TestAlreadyAbortedRound(t *testing.T) {
 	peers := newPeers(t, 2)
 	peers[0].Fail(3, "test", errors.New("pre"))
-	if _, err := validateInput(context.Background(), peers[0], 3, []byte("x"), nil); !errors.Is(err, proto.ErrAborted) {
+	if err := validateInput(context.Background(), peers[0], 3, []byte("x")); !errors.Is(err, proto.ErrAborted) {
 		t.Errorf("got %v, want abort", err)
 	}
 }
@@ -81,7 +81,7 @@ func TestSilentProviderTimesOut(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = validateInput(ctx, peers[i], 1, []byte("v"), nil)
+			errs[i] = validateInput(ctx, peers[i], 1, []byte("v"))
 		}(i)
 	}
 	wg.Wait()

@@ -59,7 +59,8 @@ func DeriveKey(master []byte, a, b wire.NodeID) []byte {
 // SHA-256 states from the key; Reset restores them without re-keying, so a
 // pooled state turns the two fresh SHA allocations (plus pad scratch) per
 // envelope into zero steady-state allocations on both the send and the
-// receive path.
+// receive path. Without the pool, BenchmarkAuthSignVerify reads 2890 ns/op
+// and 13 allocs/op, not 1100 and 1 (EXPERIMENTS.md).
 type peerMAC struct {
 	key  []byte
 	pool sync.Pool // of *macState

@@ -27,7 +27,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"time"
 
 	"distauction/internal/commit"
@@ -60,9 +59,9 @@ func Toss(ctx context.Context, peer *proto.Peer, round uint64, instance uint32) 
 	return seed, err
 }
 
-// scratch is one exchange's working set, recycled across calls: the gather
-// buffer (views into the round's messages, cleared before pooling), the
-// parsed commitments, the committed value and salt, and the echo preimage.
+// scratch is one exchange's working set: the gather buffer (views into the
+// round's messages), the parsed commitments, the committed value and salt,
+// and the echo preimage.
 type scratch struct {
 	gather  [][]byte
 	commits []commit.Commitment
@@ -70,8 +69,6 @@ type scratch struct {
 	salt    [commit.SaltSize]byte
 	set     []byte
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Exchange runs one commit → echo → reveal exchange among all providers of
 // peer under tag's round, block and instance (tag.Step is ignored). Each
@@ -115,10 +112,9 @@ func exchange(ctx context.Context, peer *proto.Peer, tag wire.Tag, payload []byt
 	}
 	providers := peer.Providers()
 	dom := domain(tag)
-	x := scratchPool.Get().(*scratch)
-	defer x.put()
+	var x scratch
 
-	x.value = append(append(x.value[:0], make([]byte, shareSize)...), payload...)
+	x.value = append(make([]byte, shareSize, shareSize+len(payload)), payload...)
 	_, _ = rand.Read(x.value[:shareSize]) // never fails since Go 1.24
 	_, _ = rand.Read(x.salt[:])
 	// The opening's salt and value alias the scratch; both are consumed —
@@ -191,12 +187,6 @@ func exchange(ctx context.Context, peer *proto.Peer, tag wire.Tag, payload []byt
 	}
 	endSpan(span, spans, 2, peer, tag)
 	return seed, opened, nil
-}
-
-func (x *scratch) put() {
-	clear(x.gather) // unpin the round's payload views
-	x.gather = x.gather[:0]
-	scratchPool.Put(x)
 }
 
 // endSpan closes step i's span when the caller asked for spans.

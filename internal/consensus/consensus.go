@@ -53,7 +53,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 
 	"distauction/internal/coin"
 	"distauction/internal/prng"
@@ -84,11 +83,6 @@ const MaxSlots = 1 << 20
 // agreeSpans are the trace phases of the exchange's commit, echo and reveal
 // steps when it runs as bid agreement's fallback.
 var agreeSpans = []trace.Phase{trace.PhaseAgreeCommit, trace.PhaseAgreeEcho, trace.PhaseAgreeReveal}
-
-// digestPool recycles the buffer of gathered digests across calls. The
-// digests are views into the round's buffered payloads and are cleared
-// before pooling.
-var digestPool = sync.Pool{New: func() any { return new([][]byte) }}
 
 // errSplitView is the verdict of a provider that took the digest path on a
 // fallback commit for the same round: some provider showed different
@@ -205,19 +199,12 @@ func ProposeObserved(ctx context.Context, peer *proto.Peer, round uint64, instan
 	digest := vectorDigest(inputs)
 	providers := peer.Providers()
 	tag := wire.Tag{Round: round, Block: wire.BlockBidAgree, Instance: instance, Step: stepDigest}
-	buf := digestPool.Get().(*[][]byte)
-	defer func() {
-		clear(*buf) // unpin the round's payload views
-		*buf = (*buf)[:0]
-		digestPool.Put(buf)
-	}()
 
 	span := trace.Begin()
 	if err := peer.BroadcastProviders(tag, digest[:]); err != nil {
 		return nil, false, peer.Fail(round, tag.String(), err)
 	}
-	digests, err := peer.GatherAppend(ctx, tag, providers, (*buf)[:0])
-	*buf = digests
+	digests, err := peer.GatherAppend(ctx, tag, providers, make([][]byte, 0, len(providers)))
 	if err != nil {
 		return nil, false, peer.Fail(round, tag.String(), err)
 	}

@@ -185,7 +185,7 @@ func (s *Session) collectBids(ctx context.Context, round uint64) ([][]byte, erro
 	window := s.bidTimer.C
 	expired := false
 
-	slots := s.getSlots()
+	slots := make([][]byte, cfg.slotCount())
 	tag := wire.Tag{Round: round, Block: wire.BlockBidSubmit, Step: 1}
 	recvSlot := func(slot int, from wire.NodeID) error {
 		raw, err := s.peer.ReceiveTimeout(ctx, tag, from, window)
@@ -231,78 +231,14 @@ func (s *Session) collectBids(ctx context.Context, round uint64) ([][]byte, erro
 	return slots, nil
 }
 
-// getSlots pops a recycled slot slice for collectBids (or allocates the
-// first pipeline-depth-many); putSlots returns it once the round is done
-// with the collected inputs.
-func (s *Session) getSlots() [][]byte {
-	n := s.cfg.slotCount()
-	var slots [][]byte
-	s.mu.Lock()
-	if k := len(s.slotsFree); k > 0 {
-		slots = s.slotsFree[k-1]
-		s.slotsFree[k-1] = nil
-		s.slotsFree = s.slotsFree[:k-1]
-	}
-	s.mu.Unlock()
-	if cap(slots) < n {
-		return make([][]byte, n)
-	}
-	return slots[:n]
-}
-
-func (s *Session) putSlots(slots [][]byte) {
-	if slots == nil {
-		return
-	}
-	clear(slots) // drop the payload views before recycling
-	s.mu.Lock()
-	if len(s.slotsFree) < 8 {
-		s.slotsFree = append(s.slotsFree, slots)
-	}
-	s.mu.Unlock()
-}
-
-// getBids pops a recycled bid vector sized for the deployment. Every live
-// slot is overwritten by finishRound's sanitize pass, so no cross-round
-// values survive a pool cycle.
-func (s *Session) getBids() *auction.BidVector {
-	bv, _ := s.bidsPool.Get().(*auction.BidVector)
-	if bv == nil {
-		bv = &auction.BidVector{}
-	}
-	n := len(s.cfg.Users)
-	if cap(bv.Users) < n {
-		bv.Users = make([]auction.UserBid, n)
-	} else {
-		bv.Users = bv.Users[:n]
-	}
-	if s.cfg.Mechanism.DoubleSided() {
-		m := len(s.cfg.Providers)
-		if cap(bv.Providers) < m {
-			bv.Providers = make([]auction.ProviderBid, m)
-		} else {
-			bv.Providers = bv.Providers[:m]
-		}
-	} else {
-		bv.Providers = nil
-	}
-	return bv
-}
-
-// putBids recycles a bid vector once its round's allocator run has fully
-// joined — nothing may retain the vector (or its slices) past that point.
-func (s *Session) putBids(bv *auction.BidVector) { s.bidsPool.Put(bv) }
-
 // finishRound runs phases 2–5 on the collected inputs: bid agreement, the
 // allocator (validate + task graph), and outcome delivery to bidders
-// (Figure 1). It owns inputs and coins, the round's coin from openRound,
-// from here on: the slice returns to the slot pool and the coin is closed
-// when the round finishes, on every path — an abort path latches the
-// round's abort first (deliverAbort), so Close's opening of the reveal gate
-// can never let a reveal out before the binding point.
+// (Figure 1). It owns coins, the round's coin from openRound, from here on:
+// the coin is closed when the round finishes, on every path — an abort path
+// latches the round's abort first (deliverAbort), so Close's opening of the
+// reveal gate can never let a reveal out before the binding point.
 func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte, coins roundCoin) (auction.Outcome, error) {
 	cfg := s.cfg
-	defer s.putSlots(inputs)
 
 	var coinSrc taskgraph.CoinSource
 	var onBound func()
@@ -337,15 +273,13 @@ func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte
 	}
 
 	// Phase 3: decode the agreed vector, substituting neutral bids for
-	// anything invalid (identical at every provider: the inputs agree). The
-	// vector is pooled: it feeds the round's allocator run and returns when
-	// that run has fully joined.
-	bids := s.getBids()
-	defer s.putBids(bids)
+	// anything invalid (identical at every provider: the inputs agree).
+	bids := &auction.BidVector{Users: make([]auction.UserBid, len(cfg.Users))}
 	for i := range cfg.Users {
 		bids.Users[i] = auction.SanitizeUserBid(agreed[i])
 	}
 	if cfg.Mechanism.DoubleSided() {
+		bids.Providers = make([]auction.ProviderBid, len(cfg.Providers))
 		for j := range cfg.Providers {
 			bids.Providers[j] = auction.SanitizeProviderBid(agreed[len(cfg.Users)+j])
 		}

@@ -231,11 +231,6 @@ type Session struct {
 	// replaces a per-round context.WithTimeout allocation on the hot path.
 	bidTimer *time.Timer
 
-	// bidsPool recycles the decoded per-round bid vectors handed to the
-	// executor; a vector returns to the pool when its round's allocator run
-	// has fully joined.
-	bidsPool sync.Pool
-
 	ownBid   atomic.Pointer[auction.ProviderBid]
 	outcomes chan RoundOutcome
 	results  chan RoundOutcome
@@ -251,10 +246,6 @@ type Session struct {
 	inFlight  map[uint64]bool // rounds started but not yet completed
 	delivered map[uint64]bool // live rounds whose result already went to bidders
 	ended     uint64          // all rounds <= ended are reclaimed (and were delivered)
-	// slotsFree recycles collectBids' per-round slot slices; a round's slots
-	// are handed from openRound to finishRound and return here when the
-	// round finishes (on every path).
-	slotsFree [][][]byte
 }
 
 // OpenSession validates the options and starts the session engine for a
@@ -321,14 +312,16 @@ func (s *Session) Peer() *proto.Peer { return s.peer }
 // rounds stall once the buffer fills.
 func (s *Session) Outcomes() <-chan RoundOutcome { return s.outcomes }
 
-// SetBid updates the provider's own bid, used from the next round onward
+// SetBid updates the provider's own bid, used by every round that opens
+// after the call; a round already open keeps the bid it opened with
 // (double-sided mechanisms only; ignored otherwise).
 func (s *Session) SetBid(bid auction.ProviderBid) {
 	b := bid
 	s.ownBid.Store(&b)
 }
 
-// ClearBid reverts the provider to the neutral bid.
+// ClearBid reverts the provider to the neutral bid, likewise from the next
+// round that opens.
 func (s *Session) ClearBid() { s.ownBid.Store(nil) }
 
 // Close stops the session. Rounds in flight end in ⊥: the abort is
@@ -483,8 +476,8 @@ func (s *Session) schedule() {
 // roundWorker is one of the session's persistent round workers: it runs
 // phases 2–5 of each round handed to it and releases the round's pipeline
 // slot after reporting. A worker holds no per-round state of its own — the
-// session's executor and pools carry everything — so the set is fixed at
-// maxConcurrent for the session's whole life.
+// round's work item and the session's executor carry everything — so the
+// set is fixed at maxConcurrent for the session's whole life.
 func (s *Session) roundWorker(work <-chan roundWork, slots <-chan struct{}, workers *sync.WaitGroup) {
 	defer workers.Done()
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("distauction", "session-round-worker")))

@@ -121,7 +121,9 @@ func (g *gate) roundDone(round uint64) {
 			delete(g.seen, r)
 			// Recycle the sender set — one set retires per round completed,
 			// so the steady state never allocates one. The cap matches the
-			// admission window, the most sets ever live at once.
+			// admission window, the most sets ever live at once. Without the
+			// recycling, BenchmarkSteadyStateAllocs reads 135.9 allocs/round,
+			// not 124.1 (EXPERIMENTS.md).
 			if uint64(len(g.free)) < g.window {
 				clear(senders)
 				g.free = append(g.free, senders)

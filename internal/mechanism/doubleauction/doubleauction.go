@@ -44,6 +44,8 @@ type scratch struct {
 	fills        []fill
 }
 
+// Without scratchPool, BenchmarkSolve/n=100 reads 32.8 µs/op and 25
+// allocs/op, not 24.5 and 3 (EXPERIMENTS.md).
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
 // Solve runs the double auction on the agreed bid vector and returns the

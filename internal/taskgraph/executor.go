@@ -78,7 +78,8 @@ type workItem struct {
 // execRound is the pooled per-round arena: every task's lifecycle state.
 // It is owned by exactly one Run call at a time; putRound drops all payload
 // references before recycling so a pooled round pins nothing from the
-// round it served.
+// round it served. Without the recycling, BenchmarkSteadyStateAllocs reads
+// 142.0 allocs/round, not 124.1, and market64-closed is flat (EXPERIMENTS.md).
 type execRound struct {
 	ex    *Executor
 	round uint64

@@ -52,7 +52,8 @@ func NewEncoder(n int) *Encoder {
 
 // encoderPool recycles Encoder buffers across the hot send/sign paths. The
 // pooled buffers grow to the working-set message size and are then reused
-// without further allocation.
+// without further allocation. Without it, BenchmarkAuthSignVerify reads
+// 1598 ns/op and 5 allocs/op, not 1100 and 1 (EXPERIMENTS.md).
 var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
 
 // GetEncoder returns a pooled encoder with at least n bytes of capacity.
