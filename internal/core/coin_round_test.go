@@ -78,17 +78,22 @@ func first(events []tapEvent, ok func(tapEvent) bool) int {
 }
 
 // tapConn logs a provider's traffic. An envelope withhold returns true for
-// is logged as sent but never leaves.
+// is logged as sent but never leaves; one delay returns d for leaves d
+// after it was logged, holding the sending goroutine meanwhile.
 type tapConn struct {
 	transport.Conn
 	log      *tapLog
 	withhold func(wire.Envelope) bool
+	delay    func(wire.Envelope) time.Duration
 }
 
 func (c tapConn) Send(env wire.Envelope) error {
 	c.log.add(true, c.Self(), env)
 	if c.withhold != nil && c.withhold(env) {
 		return nil
+	}
+	if c.delay != nil {
+		time.Sleep(c.delay(env))
 	}
 	return c.Conn.Send(env)
 }
@@ -129,8 +134,10 @@ type coinRig struct {
 	sessions         []*Session
 	bidders          []*BidderSession
 	opts             []SessionOption
-	// withhold, when set, filters what provider from sends.
+	// withhold, when set, filters what provider from sends; delay, when
+	// set, holds each of its sends for the duration it returns.
 	withhold func(from wire.NodeID, env wire.Envelope) bool
+	delay    func(from wire.NodeID, env wire.Envelope) time.Duration
 }
 
 func newCoinRig(t *testing.T, m, n, rounds int) *coinRig {
@@ -175,9 +182,12 @@ func (r *coinRig) open(i int) {
 		r.t.Fatal(err)
 	}
 	tap := tapConn{Conn: conn, log: r.log}
+	from := r.providers[i]
 	if r.withhold != nil {
-		from := r.providers[i]
 		tap.withhold = func(env wire.Envelope) bool { return r.withhold(from, env) }
+	}
+	if r.delay != nil {
+		tap.delay = func(env wire.Envelope) time.Duration { return r.delay(from, env) }
 	}
 	s, err := OpenSession(tap, r.providers, r.users, r.opts...)
 	if err != nil {

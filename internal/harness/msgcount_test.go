@@ -96,6 +96,12 @@ func TestRoundMessageCounts(t *testing.T) {
 		transfers   = 4 * 2 * (m - 2) //  48: each payment share from its 2 computers to the 6 others
 		stdPerRound = bids + results + agreement + coin + digests + transfers
 	)
+	// A payment share now leaves as soon as its group has computed it,
+	// beside the group's digest, not after the group's digest gather and
+	// the allocation's: only the time of the 48 transfers moved. Each still
+	// goes from both members of its group to the 6 providers outside it,
+	// once; every digest gather still runs; no message was added or
+	// dropped, so the round is still 1352.
 	// Before agreement tested digests first, it ran commit, echo and
 	// reveal (3·56) and then input validation (56) on every round: 1520.
 	// Before the transfer plan, each payment share also went to its own

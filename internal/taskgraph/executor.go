@@ -27,21 +27,25 @@ import (
 // providers that belong to both, and each task's digest cross-validation
 // gather overlaps downstream compute. Ready tasks are fed to long-lived
 // workers through a buffered queue sized so handoff never blocks; a worker
-// drives its task through compute, digest cross-validation, transitive
-// confirmation and publication. A dependency the provider computed itself
-// is read from its own copy; only a dependency it did not compute arrives
-// as a transfer, received synchronously before the task computes
-// (push-mode transports buffer payloads regardless of when the receive
-// runs, so this costs no extra round trips). Round aborts cancel in-flight
-// work through proto.OnAbort.
+// drives its task through compute, publication of its transfers, digest
+// cross-validation and transitive confirmation. A dependency the provider
+// computed itself is read from its own copy; only a dependency it did not
+// compute arrives as a transfer, received synchronously before the task
+// computes (push-mode transports buffer payloads regardless of when the
+// receive runs, so this costs no extra round trips). Round aborts cancel
+// in-flight work through proto.OnAbort.
 //
-// Speculation never crosses a trust boundary: a provider starts dependents
-// from its own locally computed outputs before their digest gathers
-// confirm, but *publishes* nothing — no outbound datatransfer.Send, no
-// final return — until every digest gather it transitively relied on has
-// confirmed agreement (and the Options.Gate, if any, passed). A mismatch
-// anywhere therefore still yields ⊥ for the round before any bad value can
-// propagate, exactly as under sequential execution.
+// A provider starts dependents from its own locally computed outputs
+// before their digest gathers confirm, and sends a task's outbound
+// transfers as soon as the task has computed, beside its digest (after the
+// Options.Gate, if any, passed). That is safe because a receiver accepts a
+// transfer only if every member of the producer's group — k+1 providers,
+// so at least one outside any coalition — sent the same bytes, and an
+// honest member's value is a function of the decided input and the coin
+// alone, both fixed before any task computes. The commit point is the
+// final return: it waits until every digest gather the final result
+// transitively relied on has confirmed agreement, so a mismatch anywhere
+// still yields ⊥ before a result leaves the allocator.
 //
 // At most depth Run calls proceed concurrently; later calls wait for a
 // slot. Workers number localTasks×depth so a pipelined round never waits
@@ -337,9 +341,9 @@ func (er *execRound) computePhaseDone(ti int) {
 	}
 }
 
-// runTask drives one local task through compute, cross-validation,
-// transitive confirmation and publication — one worker, no spawned
-// goroutines. It finishes the compute phase and closes the validated
+// runTask drives one local task through compute, publication of its
+// transfers, cross-validation and transitive confirmation — one worker, no
+// spawned goroutines. It finishes the compute phase and closes the validated
 // channel (where present) on every path.
 func (er *execRound) runTask(ti int) {
 	ex := er.ex
@@ -379,8 +383,7 @@ func (er *execRound) runTask(ti int) {
 	// Cross-validate the redundant computation within the group: every
 	// member broadcasts a digest of its result, this provider's own among
 	// them; any mismatch means some member deviated (or the task is
-	// nondeterministic) and the round aborts. Publishing a digest commits
-	// nothing — the value itself stays local until the gathers below confirm.
+	// nondeterministic) and the round aborts.
 	digest := sha256.Sum256(out)
 	tag := wire.Tag{Round: er.round, Block: wire.BlockTask, Instance: t.ID, Step: stepTaskDigest}
 	for _, member := range t.Group {
@@ -389,24 +392,37 @@ func (er *execRound) runTask(ti int) {
 			return
 		}
 	}
+
+	// The value leaves the group beside its digest, not after the gather:
+	// its receivers accept it only if all k+1 members sent the same bytes,
+	// so it needs no confirmation of ours. It still waits for the publish
+	// gate — input validation after an agreement fallback. A task with
+	// nothing to send meets the gate in awaitUpstream instead, after the
+	// waits there that watch the round's context.
+	if len(ex.g.outEdges[ti]) > 0 && er.gate != nil {
+		if err := er.gate(); err != nil {
+			fail(err)
+			return
+		}
+	}
+	for _, e := range ex.g.outEdges[ti] {
+		if err := datatransfer.Send(ex.peer, er.round, e.instance, e.receivers, out); err != nil {
+			fail(err)
+			return
+		}
+	}
+
 	if _, st.gatherBuf, err = ex.peer.Unanimous(ctx, tag, t.Group, st.gatherBuf); err != nil {
 		fail(err)
 		return
 	}
 
 	// Commit point: everything this result transitively relies on must be
-	// confirmed before the value leaves the group (or the final task
-	// returns) — speculative compute, withheld publication.
+	// confirmed before a local dependent counts it validated, and before
+	// the final task returns — the result that leaves the allocator.
 	if err := er.awaitUpstream(ti); err != nil {
 		fail(err)
 		return
-	}
-
-	for _, e := range ex.g.outEdges[ti] {
-		if err := datatransfer.Send(ex.peer, er.round, e.instance, e.receivers, out); err != nil {
-			fail(err)
-			return
-		}
 	}
 	st.ok = true
 	if st.validated != nil {

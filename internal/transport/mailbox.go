@@ -12,8 +12,11 @@ import (
 // ResilientConn) allocates at attach. Sessions install their handlers
 // within microseconds, so in a running deployment the queues sit empty; the
 // size is kept where it was because an idle 4096-slot queue per attachment
-// is measurable GC ballast on fig4-double-n1000 (ROADMAP finding (ii)):
-// shrink it only together with the outcome-allocation cut.
+// is GC ballast on fig4-double-n1000 (ROADMAP finding (ii)): at 0 its
+// round_p50_ms reads 81.5 → 102.9 ms (worse in 9 of 10 pairs), while every
+// workload pays for the queues at set-up (setup_s fig4 0.578 → 0.236 s,
+// fig5 0.058 → 0.030 s; EXPERIMENTS.md). Shrink it only together with the
+// outcome-allocation cut.
 const connQueueCap = 4096
 
 // Mailbox is the receive half every Conn implementation holds: the two

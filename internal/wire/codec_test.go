@@ -424,6 +424,25 @@ func BenchmarkEnvelopeEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkEnvelopeEncodeTo is the TCP send path's encode
+// (transport.TCPNode.Send): a pooled encoder sized by EncodedSize, EncodeTo,
+// then PutEncoder. Unlike Envelope.Encode it goes through encoderPool.
+func BenchmarkEnvelopeEncodeTo(b *testing.B) {
+	env := Envelope{
+		From:    1,
+		To:      2,
+		Tag:     Tag{Round: 9, Block: BlockTask, Instance: 3, Step: 1},
+		Payload: bytes.Repeat([]byte("p"), 1024),
+	}
+	b.SetBytes(1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		enc := GetEncoder(env.EncodedSize())
+		env.EncodeTo(enc)
+		PutEncoder(enc)
+	}
+}
+
 func BenchmarkEnvelopeDecode(b *testing.B) {
 	env := Envelope{
 		From:    1,

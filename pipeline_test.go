@@ -229,8 +229,9 @@ func TestDeepPipelineProviderEquivocationAborts(t *testing.T) {
 // are corrupted in two specific rounds — the session-level version of a
 // group member returning a mismatched task result mid-graph. Exactly those
 // rounds must end ⊥ at every honest provider and every bidder (the
-// scheduler's withheld publication means the bad rounds abort before any
-// value propagates), every other in-flight round must complete normally,
+// scheduler withholds the final result until every digest gather it relied
+// on confirmed, so the bad rounds abort before any result leaves the
+// allocator), every other in-flight round must complete normally,
 // and no protocol state may leak — the scheduler's per-round goroutines
 // unwind cleanly.
 //
