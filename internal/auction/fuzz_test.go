@@ -2,6 +2,7 @@ package auction
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -108,6 +109,68 @@ func FuzzDecodeBidVector(f *testing.F) {
 		again, err := DecodeBidVector(enc)
 		if err != nil || !reflect.DeepEqual(again, v) || !bytes.Equal(again.Encode(), enc) {
 			t.Fatalf("encode → decode → encode moved %+v to %+v, err %v", v, again, err)
+		}
+	})
+}
+
+// The outcome frame is what every provider sends every bidder. Its target
+// holds DecodeOutcome to refDecodeFrame, the per-element reading of the same
+// format: the same accept set and the same values. The one allocation holds
+// 8 bytes per value, which the allocator rounds up by less than double, and
+// a frame promises at most eight cells per input byte (a zero cell is one
+// bit) and one payment per byte: so an accepted frame allocates at most 16
+// bytes per value it holds, and any input at most 16·9 bytes per input byte.
+// A trailing byte is an error, and decode → encode → decode is a fixed
+// point.
+func FuzzDecodeOutcome(f *testing.F) {
+	rng := rand.New(rand.NewSource(36))
+	pinned := Outcome{Alloc: NewAllocation(2, 2), Pay: NewPayments(2, 2)}
+	pinned.Alloc.Set(0, 1, fixed.One)
+	pinned.Alloc.Set(1, 0, -3)
+	bidSeeds(f,
+		Outcome{}.Encode(),
+		pinned.Encode(),
+		wideOutcome(64, 8).Encode(),
+		randomOutcome(rng, 9, 3, 0.5, true).Encode(),
+		randomOutcome(rng, 5, 7, 1, false).Encode(),
+	)
+	for _, raw := range craftedHeaders() {
+		f.Add(raw)
+	}
+	for _, raw := range craftedBodies() {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var o Outcome
+		var err error
+		got := testalloc.HeapBytes(func() { o, err = DecodeOutcome(raw) })
+		want, wantErr := refDecodeFrame(raw)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeOutcome says %v, the reference %v", err, wantErr)
+		}
+		if limit := 16*9*uint64(len(raw)) + errAllowance; got > limit {
+			t.Fatalf("%d-byte input: decode allocated %d bytes, limit %d", len(raw), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(o, want) {
+			t.Fatalf("DecodeOutcome = %+v, the reference %+v", o, want)
+		}
+		values := len(o.Alloc.Units) + len(o.Pay.ByUser) + len(o.Pay.ToProvider)
+		if values > 8*len(raw) {
+			t.Fatalf("%d-byte input decoded to %d values", len(raw), values)
+		}
+		if limit := 16*uint64(values) + errAllowance; got > limit {
+			t.Fatalf("%d values: decode allocated %d bytes, limit %d", values, got, limit)
+		}
+		if _, err := DecodeOutcome(append(bytes.Clone(raw), 0)); err == nil {
+			t.Fatal("trailing byte accepted")
+		}
+		enc := o.Encode()
+		again, err := DecodeOutcome(enc)
+		if err != nil || !reflect.DeepEqual(again, o) || !bytes.Equal(again.Encode(), enc) {
+			t.Fatalf("decode → encode → decode moved %+v to %+v, err %v", o, again, err)
 		}
 	})
 }

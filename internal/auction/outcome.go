@@ -147,59 +147,88 @@ func (o Outcome) Validate() error {
 	return nil
 }
 
-// Encode returns the canonical encoding of the outcome.
+// errNegativePayment is DecodeOutcome's refusal of a payment below zero: a
+// sentinel, so refusing it allocates nothing beyond the frame's storage.
+var errNegativePayment = errors.New("auction: negative payment")
+
+// Encode returns the canonical encoding of the outcome, the frame every
+// provider sends every bidder: NumUsers and NumProviders, the unit matrix as
+// a row-major bitmap of its n·m cells followed by its non-zero values
+// (wire.Encoder.SparseFixeds), then ByUser and ToProvider as length-prefixed
+// slices. Zero cells, at least 7 of every 8 in a wide double auction, cost a
+// bit each. An outcome whose matrix is not n·m cells (Validate refuses it)
+// has no frame: Encode writes its two counts alone, which DecodeOutcome
+// refuses.
 func (o Outcome) Encode() []byte {
-	enc := wire.NewEncoder(16 + 8*len(o.Alloc.Units) + 8*(len(o.Pay.ByUser)+len(o.Pay.ToProvider)))
-	enc.Uvarint(uint64(o.Alloc.NumUsers))
-	enc.Uvarint(uint64(o.Alloc.NumProviders))
-	enc.FixedSlice(o.Alloc.Units)
-	enc.FixedSlice(o.Pay.ByUser)
-	enc.FixedSlice(o.Pay.ToProvider)
+	a, pay := o.Alloc, o.Pay
+	head := wire.UvarintSize(uint64(a.NumUsers)) + wire.UvarintSize(uint64(a.NumProviders))
+	if len(a.Units) != a.NumUsers*a.NumProviders {
+		enc := wire.NewEncoder(head)
+		enc.Uvarint(uint64(a.NumUsers))
+		enc.Uvarint(uint64(a.NumProviders))
+		return enc.Buffer()
+	}
+	enc := wire.NewEncoder(head + wire.SparseFixedsSize(a.Units) +
+		wire.FixedSliceSize(pay.ByUser) + wire.FixedSliceSize(pay.ToProvider))
+	enc.Uvarint(uint64(a.NumUsers))
+	enc.Uvarint(uint64(a.NumProviders))
+	enc.SparseFixeds(a.Units)
+	enc.FixedSlice(pay.ByUser)
+	enc.FixedSlice(pay.ToProvider)
 	return enc.Buffer()
 }
 
-// DecodeOutcome parses a canonical outcome and validates its shape. The
-// header fixes what the three vectors must hold — NumUsers×NumProviders
-// units, NumUsers and NumProviders payments — so a header out of range, a
-// units prefix that disagrees with it, or an input too short to carry that
-// many values is rejected before any storage exists; the three vectors are
-// then carved out of one allocation and filled in a single pass. Malformed
-// input is reported as the bare wire error or ErrShape: refusing a hostile
-// message allocates nothing, and both callers name the operation themselves.
+// DecodeOutcome parses an outcome frame (see Encode) and validates it. The
+// header and the bitmap fix what the frame must hold — n·m cells, as many
+// unit values as set bits, n and m payments — so a count above MaxInt32, a
+// bitmap the input cannot hold or with a padding bit set, or fewer bytes
+// left than the set bits and payments need, is refused before any storage
+// exists. Units, user payments and provider payments are then carved out of
+// one allocation and filled in a single pass, which refuses a malformed
+// value, a zero under a set bit, a payment count other than the header's,
+// trailing bytes and a negative payment. Every refusal is a bare wire error,
+// ErrShape or errNegativePayment, so one costs at most the frame's one
+// allocation, and nothing when the header or the bitmap shows it; both
+// callers name the operation themselves.
 func DecodeOutcome(raw []byte) (Outcome, error) {
 	d := wire.NewDecoder(raw)
 	nu, np := d.Uvarint(), d.Uvarint()
-	peek := *d // the units prefix, read ahead of the storage it sizes
-	cells := peek.Uvarint()
-	if err := peek.Err(); err != nil {
+	if err := d.Err(); err != nil {
 		return Outcome{}, err
 	}
-	if nu > math.MaxInt32 || np > math.MaxInt32 || cells != nu*np {
+	if nu > math.MaxInt32 || np > math.MaxInt32 {
 		return Outcome{}, ErrShape
 	}
+	cells := nu * np
+	bitmap, set := d.Bitmap(cells)
+	if err := d.Err(); err != nil {
+		return Outcome{}, err
+	}
 	// Every value and both payment prefixes take at least one byte.
-	if cells+nu+np+2 > uint64(peek.Remaining()) {
+	if uint64(set)+nu+np+2 > uint64(d.Remaining()) {
 		return Outcome{}, wire.ErrTruncated
 	}
 	vals := make([]fixed.Fixed, cells+nu+np)
 	units, byUser, toProvider := vals[:cells:cells], vals[cells:cells+nu:cells+nu], vals[cells+nu:]
-	full := d.FixedSliceInto(units) == len(units) &&
-		d.FixedSliceInto(byUser) == len(byUser) &&
-		d.FixedSliceInto(toProvider) == len(toProvider)
-	if !full && d.Err() == nil {
+	d.SparseFixedsInto(bitmap, units)
+	full := d.FixedSliceInto(byUser) == len(byUser) && d.FixedSliceInto(toProvider) == len(toProvider)
+	switch {
+	case d.Err() != nil:
+		return Outcome{}, d.Err()
+	case !full:
 		return Outcome{}, ErrShape
+	case d.Remaining() != 0:
+		return Outcome{}, wire.ErrTrailing
 	}
-	if err := d.Finish(); err != nil {
-		return Outcome{}, err
+	for _, v := range vals[cells:] {
+		if v < 0 {
+			return Outcome{}, errNegativePayment
+		}
 	}
-	o := Outcome{
+	return Outcome{
 		Alloc: Allocation{NumUsers: int(nu), NumProviders: int(np), Units: units},
 		Pay:   Payments{ByUser: byUser, ToProvider: toProvider},
-	}
-	if err := o.Validate(); err != nil {
-		return Outcome{}, err
-	}
-	return o, nil
+	}, nil
 }
 
 // Digest returns the SHA-256 of the canonical encoding; providers

@@ -3,6 +3,7 @@ package auction
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
@@ -13,10 +14,23 @@ import (
 	"distauction/internal/wire"
 )
 
-// refDecodeOutcome is DecodeOutcome as it stood before the single-pass
-// ingest, kept as the reference the ingest must match: three independently
-// allocated vectors, one Fixed() per element, shape checked by Validate at
-// the end.
+// denseEncode is the outcome encoding that preceded the frame: NumUsers,
+// NumProviders, then the unit matrix and the two payment vectors as
+// length-prefixed slices, every cell a zig-zag varint. It is kept, with
+// refDecodeOutcome, as the reference the frame's values are held to.
+func denseEncode(o Outcome) []byte {
+	enc := wire.NewEncoder(0)
+	enc.Uvarint(uint64(o.Alloc.NumUsers))
+	enc.Uvarint(uint64(o.Alloc.NumProviders))
+	enc.FixedSlice(o.Alloc.Units)
+	enc.FixedSlice(o.Pay.ByUser)
+	enc.FixedSlice(o.Pay.ToProvider)
+	return enc.Buffer()
+}
+
+// refDecodeOutcome is the decoder of the dense encoding as it stood before
+// the single-pass ingest: three independently allocated vectors, one Fixed()
+// per element, shape checked by Validate at the end.
 func refDecodeOutcome(raw []byte) (Outcome, error) {
 	d := wire.NewDecoder(raw)
 	var refused error // the old FixedSlice's own count-vs-input check
@@ -45,6 +59,75 @@ func refDecodeOutcome(raw []byte) (Outcome, error) {
 	o.Alloc.NumUsers = int(d.Uvarint())
 	o.Alloc.NumProviders = int(d.Uvarint())
 	o.Alloc.Units = slice()
+	o.Pay.ByUser = slice()
+	o.Pay.ToProvider = slice()
+	if refused != nil {
+		return Outcome{}, refused
+	}
+	if err := d.Finish(); err != nil {
+		return Outcome{}, err
+	}
+	if err := o.Validate(); err != nil {
+		return Outcome{}, err
+	}
+	return o, nil
+}
+
+// refDecodeFrame reads the outcome frame one element at a time: a Uvarint
+// per count, a Uint8 per bitmap byte, a Fixed per set bit and per payment,
+// each vector allocated on its own, the payments' shape and sign checked by
+// Validate at the end. It is the reference DecodeOutcome is held to on
+// inputs that are not an intact frame.
+func refDecodeFrame(raw []byte) (Outcome, error) {
+	d := wire.NewDecoder(raw)
+	nu, np := d.Uvarint(), d.Uvarint()
+	if err := d.Err(); err != nil {
+		return Outcome{}, err
+	}
+	if nu > math.MaxInt32 || np > math.MaxInt32 {
+		return Outcome{}, ErrShape
+	}
+	cells := nu * np
+	if (cells+7)/8 > uint64(d.Remaining()) {
+		return Outcome{}, wire.ErrTruncated
+	}
+	bitmap := make([]byte, (cells+7)/8)
+	for i := range bitmap {
+		bitmap[i] = d.Uint8()
+	}
+	o := Outcome{Alloc: NewAllocation(int(nu), int(np))}
+	for c := range 8 * uint64(len(bitmap)) {
+		if bitmap[c/8]>>(c%8)&1 == 0 {
+			continue
+		}
+		if c >= cells {
+			return Outcome{}, wire.ErrCorrupt // a padding bit
+		}
+		v := d.Fixed()
+		if err := d.Err(); err != nil {
+			return Outcome{}, err
+		}
+		if v == 0 {
+			return Outcome{}, wire.ErrCorrupt // a zero under a set bit
+		}
+		o.Alloc.Units[c] = v
+	}
+	var refused error
+	slice := func() []fixed.Fixed {
+		n := d.Uvarint()
+		if refused != nil || d.Err() != nil {
+			return nil
+		}
+		if n > uint64(d.Remaining()) {
+			refused = wire.ErrTruncated
+			return nil
+		}
+		out := make([]fixed.Fixed, n)
+		for i := range out {
+			out[i] = d.Fixed()
+		}
+		return out
+	}
 	o.Pay.ByUser = slice()
 	o.Pay.ToProvider = slice()
 	if refused != nil {
@@ -100,7 +183,7 @@ func randomOutcome(rng *rand.Rand, n, m int, density float64, negative bool) Out
 }
 
 // hostile damages a valid encoding the ways a faulty or lying sender can:
-// cut it, flip a bit, append to it, or rewrite one of the five counts.
+// cut it, flip a bit, append to it, or rewrite its header.
 func hostile(rng *rand.Rand, raw []byte) []byte {
 	switch rng.Intn(5) {
 	case 0:
@@ -118,20 +201,23 @@ func hostile(rng *rand.Rand, raw []byte) []byte {
 		out := binary.AppendUvarint(nil, counts[rng.Intn(len(counts))])
 		out = binary.AppendUvarint(out, counts[rng.Intn(len(counts))])
 		return append(out, raw[a+b:]...)
-	default: // one byte overwritten, most often landing on a prefix of a small outcome
+	default: // one byte overwritten, most often landing on a count or the bitmap of a small outcome
 		out := bytes.Clone(raw)
 		out[rng.Intn(len(out))] = byte(rng.Intn(256))
 		return out
 	}
 }
 
-// TestDecodeOutcomeMatchesReference is the bit-identity check: over 10 000
-// random outcomes — dense, sparse, with negative entries, and damaged — the
-// ingest and the old decoder accept the same inputs with the same values,
-// the same canonical bytes and the same digest, and reject the same inputs.
-// On a rejected input the class is the same too, except that the ingest
-// settles shape and length before it allocates, so an input wrong in two
-// ways may be refused for the earlier one.
+// TestDecodeOutcomeMatchesReference is the bit-identity check over 10 000
+// random outcomes — dense, sparse, with negative entries, and damaged. An
+// intact frame decodes to exactly what the dense reference reads from the
+// dense encoding of the same outcome, and is refused where that is. A
+// damaged frame is accepted or refused as the per-element reference of the
+// frame accepts or refuses it, with the same values. Whatever is accepted
+// has the same canonical bytes and digest as the reference's value. On a
+// rejected input the class is the same too, except that the ingest settles
+// the header and the bitmap's counts before it allocates, so an input wrong
+// in two ways may be refused for the earlier one.
 func TestDecodeOutcomeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	accepted, rejected, earlier := 0, 0, 0
@@ -140,10 +226,14 @@ func TestDecodeOutcomeMatchesReference(t *testing.T) {
 		density := []float64{1, 0.1, 0.5}[iter%3]
 		valid := randomOutcome(rng, n, m, density, iter%4 == 3)
 		raw := valid.Encode()
-		if iter%2 == 1 {
+		var want Outcome
+		var wantErr error
+		if iter%2 == 0 {
+			want, wantErr = refDecodeOutcome(denseEncode(valid))
+		} else {
 			raw = hostile(rng, raw)
+			want, wantErr = refDecodeFrame(raw)
 		}
-		want, wantErr := refDecodeOutcome(raw)
 		got, err := DecodeOutcome(raw)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("input %x: ingest says %v, reference says %v", raw, err, wantErr)
@@ -165,6 +255,9 @@ func TestDecodeOutcomeMatchesReference(t *testing.T) {
 		if !bytes.Equal(got.Encode(), want.Encode()) || got.Digest() != want.Digest() {
 			t.Fatalf("input %x: canonical bytes or digest differ", raw)
 		}
+		if dense, err := refDecodeOutcome(denseEncode(got)); err != nil || !reflect.DeepEqual(dense, got) {
+			t.Fatalf("input %x: the dense reference reads %+v (%v) from the same outcome", raw, dense, err)
+		}
 		// The three vectors share one array; growing one must not reach
 		// into the next.
 		if cap(got.Alloc.Units) != len(got.Alloc.Units) || cap(got.Pay.ByUser) != len(got.Pay.ByUser) {
@@ -177,9 +270,9 @@ func TestDecodeOutcomeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestOutcomeEncodingIsPinned holds the wire bytes of one outcome (and so
-// its digest, their SHA-256) as literals: a change to the codec that moved
-// the format could not pass by moving encoder and decoder together.
+// TestOutcomeEncodingIsPinned holds the wire bytes of one outcome and their
+// SHA-256, its digest, as literals: a change to the codec that moved the
+// format could not pass by moving encoder and decoder together.
 func TestOutcomeEncodingIsPinned(t *testing.T) {
 	o := Outcome{Alloc: NewAllocation(2, 2), Pay: NewPayments(2, 2)}
 	o.Alloc.Set(0, 1, fixed.One)
@@ -188,12 +281,16 @@ func TestOutcomeEncodingIsPinned(t *testing.T) {
 	o.Pay.ToProvider[1] = math.MaxInt64
 	want := []byte{
 		2, 2,
-		4, 0, 0x80, 0x89, 0x7a, 5, 0,
+		0b0000_0110, 0x80, 0x89, 0x7a, 5, // cells 1 and 2 set: fixed.One, then -3
 		2, 0x80, 0x01, 0,
 		2, 0, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
 	}
+	const wantDigest = "22fb34ddfc1c011bcdfa4a1cb227fe806e03a1bd5ab15b65f2132a984bb695e1"
 	if got := o.Encode(); !bytes.Equal(got, want) {
 		t.Fatalf("Encode() = %x, want %x", got, want)
+	}
+	if got := o.Digest(); hex.EncodeToString(got[:]) != wantDigest {
+		t.Fatalf("Digest() = %x, want %s", got, wantDigest)
 	}
 	back, err := DecodeOutcome(want)
 	if err != nil || !reflect.DeepEqual(back, o) {
@@ -201,8 +298,37 @@ func TestOutcomeEncodingIsPinned(t *testing.T) {
 	}
 }
 
-// craftedHeaders are inputs whose counts lie about what follows. Each is a
-// few bytes long; none may cost the decoder an allocation.
+// TestOutcomeFrameSize pins the frame of a Fig. 4-shaped outcome, n = 1000
+// users by m = 8 providers with one unit per user, in its own arithmetic,
+// beside the dense encoding it replaced.
+func TestOutcomeFrameSize(t *testing.T) {
+	const n, m = 1000, 8
+	o := Outcome{Alloc: NewAllocation(n, m), Pay: NewPayments(n, m)}
+	for u := 0; u < n; u++ {
+		o.Alloc.Set(u, u%m, fixed.One)         // zig-zag 2·10⁶ < 2²¹: 3 bytes
+		o.Pay.ByUser[u] = fixed.MustFloat(1.5) // zig-zag 3·10⁶ < 2²⁸: 4 bytes
+		o.Pay.ToProvider[u%m] += o.Pay.ByUser[u]
+	}
+	// Each provider receives 125 × 1.5 = 187.5: zig-zag 3.75·10⁸ < 2³⁵, 5 bytes.
+	const (
+		header   = 2 + 1 // uvarint 1000, uvarint 8
+		payments = (2 + n*4) + (1 + m*5)
+		frame    = header + n*m/8 + n*3 + payments
+		dense    = header + (2 + (n*m-n)*1 + n*3) + payments
+	)
+	if got := len(o.Encode()); got != frame {
+		t.Errorf("frame is %d bytes, want %d", got, frame)
+	}
+	if got := len(denseEncode(o)); got != dense {
+		t.Errorf("dense encoding is %d bytes, want %d", got, dense)
+	}
+	if got := cap(o.Encode()); got != frame {
+		t.Errorf("Encode reserved %d bytes for a %d-byte frame", got, frame)
+	}
+}
+
+// craftedHeaders are inputs whose counts or bitmap lie about what follows.
+// Each is a few bytes long; none may cost the decoder an allocation.
 func craftedHeaders() map[string][]byte {
 	cat := func(counts ...uint64) []byte {
 		var out []byte
@@ -211,22 +337,44 @@ func craftedHeaders() map[string][]byte {
 		}
 		return out
 	}
-	body := Outcome{Alloc: NewAllocation(3, 2), Pay: NewPayments(3, 2)}.Encode()
 	return map[string][]byte{
 		"users beyond int64":             cat(1<<63, 1, 0, 0, 0),
 		"users beyond int32":             cat(math.MaxInt32+1, 0, 0, 0, 0),
 		"providers beyond int32":         cat(0, math.MaxInt32+1, 0, 0, 0),
 		"product wraps to zero":          cat(1<<32, 1<<32, 0, 0, 0),
-		"product wraps to the prefix":    cat(1<<63+1, 2, 2, 0, 0, 0, 0),
-		"units prefix below the product": append(cat(3, 2, 5), body[3:]...),
-		"units prefix above the product": append(cat(3, 2, 7), body[3:]...),
-		"units prefix beyond the input":  cat(1000, 8, 8000, 0, 0, 0),
+		"bitmap beyond the input":        cat(1000, 8, 0, 0, 0),
+		"bitmap cut short":               {16, 1, 0xff},
+		"popcount beyond the input":      {3, 8, 0xff, 0xff, 0xff, 2, 2, 2},
+		"padding bit set":                frame3x2(0b0100_0000, append([]byte{2}, zeroPayments...)...),
+		"user payments below the header": frame3x2(0, 2, 0, 0, 2, 0, 0),
+		"provider payments cut short":    frame3x2(0, 3, 0, 0, 0, 2, 0),
 		"payments beyond the input":      cat(math.MaxInt32, 0, 0, math.MaxInt32, 0),
 		"providers beyond the input":     cat(0, math.MaxInt32, 0, 0, math.MaxInt32),
 		"header cut mid-count":           {0x80},
-		"units prefix cut mid-count":     {3, 2, 0x80},
-		"units prefix overflows":         append([]byte{3, 2}, bytes.Repeat([]byte{0xff}, 11)...),
+		"bitmap missing":                 {3, 2},
+		"users count overflows":          bytes.Repeat([]byte{0xff}, 11),
 		"empty":                          nil,
+	}
+}
+
+// frame3x2 is a frame of 3 users by 2 providers: one bitmap byte, then the
+// rest. zeroPayments are the payments of such an outcome that moves nothing.
+func frame3x2(bitmap byte, rest ...byte) []byte { return append([]byte{3, 2, bitmap}, rest...) }
+
+var zeroPayments = []byte{3, 0, 0, 0, 2, 0, 0}
+
+// craftedBodies are frames whose header and bitmap hold, but whose body
+// breaks one rule of the format: only the fill pass meets it, after the
+// frame's one allocation.
+func craftedBodies() map[string][]byte {
+	return map[string][]byte{
+		"zero under a set bit":           frame3x2(0b0000_0001, append([]byte{0}, zeroPayments...)...),
+		"over-long zero under a set bit": frame3x2(0b0000_0001, append([]byte{0x80, 0}, zeroPayments...)...),
+		"unit value overflows":           frame3x2(0b0000_0001, append(append(bytes.Repeat([]byte{0xff}, 10), 1), zeroPayments...)...),
+		"user payments above the header": frame3x2(0, 4, 0, 0, 0, 0, 2, 0, 0),
+		"negative user payment":          frame3x2(0, 3, 0, 1, 0, 2, 0, 0),
+		"negative provider payment":      frame3x2(0, 3, 0, 0, 0, 2, 3, 0),
+		"trailing byte":                  frame3x2(0, append(bytes.Clone(zeroPayments), 0)...),
 	}
 }
 
@@ -235,11 +383,29 @@ func TestDecodeOutcomeRejectsCraftedHeaders(t *testing.T) {
 		if _, err := DecodeOutcome(raw); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-		if _, err := refDecodeOutcome(raw); err == nil {
+		if _, err := refDecodeFrame(raw); err == nil {
 			t.Errorf("%s: the reference accepted it, so rejecting it changes the accept set", name)
 		}
 		if allocs := testing.AllocsPerRun(20, func() { _, _ = DecodeOutcome(raw) }); allocs != 0 {
 			t.Errorf("%s: rejected after %v allocations", name, allocs)
+		}
+	}
+}
+
+// TestDecodeOutcomeRejectsCraftedBodies: a frame that breaks the format only
+// in its body is refused, by the reference too, at the cost of the one
+// allocation the header's counts call for and no more (every refusal is a
+// bare sentinel error).
+func TestDecodeOutcomeRejectsCraftedBodies(t *testing.T) {
+	for name, raw := range craftedBodies() {
+		if _, err := DecodeOutcome(raw); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if _, err := refDecodeFrame(raw); err == nil {
+			t.Errorf("%s: the reference accepted it, so rejecting it changes the accept set", name)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = DecodeOutcome(raw) }); allocs != 1 {
+			t.Errorf("%s: rejected after %v allocations, want the frame's one", name, allocs)
 		}
 	}
 }
@@ -270,14 +436,19 @@ func TestDecodeOutcomeSingleAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { sinkOutcome, _ = DecodeOutcome(raw) }); allocs != 1 {
 		t.Errorf("a 1000×8 outcome decoded with %v allocations, want 1", allocs)
 	}
-	// Cut so short that the counts promise more values than the bytes left
-	// could hold, it is refused without storage.
-	for _, cut := range []int{0, 1, 3, 4, len(raw) / 2, 9000} {
+	// Cut so short that the bitmap and the counts promise more values than
+	// the bytes left could hold, it is refused without storage; cut later,
+	// the fill pass refuses it after the one allocation.
+	for _, cut := range []int{0, 1, 3, 4, len(raw) / 8, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
 		if _, err := DecodeOutcome(raw[:cut]); !errors.Is(err, wire.ErrTruncated) {
 			t.Errorf("cut at %d: %v", cut, err)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { _, _ = DecodeOutcome(raw[:cut]) }); allocs != 0 {
-			t.Errorf("cut at %d: rejected after %v allocations", cut, allocs)
+		want := 0.0
+		if cut >= len(raw)/2 {
+			want = 1
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = DecodeOutcome(raw[:cut]) }); allocs != want {
+			t.Errorf("cut at %d: rejected after %v allocations, want %v", cut, allocs, want)
 		}
 	}
 }

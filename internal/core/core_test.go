@@ -501,3 +501,30 @@ func TestCloseDuringBidCollectionCodesAgree(t *testing.T) {
 		t.Errorf("codes: outcome %v, latched %v, received %v; want closed everywhere", code, own.Code, received.Code)
 	}
 }
+
+var sinkPayload []byte
+
+// TestEncodeResultAllocatesOnce pins a provider's result frame to one buffer
+// of exactly its size, on either side of the outcome's length prefix growing
+// from one byte to two (127 and 128 bytes), for the Fig. 4-shaped outcome
+// frame, and for the 12 392-byte dense outcome that frame replaced.
+func TestEncodeResultAllocatesOnce(t *testing.T) {
+	fig4 := auction.Outcome{Alloc: auction.NewAllocation(1000, 8), Pay: auction.NewPayments(1000, 8)}
+	for u := 0; u < 1000; u++ {
+		fig4.Alloc.Set(u, u%8, fixed.One)
+		fig4.Pay.ByUser[u] = fixed.MustFloat(1.5)
+		fig4.Pay.ToProvider[u%8] += fixed.MustFloat(1.5)
+	}
+	for _, raw := range [][]byte{make([]byte, 127), make([]byte, 128), fig4.Encode(), make([]byte, 12392)} {
+		if allocs := testing.AllocsPerRun(50, func() { sinkPayload = encodeResult(true, raw) }); allocs != 1 {
+			t.Errorf("%d-byte outcome: %v allocations, want 1", len(raw), allocs)
+		}
+		payload := encodeResult(true, raw)
+		if len(payload) != cap(payload) {
+			t.Errorf("%d-byte outcome: a %d-byte frame in a %d-byte buffer", len(raw), len(payload), cap(payload))
+		}
+		if ok, back, err := decodeResult(payload); err != nil || !ok || len(back) != len(raw) {
+			t.Errorf("%d-byte outcome: decoded (%v, %d bytes, %v)", len(raw), ok, len(back), err)
+		}
+	}
+}

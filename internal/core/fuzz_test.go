@@ -14,10 +14,11 @@ import (
 
 // The three decoders below read bytes another party produced — a different
 // provider group's task output, or a provider's result report to a bidder.
-// Each target checks the same contract: no panic, nothing decoded is larger
-// than the input that carried it (so no allocation a short message can
-// inflate), trailing bytes are an error, and whatever decodes re-encodes to
-// bytes that decode to the same value.
+// Each target checks the same contract: no panic, nothing decoded holds more
+// values than a stated multiple of the input that carried it (one value per
+// byte, or eight for the outcome frame, whose zero cells are a bit each), so
+// no allocation a short message can inflate; trailing bytes are an error,
+// and whatever decodes re-encodes to bytes that decode to the same value.
 
 func FuzzAllocResult(f *testing.F) {
 	f.Add(encodeAllocResult(0, nil), 0)
@@ -85,10 +86,10 @@ func FuzzBidderResult(f *testing.F) {
 	f.Add(encodeResult(true, []byte("not an outcome")))
 	f.Add(append(encodeResult(true, out.Encode()), 0))
 	f.Add([]byte{2, 0}) // flag byte that is neither 0 nor 1
-	// A wide sparse outcome, the shape the bulk decode kernel is for, and
-	// headers whose counts lie about what follows (users, providers, units
-	// prefix, then the body): beyond int64, beyond int32, a product that
-	// wraps, a units prefix off by one, counts far beyond the input.
+	// A wide sparse outcome, the shape the frame's bitmap is for, and
+	// headers whose counts lie about what follows (users, providers, then
+	// the body): beyond int64, beyond int32, a product that wraps, a bitmap
+	// or payments far beyond the input.
 	wide := auction.Outcome{Alloc: auction.NewAllocation(64, 8), Pay: auction.NewPayments(64, 8)}
 	for u := 0; u < 64; u += 3 {
 		wide.Alloc.Set(u, u%8, fixed.One)
@@ -129,7 +130,9 @@ func FuzzBidderResult(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n := len(got.Alloc.Units) + len(got.Pay.ByUser) + len(got.Pay.ToProvider); n > len(raw) {
+		// A zero cell of the unit matrix is one bit of the outcome frame,
+		// so a frame holds up to eight values per byte, not one.
+		if n := len(got.Alloc.Units) + len(got.Pay.ByUser) + len(got.Pay.ToProvider); n > 8*len(raw) {
 			t.Fatalf("%d-byte outcome decoded to %d values", len(raw), n)
 		}
 		again, err := auction.DecodeOutcome(got.Encode())

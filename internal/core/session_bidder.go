@@ -191,9 +191,9 @@ func (s *BidderSession) awaitOutcome(round uint64, timeoutC <-chan time.Time) (a
 
 // encodeResult serialises the per-round result a provider (or the
 // centralized auctioneer) reports to every bidder: an accepted flag plus the
-// encoded outcome (empty for ⊥).
+// encoded outcome (empty for ⊥), in one buffer of exactly its size.
 func encodeResult(ok bool, rawOutcome []byte) []byte {
-	enc := wire.NewEncoder(2 + len(rawOutcome))
+	enc := wire.NewEncoder(1 + wire.UvarintSize(uint64(len(rawOutcome))) + len(rawOutcome))
 	enc.Bool(ok)
 	enc.Bytes(rawOutcome)
 	return enc.Buffer()

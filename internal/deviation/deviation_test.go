@@ -5,6 +5,7 @@
 package deviation
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -374,6 +375,106 @@ func TestCorruptedResultReportDetectedByBidder(t *testing.T) {
 			t.Errorf("bidder %d accepted a non-unanimous outcome: %v", i, out.Err)
 		}
 	}
+}
+
+// rewriteResult returns a transform that applies rewrite to the outcome
+// frame of an accepted result report, leaving the flag and a ⊥ report as
+// they are.
+func rewriteResult(rewrite func(frame []byte) []byte) func(wire.Envelope) wire.Envelope {
+	return func(env wire.Envelope) wire.Envelope {
+		d := wire.NewDecoder(env.Payload)
+		ok, frame := d.Bool(), d.BytesView()
+		if d.Finish() != nil || !ok {
+			return env
+		}
+		enc := wire.NewEncoder(0)
+		enc.Bool(true)
+		enc.Bytes(rewrite(frame))
+		env.Payload = enc.Buffer()
+		return env
+	}
+}
+
+// runRewrittenResult runs a round in which provider 3 sends every bidder
+// the agreed outcome's frame passed through rewrite. Both honest providers
+// must output the reference outcome, and every bidder ⊥: it accepts only m
+// byte-identical frames.
+func runRewrittenResult(t *testing.T, rewrite func(frame []byte) []byte) {
+	t.Helper()
+	s := newScenario(t, Rule{
+		Match:     MatchBlock(wire.BlockResult),
+		Action:    Mutate,
+		Transform: rewriteResult(rewrite),
+	})
+	outs, errs := s.run(t, 30*time.Second)
+	ref := referenceOutcome(t)
+	for i := 0; i < 2; i++ {
+		if errs[i] != nil {
+			t.Fatalf("provider %d: %v", i+1, errs[i])
+		}
+		if outs[i].Digest() != ref.Digest() {
+			t.Errorf("honest provider %d's outcome differs from the reference", i+1)
+		}
+	}
+	if s.deviant.Matched.Load() == 0 {
+		t.Fatal("the deviant sent no result report")
+	}
+	for i, b := range s.bidders {
+		if out := <-b.Outcomes(); !errors.Is(out.Err, core.ErrOutcomeBot) {
+			t.Errorf("bidder %d accepted a frame one provider sent differently: %v", i, out.Err)
+		}
+	}
+}
+
+// moveUnit moves the first non-zero cell of an outcome frame's unit matrix
+// to the next cell: a frame that decodes to another outcome.
+func moveUnit(frame []byte) []byte {
+	o, err := auction.DecodeOutcome(frame)
+	if err != nil {
+		panic(err)
+	}
+	units := o.Alloc.Units
+	for c, v := range units {
+		if v != 0 {
+			units[c], units[(c+1)%len(units)] = 0, units[(c+1)%len(units)]+v
+			break
+		}
+	}
+	return o.Encode()
+}
+
+// respellUnit gives the first unit value of an outcome frame one redundant
+// byte: a frame that decodes to the same outcome in other bytes.
+func respellUnit(frame []byte) []byte {
+	d := wire.NewDecoder(frame)
+	n, m := d.Uvarint(), d.Uvarint()
+	d.Bitmap(n * m)
+	at := len(frame) - d.Remaining()
+	return append(bytes.Clone(frame[:at]), respell(frame[at:])...)
+}
+
+// A deviant that moves one unit of the agreed outcome to the neighbouring
+// cell sends a well-formed frame of another outcome; the bidders see it
+// differ from the honest providers' frames and output ⊥.
+func TestMovedUnitResultForcesBidderBot(t *testing.T) {
+	ref := referenceOutcome(t)
+	if moved, err := auction.DecodeOutcome(moveUnit(ref.Encode())); err != nil || moved.Digest() == ref.Digest() {
+		t.Fatalf("the moved frame must decode to another outcome: err %v", err)
+	}
+	runRewrittenResult(t, moveUnit)
+}
+
+// A deviant that respells one varint of the agreed outcome sends a frame of
+// the very same outcome in other bytes; the bidders compare bytes, not
+// values, and output ⊥.
+func TestRespelledResultForcesBidderBot(t *testing.T) {
+	ref := referenceOutcome(t)
+	raw := ref.Encode()
+	respelled := respellUnit(raw)
+	if back, err := auction.DecodeOutcome(respelled); err != nil || back.Digest() != ref.Digest() || bytes.Equal(respelled, raw) {
+		t.Fatalf("the respelled frame must decode to the same outcome in other bytes: err %v", err)
+	}
+	runRewrittenResult(t, respellUnit)
 }
 
 func TestPassRuleCountsWithoutChanging(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -146,6 +147,49 @@ func (e *Encoder) FixedSlice(fs []fixed.Fixed) {
 		buf = binary.AppendVarint(buf, int64(f))
 	}
 	e.buf = buf
+}
+
+// SparseFixeds appends fs as a bitmap and its non-zero values: ⌈len(fs)/8⌉
+// bytes in which bit i%8 of byte i/8 is set when fs[i] is not zero (the
+// padding bits past the last cell stay clear), then each non-zero value in
+// order as a zig-zag varint. Nothing prefixes it: the reader knows len(fs)
+// from its schema.
+func (e *Encoder) SparseFixeds(fs []fixed.Fixed) {
+	base := len(e.buf)
+	buf := append(e.buf, make([]byte, (len(fs)+7)/8)...)
+	for i, f := range fs {
+		if f != 0 {
+			buf[base+i>>3] |= 1 << (i & 7)
+			buf = binary.AppendVarint(buf, int64(f))
+		}
+	}
+	e.buf = buf
+}
+
+// UvarintSize returns how many bytes Uvarint(v) appends.
+func UvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// fixedSize returns how many bytes Fixed(f) appends.
+func fixedSize(f fixed.Fixed) int { return UvarintSize(uint64(f<<1) ^ uint64(f>>63)) }
+
+// FixedSliceSize returns how many bytes FixedSlice(fs) appends.
+func FixedSliceSize(fs []fixed.Fixed) int {
+	n := UvarintSize(uint64(len(fs)))
+	for _, f := range fs {
+		n += fixedSize(f)
+	}
+	return n
+}
+
+// SparseFixedsSize returns how many bytes SparseFixeds(fs) appends.
+func SparseFixedsSize(fs []fixed.Fixed) int {
+	n := (len(fs) + 7) / 8
+	for _, f := range fs {
+		if f != 0 {
+			n += fixedSize(f)
+		}
+	}
+	return n
 }
 
 // Decoder consumes values from a buffer. Errors are sticky: after the first
@@ -375,13 +419,13 @@ func (d *Decoder) FixedSliceInto(dst []fixed.Fixed) int {
 }
 
 // fixeds fills dst with len(dst) zig-zag varints: the bulk kernel behind
-// FixedSlice and FixedSliceInto. A dense outcome is thousands of values per
-// message, most of them the single byte 0x00, so the loop runs over a local
-// buffer and offset, takes a one-byte value without an inner iteration, and
-// settles the offset and the error once per slice instead of once per
-// element. It accepts exactly what binary.Varint accepts (over-long
-// encodings included) with the same error class, and on failure leaves the
-// offset at the element that failed, as the per-element accessors do.
+// FixedSlice and FixedSliceInto. An outcome's payments are a thousand values
+// per message at the Fig. 4 edge, so the loop runs over a local buffer and
+// offset, takes a one-byte value without an inner iteration, and settles the
+// offset and the error once per slice instead of once per element. It
+// accepts exactly what binary.Varint accepts (over-long encodings included)
+// with the same error class, and on failure leaves the offset at the element
+// that failed, as the per-element accessors do.
 func (d *Decoder) fixeds(dst []fixed.Fixed) {
 	buf, p := d.buf, d.off
 	var err error
@@ -424,7 +468,109 @@ decode:
 				ux |= uint64(b&0x7f) << s
 			}
 		}
-		dst[i] = fixed.Fixed(int64(ux>>1) ^ -int64(ux&1))
+		dst[i] = unzigzag(ux)
+	}
+	d.off = p
+	if err != nil {
+		d.fail(err)
+	}
+}
+
+// unzigzag is the value whose zig-zag encoding is ux.
+func unzigzag(ux uint64) fixed.Fixed { return fixed.Fixed(int64(ux>>1) ^ -int64(ux&1)) }
+
+// Bitmap consumes the bitmap SparseFixeds writes for a slice of cells values
+// and returns a view of it and how many of its bits are set, which is how
+// many values follow it. It fails with ErrTruncated when fewer than
+// ⌈cells/8⌉ bytes are left and with ErrCorrupt when a padding bit past the
+// last cell is set, so a caller can weigh the count against the input before
+// it allocates anything.
+func (d *Decoder) Bitmap(cells uint64) (bitmap []byte, set int) {
+	if d.err != nil {
+		return nil, 0
+	}
+	size := cells/8 + min(cells%8, 1) // ⌈cells/8⌉ without overflow
+	if size > uint64(d.Remaining()) {
+		d.fail(ErrTruncated)
+		return nil, 0
+	}
+	bitmap = d.buf[d.off : d.off+int(size) : d.off+int(size)]
+	if pad := cells % 8; pad != 0 && bitmap[len(bitmap)-1]>>pad != 0 {
+		d.fail(ErrCorrupt)
+		return nil, 0
+	}
+	d.off += int(size)
+	// Eight bytes per count: a Fig. 4 bitmap (1000 bytes) counts in 60 ns
+	// this way and in 265 ns a byte at a time.
+	rest := bitmap
+	for ; len(rest) >= 8; rest = rest[8:] {
+		set += bits.OnesCount64(binary.LittleEndian.Uint64(rest))
+	}
+	for _, b := range rest {
+		set += bits.OnesCount8(b)
+	}
+	return bitmap, set
+}
+
+// SparseFixedsInto consumes the values behind bitmap (as Bitmap returned it)
+// into dst: for each set bit i, one zig-zag varint into dst[i]. Cells under a
+// clear bit are not written, so dst must come zeroed. A zero bitmap byte
+// skips its eight cells in one step. A value is read by a copy of fixeds'
+// loop, with its accept set, error classes and offset on failure; a call per
+// value instead made the fill of a Fig. 4 outcome a third slower. A set bit
+// past len(dst), or a zero under a set bit (a zero cell has one spelling, a
+// clear bit), is corrupt.
+func (d *Decoder) SparseFixedsInto(bitmap []byte, dst []fixed.Fixed) {
+	if d.err != nil {
+		return
+	}
+	buf, p := d.buf, d.off
+	var err error
+cells:
+	for i, row := range bitmap {
+		for ; row != 0; row &= row - 1 {
+			if p >= len(buf) {
+				err = ErrTruncated
+				break cells
+			}
+			start := p
+			ux := uint64(buf[p])
+			p++
+			if ux >= 0x80 {
+				ux &= 0x7f
+				for s := uint(7); ; s += 7 {
+					if p >= len(buf) {
+						p, err = start, ErrTruncated
+						break cells
+					}
+					b := buf[p]
+					p++
+					if b < 0x80 {
+						if s == 63 && b > 1 {
+							p, err = start, ErrCorrupt // more than 64 bits
+							break cells
+						}
+						ux |= uint64(b) << s
+						break
+					}
+					if s == 63 {
+						err = ErrTruncated
+						if p < len(buf) {
+							err = ErrCorrupt
+						}
+						p = start
+						break cells
+					}
+					ux |= uint64(b&0x7f) << s
+				}
+			}
+			c := i<<3 | bits.TrailingZeros8(row)
+			if ux == 0 || c >= len(dst) {
+				p, err = start, ErrCorrupt
+				break cells
+			}
+			dst[c] = unzigzag(ux)
+		}
 	}
 	d.off = p
 	if err != nil {

@@ -176,6 +176,78 @@ func TestFixedSliceMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSparseFixedsRoundTrip encodes random vectors of every length from 0
+// to 199 (so every padding width) and density with SparseFixeds and reads
+// them back with Bitmap and SparseFixedsInto, and holds the Size functions
+// to the bytes the encoders append.
+func TestSparseFixedsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for iter := 0; iter < 2000; iter++ {
+		fs := make([]fixed.Fixed, iter%200)
+		set := 0
+		for i := range fs {
+			if rng.Float64() < []float64{0, 0.1, 0.5, 1}[iter%4] {
+				for fs[i] == 0 {
+					fs[i] = fixed.Fixed(rng.Int63()>>uint(rng.Intn(64))) * fixed.Fixed(1-2*rng.Intn(2))
+				}
+				set++
+			}
+		}
+		var e Encoder
+		e.SparseFixeds(fs)
+		if e.Len() != SparseFixedsSize(fs) {
+			t.Fatalf("SparseFixeds(%v) wrote %d bytes, SparseFixedsSize says %d", fs, e.Len(), SparseFixedsSize(fs))
+		}
+		d := NewDecoder(e.Buffer())
+		bitmap, gotSet := d.Bitmap(uint64(len(fs)))
+		got := make([]fixed.Fixed, len(fs))
+		d.SparseFixedsInto(bitmap, got)
+		if err := d.Finish(); err != nil || gotSet != set || !slices.Equal(got, fs) {
+			t.Fatalf("%v came back as %v (%d set, want %d), err %v", fs, got, gotSet, set, err)
+		}
+		e.Reset()
+		e.FixedSlice(fs)
+		if e.Len() != FixedSliceSize(fs) {
+			t.Fatalf("FixedSlice(%v) wrote %d bytes, FixedSliceSize says %d", fs, e.Len(), FixedSliceSize(fs))
+		}
+	}
+	for _, v := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<63 - 1, math.MaxUint64} {
+		if got := UvarintSize(v); got != len(binary.AppendUvarint(nil, v)) {
+			t.Errorf("UvarintSize(%d) = %d", v, got)
+		}
+	}
+}
+
+// TestSparseFixedsRefusals holds the sparse reader to its refusals, each
+// with its class: a bitmap the input cannot hold, a set padding bit, a zero
+// or an over-long zero under a set bit, a value cut short or past 64 bits,
+// and a set bit past the destination.
+func TestSparseFixedsRefusals(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cells uint64
+		dst   int
+		raw   []byte
+		want  error
+	}{
+		{"bitmap beyond the input", 17, 17, []byte{1, 0}, ErrTruncated},
+		{"padding bit", 6, 6, []byte{0b0100_0000, 2}, ErrCorrupt},
+		{"zero under a set bit", 8, 8, []byte{1, 0}, ErrCorrupt},
+		{"over-long zero under a set bit", 8, 8, []byte{1, 0x80, 0}, ErrCorrupt},
+		{"value cut short", 8, 8, []byte{1, 0x80}, ErrTruncated},
+		{"value missing", 8, 8, []byte{3, 2}, ErrTruncated},
+		{"value past 64 bits", 8, 8, append([]byte{1}, append(bytes.Repeat([]byte{0xff}, 9), 2)...), ErrCorrupt},
+		{"set bit past the destination", 8, 4, []byte{0b1000_0000, 2}, ErrCorrupt},
+	} {
+		d := NewDecoder(c.raw)
+		bitmap, _ := d.Bitmap(c.cells)
+		d.SparseFixedsInto(bitmap, make([]fixed.Fixed, c.dst))
+		if !errors.Is(d.Err(), c.want) {
+			t.Errorf("%s: %v, want %v", c.name, d.Err(), c.want)
+		}
+	}
+}
+
 func TestFixedSliceIntoRefusesShortDestination(t *testing.T) {
 	raw := refEncodeFixedSlice([]fixed.Fixed{1, 2, 3})
 	dst := []fixed.Fixed{7, 7}
