@@ -115,13 +115,13 @@ func FuzzDecodeBidVector(f *testing.F) {
 
 // The outcome frame is what every provider sends every bidder. Its target
 // holds DecodeOutcome to refDecodeFrame, the per-element reading of the same
-// format: the same accept set and the same values. The one allocation holds
-// 8 bytes per value, which the allocator rounds up by less than double, and
-// a frame promises at most eight cells per input byte (a zero cell is one
-// bit) and one payment per byte: so an accepted frame allocates at most 16
-// bytes per value it holds, and any input at most 16·9 bytes per input byte.
-// A trailing byte is an error, and decode → encode → decode is a fixed
-// point.
+// format: the same accept set and the same values. A refusal allocates
+// nothing. The one allocation holds 8 bytes per value, which the allocator
+// rounds up by less than double, and a frame promises at most eight cells
+// per input byte (a zero cell is one bit) and one payment per byte: so an
+// accepted frame allocates at most 16 bytes per value it holds, and any
+// input at most 16·9 bytes per input byte. A trailing byte is an error, and
+// decode → encode → decode is a fixed point.
 func FuzzDecodeOutcome(f *testing.F) {
 	rng := rand.New(rand.NewSource(36))
 	pinned := Outcome{Alloc: NewAllocation(2, 2), Pay: NewPayments(2, 2)}
@@ -152,6 +152,9 @@ func FuzzDecodeOutcome(f *testing.F) {
 			t.Fatalf("%d-byte input: decode allocated %d bytes, limit %d", len(raw), got, limit)
 		}
 		if err != nil {
+			if got > errAllowance {
+				t.Fatalf("%d-byte input: refused after allocating %d bytes", len(raw), got)
+			}
 			return
 		}
 		if !reflect.DeepEqual(o, want) {

@@ -182,14 +182,15 @@ func (o Outcome) Encode() []byte {
 // header and the bitmap fix what the frame must hold — n·m cells, as many
 // unit values as set bits, n and m payments — so a count above MaxInt32, a
 // bitmap the input cannot hold or with a padding bit set, or fewer bytes
-// left than the set bits and payments need, is refused before any storage
-// exists. Units, user payments and provider payments are then carved out of
-// one allocation and filled in a single pass, which refuses a malformed
+// left than the set bits and payments need, is refused first. The body is
+// then checked without storing it (wire.Decoder.SkipFixeds): a malformed
 // value, a zero under a set bit, a payment count other than the header's,
-// trailing bytes and a negative payment. Every refusal is a bare wire error,
-// ErrShape or errNegativePayment, so one costs at most the frame's one
-// allocation, and nothing when the header or the bitmap shows it; both
-// callers name the operation themselves.
+// trailing bytes and a negative payment are refused there. Only a frame
+// that passes has storage: units, user payments and provider payments are
+// carved out of one allocation and filled in a second pass, which cannot
+// fail. Every refusal is a bare wire error, ErrShape or errNegativePayment,
+// so a refusal allocates nothing; both callers name the operation
+// themselves.
 func DecodeOutcome(raw []byte) (Outcome, error) {
 	d := wire.NewDecoder(raw)
 	nu, np := d.Uvarint(), d.Uvarint()
@@ -208,22 +209,37 @@ func DecodeOutcome(raw []byte) (Outcome, error) {
 	if uint64(set)+nu+np+2 > uint64(d.Remaining()) {
 		return Outcome{}, wire.ErrTruncated
 	}
-	vals := make([]fixed.Fixed, cells+nu+np)
-	units, byUser, toProvider := vals[:cells:cells], vals[cells:cells+nu:cells+nu], vals[cells+nu:]
-	d.SparseFixedsInto(bitmap, units)
-	full := d.FixedSliceInto(byUser) == len(byUser) && d.FixedSliceInto(toProvider) == len(toProvider)
+	body := *d // where the fill rereads the body
+	zero, _ := d.SkipFixeds(set)
+	if d.Uvarint() != nu && d.Err() == nil {
+		return Outcome{}, ErrShape
+	}
+	_, negUser := d.SkipFixeds(int(nu))
+	if d.Uvarint() != np && d.Err() == nil {
+		return Outcome{}, ErrShape
+	}
+	_, negProvider := d.SkipFixeds(int(np))
 	switch {
 	case d.Err() != nil:
 		return Outcome{}, d.Err()
-	case !full:
-		return Outcome{}, ErrShape
+	case zero:
+		return Outcome{}, wire.ErrCorrupt
 	case d.Remaining() != 0:
 		return Outcome{}, wire.ErrTrailing
+	case negUser || negProvider:
+		return Outcome{}, errNegativePayment
 	}
-	for _, v := range vals[cells:] {
-		if v < 0 {
-			return Outcome{}, errNegativePayment
-		}
+	vals := make([]fixed.Fixed, cells+nu+np)
+	units, byUser, toProvider := vals[:cells:cells], vals[cells:cells+nu:cells+nu], vals[cells+nu:]
+	d = &body
+	d.SparseFixedsInto(bitmap, units)
+	d.FixedSliceInto(byUser)
+	d.FixedSliceInto(toProvider)
+	// The check pass has read and accepted every byte the fill reads, so
+	// this cannot happen; it keeps a fill that disagreed with the check
+	// from handing out a half-filled outcome.
+	if err := d.Err(); err != nil {
+		return Outcome{}, err
 	}
 	return Outcome{
 		Alloc: Allocation{NumUsers: int(nu), NumProviders: int(np), Units: units},

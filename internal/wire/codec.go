@@ -500,81 +500,138 @@ func (d *Decoder) Bitmap(cells uint64) (bitmap []byte, set int) {
 		return nil, 0
 	}
 	d.off += int(size)
-	// Eight bytes per count: a Fig. 4 bitmap (1000 bytes) counts in 60 ns
-	// this way and in 265 ns a byte at a time.
-	rest := bitmap
-	for ; len(rest) >= 8; rest = rest[8:] {
-		set += bits.OnesCount64(binary.LittleEndian.Uint64(rest))
+	return bitmap, onesCount(bitmap)
+}
+
+// onesCount is how many bits of bitmap are set, counted eight bytes at a
+// time: a Fig. 4 bitmap (1000 bytes) counts in 60 ns this way and in 265 ns
+// a byte at a time.
+func onesCount(bitmap []byte) (set int) {
+	for ; len(bitmap) >= 8; bitmap = bitmap[8:] {
+		set += bits.OnesCount64(binary.LittleEndian.Uint64(bitmap))
 	}
-	for _, b := range rest {
+	for _, b := range bitmap {
 		set += bits.OnesCount8(b)
 	}
-	return bitmap, set
+	return set
+}
+
+// SkipFixeds consumes n zig-zag varints without storing them and reports
+// whether any of them is zero and whether any is negative: the check a
+// caller makes of a body before it allocates the storage that fixeds'
+// readers then fill from it. It accepts what fixeds accepts, with the same
+// error classes and the same offset on failure. skipWords reads all but the
+// last few values eight bytes at a time; fixeds reads the rest, a few
+// values at a time.
+func (d *Decoder) SkipFixeds(n int) (zero, negative bool) {
+	if d.err != nil {
+		return false, false
+	}
+	used, n, zeros, negs := skipWords(d.buf[d.off:], n)
+	d.off += used
+	var chunk [8]fixed.Fixed
+	for n > 0 {
+		vs := chunk[:min(n, len(chunk))]
+		d.fixeds(vs)
+		if d.err != nil {
+			return false, false
+		}
+		for _, v := range vs {
+			zero, negative = zero || v == 0, negative || v < 0
+		}
+		n -= len(vs)
+	}
+	return zero || zeros != 0, negative || negs != 0
+}
+
+// skipWords reads the zig-zag varints at the front of b eight bytes at a
+// time while more than eight of the n it is asked for are left, so that
+// every value a word ends or begins is one of them. A byte with its high
+// bit clear ends a value; the byte after it begins one and carries its sign
+// in its low bit; a 0x00 byte that begins a value is a zero. It stops
+// before a word in which a value reaches ten bytes (where it can overflow)
+// or a 0x00 byte ends a longer value (a zero if all its payload is), and
+// returns how many bytes it consumed, up to the start of the value under
+// way, how many values are left, and a word with a bit set for each zero
+// and for each negative value it read. BenchmarkSkipFixeds reads a thousand
+// values of three or four bytes in ≈ 1.0 µs this way; fixeds decodes them
+// in ≈ 2.2 µs (BenchmarkFixedsFill). Reading the last word up to the n-th
+// end as well (the input's last bytes padded to a word) made the loop 40 %
+// slower and a 10 × 3 outcome's decode no faster.
+func skipWords(b []byte, n int) (used, left int, zeros, negs uint64) {
+	const hi, lo = 0x8080808080808080, 0x7f7f7f7f7f7f7f7f
+	// carry: the word begins a value. run: eight bits per continuation byte
+	// since the last word's last end, 64 if it had none.
+	carry, run, rest := uint64(1), 0, b
+	for n > 8 && len(rest) >= 8 {
+		w := binary.LittleEndian.Uint64(rest)
+		ends := ^w & hi
+		// Continuation bytes from the last word's last end to this word's
+		// first, an end's seven low bits included: more than 71 is a value
+		// of ten bytes or more. A word with no end counts 64 here and 64
+		// in run, so a value running through it is caught at the next.
+		if run+bits.TrailingZeros64(ends) > 71 {
+			break
+		}
+		begins := (ends<<1 | carry) << 7 // the high bit of each byte that begins a value
+		nul := ^((w&lo + lo) | w) & hi   // the high bit of each 0x00 byte
+		if nul&^begins != 0 {
+			break
+		}
+		zeros |= nul
+		negs |= w << 7 & begins
+		carry, run = ends>>63, bits.LeadingZeros64(ends)
+		n -= bits.OnesCount64(ends)
+		rest = rest[8:]
+	}
+	return len(b) - len(rest) - run>>3, n, zeros, negs
 }
 
 // SparseFixedsInto consumes the values behind bitmap (as Bitmap returned it)
 // into dst: for each set bit i, one zig-zag varint into dst[i]. Cells under a
-// clear bit are not written, so dst must come zeroed. A zero bitmap byte
-// skips its eight cells in one step. A value is read by a copy of fixeds'
-// loop, with its accept set, error classes and offset on failure; a call per
-// value instead made the fill of a Fig. 4 outcome a third slower. A set bit
-// past len(dst), or a zero under a set bit (a zero cell has one spelling, a
-// clear bit), is corrupt.
+// clear bit are not written, so dst must come zeroed. fixeds reads the
+// values into the tail of dst, and each is then moved to its cell, first to
+// last, the bitmap read eight bytes at a time: the k-th of s set bits is at
+// most at cell len(dst)−s+k, where its value was read, so a move never lands
+// on a value not yet moved. A set bit past len(dst), or a zero under a set
+// bit (a zero cell has one spelling, a clear bit), is corrupt.
+// BenchmarkSparseFixedsInto (8000 cells, one in ten set) reads ≈ 2.7 µs
+// this way and ≈ 2.5 µs with a copy of fixeds' loop that decodes each value
+// straight into its cell; one loop is kept.
 func (d *Decoder) SparseFixedsInto(bitmap []byte, dst []fixed.Fixed) {
 	if d.err != nil {
 		return
 	}
-	buf, p := d.buf, d.off
-	var err error
-cells:
-	for i, row := range bitmap {
-		for ; row != 0; row &= row - 1 {
-			if p >= len(buf) {
-				err = ErrTruncated
-				break cells
-			}
-			start := p
-			ux := uint64(buf[p])
-			p++
-			if ux >= 0x80 {
-				ux &= 0x7f
-				for s := uint(7); ; s += 7 {
-					if p >= len(buf) {
-						p, err = start, ErrTruncated
-						break cells
-					}
-					b := buf[p]
-					p++
-					if b < 0x80 {
-						if s == 63 && b > 1 {
-							p, err = start, ErrCorrupt // more than 64 bits
-							break cells
-						}
-						ux |= uint64(b) << s
-						break
-					}
-					if s == 63 {
-						err = ErrTruncated
-						if p < len(buf) {
-							err = ErrCorrupt
-						}
-						p = start
-						break cells
-					}
-					ux |= uint64(b&0x7f) << s
-				}
-			}
-			c := i<<3 | bits.TrailingZeros8(row)
-			if ux == 0 || c >= len(dst) {
-				p, err = start, ErrCorrupt
-				break cells
-			}
-			dst[c] = unzigzag(ux)
-		}
+	set := onesCount(bitmap)
+	if set > len(dst) {
+		d.fail(ErrCorrupt)
+		return
 	}
-	d.off = p
-	if err != nil {
-		d.fail(err)
+	src := len(dst) - set
+	d.fixeds(dst[src:])
+	if d.err != nil {
+		return
+	}
+	for base := 0; len(bitmap) > 0; base += 64 {
+		var row uint64
+		if len(bitmap) >= 8 {
+			row, bitmap = binary.LittleEndian.Uint64(bitmap), bitmap[8:]
+		} else {
+			for j, b := range bitmap {
+				row |= uint64(b) << (8 * j)
+			}
+			bitmap = nil
+		}
+		for ; row != 0; row &= row - 1 {
+			c := base + bits.TrailingZeros64(row)
+			v := dst[src]
+			if v == 0 || c >= len(dst) {
+				d.fail(ErrCorrupt)
+				return
+			}
+			dst[src], dst[c] = 0, v
+			src++
+		}
 	}
 }
 

@@ -100,6 +100,26 @@ func checkAgainstReference(t *testing.T, raw []byte) {
 		}
 	}
 
+	// The check pass reads the same stream without storing it: the same
+	// error class and offset, and on success the same bytes consumed and
+	// whether a value was zero and whether one was negative.
+	if prefix > 0 && !refusedCount {
+		d = NewDecoder(raw)
+		d.Uvarint()
+		zero, negative := d.SkipFixeds(int(count))
+		wantZero := slices.Contains(want, 0)
+		wantNegative := slices.ContainsFunc(want, func(v fixed.Fixed) bool { return v < 0 })
+		switch {
+		case wantErr != nil:
+			if !errors.Is(d.Err(), wantErr) || d.off != wantOff {
+				t.Fatalf("SkipFixeds(%x): error %v at %d, reference %v at %d", raw, d.Err(), d.off, wantErr, wantOff)
+			}
+		case d.Err() != nil || d.off != wantOff || zero != wantZero || negative != wantNegative:
+			t.Fatalf("SkipFixeds(%x): zero %v, negative %v, %d bytes, err %v; reference %v, %v, %d bytes",
+				raw, zero, negative, d.off, d.Err(), wantZero, wantNegative, wantOff)
+		}
+	}
+
 	// Whatever decodes re-encodes to bytes that decode to the same values,
 	// and to the very same bytes when the input was canonical.
 	if wantErr != nil {
@@ -138,7 +158,31 @@ func fixedSliceSeeds() [][]byte {
 		{0x80},                                                           // count cut mid-way
 		append(bytes.Repeat([]byte{0xff}, 10), 0x01),                     // count overflows
 		{1, 0, 9}, // a trailing byte is the caller's to judge
+		// Long enough for the check pass's word loop: an over-long zero
+		// inside it, and a ten-byte value across a word boundary.
+		respelledStream([]fixed.Fixed{1, 2, 3, 4, 5, 6, 7, 8, 0, 9, 10, 11, 12, 13}, map[int]int{8: 2}),
+		respelledStream([]fixed.Fixed{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, map[int]int{6: 10}),
 	}
+}
+
+// respelledStream is the slice encoding of fs with value i spelled in
+// long[i] bytes where long has it: the canonical bytes with every byte a
+// continuation byte, then 0x80 bytes, then 0x00. Past ten bytes the value
+// overflows.
+func respelledStream(fs []fixed.Fixed, long map[int]int) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(fs)))
+	for i, f := range fs {
+		at := len(buf)
+		buf = binary.AppendVarint(buf, int64(f))
+		if n := long[i]; n > len(buf)-at {
+			buf[len(buf)-1] |= 0x80
+			for len(buf)-at < n-1 {
+				buf = append(buf, 0x80)
+			}
+			buf = append(buf, 0)
+		}
+	}
+	return buf
 }
 
 func FuzzFixedSlice(f *testing.F) {
@@ -146,6 +190,29 @@ func FuzzFixedSlice(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(checkAgainstReference)
+}
+
+// TestSkipFixedsWordLoop drives the fuzzer's oracle over streams long
+// enough for SkipFixeds' word loop, in which values of every length are
+// respelled in up to eleven bytes: over-long zeros, values of nine and ten
+// bytes across word boundaries, and overflows.
+func TestSkipFixedsWordLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for iter := 0; iter < 3000; iter++ {
+		fs := make([]fixed.Fixed, 9+rng.Intn(60))
+		long := map[int]int{}
+		for i := range fs {
+			// Half the streams hold no zero, so that a value misread as
+			// zero shows.
+			for (iter%2 == 0 || rng.Intn(3) > 0) && fs[i] == 0 {
+				fs[i] = fixed.Fixed(rng.Int63()>>uint(rng.Intn(64))) * fixed.Fixed(1-2*rng.Intn(2))
+			}
+			if rng.Intn(1+iter%8) == 0 {
+				long[i] = 2 + rng.Intn(10)
+			}
+		}
+		checkAgainstReference(t, respelledStream(fs, long))
+	}
 }
 
 // TestFixedSliceMatchesReference drives the fuzzer's oracle over the seeds
@@ -221,7 +288,7 @@ func TestSparseFixedsRoundTrip(t *testing.T) {
 // TestSparseFixedsRefusals holds the sparse reader to its refusals, each
 // with its class: a bitmap the input cannot hold, a set padding bit, a zero
 // or an over-long zero under a set bit, a value cut short or past 64 bits,
-// and a set bit past the destination.
+// and a set bit past the destination or more of them than it holds.
 func TestSparseFixedsRefusals(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -238,6 +305,7 @@ func TestSparseFixedsRefusals(t *testing.T) {
 		{"value missing", 8, 8, []byte{3, 2}, ErrTruncated},
 		{"value past 64 bits", 8, 8, append([]byte{1}, append(bytes.Repeat([]byte{0xff}, 9), 2)...), ErrCorrupt},
 		{"set bit past the destination", 8, 4, []byte{0b1000_0000, 2}, ErrCorrupt},
+		{"more set bits than the destination", 8, 1, []byte{0b0000_0011, 2, 2}, ErrCorrupt},
 	} {
 		d := NewDecoder(c.raw)
 		bitmap, _ := d.Bitmap(c.cells)
@@ -306,5 +374,87 @@ func BenchmarkFixedSliceEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Reset()
 		e.FixedSlice(fs)
+	}
+}
+
+// BenchmarkSkipFixeds checks, and BenchmarkFixedsFill decodes, a vector of
+// 8000 values, about one in ten non-zero ("sparse", a dense matrix's
+// shape), and one of 1000 values, all non-zero and of three bytes or so
+// ("units", the non-zero cells of a Fig. 4 outcome).
+func BenchmarkSkipFixeds(b *testing.B) {
+	for _, c := range fixedsBenchCases() {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d := Decoder{buf: c.raw}
+				d.SkipFixeds(c.n)
+				if d.Finish() != nil {
+					b.Fatal(d.Err())
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkFixedsFill(b *testing.B) {
+	for _, c := range fixedsBenchCases() {
+		dst := make([]fixed.Fixed, c.n)
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d := Decoder{buf: c.raw}
+				d.fixeds(dst)
+				if d.Finish() != nil {
+					b.Fatal(d.Err())
+				}
+			}
+		})
+	}
+}
+
+type fixedsBenchCase struct {
+	name string
+	n    int
+	raw  []byte
+}
+
+func fixedsBenchCases() []fixedsBenchCase {
+	rng := rand.New(rand.NewSource(1))
+	units := make([]fixed.Fixed, 1000)
+	for i := range units {
+		units[i] = 1 + fixed.Fixed(rng.Int63n(int64(5*fixed.One)))
+	}
+	var e Encoder
+	for _, f := range units {
+		e.Fixed(f)
+	}
+	sparse := benchVector(8000)
+	return []fixedsBenchCase{
+		{"sparse", len(sparse), refEncodeFixedSlice(sparse)[2:]},
+		{"units", len(units), e.Buffer()},
+	}
+}
+
+// BenchmarkSparseFixedsInto fills the unit matrix of a Fig. 4 outcome,
+// 1000 × 8 cells of which about one in ten is non-zero, from its bitmap and
+// values.
+func BenchmarkSparseFixedsInto(b *testing.B) {
+	fs := benchVector(8000)
+	var e Encoder
+	e.SparseFixeds(fs)
+	raw := e.Buffer()
+	dst := make([]fixed.Fixed, len(fs))
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		clear(dst)
+		d := Decoder{buf: raw}
+		bitmap, _ := d.Bitmap(uint64(len(dst)))
+		d.SparseFixedsInto(bitmap, dst)
+		if d.Finish() != nil {
+			b.Fatal(d.Err())
+		}
 	}
 }
