@@ -253,10 +253,7 @@ func TestHubCloseDropsFaultDelayedFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		h.mu.Lock()
-		queued := len(h.sched.pending)
-		h.mu.Unlock()
-		if queued != pending {
+		if queued := len(pendingHops(h)); queued != pending {
 			t.Fatalf("%d deliveries pending, want %d", queued, pending)
 		}
 		start := time.Now()
@@ -265,6 +262,9 @@ func TestHubCloseDropsFaultDelayedFrames(t *testing.T) {
 		}
 		if took := time.Since(start); took > 100*time.Millisecond {
 			t.Errorf("Close with %d fault-delayed frames pending took %v, want < 100ms", pending, took)
+		}
+		if left := len(pendingHops(h)); left != 0 {
+			t.Errorf("%d deliveries still pending after Close, want every shard's dropped", left)
 		}
 		time.Sleep(20 * time.Millisecond)
 		if n := calls.Load(); n != 0 {

@@ -15,7 +15,11 @@ import (
 // is GC ballast on fig4-double-n1000 (ROADMAP finding (ii)): at 0 its
 // round_p50_ms reads 81.5 → 102.9 ms (worse in 9 of 10 pairs), while every
 // workload pays for the queues at set-up (setup_s fig4 0.578 → 0.236 s,
-// fig5 0.058 → 0.030 s; EXPERIMENTS.md). Shrink it only together with the
+// fig5 0.058 → 0.030 s; EXPERIMENTS.md). On top of the Hub's delivery
+// shards, 0 still reads fig4 round_p50_ms 27.19 → 30.69 ms (worse in 10 of
+// 10 pairs) and rounds_per_s −7.0 %, fig5 p95 +2.3 % (worse in 9 of 10),
+// setup_s fig4 0.164 → 0.064 s and fig5 0.030 → 0.021 s (EXPERIMENTS.md
+// "Parallel Hub delivery"). Shrink it only together with the
 // outcome-allocation cut.
 const connQueueCap = 4096
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,11 +46,14 @@ func (m LatencyModel) Zero() bool {
 
 // Hub is an in-process message switch connecting MemConns. The routing
 // table is copy-on-write: route reads it with one atomic load, so
-// concurrent senders never contend on a hub-wide lock (the lock only guards
-// attachment, shutdown, the jitter RNG and the delivery scheduler's heap).
+// concurrent senders never contend on a hub-wide lock. The lock guards
+// attachment, shutdown and the fault model's installation; a delayed hop
+// takes only its destination's delivery shard's lock, which guards that
+// shard's jitter RNG and heap.
 type Hub struct {
 	model LatencyModel
 	seed  int64
+	epoch time.Time // the delivery shards' shared clock starts here
 
 	nodes  atomic.Pointer[map[wire.NodeID]*MemConn]
 	closed atomic.Bool
@@ -58,12 +62,20 @@ type Hub struct {
 	// without one pays this load per hop and nothing else.
 	faults atomic.Pointer[faultModel]
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	mu sync.Mutex
 
 	stats Stats
 
-	sched scheduler
+	// shards are the delivery schedulers, runtime.GOMAXPROCS(0) of them,
+	// read once here: so many loops can run handlers at the same time.
+	// On a 2-vCPU host, two of them take fig4-double-n1000's round_p50_ms
+	// down 9.0 % (seed 1) and 7.5 % (seed 7) against one loop per Hub.
+	// Per hop they cost more: BenchmarkHubDelayedDelivery/fanout (8
+	// senders flooding 1000 destinations, 1 µs base delay, no handler
+	// work) reads 148 ns per hop with one loop per Hub and 221 ns with two
+	// shards, medians of six interleaved runs (EXPERIMENTS.md "Parallel Hub
+	// delivery").
+	shards []deliveryShard
 }
 
 // NewHub creates a hub with the given latency model. The seed makes jitter
@@ -72,10 +84,13 @@ type Hub struct {
 // any fair schedule).
 func NewHub(model LatencyModel, seed int64) *Hub {
 	h := &Hub{
-		model: model,
-		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
-		sched: scheduler{epoch: time.Now()},
+		model:  model,
+		seed:   seed,
+		epoch:  time.Now(),
+		shards: make([]deliveryShard, runtime.GOMAXPROCS(0)),
+	}
+	for i := range h.shards {
+		h.shards[i].rng = rand.New(rand.NewSource(jitterSeed(seed, i)))
 	}
 	empty := make(map[wire.NodeID]*MemConn)
 	h.nodes.Store(&empty)
@@ -97,7 +112,9 @@ func (h *Hub) Attach(id wire.NodeID) (Conn, error) {
 	if _, dup := old[id]; dup {
 		return nil, fmt.Errorf("transport: node %d already attached", id)
 	}
-	c := &MemConn{hub: h, id: id}
+	// Round-robin in attach order (the node table only grows): every hop to
+	// c leaves from one heap, in (due, seq) order.
+	c := &MemConn{hub: h, id: id, shard: &h.shards[len(old)%len(h.shards)]}
 	c.box.Init(connQueueCap, 0)
 	next := make(map[wire.NodeID]*MemConn, len(old)+1)
 	for k, v := range old {
@@ -109,10 +126,10 @@ func (h *Hub) Attach(id wire.NodeID) (Conn, error) {
 }
 
 // Close shuts the hub and all attached connections and drops every
-// delivery still waiting out its delay. It returns once the delivery loop
-// has exited — unless the loop is handing out deliveries, in which case a
-// handler call may already be running (it may be the one calling Close) and
-// the loop exits as soon as that call returns, starting no other.
+// delivery still waiting out its delay. It returns once every delivery loop
+// has exited — except a loop that is handing out deliveries: a handler call
+// may be running there (it may be the one calling Close), and that loop
+// exits as soon as the call returns, starting no other.
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	if h.closed.Swap(true) {
@@ -120,21 +137,27 @@ func (h *Hub) Close() error {
 		return nil
 	}
 	nodes := *h.nodes.Load()
-	conns := make([]*MemConn, 0, len(nodes))
-	for _, c := range nodes {
-		conns = append(conns, c)
-	}
-	h.sched.pending = nil
-	loop := h.sched.done
-	if loop != nil {
-		h.wakeLoop()
-	}
 	h.mu.Unlock()
-	for _, c := range conns {
+	// A later that takes a shard's lock after this sweep sees h.closed; one
+	// that took it before has queued its hop, which the sweep drops.
+	var loops []*deliveryShard
+	for i := range h.shards {
+		s := &h.shards[i]
+		s.mu.Lock()
+		s.pending = nil
+		if s.done != nil {
+			s.wakeLoop()
+			loops = append(loops, s)
+		}
+		s.mu.Unlock()
+	}
+	for _, c := range nodes {
 		_ = c.Close()
 	}
-	if loop != nil && !h.sched.dispatching.Load() {
-		<-loop
+	for _, s := range loops {
+		if !s.dispatching.Load() {
+			<-s.done
+		}
 	}
 	return nil
 }
@@ -147,7 +170,7 @@ func (h *Hub) Close() error {
 // one frame. The fault model's verdict comes first, when one is installed:
 // a dropped hop is gone, a duplicate is a second hop, and a fault delay
 // adds to the modelled one. A hop with no delay arrives on the sender's
-// goroutine, any other through the delivery scheduler.
+// goroutine, any other through the destination's delivery shard.
 func (h *Hub) route(env *wire.Envelope, batch []wire.Envelope, from, to wire.NodeID, n, size int) error {
 	if h.closed.Load() {
 		return ErrClosed
@@ -194,9 +217,10 @@ func (h *Hub) route(env *wire.Envelope, batch []wire.Envelope, from, to wire.Nod
 
 // MemConn is a node's attachment to a Hub.
 type MemConn struct {
-	hub *Hub
-	id  wire.NodeID
-	box Mailbox
+	hub   *Hub
+	id    wire.NodeID
+	box   Mailbox
+	shard *deliveryShard // where every delayed hop to this conn waits
 
 	stats Stats
 }
@@ -253,7 +277,7 @@ func (c *MemConn) Close() error {
 }
 
 // SetHandler implements Conn: envelopes go to h in the producing goroutine
-// (the sender, or the Hub's delivery scheduler).
+// (the sender, or this conn's delivery shard).
 func (c *MemConn) SetHandler(h Handler) { c.box.SetHandler(h) }
 
 // SetBatchHandler implements Conn.

@@ -97,7 +97,7 @@ func TestLatencyModelPerByte(t *testing.T) {
 	m := LatencyModel{Base: time.Millisecond, PerByte: time.Microsecond}
 	hub := NewHub(m, 7)
 	defer hub.Close()
-	d := m.Delay(1000, hub.rng)
+	d := m.Delay(1000, hub.shards[0].rng)
 	if d != time.Millisecond+1000*time.Microsecond {
 		t.Errorf("delay = %v", d)
 	}

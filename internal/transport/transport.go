@@ -10,10 +10,10 @@
 //     guaranteed, which matches the asynchronous model of §3.3. A Hub can
 //     also inject faults (SetFaults, SetPartition, Kill): drops,
 //     duplicates, extra delay, partitions and blackouts, for the link
-//     layer to mask. Every delayed hop, whatever delayed it, waits in one
-//     delivery scheduler per Hub — a min-heap and one goroutine that runs
-//     the handlers — which never waits on a destination: no mailbox holds
-//     its producer (Mailbox.Deliver).
+//     layer to mask. Every delayed hop, whatever delayed it, waits in its
+//     destination's delivery shard — a min-heap and one goroutine that runs
+//     the handlers, one shard per core — which never waits on a
+//     destination: no mailbox holds its producer (Mailbox.Deliver).
 //
 //   - TCPNode: a real TCP transport (length-prefixed frames, HMAC
 //     authenticated) for deployments and loopback/LAN experiments.
@@ -85,11 +85,12 @@ type PushBatchConn = Conn
 
 // Handler consumes one inbound envelope. Handlers must be safe for
 // concurrent calls: transports invoke them from whatever goroutine produced
-// the message (a sender, the Hub's delivery scheduler, a per-connection
-// read loop), which is exactly what lets receivers on different rounds
-// proceed in parallel instead of funnelling through one receive loop per
-// conn. A handler must not wait for another delivery on its own Hub: on a
-// Hub with a latency model every handler runs on the one scheduler. Nor may
+// the message (a sender, a delivery loop of the Hub, a per-connection read
+// loop), which is exactly what lets receivers on different rounds proceed
+// in parallel instead of funnelling through one receive loop per conn. A
+// handler must not wait for another delivery on its own Hub: on a Hub with
+// a latency model it runs on its destination's delivery shard, which hands
+// out that shard's hops one after another. Nor may
 // it make a sequenced send over Resilient, which waits for acks when the
 // peer's window is full: over TCP those arrive on the read loop it blocks.
 type Handler func(env wire.Envelope)
