@@ -1,14 +1,10 @@
-// Benchmarks regenerating the paper's evaluation (§6) plus ablations of the
-// framework's building blocks. Figure benches measure full auction rounds
-// over the in-memory transport with the community-network latency model —
-// they are the experiment, so expect seconds per op at the larger sizes.
+// Benchmarks that nothing under bench/ or cmd/benchfig measures: the
+// allocation gate CI runs, and ablations of the framework's building
+// blocks. The paper's figures are `go run ./cmd/benchfig -fig 4|5`; the
+// workloads and per-layer probes are `bash bench/run.sh` (bench/README.md).
 //
-//	go test -bench 'Fig4' .     # Figure 4 series
-//	go test -bench 'Fig5' .     # Figure 5 series
-//	go test -bench . -benchmem  # everything
-//
-// cmd/benchfig prints the same series as aligned tables with
-// paper-comparable columns.
+//	go test -run '^$' -bench 'BenchmarkSteadyStateAllocs$' -benchtime 20x .  # CI's gate
+//	go test -run '^$' -bench . -benchmem .                                   # everything
 package distauction_test
 
 import (
@@ -19,14 +15,9 @@ import (
 	"testing"
 	"time"
 
-	"distauction/internal/coin"
 	"distauction/internal/consensus"
-	"distauction/internal/datatransfer"
 	"distauction/internal/figures"
 	"distauction/internal/harness"
-	"distauction/internal/mechanism/doubleauction"
-	"distauction/internal/mechanism/standardauction"
-	"distauction/internal/metrics"
 	"distauction/internal/proto"
 	"distauction/internal/trace"
 	"distauction/internal/transport"
@@ -38,69 +29,8 @@ import (
 func reportRound(b *testing.B, run func(seed uint64) (harness.Result, error)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := run(uint64(i + 1))
-		if err != nil {
+		if _, err := run(uint64(i + 1)); err != nil {
 			b.Fatal(err)
-		}
-		_ = res
-	}
-}
-
-// BenchmarkFig4DoubleAuction regenerates the four series of Figure 4:
-// running time of the double auction vs number of users for a centralized
-// trusted auctioneer and for the distributed simulation with k = 1, 2, 3
-// (3, 5 and 8 providers as in the paper).
-func BenchmarkFig4DoubleAuction(b *testing.B) {
-	lat := transport.CommunityNetModel()
-	for _, n := range []int{100, 400, 1000} {
-		n := n
-		b.Run(fmt.Sprintf("centralized/m=8/n=%d", n), func(b *testing.B) {
-			reportRound(b, func(seed uint64) (harness.Result, error) {
-				return harness.RunCentralizedDouble(
-					harness.WithProviders(8), harness.WithUsers(n),
-					harness.WithSeed(seed), harness.WithLatency(lat))
-			})
-		})
-		for _, series := range []struct{ k, m int }{{1, 3}, {2, 5}, {3, 8}} {
-			series := series
-			b.Run(fmt.Sprintf("distributed/k=%d/m=%d/n=%d", series.k, series.m, n), func(b *testing.B) {
-				reportRound(b, func(seed uint64) (harness.Result, error) {
-					return harness.RunDistributedDouble(
-						harness.WithProviders(series.m), harness.WithUsers(n), harness.WithK(series.k),
-						harness.WithSeed(seed), harness.WithLatency(lat))
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig5StandardAuction regenerates the three series of Figure 5:
-// running time of the standard auction vs number of users for p = 1
-// (centralized serial), p = 2 (m=8, k=3) and p = 4 (m=8, k=1). Compute cost
-// follows the calibrated model of figures.Fig5ModelDelay (see EXPERIMENTS.md).
-func BenchmarkFig5StandardAuction(b *testing.B) {
-	lat := transport.CommunityNetModel()
-	for _, n := range []int{25, 50, 100} {
-		n := n
-		delay := figures.Fig5ModelDelay(n)
-		b.Run(fmt.Sprintf("p=1/n=%d", n), func(b *testing.B) {
-			reportRound(b, func(seed uint64) (harness.Result, error) {
-				return harness.RunCentralizedStandard(
-					harness.WithProviders(8), harness.WithUsers(n),
-					harness.WithSeed(seed), harness.WithLatency(lat),
-					harness.WithInvEpsilon(5), harness.WithModelDelay(delay))
-			})
-		})
-		for _, series := range []struct{ p, k int }{{2, 3}, {4, 1}} {
-			series := series
-			b.Run(fmt.Sprintf("p=%d/n=%d", series.p, n), func(b *testing.B) {
-				reportRound(b, func(seed uint64) (harness.Result, error) {
-					return harness.RunDistributedStandard(
-						harness.WithProviders(8), harness.WithUsers(n), harness.WithK(series.k),
-						harness.WithSeed(seed), harness.WithLatency(lat),
-						harness.WithInvEpsilon(5), harness.WithModelDelay(delay))
-				})
-			})
 		}
 	}
 }
@@ -126,52 +56,11 @@ func benchPeers(b *testing.B, m int) []*proto.Peer {
 	return peers
 }
 
-// BenchmarkBidAgreement measures the stream-batched rational consensus that
-// implements bid agreement, per round, as a function of n and m.
-func BenchmarkBidAgreement(b *testing.B) {
-	for _, m := range []int{3, 8} {
-		for _, n := range []int{100, 1000} {
-			m, n := m, n
-			b.Run(fmt.Sprintf("m=%d/n=%d", m, n), func(b *testing.B) {
-				peers := benchPeers(b, m)
-				inst := workload.NewDoubleAuction(1, n, m)
-				inputs := make([][]byte, n)
-				for i, u := range inst.Users {
-					inputs[i] = u.Encode()
-				}
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					round := uint64(i + 1)
-					var wg sync.WaitGroup
-					errs := make([]error, m)
-					for j, p := range peers {
-						wg.Add(1)
-						go func(j int, p *proto.Peer) {
-							defer wg.Done()
-							_, errs[j] = consensus.Propose(ctx, p, round, 0, inputs)
-						}(j, p)
-					}
-					wg.Wait()
-					for _, err := range errs {
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					for _, p := range peers {
-						p.EndRound(round)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkBidAgreementFallback measures the digest-mismatch fallback: one
 // provider disputes one slot every round, so each round pays the extra
 // full-vector exchange on top of the digest agreement. Compare with
-// BenchmarkBidAgreement (unanimous, fast path) to see what a disputed round
-// costs.
+// bench's consensus.agree_small and consensus.agree_wide probes (unanimous,
+// fast path) to see what a disputed round costs.
 func BenchmarkBidAgreementFallback(b *testing.B) {
 	for _, m := range []int{3, 8} {
 		for _, n := range []int{100, 1000} {
@@ -263,172 +152,6 @@ func BenchmarkPeerRoutingContention(b *testing.B) {
 	}
 }
 
-// BenchmarkCommonCoin measures one commit-echo-reveal coin toss per round.
-func BenchmarkCommonCoin(b *testing.B) {
-	for _, m := range []int{3, 8} {
-		m := m
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			peers := benchPeers(b, m)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				round := uint64(i + 1)
-				var wg sync.WaitGroup
-				errs := make([]error, m)
-				for j, p := range peers {
-					wg.Add(1)
-					go func(j int, p *proto.Peer) {
-						defer wg.Done()
-						_, errs[j] = coin.Toss(ctx, p, round, 0)
-					}(j, p)
-				}
-				wg.Wait()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, p := range peers {
-					p.EndRound(round)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDataTransfer measures one S→O transfer as a function of payload
-// size (4 providers: |S| = |O| = 2).
-func BenchmarkDataTransfer(b *testing.B) {
-	for _, size := range []int{1 << 10, 100 << 10} {
-		size := size
-		b.Run(fmt.Sprintf("bytes=%d", size), func(b *testing.B) {
-			peers := benchPeers(b, 4)
-			sending := []wire.NodeID{1, 2}
-			receiving := []wire.NodeID{3, 4}
-			payload := make([]byte, size)
-			ctx := context.Background()
-			b.SetBytes(int64(size))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				round := uint64(i + 1)
-				var wg sync.WaitGroup
-				errs := make([]error, len(peers))
-				for j, p := range peers {
-					wg.Add(1)
-					go func(j int, p *proto.Peer) {
-						defer wg.Done()
-						var in []byte
-						if proto.ContainsNode(sending, p.Self()) {
-							in = payload
-						}
-						_, errs[j] = datatransfer.Run(ctx, p, round, 0, sending, receiving, in)
-					}(j, p)
-				}
-				wg.Wait()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, p := range peers {
-					p.EndRound(round)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWaterFilling measures the pure double-auction algorithm without
-// any protocol around it (the compute the distributed version replicates).
-func BenchmarkWaterFilling(b *testing.B) {
-	for _, n := range []int{100, 1000} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			inst := workload.NewDoubleAuction(1, n, 8)
-			bids := inst.BidVector()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := doubleauction.Solve(bids); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkKnapsackSolve measures one real (1−ε) allocation solve (no
-// compute model) as a function of n.
-func BenchmarkKnapsackSolve(b *testing.B) {
-	for _, n := range []int{50, 125} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			inst := workload.NewStandardAuction(1, n, 8)
-			params := standardauction.Params{Capacities: inst.Capacities, InvEpsilon: 10}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := standardauction.SolveAllocation(inst.Users, params, uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkVCGPayments compares serial vs host-parallel computation of all
-// VCG payments with *real* compute only (no network, no model): the upper
-// bound of Figure 5's gain on this host, limited by its core count.
-func BenchmarkVCGPayments(b *testing.B) {
-	const n = 40
-	inst := workload.NewStandardAuction(1, n, 8)
-	params := standardauction.Params{Capacities: inst.Capacities, InvEpsilon: 8}
-	assign, err := standardauction.SolveAllocation(inst.Users, params, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payAll := func(idx []int) error {
-		for _, i := range idx {
-			if _, err := standardauction.Payment(inst.Users, params, 7, assign, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	b.Run("serial", func(b *testing.B) {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		for i := 0; i < b.N; i++ {
-			if err := payAll(all); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel=4", func(b *testing.B) {
-		shares := make([][]int, 4)
-		for i := 0; i < n; i++ {
-			shares[i%4] = append(shares[i%4], i)
-		}
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			errs := make([]error, 4)
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					errs[g] = payAll(shares[g])
-				}(g)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkFullRoundZeroLatency isolates protocol CPU cost: a complete
 // distributed double-auction round with no link delay at all.
 func BenchmarkFullRoundZeroLatency(b *testing.B) {
@@ -485,129 +208,13 @@ func BenchmarkSessionThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkMarketThroughput measures aggregate marketplace rounds/s as a
-// function of the concurrent-auction count: M independent double auctions
-// multiplexed over one shared attachment per node (3 provider markets, 10
-// bidders joined to every auction) under the community-network latency
-// model. A single auction is latency-bound — its sequential protocol hops
-// leave the host mostly idle — so the aggregate rate should grow with M
-// until the CPU saturates: that scaling is the marketplace layer's reason
-// to exist. The residual-state check guards per-round reclamation across
-// every lane.
-func BenchmarkMarketThroughput(b *testing.B) {
-	const rounds = 40
-	lat := transport.CommunityNetModel()
-	for _, auctions := range []int{1, 4, 16, 64} {
-		auctions := auctions
-		b.Run(fmt.Sprintf("auctions=%d/m=3/n=10", auctions), func(b *testing.B) {
-			var totalRounds int
-			var totalTime time.Duration
-			var frames, envs int64
-			var latency metrics.HistogramSnapshot
-			for i := 0; i < b.N; i++ {
-				res, err := harness.RunMarket(1, auctions, rounds,
-					harness.WithProviders(3), harness.WithUsers(10), harness.WithK(1),
-					harness.WithSeed(uint64(i+1)), harness.WithLatency(lat),
-					harness.WithBidWindow(10*time.Second),
-					harness.WithPipelineDepth(4),
-				)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Accepted != int64(auctions*rounds) {
-					b.Fatalf("accepted %d of %d rounds", res.Accepted, auctions*rounds)
-				}
-				if res.BidsDropped != 0 {
-					b.Fatalf("admission dropped %d bids; the workload degenerated", res.BidsDropped)
-				}
-				if res.ParkedDropped != 0 {
-					b.Fatalf("mux dropped %d parked envelopes", res.ParkedDropped)
-				}
-				if res.ResidualMsgs != 0 || res.ResidualRounds != 0 {
-					b.Fatalf("protocol state grew: %d msgs, %d rounds left",
-						res.ResidualMsgs, res.ResidualRounds)
-				}
-				totalRounds += int(res.Rounds)
-				totalTime += res.Duration
-				frames += res.FramesSent
-				envs += res.EnvelopesSent
-				latency.Merge(res.Latency)
-			}
-			b.ReportMetric(float64(totalRounds)/totalTime.Seconds(), "rounds/s")
-			if frames > 0 {
-				b.ReportMetric(float64(envs)/float64(frames), "envs/frame")
-			}
-			if latency.Count > 0 {
-				b.ReportMetric(latency.QuantileDuration(0.50).Seconds()*1e3, "p50-ms")
-				b.ReportMetric(latency.QuantileDuration(0.99).Seconds()*1e3, "p99-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkMarketThroughputResilient is the resilience-overhead A/B: the
-// exact 64-auction topology of BenchmarkMarketThroughput, but with every
-// attachment wrapped in the transport resilience layer (seq/ack framing,
-// heartbeats, resend buffers) over a loss-free Hub. Acceptance: the median
-// aggregate rounds/s stays >= 0.95x the unwrapped benchmark measured
-// back-to-back in the same session. The fault-masking behavior itself is
-// covered by the chaos soak, not benchmarked here — this measures what the
-// always-on bookkeeping costs when nothing goes wrong.
-func BenchmarkMarketThroughputResilient(b *testing.B) {
-	const auctions, rounds = 64, 40
-	lat := transport.CommunityNetModel()
-	b.Run(fmt.Sprintf("auctions=%d/m=3/n=10", auctions), func(b *testing.B) {
-		var totalRounds int
-		var totalTime time.Duration
-		var link transport.LinkStats
-		var latency metrics.HistogramSnapshot
-		for i := 0; i < b.N; i++ {
-			var rn *transport.ResilientNetwork
-			res, err := harness.RunMarket(1, auctions, rounds,
-				harness.WithProviders(3), harness.WithUsers(10), harness.WithK(1),
-				harness.WithSeed(uint64(i+1)), harness.WithLatency(lat),
-				harness.WithBidWindow(10*time.Second),
-				harness.WithPipelineDepth(4),
-				harness.WithNetwork(func(seed int64) transport.Network {
-					rn = transport.Resilient(transport.NewHub(lat, seed), transport.ResilientConfig{})
-					return rn
-				}),
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Accepted != int64(auctions*rounds) {
-				b.Fatalf("accepted %d of %d rounds", res.Accepted, auctions*rounds)
-			}
-			if res.ResidualMsgs != 0 || res.ResidualRounds != 0 {
-				b.Fatalf("protocol state grew: %d msgs, %d rounds left",
-					res.ResidualMsgs, res.ResidualRounds)
-			}
-			totalRounds += int(res.Rounds)
-			totalTime += res.Duration
-			link = link.Add(rn.LinkStats())
-			latency.Merge(res.Latency)
-		}
-		b.ReportMetric(float64(totalRounds)/totalTime.Seconds(), "rounds/s")
-		if latency.Count > 0 {
-			b.ReportMetric(latency.QuantileDuration(0.50).Seconds()*1e3, "p50-ms")
-			b.ReportMetric(latency.QuantileDuration(0.99).Seconds()*1e3, "p99-ms")
-		}
-		// The link layer's work rate on a loss-free network: resends here are
-		// spurious (RTO misfires), so this metric is the knob-tuning signal.
-		b.ReportMetric(float64(link.Resends)/totalTime.Seconds(), "resends/s")
-		b.ReportMetric(float64(link.Heartbeats)/totalTime.Seconds(), "heartbeats/s")
-	})
-}
-
 // BenchmarkFederationThroughput measures aggregate rounds/s of the sharded
 // federation as a function of the shard count: 64 double auctions
 // partitioned over S committees of 3 providers each (disjoint fleets, 10
 // bidders joined to every auction through one federated attachment each)
-// under the community-network latency model. The 1-shard point deploys the
-// identical topology as BenchmarkMarketThroughput's 64-auction case — the
-// unsharded baseline — so the shards axis isolates what partitioning the
-// catalog buys. On a single-core host protocol CPU does not shrink with
+// under the community-network latency model. The 1-shard point is the
+// unsharded 64-auction market — the baseline — so the shards axis isolates
+// what partitioning the catalog buys. On a single-core host protocol CPU does not shrink with
 // sharding, so this curve mostly reflects past-saturation congestion
 // relief; see EXPERIMENTS.md for the multicore argument.
 func BenchmarkFederationThroughput(b *testing.B) {
@@ -663,8 +270,9 @@ func BenchmarkFederationThroughput(b *testing.B) {
 // the zero-latency hub (protocol cost only — no idle link time to hide
 // allocation churn behind). Deployment and teardown are inside the window,
 // which 4000 rounds dilute to noise; the steady state dominates. CI's
-// allocation-regression smoke step holds allocs/round to the budget
-// recorded in BENCH_baseline.json (+20%).
+// "Allocation regression" step holds allocs/round to the budget its comment
+// derives: what this benchmark reads on the tree that set it, plus a stated
+// margin.
 //
 // The trace hooks are compiled into every phase this run exercises; with
 // tracing off (the default here) they must add zero allocations — the CI

@@ -278,7 +278,7 @@ func OpenSession(conn transport.Conn, providers, users []wire.NodeID, opts ...Se
 		settings: settings,
 		peer:     peer,
 		// The executor's depth matches the round pipeline so every
-		// in-flight round has an arena.
+		// in-flight round has its own task workers.
 		exec:      taskgraph.NewExecutor(peer, graph, settings.maxConcurrent),
 		usesCoin:  graph.UsesCoin(),
 		coinPlan:  graph.CoinInstances(),

@@ -175,35 +175,46 @@ func TestSessionRoundOneMatchesDistributedDouble(t *testing.T) {
 
 // One builder serves every market shape: a 1-auction market is a session
 // behind a mux, a 1-shard federation is a plain market. Every shape must
-// accept every round, drop nothing and reclaim all protocol state.
+// accept every round, drop nothing and reclaim all protocol state — also
+// over the link layer (seq/ack framing, heartbeats, resend buffers) on a
+// loss-free Hub, whose bookkeeping must change none of that.
 func TestRunMarketShapes(t *testing.T) {
 	const rounds = 6
-	for _, shards := range []int{1, 2} {
-		for _, auctions := range []int{1, 4} {
-			t.Run(fmt.Sprintf("shards=%d/auctions=%d", shards, auctions), func(t *testing.T) {
-				res, err := RunMarket(shards, auctions, rounds,
-					WithProviders(3), WithUsers(4), WithK(1), WithSeed(5), WithBidWindow(2*time.Second))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := int64(auctions * rounds); res.Accepted != want || res.Rounds != want {
-					t.Errorf("rounds=%d accepted=%d, want %d", res.Rounds, res.Accepted, want)
-				}
-				// The root counts the primaries' gates; every member runs its own.
-				for _, ns := range res.PerNode {
-					if ns.BidsDropped != 0 || ns.ParkedDropped != 0 {
-						t.Errorf("node %d dropped %d bids, %d parked envelopes", ns.Node, ns.BidsDropped, ns.ParkedDropped)
-					}
-				}
-				if res.ResidualMsgs != 0 || res.ResidualRounds != 0 {
-					t.Errorf("residual state after run: %d msgs, %d rounds", res.ResidualMsgs, res.ResidualRounds)
-				}
-				if len(res.PerShard) != shards {
-					t.Errorf("shard rollup: %d entries, want %d", len(res.PerShard), shards)
-				}
-				checkRollUp(t, res.Snapshot)
-			})
+	for _, shape := range []struct {
+		shards, auctions int
+		resilient        bool
+	}{{1, 1, false}, {1, 4, false}, {2, 1, false}, {2, 4, false}, {1, 4, true}} {
+		shards, auctions := shape.shards, shape.auctions
+		name := fmt.Sprintf("shards=%d/auctions=%d", shards, auctions)
+		opts := []Option{WithProviders(3), WithUsers(4), WithK(1), WithSeed(5), WithBidWindow(2 * time.Second)}
+		if shape.resilient {
+			name += "/resilient"
+			opts = append(opts, WithNetwork(func(seed int64) transport.Network {
+				return transport.Resilient(transport.NewHub(transport.LatencyModel{}, seed), transport.ResilientConfig{})
+			}))
 		}
+		t.Run(name, func(t *testing.T) {
+			res, err := RunMarket(shards, auctions, rounds, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(auctions * rounds); res.Accepted != want || res.Rounds != want {
+				t.Errorf("rounds=%d accepted=%d, want %d", res.Rounds, res.Accepted, want)
+			}
+			// The root counts the primaries' gates; every member runs its own.
+			for _, ns := range res.PerNode {
+				if ns.BidsDropped != 0 || ns.ParkedDropped != 0 {
+					t.Errorf("node %d dropped %d bids, %d parked envelopes", ns.Node, ns.BidsDropped, ns.ParkedDropped)
+				}
+			}
+			if res.ResidualMsgs != 0 || res.ResidualRounds != 0 {
+				t.Errorf("residual state after run: %d msgs, %d rounds", res.ResidualMsgs, res.ResidualRounds)
+			}
+			if len(res.PerShard) != shards {
+				t.Errorf("shard rollup: %d entries, want %d", len(res.PerShard), shards)
+			}
+			checkRollUp(t, res.Snapshot)
+		})
 	}
 }
 

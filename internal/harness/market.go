@@ -204,9 +204,10 @@ func (d *Market) Close() {
 //
 // With a non-zero latency model a single auction is latency-bound — its
 // sequential protocol hops leave the host idle — so aggregate rounds/s
-// grows with the auction count until the CPU saturates
-// (BenchmarkMarketThroughput), and the shards axis measures what
-// federating the catalog buys on top (BenchmarkFederationThroughput).
+// grows with the auction count until the CPU saturates (bench's
+// market64-closed workload runs that saturated point), and the shards axis
+// measures what federating the catalog buys on top
+// (BenchmarkFederationThroughput).
 func (d *Market) Run() (MarketResult, error) {
 	// Each of the m members of an auction's shard counts its rounds.
 	want := int64(len(d.lanes) * d.rounds * d.cfg.m)

@@ -173,8 +173,8 @@ type shard struct {
 }
 
 // maxFree bounds a shard's free list; beyond it retired states go to the GC.
-// Without the list, BenchmarkSteadyStateAllocs reads 205.3 allocs/round,
-// not 124.1 (EXPERIMENTS.md).
+// Without the list, BenchmarkSteadyStateAllocs reads 235.2 allocs/round,
+// not 153.9 (EXPERIMENTS.md).
 const maxFree = 4
 
 // roundLocked returns the state for round, creating (or recycling) it if
@@ -241,8 +241,8 @@ type Peer struct {
 	// waiterPool recycles Receive's waiter nodes (rendezvous channel plus
 	// link). A node is pooled only when no sender can reach it: its one
 	// value was consumed, or dropWaiter unlinked it under the shard lock.
-	// Without it, BenchmarkSteadyStateAllocs reads 194.4 allocs/round, not
-	// 124.1 (EXPERIMENTS.md).
+	// Without it, BenchmarkSteadyStateAllocs reads 224.4 allocs/round, not
+	// 153.9 (EXPERIMENTS.md).
 	waiterPool sync.Pool
 
 	done      chan struct{}

@@ -17,9 +17,9 @@ import (
 // Executor runs one compiled graph round after round with a persistent
 // worker set. The schedule plan — which tasks run locally, their ready
 // order, edge wiring and coin numbering — is compiled once at construction
-// and reused every round; per-round state lives in pooled execRound arenas,
-// so a steady-state round spawns no goroutines and allocates only what the
-// round's results themselves need.
+// and reused every round; each round's task states are one execRound,
+// allocated per round and left to the GC, so a steady-state round spawns no
+// goroutines.
 //
 // Scheduling model: the graph runs as a concurrent DAG schedule. A local
 // task becomes ready when every local dependency has finished its compute
@@ -67,9 +67,6 @@ type Executor struct {
 	work  chan workItem // ready queue; cap numLocal*depth, send never blocks
 	wg    sync.WaitGroup
 
-	mu   sync.Mutex
-	free []*execRound
-
 	closeOnce sync.Once
 }
 
@@ -79,11 +76,8 @@ type workItem struct {
 	ti int
 }
 
-// execRound is the pooled per-round arena: every task's lifecycle state.
-// It is owned by exactly one Run call at a time; putRound drops all payload
-// references before recycling so a pooled round pins nothing from the
-// round it served. Without the recycling, BenchmarkSteadyStateAllocs reads
-// 142.0 allocs/round, not 124.1, and market64-closed is flat (EXPERIMENTS.md).
+// execRound is one round's state: every local task's lifecycle. Run builds
+// it with newRound and drops it when the round returns.
 type execRound struct {
 	ex    *Executor
 	round uint64
@@ -101,19 +95,17 @@ type execRound struct {
 // start); validation ends when the digest gather, transitive confirmation
 // and publish gate all passed.
 type execTask struct {
-	er *execRound // backref for the coin closure; set once
+	er *execRound // backref for the coin closure
 	ti int
 
 	depsLeft   atomic.Int32
 	draws      int
-	coinFn     func() (uint64, error) // built once, reused every round
-	inputs     map[uint32][]byte      // recycled TaskContext.Inputs
 	tc         TaskContext
 	result     []byte
 	computeErr error
 	computed   bool
 
-	validated chan struct{} // fresh per round, only where needValid
+	validated chan struct{} // only where needValid
 	validErr  error
 	ok        bool
 
@@ -218,8 +210,7 @@ func (ex *Executor) Run(ctx context.Context, round uint64, env any, opts Options
 	defer cancel()
 	ex.peer.OnAbort(round, cancel)
 
-	er := ex.getRound()
-	er.reset(round, rctx, env, opts.Coins, opts.Gate)
+	er := ex.newRound(round, rctx, env, opts.Coins, opts.Gate)
 	er.pending.Add(ex.numLocal)
 	for _, ti := range ex.roots {
 		ex.work <- workItem{er, ti}
@@ -251,81 +242,30 @@ func (ex *Executor) Run(ctx context.Context, round uint64, env any, opts Options
 			out = final.result
 		}
 	}
-	ex.putRound(er)
 	return out, err
 }
 
-// getRound pops a pooled round arena or builds a fresh one.
-func (ex *Executor) getRound() *execRound {
-	ex.mu.Lock()
-	var er *execRound
-	if n := len(ex.free); n > 0 {
-		er = ex.free[n-1]
-		ex.free[n-1] = nil
-		ex.free = ex.free[:n-1]
-	}
-	ex.mu.Unlock()
-	if er != nil {
-		return er
-	}
-	er = &execRound{
+// newRound builds one round's task states.
+func (ex *Executor) newRound(round uint64, ctx context.Context, env any, coins CoinSource, gate func() error) *execRound {
+	er := &execRound{
 		ex:     ex,
+		round:  round,
+		ctx:    ctx,
+		env:    env,
+		coins:  coins,
+		gate:   gate,
 		states: make([]execTask, len(ex.g.tasks)),
 	}
 	for ti := range er.states {
 		st := &er.states[ti]
 		st.er = er
 		st.ti = ti
-		if ex.localTask[ti] && ex.g.tasks[ti].UsesCoin {
-			st.coinFn = st.drawCoin
-		}
-	}
-	return er
-}
-
-// putRound drops every payload reference the round accumulated and
-// recycles the arena. Results already escaped to the caller keep living;
-// the pool never hands them to another round.
-func (ex *Executor) putRound(er *execRound) {
-	for ti := range er.states {
-		st := &er.states[ti]
-		st.result = nil
-		st.computeErr = nil
-		st.validErr = nil
-		st.validated = nil
-		st.tc = TaskContext{}
-		if st.inputs != nil {
-			clear(st.inputs)
-		}
-		clear(st.gatherBuf)
-		st.gatherBuf = st.gatherBuf[:0]
-	}
-	er.ctx, er.env, er.coins, er.gate = nil, nil, nil, nil
-	ex.mu.Lock()
-	if len(ex.free) < ex.depth {
-		ex.free = append(ex.free, er)
-	}
-	ex.mu.Unlock()
-}
-
-// reset prepares the arena for one round.
-func (er *execRound) reset(round uint64, ctx context.Context, env any, coins CoinSource, gate func() error) {
-	ex := er.ex
-	er.round = round
-	er.ctx = ctx
-	er.env = env
-	er.coins = coins
-	er.gate = gate
-	for ti := range er.states {
-		st := &er.states[ti]
 		st.depsLeft.Store(ex.localDeps[ti])
-		st.draws = 0
-		st.computed = false
-		st.ok = false
 		if ex.needValid[ti] {
 			st.validated = make(chan struct{})
 		}
 	}
+	return er
 }
 
 // computePhaseDone marks ti's compute phase finished (result or error) and
@@ -370,7 +310,7 @@ func (er *execRound) runTask(ti int) {
 
 	st.tc = TaskContext{Round: er.round, Inputs: inputs, Env: er.env}
 	if t.UsesCoin && er.coins != nil {
-		st.tc.coinFn = st.coinFn
+		st.tc.coinFn = st.drawCoin
 	}
 	out, err := t.Run(ctx, &st.tc)
 	if err != nil {
@@ -430,8 +370,7 @@ func (er *execRound) runTask(ti int) {
 	}
 }
 
-// collectInputs assembles the task's inputs, keyed by task ID, into the
-// recycled per-task map. Local dependencies have finished their compute
+// collectInputs assembles the task's inputs, keyed by task ID. Local dependencies have finished their compute
 // phase by construction (the ready queue admitted this task) and are read
 // from the provider's own copy; every other dependency is an in-edge this
 // provider receives, synchronously and unanimity-checked.
@@ -439,10 +378,7 @@ func (er *execRound) collectInputs(ti int) (map[uint32][]byte, error) {
 	ex := er.ex
 	t := &ex.g.tasks[ti]
 	st := &er.states[ti]
-	if st.inputs == nil {
-		st.inputs = make(map[uint32][]byte, len(t.Deps))
-	}
-	inputs := st.inputs
+	inputs := make(map[uint32][]byte, len(t.Deps))
 	for _, d := range t.Deps {
 		di, ok := ex.g.byID[d]
 		if !ok {
@@ -517,7 +453,7 @@ func (er *execRound) awaitUpstream(ti int) error {
 
 // drawCoin serves TaskContext.Coin for this task: statically numbered
 // instances from the round's shared coin source, bounded by the declared
-// schedule. Built once per arena and reused every round.
+// schedule.
 func (st *execTask) drawCoin() (uint64, error) {
 	t := &st.er.ex.g.tasks[st.ti]
 	if t.CoinDraws > 0 && st.draws >= t.CoinDraws {

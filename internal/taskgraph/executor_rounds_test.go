@@ -7,12 +7,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"distauction/internal/testleak"
 )
 
 // envTask returns a task body that derives its output from the per-round
-// Env string plus its inputs — so a stale arena (a recycled Inputs map or
-// result buffer leaking a previous round's bytes) shows up as a wrong
-// output, not silently.
+// Env string plus its inputs — so state leaking from one round into
+// another (an input, a result or gather scratch of a previous round) shows
+// up as a wrong output, not silently.
 func envTask(prefix string, deps ...uint32) TaskFunc {
 	return func(ctx context.Context, tc *TaskContext) ([]byte, error) {
 		var b strings.Builder
@@ -47,15 +49,15 @@ func runExecutors(t *testing.T, exs []*Executor, round uint64, env string) ([][]
 	return outs, errs
 }
 
-// TestExecutorArenaRecycling drives a persistent executor through many
+// TestExecutorRoundsIndependent drives a persistent executor through many
 // sequential rounds on the same compiled graph, with a distinct per-round
 // env threaded through a diamond of tasks (including subgroup tasks, so
-// transfer scratch recycles too). Every round's output must
-// be exactly the value derived from THAT round's env — any cross-round
-// bleed through the pooled round arenas is a hard failure. Run under -race
-// this also checks the arena handoff discipline between the scheduler and
-// the persistent workers.
-func TestExecutorArenaRecycling(t *testing.T) {
+// transfers run too). Every round's output must be exactly the value
+// derived from THAT round's env — any cross-round bleed through the
+// compiled plan or the persistent workers is a hard failure. Run under
+// -race this also checks the handoff of a round's state between Run and
+// the workers.
+func TestExecutorRoundsIndependent(t *testing.T) {
 	peers := newPeers(t, 3)
 	all := providerIDs(3)
 	g, err := New(all, 1, []Task{
@@ -92,12 +94,12 @@ func TestExecutorArenaRecycling(t *testing.T) {
 	}
 }
 
-// TestExecutorAbortUnwindRecycles alternates failing rounds (a task body
-// returns an error, the round resolves to ⊥ everywhere) with succeeding
-// rounds on the SAME executors. The abort unwind must return every pooled
-// object exactly once: a double-put or a leaked arena corrupts the next
-// round's state, which the success rounds then catch.
-func TestExecutorAbortUnwindRecycles(t *testing.T) {
+// TestExecutorAbortUnwind alternates failing rounds (a task body returns
+// an error, the round resolves to ⊥ everywhere) with succeeding rounds on
+// the SAME executors. An abort must leave the executor clean: the next
+// round starts from its own env, which the success rounds check, and after
+// Close no task worker is left.
+func TestExecutorAbortUnwind(t *testing.T) {
 	peers := newPeers(t, 3)
 	all := providerIDs(3)
 	fail := fmt.Errorf("injected task failure")
@@ -114,36 +116,40 @@ func TestExecutorAbortUnwindRecycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exs := make([]*Executor, len(peers))
-	for i, p := range peers {
-		exs[i] = NewExecutor(p, g, 2)
-		defer exs[i].Close()
-	}
-	const rounds = 20
-	for r := uint64(1); r <= rounds; r++ {
-		failing := r%2 == 1
-		env := fmt.Sprintf("round-%03d", r)
-		if failing {
-			env = "fail-" + env
+	// The peers are up before the census; the executors, their rounds and
+	// their Close all run inside it.
+	testleak.Check(t, func() {
+		exs := make([]*Executor, len(peers))
+		for i, p := range peers {
+			exs[i] = NewExecutor(p, g, 2)
+			defer exs[i].Close()
 		}
-		outs, errs := runExecutors(t, exs, r, env)
-		for i := range peers {
+		const rounds = 20
+		for r := uint64(1); r <= rounds; r++ {
+			failing := r%2 == 1
+			env := fmt.Sprintf("round-%03d", r)
 			if failing {
-				if errs[i] == nil {
-					t.Fatalf("round %d peer %d: expected abort, got %q", r, i, outs[i])
-				}
-			} else {
-				if errs[i] != nil {
-					t.Fatalf("round %d peer %d: %v", r, i, errs[i])
-				}
-				want := fmt.Sprintf("fin:%s|mid:%s|seed:%s", env, env, env)
-				if string(outs[i]) != want {
-					t.Fatalf("round %d peer %d:\n got %q\nwant %q", r, i, outs[i], want)
+				env = "fail-" + env
+			}
+			outs, errs := runExecutors(t, exs, r, env)
+			for i := range peers {
+				if failing {
+					if errs[i] == nil {
+						t.Fatalf("round %d peer %d: expected abort, got %q", r, i, outs[i])
+					}
+				} else {
+					if errs[i] != nil {
+						t.Fatalf("round %d peer %d: %v", r, i, errs[i])
+					}
+					want := fmt.Sprintf("fin:%s|mid:%s|seed:%s", env, env, env)
+					if string(outs[i]) != want {
+						t.Fatalf("round %d peer %d:\n got %q\nwant %q", r, i, outs[i], want)
+					}
 				}
 			}
+			for _, p := range peers {
+				p.EndRound(r)
+			}
 		}
-		for _, p := range peers {
-			p.EndRound(r)
-		}
-	}
+	})
 }

@@ -67,9 +67,9 @@ func CoinInstance(taskID uint32, draw int) uint32 {
 
 // TaskContext carries a task's inputs and services into its Run function.
 //
-// The context and its Inputs map are owned by the scheduler and recycled
-// across rounds: a Run function must not retain either past its return
-// (copy anything it needs to keep). Input values themselves are views into
+// The context and its Inputs map are owned by the scheduler for the round:
+// a Run function must not retain either past its return (copy anything it
+// needs to keep). Input values themselves are views into
 // the round's protocol buffers and follow the same rule.
 type TaskContext struct {
 	// Round is the auction round being simulated.
