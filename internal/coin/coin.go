@@ -154,8 +154,8 @@ func exchange(ctx context.Context, peer *proto.Peer, tag wire.Tag, payload []byt
 	endSpan(span, spans, 1, peer, tag)
 	if beforeReveal != nil {
 		beforeReveal()
-		if err := ctx.Err(); err != nil {
-			return 0, opened, peer.Fail(round, "before reveal", err)
+		if ctx.Err() != nil {
+			return 0, opened, peer.Fail(round, "before reveal", context.Cause(ctx))
 		}
 		if err := peer.AbortErr(round); err != nil {
 			return 0, opened, err

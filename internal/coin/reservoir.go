@@ -111,7 +111,7 @@ func (r *Reservoir) Seed(ctx context.Context, instance uint32) (uint64, error) {
 	case <-t.done:
 		return t.seed, t.err
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		return 0, context.Cause(ctx)
 	}
 }
 

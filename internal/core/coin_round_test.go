@@ -435,6 +435,39 @@ func TestUnfinishableTossEndsWithRoundTimeout(t *testing.T) {
 	})
 }
 
+// A provider that withholds from one peer its reveal of the draw task 1
+// consumes leaves that peer's task waiting for a seed until the round
+// timeout. The timeout ends the toss and the task together, through the
+// round's one context, so every provider reads the round's ⊥ as a timeout:
+// none may read it as closed, as if a session had shut down.
+func TestRoundTimeoutReadsTimeout(t *testing.T) {
+	testleak.Check(t, func() {
+		const timeout = 300 * time.Millisecond
+		r := newCoinRig(t, 3, 2, 1)
+		defer r.close()
+		r.opts = append(r.opts, WithRoundTimeout(timeout))
+		draw := taskgraph.CoinInstance(1, 0)
+		r.withhold = func(from wire.NodeID, env wire.Envelope) bool {
+			return from == 1 && env.To == 3 && env.Tag.Block == wire.BlockCoin &&
+				env.Tag.Instance == draw && env.Tag.Step == coinReveal
+		}
+		for i := range r.providers {
+			r.open(i)
+		}
+		r.submit(1)
+		for i, s := range r.sessions {
+			select {
+			case out := <-s.Outcomes():
+				if code := proto.AbortCodeOf(out.Err); out.Round != 1 || code != proto.AbortTimeout {
+					t.Errorf("provider %d: round %d ended with %v (code %v), want a timeout", i+1, out.Round, out.Err, code)
+				}
+			case <-time.After(timeout + 5*time.Second):
+				t.Fatalf("provider %d: round 1 still open after its round timeout %v", i+1, timeout)
+			}
+		}
+	})
+}
+
 // onDemandDraw is the standard auction with its draw left undeclared: the
 // allocation task draws the coin on demand (UsesCoin, CoinDraws zero).
 type onDemandDraw struct{ StandardAuction }

@@ -468,9 +468,10 @@ func TestCloseDuringBidCollectionCodesAgree(t *testing.T) {
 	if _, err := other.Receive(ctx, wire.Tag{Round: 1, Block: wire.BlockBidSubmit, Step: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Read the latch before the session reclaims the round.
-	latched := make(chan error, 1)
-	s.Peer().OnAbort(1, func() { latched <- s.Peer().AbortErr(1) })
+	// Read the latch before the session reclaims the round: the round's
+	// abort ends a round context with the abort as its cause.
+	rctx, stop := s.Peer().RoundContext(context.Background(), 1)
+	defer stop(nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -481,8 +482,8 @@ func TestCloseDuringBidCollectionCodesAgree(t *testing.T) {
 	}
 	var own, received *proto.AbortError
 	select {
-	case err := <-latched:
-		if !errors.As(err, &own) {
+	case <-rctx.Done():
+		if err := context.Cause(rctx); !errors.As(err, &own) {
 			t.Fatalf("latched %v, want an abort", err)
 		}
 	case <-ctx.Done():

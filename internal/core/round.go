@@ -104,61 +104,63 @@ func (s *Session) broadcastOwnBid(ctx context.Context, round uint64, ownBid *auc
 	return nil
 }
 
-// roundCoin is a round's coin, started by openRound and closed when the
-// round ends: the gated reservoir every coin draw of the round's graph goes
-// through, declared or on demand (nil when the graph draws no coin), and
-// the cancel of the context its tosses run under.
-type roundCoin struct {
-	res    *coin.Reservoir
-	cancel context.CancelFunc
+// roundWork is one collected round handed from the scheduler to a round
+// worker: phases 0–1 are done, phases 2–5 remain.
+type roundWork struct {
+	r      uint64
+	ctx    context.Context // the round's one context (proto.Peer.RoundContext)
+	cancel context.CancelCauseFunc
+	inputs [][]byte
+	coins  *coin.Reservoir // the round's coin, tossing since the round opened; nil without one
+	began  time.Time       // when phase 0 started; stamps the round's latency
 }
 
-// close joins the round's tosses and releases their context. It opens the
-// reveal gate (Reservoir.Close), so the round must be bound or its abort
-// latched first.
-func (c roundCoin) close() {
-	if c.res != nil {
-		c.res.Close()
-		c.cancel()
+// end joins the round's tosses, then ends its context. Closing the coin
+// opens its reveal gate (Reservoir.Close), so the round must be bound or
+// its abort latched first. The context ends only after every toss joined:
+// ending it under a toss still running would abort a finished round.
+func (rw roundWork) end() {
+	if rw.coins != nil {
+		rw.coins.Close()
 	}
+	rw.cancel(nil)
 }
 
 // openRound runs phases 0–1 of a round: own-bid broadcast, then bid
-// collection over the bid window. It starts the round's coin first (when
-// the mechanism's graph uses the coin at all), so every declared toss's
-// commit and echo run during bid collection: they hide every share, and
-// the reservoir's reveal gate opens only at agreement's binding point, in
-// finishRound; an on-demand draw starts its toss from the task. The
-// returned coin belongs to the round; on an error openRound has latched
-// the round's abort and closed it already.
-func (s *Session) openRound(ctx context.Context, round uint64, ownBid *auction.ProviderBid) ([][]byte, roundCoin, error) {
+// collection over the bid window. It derives the round's one context
+// (proto.Peer.RoundContext), which every later phase runs under, and starts
+// the round's coin first (when the mechanism's graph uses the coin at all),
+// so every declared toss's commit and echo run during bid collection: they
+// hide every share, and the reservoir's reveal gate opens only at
+// agreement's binding point, in finishRound; an on-demand draw starts its
+// toss from the task. The returned round is in flight until its end; on an
+// error openRound has latched the round's abort and ended it already.
+func (s *Session) openRound(round uint64, ownBid *auction.ProviderBid, began time.Time) (roundWork, error) {
+	rw := roundWork{r: round, began: began}
+	rw.ctx, rw.cancel = s.peer.RoundContext(s.ctx, round)
 	attachBy := time.Now().Add(s.cfg.BidWindow)
-	var coins roundCoin
 	if s.usesCoin {
-		var coinCtx context.Context
-		coinCtx, coins.cancel = context.WithCancel(ctx)
-		coins.res = coin.NewReservoir(s.peer, round, attachBy)
-		coins.res.Prefetch(coinCtx, s.coinPlan...)
+		rw.coins = coin.NewReservoir(s.peer, round, attachBy)
+		rw.coins.Prefetch(rw.ctx, s.coinPlan...)
 	}
-	err := s.broadcastOwnBid(ctx, round, ownBid, attachBy)
-	var inputs [][]byte
+	err := s.broadcastOwnBid(rw.ctx, round, ownBid, attachBy)
 	if err == nil {
-		inputs, err = s.collectBids(ctx, round)
+		rw.inputs, err = s.collectBids(rw.ctx, round)
 	}
 	if err != nil {
-		return nil, roundCoin{}, s.abortOpen(round, err, coins)
+		return roundWork{}, s.abortOpen(rw, err)
 	}
-	return inputs, coins, nil
+	return rw, nil
 }
 
 // abortOpen ends a round that never reached a worker: it latches the
-// round's abort (delivering ⊥ to bidders) and only then closes the round's
-// coin. The order is the safety of the gated coin: Close opens the reveal
-// gate, and a toss that passes it on an aborted round aborts instead of
+// round's abort (delivering ⊥ to bidders) and only then ends the round.
+// The order is the safety of the gated coin: end opens the reveal gate,
+// and a toss that passes it on an aborted round aborts instead of
 // revealing.
-func (s *Session) abortOpen(round uint64, cause error, coins roundCoin) error {
-	err := s.failRound(round, cause)
-	coins.close()
+func (s *Session) abortOpen(rw roundWork, cause error) error {
+	err := s.failRound(rw.r, cause)
+	rw.end()
 	return err
 }
 
@@ -202,16 +204,10 @@ func (s *Session) collectBids(ctx context.Context, round uint64) ([][]byte, erro
 				expired = true
 				window = expiredC
 			}
-		case errors.Is(err, proto.ErrAborted):
-			return err
 		default:
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			// Equivocating bidders may have poisoned the round.
-			if abortErr := s.peer.AbortErr(round); abortErr != nil {
-				return abortErr
-			}
+			// The round's abort (equivocating bidders may have poisoned
+			// it), or its context's cause: openRound's failRound returns
+			// the round's abort whenever it has one.
 			return err
 		}
 		return nil
@@ -231,27 +227,19 @@ func (s *Session) collectBids(ctx context.Context, round uint64) ([][]byte, erro
 	return slots, nil
 }
 
-// finishRound runs phases 2–5 on the collected inputs: bid agreement, the
+// finishRound runs phases 2–5 of rw under its context: bid agreement, the
 // allocator (validate + task graph), and outcome delivery to bidders
-// (Figure 1). It owns coins, the round's coin from openRound, from here on:
-// the coin is closed when the round finishes, on every path — an abort path
-// latches the round's abort first (deliverAbort), so Close's opening of the
-// reveal gate can never let a reveal out before the binding point.
-func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte, coins roundCoin) (auction.Outcome, error) {
+// (Figure 1). Every failure latches the round's abort before it returns
+// (deliverAbort), so the caller's end of the round — which opens the coin's
+// reveal gate — can never let a reveal out before the binding point.
+func (s *Session) finishRound(rw roundWork) (auction.Outcome, error) {
 	cfg := s.cfg
+	ctx, round := rw.ctx, rw.r
 
 	var coinSrc taskgraph.CoinSource
 	var onBound func()
-	if coins.res != nil {
-		// The round's context ends its tosses too, so a toss that can never
-		// finish (a reveal withheld for a draw no task consumes) holds the
-		// round's Close only until the round timeout. Ending a toss's
-		// context never lets a reveal out: the toss aborts the round
-		// instead. Deferred in this order, the round's coin is closed —
-		// every toss joined — before the timeout's hook is removed.
-		defer context.AfterFunc(ctx, coins.cancel)()
-		defer coins.close()
-		coinSrc, onBound = coins.res, coins.res.Release
+	if rw.coins != nil {
+		coinSrc, onBound = rw.coins, rw.coins.Release
 	}
 
 	// Phase 2: bid agreement (§4.1, Property 1) — one batched vector
@@ -267,7 +255,7 @@ func (s *Session) finishRound(ctx context.Context, round uint64, inputs [][]byte
 	// m digests held and equal on the digest path, every proposal and leader
 	// share committed and echo-verified on the fallback. From there a reveal
 	// can only open a commitment or abort, never steer the decided vector.
-	agreed, unanimous, err := consensus.ProposeObserved(ctx, s.peer, round, 0, inputs, onBound)
+	agreed, unanimous, err := consensus.ProposeObserved(ctx, s.peer, round, 0, rw.inputs, onBound)
 	if err != nil {
 		return s.deliverAbort(round, err)
 	}

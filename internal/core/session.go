@@ -401,15 +401,6 @@ func (s *Session) failRound(r uint64, cause error) error {
 // errSessionClosed is the cause of the rounds Close finds in flight.
 var errSessionClosed = fmt.Errorf("session closed (%w)", context.Canceled)
 
-// roundWork is one collected round handed from the scheduler to a round
-// worker: phases 0–1 are done, phases 2–5 remain.
-type roundWork struct {
-	r      uint64
-	inputs [][]byte
-	coins  roundCoin // the round's coin, tossing since the round opened
-	began  time.Time // when phase 0 started; stamps the round's latency
-}
-
 // schedule is the round scheduler: it serialises phase 0–1 (own-bid
 // broadcast and bid collection) across rounds — so bid windows are paced —
 // and hands each collected round to one of maxConcurrent persistent round
@@ -447,7 +438,7 @@ func (s *Session) schedule() {
 
 		began := time.Now()
 		span := trace.Begin()
-		inputs, coins, err := s.openRound(s.ctx, r, s.ownBid.Load())
+		rw, err := s.openRound(r, s.ownBid.Load(), began)
 		if err != nil {
 			lat := time.Since(began)
 			trace.RoundDone(r, s.peer.Lane(), s.peer.Self(), lat, true, int32(proto.AbortCodeOf(err)))
@@ -461,12 +452,12 @@ func (s *Session) schedule() {
 		trace.Span(span, trace.PhaseBidCollect, r, s.peer.Lane(), s.peer.Self(), trace.NoPeer, 0)
 
 		select {
-		case work <- roundWork{r: r, inputs: inputs, coins: coins, began: began}:
+		case work <- rw:
 		case <-s.closing:
 			// The round made trackRound before close(closing), so Close's
 			// in-flight snapshot aborts it too, with the same cause; report
 			// it here so the results stream accounts for every tracked round.
-			s.report(RoundOutcome{Round: r, Err: s.abortOpen(r, errSessionClosed, coins)})
+			s.report(RoundOutcome{Round: r, Err: s.abortOpen(rw, errSessionClosed)})
 			<-slots
 			return
 		}
@@ -482,14 +473,21 @@ func (s *Session) roundWorker(work <-chan roundWork, slots <-chan struct{}, work
 	defer workers.Done()
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("distauction", "session-round-worker")))
 	for rw := range work {
-		rctx := s.ctx
-		var cancel context.CancelFunc
+		// The round timeout bounds phases 2–5: it ends the round's context
+		// with context.DeadlineExceeded as its cause, which every block
+		// under it reads as a timeout. It still runs while end joins the
+		// round's tosses, so a toss that can never finish (a reveal
+		// withheld for a draw no task consumes) holds the worker only until
+		// then.
+		var timeout *time.Timer
 		if s.settings.roundTimeout > 0 {
-			rctx, cancel = context.WithTimeout(s.ctx, s.settings.roundTimeout)
+			cancel := rw.cancel // the callback holds the cancel, not the whole round
+			timeout = time.AfterFunc(s.settings.roundTimeout, func() { cancel(context.DeadlineExceeded) })
 		}
-		out, err := s.finishRound(rctx, rw.r, rw.inputs, rw.coins)
-		if cancel != nil {
-			cancel()
+		out, err := s.finishRound(rw)
+		rw.end()
+		if timeout != nil {
+			timeout.Stop()
 		}
 		lat := time.Since(rw.began)
 		if err != nil {

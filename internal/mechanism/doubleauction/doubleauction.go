@@ -45,8 +45,8 @@ type scratch struct {
 }
 
 // Without scratchPool, BenchmarkSolve/n=100 reads 32.8 µs/op and 25
-// allocs/op, not 24.5 and 3, and BenchmarkSteadyStateAllocs 198.2
-// allocs/round, not 153.9 (EXPERIMENTS.md).
+// allocs/op, not 24.5 and 3, and BenchmarkSteadyStateAllocs 174.6
+// allocs/round, not 133.2 (EXPERIMENTS.md).
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
 // Solve runs the double auction on the agreed bid vector and returns the

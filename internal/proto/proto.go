@@ -135,9 +135,9 @@ func keyOf(tag wire.Tag, from wire.NodeID) msgKey {
 type roundState struct {
 	buffered map[msgKey][]byte
 	waiters  map[msgKey]*waiterNode
-	abortCh  chan struct{} // nil until first subscriber
-	abortErr *AbortError   // set before abortCh closes
-	abortFns []func()      // OnAbort callbacks; run once outside the lock
+	abortCh  chan struct{}             // nil until first subscriber
+	abortErr *AbortError               // set before abortCh closes
+	cancels  []context.CancelCauseFunc // RoundContext's; run once outside the lock
 	// forbid is the round's Forbid registration (its from is zero), live
 	// while forbidCause is non-nil; ingest checks every message against it.
 	forbid      msgKey
@@ -173,8 +173,8 @@ type shard struct {
 }
 
 // maxFree bounds a shard's free list; beyond it retired states go to the GC.
-// Without the list, BenchmarkSteadyStateAllocs reads 235.2 allocs/round,
-// not 153.9 (EXPERIMENTS.md).
+// Without the list, BenchmarkSteadyStateAllocs reads 214.5 allocs/round,
+// not 133.2 (EXPERIMENTS.md).
 const maxFree = 4
 
 // roundLocked returns the state for round, creating (or recycling) it if
@@ -218,8 +218,8 @@ func (s *shard) retireLocked(round uint64, rs *roundState) {
 	clear(rs.waiters)
 	rs.abortCh = nil
 	rs.abortErr = nil
-	clear(rs.abortFns)
-	rs.abortFns = rs.abortFns[:0]
+	clear(rs.cancels)
+	rs.cancels = rs.cancels[:0]
 	rs.forbidCause = nil
 	s.free = append(s.free, rs)
 }
@@ -241,8 +241,8 @@ type Peer struct {
 	// waiterPool recycles Receive's waiter nodes (rendezvous channel plus
 	// link). A node is pooled only when no sender can reach it: its one
 	// value was consumed, or dropWaiter unlinked it under the shard lock.
-	// Without it, BenchmarkSteadyStateAllocs reads 224.4 allocs/round, not
-	// 153.9 (EXPERIMENTS.md).
+	// Without it, BenchmarkSteadyStateAllocs reads 203.6 allocs/round, not
+	// 133.2 (EXPERIMENTS.md).
 	waiterPool sync.Pool
 
 	done      chan struct{}
@@ -500,48 +500,53 @@ func (p *Peer) latch(ae *AbortError) (_ *AbortError, fresh bool) {
 	if rs.abortCh != nil {
 		close(rs.abortCh)
 	}
-	// Snapshot the callbacks so they run outside the shard lock (they may
-	// re-enter the peer); the registered slice keeps its capacity for the
-	// recycled round state.
-	var stack [4]func()
-	fns := append(stack[:0], rs.abortFns...)
-	clear(rs.abortFns)
-	rs.abortFns = rs.abortFns[:0]
+	// Snapshot the round contexts' cancels so they run outside the shard
+	// lock; the registered slice keeps its capacity for the recycled round
+	// state.
+	var stack [4]context.CancelCauseFunc
+	cancels := append(stack[:0], rs.cancels...)
+	clear(rs.cancels)
+	rs.cancels = rs.cancels[:0]
 	sh.mu.Unlock()
 	// The abort event carries the attribution the flight recorder dumps:
 	// which peer, which code — recorded once, by the node that latched ⊥.
 	trace.Emit(trace.PhaseAbort, ae.Round, p.lane, p.self, ae.Culprit, int32(ae.Code))
-	for _, fn := range fns {
-		fn()
+	for _, cancel := range cancels {
+		cancel(ae)
 	}
 	return ae, true
 }
 
-// OnAbort registers fn to run when round aborts (⊥). fn runs at most once,
-// outside the router's locks, in the goroutine that signalled the abort. If
-// the round is already aborted — or already retired or the peer closed,
-// which a subscriber must treat the same way — fn runs synchronously before
-// OnAbort returns. Schedulers use it to cancel in-flight speculative work
-// the moment the round dies, without parking a watchdog goroutine per
-// round. Registrations are dropped when the round retires; a callback that
-// never fires is simply forgotten, so fn must be safe to abandon (a
-// context.CancelFunc is the intended shape).
-func (p *Peer) OnAbort(round uint64, fn func()) {
+// RoundContext returns the one context round runs under at this peer:
+// every block of the round — bid collection, the coin's tosses, agreement,
+// the allocator and its task graph — takes it, and none derives its own.
+// The round's abort ends it, with the abort as its cause, from the
+// goroutine that latched the abort; a round already aborted, retired or
+// whose peer is closed gets a context that has ended already. The caller
+// ends it when the round is over, and may end it before then with a cause
+// of its own (a round timeout ends it with context.DeadlineExceeded). A
+// site that types a failure by how the context ended reads
+// context.Cause, so the same ending reads the same everywhere.
+func (p *Peer) RoundContext(parent context.Context, round uint64) (context.Context, context.CancelCauseFunc) {
+	ctx, cancel := context.WithCancelCause(parent)
 	sh := p.shardFor(round)
 	sh.mu.Lock()
-	if round < p.minRound.Load() || p.closed.Load() {
-		sh.mu.Unlock()
-		fn()
-		return
+	defer sh.mu.Unlock()
+	// Nothing else holds the new context yet, so ending it here runs no
+	// code under the lock.
+	switch {
+	case p.closed.Load():
+		cancel(ErrPeerClosed)
+	case round < p.minRound.Load():
+		cancel(ErrRoundEnded)
+	default:
+		if rs := sh.roundLocked(round); rs.abortErr != nil {
+			cancel(rs.abortErr)
+		} else {
+			rs.cancels = append(rs.cancels, cancel)
+		}
 	}
-	rs := sh.roundLocked(round)
-	if rs.abortErr != nil {
-		sh.mu.Unlock()
-		fn()
-		return
-	}
-	rs.abortFns = append(rs.abortFns, fn)
-	sh.mu.Unlock()
+	return ctx, cancel
 }
 
 // Forbid rules out, for the rest of tag.Round, every provider message
@@ -721,9 +726,10 @@ func (p *Peer) BroadcastProviders(tag wire.Tag, payload []byte) error {
 // attached: peers open their sessions concurrently, and no transport routes
 // to a node that has not attached yet. A send that fails is retried, to the
 // providers it failed for only, with capped jittered backoff starting at
-// 200 µs, until it succeeds or until, first, deadline passes, ctx ends or
-// tag's round aborts; BroadcastFirst then returns the last send error. A
-// zero deadline sends once. Receivers absorb identical re-sends.
+// 200 µs, until it succeeds or until, first, deadline passes or ctx ends;
+// BroadcastFirst then returns the last send error. ctx is the round's
+// context (RoundContext), so the round's abort ends the retries too. A zero
+// deadline sends once. Receivers absorb identical re-sends.
 func (p *Peer) BroadcastFirst(ctx context.Context, tag wire.Tag, payload []byte, deadline time.Time) error {
 	var failed []wire.NodeID // nil until a send fails: the common path allocates nothing
 	var err error
@@ -735,18 +741,13 @@ func (p *Peer) BroadcastFirst(ctx context.Context, tag wire.Tag, payload []byte,
 	if failed == nil || !time.Now().Before(deadline) {
 		return err
 	}
-	// The wait ends early when ctx ends or the round aborts (OnAbort runs
-	// cancel at once if it already has).
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	p.OnAbort(tag.Round, cancel)
 	// A fleet of providers retrying into the same late attacher must not
 	// hammer it in lockstep: the jitter seed differs per node and round.
 	// The first wait is short, because round 1 pays it.
 	bo := transport.NewBackoff(200*time.Microsecond, 100*time.Millisecond,
 		int64(tag.Round)^int64(p.self)<<32^time.Now().UnixNano())
 	defer bo.Stop()
-	for len(failed) > 0 && time.Now().Before(deadline) && bo.Wait(wctx.Done()) {
+	for len(failed) > 0 && time.Now().Before(deadline) && bo.Wait(ctx.Done()) {
 		retry := failed
 		failed = failed[:0]
 		for _, id := range retry {
@@ -826,7 +827,7 @@ func (p *Peer) ReceiveTimeout(ctx context.Context, tag wire.Tag, from wire.NodeI
 		return nil, p.timeoutError(from)
 	case <-ctx.Done():
 		p.dropWaiter(tag.Round, key, n)
-		if err := ctx.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		if err := context.Cause(ctx); !errors.Is(err, context.DeadlineExceeded) {
 			return nil, err
 		}
 		return nil, p.timeoutError(from)

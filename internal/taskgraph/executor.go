@@ -33,7 +33,7 @@ import (
 // compute arrives as a transfer, received synchronously before the task
 // computes (push-mode transports buffer payloads regardless of when the
 // receive runs, so this costs no extra round trips). Round aborts cancel
-// in-flight work through proto.OnAbort.
+// in-flight work through the round's context (proto.Peer.RoundContext).
 //
 // A provider starts dependents from its own locally computed outputs
 // before their digest gathers confirm, and sends a task's outbound
@@ -62,6 +62,7 @@ type Executor struct {
 	dependents [][]int // per local task: local dependents to count down
 	needValid  []bool  // per task: a local dependent awaits its validation
 	roots      []int   // local tasks ready at round start
+	gatherCap  []int   // per local task: the largest group it gathers from
 
 	slots chan struct{} // bounds concurrent rounds to depth
 	work  chan workItem // ready queue; cap numLocal*depth, send never blocks
@@ -129,6 +130,7 @@ func NewExecutor(peer *proto.Peer, g *Graph, depth int) *Executor {
 		localDeps:  make([]int32, len(g.tasks)),
 		dependents: make([][]int, len(g.tasks)),
 		needValid:  make([]bool, len(g.tasks)),
+		gatherCap:  make([]int, len(g.tasks)),
 	}
 	for ti := range g.tasks {
 		ex.localTask[ti] = proto.ContainsNode(g.tasks[ti].Group, ex.self)
@@ -140,9 +142,11 @@ func NewExecutor(peer *proto.Peer, g *Graph, depth int) *Executor {
 		if !ex.localTask[ti] {
 			continue
 		}
+		ex.gatherCap[ti] = len(g.tasks[ti].Group)
 		for _, d := range g.tasks[ti].Deps {
 			di := g.byID[d]
 			if !ex.localTask[di] {
+				ex.gatherCap[ti] = max(ex.gatherCap[ti], len(g.tasks[di].Group))
 				continue
 			}
 			ex.localDeps[ti]++
@@ -194,7 +198,10 @@ func (ex *Executor) worker() {
 // per-round data a compiled, round-generic graph closes over — e.g. the
 // agreed bid vector). Every provider of the round must run an identical
 // graph. Deviations, mismatched redundant results and timeouts abort the
-// round (⊥).
+// round (⊥). ctx is the round's context (proto.Peer.RoundContext): Run
+// derives none of its own, so the round's abort cancels in-flight task
+// bodies only through it, and how it ended — context.Cause — types the
+// failure of a task that was waiting on it.
 func (ex *Executor) Run(ctx context.Context, round uint64, env any, opts Options) ([]byte, error) {
 	if err := ex.peer.AbortErr(round); err != nil {
 		return nil, err
@@ -203,14 +210,7 @@ func (ex *Executor) Run(ctx context.Context, round uint64, env any, opts Options
 	ex.slots <- struct{}{}
 	defer func() { <-ex.slots }()
 
-	// In-flight task bodies should stop promptly when the round dies under
-	// them; the abort callback replaces the old per-round watchdog
-	// goroutine. A registration that never fires is dropped at EndRound.
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ex.peer.OnAbort(round, cancel)
-
-	er := ex.newRound(round, rctx, env, opts.Coins, opts.Gate)
+	er := ex.newRound(round, ctx, env, opts.Coins, opts.Gate)
 	er.pending.Add(ex.numLocal)
 	for _, ti := range ex.roots {
 		ex.work <- workItem{er, ti}
@@ -245,7 +245,9 @@ func (ex *Executor) Run(ctx context.Context, round uint64, env any, opts Options
 	return out, err
 }
 
-// newRound builds one round's task states.
+// newRound builds one round's task states. Every local task's gather
+// scratch is sized once, for the largest group it gathers from, so no
+// gather grows it.
 func (ex *Executor) newRound(round uint64, ctx context.Context, env any, coins CoinSource, gate func() error) *execRound {
 	er := &execRound{
 		ex:     ex,
@@ -261,6 +263,7 @@ func (ex *Executor) newRound(round uint64, ctx context.Context, env any, coins C
 		st.er = er
 		st.ti = ti
 		st.depsLeft.Store(ex.localDeps[ti])
+		st.gatherBuf = make([][]byte, 0, ex.gatherCap[ti]) // no allocation for a task not run here
 		if ex.needValid[ti] {
 			st.validated = make(chan struct{})
 		}
@@ -314,6 +317,11 @@ func (er *execRound) runTask(ti int) {
 	}
 	out, err := t.Run(ctx, &st.tc)
 	if err != nil {
+		if ctx.Err() != nil {
+			// A body that gave up on the ended context returns ctx.Err(),
+			// which reads Canceled whatever ended it; the cause says what did.
+			err = context.Cause(ctx)
+		}
 		fail(ex.peer.Fail(er.round, fmt.Sprintf("taskgraph: task %d (%s) failed", t.ID, t.Name), err))
 		return
 	}
@@ -477,12 +485,13 @@ func (ex *Executor) inEdgeFrom(ti, di int) *edge {
 	return nil
 }
 
-// failCtx converts a context expiry while waiting for dependency d into the
-// round's abort, typed by the context's error: a timeout, or closed for a
-// cancelled round (an abort that raced in stands).
+// failCtx converts the end of the round's context while waiting for
+// dependency d into the round's abort, typed by the context's cause: a
+// timeout, the round's abort, or closed for a closed session (an abort that
+// raced in stands).
 func (er *execRound) failCtx(t *Task, d uint32) error {
 	return er.ex.peer.Fail(er.round, fmt.Sprintf(
-		"taskgraph: task %d (%s) waiting for input %d", t.ID, t.Name, d), er.ctx.Err())
+		"taskgraph: task %d (%s) waiting for input %d", t.ID, t.Name, d), context.Cause(er.ctx))
 }
 
 // errInvariant is the cause of the executor's unreachable failures: a

@@ -44,7 +44,11 @@ type Options struct {
 // Executor instead. Without opts.Coins, a graph that uses the coin gets a
 // reservoir of Execute's own, released at once (there is no agreement to
 // wait for), prefetched with the declared draws and closed on return.
+// The round runs under its one context (proto.Peer.RoundContext), derived
+// from ctx and ended on return.
 func Execute(ctx context.Context, peer *proto.Peer, round uint64, g *Graph, opts Options) ([]byte, error) {
+	ctx, cancel := peer.RoundContext(ctx, round)
+	defer cancel(nil)
 	ex := NewExecutor(peer, g, 1)
 	defer ex.Close()
 	if opts.Coins == nil && g.needsCoin {

@@ -33,9 +33,9 @@ func settleGoroutines(t *testing.T, want int) {
 
 // A group member that returns a mismatched result mid-graph must abort the
 // round with ⊥ at every provider while a concurrently in-flight task of a
-// disjoint group unwinds cleanly (its body is cancelled by the scheduler's
-// abort watchdog), with no goroutine leaks — and the peers must still run a
-// fresh round afterwards.
+// disjoint group unwinds cleanly (the abort ends the round's context, which
+// cancels its body), with no goroutine leaks — and the peers must still run
+// a fresh round afterwards, where no body is cancelled.
 func TestMidGraphMismatchAbortsAndUnwinds(t *testing.T) {
 	const m = 4
 	peers := newPeers(t, m)
@@ -47,6 +47,26 @@ func TestMidGraphMismatchAbortsAndUnwinds(t *testing.T) {
 	// abort it causes — always comes while a slow task is in flight.
 	slowRunning := make(chan struct{})
 	var slowOnce sync.Once
+	// slowEnds records, per round, how each slow body ended: true when its
+	// context was cancelled, false when its timer fired.
+	var slowMu sync.Mutex
+	slowEnds := map[uint64][]bool{}
+	slowEnded := func(round uint64, cancelled bool) {
+		slowMu.Lock()
+		slowEnds[round] = append(slowEnds[round], cancelled)
+		slowMu.Unlock()
+	}
+	// requireEnds checks every slow body of round ended as cancelled says.
+	requireEnds := func(round uint64, cancelled bool) {
+		t.Helper()
+		slowMu.Lock()
+		defer slowMu.Unlock()
+		for i, c := range slowEnds[round] {
+			if c != cancelled {
+				t.Errorf("round %d: slow body %d cancelled=%v, want %v", round, i, c, cancelled)
+			}
+		}
+	}
 	mkGraph := func(left string) *Graph {
 		g, err := New(all, 1, []Task{
 			{ID: 1, Name: "root", Group: all, Run: constTask("base")},
@@ -62,14 +82,16 @@ func TestMidGraphMismatchAbortsAndUnwinds(t *testing.T) {
 			{ID: 3, Name: "slow", Deps: []uint32{1}, Group: g2,
 				Run: func(ctx context.Context, tc *TaskContext) ([]byte, error) {
 					// An in-flight task body: in the poisoned round the
-					// scheduler's abort watchdog cancels it long before the
-					// timer; in honest rounds it just takes a while.
+					// abort ends the round's context long before the timer;
+					// in honest rounds it just takes a while.
 					slowStarted <- struct{}{}
 					slowOnce.Do(func() { close(slowRunning) })
 					select {
 					case <-ctx.Done():
+						slowEnded(tc.Round, true)
 						return nil, ctx.Err()
 					case <-time.After(300 * time.Millisecond):
+						slowEnded(tc.Round, false)
 						return []byte("slow"), nil
 					}
 				}},
@@ -112,6 +134,7 @@ func TestMidGraphMismatchAbortsAndUnwinds(t *testing.T) {
 	if len(slowStarted) == 0 {
 		t.Error("the slow task never started; the deviation was not concurrent with in-flight work")
 	}
+	requireEnds(1, true)
 	settleGoroutines(t, before)
 
 	// The unwind must be clean: a fresh round on the same peers succeeds.
@@ -135,6 +158,7 @@ func TestMidGraphMismatchAbortsAndUnwinds(t *testing.T) {
 			t.Errorf("round 2 provider %d: %q, want %q", i+1, out, "leftslow")
 		}
 	}
+	requireEnds(2, false)
 }
 
 // Concurrent rounds are isolated: with several rounds of the same graph in
