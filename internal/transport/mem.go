@@ -74,7 +74,12 @@ type Hub struct {
 	// senders flooding 1000 destinations, 1 µs base delay, no handler
 	// work) reads 148 ns per hop with one loop per Hub and 221 ns with two
 	// shards, medians of six interleaved runs (EXPERIMENTS.md "Parallel Hub
-	// delivery").
+	// delivery"). A loop's sleep on its timerfd costs syscalls a runtime
+	// timer did not: six interleaved runs of each read batch=1 303 → 349
+	// ns, batch=16 1047 → 1605 ns per op and fanout 330 → 358 ns per hop
+	// (medians), while a fig5-standard-n60 round, whose hops no longer
+	// wait out the netpoller's millisecond rounding, is 12 % shorter
+	// (EXPERIMENTS.md "The Hub wakes on time").
 	shards []deliveryShard
 }
 
@@ -145,8 +150,10 @@ func (h *Hub) Close() error {
 		s := &h.shards[i]
 		s.mu.Lock()
 		s.pending = nil
+		if s.alarm != nil {
+			s.alarm.arm(0)
+		}
 		if s.done != nil {
-			s.wakeLoop()
 			loops = append(loops, s)
 		}
 		s.mu.Unlock()

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -26,21 +27,21 @@ func (d *delivery) before(o *delivery) bool {
 // deliveryShard is one of a Hub's delivery schedulers, one per core: every
 // delayed hop to the MemConns attached to it, whether the latency model or
 // the fault model delayed it, waits in its min-heap, and its goroutine —
-// started by its first delayed hop — sleeps on one reusable timer until the
-// head is due, then hands out everything due in (due, seq) order. A conn
-// belongs to one shard, so its hops leave in that order; hops to conns on
-// different shards are handed out in parallel, as deliveries to separate
-// nodes are. One heap and one loop per shard, where a timer and a goroutine
-// per envelope cost fig4-double-n1000 a fifth of its throughput (ROADMAP
+// started by its first delayed hop — sleeps on one alarm until the head is
+// due, then hands out everything due in (due, seq) order. A conn belongs to
+// one shard, so its hops leave in that order; hops to conns on different
+// shards are handed out in parallel, as deliveries to separate nodes are.
+// One heap and one loop per shard, where a timer and a goroutine per
+// envelope cost fig4-double-n1000 a fifth of its throughput (ROADMAP
 // finding (iii)), and one loop per Hub made each round's 16 000 hops queue
-// behind one goroutine (finding (xvi)). Everything but dispatching is
-// guarded by mu.
+// behind one goroutine (finding (xvi)). Everything but dispatching and
+// waiting is guarded by mu.
 type deliveryShard struct {
 	mu      sync.Mutex
 	rng     *rand.Rand // the latency model's jitter for hops to this shard
 	pending []delivery // binary min-heap on before
 	seq     uint64
-	wake    chan struct{} // capacity 1; a new head was pushed, or Close
+	alarm   *alarm        // set with done; nil again once the loop has closed it
 	done    chan struct{} // nil until the loop starts; closed when it exits
 
 	// dispatching is set while the loop hands out due hops: Hub.Close then
@@ -105,14 +106,6 @@ func (s *deliveryShard) pop() delivery {
 	return top
 }
 
-// wakeLoop makes the loop re-read the heap and Hub.closed.
-func (s *deliveryShard) wakeLoop() {
-	select {
-	case s.wake <- struct{}{}:
-	default: // a wake-up is already pending
-	}
-}
-
 // now is the Hub's monotonic clock, which every shard's due times share.
 func (h *Hub) now() time.Duration { return time.Since(h.epoch) }
 
@@ -136,36 +129,45 @@ func (h *Hub) later(d *delivery, size int, extra time.Duration) (bool, error) {
 		return false, nil
 	}
 	d.due = now + delay
-	h.queueLocked(s, d)
+	if err := h.queueLocked(s, d); err != nil {
+		return false, err
+	}
 	return true, nil
 }
 
 // queueLocked adds d to s's heap, starting s's loop on its first delayed
-// hop and waking it when d is the new head. The caller holds s.mu and has
-// checked h.closed.
-func (h *Hub) queueLocked(s *deliveryShard, d *delivery) {
+// hop and arming the loop's alarm for d when d is the new head. The caller
+// holds s.mu and has checked h.closed.
+func (h *Hub) queueLocked(s *deliveryShard, d *delivery) error {
 	if s.done == nil {
-		s.wake = make(chan struct{}, 1)
+		a, err := newAlarm()
+		if err != nil {
+			return fmt.Errorf("transport: delivery alarm: %w", err)
+		}
+		s.alarm = a
 		s.done = make(chan struct{})
-		go h.run(s)
+		go h.run(s, a)
 	}
 	if s.push(d) {
-		s.wakeLoop()
+		s.alarm.arm(d.due - h.now())
 	}
+	return nil
 }
 
 // run is s's delivery loop. It pops every due hop under s.mu and hands them
 // out with the lock released, so handlers may send (and schedule) freely.
 // It never waits on a destination: push runs the handler, or queues the
-// hop for one not installed yet, and no mailbox holds its producer.
-func (h *Hub) run(s *deliveryShard) {
+// hop for one not installed yet, and no mailbox holds its producer. It
+// closes a, its alarm, under s.mu once the Hub is closed, so no arm — each
+// made under s.mu, after a check of h.closed or of s.alarm — follows.
+func (h *Hub) run(s *deliveryShard, a *alarm) {
 	defer close(s.done)
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
 	var due []delivery
 	for {
 		s.mu.Lock()
 		if h.closed.Load() {
+			a.close()
+			s.alarm = nil
 			s.mu.Unlock()
 			return
 		}
@@ -175,15 +177,10 @@ func (h *Hub) run(s *deliveryShard) {
 		}
 		if len(due) == 0 {
 			if len(s.pending) > 0 {
-				timer.Reset(s.pending[0].due - now)
-			} else {
-				timer.Stop()
+				a.arm(s.pending[0].due - now)
 			}
 			s.mu.Unlock()
-			select {
-			case <-timer.C:
-			case <-s.wake:
-			}
+			a.wait()
 			continue
 		}
 		s.mu.Unlock()
