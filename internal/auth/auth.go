@@ -170,48 +170,10 @@ func (r *Registry) Verify(env *wire.Envelope) error {
 	return nil
 }
 
-// BatchAuthError reports a superframe whose batch MAC failed, with the
-// finest attribution the frame supports. The superframe is a pairwise
-// channel — the whole frame is the claimed sender's word — so a failure
-// always attributes to From (§3.2). When the envelopes inside carry their
-// own MACs (the mixed-auth fallback), the receiver re-verifies them to name
-// the deviant envelope: Index/Tag identify the first envelope that fails on
-// its own, or Index is -1 when every envelope verifies individually (or none
-// carries a MAC) and only the frame as a whole is bad.
-type BatchAuthError struct {
-	From  wire.NodeID
-	Index int      // deviant envelope index, -1 if unattributable below frame level
-	Tag   wire.Tag // deviant envelope tag, zero if Index < 0
-	Envs  int      // batch size, for logs
-}
-
-// Error implements error.
-func (e *BatchAuthError) Error() string {
-	if e.Index < 0 {
-		return fmt.Sprintf("auth: bad batch MAC from %d (%d envelopes, no per-envelope deviant)", e.From, e.Envs)
-	}
-	return fmt.Sprintf("auth: bad batch MAC from %d: envelope %d (tag %v) fails on its own", e.From, e.Index, e.Tag)
-}
-
-// Is reports that a BatchAuthError matches ErrBadMAC.
-func (e *BatchAuthError) Is(target error) bool { return target == ErrBadMAC }
-
-// batchMAC computes the batch MAC for sf under pm's key into st.sum and
-// returns it (valid until the next use of st).
-func batchMAC(pm *peerMAC, sf *wire.Superframe) ([]byte, *macState) {
-	st := pm.get()
-	enc := wire.GetEncoder(sf.EncodedSize())
-	sf.SignedBytesTo(enc)
-	st.mac.Write(enc.Buffer())
-	wire.PutEncoder(enc)
-	return st.mac.Sum(st.sum[:0]), st
-}
-
 // SignBatchBytes computes the batch MAC over pre-encoded signed bytes
 // (wire.Superframe.SignedBytesTo output) into sum, using the key shared
-// with to. It is the allocation-free primitive under SignBatch: the stream
-// transports encode the superframe ONCE for framing and MAC those very
-// bytes, instead of paying a second encode inside the auth layer.
+// with to, without allocating: the stream transport encodes the
+// superframe once, for framing, and MACs those very bytes.
 func (r *Registry) SignBatchBytes(to wire.NodeID, signed []byte, sum *[KeySize]byte) error {
 	pm, ok := r.keys[to]
 	if !ok {
@@ -225,9 +187,7 @@ func (r *Registry) SignBatchBytes(to wire.NodeID, signed []byte, sum *[KeySize]b
 }
 
 // VerifyBatchBytes checks mac against pre-encoded signed bytes from the
-// given peer. It is the zero-copy primitive under VerifyBatch: receivers
-// verify directly over the received frame's bytes (wire.SuperframeSignedView)
-// without re-encoding the decoded batch.
+// given peer: the primitive under VerifyBatchView.
 func (r *Registry) VerifyBatchBytes(from wire.NodeID, signed, mac []byte) error {
 	pm, ok := r.keys[from]
 	if !ok {
@@ -243,91 +203,24 @@ func (r *Registry) VerifyBatchBytes(from wire.NodeID, signed, mac []byte) error 
 	return nil
 }
 
-// attributeBatchFailure re-verifies a bad batch per envelope to name the
-// deviant (see BatchAuthError).
-func (r *Registry) attributeBatchFailure(sf *wire.Superframe) *BatchAuthError {
-	bad := &BatchAuthError{From: sf.From, Index: -1, Envs: len(sf.Envs)}
-	for i := range sf.Envs {
-		e := &sf.Envs[i]
-		if len(e.MAC) == 0 {
-			continue
-		}
-		if err := r.Verify(e); err != nil {
-			bad.Index, bad.Tag = i, e.Tag
-			break
-		}
-	}
-	return bad
-}
-
-// SignBatch computes and installs the batch MAC on sf: ONE HMAC over the
-// whole batch, using the key shared with the destination. Per-envelope MACs
-// already present are covered by the batch MAC (and left alone). sf.From
-// must be the local node and every envelope must share sf's From/To — the
-// superframe encodes them once, so a mismatched envelope would change its
-// meaning in transit.
-func (r *Registry) SignBatch(sf *wire.Superframe) error {
-	if sf.From != r.self {
-		return fmt.Errorf("auth: batch-signing as %d but self is %d", sf.From, r.self)
-	}
-	for i := range sf.Envs {
-		if sf.Envs[i].From != sf.From || sf.Envs[i].To != sf.To {
-			return fmt.Errorf("auth: envelope %d (%d->%d) does not match superframe %d->%d",
-				i, sf.Envs[i].From, sf.Envs[i].To, sf.From, sf.To)
-		}
-	}
-	pm, ok := r.keys[sf.To]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownPeer, sf.To)
-	}
-	sum, st := batchMAC(pm, sf)
-	sf.MAC = append(sf.MAC[:0], sum...)
-	pm.put(st)
-	return nil
-}
-
-// VerifyBatch checks the batch MAC on sf using the key shared with the
-// sender; amortised over the batch, this is the receiver's one HMAC per
-// superframe. On failure it attributes as finely as the frame allows: if
-// the envelopes carry per-envelope MACs (the mixed-auth fallback) they are
-// re-verified individually to name the deviant; either way the returned
-// *BatchAuthError matches ErrBadMAC and attributes to sf.From.
-func (r *Registry) VerifyBatch(sf *wire.Superframe) error {
-	if sf.To != r.self {
-		return fmt.Errorf("auth: superframe for %d delivered to %d", sf.To, r.self)
-	}
-	pm, ok := r.keys[sf.From]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownPeer, sf.From)
-	}
-	sum, st := batchMAC(pm, sf)
-	good := hmac.Equal(sum, sf.MAC)
-	pm.put(st)
-	if good {
-		return nil
-	}
-	return r.attributeBatchFailure(sf)
-}
-
-// VerifyBatchView is VerifyBatch for a superframe decoded with
-// wire.DecodeSuperframeView: the batch MAC is checked directly over the
-// received frame's bytes — no re-encoding — making the receive-side cost
-// one HMAC pass over the frame. frame must be the exact bytes sf was
-// decoded from. Failure attribution matches VerifyBatch.
+// VerifyBatchView checks the batch MAC of a superframe decoded with
+// wire.DecodeSuperframeView directly over the received frame's bytes — no
+// re-encoding — so the receive-side cost is one HMAC pass over the frame.
+// frame must be the exact bytes sf was decoded from. A failure matches
+// ErrBadMAC and attributes to sf.From: the superframe is a pairwise
+// channel, so the whole frame is its claimed sender's word (§3.2).
 func (r *Registry) VerifyBatchView(sf *wire.Superframe, frame []byte) error {
 	if sf.To != r.self {
 		return fmt.Errorf("auth: superframe for %d delivered to %d", sf.To, r.self)
 	}
-	signed, ok := wire.SuperframeSignedView(frame, len(sf.MAC))
-	if !ok {
-		// Non-minimal MAC length encoding: the frame cannot match what the
-		// sender signed (Encode is minimal); attribute like any bad MAC.
-		return r.attributeBatchFailure(sf)
+	// A non-minimal MAC length encoding cannot match what the sender
+	// signed (SignedBytesTo and Encode are minimal).
+	if signed, ok := wire.SuperframeSignedView(frame, len(sf.MAC)); ok {
+		if err := r.VerifyBatchBytes(sf.From, signed, sf.MAC); err != ErrBadMAC {
+			return err
+		}
 	}
-	if err := r.VerifyBatchBytes(sf.From, signed, sf.MAC); err != nil {
-		return r.attributeBatchFailure(sf)
-	}
-	return nil
+	return fmt.Errorf("%w: superframe from %d", ErrBadMAC, sf.From)
 }
 
 // Evidence is a transferable proof that a sender equivocated: two

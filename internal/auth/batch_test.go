@@ -1,8 +1,10 @@
 package auth
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"distauction/internal/wire"
@@ -22,133 +24,107 @@ func testBatch(n int) wire.Superframe {
 	return sf
 }
 
-func TestSignVerifyBatch(t *testing.T) {
-	r1, r2 := twoNodeRegistries(t)
-	sf := testBatch(8)
-	if err := r1.SignBatch(&sf); err != nil {
-		t.Fatalf("sign batch: %v", err)
-	}
-	if len(sf.MAC) == 0 {
-		t.Fatal("SignBatch installed no MAC")
-	}
-	if err := r2.VerifyBatch(&sf); err != nil {
-		t.Fatalf("verify batch: %v", err)
-	}
-	// The batch survives a wire round trip.
-	dec, err := wire.DecodeSuperframeView(sf.Encode())
-	if err != nil {
+// signBatch installs r's batch MAC on sf the way the TCP transport does:
+// one SignBatchBytes over the bytes SignedBytesTo writes.
+func signBatch(t *testing.T, r *Registry, sf *wire.Superframe) {
+	t.Helper()
+	enc := wire.NewEncoder(sf.EncodedSize())
+	sf.SignedBytesTo(enc)
+	var sum [KeySize]byte
+	if err := r.SignBatchBytes(sf.To, enc.Buffer(), &sum); err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.VerifyBatch(&dec); err != nil {
-		t.Fatalf("verify decoded batch: %v", err)
+	sf.MAC = sum[:]
+}
+
+// verifyFrame checks raw at r the way the TCP read loop does: a view
+// decode, then one VerifyBatchView over the received bytes.
+func verifyFrame(t *testing.T, r *Registry, raw []byte) error {
+	t.Helper()
+	sf, err := wire.DecodeSuperframeView(raw)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return r.VerifyBatchView(&sf, raw)
+}
+
+// wantBadMACFrom checks that err is a batch MAC failure charged to from.
+func wantBadMACFrom(t *testing.T, what string, err error, from wire.NodeID) {
+	t.Helper()
+	switch {
+	case err == nil:
+		t.Errorf("%s: frame verified", what)
+	case !errors.Is(err, ErrBadMAC):
+		t.Errorf("%s: error %v does not match ErrBadMAC", what, err)
+	case !strings.HasSuffix(err.Error(), fmt.Sprintf("superframe from %d", from)):
+		t.Errorf("%s: failure not attributed to sender %d: %v", what, from, err)
 	}
 }
 
-func TestSignBatchValidatesShape(t *testing.T) {
+func TestSignVerifyBatch(t *testing.T) {
+	r1, r2 := twoNodeRegistries(t)
+	for _, n := range []int{1, 8} {
+		sf := testBatch(n)
+		signBatch(t, r1, &sf)
+		if len(sf.MAC) != KeySize {
+			t.Fatalf("batch of %d: MAC is %d bytes", n, len(sf.MAC))
+		}
+		if err := verifyFrame(t, r2, sf.Encode()); err != nil {
+			t.Fatalf("batch of %d: verify: %v", n, err)
+		}
+	}
+}
+
+// TestBatchMACRejectsWrongShape covers what the batch MAC binds besides
+// the envelopes: the signer needs a key for the destination, the verifier
+// one for the claimed sender, and the MAC field must be spelt as signed.
+func TestBatchMACRejectsWrongShape(t *testing.T) {
 	r1, _ := twoNodeRegistries(t)
+	var sum [KeySize]byte
+	if err := r1.SignBatchBytes(99, []byte("signed"), &sum); !errors.Is(err, ErrUnknownPeer) {
+		t.Errorf("batch-signing for an unknown peer: %v", err)
+	}
+
+	// Node 2 also knows node 3: a frame node 1 signed, relabelled as node
+	// 3's, is checked under key (3, 2) and charged to node 3.
+	r2 := NewRegistryFromMaster([]byte("test-master-secret"), 2, []wire.NodeID{1, 2, 3})
 	sf := testBatch(3)
-	sf.From = 2 // not self
-	if err := r1.SignBatch(&sf); err == nil {
-		t.Error("batch-signing on behalf of another node must fail")
+	signBatch(t, r1, &sf)
+	sf.From = 3
+	wantBadMACFrom(t, "relabelled sender", verifyFrame(t, r2, sf.Encode()), 3)
+	sf.From = 4
+	if err := verifyFrame(t, r2, sf.Encode()); !errors.Is(err, ErrUnknownPeer) {
+		t.Errorf("frame from an unknown sender: %v", err)
 	}
+
+	// The MAC's length respelled as a two-byte uvarint decodes to the same
+	// superframe but is not the byte string node 1 signed.
 	sf = testBatch(3)
-	sf.Envs[1].To = 7 // envelope disagrees with the frame
-	if err := r1.SignBatch(&sf); err == nil {
-		t.Error("mismatched envelope destination must fail")
-	}
-	sf = testBatch(3)
-	sf.To = 99
-	for i := range sf.Envs {
-		sf.Envs[i].To = 99
-	}
-	if err := r1.SignBatch(&sf); err == nil {
-		t.Error("unknown peer must fail to batch-sign")
-	}
+	signBatch(t, r1, &sf)
+	raw := sf.Encode()
+	cut := len(raw) - 1 - KeySize
+	respelled := append(append(bytes.Clone(raw[:cut]), 0x80|KeySize, 0x00), sf.MAC...)
+	wantBadMACFrom(t, "respelled MAC length", verifyFrame(t, r2, respelled), 1)
 }
 
-// TestVerifyBatchRejectsTampering flips every part of a batch-MAC'd
-// superframe in turn; all must fail, attributed to the sending peer.
+// TestVerifyBatchRejectsTampering changes every part of a signed superframe
+// in turn, re-encodes it under the original MAC, and checks the received
+// frame fails, charged to the sending peer.
 func TestVerifyBatchRejectsTampering(t *testing.T) {
 	r1, r2 := twoNodeRegistries(t)
 	for name, tamper := range map[string]func(*wire.Superframe){
 		"payload":      func(sf *wire.Superframe) { sf.Envs[3].Payload[0] ^= 1 },
 		"tag":          func(sf *wire.Superframe) { sf.Envs[5].Tag.Step = 9 },
+		"link seq":     func(sf *wire.Superframe) { sf.Envs[2].LinkSeq++ },
+		"link ack":     func(sf *wire.Superframe) { sf.Envs[6].LinkAck = 7 },
 		"batch MAC":    func(sf *wire.Superframe) { sf.MAC[0] ^= 1 },
 		"dropped env":  func(sf *wire.Superframe) { sf.Envs = sf.Envs[:len(sf.Envs)-1] },
 		"reorder envs": func(sf *wire.Superframe) { sf.Envs[0], sf.Envs[1] = sf.Envs[1], sf.Envs[0] },
 	} {
 		sf := testBatch(8)
-		if err := r1.SignBatch(&sf); err != nil {
-			t.Fatal(err)
-		}
+		signBatch(t, r1, &sf)
 		tamper(&sf)
-		err := r2.VerifyBatch(&sf)
-		if err == nil {
-			t.Errorf("%s: tampered batch verified", name)
-			continue
-		}
-		if !errors.Is(err, ErrBadMAC) {
-			t.Errorf("%s: error %v does not match ErrBadMAC", name, err)
-		}
-		var bad *BatchAuthError
-		if !errors.As(err, &bad) || bad.From != 1 {
-			t.Errorf("%s: failure not attributed to sender: %v", name, err)
-		}
-	}
-}
-
-// TestVerifyBatchAttributesDeviantEnvelope is the attribution satellite:
-// when a superframe carries per-envelope MACs (the mixed-auth fallback) and
-// the batch MAC fails, the receiver re-verifies per envelope and the error
-// names the deviant — the one envelope that fails on its own — preserving
-// the §3.2 property that a deviation is pinned on something actionable.
-func TestVerifyBatchAttributesDeviantEnvelope(t *testing.T) {
-	r1, r2 := twoNodeRegistries(t)
-	sf := testBatch(8)
-	for i := range sf.Envs {
-		if err := r1.Sign(&sf.Envs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r1.SignBatch(&sf); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.VerifyBatch(&sf); err != nil {
-		t.Fatalf("pristine mixed-auth batch must verify: %v", err)
-	}
-
-	// Corrupt one envelope's payload in flight: the batch MAC fails, and the
-	// per-envelope re-verify names envelope 5.
-	const deviant = 5
-	sf.Envs[deviant].Payload = append([]byte(nil), sf.Envs[deviant].Payload...)
-	sf.Envs[deviant].Payload[0] ^= 0x40
-	err := r2.VerifyBatch(&sf)
-	if err == nil {
-		t.Fatal("corrupted batch verified")
-	}
-	var bad *BatchAuthError
-	if !errors.As(err, &bad) {
-		t.Fatalf("error %T is not a BatchAuthError", err)
-	}
-	if bad.From != 1 || bad.Index != deviant || bad.Tag != sf.Envs[deviant].Tag {
-		t.Fatalf("deviant not named: %+v", bad)
-	}
-
-	// Frame-level tamper (batch MAC flipped, every envelope individually
-	// intact): attribution stays at the peer, Index -1.
-	sf = testBatch(8)
-	for i := range sf.Envs {
-		if err := r1.Sign(&sf.Envs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r1.SignBatch(&sf); err != nil {
-		t.Fatal(err)
-	}
-	sf.MAC[2] ^= 1
-	err = r2.VerifyBatch(&sf)
-	if !errors.As(err, &bad) || bad.Index != -1 || bad.From != 1 {
-		t.Fatalf("frame-level tamper misattributed: %v", err)
+		wantBadMACFrom(t, name, verifyFrame(t, r2, sf.Encode()), 1)
 	}
 }
 
@@ -156,11 +132,9 @@ func TestVerifyBatchAttributesDeviantEnvelope(t *testing.T) {
 func TestVerifyBatchWrongRecipient(t *testing.T) {
 	r1, r2 := twoNodeRegistries(t)
 	sf := testBatch(2)
-	if err := r1.SignBatch(&sf); err != nil {
-		t.Fatal(err)
-	}
+	signBatch(t, r1, &sf)
 	sf.To = 1
-	if err := r2.VerifyBatch(&sf); err == nil {
+	if err := verifyFrame(t, r2, sf.Encode()); err == nil {
 		t.Error("superframe addressed elsewhere must fail verification")
 	}
 }

@@ -251,10 +251,16 @@ func (c *Coalescer) SendBatch(envs []wire.Envelope) error {
 	return c.conn.SendBatch(envs)
 }
 
-// ship transmits one batch: a singleton as a plain envelope (the
-// per-envelope MAC fallback), anything larger as one superframe.
-// SendBatch must not retain the slice past return (the BatchConn
-// contract), so the caller recycles it.
+// ship transmits one batch: a singleton through Send, anything larger
+// through SendBatch. SendBatch must not retain the slice past return (the
+// BatchConn contract), so the caller recycles it. The singleton branch is
+// for the Hub, where a delayed SendBatch copies its batch and a delayed
+// Send does not: singletons are 85 % of ships on market64-paced, 19 % on
+// market64-closed and 20 % on market16-tcp. BenchmarkSteadyStateAllocs
+// (zero-latency Hub) reads 133.1–133.2 allocs/round with the branch and
+// 133.1–133.2 with every ship through SendBatch; the same run on the
+// CommunityNetModel Hub reads 184.5–185.5 with it and 208.5–211.3
+// without (EXPERIMENTS.md). Over TCP both calls write the same frame.
 func (c *Coalescer) ship(envs []wire.Envelope) (err error) {
 	span := trace.Begin()
 	c.frames.Add(1)

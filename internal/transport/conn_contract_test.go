@@ -131,6 +131,25 @@ func TestConnContract(t *testing.T) {
 				})
 			})
 
+			t.Run("a batch of one reaches the Handler", func(t *testing.T) {
+				a, b := c.pair(t)
+				var singles, batched atomic.Int64
+				b.SetHandler(func(env wire.Envelope) {
+					if string(env.Payload) != "one" || env.From != 1 {
+						t.Errorf("handler got %+v", env)
+					}
+					singles.Add(1)
+				})
+				b.SetBatchHandler(func(envs []wire.Envelope) { batched.Add(int64(len(envs))) })
+				if err := a.SendBatch([]wire.Envelope{contractEnv(1, 2, 1, "one")}); err != nil {
+					t.Fatal(err)
+				}
+				eventually(t, "the batch of one", func() bool { return singles.Load()+batched.Load() > 0 })
+				if n := batched.Load(); n != 0 {
+					t.Fatalf("the batch handler got %d envelopes of a batch of one", n)
+				}
+			})
+
 			t.Run("queued before SetHandler, delivered exactly once", func(t *testing.T) {
 				a, b := c.pair(t)
 				// Under the smallest pre-handler queue in the tree (a lane's).

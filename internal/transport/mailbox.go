@@ -130,10 +130,11 @@ func (m *Mailbox) signal() {
 }
 
 // DeliverBatch hands a whole batch to the batch handler in one call, or
-// envelope by envelope through Deliver while none is installed. It returns
-// how many envelopes Deliver dropped.
+// envelope by envelope through Deliver while none is installed. A batch of
+// one is a single envelope and goes to Deliver, whatever frame carried it.
+// It returns how many envelopes Deliver dropped.
 func (m *Mailbox) DeliverBatch(envs []wire.Envelope) (overflow int) {
-	if bh := m.batch.Load(); bh != nil {
+	if bh := m.batch.Load(); bh != nil && len(envs) > 1 {
 		if !m.closed.Load() {
 			(*bh)(envs)
 		}

@@ -13,13 +13,9 @@ import (
 	"distauction/internal/wire"
 )
 
-// outBufSize is the per-connection write buffer. One consensus burst is m
-// small frames; 64 KiB batches all of them into one syscall.
-const outBufSize = 64 << 10
-
 // inBufSize is the per-connection read buffer: one read(2) picks up every
-// frame the peer's last flush carried instead of two per frame (header,
-// then body). Bodies larger than the buffer are read straight into place.
+// frame that has arrived instead of two per frame (header, then body).
+// Bodies larger than the buffer are read straight into place.
 const inBufSize = 16 << 10
 
 // TCPConfig configures a TCP transport node.
@@ -38,9 +34,12 @@ type TCPConfig struct {
 	DialTimeout time.Duration
 }
 
-// TCPNode is a node on a TCP network. Identity is established per message:
-// each envelope carries an HMAC under the pairwise key of (From, To), so no
-// connection handshake is needed and connections are interchangeable.
+// TCPNode is a node on a TCP network. Every frame it sends is a superframe
+// (wire.Superframe), a lone envelope included, and identity is established
+// per frame: one HMAC under the pairwise key of (From, To) covers every byte
+// of the frame but the MAC, and the receiver checks it before it delivers
+// any envelope inside. No connection handshake is needed, and connections
+// are interchangeable.
 type TCPNode struct {
 	cfg TCPConfig
 	ln  net.Listener
@@ -55,66 +54,26 @@ type TCPNode struct {
 	wg        sync.WaitGroup
 
 	stats Stats
-	// Dropped counts inbound messages discarded for failing decode or
-	// authentication. A nonzero value under honest operation indicates
-	// misconfiguration; under attack it is expected and harmless.
+	// Dropped counts inbound frames discarded for failing decode (a frame
+	// that is not a superframe included) or authentication. A nonzero
+	// value under honest operation indicates misconfiguration; under
+	// attack it is expected and harmless.
 	Dropped atomic.Int64
 }
 
-// tcpOut is one outbound connection with write coalescing: frames go into a
-// bufio.Writer, and the writer that finds no successor queued flushes for
-// the whole burst while the others wait for that flush's outcome. A burst of
-// m² consensus messages thus costs a handful of syscalls instead of m², an
-// isolated send still flushes immediately, and every Send synchronously
-// returns the result of the flush that covered its frame — so the
-// retry-once redial logic keeps working for coalesced frames.
+// tcpOut is one outbound connection. A frame is one contiguous buffer,
+// written with one Write under mu, so frames from concurrent senders never
+// interleave and each sender gets its own write's outcome.
 type tcpOut struct {
-	queued atomic.Int64 // senders that will take mu next
-	mu     sync.Mutex
-	cond   sync.Cond // signalled after each flush; guarded by mu
-	conn   net.Conn
-	bw     *bufio.Writer
-	gen    uint64 // flush generation
-	err    error  // outcome of the flush that ended generation gen
+	mu   sync.Mutex
+	conn net.Conn
 }
 
-func newTCPOut(conn net.Conn) *tcpOut {
-	o := &tcpOut{conn: conn, bw: bufio.NewWriterSize(conn, outBufSize)}
-	o.cond.L = &o.mu
-	return o
-}
-
-// writeFrame buffers one frame. The last writer of a burst flushes and
-// publishes the outcome; the others block until that flush and return its
-// error, so a lost frame is always observed by its sender.
-func (o *tcpOut) writeFrame(raw []byte) error {
-	o.queued.Add(1)
+func (o *tcpOut) writeFrame(frame []byte) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	idle := o.queued.Add(-1) == 0
-	err := wire.WriteFrameTo(o.bw, raw)
-	if idle {
-		// The burst's final writer always publishes — even on a write error
-		// — so no earlier writer is left waiting on a flush that cannot
-		// happen (bufio errors are sticky; the whole burst shares the fate).
-		if err == nil {
-			err = o.bw.Flush()
-		}
-		o.gen++
-		o.err = err
-		o.cond.Broadcast()
-		return err
-	}
-	if err != nil {
-		return err // a committed successor will publish for the waiters
-	}
-	// A successor is committed to taking the lock; the burst's final writer
-	// will flush this frame too. Wait for that flush and report its outcome.
-	gen := o.gen
-	for o.gen == gen {
-		o.cond.Wait()
-	}
-	return o.err
+	_, err := o.conn.Write(frame)
+	return err
 }
 
 var _ Conn = (*TCPNode)(nil)
@@ -185,10 +144,19 @@ func (n *TCPNode) acceptLoop() {
 	}
 }
 
+// readLoop serves one inbound connection until it fails or is closed:
+// by the peer, by KillConns or by Close. It registers conn under n.mu, where
+// Close finds it, and refuses a conn accepted after Close began.
 func (n *TCPNode) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
 	n.mu.Lock()
+	select {
+	case <-n.done:
+		n.mu.Unlock()
+		return
+	default:
+	}
 	n.inConns[conn] = struct{}{}
 	n.mu.Unlock()
 	defer func() {
@@ -196,50 +164,24 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		delete(n.inConns, conn)
 		n.mu.Unlock()
 	}()
-	go func() {
-		<-n.done
-		conn.Close() // unblock the pending read on shutdown
-	}()
 	br := bufio.NewReaderSize(conn, inBufSize)
 	for {
 		frame, err := wire.ReadFrame(br)
 		if err != nil {
 			return
 		}
-		if wire.IsSuperframe(frame) {
-			n.ingestSuperframe(frame)
-			continue
-		}
-		// The frame buffer is owned by this loop and never reused, so the
-		// envelope's payload can alias it instead of being copied out.
-		env, err := wire.DecodeEnvelopeView(frame)
-		if err != nil {
-			n.Dropped.Add(1)
-			continue
-		}
-		if n.cfg.Registry != nil {
-			if err := n.cfg.Registry.Verify(&env); err != nil {
-				n.Dropped.Add(1)
-				continue
-			}
-		} else if env.To != n.cfg.Self {
-			n.Dropped.Add(1)
-			continue
-		}
-		n.stats.MsgsReceived.Add(1)
-		n.stats.BytesReceived.Add(int64(len(env.Payload)))
-		// Handlers run here, in the connection's read goroutine, so inbound
-		// traffic from different peers is handled in parallel.
-		n.box.Deliver(env)
+		n.ingest(frame)
 	}
 }
 
-// ingestSuperframe decodes, authenticates (ONE batch MAC check) and
-// dispatches one inbound superframe. The whole batch is handed to the batch
-// handler in this connection's read goroutine — one dispatch hop per
-// superframe. A bad batch MAC drops the frame and counts once in Dropped;
-// auth.VerifyBatch already attributed it as finely as the frame allows.
-func (n *TCPNode) ingestSuperframe(frame []byte) {
+// ingest decodes, authenticates (one batch MAC check) and dispatches one
+// inbound frame. The frame buffer is owned by the read loop and never
+// reused, so the envelopes' payloads alias it instead of being copied out.
+// The whole batch goes to the mailbox in this connection's read goroutine,
+// so inbound traffic from different peers is handled in parallel. A frame
+// that is not a well-formed superframe, or whose MAC fails, is dropped and
+// counted once in Dropped.
+func (n *TCPNode) ingest(frame []byte) {
 	sf, err := wire.DecodeSuperframeView(frame)
 	if err != nil {
 		n.Dropped.Add(1)
@@ -270,39 +212,16 @@ func (n *TCPNode) SetHandler(h Handler) { n.box.SetHandler(h) }
 // SetBatchHandler implements Conn.
 func (n *TCPNode) SetBatchHandler(h BatchHandler) { n.box.SetBatchHandler(h) }
 
-// Send signs (when configured) and transmits env to its destination,
-// dialing or reusing a connection. A stale connection is retried once.
+// Send transmits env to its destination as a superframe of one.
 func (n *TCPNode) Send(env wire.Envelope) error {
-	select {
-	case <-n.done:
-		return ErrClosed
-	default:
-	}
-	if env.From != n.cfg.Self {
-		return fmt.Errorf("transport: sending as %d from node %d", env.From, n.cfg.Self)
-	}
-	if n.cfg.Registry != nil {
-		if err := n.cfg.Registry.Sign(&env); err != nil {
-			return fmt.Errorf("transport: %w", err)
-		}
-	}
-	// The frame bytes are fully consumed by writeFrame (copied into the
-	// connection's write buffer or the kernel), so the encoder is pooled.
-	enc := wire.GetEncoder(env.EncodedSize())
-	env.EncodeTo(enc)
-	err := n.writeRetry(env.To, enc.Buffer())
-	wire.PutEncoder(enc)
-	if err == nil {
-		n.stats.MsgsSent.Add(1)
-		n.stats.BytesSent.Add(int64(len(env.Payload)))
-	}
-	return err
+	one := [1]wire.Envelope{env}
+	return n.SendBatch(one[:])
 }
 
-// SendBatch signs (ONE batch MAC, when configured) and transmits a whole
-// superframe to its destination as a single wire frame. Every envelope must
-// share the batch's destination; singletons fall back to Send and its
-// per-envelope MAC, so a lone message never pays the superframe framing.
+// SendBatch signs (one batch MAC, when configured) and transmits envs to
+// their destination as one superframe in one wire frame, dialing or reusing
+// a connection. Every envelope must share the batch's destination. A stale
+// connection is redialed (writeRetry).
 func (n *TCPNode) SendBatch(envs []wire.Envelope) error {
 	select {
 	case <-n.done:
@@ -311,9 +230,6 @@ func (n *TCPNode) SendBatch(envs []wire.Envelope) error {
 	}
 	if len(envs) == 0 {
 		return nil
-	}
-	if len(envs) == 1 {
-		return n.Send(envs[0])
 	}
 	size := 0
 	for i := range envs {
@@ -325,24 +241,28 @@ func (n *TCPNode) SendBatch(envs []wire.Envelope) error {
 		}
 		size += len(envs[i].Payload)
 	}
-	// One encode serves both framing and authentication: the batch MAC is
-	// computed directly over the encoded signed bytes and appended, instead
-	// of encoding once to sign and again to frame. The size hint includes
-	// the MAC that is about to be installed, so appending it never regrows
-	// (and memmoves) the encoded frame.
+	// One encode serves framing and authentication: the buffer starts with
+	// the frame's length prefix, the batch MAC is computed over the signed
+	// bytes behind it and appended, and the prefix is filled last. The size
+	// hint covers the MAC, so appending it never regrows the buffer. The
+	// frame is fully consumed by the write, so the encoder is pooled.
 	sf := wire.Superframe{From: n.cfg.Self, To: envs[0].To, Envs: envs}
-	enc := wire.GetEncoder(sf.EncodedSize() + 1 + auth.KeySize)
+	enc := wire.GetEncoder(wire.FramePrefixLen + sf.EncodedSize() + 1 + auth.KeySize)
+	enc.Uint32(0) // the length prefix, filled by wire.SealFrame
 	sf.SignedBytesTo(enc)
 	if n.cfg.Registry != nil {
 		var sum [auth.KeySize]byte
-		if err := n.cfg.Registry.SignBatchBytes(sf.To, enc.Buffer(), &sum); err != nil {
+		if err := n.cfg.Registry.SignBatchBytes(sf.To, enc.Buffer()[wire.FramePrefixLen:], &sum); err != nil {
 			wire.PutEncoder(enc)
 			return fmt.Errorf("transport: %w", err)
 		}
 		sf.MAC = sum[:]
 	}
 	enc.Bytes(sf.MAC)
-	err := n.writeRetry(sf.To, enc.Buffer())
+	err := wire.SealFrame(enc.Buffer())
+	if err == nil {
+		err = n.writeRetry(sf.To, enc.Buffer())
+	}
 	wire.PutEncoder(enc)
 	if err == nil {
 		n.stats.MsgsSent.Add(int64(len(envs)))
@@ -355,11 +275,11 @@ func (n *TCPNode) SendBatch(envs []wire.Envelope) error {
 // three redial-and-replay attempts with jittered backoff between them.
 const writeAttempts = 4
 
-// writeRetry writes one raw frame to the peer's connection. A stale or
+// writeRetry writes one sealed frame to the peer's connection. A stale or
 // freshly-killed connection is redialed and the write replayed, with
 // capped jittered backoff between attempts; shutdown aborts the retry
 // immediately.
-func (n *TCPNode) writeRetry(to wire.NodeID, raw []byte) error {
+func (n *TCPNode) writeRetry(to wire.NodeID, frame []byte) error {
 	var lastErr error
 	var bo *Backoff // lazily created: the no-failure path allocates nothing
 	for attempt := 0; attempt < writeAttempts; attempt++ {
@@ -376,7 +296,7 @@ func (n *TCPNode) writeRetry(to wire.NodeID, raw []byte) error {
 		if err != nil {
 			return err
 		}
-		if err = out.writeFrame(raw); err == nil {
+		if err = out.writeFrame(frame); err == nil {
 			if bo != nil {
 				bo.Stop()
 			}
@@ -433,7 +353,7 @@ func (n *TCPNode) conn(id wire.NodeID, redial bool) (*tcpOut, error) {
 	if bo != nil {
 		bo.Stop()
 	}
-	out := newTCPOut(c)
+	out := &tcpOut{conn: c}
 	n.mu.Lock()
 	if old, ok := n.outbound[id]; ok && !redial {
 		// Lost the race; keep the existing connection.
@@ -480,19 +400,15 @@ func (n *TCPNode) dropConn(id wire.NodeID, out *tcpOut) {
 	out.conn.Close()
 }
 
-// Close shuts the node down and waits for its goroutines.
+// Close shuts the node down and waits for its goroutines: closing every
+// live connection ends its read loop.
 func (n *TCPNode) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
 		close(n.done)
 		n.box.Close() // no delivery that begins from here reaches a handler
 		err = n.ln.Close()
-		n.mu.Lock()
-		for id, out := range n.outbound {
-			out.conn.Close()
-			delete(n.outbound, id)
-		}
-		n.mu.Unlock()
+		n.KillConns()
 		n.wg.Wait()
 	})
 	if err != nil && !errors.Is(err, net.ErrClosed) {

@@ -3,7 +3,10 @@ package transport
 import (
 	"context"
 	"errors"
+	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,8 +69,8 @@ func TestTCPManyMessagesOrdered(t *testing.T) {
 }
 
 // TestTCPConcurrentBurstDelivered hammers one connection from many
-// goroutines: the flush-on-idle coalescing must not lose or corrupt frames
-// (the last writer of every burst flushes for all of them).
+// goroutines: each frame is one Write under the connection's lock, so
+// concurrent frames must arrive whole, none lost or interleaved.
 func TestTCPConcurrentBurstDelivered(t *testing.T) {
 	n1, n2 := startTCPPair(t)
 	in := Pull(n2)
@@ -131,6 +134,82 @@ func TestTCPRejectsForgedMAC(t *testing.T) {
 	}
 	if n2.Dropped.Load() == 0 {
 		t.Error("forged message not counted as dropped")
+	}
+}
+
+// TestTCPDropsPlainEnvelopeFrame writes a correctly signed plain envelope
+// frame straight to a node's listener. Every TCP frame is a superframe, so
+// the node must drop it, count it in Dropped and deliver nothing.
+func TestTCPDropsPlainEnvelopeFrame(t *testing.T) {
+	_, n2 := startTCPPair(t)
+	var delivered atomic.Int64
+	n2.SetHandler(func(wire.Envelope) { delivered.Add(1) })
+	n2.SetBatchHandler(func(envs []wire.Envelope) { delivered.Add(int64(len(envs))) })
+	e := env(1, 2, "plain")
+	signer := auth.NewRegistryFromMaster([]byte("tcp-test-master"), 1, []wire.NodeID{1, 2})
+	if err := signer.Sign(&e); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", n2.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, e.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	// The read loop handles the frame before it reads anything else: once
+	// it is counted, it was not delivered.
+	deadline := time.Now().Add(5 * time.Second)
+	for n2.Dropped.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := n2.Dropped.Load(); got != 1 {
+		t.Errorf("Dropped = %d, want 1", got)
+	}
+	if got := delivered.Load(); got != 0 {
+		t.Errorf("a plain envelope frame delivered %d envelopes", got)
+	}
+}
+
+// TestTCPKilledConnsLeaveNoGoroutine kills a pair's connections again and
+// again: each dead inbound connection's read loop must exit with it, so
+// the goroutine count comes back to where it was.
+func TestTCPKilledConnsLeaveNoGoroutine(t *testing.T) {
+	n1, n2 := startTCPPair(t)
+	var got atomic.Int64
+	n1.SetHandler(func(wire.Envelope) { got.Add(1) })
+	n2.SetHandler(func(wire.Envelope) { got.Add(1) })
+	exchange := func() {
+		t.Helper()
+		want := got.Load() + 2
+		if err := n1.Send(env(1, 2, "ping")); err != nil {
+			t.Fatal(err)
+		}
+		if err := n2.Send(env(2, 1, "pong")); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for got.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatal("exchange not delivered")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	exchange() // both directions' connections and read loops are up
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		n1.KillConns()
+		n2.KillConns()
+		exchange()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after 100 kill cycles, %d before", n, baseline)
 	}
 }
 

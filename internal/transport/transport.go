@@ -71,10 +71,11 @@ type Conn interface {
 	BatchConn
 	// SetHandler installs the consumer of single inbound envelopes.
 	SetHandler(h Handler)
-	// SetBatchHandler installs the consumer of whole inbound superframes.
-	// Without one a superframe is delivered envelope by envelope to the
-	// Handler; a receiver that installs a batch handler installs a Handler
-	// too, for the envelopes that travel outside any superframe.
+	// SetBatchHandler installs the consumer of whole inbound superframes
+	// of two envelopes or more. Without one a superframe is delivered
+	// envelope by envelope to the Handler. A batch of one always goes to
+	// the Handler, as a Send does, whichever frame carried it, so a
+	// receiver that installs a batch handler installs a Handler too.
 	SetBatchHandler(h BatchHandler)
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"testing"
@@ -239,20 +240,27 @@ func TestEncoderPoolReuse(t *testing.T) {
 	PutEncoder(nil) // must not panic
 }
 
-func TestWriteFrameToMatchesWriteFrame(t *testing.T) {
-	var a, b bytes.Buffer
+// TestSealFrameMatchesWriteFrame pins the in-place frame the TCP transport
+// builds (prefix reserved, body behind it, SealFrame last) to the framing
+// WriteFrame writes and ReadFrame reads.
+func TestSealFrameMatchesWriteFrame(t *testing.T) {
+	var a bytes.Buffer
 	payload := []byte("framed-payload")
 	if err := WriteFrame(&a, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrameTo(&b, payload); err != nil {
+	frame := append(make([]byte, FramePrefixLen), payload...)
+	if err := SealFrame(frame); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("WriteFrameTo encoding differs from WriteFrame")
+	if !bytes.Equal(a.Bytes(), frame) {
+		t.Error("SealFrame encoding differs from WriteFrame")
 	}
-	if err := WriteFrameTo(&b, make([]byte, MaxFrameLen+1)); err == nil {
-		t.Error("oversized frame must fail")
+	if got, err := ReadFrame(bytes.NewReader(frame)); err != nil || !bytes.Equal(got, payload) {
+		t.Errorf("ReadFrame of a sealed frame: %q, %v", got, err)
+	}
+	if err := SealFrame(make([]byte, FramePrefixLen+MaxFrameLen+1)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized frame sealed: %v", err)
 	}
 }
 

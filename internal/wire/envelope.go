@@ -136,8 +136,7 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 
 // DecodeEnvelopeView parses an envelope whose Payload and MAC alias b
 // directly (zero copy). The caller must own b and must not modify or reuse
-// it afterwards — the stream transports decode each freshly-read frame this
-// way and hand the slices over to the router.
+// it afterwards.
 func DecodeEnvelopeView(b []byte) (Envelope, error) {
 	return decodeEnvelope(b, true)
 }

@@ -6,40 +6,33 @@ import (
 	"io"
 )
 
-// WriteFrame writes a length-prefixed frame to w. The prefix is a 4-byte
-// big-endian length. WriteFrame performs a single Write call so that
-// concurrent writers interleave at frame granularity when w serialises
-// writes (callers still normally hold a mutex per connection).
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameLen {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+// FramePrefixLen is the size of a frame's length prefix: a 4-byte
+// big-endian body length.
+const FramePrefixLen = 4
+
+// SealFrame fills the length prefix of a frame built in place: frame's
+// first FramePrefixLen bytes are reserved for it and the body follows. A
+// frame so built goes out in one Write, with no copy.
+func SealFrame(frame []byte) error {
+	n := len(frame) - FramePrefixLen
+	if n > MaxFrameLen {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("write frame: %w", err)
-	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
 	return nil
 }
 
-// WriteFrameTo writes a length-prefixed frame as two Write calls (header,
-// then payload) without allocating. It is meant for buffered writers — the
-// TCP transport batches frames into a bufio.Writer and flushes once per
-// burst — where WriteFrame's single-Write copy would be a wasted allocation.
-// Callers on unbuffered shared writers must either hold a lock or use
-// WriteFrame to keep frames contiguous.
-func WriteFrameTo(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameLen {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+// WriteFrame writes payload to w as one length-prefixed frame, in a single
+// Write call, so that concurrent writers interleave at frame granularity
+// when w serialises writes.
+func WriteFrame(w io.Writer, payload []byte) error {
+	buf := make([]byte, FramePrefixLen+len(payload))
+	copy(buf[FramePrefixLen:], payload)
+	if err := SealFrame(buf); err != nil {
+		return err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("write frame body: %w", err)
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("write frame: %w", err)
 	}
 	return nil
 }
@@ -66,7 +59,7 @@ var errBodyEnded = fmt.Errorf("read frame body: %w", io.ErrUnexpectedEOF)
 // reader allocate grows only with the bytes it sends: at most frameChunk,
 // or four times the body bytes received.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [FramePrefixLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF

@@ -11,8 +11,9 @@ import (
 	"distauction/internal/testalloc"
 )
 
-// The decoders a stream transport's read loop feeds first, with bytes
-// nobody has authenticated yet. The two envelope targets assert: no panic;
+// The decoders that read bytes nobody has authenticated yet: the TCP read
+// loop feeds every frame to DecodeSuperframeView before it checks the MAC.
+// The envelope and superframe targets assert: no panic;
 // the zero-copy decode and the copying decode agree; every view lies inside
 // the input and cannot grow over its neighbours; decode → encode → decode
 // is a fixed point. FuzzReadFrame holds the length prefix in front of them
@@ -97,8 +98,8 @@ func checkSuperframe(t *testing.T, b []byte) {
 	if !reflect.DeepEqual(view, copied) {
 		t.Fatalf("view decode %+v != copying decode %+v", view, copied)
 	}
-	if !IsSuperframe(b) {
-		t.Fatal("decoded a frame the read loop would not route here")
+	if binary.BigEndian.Uint32(b) != SuperframeMarker {
+		t.Fatal("decoded a superframe without its leading marker")
 	}
 	if !inside(view.MAC, b) {
 		t.Fatalf("batch MAC view escapes the %d-byte input", len(b))

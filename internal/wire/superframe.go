@@ -19,18 +19,19 @@ import (
 // encoded once and stamped back onto every envelope at decode.
 //
 // Transferable evidence (§3.2) moves to frame granularity: a batched
-// envelope carries no individual MAC by default, but the batch MAC pins
-// the ENTIRE frame — conflicting payloads included — to its sender, so a
-// retained superframe is itself transferable proof of what the peer said
-// under a tag. Deployments that need per-envelope auth.Evidence objects
-// pre-sign envelopes before batching (the mixed-auth layout below); the
-// batch MAC covers those per-envelope MACs too.
+// envelope carries no individual MAC, but the batch MAC pins the ENTIRE
+// frame — conflicting payloads included — to its sender, so a retained
+// superframe is itself transferable proof of what the peer said under a
+// tag. The format keeps a per-envelope MAC field, covered by the batch
+// MAC, but the TCP transport leaves it empty: an auth.Evidence object made
+// of individually signed envelopes never travels on the wire.
 //
-// On the wire a superframe is distinguished from a plain envelope frame by
-// its leading marker: SuperframeMarker where an envelope's From would be.
-// Broadcast (0xFFFFFFFF) is never a valid sender — transports enforce
-// From == Self on every send — so the marker cannot collide with a real
-// envelope.
+// The stream transport sends every frame as a superframe, a lone envelope
+// included, so a frame has one kind, one MAC and one decode path. The
+// leading marker, SuperframeMarker where an envelope's From would be, is
+// what makes a plain envelope frame fail DecodeSuperframe: Broadcast
+// (0xFFFFFFFF) is never a valid sender — transports enforce From == Self on
+// every send — so the marker cannot collide with a real envelope.
 
 // SuperframeMarker is the leading uint32 that identifies a superframe. It
 // deliberately equals Broadcast: an envelope frame starts with its From
@@ -46,11 +47,10 @@ const MaxSuperframeEnvs = 4096
 var ErrBadSuperframe = errors.New("wire: bad superframe")
 
 // Superframe is a batch of envelopes from one sender to one destination,
-// authenticated as a unit: MAC is a single HMAC over SignedBytes (the whole
-// batch), computed by auth.Registry.SignBatch. Individual envelopes may
-// additionally carry their own MACs (the mixed-auth fallback); the batch
-// MAC covers those too, so a receiver whose batch verification fails can
-// re-verify per envelope to name the deviant.
+// authenticated as a unit: MAC is a single HMAC over the bytes
+// SignedBytesTo writes (the whole batch, per-envelope MAC fields included),
+// computed by auth.Registry.SignBatchBytes. A failed batch MAC attributes
+// to the frame's sender, whose pairwise key it is.
 type Superframe struct {
 	From NodeID
 	To   NodeID
@@ -124,13 +124,6 @@ func SuperframeSignedView(frame []byte, macLen int) ([]byte, bool) {
 		return nil, false
 	}
 	return frame[:cut], true
-}
-
-// IsSuperframe reports whether b is a superframe encoding (by marker). It
-// is how stream transports discriminate frame kinds.
-func IsSuperframe(b []byte) bool {
-	return len(b) >= 4 &&
-		b[0] == 0xFF && b[1] == 0xFF && b[2] == 0xFF && b[3] == 0xFF
 }
 
 // DecodeSuperframe parses a superframe, copying payloads and MACs out of b.
